@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -252,10 +252,6 @@ class CliffordElement:
     def is_scalar(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.coeffs[1:]), initial=0.0) <= tol)
 
-    def grade_part(self, k: int) -> "CliffordElement":
-        t = _tables(self.m)
-        return CliffordElement(self.m, np.where(t.grades == k, self.coeffs, 0.0))
-
     def isclose(self, other: "CliffordElement", tol: float = 1e-12) -> bool:
         return self.m == other.m and bool(
             np.max(np.abs(self.coeffs - other.coeffs)) <= tol
@@ -417,10 +413,6 @@ def in_sqrt_minus_one(x: CliffordElement, tol: float = 1e-10) -> bool:
 def slice_exp(i_elem: CliffordElement, theta: float) -> CliffordElement:
     """e^{I theta} = cos(theta) + I sin(theta) for I a square root of -1."""
     return CliffordElement.scalar(i_elem.m, math.cos(theta)) + math.sin(theta) * i_elem
-
-
-def blade_names(m: int) -> Sequence[str]:
-    return _tables(m).names
 
 
 def grades(m: int) -> np.ndarray:

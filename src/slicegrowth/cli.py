@@ -13,20 +13,20 @@ import time
 
 import click
 
-from . import geometry, reports, series, slicemaps, suites
+from . import geometry, reports, slicemaps, suites
 from .algebra import CliffordElement
 
 _SEED_ENVVAR = "SLICEGROWTH_SEED"
 
 
 def _build_config(m, n, seed, samples, truncation, r_max, theta, map_, domain,
-                  shards, fmt, out) -> suites.RunConfig:
+                  shards) -> suites.RunConfig:
     cfg = suites.RunConfig(
         m=m, n=n, seed=seed, samples=samples, truncation=truncation,
         r_max=r_max, theta=theta,
         maps=(map_,) if map_ else None,
         domains=(domain,) if domain else ("ball", "polydisc"),
-        shards=shards, fmt=fmt, out=out,
+        shards=shards,
     )
     try:
         cfg.validate()
@@ -65,7 +65,7 @@ def main():
               help="Largest sampled radius / gauge value.")
 @click.option("--theta", type=float, default=None,
               help="Rotation parameter of the test maps (default: a small sweep).")
-@click.option("--map", "map_", type=click.Choice(["koebe", "cayley", "paper-example"]),
+@click.option("--map", "map_", type=click.Choice(list(suites.MAP_FAMILIES)),
               default=None, help="Restrict growth suites to one map family.")
 @click.option("--domain", type=click.Choice(["ball", "polydisc"]), default=None,
               help="Restrict the domain suite to one gauge.")
@@ -80,12 +80,9 @@ def verify(suite, m, n, seed, samples, truncation, r_max, theta, map_, domain,
            shards, fmt, out, quiet):
     """Run one verification suite (or `all`) and write its report."""
     cfg = _build_config(m, n, seed, samples, truncation, r_max, theta, map_,
-                        domain, shards, fmt, out)
+                        domain, shards)
     started = time.perf_counter()
-    try:
-        results = suites.run_suite(suite, cfg)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    results = suites.run_suite(suite, cfg)
     elapsed = time.perf_counter() - started
 
     _write_report(reports.render(results, fmt), out)
@@ -98,8 +95,8 @@ def verify(suite, m, n, seed, samples, truncation, r_max, theta, map_, domain,
 
 
 @main.command()
-@click.option("--map", "map_", type=click.Choice(["koebe", "cayley", "paper-example"]),
-              default="koebe", show_default=True)
+@click.option("--map", "map_", type=click.Choice(list(suites.MAP_FAMILIES)),
+              default=next(iter(suites.MAP_FAMILIES)), show_default=True)
 @click.option("--theta", type=float, default=0.0, show_default=True)
 @click.option("--r-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
               show_default=True, help="Comma-separated radii.")
@@ -118,14 +115,8 @@ def envelope(map_, theta, r_grid, m, n, truncation, out):
     if not 1 <= m <= suites.MAX_M:
         raise click.UsageError(f"m must be in 1..{suites.MAX_M}")
 
-    i_elem = CliffordElement.generator(m, 1)
-    if map_ == "koebe":
-        stem, family = series.koebe_map(theta, i_elem, truncation, n), "starlike"
-    elif map_ == "cayley":
-        stem, family = series.convex_test_map(theta, i_elem, truncation, n), "convex"
-    else:
-        stem = series.convex_test_map(theta, i_elem, truncation, n, "paper_example")
-        family = "convex"
+    family, build, _ = suites.MAP_FAMILIES[map_]
+    stem = build(theta, CliffordElement.generator(m, 1), truncation, n)
     rows = geometry.envelope_table(slicemaps.SliceMap(stem), family, radii)
 
     header = "r,lower_bound,f_at_minus_r,f_at_plus_r,upper_bound"

@@ -44,6 +44,9 @@ from .slicespace import (
 )
 
 _ZERO_COMPONENT_TOL = 1e-12
+# resolution credited to oracle bisection (60 halvings); membership is not
+# compared within 100 times this of the boundary
+_BISECT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +349,17 @@ def sharpness_axis(f: SliceMap, family: str, r_grid, tol: float = 1e-8) -> Repor
     """
     worst_excess = 0.0
     worst_raw = 0.0
-    rows = []
-    e1 = CliffordElement.generator(f.m, 1)
-    for r in r_grid:
-        lower, upper = growth_bounds(float(r), family)
-        point = [0.0] * f.n
-        point[0] = r
-        plus = vector_norm(f.eval(make_point(point, [0.0] * f.n, e1)))
-        point[0] = -r
-        minus = vector_norm(f.eval(make_point(point, [0.0] * f.n, e1)))
-        gap = max(abs(minus - float(lower)), abs(plus - float(upper)))
+    rows = envelope_table(f, family, r_grid)
+    for row in rows:
+        gap = max(abs(row["f_at_minus_r"] - row["lower_bound"]),
+                  abs(row["f_at_plus_r"] - row["upper_bound"]))
         worst_raw = max(worst_raw, gap)
-        worst_excess = max(worst_excess, gap - tail_bound(f.stem, float(r)))
-        rows.append(float(r))
+        worst_excess = max(worst_excess, gap - tail_bound(f.stem, row["r"]))
     return Report.from_error(
-        f"sharpness-{family}", max(worst_excess, 0.0), tol, len(rows),
+        f"sharpness-{family}", worst_excess, tol, len(rows),
         family=family, m=f.m, n=f.n, N=f.stem.degree,
         raw_gap=worst_raw,
-        r_grid=" ".join(f"{r:g}" for r in rows),
+        r_grid=" ".join(f"{row['r']:g}" for row in rows),
     )
 
 
@@ -402,7 +398,6 @@ class Gauge:
     n: int
     m: int
     member_fn: Optional[Callable[[SlicePoint], bool]] = None
-    bisect_tol: float = 1e-8
 
     def member(self, p: SlicePoint) -> bool:
         if self.kind == "oracle":
@@ -418,15 +413,15 @@ def polydisc_gauge(n: int, m: int) -> Gauge:
     return Gauge("polydisc", n, m)
 
 
-def oracle_gauge(member, n: int, m: int, bisect_tol: float = 1e-8) -> Gauge:
-    return Gauge("oracle", n, m, member_fn=member, bisect_tol=bisect_tol)
+def oracle_gauge(member, n: int, m: int) -> Gauge:
+    return Gauge("oracle", n, m, member_fn=member)
 
 
 def _scaled(p: SlicePoint, c: float) -> SlicePoint:
     return make_point(p.alpha * c, p.beta * c, p.J)
 
 
-def gauge_rho(g: Gauge, p: SlicePoint, tol: Optional[float] = None) -> float:
+def gauge_rho(g: Gauge, p: SlicePoint) -> float:
     """Evaluate the gauge at p.
 
     Closed forms: the ball gauge is the point norm and the polydisc gauge
@@ -481,8 +476,7 @@ def gauge_rho_batch(g: Gauge, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray
     ])
 
 
-def value_gauge_on_slice(g: Gauge, values, I: CliffordElement,
-                         tol: float = 1e-8):
+def value_gauge_on_slice(g: Gauge, values, I: CliffordElement):
     """Gauge of a Clifford vector whose components lie in the slice of I.
 
     Returns (rho, off-slice residual).  This is the quantity the sharp
@@ -532,7 +526,7 @@ def gauge_properties_check(g: Gauge, samples: int, rng,
         scale_target = rng.uniform(0.2, 1.8)
         q = _scaled(p, scale_target / rho)
         rho_q = gauge_rho(g, q)
-        if abs(rho_q - 1.0) > 100 * max(tol, g.bisect_tol):
+        if abs(rho_q - 1.0) > 100 * max(tol, _BISECT_TOL):
             if g.member(q) != (rho_q < 1.0):
                 member_mismatch += 1
 
@@ -581,13 +575,8 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
     p = _FAMILY_POWER[family]
     slack = tail_bound(f.stem, r_max) + tol
 
-    # random-slice samples, scaled so the gauge value is the drawn radius
-    alpha, beta, j_rows, radii = _sample_ball(rng, samples, f.n, f.m, r_max)
-    rho_dir = gauge_rho_batch(g, alpha, beta)
-    scale = np.where(rho_dir > 0, radii / np.maximum(rho_dir, 1e-300), 0.0)
-    alpha *= scale[:, None]
-    beta *= scale[:, None]
-    rho = gauge_rho_batch(g, alpha, beta)
+    # random-slice samples
+    alpha, beta, j_rows, rho = _sample_gauged(g, rng, samples, f.n, f.m, r_max)
     xnorm = np.sqrt(np.sum(alpha ** 2 + beta ** 2, axis=1))
     norms = _batch_norms(f, alpha, beta, j_rows)
 
@@ -605,12 +594,7 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
     )
 
     # slice-of-I samples for the gauge-form
-    alpha_i, beta_i, _, radii_i = _sample_ball(rng, samples, f.n, f.m, r_max)
-    rho_dir_i = gauge_rho_batch(g, alpha_i, beta_i)
-    scale_i = np.where(rho_dir_i > 0, radii_i / np.maximum(rho_dir_i, 1e-300), 0.0)
-    alpha_i *= scale_i[:, None]
-    beta_i *= scale_i[:, None]
-    rho_i = gauge_rho_batch(g, alpha_i, beta_i)
+    alpha_i, beta_i, _, rho_i = _sample_gauged(g, rng, samples, f.n, f.m, r_max)
     shadow, shadow_resid = slice_shadow(f, I)
     zvals = alpha_i + 1j * beta_i
     value_rho = np.array([
@@ -623,24 +607,21 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
         float(np.max(value_rho - hi_g, initial=0.0)),
     )
 
-    # closed-form sharpness of the gauge-form at the real diagonal
+    # closed-form sharpness of the gauge-form at the real diagonal, where
+    # the polydisc gauge is r
     diag_gap = 0.0
-    if abs(theta) < 1e-15:
+    if abs(theta) < 1e-15 and g.kind == "polydisc":
         for r in diag_grid:
+            if r >= 1.0:
+                continue
             for sign in (1.0, -1.0):
                 z = np.full(f.n, sign * r, dtype=np.complex128)
-                rho_x = r if g.kind == "polydisc" else r * math.sqrt(f.n)
-                if rho_x >= 1.0:
-                    continue
-                envelope = rho_x / (1.0 - sign * rho_x) ** p if g.kind == "polydisc" \
-                    else None
-                if envelope is None:
-                    continue
+                envelope = r / (1.0 - sign * r) ** p
                 got = _complex_value_gauge(g, shadow.eval(z))
                 diag_gap = max(diag_gap, abs(got - envelope))
 
     asserted_max = max(norm_viol[0], norm_viol[1], gauge_viol[0], gauge_viol[1],
-                       diag_gap if g.kind == "polydisc" else 0.0)
+                       diag_gap)
     if g.kind == "ball":
         asserted_max = max(asserted_max, rho_viol[0], rho_viol[1])
     return Report(
@@ -661,6 +642,17 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
             "max_error": asserted_max, "threshold": slack,
         },
     )
+
+
+def _sample_gauged(g: Gauge, rng, samples: int, n: int, m: int, r_max: float):
+    """_sample_ball points rescaled so that the gauge value is the drawn
+    radius.  Returns (alpha, beta, j_rows, rho)."""
+    alpha, beta, j_rows, radii = _sample_ball(rng, samples, n, m, r_max)
+    rho_dir = gauge_rho_batch(g, alpha, beta)
+    scale = np.where(rho_dir > 0, radii / np.maximum(rho_dir, 1e-300), 0.0)
+    alpha *= scale[:, None]
+    beta *= scale[:, None]
+    return alpha, beta, j_rows, gauge_rho_batch(g, alpha, beta)
 
 
 def _complex_value_gauge(g: Gauge, values: np.ndarray) -> float:

@@ -185,12 +185,6 @@ def identity_map(m: int, n: int) -> StemSeries:
     return StemSeries(m, n, terms, degree=1)
 
 
-def eval_stem(F: StemSeries, z):
-    """Functional form of StemSeries.eval for a point z = (alpha, beta)."""
-    alpha, beta = z
-    return F.eval(alpha, beta)
-
-
 def cr_residual(stem, z, step: float = 1e-5) -> float:
     """Max over variables of the finite-difference d/d(conj z_t) defect.
 
@@ -279,22 +273,6 @@ class UnivariateSeries:
         """Multiply by x**p (exponent shift; coefficients stay put)."""
         pad = np.zeros((p, self.coeffs.shape[1]))
         return UnivariateSeries(self.m, np.vstack([pad, self.coeffs]))
-
-    def to_stem_component(self, n: int, t: int,
-                          tail_model=None) -> StemSeries:
-        """Embed as the t-th component of an n-variable stem series."""
-        dim = 1 << self.m
-        terms = {}
-        for p, row in enumerate(self.coeffs):
-            if not np.any(row):
-                continue
-            k = [0] * n
-            k[t] = p
-            coeff = np.zeros((n, dim))
-            coeff[t] = row
-            terms[tuple(k)] = coeff
-        return StemSeries(self.m, n, terms, degree=self.degree,
-                          tail_model=tail_model)
 
 
 def star_mul(f: UnivariateSeries, g: UnivariateSeries,

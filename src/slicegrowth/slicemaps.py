@@ -24,9 +24,16 @@ from .algebra import (
     mul_batch,
     mul_coeffs,
 )
-from .errors import BasisError, DimensionError, RepresentationError
+from .errors import BasisError, RepresentationError
 from .series import StemSeries, _coeff_rows
-from .slicespace import SliceOrbit, SlicePoint, make_point, orbit_point, vector_norm
+from .slicespace import (
+    SliceOrbit,
+    SlicePoint,
+    make_point,
+    orbit_point,
+    vector_gap,
+    vector_norm,
+)
 
 
 class SliceMap:
@@ -55,9 +62,6 @@ class SliceMap:
     def derivative(self, t: int) -> "SliceMap":
         return SliceMap(self.stem.derivative(t))
 
-    def eval_orbit(self, o: SliceOrbit, J: CliffordElement) -> list[CliffordElement]:
-        return self.eval(orbit_point(o, J))
-
 
 class RawSliceMap:
     """Slice map built from an explicit even-odd pair of callables.
@@ -80,9 +84,6 @@ class RawSliceMap:
             CliffordElement(self.m, a) + p.J * CliffordElement(self.m, b)
             for a, b in zip(f1, f2)
         ]
-
-    def stem_eval(self, alpha, beta):
-        return self.f1_fn(alpha, beta), self.f2_fn(alpha, beta)
 
 
 def representation_formula(f, o: SliceOrbit, J: CliffordElement,
@@ -210,7 +211,7 @@ class ComplexSeries:
         return np.stack(cols, axis=1)
 
 
-def slice_shadow(f: SliceMap, I: CliffordElement, tol: float = 1e-10):
+def slice_shadow(f: SliceMap, I: CliffordElement):
     """Complex series of f restricted to the slice of I, plus the total
     off-slice coefficient residual (zero iff all coefficients lie in C_I)."""
     coeffs, resid = complex_on_slice(f.stem._amat, I)
@@ -295,21 +296,10 @@ def well_defined_gap(f, p: SlicePoint) -> float:
     if not np.any(p.beta):
         return 0.0
     flipped = SlicePoint(p.alpha, _readonly(-np.asarray(p.beta)), -p.J)
-    va = f.eval(p)
-    vb = f.eval(flipped)
-    return max(
-        float(np.max(np.abs(a.coeffs - b.coeffs))) for a, b in zip(va, vb)
-    )
+    return vector_gap(f.eval(p), f.eval(flipped))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     arr.setflags(write=False)
     return arr
-
-
-def check_dimensions(f: SliceMap, p: SlicePoint):
-    if f.m != p.m or f.n != p.n:
-        raise DimensionError(
-            f"map is (m={f.m}, n={f.n}) but point is (m={p.m}, n={p.n})"
-        )

@@ -2,15 +2,19 @@
 produce one report record each.
 
 Every suite derives its RNG stream from (seed, suite tag, shard index),
-so reports are byte-identical for a fixed (config, seed, shard count)
-and shards can run independently; shard merging takes componentwise
-maxima of errors and sums sample counts.
+so reports are byte-identical for a fixed (config, seed, shard count).
+Only the algebra and growth-ball suites split their sample budgets over
+`shards` independent streams; the other suites run one stream whatever
+the shard count.  Shard merging takes maxima of the error fields, sums
+sample counts and ANDs the pass verdicts.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -46,6 +50,16 @@ _DEFAULT_SAMPLES = {
 
 _SHARP_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
+# growth-suite map families: name -> (family, builder(theta, I, N, n),
+# asserted).  The degree-two paper example fails the convex hypothesis,
+# so its growth bounds are reported but never asserted.
+MAP_FAMILIES = {
+    "koebe": ("starlike", series.koebe_map, True),
+    "cayley": ("convex", series.convex_test_map, True),
+    "paper-example": ("convex", functools.partial(
+        series.convex_test_map, variant="paper_example"), False),
+}
+
 
 @dataclass
 class RunConfig:
@@ -59,9 +73,6 @@ class RunConfig:
     maps: Optional[tuple[str, ...]] = None
     domains: tuple[str, ...] = ("ball", "polydisc")
     shards: int = 1
-    fmt: str = "json"
-    out: Optional[str] = None
-    tolerances: dict = field(default_factory=dict)
 
     def validate(self):
         if self.m is not None and not 1 <= self.m <= MAX_M:
@@ -74,20 +85,19 @@ class RunConfig:
             raise ValueError("samples must be positive")
         if not 0.0 < self.r_max < 1.0:
             raise ValueError("r_max must be in (0, 1)")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if self.truncation < 1:
             raise ValueError("truncation must be positive")
         if self.shards < 1:
             raise ValueError("shards must be positive")
         for name in self.maps or ():
-            if name not in ("koebe", "cayley", "paper-example"):
+            if name not in MAP_FAMILIES:
                 raise ValueError(f"unknown map {name!r}")
         for name in self.domains:
             if name not in ("ball", "polydisc"):
                 raise ValueError(f"unknown domain {name!r}")
         return self
-
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
 
     def budget(self, suite: str) -> int:
         return self.samples if self.samples is not None else _DEFAULT_SAMPLES[suite]
@@ -111,17 +121,41 @@ def _shard_sizes(total: int, shards: int) -> list[int]:
     return [s for s in out if s > 0]
 
 
-def _merge_max(check: str, parts: list[Report], threshold: float, **params) -> Report:
-    max_error = max(rep.data["max_error"] for rep in parts)
-    samples = sum(rep.samples for rep in parts)
-    return Report.from_error(check, max_error, threshold, samples, **params)
+def _merge_shards(parts: list[Report], keys) -> Report:
+    """One record from per-shard records: the maximum of each named field,
+    the sum of samples and the AND of the pass verdicts."""
+    merged = parts[0]
+    for extra in parts[1:]:
+        for key in keys:
+            merged.data[key] = max(merged.data[key], extra.data[key])
+        merged.samples += extra.samples
+        merged.passed = merged.passed and extra.passed
+    return merged
+
+
+def _re_z1_pair(m: int, n: int):
+    """Even-odd pair (F1, F2) = (Re z_1, 0): a stem that is not
+    holomorphic, used as the control the holomorphy checks must detect."""
+    def f1(a, b):
+        rows = np.zeros((n, 1 << m))
+        rows[0, 0] = a[0]
+        return rows
+
+    def f2(a, b):
+        return np.zeros((n, 1 << m))
+
+    return f1, f2
 
 
 # ---------------------------------------------------------------------------
 # algebra suite
 # ---------------------------------------------------------------------------
 
-def _algebra_shard(m: int, count: int, rng, tol: float) -> Report:
+_ALGEBRA_ERRORS = ("associativity", "anti_automorphism", "involution",
+                   "inverse_identity", "anticommutation", "root_square")
+
+
+def _algebra_shard(m: int, count: int, rng) -> Report:
     dim = 1 << m
     a = rng.uniform(-1.0, 1.0, size=(count, dim))
     b = rng.uniform(-1.0, 1.0, size=(count, dim))
@@ -164,17 +198,14 @@ def _algebra_shard(m: int, count: int, rng, tol: float) -> Report:
     sq[:, 0] += 1.0
     root_err = float(np.max(np.abs(sq)))
 
-    max_error = max(assoc_err, anti_err, invol_err, inv_err, pair_err, root_err)
-    return Report.from_error(
-        f"algebra-m{m}", max_error, tol, count,
-        m=m, associativity=assoc_err, anti_automorphism=anti_err,
-        involution=invol_err, inverse_identity=inv_err,
-        anticommutation=pair_err, root_square=root_err,
-    )
+    errors = dict(zip(_ALGEBRA_ERRORS, (assoc_err, anti_err, invol_err, inv_err,
+                                        pair_err, root_err)))
+    max_error = max(errors.values())
+    return Report(f"algebra-m{m}", max_error <= 1e-10, count,
+                  {"m": m, "max_error": max_error, "threshold": 1e-10, **errors})
 
 
 def run_algebra(cfg: RunConfig) -> list[Report]:
-    tol = cfg.tol("algebra", 1e-10)
     total = cfg.budget("algebra")
     m_values = range(1, (cfg.m or 5) + 1)
     reports = []
@@ -182,14 +213,10 @@ def run_algebra(cfg: RunConfig) -> list[Report]:
         # work per case grows like 4**m; keep large-m batches tractable
         budget_m = max(200, total // 4 ** max(0, m - 5)) if m > 5 else total
         parts = [
-            _algebra_shard(m, size, _rng(cfg, "algebra", shard, m), tol)
+            _algebra_shard(m, size, _rng(cfg, "algebra", shard, m))
             for shard, size in enumerate(_shard_sizes(budget_m, cfg.shards))
         ]
-        merged = _merge_max(f"algebra-m{m}", parts, tol, m=m)
-        for key in ("associativity", "anti_automorphism", "involution",
-                    "inverse_identity", "anticommutation", "root_square"):
-            merged.data[key] = max(p.data[key] for p in parts)
-        reports.append(merged)
+        reports.append(_merge_shards(parts, ("max_error",) + _ALGEBRA_ERRORS))
     return reports
 
 
@@ -229,7 +256,7 @@ def run_stem(cfg: RunConfig) -> list[Report]:
         float(np.max(np.abs(f2m + f2p), initial=0.0)),
     )
     reports.append(Report.from_error(
-        "stem-even-odd", eo_err, cfg.tol("even_odd", 1e-12), count, m=m, n=n))
+        "stem-even-odd", eo_err, 1e-12, count, m=m, n=n))
 
     # holomorphy residual via finite differences; sampled away from the
     # boundary so the third derivative keeps the FD error under budget
@@ -243,17 +270,10 @@ def run_stem(cfg: RunConfig) -> list[Report]:
         worst_cr = max(worst_cr, series.cr_residual(stem, z),
                        series.cr_residual(koebe, z))
     reports.append(Report.from_error(
-        "stem-cr-residual", worst_cr, cfg.tol("cr", 1e-8), cr_points, m=m, n=n))
+        "stem-cr-residual", worst_cr, 1e-8, cr_points, m=m, n=n))
 
     # the non-holomorphic control must be detected: d Re(z_1)/d conj(z_1) = 1/2
-    def control_f1(a, b):
-        rows = np.zeros((n, 1 << m))
-        rows[0, 0] = a[0]
-        return rows
-
-    def control_f2(a, b):
-        return np.zeros((n, 1 << m))
-
+    control_f1, control_f2 = _re_z1_pair(m, n)
     control = series.cr_residual(
         lambda a, b: (control_f1(a, b), control_f2(a, b)),
         (np.full(n, 0.3), np.full(n, 0.2)),
@@ -263,12 +283,13 @@ def run_stem(cfg: RunConfig) -> list[Report]:
         control_residual=control))
 
     # star-inverse identity through the full truncation order
-    unit = series.UnivariateSeries(m, [CliffordElement.scalar(m, 1.0)])
+    unit = np.zeros((trunc + 1, 1 << m))
+    unit[0, 0] = 1.0
     base = series.UnivariateSeries(
         m, [CliffordElement.scalar(m, 1.0), -algebra.slice_exp(i_elem, theta)])
     inv = series.star_inverse(base, trunc)
     ident = series.star_mul(base, inv, trunc=trunc)
-    ident_err = float(np.max(np.abs(ident.coeffs - unit_pad(unit, trunc))))
+    ident_err = float(np.max(np.abs(ident.coeffs - unit)))
 
     coeffs = [CliffordElement.scalar(m, 1.0)]
     budget = 0.5
@@ -279,11 +300,11 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     rand_series = series.UnivariateSeries(m, coeffs)
     rinv = series.star_inverse(rand_series, trunc)
     rident = series.star_mul(rand_series, rinv, trunc=trunc)
-    ident_err = max(ident_err, float(np.max(np.abs(rident.coeffs - unit_pad(unit, trunc)))))
+    ident_err = max(ident_err, float(np.max(np.abs(rident.coeffs - unit))))
     dbl = series.star_inverse(rinv, 40)
     ident_err = max(ident_err, float(np.max(np.abs(dbl.coeffs - rand_series.coeffs[:41]))))
     reports.append(Report.from_error(
-        "stem-star-inverse", ident_err, cfg.tol("star", 1e-10), trunc,
+        "stem-star-inverse", ident_err, 1e-10, trunc,
         m=m, order=trunc))
 
     # coefficient norms of the starlike family: (k+1) exactly
@@ -310,12 +331,6 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     return reports
 
 
-def unit_pad(unit: series.UnivariateSeries, trunc: int) -> np.ndarray:
-    out = np.zeros((trunc + 1, unit.coeffs.shape[1]))
-    out[0] = unit.coeffs[0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # representation suite
 # ---------------------------------------------------------------------------
@@ -325,7 +340,6 @@ def run_representation(cfg: RunConfig) -> list[Report]:
     n = cfg.n
     count = cfg.budget("representation")
     rng = _rng(cfg, "representation", 0)
-    tol = cfg.tol("representation", 1e-10)
     cond_threshold = 1e-3
 
     worst = 0.0
@@ -354,50 +368,41 @@ def run_representation(cfg: RunConfig) -> list[Report]:
         direct = f.eval(slicespace.orbit_point(o, i_elem))
         rec = slicemaps.representation_formula(f, o, j_elem, k_elem, i_elem,
                                                cond_threshold)
-        err = max(float(np.max(np.abs(a.coeffs - b.coeffs)))
-                  for a, b in zip(rec, direct))
-        worst = max(worst, err)
+        worst = max(worst, slicespace.vector_gap(rec, direct))
 
         if case % 10 == 0:
             j2, k2 = draw_pair()
             rec2 = slicemaps.representation_formula(f, o, j2, k2, i_elem,
                                                     cond_threshold)
-            worst_two_pair = max(worst_two_pair, max(
-                float(np.max(np.abs(a.coeffs - b.coeffs)))
-                for a, b in zip(rec, rec2)))
+            worst_two_pair = max(worst_two_pair, slicespace.vector_gap(rec, rec2))
 
             cor = slicemaps.two_slice_average(f, o, j_elem, i_elem)
-            worst_cor = max(worst_cor, max(
-                float(np.max(np.abs(a.coeffs - b.coeffs)))
-                for a, b in zip(cor, direct)))
+            worst_cor = max(worst_cor, slicespace.vector_gap(cor, direct))
 
             collapse = slicemaps.representation_formula(f, o, j_elem, k_elem,
                                                         j_elem, cond_threshold)
             on_j = f.eval(slicespace.orbit_point(o, j_elem))
-            worst_collapse = max(worst_collapse, max(
-                float(np.max(np.abs(a.coeffs - b.coeffs)))
-                for a, b in zip(collapse, on_j)))
+            worst_collapse = max(worst_collapse, slicespace.vector_gap(collapse, on_j))
 
             df = f.derivative(0)
             rec_d = slicemaps.representation_formula(df, o, j_elem, k_elem,
                                                      i_elem, cond_threshold)
             direct_d = df.eval(slicespace.orbit_point(o, i_elem))
-            worst_deriv = max(worst_deriv, max(
-                float(np.max(np.abs(a.coeffs - b.coeffs)))
-                for a, b in zip(rec_d, direct_d)))
+            worst_deriv = max(worst_deriv, slicespace.vector_gap(rec_d, direct_d))
 
+    sub = (count + 9) // 10  # cases that ran the sub-checks (case % 10 == 0)
     return [
-        Report.from_error("representation-reconstruction", worst, tol, count,
+        Report.from_error("representation-reconstruction", worst, 1e-10, count,
                           m=m, n=n, cond_threshold=cond_threshold,
                           rejected_pairs=rejected),
-        Report.from_error("representation-two-pair", worst_two_pair,
-                          cfg.tol("two_pair", 1e-9), count // 10, m=m, n=n),
-        Report.from_error("representation-average-form", worst_cor, tol,
-                          count // 10, m=m, n=n),
-        Report.from_error("representation-collapse", worst_collapse, 1e-12,
-                          count // 10, m=m, n=n),
+        Report.from_error("representation-two-pair", worst_two_pair, 1e-9, sub,
+                          m=m, n=n),
+        Report.from_error("representation-average-form", worst_cor, 1e-10, sub,
+                          m=m, n=n),
+        Report.from_error("representation-collapse", worst_collapse, 1e-12, sub,
+                          m=m, n=n),
         Report.from_error("representation-derivative-commutes", worst_deriv,
-                          cfg.tol("deriv_commute", 1e-8), count // 10, m=m, n=n),
+                          1e-8, sub, m=m, n=n),
     ]
 
 
@@ -427,7 +432,7 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
             rng.uniform(-0.4, 0.4, n), rng.uniform(-0.4, 0.4, n), j_elem)
         worst = max(worst, slicemaps.regularity_residual(f, p))
     reports.append(Report.from_error(
-        "regularity-series", worst, cfg.tol("regularity", 1e-7), count, m=m, n=n))
+        "regularity-series", worst, 1e-7, count, m=m, n=n))
 
     const = slicemaps.SliceMap(series.StemSeries(
         m, n, {(0,) * n: rng.uniform(-1, 1, size=(n, 1 << m))}))
@@ -439,15 +444,7 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
         1, m=m, n=n))
 
     # control with stem F1 = Re(z_1): residual must be O(1), not small
-    def raw_f1(a, b):
-        rows = np.zeros((n, 1 << m))
-        rows[0, 0] = a[0]
-        return rows
-
-    def raw_f2(a, b):
-        return np.zeros((n, 1 << m))
-
-    control = slicemaps.RawSliceMap(m, n, raw_f1, raw_f2)
+    control = slicemaps.RawSliceMap(m, n, *_re_z1_pair(m, n))
     control_res = slicemaps.regularity_residual(control, p0)
     reports.append(Report(
         "regularity-control-detected", control_res > 0.1, 1,
@@ -464,11 +461,9 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
         rebuilt = slicemaps.reassemble_on_slice(comps, basis, i_elem, z)
         point = slicespace.make_point(z.real, z.imag, i_elem)
         direct = f.eval(point)
-        worst_split = max(worst_split, max(
-            float(np.max(np.abs(a.coeffs - b.coeffs)))
-            for a, b in zip(rebuilt, direct)))
+        worst_split = max(worst_split, slicespace.vector_gap(rebuilt, direct))
     reports.append(Report.from_error(
-        "regularity-splitting", worst_split, cfg.tol("split", 1e-10),
+        "regularity-splitting", worst_split, 1e-10,
         min(count, 200), m=m, n=n, components=len(comps)))
     return reports
 
@@ -494,7 +489,7 @@ def _extremal_maps(m: int, n: int, trunc: int, theta: float):
 def run_extremal(cfg: RunConfig) -> list[Report]:
     count = cfg.budget("extremal")
     theta = cfg.theta if cfg.theta is not None else 0.7
-    tol = cfg.tol("extremal", 1e-9)
+    tol = 1e-9
     reports = []
     m_values = (cfg.m,) if cfg.m else (2, 3)
     n_values = (cfg.n,) if cfg.n != 2 else (1, 2)
@@ -542,35 +537,24 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
     count = cfg.budget("growth-ball")
     trunc = cfg.truncation
     reports = []
-    wanted = cfg.maps or ("koebe", "cayley", "paper-example")
+    wanted = cfg.maps or tuple(MAP_FAMILIES)
 
     shard_plan = _shard_sizes(count, cfg.shards)
-    for label, family, builder in (
-        ("koebe", "starlike", lambda th, i: series.koebe_map(th, i, trunc, n)),
-        ("cayley", "convex", lambda th, i: series.convex_test_map(th, i, trunc, n)),
-        ("paper-example", "convex",
-         lambda th, i: series.convex_test_map(th, i, trunc, n, "paper_example")),
-    ):
+    for label, (family, build, asserted) in MAP_FAMILIES.items():
         if label not in wanted:
             continue
-        assert_bounds = label != "paper-example"
         for iname, i_elem in directions:
             for theta in thetas:
-                f = slicemaps.SliceMap(builder(theta, i_elem))
+                f = slicemaps.SliceMap(build(theta, i_elem, trunc, n))
                 parts = []
                 for shard, size in enumerate(shard_plan):
                     rng = _rng(cfg, "growth-ball", shard,
                                _stable_tag(label, iname, f"{theta:.9f}"))
                     parts.append(geometry.growth_check_ball(
                         f, family, cfg.r_max, size, rng, i_elem, theta,
-                        cfg.tol("growth", 1e-9), assert_bounds))
-                rep = parts[0]
-                for extra in parts[1:]:
-                    for key in ("max_violation_lower", "max_violation_upper",
-                                "max_error"):
-                        rep.data[key] = max(rep.data[key], extra.data[key])
-                    rep.samples += extra.samples
-                    rep.passed = rep.passed and extra.passed
+                        1e-9, asserted))
+                rep = _merge_shards(parts, ("max_violation_lower",
+                                            "max_violation_upper", "max_error"))
                 rep.check = f"growth-ball-{label}-{iname}-theta{theta:.3f}"
                 rep.data["map"] = label
                 if rep.data["asserted"]:
@@ -578,12 +562,11 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
                 reports.append(rep)
 
             if any(abs(t) < 1e-15 for t in thetas):
-                f0 = slicemaps.SliceMap(builder(0.0, i_elem))
-                sharp = geometry.sharpness_axis(
-                    f0, family, _SHARP_GRID, cfg.tol("sharpness", 1e-8))
+                f0 = slicemaps.SliceMap(build(0.0, i_elem, trunc, n))
+                sharp = geometry.sharpness_axis(f0, family, _SHARP_GRID, 1e-8)
                 sharp.check = f"sharpness-{label}-{iname}"
                 sharp.data["map"] = label
-                if label == "paper-example":
+                if not asserted:
                     sharp.data["asserted"] = False
                     sharp.passed = True
                 reports.append(sharp)
@@ -596,24 +579,21 @@ def run_growth_domain(cfg: RunConfig) -> list[Report]:
     count = cfg.budget("growth-domain")
     trunc = cfg.truncation
     reports = []
-    wanted = cfg.maps or ("koebe", "cayley")
+    wanted = cfg.maps or tuple(MAP_FAMILIES)
 
-    for label, family, builder in (
-        ("koebe", "starlike", lambda th, i: series.koebe_map(th, i, trunc, n)),
-        ("cayley", "convex", lambda th, i: series.convex_test_map(th, i, trunc, n)),
-    ):
-        if label not in wanted:
+    # the domain checks always assert, so unasserted families are skipped
+    for label, (family, build, asserted) in MAP_FAMILIES.items():
+        if label not in wanted or not asserted:
             continue
         _, i_elem = directions[0]
         theta = thetas[0]
-        f = slicemaps.SliceMap(builder(theta, i_elem))
+        f = slicemaps.SliceMap(build(theta, i_elem, trunc, n))
         for domain in cfg.domains:
             gauge = geometry.ball_gauge(n, m) if domain == "ball" \
                 else geometry.polydisc_gauge(n, m)
             rng = _rng(cfg, "growth-domain", 0, _stable_tag(label, domain))
             rep = geometry.growth_check_domain(
-                f, gauge, family, cfg.r_max, count, rng, i_elem, theta,
-                cfg.tol("growth", 1e-9))
+                f, gauge, family, cfg.r_max, count, rng, i_elem, theta, 1e-9)
             rep.check = f"growth-domain-{domain}-{label}"
             rep.data["map"] = label
             reports.append(rep)
@@ -630,9 +610,9 @@ def run_gauge(cfg: RunConfig) -> list[Report]:
     ball = geometry.ball_gauge(n, m)
     poly = geometry.polydisc_gauge(n, m)
     reports.append(geometry.gauge_properties_check(
-        ball, max(count // 10, 20), rng, cfg.tol("gauge_closed", 1e-12)))
+        ball, max(count // 10, 20), rng, 1e-12))
     reports.append(geometry.gauge_properties_check(
-        poly, max(count // 10, 20), rng, cfg.tol("gauge_closed", 1e-12)))
+        poly, max(count // 10, 20), rng, 1e-12))
 
     # bisection oracle wrapping the closed-form membership tests
     for closed, name in ((ball, "ball"), (poly, "polydisc")):
@@ -647,7 +627,7 @@ def run_gauge(cfg: RunConfig) -> list[Report]:
             worst = max(worst, abs(geometry.gauge_rho(oracle, p) -
                                    geometry.gauge_rho(closed, p)))
         reports.append(Report.from_error(
-            f"gauge-bisection-{name}", worst, cfg.tol("gauge_bisect", 1e-8),
+            f"gauge-bisection-{name}", worst, 1e-8,
             points, m=m, n=n))
     return reports
 

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from slicegrowth.cli import main
 from slicegrowth.reports import Report, render, summary_lines
-from slicegrowth.suites import RunConfig, SUITES, run_suite
+from slicegrowth.suites import RunConfig, SUITES, _merge_shards, run_suite
 
 
 def small_config(**kw):
@@ -25,6 +25,8 @@ def test_config_validation():
         RunConfig(samples=0).validate()
     with pytest.raises(ValueError):
         RunConfig(maps=("bogus",)).validate()
+    with pytest.raises(ValueError):
+        RunConfig(theta=float("nan")).validate()
     RunConfig(m=8, samples=10).validate()
 
 
@@ -51,11 +53,35 @@ def test_different_seeds_differ():
 
 
 def test_shard_merge_is_deterministic():
-    cfg1 = small_config(shards=3)
-    cfg2 = small_config(shards=3)
-    a = render(run_suite("algebra", cfg1), "json")
-    b = render(run_suite("algebra", cfg2), "json")
-    assert a == b
+    for suite in ("algebra", "growth-ball"):
+        a = run_suite(suite, small_config(shards=3))
+        b = run_suite(suite, small_config(shards=3))
+        assert render(a, "json") == render(b, "json"), suite
+        # every sampled record accounts for the whole budget across shards
+        sampled = [rep for rep in a if not rep.check.startswith("sharpness-")]
+        assert sampled and all(rep.samples == 40 for rep in sampled), suite
+
+
+def test_shard_merge_keeps_algebra_key_order():
+    rec = run_suite("algebra", small_config(shards=3, m=2))[0].record()
+    assert list(rec) == [
+        "check", "m", "max_error", "threshold", "associativity",
+        "anti_automorphism", "involution", "inverse_identity",
+        "anticommutation", "root_square", "samples", "pass",
+    ]
+
+
+def test_shard_merge_fails_on_one_failing_shard():
+    parts = [Report.from_error("c", err, 1.0, 10) for err in (0.5, 2.0, 0.1)]
+    merged = _merge_shards(parts, ("max_error",))
+    assert merged.passed is False
+    assert merged.samples == 30
+    assert merged.data["max_error"] == 2.0
+
+
+def test_representation_subcheck_samples_count_cases_run():
+    reports = run_suite("representation", small_config(samples=1))
+    assert [rep.samples for rep in reports] == [1, 1, 1, 1, 1]
 
 
 def test_report_rendering():
@@ -100,6 +126,10 @@ def test_cli_usage_errors():
     assert runner.invoke(main, ["verify", "nonsense"]).exit_code == 2
     assert runner.invoke(main, ["verify", "growth-ball", "--r-max", "1.5"]).exit_code == 2
     assert runner.invoke(main, ["envelope", "--r-grid", "0.1,banana"]).exit_code == 2
+    for theta in ("nan", "inf"):
+        result = runner.invoke(main, ["verify", "growth-ball", "--theta", theta])
+        assert result.exit_code == 2, (theta, result.output)
+        assert "theta must be finite" in result.output
 
 
 def test_cli_seed_envvar(tmp_path):
@@ -130,23 +160,45 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
     assert json.loads(out.read_text())[0]["pass"] is False
 
 
+def test_cli_suite_value_error_is_not_a_usage_error(monkeypatch):
+    # only config validation maps to exit 2; an error inside a suite does not
+    import slicegrowth.suites as suites_mod
+
+    def broken_suite(cfg):
+        raise ValueError("internal failure")
+
+    monkeypatch.setitem(suites_mod.SUITES, "gauge", broken_suite)
+    result = CliRunner().invoke(main, ["verify", "gauge", "--quiet"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, ValueError)
+
+
+# map -> (lower, ||f(-1/2)||, ||f(1/2)||, upper) at r = 1/2, theta = 0
+_HALF_ROWS = {
+    "koebe": (0.5 / 2.25, 0.5 / 2.25, 2.0, 2.0),
+    "cayley": (1 / 3, 1 / 3, 1.0, 1.0),
+    "paper-example": (1 / 3, 0.75, 0.25, 1.0),  # x (1 - x) is not convex
+}
+
+
 def test_cli_envelope(tmp_path):
     runner = CliRunner()
-    out = tmp_path / "env.csv"
-    result = runner.invoke(main, [
-        "envelope", "--map", "koebe", "--theta", "0.0",
-        "--r-grid", "0.0,0.5", "--truncation", "120", "--out", str(out),
-    ])
-    assert result.exit_code == 0, result.output
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "r,lower_bound,f_at_minus_r,f_at_plus_r,upper_bound"
-    zero_row = [float(v) for v in lines[1].split(",")]
-    assert zero_row == [0.0, 0.0, 0.0, 0.0, 0.0]
-    half_row = [float(v) for v in lines[2].split(",")]
-    assert half_row[1] == pytest.approx(0.5 / 2.25, abs=1e-12)
-    assert half_row[4] == pytest.approx(2.0, abs=1e-12)
-    # monotone in r
-    assert half_row[1] > zero_row[1] and half_row[4] > zero_row[4]
+    for map_name, expected in _HALF_ROWS.items():
+        out = tmp_path / f"env-{map_name}.csv"
+        result = runner.invoke(main, [
+            "envelope", "--map", map_name, "--theta", "0.0",
+            "--r-grid", "0.0,0.5", "--truncation", "120", "--out", str(out),
+        ])
+        assert result.exit_code == 0, (map_name, result.output)
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "r,lower_bound,f_at_minus_r,f_at_plus_r,upper_bound"
+        zero_row = [float(v) for v in lines[1].split(",")]
+        assert zero_row == [0.0, 0.0, 0.0, 0.0, 0.0]
+        half_row = [float(v) for v in lines[2].split(",")]
+        assert half_row[0] == 0.5
+        assert half_row[1:] == pytest.approx(expected, abs=1e-12), map_name
+        # monotone in r
+        assert half_row[1] > zero_row[1] and half_row[4] > zero_row[4]
 
 
 def test_cli_csv_format(tmp_path):
