@@ -29,7 +29,7 @@ from .geometry import (
     ExtremalProfile,
     Gauge,
     ball_gauge,
-    convex_criterion_1d,
+    convex_criterion_slice,
     extremal_profile,
     gauge_rho,
     growth_check_ball,

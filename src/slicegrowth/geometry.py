@@ -8,7 +8,9 @@ u = <J, I> (coefficient inner product):
 
     ||f(alpha + J beta)||^2 = c0 - c1 * u =: g(u),
 
-so the extrema over all J are attained at J = +-I.  Growth checks sample
+so the extrema over all J are attained at J = +-I.  The starlike and
+convex criteria (starlike_criterion_slice, convex_criterion_slice) read
+the slice shadow f_I and its derivatives.  Growth checks sample
 the ball (or a gauged domain), evaluate the truncated map, and compare
 against the closed-form envelopes with the analytic truncation tail as
 slack.
@@ -30,7 +32,7 @@ from .errors import (
     SamplingError,
 )
 from .reports import Report
-from .series import UnivariateSeries, tail_bound
+from .series import tail_bound
 from .slicemaps import SliceMap, complex_on_slice, slice_shadow
 from .slicespace import (
     SliceOrbit,
@@ -180,6 +182,18 @@ def profile_linearity(f: SliceMap, o: SliceOrbit, I: CliffordElement,
 # starlike / convex criteria on a slice
 # ---------------------------------------------------------------------------
 
+def _shadow_in_slice(f: SliceMap, I: CliffordElement, tol: float):
+    """slice_shadow(f, I), raising HypothesisViolationError if a
+    coefficient leaves the slice of I by more than tol."""
+    shadow, resid = slice_shadow(f, I)
+    if resid > tol:
+        raise HypothesisViolationError(
+            f"map does not send the slice of I into itself "
+            f"(coefficient residual {resid:.3e})"
+        )
+    return shadow
+
+
 def starlike_criterion_slice(f: SliceMap, I: CliffordElement, z,
                              tol: float = 1e-9) -> float:
     """Re <Df_I(z)^{-1} f_I(z), z> through the complex identification of
@@ -188,12 +202,7 @@ def starlike_criterion_slice(f: SliceMap, I: CliffordElement, z,
     Raises HypothesisViolationError if the map's coefficients leave the
     slice, CriterionError on a singular Jacobian.
     """
-    shadow, resid = slice_shadow(f, I)
-    if resid > tol:
-        raise HypothesisViolationError(
-            f"map does not send the slice of I into itself "
-            f"(coefficient residual {resid:.3e})"
-        )
+    shadow = _shadow_in_slice(f, I, tol)
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
     jac = shadow.jacobian(z)
     val = shadow.eval(z)
@@ -206,22 +215,24 @@ def starlike_criterion_slice(f: SliceMap, I: CliffordElement, z,
     return float(np.real(np.vdot(z, w)))
 
 
-def convex_criterion_1d(series: UnivariateSeries, I: CliffordElement,
-                        x: float, tol: float = 1e-9) -> float:
-    """Re(1 + x f''(x)/f'(x)) for a one-variable series with coefficients
-    in the slice of I, evaluated at real x."""
-    coeffs, resid = complex_on_slice(series.coeffs, I)
-    if resid > tol:
-        raise HypothesisViolationError(
-            f"series coefficients leave the slice of I (residual {resid:.3e})"
-        )
-    c1 = coeffs[1:] * np.arange(1, len(coeffs))
-    c2 = c1[1:] * np.arange(1, len(c1))
-    d1 = np.polynomial.polynomial.polyval(x, c1) if len(c1) else 0.0
-    d2 = np.polynomial.polynomial.polyval(x, c2) if len(c2) else 0.0
-    if abs(d1) <= tol:
+def convex_criterion_slice(f: SliceMap, I: CliffordElement, t: int, x: float,
+                           tol: float = 1e-9) -> float:
+    """Re(1 + x f_t''(x)/f_t'(x)) for component t of the slice shadow f_I
+    at real x on the z_t axis (the other variables at 0): the classical
+    convexity criterion of that one-variable restriction.
+
+    Raises HypothesisViolationError if the map's coefficients leave the
+    slice, CriterionError where f_t' vanishes.
+    """
+    shadow = _shadow_in_slice(f, I, tol)
+    z = np.zeros(f.n, dtype=np.complex128)
+    z[t] = x
+    d1 = shadow.derivative(t)
+    v1 = d1.eval(z)[t]
+    v2 = d1.derivative(t).eval(z)[t]
+    if abs(v1) <= tol:
         raise CriterionError(f"derivative vanishes at x={x}")
-    return float((1.0 + x * d2 / d1).real)
+    return float((1.0 + x * v2 / v1).real)
 
 
 # ---------------------------------------------------------------------------
@@ -270,36 +281,18 @@ def _hypothesis_status(f: SliceMap, family: str, I: CliffordElement,
                     bad += 1
             return "ok" if bad == 0 else f"violated({bad}/{checks})"
         # convex family: per-component one-variable criterion at real x
-        shadow, resid = slice_shadow(f, I)
-        if resid > 1e-9:
-            return "off-slice"
         bad = 0
-        series = _component_series(f)
         for _ in range(checks):
             x = rng.uniform(-r_max, r_max)
             t = rng.integers(f.n)
             try:
-                if convex_criterion_1d(series[t], I, float(x)) <= 0:
+                if convex_criterion_slice(f, I, int(t), float(x)) <= 0:
                     bad += 1
             except CriterionError:
                 bad += 1
         return "ok" if bad == 0 else f"violated({bad}/{checks})"
     except HypothesisViolationError:
         return "off-slice"
-
-
-def _component_series(f: SliceMap) -> list[UnivariateSeries]:
-    """Per-component one-variable coefficient tables of a componentwise map."""
-    kmat, amat = f.stem._kmat, f.stem._amat
-    out = []
-    for t in range(f.n):
-        deg = int(kmat[:, t].max(initial=0))
-        coeffs = np.zeros((deg + 1, 1 << f.m))
-        for k_row, a_row in zip(kmat, amat):
-            if k_row[t] == k_row.sum() and np.any(a_row[t]):
-                coeffs[k_row[t]] += a_row[t]
-        out.append(UnivariateSeries(f.m, coeffs))
-    return out
 
 
 def growth_check_ball(f: SliceMap, family: str, r_max: float, samples: int,
@@ -485,10 +478,7 @@ def value_gauge_on_slice(g: Gauge, values, I: CliffordElement):
     """
     rows = np.stack([v.coeffs for v in values])
     cvals, resid = complex_on_slice(rows, I)
-    alpha = cvals.real
-    beta = cvals.imag
-    p = make_point(alpha, beta, I)
-    return gauge_rho(g, p), resid
+    return float(gauge_rho_batch(g, cvals.real[None], cvals.imag[None])[0]), resid
 
 
 def gauge_properties_check(g: Gauge, samples: int, rng,
@@ -593,32 +583,26 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
         float(np.max(norms - hi_x, initial=0.0)),
     )
 
-    # slice-of-I samples for the gauge-form
+    # slice-of-I samples for the gauge-form, then at theta = 0 on the
+    # polydisc the real diagonal z = (x, ..., x), where the gauge is |x|
+    # and the gauge-form is sharp; one batched shadow call evaluates both
     alpha_i, beta_i, _, rho_i = _sample_gauged(g, rng, samples, f.n, f.m, r_max)
     shadow, shadow_resid = slice_shadow(f, I)
-    zvals = alpha_i + 1j * beta_i
-    value_rho = np.array([
-        _complex_value_gauge(g, shadow.eval(z)) for z in zvals
-    ])
+    diag_x = []
+    if abs(theta) < 1e-15 and g.kind == "polydisc":
+        diag_x = [sign * r for r in diag_grid if r < 1.0 for sign in (1.0, -1.0)]
+    diag_z = np.repeat(np.array(diag_x, dtype=np.complex128)[:, None], f.n, axis=1)
+    vals = shadow.eval(np.vstack([alpha_i + 1j * beta_i, diag_z]))
+    rhos = gauge_rho_batch(g, vals.real, vals.imag)
+    value_rho, diag_rho = rhos[:samples], rhos[samples:]
     lo_g = rho_i / (1.0 + rho_i) ** p
     hi_g = rho_i / (1.0 - rho_i) ** p
     gauge_viol = (
         float(np.max(lo_g - value_rho, initial=0.0)),
         float(np.max(value_rho - hi_g, initial=0.0)),
     )
-
-    # closed-form sharpness of the gauge-form at the real diagonal, where
-    # the polydisc gauge is r
-    diag_gap = 0.0
-    if abs(theta) < 1e-15 and g.kind == "polydisc":
-        for r in diag_grid:
-            if r >= 1.0:
-                continue
-            for sign in (1.0, -1.0):
-                z = np.full(f.n, sign * r, dtype=np.complex128)
-                envelope = r / (1.0 - sign * r) ** p
-                got = _complex_value_gauge(g, shadow.eval(z))
-                diag_gap = max(diag_gap, abs(got - envelope))
+    envelope = np.array([abs(x) / (1.0 - x) ** p for x in diag_x])
+    diag_gap = float(np.max(np.abs(diag_rho - envelope), initial=0.0))
 
     asserted_max = max(norm_viol[0], norm_viol[1], gauge_viol[0], gauge_viol[1],
                        diag_gap)
@@ -653,17 +637,3 @@ def _sample_gauged(g: Gauge, rng, samples: int, n: int, m: int, r_max: float):
     alpha *= scale[:, None]
     beta *= scale[:, None]
     return alpha, beta, j_rows, gauge_rho_batch(g, alpha, beta)
-
-
-def _complex_value_gauge(g: Gauge, values: np.ndarray) -> float:
-    """Gauge of a complex n-vector (values of f_I identified with C^n).
-
-    Axial symmetry makes the slice representative irrelevant, so oracle
-    gauges are evaluated on the e_1 slice."""
-    mods = np.abs(values)
-    if g.kind == "polydisc":
-        return float(np.max(mods))
-    if g.kind == "ball":
-        return float(np.linalg.norm(mods))
-    point = make_point(values.real, values.imag, CliffordElement.generator(g.m, 1))
-    return gauge_rho(g, point)

@@ -7,6 +7,10 @@ slice mapping is well defined.  The star product realizes the standard
 non-commutative Cauchy convolution on one-variable series (coefficients
 on the right of the powers), which is what expressions like
 x (1 - x e^{I theta})^{-*2} presume.
+
+power_sum is the one power-series evaluator: stems and their complex
+slice shadows (slicemaps.ComplexSeries) are evaluated through it, and
+power_derivative is the one formal partial derivative of both.
 """
 
 from __future__ import annotations
@@ -89,36 +93,15 @@ class StemSeries:
         """Vectorized evaluation at z = alpha + i beta.
 
         alpha, beta: (B, n).  Returns (F1, F2) with shape (B, n, 2**m).
-        Powers are built by cumulative products, so conjugating z flips
-        the sign of F2 bit-for-bit (the even-odd pair identity is exact).
+        Conjugating z flips the sign of F2 bit-for-bit (the even-odd pair
+        identity is exact; see power_sum).
         """
         alpha = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
         beta = np.atleast_2d(np.asarray(beta, dtype=np.float64))
-        B = alpha.shape[0]
-        K = self._kmat.shape[0]
-        dim = self.dim
-        if K == 0:
-            z = np.zeros((B, self.n, dim))
-            return z, z.copy()
-        f1 = np.empty((B, self.n * dim))
-        f2 = np.empty((B, self.n * dim))
-        for lo in range(0, B, _EVAL_CHUNK):
-            hi = min(lo + _EVAL_CHUNK, B)
-            zc = alpha[lo:hi] + 1j * beta[lo:hi]
-            w = np.ones((hi - lo, K), dtype=np.complex128)
-            for t in range(self.n):
-                exps = self._kmat[:, t]
-                me = int(exps.max())
-                if me == 0:
-                    continue
-                powers = np.empty((hi - lo, me + 1), dtype=np.complex128)
-                powers[:, 0] = 1.0
-                for p in range(1, me + 1):
-                    powers[:, p] = powers[:, p - 1] * zc[:, t]
-                w *= powers[:, exps]
-            f1[lo:hi] = w.real @ self._aflat
-            f2[lo:hi] = w.imag @ self._aflat
-        return f1.reshape(B, self.n, dim), f2.reshape(B, self.n, dim)
+        vals = power_sum(self._kmat, self._aflat, alpha + 1j * beta)
+        shape = (alpha.shape[0], self.n, self.dim)
+        return (np.ascontiguousarray(vals.real).reshape(shape),
+                np.ascontiguousarray(vals.imag).reshape(shape))
 
     def eval(self, alpha, beta):
         """Single-point evaluation; returns (F1, F2) as lists of elements."""
@@ -137,14 +120,8 @@ class StemSeries:
         """Formal partial derivative in variable t (0-indexed)."""
         if not 0 <= t < self.n:
             raise DimensionError(f"variable index {t} out of range 0..{self.n - 1}")
-        new_terms = {}
-        for k, coeff in zip(self._keys, self._amat):
-            if k[t] == 0:
-                continue
-            nk = list(k)
-            nk[t] -= 1
-            new_terms[tuple(nk)] = k[t] * coeff
-        return StemSeries(self.m, self.n, new_terms,
+        kmat, amat = power_derivative(self._kmat, self._amat, t)
+        return StemSeries(self.m, self.n, dict(zip(map(tuple, kmat.tolist()), amat)),
                           degree=max(self.degree - 1, 0))
 
     # -- serialization ----------------------------------------------------------
@@ -170,6 +147,50 @@ class StemSeries:
             for entry in obj["terms"]
         }
         return cls(int(obj["m"]), int(obj["n"]), terms, degree=int(obj["N"]))
+
+
+def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The one power-series evaluator: sum_k z^k coeffs[k] at each row of z.
+
+    kmat: (K, n) exponents; coeffs: (K, C) real or complex; z: (B, n)
+    complex.  Returns (B, C) complex.  Powers are built by cumulative
+    products, _EVAL_CHUNK rows at a time.  A real table is contracted
+    with the real and imaginary parts of the monomials separately, so
+    conjugating z flips the sign of the imaginary part bit-for-bit.  A
+    complex table is summed row by row (einsum, not a BLAS product), so a
+    point gets the same bits alone as inside a batch.
+    """
+    B = z.shape[0]
+    real = not np.iscomplexobj(coeffs)
+    top = int(kmat.max(initial=0))
+    out = np.empty((B, coeffs.shape[1]), dtype=np.complex128)
+    for lo in range(0, B, _EVAL_CHUNK):
+        zc = np.ascontiguousarray(z[lo:lo + _EVAL_CHUNK].T)
+        powers = np.empty((top + 1,) + zc.shape, dtype=np.complex128)
+        powers[0] = 1.0
+        for prev, cur in zip(powers[:-1], powers[1:]):
+            np.multiply(prev, zc, out=cur)
+        w = np.ones((kmat.shape[0], zc.shape[1]), dtype=np.complex128)
+        for t in range(kmat.shape[1]):
+            w *= powers[kmat[:, t], t]
+        block = out[lo:lo + zc.shape[1]]
+        if real:
+            block.real = w.real.T @ coeffs
+            block.imag = w.imag.T @ coeffs
+        else:
+            block[:] = np.einsum("kb,kc->bc", w, coeffs)
+    return out
+
+
+def power_derivative(kmat: np.ndarray, coeffs: np.ndarray, t: int):
+    """Formal partial derivative in variable t of the table (kmat, coeffs):
+    rows with a positive t-exponent, scaled by it, exponent lowered by one."""
+    keep = kmat[:, t] >= 1
+    kmat = kmat[keep].copy()
+    scale = kmat[:, t].reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    coeffs = coeffs[keep] * scale
+    kmat[:, t] -= 1
+    return kmat, coeffs
 
 
 def identity_map(m: int, n: int) -> StemSeries:
@@ -262,12 +283,6 @@ class UnivariateSeries:
         if k > self.degree:
             return CliffordElement.zero(self.m)
         return CliffordElement(self.m, self.coeffs[k])
-
-    def derivative(self) -> "UnivariateSeries":
-        if self.degree == 0:
-            return UnivariateSeries(self.m, [np.zeros(1 << self.m)])
-        ks = np.arange(1, self.degree + 1, dtype=np.float64)
-        return UnivariateSeries(self.m, self.coeffs[1:] * ks[:, None])
 
     def shift(self, p: int = 1) -> "UnivariateSeries":
         """Multiply by x**p (exponent shift; coefficients stay put)."""

@@ -11,6 +11,10 @@ distinct slices J, K:
                       - (I-J) ((J-K)^{-1} f(alpha+beta K))
 
 with every product taken in the written order.
+
+On a slice I whose complex plane C_I holds every coefficient, f is its
+holomorphic shadow f_I on C_I^n: a ComplexSeries evaluated, like the
+stem, by series.power_sum.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .algebra import (
     mul_coeffs,
 )
 from .errors import BasisError, RepresentationError
-from .series import StemSeries, _coeff_rows
+from .series import StemSeries, _coeff_rows, power_derivative, power_sum
 from .slicespace import (
     SliceOrbit,
     SlicePoint,
@@ -186,24 +190,13 @@ class ComplexSeries:
         return self.kmat.shape[1]
 
     def eval(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        w = np.ones(self.kmat.shape[0], dtype=np.complex128)
-        for t in range(self.n):
-            exps = self.kmat[:, t]
-            me = int(exps.max(initial=0))
-            powers = np.empty(me + 1, dtype=np.complex128)
-            powers[0] = 1.0
-            for p in range(1, me + 1):
-                powers[p] = powers[p - 1] * z[t]
-            w = w * powers[exps]
-        return w @ self.coeffs
+        """Values at z of shape (n,) or (B, n); returns (n,) or (B, n)."""
+        z = np.asarray(z, dtype=np.complex128)
+        vals = power_sum(self.kmat, self.coeffs, z.reshape(-1, self.n))
+        return vals.reshape(z.shape[:-1] + vals.shape[1:])
 
     def derivative(self, t: int) -> "ComplexSeries":
-        keep = self.kmat[:, t] >= 1
-        kmat = self.kmat[keep].copy()
-        coeffs = self.coeffs[keep] * kmat[:, t][:, None]
-        kmat[:, t] -= 1
-        return ComplexSeries(kmat, coeffs)
+        return ComplexSeries(*power_derivative(self.kmat, self.coeffs, t))
 
     def jacobian(self, z) -> np.ndarray:
         """Complex Jacobian matrix J[s, t] = d component_s / d z_t."""

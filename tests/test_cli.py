@@ -1,6 +1,10 @@
 """Harness wiring: suite registry, report formats, CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -203,12 +207,27 @@ def test_cli_envelope(tmp_path):
 
 def test_cli_csv_format(tmp_path):
     runner = CliRunner()
-    out = tmp_path / "rep.csv"
-    result = runner.invoke(main, [
-        "verify", "stem", "--samples", "30", "--truncation", "40",
-        "--format", "csv", "--out", str(out), "--quiet",
-    ])
-    assert result.exit_code == 0, result.output
-    text = out.read_text()
-    assert text.startswith("check,")
-    assert "stem-even-odd" in text
+    # truncation 20 sits below the order-40 double inverse of stem-star-inverse
+    for trunc in ("40", "20"):
+        out = tmp_path / f"rep-{trunc}.csv"
+        result = runner.invoke(main, [
+            "verify", "stem", "--samples", "30", "--truncation", trunc,
+            "--format", "csv", "--out", str(out), "--quiet",
+        ])
+        assert result.exit_code == 0, (trunc, result.output)
+        text = out.read_text()
+        assert text.startswith("check,")
+        assert "stem-even-odd" in text
+
+
+def test_traced_benchmark_finds_every_layer_boundary():
+    # perfbench/traced.py wraps named functions of the package and raises
+    # when one is gone; install() patches the package, so run it in a child
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import slicegrowth.cli, traced; traced.install(traced.Tracer())"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

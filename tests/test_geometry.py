@@ -11,7 +11,7 @@ from slicegrowth.errors import (
 )
 from slicegrowth.geometry import (
     ball_gauge,
-    convex_criterion_1d,
+    convex_criterion_slice,
     envelope_table,
     extremal_profile,
     gauge_properties_check,
@@ -29,7 +29,6 @@ from slicegrowth.geometry import (
 )
 from slicegrowth.series import (
     StemSeries,
-    UnivariateSeries,
     convex_test_map,
     identity_map,
     koebe_map,
@@ -141,24 +140,30 @@ def test_starlike_criterion_flags_paper_example():
 def test_convex_criterion_values():
     m = 2
     e1 = CliffordElement.generator(m, 1)
-    ident = UnivariateSeries(m, [CliffordElement.zero(m),
-                                 CliffordElement.scalar(m, 1.0)])
-    assert convex_criterion_1d(ident, e1, 0.3) == pytest.approx(1.0, abs=1e-12)
+    ident = SliceMap(identity_map(m, 1))
+    assert convex_criterion_slice(ident, e1, 0, 0.3) == pytest.approx(1.0, abs=1e-12)
 
-    # cayley slice x/(1-x): criterion 1 + 2x/(1-x) equals 3 at x = 0.5
-    cay = UnivariateSeries(m, [CliffordElement.scalar(m, 1.0)] * 0 +
-                           [CliffordElement.zero(m)] +
-                           [CliffordElement.scalar(m, 1.0)] * 60)
-    assert convex_criterion_1d(cay, e1, 0.5) == pytest.approx(3.0, abs=1e-9)
+    # cayley slice x/(1-x) (powers 1..60): criterion 1 + 2x/(1-x) equals 3
+    # at x = 0.5
+    cay = SliceMap(convex_test_map(0.0, e1, 59, 1))
+    assert convex_criterion_slice(cay, e1, 0, 0.5) == pytest.approx(3.0, abs=1e-9)
 
     # koebe slice x/(1-x)^2 fails convexity on the negative axis:
     # 1 + (4x + 2x^2)/(1 - x^2) = -9.42105... at x = -0.9
     # (f'' needs ~400 terms to settle at |x| = 0.9: terms decay like k^3 0.9^k)
-    koe = UnivariateSeries(m, [CliffordElement.scalar(m, float(k))
-                               for k in range(0, 400)])
-    val = convex_criterion_1d(koe, e1, -0.9)
+    koe = SliceMap(koebe_map(0.0, e1, 398, 1))
+    val = convex_criterion_slice(koe, e1, 0, -0.9)
     assert val == pytest.approx(1 + (4 * -0.9 + 2 * 0.81) / (1 - 0.81), abs=1e-6)
     assert val < 0.0
+
+    # negative controls: the paper example x(1 - x) has f' = 0 at x = 1/2,
+    # and a koebe map built on the slice of e2 leaves the slice of e1
+    paper = SliceMap(convex_test_map(0.0, e1, 10, 2, variant="paper_example"))
+    with pytest.raises(CriterionError):
+        convex_criterion_slice(paper, e1, 0, 0.5)
+    e2 = CliffordElement.generator(m, 2)
+    with pytest.raises(HypothesisViolationError):
+        convex_criterion_slice(SliceMap(koebe_map(0.7, e2, 40, 1)), e1, 0, 0.3)
 
 
 def test_growth_bounds_shapes():

@@ -10,10 +10,12 @@ from slicegrowth.series import StemSeries, identity_map, koebe_map
 from slicegrowth.slicemaps import (
     RawSliceMap,
     SliceMap,
+    complex_on_slice,
     default_module_basis,
     reassemble_on_slice,
     regularity_residual,
     representation_formula,
+    slice_shadow,
     split_components,
     two_slice_average,
     well_defined_gap,
@@ -154,6 +156,32 @@ def test_jacobian_of_koebe_at_origin_is_identity():
         for t in range(2):
             expected = CliffordElement.scalar(2, 1.0 if s == t else 0.0)
             assert row[t].isclose(expected, 1e-12)
+
+
+def test_shadow_eval_batched_matches_single_points():
+    rng = np.random.default_rng(11)
+    f = _rand_map(rng, m=2, n=3)
+    shadow, _ = slice_shadow(f, sample_S(rng, 2))
+    z = rng.uniform(-0.7, 0.7, (6, 3)) + 1j * rng.uniform(-0.7, 0.7, (6, 3))
+    batch = shadow.eval(z)
+    assert batch.shape == (6, 3)
+    for row, zr in zip(batch, z):
+        single = shadow.eval(zr)
+        assert single.shape == (3,)
+        assert np.max(np.abs(row - single)) < 1e-14
+
+
+def test_shadow_matches_slice_map_on_its_slice():
+    # koebe coefficients lie in C_I, so f_I is the shadow's value there
+    rng = np.random.default_rng(12)
+    i_elem = CliffordElement.generator(3, 2)
+    f = SliceMap(koebe_map(0.7, i_elem, 40, 2))
+    alpha = rng.uniform(-0.5, 0.5, (20, 2))
+    beta = rng.uniform(-0.5, 0.5, (20, 2))
+    on_slice, resid = complex_on_slice(f.eval_arrays(alpha, beta, i_elem.coeffs), i_elem)
+    shadow, coeff_resid = slice_shadow(f, i_elem)
+    assert max(resid, coeff_resid) < 1e-12
+    assert np.max(np.abs(on_slice - shadow.eval(alpha + 1j * beta))) < 1e-12
 
 
 def test_slice_derivative_matches_finite_differences():
