@@ -52,6 +52,7 @@ from .series import (
     tail_bound,
 )
 from .slicemaps import (
+    ClosedFormMap,
     RawSliceMap,
     SliceMap,
     representation_formula,

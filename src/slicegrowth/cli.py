@@ -13,7 +13,7 @@ import time
 
 import click
 
-from . import geometry, reports, slicemaps, suites
+from . import geometry, reports, suites
 from .algebra import CliffordElement
 
 _SEED_ENVVAR = "SLICEGROWTH_SEED"
@@ -116,8 +116,8 @@ def envelope(map_, theta, r_grid, m, n, truncation, out):
         raise click.UsageError(f"m must be in 1..{suites.MAX_M}")
 
     family, build, _ = suites.MAP_FAMILIES[map_]
-    stem = build(theta, CliffordElement.generator(m, 1), truncation, n)
-    rows = geometry.envelope_table(slicemaps.SliceMap(stem), family, radii)
+    f = build(theta, CliffordElement.generator(m, 1), truncation, n)
+    rows = geometry.envelope_table(f, family, radii)
 
     header = "r,lower_bound,f_at_minus_r,f_at_plus_r,upper_bound"
     lines = [header]

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import CliffordElement, mul_coeffs, mul_batch, slice_exp
 from .errors import DimensionError, NonInvertibleError
 
-_EVAL_CHUNK = 4096
+_EVAL_CHUNK = 2048    # rows per power_sum block: about 60 MB of monomials at n = 2, N = 300
 
 
 class StemSeries:
@@ -347,7 +347,7 @@ def koebe_map(theta: float, I: CliffordElement, N: int, n: int) -> StemSeries:
     m = I.m
     inv = star_inverse(_geometric_unit(m, theta, I), N)
     sq = star_mul(inv, inv, trunc=N).shift(1)
-    return _assemble_componentwise(sq, n, tail_model=_koebe_tail(n, N))
+    return _assemble_componentwise(sq, n, tail_model=koebe_tail(n, N))
 
 
 def convex_test_map(theta: float, I: CliffordElement, N: int, n: int,
@@ -385,7 +385,7 @@ def _assemble_componentwise(series: UnivariateSeries, n: int, tail_model) -> Ste
     return StemSeries(m, n, terms, degree=series.degree, tail_model=tail_model)
 
 
-def _koebe_tail(n: int, N: int):
+def koebe_tail(n: int, N: int):
     # sum_{k>N} (k+1) r^{k+1} = r^{N+2} ((N+2) - (N+1) r) / (1-r)^2 per component
     def bound(r: float) -> float:
         if r < 0:

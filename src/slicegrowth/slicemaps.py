@@ -15,9 +15,17 @@ with every product taken in the written order.
 On a slice I whose complex plane C_I holds every coefficient, f is its
 holomorphic shadow f_I on C_I^n: a ComplexSeries evaluated, like the
 stem, by series.power_sum.
+
+ClosedFormMap evaluates the extremal families x_t (1 - x_t e^{I theta})^{-*p}
+(koebe p = 2, cayley p = 1, and the paper example x_t (1 - x_t e^{I theta})
+as p = -1) in closed form.  It keeps the star-built stem as its reference:
+the stem's coefficients, tail bound and slice shadow are those of the
+truncated series, and only the values come from the closed form.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,15 +56,21 @@ class SliceMap:
         self.m = stem.m
         self.n = stem.n
 
+    def stem_arrays(self, alpha: np.ndarray, beta: np.ndarray):
+        """The even-odd pair (F1, F2) at z = alpha + i beta, each (B, n, dim)."""
+        return self.stem.eval_arrays(alpha, beta)
+
     def eval(self, p: SlicePoint) -> list[CliffordElement]:
-        f1, f2 = self.stem.eval(p.alpha, p.beta)
-        return [a + p.J * b for a, b in zip(f1, f2)]
+        f1, f2 = self.stem_arrays(np.reshape(p.alpha, (1, -1)),
+                                  np.reshape(p.beta, (1, -1)))
+        return [CliffordElement(self.m, a) + p.J * CliffordElement(self.m, b)
+                for a, b in zip(f1[0], f2[0])]
 
     def eval_arrays(self, alpha: np.ndarray, beta: np.ndarray,
                     j_rows: np.ndarray) -> np.ndarray:
         """Batched values F1 + J*F2, shape (B, n, dim); j_rows is (B, dim)
         or a single (dim,) row shared by the batch."""
-        f1, f2 = self.stem.eval_arrays(alpha, beta)
+        f1, f2 = self.stem_arrays(alpha, beta)
         j_rows = np.atleast_2d(j_rows)
         out = np.empty_like(f1)
         for t in range(self.n):
@@ -65,6 +79,63 @@ class SliceMap:
 
     def derivative(self, t: int) -> "SliceMap":
         return SliceMap(self.stem.derivative(t))
+
+
+class ClosedFormMap(SliceMap):
+    """The componentwise map x_t (1 - x_t e^{I theta})^{-*p}, evaluated in
+    closed form, over its star-built truncated stem as the reference.
+
+    On z = alpha + i beta each component is F_t = P(z_t) + Q(z_t) I with
+    A = (1 - z e^{i theta})^{-p}, B = (1 - z e^{-i theta})^{-p},
+    P = z (A + B)/2 and Q = z (A - B)/(2i): the sums of the stem's real
+    Clifford coefficients binom(k+p-1, k) e^{I k theta} at power k+1.
+    p = 2 is the Koebe map, p = 1 the Cayley map and p = -1 the paper
+    example x_t (1 - x_t e^{I theta}), whose P = z - z^2 cos(theta) and
+    Q = -z^2 sin(theta) are summed as written.
+    """
+
+    def __init__(self, stem: StemSeries, p: int, theta: float, I: CliffordElement):
+        super().__init__(stem)
+        self.p = p
+        self.theta = theta
+        self.I = I
+
+    def stem_arrays(self, alpha: np.ndarray, beta: np.ndarray):
+        z = np.atleast_2d(alpha) + 1j * np.atleast_2d(beta)
+        cos, sin = math.cos(self.theta), math.sin(self.theta)
+        if self.p == -1:
+            # the polynomial itself, with fewer roundings than A and B
+            pz = z - z * z * cos
+            qz = -(z * z) * sin
+        else:
+            a = (1.0 - z * complex(cos, sin)) ** -self.p
+            b = (1.0 - z * complex(cos, -sin)) ** -self.p
+            pz = 0.5 * z * (a + b)
+            qz = -0.5j * z * (a - b)
+        vals = pz[..., None] * _unit_row(self.m) + qz[..., None] * self.I.coeffs
+        return np.ascontiguousarray(vals.real), np.ascontiguousarray(vals.imag)
+
+    def coefficient_gap(self) -> float:
+        """Largest difference between a coefficient of the stem and the
+        closed form's coefficient at the same multi-index, over every
+        power 0..stem.degree of every component."""
+        kmat, amat = self.stem._kmat, self.stem._amat
+        n, degree = self.n, self.stem.degree
+        binom = [0, 1]
+        for k in range(1, degree):
+            binom.append(binom[-1] * (k + self.p - 1) // k)
+        k = np.arange(-1, degree)
+        rows = np.array(binom, dtype=np.float64)[:, None] * (
+            np.cos(k * self.theta)[:, None] * _unit_row(self.m)
+            + np.sin(k * self.theta)[:, None] * self.I.coeffs)
+        expected = np.zeros((degree + 1, n, n, 1 << self.m))
+        expected[:, np.arange(n), np.arange(n)] = rows[:, None, :]
+        # terms in one variable go to (power, variable); the rest must vanish
+        single = np.count_nonzero(kmat, axis=1) == 1
+        table = np.zeros_like(expected)
+        table[kmat[single].sum(axis=1), kmat[single].argmax(axis=1)] = amat[single]
+        return max(float(np.max(np.abs(table - expected))),
+                   float(np.max(np.abs(amat[~single]), initial=0.0)))
 
 
 class RawSliceMap:
@@ -199,9 +270,10 @@ class ComplexSeries:
         return ComplexSeries(*power_derivative(self.kmat, self.coeffs, t))
 
     def jacobian(self, z) -> np.ndarray:
-        """Complex Jacobian matrix J[s, t] = d component_s / d z_t."""
+        """Complex Jacobian matrices J[..., s, t] = d component_s / d z_t at
+        z of shape (n,) or (B, n)."""
         cols = [self.derivative(t).eval(z) for t in range(self.n)]
-        return np.stack(cols, axis=1)
+        return np.stack(cols, axis=-1)
 
 
 def slice_shadow(f: SliceMap, I: CliffordElement):
@@ -272,16 +344,19 @@ def split_components(f: SliceMap, I: CliffordElement, completion=None,
     return components, basis
 
 
-def reassemble_on_slice(components, basis, I: CliffordElement, z) -> list[CliffordElement]:
-    """Evaluate sum_A F_A(z) I_A as Clifford values on the slice of I."""
+def reassemble_on_slice(components, basis, I: CliffordElement, z) -> list:
+    """Evaluate sum_A F_A(z) I_A as Clifford values on the slice of I: n
+    values at z of shape (n,), or B lists of n values at z of shape (B, n)."""
     m = I.m
-    n = components[0].n
-    acc = np.zeros((n, 1 << m))
+    z = np.asarray(z, dtype=np.complex128)
+    batch = z.reshape(-1, components[0].n)
+    acc = np.zeros(batch.shape + (1 << m,))
     for comp, b in zip(components, basis):
-        vals = comp.eval(z)
-        scale = vals.real[:, None] * _unit_row(m) + vals.imag[:, None] * I.coeffs
+        vals = comp.eval(batch)
+        scale = vals.real[..., None] * _unit_row(m) + vals.imag[..., None] * I.coeffs
         acc = acc + mul_batch(m, scale, b.coeffs)
-    return [CliffordElement(m, row) for row in acc]
+    values = [[CliffordElement(m, row) for row in point] for point in acc]
+    return values[0] if z.ndim == 1 else values
 
 
 def well_defined_gap(f, p: SlicePoint) -> float:

@@ -7,6 +7,12 @@ Only the algebra and growth-ball suites split their sample budgets over
 `shards` independent streams; the other suites run one stream whatever
 the shard count.  Shard merging takes maxima of the error fields, sums
 sample counts and ANDs the pass verdicts.
+
+The growth suites evaluate the extremal families in closed form
+(slicemaps.ClosedFormMap, built by MAP_FAMILIES); the truncated
+star-product series stays the reference for tail bounds, slice shadows
+and the closed-form-* agreement records.  The stem, regularity and
+extremal suites test the series itself.
 """
 
 from __future__ import annotations
@@ -50,14 +56,23 @@ _DEFAULT_SAMPLES = {
 
 _SHARP_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
-# growth-suite map families: name -> (family, builder(theta, I, N, n),
-# asserted).  The degree-two paper example fails the convex hypothesis,
-# so its growth bounds are reported but never asserted.
+
+def _closed_form(build, p: int):
+    """Builder of the ClosedFormMap of exponent p over the star-built stem
+    build(theta, I, N, n)."""
+    def make(theta, I, N, n):
+        return slicemaps.ClosedFormMap(build(theta, I, N, n), p, theta, I)
+    return make
+
+
+# growth-suite map families: name -> (family, builder(theta, I, N, n) of a
+# ClosedFormMap, asserted).  The degree-two paper example fails the convex
+# hypothesis, so its growth bounds are reported but never asserted.
 MAP_FAMILIES = {
-    "koebe": ("starlike", series.koebe_map, True),
-    "cayley": ("convex", series.convex_test_map, True),
-    "paper-example": ("convex", functools.partial(
-        series.convex_test_map, variant="paper_example"), False),
+    "koebe": ("starlike", _closed_form(series.koebe_map, 2), True),
+    "cayley": ("convex", _closed_form(series.convex_test_map, 1), True),
+    "paper-example": ("convex", _closed_form(functools.partial(
+        series.convex_test_map, variant="paper_example"), -1), False),
 }
 
 
@@ -323,8 +338,7 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     # analytic tail decreases with the truncation order
     orders = sorted({max(10, trunc // 8), max(20, trunc // 4),
                      max(30, trunc // 2), trunc})
-    tails = [series.tail_bound(series.koebe_map(0.0, i_elem, N, n), cfg.r_max)
-             for N in orders]
+    tails = [series.koebe_tail(n, N)(cfg.r_max) for N in orders]
     monotone = all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
     reports.append(Report(
         "stem-tail-monotone", monotone, len(tails),
@@ -458,10 +472,10 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
     # holomorphic splitting reassembles the slice restriction
     f = slicemaps.SliceMap(_random_stem(m, n, rng))
     comps, basis = slicemaps.split_components(f, i_elem)
+    zs = np.array([rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
+                   for _ in range(min(count, 200))])
     worst_split = 0.0
-    for _ in range(min(count, 200)):
-        z = rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
-        rebuilt = slicemaps.reassemble_on_slice(comps, basis, i_elem, z)
+    for z, rebuilt in zip(zs, slicemaps.reassemble_on_slice(comps, basis, i_elem, zs)):
         point = slicespace.make_point(z.real, z.imag, i_elem)
         direct = f.eval(point)
         worst_split = max(worst_split, slicespace.vector_gap(rebuilt, direct))
@@ -547,8 +561,10 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
         if label not in wanted:
             continue
         for iname, i_elem in directions:
+            sweep = []
             for theta in thetas:
-                f = slicemaps.SliceMap(build(theta, i_elem, trunc, n))
+                f = build(theta, i_elem, trunc, n)
+                sweep.append(f)
                 parts = []
                 for shard, size in enumerate(shard_plan):
                     rng = _rng(cfg, "growth-ball", shard,
@@ -564,8 +580,8 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
                     rep.passed = rep.data["max_error"] <= rep.data["threshold"]
                 reports.append(rep)
 
-            if any(abs(t) < 1e-15 for t in thetas):
-                f0 = slicemaps.SliceMap(build(0.0, i_elem, trunc, n))
+            f0 = next((f for f in sweep if abs(f.theta) < 1e-15), None)
+            if f0 is not None:
                 sharp = geometry.sharpness_axis(f0, family, _SHARP_GRID, 1e-8)
                 sharp.check = f"sharpness-{label}-{iname}"
                 sharp.data["map"] = label
@@ -573,6 +589,13 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
                     sharp.data["asserted"] = False
                     sharp.passed = True
                 reports.append(sharp)
+
+            agree = geometry.closed_form_agreement(
+                sweep, cfg.r_max, min(count, 1000),
+                _rng(cfg, "growth-ball", 0, _stable_tag("closed-form", label, iname)))
+            agree.check = f"closed-form-{label}-{iname}"
+            agree.data["map"] = label
+            reports.append(agree)
     return reports
 
 
@@ -590,7 +613,7 @@ def run_growth_domain(cfg: RunConfig) -> list[Report]:
             continue
         _, i_elem = directions[0]
         theta = thetas[0]
-        f = slicemaps.SliceMap(build(theta, i_elem, trunc, n))
+        f = build(theta, i_elem, trunc, n)
         for domain in cfg.domains:
             gauge = geometry.ball_gauge(n, m) if domain == "ball" \
                 else geometry.polydisc_gauge(n, m)

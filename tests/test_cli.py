@@ -61,9 +61,14 @@ def test_shard_merge_is_deterministic():
         a = run_suite(suite, small_config(shards=3))
         b = run_suite(suite, small_config(shards=3))
         assert render(a, "json") == render(b, "json"), suite
-        # every sampled record accounts for the whole budget across shards
-        sampled = [rep for rep in a if not rep.check.startswith("sharpness-")]
+        # every sharded record accounts for the whole budget across shards;
+        # a closed-form agreement record runs one stream of the budget per theta
+        sampled = [rep for rep in a
+                   if not rep.check.startswith(("sharpness-", "closed-form-"))]
         assert sampled and all(rep.samples == 40 for rep in sampled), suite
+        agree = [rep for rep in a if rep.check.startswith("closed-form-")]
+        assert all(rep.samples == 40 * 3 for rep in agree), suite
+        assert len(agree) == (6 if suite == "growth-ball" else 0), suite
 
 
 def test_shard_merge_keeps_algebra_key_order():
@@ -218,6 +223,21 @@ def test_cli_csv_format(tmp_path):
         text = out.read_text()
         assert text.startswith("check,")
         assert "stem-even-odd" in text
+
+
+def test_cli_growth_ball_short_truncation(tmp_path):
+    # the closed form is exact, so a short reference series only widens
+    # the tail slack of the checks and of the agreement records
+    out = tmp_path / "ball-20.json"
+    result = CliRunner().invoke(main, [
+        "verify", "growth-ball", "--truncation", "20", "--out", str(out),
+        "--quiet",
+    ])
+    assert result.exit_code == 0, result.output
+    records = json.loads(out.read_text())
+    agree = [rec for rec in records if rec["check"].startswith("closed-form-")]
+    assert len(agree) == 6 and all(rec["pass"] for rec in agree)
+    assert all(rec["N"] in (21, 2) for rec in agree)
 
 
 def test_traced_benchmark_finds_every_layer_boundary():

@@ -10,7 +10,9 @@ from slicegrowth.errors import (
     HypothesisViolationError,
 )
 from slicegrowth.geometry import (
+    _hypothesis_status,
     ball_gauge,
+    closed_form_agreement,
     convex_criterion_slice,
     envelope_table,
     extremal_profile,
@@ -33,8 +35,9 @@ from slicegrowth.series import (
     identity_map,
     koebe_map,
 )
-from slicegrowth.slicemaps import SliceMap
+from slicegrowth.slicemaps import ClosedFormMap, SliceMap
 from slicegrowth.slicespace import make_orbit, make_point, orbit_point, sample_S
+from slicegrowth.suites import RunConfig, run_growth_ball
 
 
 E1_3 = CliffordElement.generator(3, 1)
@@ -166,6 +169,68 @@ def test_convex_criterion_values():
         convex_criterion_slice(SliceMap(koebe_map(0.7, e2, 40, 1)), e1, 0, 0.3)
 
 
+def test_batched_criteria_equal_single_points():
+    rng = np.random.default_rng(13)
+    e1 = CliffordElement.generator(3, 1)
+    k = SliceMap(koebe_map(0.7, e1, 200, 2))
+    z = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+    z *= rng.uniform(0.05, 0.9, size=(40, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
+    batch = starlike_criterion_slice(k, e1, z)
+    assert batch.shape == (40,)
+    assert np.array_equal(batch, [starlike_criterion_slice(k, e1, w) for w in z])
+
+    for f in (k, SliceMap(convex_test_map(0.7, e1, 200, 2))):
+        for t in (0, 1):
+            xs = rng.uniform(-0.9, 0.9, size=40)
+            batch = convex_criterion_slice(f, e1, t, xs)
+            assert np.array_equal(
+                batch, [convex_criterion_slice(f, e1, t, float(x)) for x in xs])
+
+    # where a scalar call raises, the batch reports NaN and still raises on
+    # a singular Jacobian
+    paper = SliceMap(convex_test_map(0.0, e1, 10, 2, variant="paper_example"))
+    vals = convex_criterion_slice(paper, e1, 0, np.array([0.3, 0.5]))
+    assert vals[0] == convex_criterion_slice(paper, e1, 0, 0.3)
+    assert np.isnan(vals[1])
+    with pytest.raises(CriterionError):
+        starlike_criterion_slice(paper, e1, np.array([[0.3 + 0j, 0j], [0.5 + 0j, 0j]]))
+
+
+def test_hypothesis_status_spot_check():
+    m = 3
+    e1 = CliffordElement.generator(m, 1)
+    # the default-seed streams of the theta = 0 paper-example records
+    reports = run_growth_ball(RunConfig(seed=20240811, theta=0.0,
+                                        maps=("paper-example",)))
+    status = {rep.check: rep.data["hypothesis_status"] for rep in reports
+              if rep.check.startswith("growth-ball")}
+    assert status == {
+        "growth-ball-paper-example-e1-theta0.000": "violated(9/64)",
+        "growth-ball-paper-example-e12-theta0.000": "violated(11/64)",
+    }
+    # coefficients off the slice of e1 are flagged for both families
+    off = SliceMap(koebe_map(0.7, CliffordElement.generator(m, 2), 40, 2))
+    for family in ("starlike", "convex"):
+        rng = np.random.default_rng(14)
+        assert _hypothesis_status(off, family, e1, 0.9, rng) == "off-slice"
+
+
+def test_closed_form_agreement_negative_controls():
+    e1 = CliffordElement.generator(3, 1)
+    stem = koebe_map(0.7, e1, 300, 2)
+    good = closed_form_agreement([ClosedFormMap(stem, 2, 0.7, e1)], 0.9, 300,
+                                 np.random.default_rng(15))
+    assert good.passed, good.data
+    assert good.data["value_gap"] <= good.data["tail_bound"] + 1e-9
+    assert good.samples == 300
+    for wrong in (ClosedFormMap(stem, 2, 0.75, e1), ClosedFormMap(stem, 1, 0.7, e1)):
+        bad = closed_form_agreement([ClosedFormMap(stem, 2, 0.7, e1), wrong],
+                                    0.9, 300, np.random.default_rng(15))
+        assert not bad.passed, bad.data
+        assert bad.data["value_gap"] > 1e-3
+        assert bad.data["coefficient_gap"] > 1e-3
+
+
 def test_growth_bounds_shapes():
     lo, hi = growth_bounds(0.5, "starlike")
     assert lo == pytest.approx(0.5 / 2.25)
@@ -278,6 +343,18 @@ def test_growth_check_domain_ball_matches_ball_suite():
                ball_rep.data["max_violation_lower"]) < 1e-12
     assert abs(dom_rep.data["rho_form_violation_upper"] -
                ball_rep.data["max_violation_upper"]) < 1e-12
+
+
+def test_growth_check_domain_hypothesis_status():
+    e1 = CliffordElement.generator(2, 1)
+    paper = SliceMap(convex_test_map(0.0, e1, 20, 2, variant="paper_example"))
+    rep = growth_check_domain(paper, ball_gauge(2, 2), "convex", 0.9, 300,
+                              np.random.default_rng(16), e1, 0.0)
+    assert rep.data["hypothesis_status"].startswith("violated")
+    off = SliceMap(koebe_map(0.7, CliffordElement.generator(2, 2), 40, 2))
+    rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
+                              np.random.default_rng(16), e1, 0.7)
+    assert rep.data["hypothesis_status"] == "off-slice"
 
 
 def test_growth_check_domain_polydisc():

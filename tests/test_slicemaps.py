@@ -6,8 +6,9 @@ import pytest
 
 from slicegrowth.algebra import CliffordElement
 from slicegrowth.errors import BasisError, RepresentationError
-from slicegrowth.series import StemSeries, identity_map, koebe_map
+from slicegrowth.series import StemSeries, identity_map, koebe_map, tail_bound
 from slicegrowth.slicemaps import (
+    ClosedFormMap,
     RawSliceMap,
     SliceMap,
     complex_on_slice,
@@ -26,7 +27,9 @@ from slicegrowth.slicespace import (
     make_point,
     orbit_point,
     sample_S,
+    sample_S_batch,
 )
+from slicegrowth.suites import MAP_FAMILIES
 
 
 def _rand_map(rng, m=3, n=2, degree=5, terms=8):
@@ -63,6 +66,48 @@ def test_koebe_on_real_slice_axis():
         p = make_point([x, 0.0], [0.0, 0.0], e1)
         vals = f.eval(p)
         assert abs(vals[0].scalar_part - x / (1 - x) ** 2) < 1e-9
+
+
+def test_closed_form_matches_series():
+    m = 3
+    rng = np.random.default_rng(12)
+    directions = (CliffordElement.generator(m, 1), CliffordElement.blade(m, (1, 2)))
+    for label, (_, build, _) in MAP_FAMILIES.items():
+        for i_elem in directions:
+            for theta in (0.0, 0.7, np.pi / 2):
+                for n in (1, 2):
+                    f = build(theta, i_elem, 300, n)
+                    assert isinstance(f, ClosedFormMap)
+                    bound = tail_bound(f.stem, 0.9) + 1e-9
+                    # points of the polydisc of radius 0.9 on random slices
+                    radius = 0.9 * np.sqrt(rng.uniform(0, 1, size=(200, n)))
+                    angle = rng.uniform(0, 2 * np.pi, size=(200, n))
+                    alpha, beta = radius * np.cos(angle), radius * np.sin(angle)
+                    j_rows = sample_S_batch(rng, m, 200)
+                    diff = f.eval_arrays(alpha, beta, j_rows) - \
+                        SliceMap(f.stem).eval_arrays(alpha, beta, j_rows)
+                    gap = np.max(np.sqrt(np.sum(diff * diff, axis=(1, 2))))
+                    assert gap <= bound, (label, theta, n, gap, bound)
+                    assert f.coefficient_gap() <= 1e-9, (label, theta, n)
+                    # one point goes through the same closed form
+                    p = make_point(alpha[0], beta[0], CliffordElement(m, j_rows[0]))
+                    one = np.stack([v.coeffs for v in f.eval(p)])
+                    batch = f.eval_arrays(alpha[:1], beta[:1], j_rows[:1])[0]
+                    assert np.max(np.abs(one - batch)) < 1e-12
+
+
+def test_closed_form_coefficient_gap_detects_wrong_family():
+    e1 = CliffordElement.generator(2, 1)
+    stem = koebe_map(0.7, e1, 40, 2)
+    assert ClosedFormMap(stem, 2, 0.7, e1).coefficient_gap() < 1e-12
+    assert ClosedFormMap(stem, 1, 0.7, e1).coefficient_gap() > 1.0
+    assert ClosedFormMap(stem, 2, 0.8, e1).coefficient_gap() > 0.05
+    # a stem term in two variables is no part of the componentwise map
+    table = {k: stem.coefficient(k) for k in stem.multi_indices()}
+    table[(1, 1)] = np.full((2, 4), 1e-6)
+    mixed = StemSeries(2, 2, table, degree=stem.degree)
+    assert ClosedFormMap(mixed, 2, 0.7, e1).coefficient_gap() == pytest.approx(
+        1e-6, rel=1e-3)
 
 
 def test_representation_reconstructs_random_maps():
@@ -254,6 +299,11 @@ def test_split_reassembles_generic_map():
             direct = f.eval(make_point(z.real, z.imag, i_elem))
             for a, b in zip(rebuilt, direct):
                 assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
+        # a batch of points gets the bits each point gets alone
+        zs = rng.uniform(-0.8, 0.8, (7, 2)) + 1j * rng.uniform(-0.8, 0.8, (7, 2))
+        for z, rebuilt in zip(zs, reassemble_on_slice(comps, basis, i_elem, zs)):
+            alone = reassemble_on_slice(comps, basis, i_elem, z)
+            assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(rebuilt, alone))
 
 
 def test_split_rejects_degenerate_completion():
