@@ -21,18 +21,21 @@ _SEED_ENVVAR = "SLICEGROWTH_SEED"
 
 def _build_config(m, n, seed, samples, truncation, r_max, theta, map_, domain,
                   shards) -> suites.RunConfig:
-    cfg = suites.RunConfig(
+    return _validated(suites.RunConfig(
         m=m, n=n, seed=seed, samples=samples, truncation=truncation,
         r_max=r_max, theta=theta,
         maps=(map_,) if map_ else None,
         domains=(domain,) if domain else ("ball", "polydisc"),
         shards=shards,
-    )
+    ))
+
+
+def _validated(cfg: suites.RunConfig) -> suites.RunConfig:
+    """cfg.validate(), with a ValueError reported as a usage error."""
     try:
-        cfg.validate()
+        return cfg.validate()
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    return cfg
 
 
 def _write_report(text: str, out):
@@ -112,8 +115,7 @@ def envelope(map_, theta, r_grid, m, n, truncation, out):
         raise click.UsageError(f"bad --r-grid: {exc}")
     if not radii or any(not 0.0 <= r < 1.0 for r in radii):
         raise click.UsageError("--r-grid values must lie in [0, 1)")
-    if not 1 <= m <= suites.MAX_M:
-        raise click.UsageError(f"m must be in 1..{suites.MAX_M}")
+    _validated(suites.RunConfig(m=m, n=n, truncation=truncation, theta=theta))
 
     family, build, _ = suites.MAP_FAMILIES[map_]
     f = build(theta, CliffordElement.generator(m, 1), truncation, n)

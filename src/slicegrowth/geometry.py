@@ -17,6 +17,11 @@ closed-form envelopes with the analytic truncation tail of the reference
 series as slack; both growth suites take their hypothesis status from
 one batched starlike/convex spot-check on the series' slice shadow.
 closed_form_agreement checks a ClosedFormMap against its series.
+
+gauge_rho evaluates a domain's gauge at one point (alpha, beta of shape
+(n,)) or at B rows ((B, n)): the ball and polydisc in closed form, and
+an oracle gauge by bisection along all rays at once, through one batched
+membership call per step.
 """
 
 from __future__ import annotations
@@ -39,11 +44,9 @@ from .series import tail_bound
 from .slicemaps import ClosedFormMap, SliceMap, complex_on_slice, slice_shadow
 from .slicespace import (
     SliceOrbit,
-    SlicePoint,
     anticommuting_unit,
     make_point,
     orbit_point,
-    point_norm,
     sample_S_batch,
     vector_norm,
 )
@@ -427,18 +430,15 @@ def envelope_table(f: SliceMap, family: str, r_grid) -> list[dict]:
 class Gauge:
     """Defining function of a bounded slice starlike, slice circular
     domain: rho >= 0, rho(tx) = |t| rho(x) for slice-complex scalars, and
-    the domain is {rho < 1}.  kind "oracle" carries a membership test and
-    evaluates rho by bisection along rays."""
+    the domain is {rho < 1}.  kind "oracle" carries a batched membership
+    test member_fn(alpha, beta, j_rows) -> bool array of shape (B,) and
+    evaluates rho by bisection along all rays at once."""
 
     kind: str
     n: int
     m: int
-    member_fn: Optional[Callable[[SlicePoint], bool]] = None
-
-    def member(self, p: SlicePoint) -> bool:
-        if self.kind == "oracle":
-            return bool(self.member_fn(p))
-        return gauge_rho(self, p) < 1.0
+    member_fn: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                 np.ndarray]] = None
 
 
 def ball_gauge(n: int, m: int) -> Gauge:
@@ -453,63 +453,71 @@ def oracle_gauge(member, n: int, m: int) -> Gauge:
     return Gauge("oracle", n, m, member_fn=member)
 
 
-def _scaled(p: SlicePoint, c: float) -> SlicePoint:
-    return make_point(p.alpha * c, p.beta * c, p.J)
+def _bisect_rho(member, alpha: np.ndarray, beta: np.ndarray,
+                j_rows: np.ndarray) -> np.ndarray:
+    """Oracle gauge of every row: bracket the boundary crossing along each
+    ray (doubling search up), then bisect all rays together."""
+    rho = np.zeros(alpha.shape[0])
 
+    def inside(rows, radius):
+        if rows.size == 0:
+            return np.zeros(0, dtype=bool)
+        c = (1.0 / radius)[:, None]
+        return np.asarray(member(alpha[rows] * c, beta[rows] * c,
+                                 j_rows[rows]), dtype=bool)
 
-def gauge_rho(g: Gauge, p: SlicePoint) -> float:
-    """Evaluate the gauge at p.
-
-    Closed forms: the ball gauge is the point norm and the polydisc gauge
-    is max_t |x_t|.  The oracle kind brackets the boundary crossing along
-    the ray through p (doubling search up) and bisects for 60 iterations;
-    inconsistent membership along the ray raises GaugeError.
-    """
-    if g.kind == "ball":
-        return point_norm(p)
-    if g.kind == "polydisc":
-        return float(np.max(np.sqrt(p.alpha ** 2 + p.beta ** 2)))
-    if g.kind != "oracle":
-        raise ValueError(f"unknown gauge kind {g.kind!r}")
-
-    scale = point_norm(p)
-    if scale == 0.0:
-        return 0.0
-    lo = 1e-12
-    if g.member_fn(_scaled(p, 1.0 / lo)):
-        # rho below resolution for any bounded starlike domain
-        return 0.0
-    hi = 1.0
+    rows = np.flatnonzero(np.any(alpha, axis=1) | np.any(beta, axis=1))
+    # rho below resolution for any bounded starlike domain
+    rows = rows[~inside(rows, np.full(rows.size, 1e-12))]
+    hi = np.ones(rows.size)
+    out = ~inside(rows, hi)
     doublings = 0
-    while not g.member_fn(_scaled(p, 1.0 / hi)):
-        hi *= 2.0
+    while np.any(out):
+        hi[out] *= 2.0
         doublings += 1
         if doublings > 64:
             raise GaugeError("membership never became true along the ray")
+        out[out] = ~inside(rows[out], hi[out])
+    lo = np.full(rows.size, 1e-12)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if g.member_fn(_scaled(p, 1.0 / mid)):
-            hi = mid
-        else:
-            lo = mid
-    rho = 0.5 * (lo + hi)
+        hit = inside(rows, mid)
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit, lo, mid)
+    rho[rows] = 0.5 * (lo + hi)
     # starlike consistency probes away from the boundary band
-    if not g.member_fn(_scaled(p, 1.0 / (1.05 * rho))):
+    if not np.all(inside(rows, 1.05 * rho[rows])):
         raise GaugeError("membership non-monotone along the ray (outer probe)")
-    if g.member_fn(_scaled(p, 1.0 / (0.95 * rho))):
+    if np.any(inside(rows, 0.95 * rho[rows])):
         raise GaugeError("membership non-monotone along the ray (inner probe)")
     return rho
 
 
-def gauge_rho_batch(g: Gauge, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def gauge_rho(g: Gauge, alpha, beta, j_rows=None):
+    """Evaluate the gauge at the points alpha + J beta.
+
+    alpha and beta have shape (n,) (returns a float) or (B, n) (returns B
+    values, each with the bits it has alone).  Closed forms: the ball
+    gauge is the point norm and the polydisc gauge is max_t |x_t|; both
+    ignore J.  The oracle kind passes the slice units j_rows, of shape
+    (dim,) or (B, dim) and e_1 by default, to its membership test,
+    brackets the boundary crossing along every ray and bisects for 60
+    iterations; inconsistent membership along any ray raises GaugeError.
+    """
+    a, b = (np.asarray(x, dtype=np.float64).reshape(-1, g.n) for x in (alpha, beta))
     if g.kind == "ball":
-        return np.sqrt(np.sum(alpha ** 2 + beta ** 2, axis=1))
-    if g.kind == "polydisc":
-        return np.max(np.sqrt(alpha ** 2 + beta ** 2), axis=1)
-    e1 = CliffordElement.generator(g.m, 1)
-    return np.array([
-        gauge_rho(g, make_point(a, b, e1)) for a, b in zip(alpha, beta)
-    ])
+        # row dot products, with the bits of slicespace.point_norm
+        rho = np.sqrt(np.vecdot(a, a) + np.vecdot(b, b))
+    elif g.kind == "polydisc":
+        rho = np.max(np.sqrt(a ** 2 + b ** 2), axis=1)
+    elif g.kind == "oracle":
+        if j_rows is None:
+            j_rows = CliffordElement.generator(g.m, 1).coeffs
+        rho = _bisect_rho(g.member_fn, a, b,
+                          np.broadcast_to(j_rows, (len(a), 1 << g.m)))
+    else:
+        raise ValueError(f"unknown gauge kind {g.kind!r}")
+    return float(rho[0]) if np.ndim(alpha) == 1 else rho
 
 
 def value_gauge_on_slice(g: Gauge, values, I: CliffordElement):
@@ -521,55 +529,47 @@ def value_gauge_on_slice(g: Gauge, values, I: CliffordElement):
     """
     rows = np.stack([v.coeffs for v in values])
     cvals, resid = complex_on_slice(rows, I)
-    return float(gauge_rho_batch(g, cvals.real[None], cvals.imag[None])[0]), resid
+    return gauge_rho(g, cvals.real, cvals.imag), resid
 
 
 def gauge_properties_check(g: Gauge, samples: int, rng,
                            tol: float = 1e-12) -> Report:
     """Positivity, slice-complex homogeneity, membership equivalence and
-    axial symmetry of a gauge, sampled."""
+    axial symmetry of a gauge, sampled.
+
+    The draws are taken sample by sample; then one gauge call per
+    quantity evaluates every sample."""
     n, m = g.n, g.m
-    worst_hom = 0.0
-    worst_axial = 0.0
-    member_mismatch = 0
-    origin = make_point([0.0] * n, [0.0] * n, CliffordElement.generator(m, 1))
-    rho0 = gauge_rho(g, origin)
-    positive_ok = rho0 == 0.0
-
     j_budget = 32
-    for _ in range(samples):
-        j_elem = CliffordElement(m, sample_S_batch(rng, m, 1)[0])
-        alpha = rng.uniform(-1.0, 1.0, n)
-        beta = rng.uniform(-1.0, 1.0, n)
-        p = make_point(alpha, beta, j_elem)
-        rho = gauge_rho(g, p)
-        if rho <= 0.0:
-            positive_ok = False
+    draws = [(sample_S_batch(rng, m, 1)[0], rng.uniform(-1.0, 1.0, n),
+              rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 2.0),
+              rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.2, 1.8),
+              sample_S_batch(rng, m, j_budget)) for _ in range(samples)]
+    j_elem, alpha, beta, s, phi, scale_target, j_axial = map(np.array, zip(*draws))
+    rho = gauge_rho(g, alpha, beta, j_elem)
+    positive_ok = gauge_rho(g, np.zeros(n), np.zeros(n)) == 0.0 and \
+        not np.any(rho <= 0.0)
 
-        # homogeneity under t = s e^{J phi} acting on the slice of J
-        s = rng.uniform(0.1, 2.0)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        ca, sa = math.cos(phi), math.sin(phi)
-        alpha2 = s * (alpha * ca - beta * sa)
-        beta2 = s * (alpha * sa + beta * ca)
-        rho2 = gauge_rho(g, make_point(alpha2, beta2, j_elem))
-        worst_hom = max(worst_hom, abs(rho2 - s * rho))
+    # homogeneity under t = s e^{J phi} acting on the slice of J
+    ca = np.array([math.cos(x) for x in phi])[:, None]
+    sa = np.array([math.sin(x) for x in phi])[:, None]
+    rho2 = gauge_rho(g, s[:, None] * (alpha * ca - beta * sa),
+                     s[:, None] * (alpha * sa + beta * ca), j_elem)
+    worst_hom = float(np.max(np.abs(rho2 - s * rho)))
 
-        # membership equivalence away from the boundary band
-        scale_target = rng.uniform(0.2, 1.8)
-        q = _scaled(p, scale_target / rho)
-        rho_q = gauge_rho(g, q)
-        if abs(rho_q - 1.0) > 100 * max(tol, _BISECT_TOL):
-            if g.member(q) != (rho_q < 1.0):
-                member_mismatch += 1
+    # membership equivalence away from the boundary band: the point
+    # scaled to gauge value t is in the domain iff t < 1
+    c = (scale_target / rho)[:, None]
+    inside = gauge_rho(g, alpha * c, beta * c) < 1.0 if g.member_fn is None \
+        else g.member_fn(alpha * c, beta * c, j_elem)
+    away = np.abs(scale_target - 1.0) > 100 * max(tol, _BISECT_TOL)
+    member_mismatch = int(np.count_nonzero((inside != (scale_target < 1.0))[away]))
 
-        # axial symmetry over the orbit
-        j_rows = sample_S_batch(rng, m, j_budget)
-        rhos = [
-            gauge_rho(g, make_point(alpha, beta, CliffordElement(m, row)))
-            for row in j_rows
-        ]
-        worst_axial = max(worst_axial, float(np.max(rhos) - np.min(rhos)))
+    # axial symmetry over the orbit
+    rhos = gauge_rho(g, np.repeat(alpha, j_budget, axis=0),
+                     np.repeat(beta, j_budget, axis=0),
+                     j_axial.reshape(samples * j_budget, -1))
+    worst_axial = float(np.max(np.ptp(rhos.reshape(samples, j_budget), axis=1)))
 
     max_error = max(worst_hom, worst_axial, 0.0 if positive_ok else 1.0,
                     float(member_mismatch))
@@ -639,7 +639,7 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
         diag_x = [sign * r for r in diag_grid if r < 1.0 for sign in (1.0, -1.0)]
     diag_z = np.repeat(np.array(diag_x, dtype=np.complex128)[:, None], f.n, axis=1)
     vals = shadow.eval(np.vstack([alpha_i + 1j * beta_i, diag_z]))
-    rhos = gauge_rho_batch(g, vals.real, vals.imag)
+    rhos = gauge_rho(g, vals.real, vals.imag)
     value_rho, diag_rho = rhos[:samples], rhos[samples:]
     lo_g = rho_i / (1.0 + rho_i) ** p
     hi_g = rho_i / (1.0 - rho_i) ** p
@@ -678,8 +678,8 @@ def _sample_gauged(g: Gauge, rng, samples: int, n: int, m: int, r_max: float):
     """_sample_ball points rescaled so that the gauge value is the drawn
     radius.  Returns (alpha, beta, j_rows, rho)."""
     alpha, beta, j_rows, radii = _sample_ball(rng, samples, n, m, r_max)
-    rho_dir = gauge_rho_batch(g, alpha, beta)
+    rho_dir = gauge_rho(g, alpha, beta)
     scale = np.where(rho_dir > 0, radii / np.maximum(rho_dir, 1e-300), 0.0)
     alpha *= scale[:, None]
     beta *= scale[:, None]
-    return alpha, beta, j_rows, gauge_rho_batch(g, alpha, beta)
+    return alpha, beta, j_rows, gauge_rho(g, alpha, beta)

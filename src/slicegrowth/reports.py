@@ -82,4 +82,10 @@ def summary_lines(reports: list[Report]) -> list[str]:
         if err is not None and thr is not None:
             detail = f"  max_error={err:.3e} (threshold {thr:.3e})"
         out.append(f"[{status}] {rep.check}{detail}")
+    # a record that is not asserted passes whatever its errors are
+    for rep in reports:
+        if rep.data.get("asserted") is False:
+            hyp = rep.data.get("hypothesis_status")
+            note = f"  hypothesis_status={hyp}" if hyp is not None else ""
+            out.append(f"[NOT ASSERTED] {rep.check}{note}")
     return out

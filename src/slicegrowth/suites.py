@@ -340,11 +340,9 @@ def run_stem(cfg: RunConfig) -> list[Report]:
                      max(30, trunc // 2), trunc})
     tails = [series.koebe_tail(n, N)(cfg.r_max) for N in orders]
     monotone = all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
-    reports.append(Report(
-        "stem-tail-monotone", monotone, len(tails),
-        {"tails": " ".join(f"{t:.3e}" for t in tails),
-         "max_error": 0.0 if monotone else 1.0, "threshold": 0.5},
-    ))
+    reports.append(Report.from_error(
+        "stem-tail-monotone", 0.0 if monotone else 1.0, 0.5, len(tails),
+        tails=" ".join(f"{t:.3e}" for t in tails)))
     return reports
 
 
@@ -463,11 +461,9 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
     # control with stem F1 = Re(z_1): residual must be O(1), not small
     control = slicemaps.RawSliceMap(m, n, *_re_z1_pair(m, n))
     control_res = slicemaps.regularity_residual(control, p0)
-    reports.append(Report(
-        "regularity-control-detected", control_res > 0.1, 1,
-        {"m": m, "n": n, "control_residual": control_res,
-         "max_error": 0.0 if control_res > 0.1 else 1.0, "threshold": 0.5},
-    ))
+    reports.append(Report.from_error(
+        "regularity-control-detected", 0.0 if control_res > 0.1 else 1.0, 0.5,
+        1, m=m, n=n, control_residual=control_res))
 
     # holomorphic splitting reassembles the slice restriction
     f = slicemaps.SliceMap(_random_stem(m, n, rng))
@@ -513,10 +509,9 @@ def run_extremal(cfg: RunConfig) -> list[Report]:
     for m in m_values:
         if m < 2:
             # the sphere of roots of -1 is {-e1, e1}: no transverse sweep
-            reports.append(Report(
-                "extremal-skipped-m1", True, 0,
-                {"m": m, "note": "no orthogonal root of -1 exists for m=1",
-                 "max_error": 0.0, "threshold": tol}))
+            reports.append(Report.from_error(
+                "extremal-skipped-m1", 0.0, tol, 0,
+                m=m, note="no orthogonal root of -1 exists for m=1"))
             continue
         for n in n_values:
             rng = _rng(cfg, "extremal", 0, m * 10 + n)
@@ -633,28 +628,35 @@ def run_gauge(cfg: RunConfig) -> list[Report]:
     rng = _rng(cfg, "gauge", 0)
     reports = []
 
-    ball = geometry.ball_gauge(n, m)
-    poly = geometry.polydisc_gauge(n, m)
-    reports.append(geometry.gauge_properties_check(
-        ball, max(count // 10, 20), rng, 1e-12))
-    reports.append(geometry.gauge_properties_check(
-        poly, max(count // 10, 20), rng, 1e-12))
+    closed = {"ball": geometry.ball_gauge(n, m),
+              "polydisc": geometry.polydisc_gauge(n, m)}
+    for g in closed.values():
+        reports.append(geometry.gauge_properties_check(
+            g, max(count // 10, 20), rng, 1e-12))
 
-    # bisection oracle wrapping the closed-form membership tests
-    for closed, name in ((ball, "ball"), (poly, "polydisc")):
-        oracle = geometry.oracle_gauge(
-            lambda p, _g=closed: geometry.gauge_rho(_g, p) < 1.0, n, m)
-        worst = 0.0
+    # bisection oracles wrapping the closed-form membership tests
+    oracles = {name: geometry.oracle_gauge(
+        lambda a, b, j, _g=g: geometry.gauge_rho(_g, a, b) < 1.0, n, m)
+        for name, g in closed.items()}
+    for name, oracle in oracles.items():
         points = max(count, 100)
-        for _ in range(points):
-            j_elem = CliffordElement(m, slicespace.sample_S_batch(rng, m, 1)[0])
-            p = slicespace.make_point(
-                rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n), j_elem)
-            worst = max(worst, abs(geometry.gauge_rho(oracle, p) -
-                                   geometry.gauge_rho(closed, p)))
+        draws = [(slicespace.sample_S_batch(rng, m, 1)[0], rng.uniform(-1.5, 1.5, n),
+                  rng.uniform(-1.5, 1.5, n)) for _ in range(points)]
+        j_rows, alpha, beta = map(np.array, zip(*draws))
+        worst = float(np.max(np.abs(
+            geometry.gauge_rho(oracle, alpha, beta, j_rows) -
+            geometry.gauge_rho(closed[name], alpha, beta))))
         reports.append(Report.from_error(
             f"gauge-bisection-{name}", worst, 1e-8,
             points, m=m, n=n))
+
+    # the oracles' own properties: bisection over a membership test that
+    # is not starlike breaks homogeneity and membership equivalence
+    for name, oracle in oracles.items():
+        rep = geometry.gauge_properties_check(
+            oracle, max(count // 10, 20), rng, 1e-12)
+        rep.check = f"gauge-oracle-{name}"
+        reports.append(rep)
     return reports
 
 

@@ -139,6 +139,32 @@ def test_cli_usage_errors():
         result = runner.invoke(main, ["verify", "growth-ball", "--theta", theta])
         assert result.exit_code == 2, (theta, result.output)
         assert "theta must be finite" in result.output
+    # envelope validates through RunConfig.validate like verify
+    for args in (["--n", "0"], ["--n", "-1"], ["--truncation", "-3"],
+                 ["--truncation", "0"], ["--theta", "inf"], ["--theta", "nan"],
+                 ["--m", "0"], ["--m", "9"]):
+        result = runner.invoke(main, ["envelope"] + args)
+        assert result.exit_code == 2, (args, result.output)
+
+
+def test_summary_lines_name_unasserted_checks():
+    reps = [
+        Report.from_error("growth-ball-koebe", 0.0, 1.0, 10, asserted=False,
+                          hypothesis_status="violated(2/64)"),
+        Report.from_error("sharpness-paper-example", 5.0, 1e-8, 9,
+                          asserted=False),
+        Report.from_error("growth-ball-cayley", 0.0, 1.0, 10, asserted=True,
+                          hypothesis_status="ok"),
+        Report.from_error("stem", 0.0, 1.0, 10),
+    ]
+    reps[1].passed = True
+    lines = summary_lines(reps)
+    assert len(lines) == 6
+    assert all(line.startswith("[PASS]") for line in lines[:4])
+    assert lines[4:] == [
+        "[NOT ASSERTED] growth-ball-koebe  hypothesis_status=violated(2/64)",
+        "[NOT ASSERTED] sharpness-paper-example",
+    ]
 
 
 def test_cli_seed_envvar(tmp_path):

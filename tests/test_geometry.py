@@ -36,7 +36,13 @@ from slicegrowth.series import (
     koebe_map,
 )
 from slicegrowth.slicemaps import ClosedFormMap, SliceMap
-from slicegrowth.slicespace import make_orbit, make_point, orbit_point, sample_S
+from slicegrowth.slicespace import (
+    make_orbit,
+    make_point,
+    orbit_point,
+    point_norm,
+    sample_S,
+)
 from slicegrowth.suites import RunConfig, run_growth_ball
 
 
@@ -284,13 +290,10 @@ def test_envelope_table_closed_forms():
 def test_gauge_closed_forms():
     ball = ball_gauge(2, 2)
     poly = polydisc_gauge(2, 2)
-    j = CliffordElement.from_vector(2, [0.0, 1.0])
-    p = make_point([0.3, 0.0], [0.0, 0.4], j)
-    assert gauge_rho(ball, p) == pytest.approx(0.5)
-    assert gauge_rho(poly, p) == pytest.approx(0.4)
+    assert gauge_rho(ball, [0.3, 0.0], [0.0, 0.4]) == pytest.approx(0.5)
+    assert gauge_rho(poly, [0.3, 0.0], [0.0, 0.4]) == pytest.approx(0.4)
     # the polydisc example: sqrt(alpha_t^2 + beta_t^2) per component
-    q = make_point([0.2, 0.0], [0.0, 0.7], j)
-    assert gauge_rho(poly, q) == pytest.approx(0.7)
+    assert gauge_rho(poly, [0.2, 0.0], [0.0, 0.7]) == pytest.approx(0.7)
 
 
 def test_gauge_properties_reports():
@@ -300,26 +303,114 @@ def test_gauge_properties_reports():
         assert rep.passed, rep.data
 
 
+def _closed_member(g):
+    return lambda a, b, j: gauge_rho(g, a, b) < 1.0
+
+
 def test_oracle_gauge_matches_closed_form():
     rng = np.random.default_rng(8)
     ball = ball_gauge(2, 2)
-    oracle = oracle_gauge(lambda p: gauge_rho(ball, p) < 1.0, 2, 2)
+    oracle = oracle_gauge(_closed_member(ball), 2, 2)
     for _ in range(50):
         p = make_point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2),
                        sample_S(rng, 2))
-        assert abs(gauge_rho(oracle, p) - gauge_rho(ball, p)) < 1e-8
+        rho = gauge_rho(oracle, p.alpha, p.beta, p.J.coeffs)
+        assert abs(rho - gauge_rho(ball, p.alpha, p.beta)) < 1e-8
 
 
 def test_oracle_gauge_detects_inconsistency():
     # membership true only in an annulus: not starlike about the origin
-    def weird(p):
-        from slicegrowth.slicespace import point_norm
-        return 0.5 < point_norm(p) < 1.0
+    def weird(a, b, j):
+        r = np.sqrt(np.sum(a ** 2 + b ** 2, axis=1))
+        return (0.5 < r) & (r < 1.0)
 
     bad = oracle_gauge(weird, 1, 2)
-    p = make_point([2.0], [0.0], CliffordElement.generator(2, 1))
     with pytest.raises(GaugeError):
-        gauge_rho(bad, p)
+        gauge_rho(bad, [2.0], [0.0])
+
+
+def test_gauge_batch_equals_rows_bit_for_bit():
+    rng = np.random.default_rng(21)
+    n, m = 3, 3
+    alpha = rng.uniform(-1.5, 1.5, (40, n))
+    beta = rng.uniform(-1.5, 1.5, (40, n))
+    alpha[[0, 17]] = 0.0
+    beta[[0, 17]] = 0.0
+    beta[5] = 0.0
+    j_rows = np.array([sample_S(rng, m).coeffs for _ in range(40)])
+    ball, poly = ball_gauge(n, m), polydisc_gauge(n, m)
+    # a domain whose radius depends on the slice unit reads j_rows
+    by_j = oracle_gauge(
+        lambda a, b, j: gauge_rho(ball, a, b) < 1.0 + 0.5 * j[:, 1] ** 2, n, m)
+    ball_rows = gauge_rho(ball, alpha, beta)
+    assert np.max(np.abs(gauge_rho(by_j, alpha, beta, j_rows) -
+                         ball_rows / (1.0 + 0.5 * j_rows[:, 1] ** 2))) < 1e-8
+    # the ball gauge keeps the bits of the point norm
+    assert ball_rows.tobytes() == np.array([
+        point_norm(make_point(a, b, E1_3)) for a, b in zip(alpha, beta)]).tobytes()
+    for g in (ball, poly, oracle_gauge(_closed_member(ball), n, m),
+              oracle_gauge(_closed_member(poly), n, m), by_j):
+        batch = gauge_rho(g, alpha, beta, j_rows)
+        rows = [gauge_rho(g, a, b, j) for a, b, j in zip(alpha, beta, j_rows)]
+        assert all(isinstance(r, float) for r in rows)
+        assert batch.shape == (40,)
+        assert batch.tobytes() == np.array(rows).tobytes(), g.kind
+        assert batch[0] == 0.0 and batch[17] == 0.0
+        # one slice unit for the whole batch, e_1 by default
+        assert gauge_rho(g, alpha, beta).tobytes() == \
+            gauge_rho(g, alpha, beta, E1_3.coeffs).tobytes()
+
+
+@pytest.mark.parametrize("inner, outer, point, message", [
+    # the annulus 0.5 < rho < 1: doubling from 2 steps over it
+    (0.0, 0.5, -2.0, "never became true"),
+    # the ball less the shell 0.9 < rho < 0.93: bisection from 0.8 finds
+    # the shell's inner edge, and the inner probe lands inside the ball
+    (0.9, 0.93, -0.8, "inner probe"),
+])
+def test_oracle_batch_with_one_annulus_ray_raises(inner, outer, point, message):
+    ball = ball_gauge(2, 2)
+
+    def member(a, b, j):
+        # the rays with alpha_1 < 0 see {rho < 1} less the shell
+        # inner <= rho <= outer, the others the ball
+        r = gauge_rho(ball, a, b)
+        holed = (r < 1.0) & ~((inner <= r) & (r <= outer))
+        return np.where(a[:, 0] < 0.0, holed, r < 1.0)
+
+    oracle = oracle_gauge(member, 2, 2)
+    rng = np.random.default_rng(22)
+    alpha = rng.uniform(0.1, 1.5, (12, 2))
+    beta = rng.uniform(-1.5, 1.5, (12, 2))
+    good = gauge_rho(oracle, alpha, beta)
+    assert np.max(np.abs(good - gauge_rho(ball, alpha, beta))) < 1e-8
+    alpha[7], beta[7] = [point, 0.0], 0.0
+    with pytest.raises(GaugeError, match=message):
+        gauge_rho(oracle, alpha, beta)
+
+
+def test_oracle_that_is_never_true_raises():
+    never = oracle_gauge(lambda a, b, j: np.zeros(len(a), dtype=bool), 2, 2)
+    with pytest.raises(GaugeError, match="never became true"):
+        gauge_rho(never, np.array([[0.3, 0.1], [0.0, 0.0]]), np.zeros((2, 2)))
+
+
+def test_oracle_gauge_properties_negative_control():
+    ball = ball_gauge(2, 3)
+    rep = gauge_properties_check(oracle_gauge(_closed_member(ball), 2, 3), 30,
+                                 np.random.default_rng(23))
+    assert rep.passed, rep.data
+
+    def shelled(a, b, j):
+        # the ball with the shell 0.5 < rho < 0.6 removed
+        r = gauge_rho(ball, a, b)
+        return (r < 1.0) & ~((0.5 < r) & (r < 0.6))
+
+    rep = gauge_properties_check(oracle_gauge(shelled, 2, 3), 30,
+                                 np.random.default_rng(23))
+    assert not rep.passed
+    assert rep.data["homogeneity_error"] > 1.0, rep.data
+    assert rep.data["membership_mismatches"] > 0, rep.data
 
 
 def test_value_gauge_on_slice():
@@ -377,5 +468,5 @@ def test_growth_check_domain_polydisc_literal_rho_form_overshoots():
     f = SliceMap(koebe_map(0.0, E1_3, 300, 2))
     diag = make_point([0.9, 0.9], [0.0, 0.0], E1_3)
     val = np.sqrt(sum(v.euclid_norm() ** 2 for v in f.eval(diag)))
-    rho = gauge_rho(polydisc_gauge(2, 3), diag)
+    rho = gauge_rho(polydisc_gauge(2, 3), diag.alpha, diag.beta)
     assert val > rho / (1 - rho) ** 2 * 1.4
