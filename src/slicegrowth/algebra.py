@@ -122,16 +122,12 @@ def conj_batch(m: int, a: np.ndarray) -> np.ndarray:
     return a * _tables(m).conj_sign
 
 
-def left_matrix(m: int, a: np.ndarray) -> np.ndarray:
-    """Matrix L with (x*y) = L @ y for the fixed left factor x = a."""
-    t = _tables(m)
-    return a[t.xor_mat] * t.left_sign
-
-
 def left_matrix_batch(m: int, a: np.ndarray) -> np.ndarray:
-    """Stack of left-multiplication matrices for a of shape (B, dim)."""
+    """Stack of left-multiplication matrices L with (x*y) = L @ y for the
+    rows x of a, shape (B, dim, dim).  Each matrix is C-contiguous, so a
+    row's operator, inverse and products have the bits it has alone."""
     t = _tables(m)
-    return a[:, t.xor_mat] * t.left_sign[None, :, :]
+    return np.take(a, t.xor_mat, axis=1) * t.left_sign
 
 
 def invert_batch(m: int, a: np.ndarray) -> np.ndarray:
@@ -331,36 +327,18 @@ class CliffordElement:
         return self * self.conjugate()
 
     def inverse(self, tol: float = 1e-10) -> "CliffordElement":
-        """Multiplicative inverse.
+        """Multiplicative inverse by invert_batch.
 
-        Uses conj(x)/n(x) when x sits in the quadratic cone with scalar
-        n(x) bounded away from zero, otherwise solves the 2**m-dimensional
-        left-multiplication system.  Raises NonInvertibleError when the
-        smallest singular value of that operator is below tol relative to
-        the largest.
+        Raises NonInvertibleError when the smallest singular value of the
+        left-multiplication operator is below tol relative to the largest.
         """
-        t = self.trace()
-        nn = self.norm_sq()
-        if (
-            t.is_scalar(tol)
-            and nn.is_scalar(tol)
-            and abs(nn.scalar_part) > math.sqrt(tol)
-        ):
-            cand = self.conjugate() / nn.scalar_part
-            resid = (self * cand - 1.0).coeffs
-            if np.max(np.abs(resid)) <= 1e-12:
-                return cand
-        lmat = left_matrix(self.m, self.coeffs)
-        svals = np.linalg.svd(lmat, compute_uv=False)
+        row = self.coeffs[None]
+        svals = np.linalg.svd(left_matrix_batch(self.m, row)[0], compute_uv=False)
         if svals[-1] <= tol * max(1.0, svals[0]):
             raise NonInvertibleError(
                 f"left operator numerically singular (sigma_min={svals[-1]:.3e})"
             )
-        e0 = np.zeros(self.dim)
-        e0[0] = 1.0
-        y = np.linalg.solve(lmat, e0)
-        y += np.linalg.solve(lmat, e0 - lmat @ y)
-        return CliffordElement(self.m, y)
+        return CliffordElement(self.m, invert_batch(self.m, row)[0])
 
     # -- serialization and display -------------------------------------------
 

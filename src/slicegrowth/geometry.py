@@ -8,7 +8,9 @@ u = <J, I> (coefficient inner product):
 
     ||f(alpha + J beta)||^2 = c0 - c1 * u =: g(u),
 
-so the extrema over all J are attained at J = +-I.  The starlike and
+so the extrema over all J are attained at J = +-I.  The profile, its
+sampled check and envelope_table evaluate through SliceMap.eval_arrays,
+one stem row broadcast over many J rows.  The starlike and
 convex criteria (starlike_criterion_slice, convex_criterion_slice) read
 the slice shadow f_I and its derivatives, at one point or a batch.
 Growth checks sample the ball (or a gauged domain), evaluate the map
@@ -45,8 +47,6 @@ from .slicemaps import ClosedFormMap, SliceMap, complex_on_slice, slice_shadow
 from .slicespace import (
     SliceOrbit,
     anticommuting_unit,
-    make_point,
-    orbit_point,
     sample_S_batch,
     vector_norm,
 )
@@ -63,8 +63,8 @@ _BISECT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ExtremalProfile:
-    value_a: list          # F1-side slice values, one element per component
-    value_b: list          # F2-side slice values
+    value_a: np.ndarray    # F1-side slice values, (n, dim) coefficient rows
+    value_b: np.ndarray    # F2-side slice values, (n, dim)
     a: np.ndarray          # real parts of B_t / A_t where A_t != 0, else 0
     b: np.ndarray          # imaginary parts, same convention
     c0: float
@@ -82,11 +82,11 @@ def extremal_profile(f, o: SliceOrbit, I: CliffordElement,
     HypothesisViolationError otherwise.  Components whose A_t vanishes
     route |B_t|^2 into the constant term.
     """
-    v_i = f.eval(orbit_point(o, I))
-    v_mi = f.eval(orbit_point(o, -I))
+    v_i, v_mi = f.eval_arrays(o.alpha[None], o.beta[None],
+                              np.stack([I.coeffs, -I.coeffs]))
     n = len(v_i)
-    value_a = [0.5 * (p + q) for p, q in zip(v_i, v_mi)]
-    value_b = [-0.5 * (I * (p - q)) for p, q in zip(v_i, v_mi)]
+    value_a = 0.5 * (v_i + v_mi)
+    value_b = -0.5 * mul_batch(f.m, I.coeffs, v_i - v_mi)
 
     a = np.zeros(n)
     b = np.zeros(n)
@@ -94,8 +94,8 @@ def extremal_profile(f, o: SliceOrbit, I: CliffordElement,
     c1 = 0.0
     scale = max(1.0, vector_norm(v_i), vector_norm(v_mi))
     for t in range(n):
-        ca, ra = complex_on_slice(value_a[t].coeffs, I)
-        cb, rb = complex_on_slice(value_b[t].coeffs, I)
+        ca, ra = complex_on_slice(value_a[t], I)
+        cb, rb = complex_on_slice(value_b[t], I)
         if max(ra, rb) > tol * scale:
             raise HypothesisViolationError(
                 f"value component {t} leaves the slice of I "
@@ -114,15 +114,10 @@ def extremal_profile(f, o: SliceOrbit, I: CliffordElement,
     return ExtremalProfile(value_a, value_b, a, b, c0, c1)
 
 
-def _orbit_values_over_j(f: SliceMap, o: SliceOrbit, j_rows: np.ndarray) -> np.ndarray:
-    """Norms of f(alpha + J beta) for many J at one orbit, shape (B,)."""
-    f1, f2 = f.stem.eval_arrays(o.alpha.reshape(1, -1), o.beta.reshape(1, -1))
-    B = j_rows.shape[0]
-    total = np.zeros(B)
-    for t in range(f.n):
-        vals = f1[0, t, :][None, :] + mul_batch(f.m, j_rows, f2[0, t, :][None, :])
-        total += np.sum(vals * vals, axis=1)
-    return np.sqrt(total)
+def _batch_norms(f: SliceMap, alpha, beta, j_rows) -> np.ndarray:
+    """Norms of f at the rows of f.eval_arrays(alpha, beta, j_rows)."""
+    vals = f.eval_arrays(alpha, beta, j_rows)
+    return np.sqrt(np.sum(vals * vals, axis=(1, 2)))
 
 
 def sample_roots_spanning(I: CliffordElement, rng, count: int) -> np.ndarray:
@@ -149,12 +144,12 @@ def verify_extremal(f: SliceMap, o: SliceOrbit, I: CliffordElement,
     """Sampled check that the norm extrema over J sit at J = +-I and that
     the measured norms match the affine profile g(u)."""
     prof = extremal_profile(f, o, I, tol)
-    end_hi = vector_norm(f.eval(orbit_point(o, I)))
-    end_lo = vector_norm(f.eval(orbit_point(o, -I)))
-    hi, lo = max(end_hi, end_lo), min(end_hi, end_lo)
-
     j_rows = sample_roots_spanning(I, rng, samples)
-    norms = _orbit_values_over_j(f, o, j_rows)
+    # one stem row over the endpoints +-I and every sampled J
+    norms = _batch_norms(f, o.alpha[None], o.beta[None],
+                         np.vstack([I.coeffs, -I.coeffs, j_rows]))
+    hi, lo = float(max(norms[:2])), float(min(norms[:2]))
+    norms = norms[2:]
     u = j_rows @ I.coeffs
     profile_residual = float(np.max(np.abs(norms ** 2 - prof.g(u))))
     violation = max(0.0, float(np.max(norms)) - hi, lo - float(np.min(norms)))
@@ -178,7 +173,7 @@ def profile_linearity(f: SliceMap, o: SliceOrbit, I: CliffordElement,
     us = np.linspace(-1.0, 1.0, points)
     rows = us[:, None] * I.coeffs[None, :] + \
         np.sqrt(np.maximum(0.0, 1.0 - us ** 2))[:, None] * perp.coeffs[None, :]
-    sq = _orbit_values_over_j(f, o, rows) ** 2
+    sq = _batch_norms(f, o.alpha[None], o.beta[None], rows) ** 2
     design = np.stack([np.ones_like(us), us], axis=1)
     coef, *_ = np.linalg.lstsq(design, sq, rcond=None)
     return float(np.max(np.abs(sq - design @ coef)))
@@ -275,11 +270,6 @@ def _sample_ball(rng, samples: int, n: int, m: int, r_max: float):
     alpha = dirs[:, :n] * radii[:, None]
     beta = dirs[:, n:] * radii[:, None]
     return alpha, beta, j_rows, radii
-
-
-def _batch_norms(f: SliceMap, alpha, beta, j_rows) -> np.ndarray:
-    vals = f.eval_arrays(alpha, beta, j_rows)
-    return np.sqrt(np.sum(vals * vals, axis=(1, 2)))
 
 
 def _hypothesis_status(f: SliceMap, family: str, I: CliffordElement,
@@ -405,16 +395,15 @@ def sharpness_axis(f: SliceMap, family: str, r_grid, tol: float = 1e-8) -> Repor
 def envelope_table(f: SliceMap, family: str, r_grid) -> list[dict]:
     """Rows (r, lower bound, ||f(-r)||, ||f(r)||, upper bound) along the
     first-axis real ray."""
-    e1 = CliffordElement.generator(f.m, 1)
+    radii = [float(r) for r in r_grid]
+    alpha = np.zeros((2 * len(radii), f.n))
+    alpha[:, 0] = radii + [-r for r in radii]
+    vals = f.eval_arrays(alpha, np.zeros_like(alpha),
+                         CliffordElement.generator(f.m, 1).coeffs)
+    norms = [vector_norm(v) for v in vals]   # the bits of the sharpness records
     rows = []
-    for r in r_grid:
-        r = float(r)
+    for r, plus, minus in zip(radii, norms, norms[len(radii):]):
         lower, upper = growth_bounds(r, family)
-        point = [0.0] * f.n
-        point[0] = r
-        plus = vector_norm(f.eval(make_point(point, [0.0] * f.n, e1)))
-        point[0] = -r
-        minus = vector_norm(f.eval(make_point(point, [0.0] * f.n, e1)))
         rows.append({
             "r": r, "lower_bound": float(lower), "f_at_minus_r": minus,
             "f_at_plus_r": plus, "upper_bound": float(upper),

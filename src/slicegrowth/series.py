@@ -158,7 +158,8 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
     with the real and imaginary parts of the monomials separately, so
     conjugating z flips the sign of the imaginary part bit-for-bit.  A
     complex table is summed row by row (einsum, not a BLAS product), so a
-    point gets the same bits alone as inside a batch.
+    point gets the same bits alone as inside a batch; a real table's
+    BLAS product gives a row bits that depend on the batch.
     """
     B = z.shape[0]
     real = not np.iscomplexobj(coeffs)

@@ -12,6 +12,13 @@ distinct slices J, K:
 
 with every product taken in the written order.
 
+Values are coefficient rows: SliceMap.eval_arrays takes points as
+(alpha, beta) rows of shape (B, n) and slices as J rows of shape
+(B, dim), and representation_formula, two_slice_average and
+regularity_residual take and return rows the same way (products by
+algebra.mul_batch, (J-K)^{-1} by algebra.invert_batch).  SliceMap.eval
+is the one-point wrapper over eval_arrays.
+
 On a slice I whose complex plane C_I holds every coefficient, f is its
 holomorphic shadow f_I on C_I^n: a ComplexSeries evaluated, like the
 stem, by series.power_sum.
@@ -32,20 +39,14 @@ import numpy as np
 from .algebra import (
     CliffordElement,
     grades,
-    left_matrix,
+    invert_batch,
+    left_matrix_batch,
     mul_batch,
     mul_coeffs,
 )
 from .errors import BasisError, RepresentationError
 from .series import StemSeries, _coeff_rows, power_derivative, power_sum
-from .slicespace import (
-    SliceOrbit,
-    SlicePoint,
-    make_point,
-    orbit_point,
-    vector_gap,
-    vector_norm,
-)
+from .slicespace import SlicePoint
 
 
 class SliceMap:
@@ -61,18 +62,22 @@ class SliceMap:
         return self.stem.eval_arrays(alpha, beta)
 
     def eval(self, p: SlicePoint) -> list[CliffordElement]:
-        f1, f2 = self.stem_arrays(np.reshape(p.alpha, (1, -1)),
-                                  np.reshape(p.beta, (1, -1)))
-        return [CliffordElement(self.m, a) + p.J * CliffordElement(self.m, b)
-                for a, b in zip(f1[0], f2[0])]
+        """The n values at one point, through eval_arrays."""
+        vals = self.eval_arrays(np.reshape(p.alpha, (1, -1)),
+                                np.reshape(p.beta, (1, -1)), p.J.coeffs)
+        return [CliffordElement(self.m, row) for row in vals[0]]
 
     def eval_arrays(self, alpha: np.ndarray, beta: np.ndarray,
                     j_rows: np.ndarray) -> np.ndarray:
-        """Batched values F1 + J*F2, shape (B, n, dim); j_rows is (B, dim)
-        or a single (dim,) row shared by the batch."""
+        """Batched values F1 + J*F2, shape (B, n, dim).
+
+        alpha, beta are (B, n) and j_rows is (B, dim); either side may
+        have one row, which is broadcast over the other's B rows (one
+        stem row over many slices, or one slice over many points).
+        """
         f1, f2 = self.stem_arrays(alpha, beta)
         j_rows = np.atleast_2d(j_rows)
-        out = np.empty_like(f1)
+        out = np.empty((max(len(f1), len(j_rows)),) + f1.shape[1:])
         for t in range(self.n):
             out[:, t, :] = f1[:, t, :] + mul_batch(self.m, j_rows, f2[:, t, :])
         return out
@@ -138,90 +143,87 @@ class ClosedFormMap(SliceMap):
                    float(np.max(np.abs(amat[~single]), initial=0.0)))
 
 
-class RawSliceMap:
+class RawSliceMap(SliceMap):
     """Slice map built from an explicit even-odd pair of callables.
 
-    f1_fn/f2_fn take (alpha, beta) arrays and return n Clifford values
-    (elements or coefficient rows).  Lets the checks exercise slice
-    mappings that are not series-built, e.g. non-holomorphic controls.
+    f1_fn/f2_fn take one point's (alpha, beta), each of shape (n,), and
+    return n Clifford values (elements or coefficient rows).  Lets the
+    checks exercise slice mappings that are not series-built, e.g.
+    non-holomorphic controls.  It has no stem, so no derivative.
     """
 
     def __init__(self, m: int, n: int, f1_fn, f2_fn):
+        self.stem = None
         self.m = m
         self.n = n
         self.f1_fn = f1_fn
         self.f2_fn = f2_fn
 
-    def eval(self, p: SlicePoint) -> list[CliffordElement]:
-        f1 = _coeff_rows(self.f1_fn(p.alpha, p.beta))
-        f2 = _coeff_rows(self.f2_fn(p.alpha, p.beta))
-        return [
-            CliffordElement(self.m, a) + p.J * CliffordElement(self.m, b)
-            for a, b in zip(f1, f2)
-        ]
+    def stem_arrays(self, alpha: np.ndarray, beta: np.ndarray):
+        rows = list(zip(np.atleast_2d(alpha), np.atleast_2d(beta)))
+        return (np.stack([_coeff_rows(self.f1_fn(a, b)) for a, b in rows]),
+                np.stack([_coeff_rows(self.f2_fn(a, b)) for a, b in rows]))
 
 
-def representation_formula(f, o: SliceOrbit, J: CliffordElement,
-                           K: CliffordElement, I: CliffordElement,
-                           cond_threshold: float = 1e-3) -> list[CliffordElement]:
-    """Reconstruct f on slice I from its values on slices J and K.
+def representation_formula(f: SliceMap, alpha: np.ndarray, beta: np.ndarray,
+                           J: np.ndarray, K: np.ndarray, I: np.ndarray,
+                           cond_threshold: float = 1e-3) -> np.ndarray:
+    """Reconstruct f on the slices I from its values on the slices J and K.
 
-    Rejects pairs whose difference J - K has a left operator with
-    smallest singular value below cond_threshold, reporting the
-    conditioning diagnostic in the raised error.
+    alpha, beta are (B, n) orbit rows and J, K, I are (B, dim) slice rows
+    (a single row of either is broadcast); returns (B, n, dim).  Rejects
+    the batch if any J - K has a left operator with smallest singular
+    value below cond_threshold, reporting the worst in the raised error.
     """
-    d = J - K
-    svals = np.linalg.svd(left_matrix(d.m, d.coeffs), compute_uv=False)
-    if svals[-1] < cond_threshold:
+    m = f.m
+    d = np.atleast_2d(J - K)
+    sigma_min = np.min(np.linalg.svd(left_matrix_batch(m, d), compute_uv=False)[:, -1])
+    if sigma_min < cond_threshold:
         raise RepresentationError(
-            f"slice pair too close: sigma_min(J-K) = {svals[-1]:.3e} "
+            f"slice pair too close: sigma_min(J-K) = {sigma_min:.3e} "
             f"< {cond_threshold:.0e}"
         )
-    dinv = d.inverse()
-    f_j = f.eval(orbit_point(o, J))
-    f_k = f.eval(orbit_point(o, K))
-    left_j = I - K
-    left_k = I - J
-    return [
-        left_j * (dinv * fj) - left_k * (dinv * fk)
-        for fj, fk in zip(f_j, f_k)
-    ]
+    dinv = invert_batch(m, d)[:, None, :]
+    f_j = f.eval_arrays(alpha, beta, J)
+    f_k = f.eval_arrays(alpha, beta, K)
+    return (mul_batch(m, np.atleast_2d(I - K)[:, None, :], mul_batch(m, dinv, f_j))
+            - mul_batch(m, np.atleast_2d(I - J)[:, None, :], mul_batch(m, dinv, f_k)))
 
 
-def two_slice_average(f, o: SliceOrbit, J: CliffordElement,
-                      I: CliffordElement) -> list[CliffordElement]:
-    """The K = -J specialization:
+def two_slice_average(f: SliceMap, alpha: np.ndarray, beta: np.ndarray,
+                      J: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """The K = -J specialization, on rows as in representation_formula:
     (f(a+bJ) + f(a-bJ))/2 - (I/2) (J (f(a+bJ) - f(a-bJ)))."""
-    f_j = f.eval(orbit_point(o, J))
-    f_mj = f.eval(orbit_point(o, -J))
-    out = []
-    for vj, vm in zip(f_j, f_mj):
-        out.append(0.5 * (vj + vm) - 0.5 * (I * (J * (vj - vm))))
-    return out
+    m = f.m
+    v_j = f.eval_arrays(alpha, beta, J)
+    v_mj = f.eval_arrays(alpha, beta, -J)
+    J, I = (np.atleast_2d(x)[:, None, :] for x in (J, I))
+    return 0.5 * (v_j + v_mj) - 0.5 * mul_batch(m, I, mul_batch(m, J, v_j - v_mj))
 
 
-def regularity_residual(f, p: SlicePoint, step: float = 1e-5) -> float:
-    """Finite-difference defect of d f_I/d alpha_t + I d f_I/d beta_t at p.
+def regularity_residual(f: SliceMap, alpha: np.ndarray, beta: np.ndarray,
+                        J: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Finite-difference defect of d f_J/d alpha_t + J d f_J/d beta_t at
+    the points alpha + J beta, maximized over t; shape (B,).
 
-    Vanishes (up to FD truncation) exactly when the restriction to the
-    slice of p.J is holomorphic.  ``f`` needs only an ``eval`` method.
+    alpha, beta are (B, n) and J is (B, dim).  A row's residual vanishes
+    (up to FD truncation) exactly when the restriction to its slice is
+    holomorphic.  One eval_arrays call takes all 4n shifted points.
     """
-    n = p.n
-    worst = 0.0
-    for t in range(n):
-        shift = np.zeros(n)
-        shift[t] = step
-        va_p = f.eval(make_point(p.alpha + shift, p.beta, p.J))
-        va_m = f.eval(make_point(p.alpha - shift, p.beta, p.J))
-        vb_p = f.eval(make_point(p.alpha, p.beta + shift, p.J))
-        vb_m = f.eval(make_point(p.alpha, p.beta - shift, p.J))
-        defect = []
-        for s in range(n):
-            da = (va_p[s] - va_m[s]) / (2 * step)
-            db = (vb_p[s] - vb_m[s]) / (2 * step)
-            defect.append(da + p.J * db)
-        worst = max(worst, vector_norm(defect))
-    return worst
+    alpha, beta, J = (np.atleast_2d(x) for x in (alpha, beta, J))
+    B, n = alpha.shape
+    J = np.broadcast_to(J, (B, J.shape[-1]))
+    h = step * np.eye(n)[:, None, :]          # (n, 1, n): a step in variable t
+    a = np.broadcast_to(alpha, (n, B, n))
+    b = np.broadcast_to(beta, (n, B, n))
+    points_a = np.concatenate([a + h, a - h, a, a]).reshape(-1, n)
+    points_b = np.concatenate([b, b, b + h, b - h]).reshape(-1, n)
+    vals = f.eval_arrays(points_a, points_b, np.tile(J, (4 * n, 1)))
+    vals = vals.reshape(4, n, B, n, -1)
+    da = (vals[0] - vals[1]) / (2 * step)
+    db = (vals[2] - vals[3]) / (2 * step)
+    defect = da + mul_batch(f.m, J[None, :, None, :], db)
+    return np.max(np.sqrt(np.sum(defect * defect, axis=(2, 3))), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +346,9 @@ def split_components(f: SliceMap, I: CliffordElement, completion=None,
     return components, basis
 
 
-def reassemble_on_slice(components, basis, I: CliffordElement, z) -> list:
-    """Evaluate sum_A F_A(z) I_A as Clifford values on the slice of I: n
-    values at z of shape (n,), or B lists of n values at z of shape (B, n)."""
+def reassemble_on_slice(components, basis, I: CliffordElement, z) -> np.ndarray:
+    """Evaluate sum_A F_A(z) I_A as coefficient rows on the slice of I:
+    shape (n, dim) at z of shape (n,), or (B, n, dim) at z of shape (B, n)."""
     m = I.m
     z = np.asarray(z, dtype=np.complex128)
     batch = z.reshape(-1, components[0].n)
@@ -355,19 +357,11 @@ def reassemble_on_slice(components, basis, I: CliffordElement, z) -> list:
         vals = comp.eval(batch)
         scale = vals.real[..., None] * _unit_row(m) + vals.imag[..., None] * I.coeffs
         acc = acc + mul_batch(m, scale, b.coeffs)
-    values = [[CliffordElement(m, row) for row in point] for point in acc]
-    return values[0] if z.ndim == 1 else values
+    return acc[0] if z.ndim == 1 else acc
 
 
-def well_defined_gap(f, p: SlicePoint) -> float:
+def well_defined_gap(f: SliceMap, p: SlicePoint) -> float:
     """Max difference between evaluating at (beta, J) and (-beta, -J)."""
-    if not np.any(p.beta):
-        return 0.0
-    flipped = SlicePoint(p.alpha, _readonly(-np.asarray(p.beta)), -p.J)
-    return vector_gap(f.eval(p), f.eval(flipped))
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
+    vals = f.eval_arrays(np.stack([p.alpha, p.alpha]), np.stack([p.beta, -p.beta]),
+                         np.stack([p.J.coeffs, -p.J.coeffs]))
+    return float(np.max(np.abs(vals[0] - vals[1])))

@@ -168,11 +168,6 @@ def vector_norm(values) -> float:
     return float(np.sqrt(total))
 
 
-def vector_gap(u, v) -> float:
-    """Largest coefficient difference between two Clifford vectors."""
-    return max(float(np.max(np.abs(a.coeffs - b.coeffs))) for a, b in zip(u, v))
-
-
 def orbit_point(o: SliceOrbit, J: CliffordElement, tol: float = 1e-10) -> SlicePoint:
     """Representative of the orbit on the slice of J."""
     return make_point(o.alpha, o.beta, J, tol)

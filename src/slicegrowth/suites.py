@@ -8,6 +8,10 @@ Only the algebra and growth-ball suites split their sample budgets over
 the shard count.  Shard merging takes maxima of the error fields, sums
 sample counts and ANDs the pass verdicts.
 
+Slice maps are evaluated on coefficient rows (SliceMap.eval_arrays);
+the representation and regularity suites draw their cases in stream
+order and evaluate them in blocks of _BLOCK cases.
+
 The growth suites evaluate the extremal families in closed form
 (slicemaps.ClosedFormMap, built by MAP_FAMILIES); the truncated
 star-product series stays the reference for tail bounds, slice shadows
@@ -55,6 +59,8 @@ _DEFAULT_SAMPLES = {
 }
 
 _SHARP_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# cases per batched evaluation, so peak memory does not grow with the budget
+_BLOCK = 256
 
 
 def _closed_form(build, p: int):
@@ -168,6 +174,23 @@ def _re_z1_pair(m: int, n: int):
 
 _ALGEBRA_ERRORS = ("associativity", "anti_automorphism", "involution",
                    "inverse_identity", "anticommutation", "root_square")
+# the inverse's backward error must stay below _INVERSE_MULTIPLE * dim * eps:
+# to first order the refined solve leaves gamma_{dim+1} (|a| |a^-1| + 1) per
+# coefficient (Higham 2002, Thm 12.3), the check's product adds gamma_dim
+# |a| |a^-1|, and |a| |a^-1| >= 1 (the scalar part of a a^-1 is a signed dot
+# product of the two rows): at most (1.5 dim + 1) eps <= 2 dim eps
+_INVERSE_MULTIPLE = 2
+
+
+def _inverse_errors(m: int, a: np.ndarray, inv: np.ndarray):
+    """(normwise backward error, raw residual) of the inverse rows inv of
+    the rows a: the largest |a a^{-1} - 1|_max / (|a|_2 |a^{-1}|_2)
+    (Higham 2002, section 7.1) and the largest |a a^{-1} - 1|_max."""
+    resid = algebra.mul_batch(m, a, inv)
+    resid[:, 0] -= 1.0
+    raw = np.max(np.abs(resid), axis=1)
+    backward = raw / (np.linalg.norm(a, axis=1) * np.linalg.norm(inv, axis=1))
+    return float(np.max(backward)), float(np.max(raw))
 
 
 def _algebra_shard(m: int, count: int, rng) -> Report:
@@ -190,10 +213,7 @@ def _algebra_shard(m: int, count: int, rng) -> Report:
 
     invol_err = float(np.max(np.abs(algebra.conj_batch(m, algebra.conj_batch(m, a)) - a)))
 
-    inv = algebra.invert_batch(m, a)
-    resid = algebra.mul_batch(m, a, inv)
-    resid[:, 0] -= 1.0
-    inv_err = float(np.max(np.abs(resid)))
+    inv_err, inv_resid = _inverse_errors(m, a, algebra.invert_batch(m, a))
 
     # anticommutation relations are exact integer identities
     pair_err = 0.0
@@ -216,8 +236,12 @@ def _algebra_shard(m: int, count: int, rng) -> Report:
     errors = dict(zip(_ALGEBRA_ERRORS, (assoc_err, anti_err, invol_err, inv_err,
                                         pair_err, root_err)))
     max_error = max(errors.values())
-    return Report(f"algebra-m{m}", max_error <= 1e-10, count,
-                  {"m": m, "max_error": max_error, "threshold": 1e-10, **errors})
+    passed = max_error <= 1e-10 and \
+        inv_err <= _INVERSE_MULTIPLE * dim * np.finfo(np.float64).eps
+    # the raw residual grows like |a| |a^{-1}| eps: reported, not asserted
+    return Report(f"algebra-m{m}", passed, count,
+                  {"m": m, "max_error": max_error, "threshold": 1e-10, **errors,
+                   "inverse_residual": inv_resid})
 
 
 def run_algebra(cfg: RunConfig) -> list[Report]:
@@ -231,7 +255,8 @@ def run_algebra(cfg: RunConfig) -> list[Report]:
             _algebra_shard(m, size, _rng(cfg, "algebra", shard, m))
             for shard, size in enumerate(_shard_sizes(budget_m, cfg.shards))
         ]
-        reports.append(_merge_shards(parts, ("max_error",) + _ALGEBRA_ERRORS))
+        reports.append(_merge_shards(
+            parts, ("max_error",) + _ALGEBRA_ERRORS + ("inverse_residual",)))
     return reports
 
 
@@ -350,12 +375,19 @@ def run_stem(cfg: RunConfig) -> list[Report]:
 # representation suite
 # ---------------------------------------------------------------------------
 
+def _gap(u: np.ndarray, v: np.ndarray) -> float:
+    """Largest coefficient difference between two batches of rows."""
+    return float(np.max(np.abs(u - v), initial=0.0))
+
+
 def run_representation(cfg: RunConfig) -> list[Report]:
     m = cfg.m or 3
     n = cfg.n
     count = cfg.budget("representation")
     rng = _rng(cfg, "representation", 0)
     cond_threshold = 1e-3
+    rec_formula = functools.partial(slicemaps.representation_formula,
+                                    cond_threshold=cond_threshold)
 
     worst = 0.0
     worst_two_pair = 0.0
@@ -364,46 +396,54 @@ def run_representation(cfg: RunConfig) -> list[Report]:
     worst_deriv = 0.0
     rejected = 0
     maps = [slicemaps.SliceMap(_random_stem(m, n, rng)) for _ in range(8)]
+    derivatives = [f.derivative(0) for f in maps]
 
     def draw_pair():
         nonlocal rejected
         while True:
-            j_elem = CliffordElement(m, slicespace.sample_S_batch(rng, m, 1)[0])
-            k_elem = CliffordElement(m, slicespace.sample_S_batch(rng, m, 1)[0])
-            diff = (j_elem - k_elem).euclid_norm()
-            if diff >= cond_threshold:
-                return j_elem, k_elem
+            j_row = slicespace.sample_S_batch(rng, m, 1)[0]
+            k_row = slicespace.sample_S_batch(rng, m, 1)[0]
+            if np.linalg.norm(j_row - k_row) >= cond_threshold:
+                return j_row, k_row
             rejected += 1
 
-    for case in range(count):
-        f = maps[case % len(maps)]
-        o = slicespace.make_orbit(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
-        j_elem, k_elem = draw_pair()
-        i_elem = CliffordElement(m, slicespace.sample_S_batch(rng, m, 1)[0])
-        direct = f.eval(slicespace.orbit_point(o, i_elem))
-        rec = slicemaps.representation_formula(f, o, j_elem, k_elem, i_elem,
-                                               cond_threshold)
-        worst = max(worst, slicespace.vector_gap(rec, direct))
+    # case c uses map c % 8 and runs the sub-checks when c % 10 == 0
+    for lo in range(0, count, _BLOCK):
+        cases = np.arange(lo, min(lo + _BLOCK, count))
+        alpha, beta = np.empty((2, cases.size, n))
+        J, K, I, J2, K2 = np.empty((5, cases.size, 1 << m))
+        for row, case in enumerate(cases):
+            o = slicespace.make_orbit(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+            alpha[row], beta[row] = o.alpha, o.beta
+            J[row], K[row] = draw_pair()
+            I[row] = slicespace.sample_S_batch(rng, m, 1)[0]
+            J2[row], K2[row] = draw_pair() if case % 10 == 0 else (J[row], K[row])
 
-        if case % 10 == 0:
-            j2, k2 = draw_pair()
-            rec2 = slicemaps.representation_formula(f, o, j2, k2, i_elem,
-                                                    cond_threshold)
-            worst_two_pair = max(worst_two_pair, slicespace.vector_gap(rec, rec2))
+        for index, (f, df) in enumerate(zip(maps, derivatives)):
+            r = np.flatnonzero(cases % len(maps) == index)
+            if r.size == 0:
+                continue
+            a, b = alpha[r], beta[r]
+            direct = f.eval_arrays(a, b, I[r])
+            rec = rec_formula(f, a, b, J[r], K[r], I[r])
+            worst = max(worst, _gap(rec, direct))
 
-            cor = slicemaps.two_slice_average(f, o, j_elem, i_elem)
-            worst_cor = max(worst_cor, slicespace.vector_gap(cor, direct))
+            s = np.flatnonzero(cases[r] % 10 == 0)
+            if s.size == 0:
+                continue
+            a, b, rs = a[s], b[s], r[s]
+            rec2 = rec_formula(f, a, b, J2[rs], K2[rs], I[rs])
+            worst_two_pair = max(worst_two_pair, _gap(rec[s], rec2))
 
-            collapse = slicemaps.representation_formula(f, o, j_elem, k_elem,
-                                                        j_elem, cond_threshold)
-            on_j = f.eval(slicespace.orbit_point(o, j_elem))
-            worst_collapse = max(worst_collapse, slicespace.vector_gap(collapse, on_j))
+            cor = slicemaps.two_slice_average(f, a, b, J[rs], I[rs])
+            worst_cor = max(worst_cor, _gap(cor, direct[s]))
 
-            df = f.derivative(0)
-            rec_d = slicemaps.representation_formula(df, o, j_elem, k_elem,
-                                                     i_elem, cond_threshold)
-            direct_d = df.eval(slicespace.orbit_point(o, i_elem))
-            worst_deriv = max(worst_deriv, slicespace.vector_gap(rec_d, direct_d))
+            collapse = rec_formula(f, a, b, J[rs], K[rs], J[rs])
+            worst_collapse = max(worst_collapse,
+                                 _gap(collapse, f.eval_arrays(a, b, J[rs])))
+
+            rec_d = rec_formula(df, a, b, J[rs], K[rs], I[rs])
+            worst_deriv = max(worst_deriv, _gap(rec_d, df.eval_arrays(a, b, I[rs])))
 
     sub = (count + 9) // 10  # cases that ran the sub-checks (case % 10 == 0)
     return [
@@ -440,27 +480,30 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
         slicemaps.SliceMap(series.koebe_map(theta, i_elem, 60, n)),
         slicemaps.SliceMap(series.identity_map(m, n)),
     ]
-    for _ in range(count):
-        f = maps[int(rng.integers(len(maps)))]
-        j_elem = CliffordElement(m, slicespace.sample_S_batch(rng, m, 1)[0])
-        p = slicespace.make_point(
-            rng.uniform(-0.4, 0.4, n), rng.uniform(-0.4, 0.4, n), j_elem)
-        worst = max(worst, slicemaps.regularity_residual(f, p))
+    for lo in range(0, count, _BLOCK):
+        draws = [(int(rng.integers(len(maps))), slicespace.sample_S_batch(rng, m, 1)[0],
+                  rng.uniform(-0.4, 0.4, n), rng.uniform(-0.4, 0.4, n))
+                 for _ in range(lo, min(lo + _BLOCK, count))]
+        which, J, alpha, beta = map(np.array, zip(*draws))
+        for index, f in enumerate(maps):
+            r = which == index
+            if np.any(r):
+                worst = max(worst, float(np.max(
+                    slicemaps.regularity_residual(f, alpha[r], beta[r], J[r]))))
     reports.append(Report.from_error(
         "regularity-series", worst, 1e-7, count, m=m, n=n))
 
     const = slicemaps.SliceMap(series.StemSeries(
         m, n, {(0,) * n: rng.uniform(-1, 1, size=(n, 1 << m))}))
-    p0 = slicespace.make_point(
-        rng.uniform(-0.4, 0.4, n), rng.uniform(-0.4, 0.4, n),
-        CliffordElement.generator(m, 1))
+    a0, b0 = rng.uniform(-0.4, 0.4, n), rng.uniform(-0.4, 0.4, n)
     reports.append(Report.from_error(
-        "regularity-constant", slicemaps.regularity_residual(const, p0), 1e-14,
+        "regularity-constant",
+        float(slicemaps.regularity_residual(const, a0, b0, i_elem.coeffs)[0]), 1e-14,
         1, m=m, n=n))
 
     # control with stem F1 = Re(z_1): residual must be O(1), not small
     control = slicemaps.RawSliceMap(m, n, *_re_z1_pair(m, n))
-    control_res = slicemaps.regularity_residual(control, p0)
+    control_res = float(slicemaps.regularity_residual(control, a0, b0, i_elem.coeffs)[0])
     reports.append(Report.from_error(
         "regularity-control-detected", 0.0 if control_res > 0.1 else 1.0, 0.5,
         1, m=m, n=n, control_residual=control_res))
@@ -470,11 +513,8 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
     comps, basis = slicemaps.split_components(f, i_elem)
     zs = np.array([rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
                    for _ in range(min(count, 200))])
-    worst_split = 0.0
-    for z, rebuilt in zip(zs, slicemaps.reassemble_on_slice(comps, basis, i_elem, zs)):
-        point = slicespace.make_point(z.real, z.imag, i_elem)
-        direct = f.eval(point)
-        worst_split = max(worst_split, slicespace.vector_gap(rebuilt, direct))
+    worst_split = _gap(slicemaps.reassemble_on_slice(comps, basis, i_elem, zs),
+                       f.eval_arrays(zs.real, zs.imag, i_elem.coeffs))
     reports.append(Report.from_error(
         "regularity-splitting", worst_split, 1e-10,
         min(count, 200), m=m, n=n, components=len(comps)))

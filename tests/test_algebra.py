@@ -148,6 +148,16 @@ def test_inverse_examples():
         x.inverse()
 
 
+def test_inverse_rejects_numerically_singular_elements():
+    # 1 + t e123 is singular at t = 1 (e123 squares to +1 for m = 3); near
+    # it the solve would succeed, and the singular-value test must refuse
+    x = 1.0 + (1.0 - 1e-13) * CliffordElement.blade(3, (1, 2, 3))
+    with pytest.raises(NonInvertibleError):
+        x.inverse()
+    y = 1.0 + 0.5 * CliffordElement.blade(3, (1, 2, 3))
+    assert (y * y.inverse()).isclose(CliffordElement.scalar(3, 1.0), 1e-14)
+
+
 def test_batched_matches_scalar_multiply():
     rng = np.random.default_rng(7)
     for m in (1, 2, 3, 5, 7):

@@ -6,12 +6,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from slicegrowth import algebra
 from slicegrowth.cli import main
 from slicegrowth.reports import Report, render, summary_lines
-from slicegrowth.suites import RunConfig, SUITES, _merge_shards, run_suite
+from slicegrowth.suites import (
+    _INVERSE_MULTIPLE,
+    RunConfig,
+    SUITES,
+    _algebra_shard,
+    _merge_shards,
+    run_suite,
+)
 
 
 def small_config(**kw):
@@ -76,7 +85,7 @@ def test_shard_merge_keeps_algebra_key_order():
     assert list(rec) == [
         "check", "m", "max_error", "threshold", "associativity",
         "anti_automorphism", "involution", "inverse_identity",
-        "anticommutation", "root_square", "samples", "pass",
+        "anticommutation", "root_square", "inverse_residual", "samples", "pass",
     ]
 
 
@@ -88,9 +97,66 @@ def test_shard_merge_fails_on_one_failing_shard():
     assert merged.data["max_error"] == 2.0
 
 
-def test_representation_subcheck_samples_count_cases_run():
+def test_algebra_inverse_check_and_its_negative_controls(monkeypatch):
+    # the algebra record passes with invert_batch and fails with an inverse
+    # perturbed by a relative 1e-12 (a backward error far below the 1e-10
+    # of the other fields) and with the cone formula conj(a)/n(a) off the
+    # cone (exact for m <= 2, where every element is in the cone)
+    invert = algebra.invert_batch
+
+    def perturbed(m, a):
+        noise = np.random.default_rng(0).choice([-1.0, 1.0], size=a.shape)
+        return invert(m, a) * (1 + 1e-12 * noise)
+
+    def cone(m, a):
+        return algebra.conj_batch(m, a) / np.sum(a * a, axis=1, keepdims=True)
+
+    for m in (1, 2, 3, 6, 8):
+        rng = np.random.default_rng(m)
+        assert _algebra_shard(m, 200, rng).passed, m
+        for control in (perturbed, cone) if m >= 3 else (perturbed,):
+            monkeypatch.setattr(algebra, "invert_batch", control)
+            rep = _algebra_shard(m, 200, np.random.default_rng(m))
+            monkeypatch.undo()
+            assert not rep.passed, (m, control.__name__, rep.data)
+            assert rep.data["inverse_identity"] > _INVERSE_MULTIPLE * (1 << m) * \
+                np.finfo(np.float64).eps
+
+
+def test_cli_algebra_inverse_passes_at_large_condition_numbers(tmp_path):
+    # the raw residual of this seed's m = 6 inverses is above 1e-10 (their
+    # |a| |a^-1| reaches 1e6); it is reported, and the backward error passes
+    out = tmp_path / "alg.json"
+    result = CliRunner().invoke(main, [
+        "verify", "algebra", "--m", "6", "--seed", "1221660105",
+        "--out", str(out), "--quiet"])
+    assert result.exit_code == 0, result.output
+    m6 = json.loads(out.read_text())[-1]
+    assert m6["check"] == "algebra-m6" and m6["inverse_residual"] > 1e-10
+
+
+def test_representation_subcheck_samples_count_cases_run(monkeypatch):
     reports = run_suite("representation", small_config(samples=1))
     assert [rep.samples for rep in reports] == [1, 1, 1, 1, 1]
+    # across evaluation blocks each case is reconstructed once, and each
+    # sub-check case three more times (two-pair, collapse, derivative)
+    import slicegrowth.slicemaps as slicemaps_mod
+    rows = []
+    formula = slicemaps_mod.representation_formula
+
+    pairs = set()
+
+    def counting(f, alpha, beta, J, K, *args, **kwargs):
+        rows.append(len(alpha))
+        pairs.update(zip(map(tuple, J), map(tuple, K)))
+        return formula(f, alpha, beta, J, K, *args, **kwargs)
+
+    monkeypatch.setattr(slicemaps_mod, "representation_formula", counting)
+    reports = run_suite("representation", small_config(samples=300))
+    assert [rep.samples for rep in reports] == [300, 30, 30, 30, 30]
+    assert sum(rows) == 300 + 3 * 30
+    # the two-pair check draws a second pair for each of its cases
+    assert len(pairs) == 300 + 30
 
 
 def test_report_rendering():

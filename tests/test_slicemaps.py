@@ -21,15 +21,8 @@ from slicegrowth.slicemaps import (
     two_slice_average,
     well_defined_gap,
 )
-from slicegrowth.slicespace import (
-    embed,
-    make_orbit,
-    make_point,
-    orbit_point,
-    sample_S,
-    sample_S_batch,
-)
-from slicegrowth.suites import MAP_FAMILIES
+from slicegrowth.slicespace import embed, make_point, sample_S, sample_S_batch
+from slicegrowth.suites import MAP_FAMILIES, _random_stem
 
 
 def _rand_map(rng, m=3, n=2, degree=5, terms=8):
@@ -113,83 +106,127 @@ def test_closed_form_coefficient_gap_detects_wrong_family():
 def test_representation_reconstructs_random_maps():
     rng = np.random.default_rng(2)
     f = _rand_map(rng)
-    worst = 0.0
-    for _ in range(50):
-        o = make_orbit(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-        J, K, I = (sample_S(rng, 3) for _ in range(3))
-        if (J - K).euclid_norm() < 1e-3:
-            continue
-        rec = representation_formula(f, o, J, K, I)
-        direct = f.eval(orbit_point(o, I))
-        worst = max(worst, max(np.max(np.abs(a.coeffs - b.coeffs))
-                               for a, b in zip(rec, direct)))
-    assert worst < 1e-10
+    draws = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
+              *(sample_S(rng, 3).coeffs for _ in range(3))) for _ in range(50)]
+    alpha, beta, J, K, I = map(np.array, zip(*draws))
+    keep = np.linalg.norm(J - K, axis=1) >= 1e-3
+    rec = representation_formula(f, alpha[keep], beta[keep], J[keep], K[keep], I[keep])
+    direct = f.eval_arrays(alpha[keep], beta[keep], I[keep])
+    assert np.max(np.abs(rec - direct)) < 1e-10
 
 
 def test_representation_collapse_and_average_form():
     rng = np.random.default_rng(3)
     f = _rand_map(rng)
-    o = make_orbit([0.2, -0.6], [0.9, 0.4])
-    J = CliffordElement.generator(3, 1)
-    K = CliffordElement.generator(3, 2)
-    I = sample_S(rng, 3)
+    alpha, beta = np.array([[0.2, -0.6]]), np.array([[0.9, 0.4]])
+    J = CliffordElement.generator(3, 1).coeffs
+    K = CliffordElement.generator(3, 2).coeffs
+    I = sample_S(rng, 3).coeffs
 
-    collapsed = representation_formula(f, o, J, K, J)
-    direct = f.eval(orbit_point(o, J))
-    for a, b in zip(collapsed, direct):
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
+    collapsed = representation_formula(f, alpha, beta, J, K, J)
+    assert np.max(np.abs(collapsed - f.eval_arrays(alpha, beta, J))) < 1e-12
 
-    avg = two_slice_average(f, o, J, I)
-    on_i = f.eval(orbit_point(o, I))
-    for a, b in zip(avg, on_i):
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-11
+    avg = two_slice_average(f, alpha, beta, J, I)
+    assert np.max(np.abs(avg - f.eval_arrays(alpha, beta, I))) < 1e-11
 
     # the averaged form is the K = -J specialization of the reconstruction
-    rec = representation_formula(f, o, J, -J, I)
-    for a, b in zip(rec, avg):
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-11
+    rec = representation_formula(f, alpha, beta, J, -J, I)
+    assert np.max(np.abs(rec - avg)) < 1e-11
 
 
 def test_representation_rejects_close_pair():
     rng = np.random.default_rng(4)
     f = _rand_map(rng)
-    o = make_orbit([0.1, 0.1], [0.5, -0.2])
-    J = CliffordElement.generator(3, 1)
+    alpha, beta = np.array([[0.1, 0.1]]), np.array([[0.5, -0.2]])
+    J = CliffordElement.generator(3, 1).coeffs
     with pytest.raises(RepresentationError):
-        representation_formula(f, o, J, J, sample_S(rng, 3))
+        representation_formula(f, alpha, beta, J, J, sample_S(rng, 3).coeffs)
     nudged = CliffordElement.from_vector(3, [np.sqrt(1 - 1e-9), np.sqrt(1e-9), 0.0])
     with pytest.raises(RepresentationError):
-        representation_formula(f, o, J, nudged, sample_S(rng, 3))
+        representation_formula(f, alpha, beta, J, nudged.coeffs, sample_S(rng, 3).coeffs)
+    # one close pair among good ones rejects the batch
+    K = np.stack([CliffordElement.generator(3, 2).coeffs, nudged.coeffs])
+    with pytest.raises(RepresentationError):
+        representation_formula(f, np.repeat(alpha, 2, axis=0), np.repeat(beta, 2, axis=0),
+                               J, K, sample_S(rng, 3).coeffs)
 
 
 def test_two_pair_independence():
     rng = np.random.default_rng(5)
     f = _rand_map(rng)
-    o = make_orbit([0.3, -0.2], [0.8, 0.1])
-    I = sample_S(rng, 3)
+    alpha, beta = np.array([[0.3, -0.2]]), np.array([[0.8, 0.1]])
+    I = sample_S(rng, 3).coeffs
     recs = []
     for _ in range(4):
-        J, K = sample_S(rng, 3), sample_S(rng, 3)
-        if (J - K).euclid_norm() < 1e-2:
+        J, K = sample_S(rng, 3).coeffs, sample_S(rng, 3).coeffs
+        if np.linalg.norm(J - K) < 1e-2:
             continue
-        recs.append(representation_formula(f, o, J, K, I))
+        recs.append(representation_formula(f, alpha, beta, J, K, I))
     for other in recs[1:]:
-        for a, b in zip(recs[0], other):
-            assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-9
+        assert np.max(np.abs(recs[0] - other)) < 1e-9
 
 
 def test_derivative_commutes_with_reconstruction():
     rng = np.random.default_rng(6)
     f = _rand_map(rng)
-    o = make_orbit([0.4, 0.2], [0.3, -0.5])
-    J = CliffordElement.generator(3, 2)
-    K = CliffordElement.generator(3, 3)
-    I = sample_S(rng, 3)
+    alpha, beta = np.array([[0.4, 0.2]]), np.array([[0.3, -0.5]])
+    J = CliffordElement.generator(3, 2).coeffs
+    K = CliffordElement.generator(3, 3).coeffs
+    I = sample_S(rng, 3).coeffs
     df = f.derivative(1)
-    rec_of_deriv = representation_formula(df, o, J, K, I)
-    direct = df.eval(orbit_point(o, I))
-    for a, b in zip(rec_of_deriv, direct):
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-8
+    rec_of_deriv = representation_formula(df, alpha, beta, J, K, I)
+    assert np.max(np.abs(rec_of_deriv - df.eval_arrays(alpha, beta, I))) < 1e-8
+
+
+def test_representation_negative_controls():
+    # the checks of the representation suite fail on wrong slices
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        f = SliceMap(_random_stem(3, 2, rng))
+        alpha, beta = rng.uniform(-1, 1, (20, 2)), rng.uniform(-1, 1, (20, 2))
+        J, K, I = (sample_S_batch(rng, 3, 20) for _ in range(3))
+        # reconstruction aimed at -I instead of I
+        rec = representation_formula(f, alpha, beta, J, K, -I)
+        assert np.max(np.abs(rec - f.eval_arrays(alpha, beta, I))) > 1e-10
+        # collapse compared against f on K instead of J
+        collapse = representation_formula(f, alpha, beta, J, K, J)
+        assert np.max(np.abs(collapse - f.eval_arrays(alpha, beta, K))) > 1e-12
+
+
+def test_row_functions_give_each_row_its_own_bits():
+    # a closed-form map evaluates row by row; a series map goes through a
+    # BLAS product whose bits depend on the batch size (see power_sum), so
+    # the stem row is shared here only by broadcasting
+    rng = np.random.default_rng(14)
+    I0 = sample_S(rng, 3)
+    f = ClosedFormMap(koebe_map(0.7, I0, 40, 2), 2, 0.7, I0)
+    stem_map = _rand_map(rng)
+    B = 9
+    alpha, beta = rng.uniform(-0.5, 0.5, (B, 2)), rng.uniform(-0.5, 0.5, (B, 2))
+    J, K, I = (sample_S_batch(rng, 3, B) for _ in range(3))
+    control = RawSliceMap(3, 2, lambda a, b: [[a[0]] + [0] * 7, [0] * 8],
+                          lambda a, b: np.zeros((2, 8)))
+    batched = {
+        "representation": representation_formula(f, alpha, beta, J, K, I),
+        "average": two_slice_average(f, alpha, beta, J, I),
+        "regularity": regularity_residual(f, alpha, beta, J),
+        "control": regularity_residual(control, alpha, beta, J),
+        # one stem row broadcast over many J
+        "orbit": stem_map.eval_arrays(alpha[:1], beta[:1], J),
+    }
+    for i in range(B):
+        row = slice(i, i + 1)
+        alone = {
+            "representation": representation_formula(
+                f, alpha[row], beta[row], J[row], K[row], I[row]),
+            "average": two_slice_average(f, alpha[row], beta[row], J[row], I[row]),
+            "regularity": regularity_residual(f, alpha[row], beta[row], J[row]),
+            "control": regularity_residual(control, alpha[row], beta[row], J[row]),
+            "orbit": stem_map.eval_arrays(alpha[:1], beta[:1], J[i]),
+        }
+        for name, value in alone.items():
+            assert np.array_equal(batched[name][row], value), (name, i)
+    assert np.all(batched["control"] > 0.1)
 
 
 def test_jacobian_of_koebe_at_origin_is_identity():
@@ -247,18 +284,18 @@ def test_slice_derivative_matches_finite_differences():
 def test_regularity_residuals():
     rng = np.random.default_rng(8)
     f = _rand_map(rng, m=2)
-    p = make_point([0.2, -0.1], [0.3, 0.15], sample_S(rng, 2))
-    assert regularity_residual(f, p) < 1e-7
+    p = ([0.2, -0.1], [0.3, 0.15], sample_S(rng, 2).coeffs)
+    assert regularity_residual(f, *p)[0] < 1e-7
 
     const = SliceMap(StemSeries(2, 2, {(0, 0): rng.uniform(-1, 1, (2, 4))}))
-    assert regularity_residual(const, p) < 1e-14
+    assert regularity_residual(const, *p)[0] < 1e-14
 
     control = RawSliceMap(
         2, 2,
         lambda a, b: [[a[0], 0, 0, 0], [0, 0, 0, 0]],
         lambda a, b: np.zeros((2, 4)),
     )
-    assert regularity_residual(control, p) > 0.1
+    assert regularity_residual(control, *p)[0] > 0.1
 
 
 def test_split_single_component_for_m1():
@@ -268,10 +305,9 @@ def test_split_single_component_for_m1():
     comps, basis = split_components(f, e1)
     assert len(comps) == 1 and basis[0] == CliffordElement.scalar(1, 1.0)
     z = np.array([0.3 + 0.2j, -0.1 + 0.4j])
-    direct = f.eval(make_point(z.real, z.imag, e1))
+    direct = f.eval_arrays(z.real[None], z.imag[None], e1.coeffs)[0]
     rebuilt = reassemble_on_slice(comps, basis, e1, z)
-    for a, b in zip(rebuilt, direct):
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
+    assert np.max(np.abs(rebuilt - direct)) < 1e-12
 
 
 def test_split_koebe_concentrates_on_slice():
@@ -296,14 +332,13 @@ def test_split_reassembles_generic_map():
         for _ in range(25):
             z = rng.uniform(-0.8, 0.8, 2) + 1j * rng.uniform(-0.8, 0.8, 2)
             rebuilt = reassemble_on_slice(comps, basis, i_elem, z)
-            direct = f.eval(make_point(z.real, z.imag, i_elem))
-            for a, b in zip(rebuilt, direct):
-                assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
+            direct = f.eval_arrays(z.real[None], z.imag[None], i_elem.coeffs)[0]
+            assert np.max(np.abs(rebuilt - direct)) < 1e-10
         # a batch of points gets the bits each point gets alone
         zs = rng.uniform(-0.8, 0.8, (7, 2)) + 1j * rng.uniform(-0.8, 0.8, (7, 2))
         for z, rebuilt in zip(zs, reassemble_on_slice(comps, basis, i_elem, zs)):
             alone = reassemble_on_slice(comps, basis, i_elem, z)
-            assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(rebuilt, alone))
+            assert np.array_equal(rebuilt, alone)
 
 
 def test_split_rejects_degenerate_completion():
