@@ -6,13 +6,34 @@ e_A = e_{h_1} ... e_{h_r} with h_1 < ... < h_r.  A blade is indexed by the
 bitmask whose bit i-1 marks generator e_i, so for m = 2 the coefficient
 order is (1, e1, e2, e12).  Product signs count the transpositions needed
 to interleave-sort the two blades plus one factor -1 per repeated
-generator; sign tables, conjugation signs and (for small m) the dense
-structure tensor are computed once per m and cached.
+generator; sign tables and conjugation signs are computed once per m and
+cached.  mul_coeffs multiplies by the sign table and is the reference
+every faster path is tested against.
 
 Conjugation acts on grade k as (-1)**(k*(k+1)/2), i.e. reversion composed
 with grade involution.  This makes t(x) = x + conj(x) vanish and
 n(x) = x * conj(x) equal 1 on unit vectors, which is the characterization
 of the square roots of -1 used throughout.
+
+Spinor representation.  The algebra embeds in complex matrices of size
+d = 2**(m // 2) (Lounesto, Clifford Algebras and Spinors, 2001).  With
+n = m // 2 qubits and the Jordan-Wigner matrices
+gamma_{2k} = Z^(k) X I^(n-k-1), gamma_{2k+1} = Z^(k) Y I^(n-k-1) (tensor
+powers of the Pauli matrices), e_j maps to i gamma_{j-1}, which squares to
+-1 and anticommutes with the others.  For odd m the last generator is
+i Z^(n) in one block and -i Z^(n) in a second, so an element is a pair of
+blocks; the pseudoscalar then acts as opposite scalars on the two blocks
+and the map is injective.  An element a maps to M = sum_A a_A E_A, with E_A
+the product of its generators' matrices.  The E_A are unitary and
+orthogonal under the trace form, so a_A = Re tr(E_A^H M) / (blocks d)
+decodes any image exactly.  The singular values of M are those of the
+left-multiplication operator of a, each repeated d times.
+
+invert_batch inverts the blocks.  mul_batch multiplies the blocks from
+m = _SPINOR_MIN = 4 up; below it the dense structure tensor is faster
+(measured on the algebra suite's batches with BLAS at one thread).  Encode
+and decode contract each row by its own stacked vector-matrix product, so
+a row gets the same bits alone as in a batch.
 """
 
 from __future__ import annotations
@@ -26,8 +47,8 @@ import numpy as np
 from .errors import DimensionError, NonInvertibleError
 
 MAX_GENERATORS = 8
-# dense (dim, dim, dim) structure tensors are kept only up to this m
-_STRUCT_MAX = 6
+# mul_batch multiplies spinor blocks from this m up, structure tensors below
+_SPINOR_MIN = 4
 
 
 class _Tables:
@@ -58,7 +79,7 @@ class _Tables:
         g = pc
         self.conj_sign = np.where((g * (g + 1) // 2) % 2 == 0, 1.0, -1.0)
 
-        if m <= _STRUCT_MAX:
+        if m < _SPINOR_MIN:
             # struct_flat[i, j*dim + k] = sign(i, j) iff k == i^j
             struct = np.zeros((dim, dim, dim))
             ii = np.repeat(idx, dim)
@@ -85,6 +106,53 @@ def _tables(m: int) -> _Tables:
     return _Tables(m)
 
 
+class _Spinor:
+    """Per-m spinor representation (immutable, cached).
+
+    enc[A] holds E_A as interleaved (re, im) floats over the blocks, so
+    a @ enc viewed as complex is M; dec = enc.T / (blocks d) is the trace
+    form.  Both are (2 dim)-wide: blocks * d * d = dim complex entries.
+    """
+
+    __slots__ = ("blocks", "d", "enc", "dec")
+
+    def __init__(self, m: int):
+        n = m // 2
+        d = 1 << n
+        blocks = 1 + (m & 1)
+        eye2 = np.eye(2, dtype=complex)
+        pauli = (np.array([[0, 1], [1, 0]], dtype=complex),
+                 np.array([[0, -1j], [1j, 0]]))
+        z = np.diag([1.0 + 0j, -1.0])
+
+        def kron(factors):
+            return functools.reduce(np.kron, factors, np.eye(1, dtype=complex))
+
+        gens = [np.stack([1j * kron([z] * k + [p] + [eye2] * (n - k - 1))] * blocks)
+                for k in range(n) for p in pauli]
+        if m & 1:
+            zn = kron([z] * n)
+            gens.append(np.stack([1j * zn, -1j * zn]))
+
+        dim = 1 << m
+        blades = np.empty((dim, blocks, d, d), dtype=complex)
+        blades[0] = np.eye(d)
+        for mask in range(1, dim):
+            top = mask.bit_length() - 1
+            blades[mask] = blades[mask ^ (1 << top)] @ gens[top]
+
+        self.blocks = blocks
+        self.d = d
+        self.enc = blades.reshape(dim, -1).view(np.float64)
+        self.dec = np.ascontiguousarray(self.enc.T) / (blocks * d)
+
+
+@functools.lru_cache(maxsize=None)
+def _spinor(m: int) -> _Spinor:
+    _tables(m)  # validates m
+    return _Spinor(m)
+
+
 # ---------------------------------------------------------------------------
 # raw coefficient-array kernels (shared by the element class and the batched
 # verification paths; arrays have trailing axis of length 2**m)
@@ -97,18 +165,29 @@ def mul_coeffs(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bincount(t.xor_flat, weights=outer.ravel(), minlength=t.dim)
 
 
+def spinor_encode(m: int, a: np.ndarray) -> np.ndarray:
+    """Spinor blocks of the rows of a (B, dim): shape (B, blocks, d, d)."""
+    s = _spinor(m)
+    flat = np.matmul(np.asarray(a, dtype=np.float64)[:, None, :], s.enc)[:, 0, :]
+    return flat.view(np.complex128).reshape(len(a), s.blocks, s.d, s.d)
+
+
+def spinor_decode(m: int, blocks: np.ndarray) -> np.ndarray:
+    """Coefficient rows (B, dim) of spinor blocks (B, blocks, d, d)."""
+    flat = np.ascontiguousarray(blocks).reshape(len(blocks), 1, -1).view(np.float64)
+    return np.matmul(flat, _spinor(m).dec)[:, 0, :]
+
+
 def mul_batch(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched product: a, b broadcastable to (..., dim)."""
     t = _tables(m)
     a, b = np.broadcast_arrays(a, b)
     flat_a = a.reshape(-1, t.dim)
     flat_b = b.reshape(-1, t.dim)
+    if m >= _SPINOR_MIN:
+        prod = np.matmul(spinor_encode(m, flat_a), spinor_encode(m, flat_b))
+        return spinor_decode(m, prod).reshape(a.shape)
     rows = flat_a.shape[0]
-    if t.struct_flat is None:
-        out = np.empty_like(flat_a)
-        for i in range(rows):
-            out[i] = mul_coeffs(m, flat_a[i], flat_b[i])
-        return out.reshape(a.shape)
     out = np.empty_like(flat_a)
     chunk = max(1, (1 << 22) // (t.dim * t.dim))  # ~32 MB of stacked operators
     for lo in range(0, rows, chunk):
@@ -124,36 +203,31 @@ def conj_batch(m: int, a: np.ndarray) -> np.ndarray:
 
 def left_matrix_batch(m: int, a: np.ndarray) -> np.ndarray:
     """Stack of left-multiplication matrices L with (x*y) = L @ y for the
-    rows x of a, shape (B, dim, dim).  Each matrix is C-contiguous, so a
-    row's operator, inverse and products have the bits it has alone."""
+    rows x of a, shape (B, dim, dim), from the sign table.  Each matrix is
+    C-contiguous, so a row's operator and products have the bits it has
+    alone."""
     t = _tables(m)
     return np.take(a, t.xor_mat, axis=1) * t.left_sign
 
 
-def invert_batch(m: int, a: np.ndarray) -> np.ndarray:
-    """Batched generic inverse by linear solve with iterative refinement.
+def singular_values_batch(m: int, a: np.ndarray) -> np.ndarray:
+    """Singular values of the left-multiplication operators of the rows of
+    a, largest first, shape (B, blocks d): those of the spinor blocks, each
+    of which the operator repeats d times."""
+    svals = np.linalg.svd(spinor_encode(m, a), compute_uv=False)
+    return -np.sort(-svals.reshape(len(a), -1), axis=1)
 
-    Raises NonInvertibleError if any left operator is exactly singular.
+
+def invert_batch(m: int, a: np.ndarray) -> np.ndarray:
+    """Batched inverse: the spinor blocks of each row inverted by LU.
+
+    Raises NonInvertibleError if any block is exactly singular.
     """
-    t = _tables(m)
-    rows = a.shape[0]
-    out = np.empty_like(a)
-    e0 = np.zeros(t.dim)
-    e0[0] = 1.0
-    chunk = max(1, (1 << 22) // (t.dim * t.dim))
-    for lo in range(0, rows, chunk):
-        hi = min(lo + chunk, rows)
-        ls = left_matrix_batch(m, a[lo:hi])
-        rhs = np.broadcast_to(e0, (hi - lo, t.dim))
-        try:
-            y = np.linalg.solve(ls, rhs[..., None])[..., 0]
-            for _ in range(2):  # refinement keeps residual ~eps even near cond 1e7
-                r = rhs - np.matmul(ls, y[..., None])[..., 0]
-                y = y + np.linalg.solve(ls, r[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise NonInvertibleError("singular left-multiplication operator") from exc
-        out[lo:hi] = y
-    return out
+    try:
+        inv = np.linalg.inv(spinor_encode(m, a))
+    except np.linalg.LinAlgError as exc:
+        raise NonInvertibleError("singular spinor block") from exc
+    return spinor_decode(m, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +407,7 @@ class CliffordElement:
         left-multiplication operator is below tol relative to the largest.
         """
         row = self.coeffs[None]
-        svals = np.linalg.svd(left_matrix_batch(self.m, row)[0], compute_uv=False)
+        svals = singular_values_batch(self.m, row)[0]
         if svals[-1] <= tol * max(1.0, svals[0]):
             raise NonInvertibleError(
                 f"left operator numerically singular (sigma_min={svals[-1]:.3e})"

@@ -40,9 +40,9 @@ from .algebra import (
     CliffordElement,
     grades,
     invert_batch,
-    left_matrix_batch,
     mul_batch,
     mul_coeffs,
+    singular_values_batch,
 )
 from .errors import BasisError, RepresentationError
 from .series import StemSeries, _coeff_rows, power_derivative, power_sum
@@ -177,7 +177,7 @@ def representation_formula(f: SliceMap, alpha: np.ndarray, beta: np.ndarray,
     """
     m = f.m
     d = np.atleast_2d(J - K)
-    sigma_min = np.min(np.linalg.svd(left_matrix_batch(m, d), compute_uv=False)[:, -1])
+    sigma_min = np.min(singular_values_batch(m, d)[:, -1])
     if sigma_min < cond_threshold:
         raise RepresentationError(
             f"slice pair too close: sigma_min(J-K) = {sigma_min:.3e} "

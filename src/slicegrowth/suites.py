@@ -175,18 +175,32 @@ def _re_z1_pair(m: int, n: int):
 _ALGEBRA_ERRORS = ("associativity", "anti_automorphism", "involution",
                    "inverse_identity", "anticommutation", "root_square")
 # the inverse's backward error must stay below _INVERSE_MULTIPLE * dim * eps:
-# to first order the refined solve leaves gamma_{dim+1} (|a| |a^-1| + 1) per
-# coefficient (Higham 2002, Thm 12.3), the check's product adds gamma_dim
-# |a| |a^-1|, and |a| |a^-1| >= 1 (the scalar part of a a^-1 is a signed dot
-# product of the two rows): at most (1.5 dim + 1) eps <= 2 dim eps
+# invert_batch inverts spinor blocks of size d = 2**(m//2) <= sqrt(dim) by LU
+# (residual of order d eps |M| |M^-1|, Higham 2002, section 14.3), encode and
+# decode sum at most 2 d terms per entry, and the check's own product adds
+# gamma_dim |a| |a^-1| with |a| |a^-1| >= 1 (the scalar part of a a^-1 is a
+# signed dot product of the two rows); the tightest case is m = 1, where
+# dim = 2 and the threshold is 4 eps
 _INVERSE_MULTIPLE = 2
 
 
 def _inverse_errors(m: int, a: np.ndarray, inv: np.ndarray):
     """(normwise backward error, raw residual) of the inverse rows inv of
     the rows a: the largest |a a^{-1} - 1|_max / (|a|_2 |a^{-1}|_2)
-    (Higham 2002, section 7.1) and the largest |a a^{-1} - 1|_max."""
-    resid = algebra.mul_batch(m, a, inv)
+    (Higham 2002, section 7.1) and the largest |a a^{-1} - 1|_max.
+
+    The product goes through the sign-table operator, not through the
+    spinor kernel that invert_batch and mul_batch share, so a fault in
+    that kernel cannot cancel in the check.  Each residual coefficient is
+    a dot product of length dim, which adds at most gamma_dim |a| |a^-1|
+    (Cauchy-Schwarz) to the inverse's own backward error."""
+    dim = 1 << m
+    resid = np.empty_like(a)
+    chunk = max(1, (1 << 18) // (dim * dim))  # ~2 MB of operators stays in cache
+    for lo in range(0, len(a), chunk):
+        hi = min(lo + chunk, len(a))
+        ls = algebra.left_matrix_batch(m, a[lo:hi])
+        resid[lo:hi] = np.matmul(ls, inv[lo:hi, :, None])[..., 0]
     resid[:, 0] -= 1.0
     raw = np.max(np.abs(resid), axis=1)
     backward = raw / (np.linalg.norm(a, axis=1) * np.linalg.norm(inv, axis=1))

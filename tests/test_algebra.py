@@ -12,9 +12,13 @@ from slicegrowth.algebra import (
     in_quadratic_cone,
     in_sqrt_minus_one,
     invert_batch,
+    left_matrix_batch,
     mul_batch,
     mul_coeffs,
+    singular_values_batch,
     slice_exp,
+    spinor_decode,
+    spinor_encode,
 )
 from slicegrowth.errors import DimensionError, NonInvertibleError
 
@@ -159,14 +163,79 @@ def test_inverse_rejects_numerically_singular_elements():
 
 
 def test_batched_matches_scalar_multiply():
+    # every m, so both sides of mul_batch's structure-tensor/spinor
+    # crossover are pinned to the sign table
     rng = np.random.default_rng(7)
-    for m in (1, 2, 3, 5, 7):
+    for m in range(1, 9):
         a = rng.uniform(-1, 1, size=(20, 1 << m))
         b = rng.uniform(-1, 1, size=(20, 1 << m))
         batch = mul_batch(m, a, b)
         for i in range(20):
             np.testing.assert_allclose(batch[i], mul_coeffs(m, a[i], b[i]),
                                        atol=1e-13)
+
+
+def test_spinor_encode_decode_round_trip():
+    rng = np.random.default_rng(5)
+    for m in range(1, 9):
+        a = rng.uniform(-1, 1, size=(30, 1 << m))
+        blocks = spinor_encode(m, a)
+        assert blocks.shape == (30, 1 + m % 2, 1 << (m // 2), 1 << (m // 2)), m
+        np.testing.assert_allclose(spinor_decode(m, blocks), a, rtol=0, atol=1e-14)
+
+
+def test_spinor_blocks_are_a_representation():
+    # the generators' blocks square to -1 and anticommute, and the blocks
+    # of a basis blade are the product of its generators' blocks
+    for m in range(1, 9):
+        gens = [spinor_encode(m, CliffordElement.generator(m, i).coeffs[None])[0]
+                for i in range(1, m + 1)]
+        eye = np.broadcast_to(np.eye(gens[0].shape[-1]), gens[0].shape)
+        for i, gi in enumerate(gens):
+            np.testing.assert_array_equal(gi @ gi, -eye)
+            for gj in gens[i + 1:]:
+                np.testing.assert_array_equal(gi @ gj, -(gj @ gi))
+        e_all = spinor_encode(m, CliffordElement.blade(m, range(1, m + 1)).coeffs[None])[0]
+        prod = eye
+        for g in gens:
+            prod = prod @ g
+        np.testing.assert_array_equal(e_all, prod)
+
+
+def test_block_singular_values_match_the_left_operator():
+    # each singular value of the blocks appears d times in the operator's
+    rng = np.random.default_rng(9)
+    for m in range(1, 9):
+        a = rng.uniform(-1, 1, size=(4, 1 << m))
+        svals = singular_values_batch(m, a)
+        dense = np.linalg.svd(left_matrix_batch(m, a), compute_uv=False)
+        repeated = np.repeat(svals, 1 << (m // 2), axis=1)
+        np.testing.assert_allclose(repeated, dense, rtol=1e-12)
+
+
+def test_batched_kernels_give_each_row_its_own_bits():
+    rng = np.random.default_rng(21)
+    for m in range(1, 9):
+        a = rng.uniform(-1, 1, size=(300, 1 << m))
+        b = rng.uniform(-1, 1, size=(300, 1 << m))
+        inv, prod = invert_batch(m, a), mul_batch(m, a, b)
+        for i in range(300):
+            row = slice(i, i + 1)
+            assert np.array_equal(invert_batch(m, a[row]), inv[row]), (m, i)
+            assert np.array_equal(mul_batch(m, a[row], b[row]), prod[row]), (m, i)
+
+
+@pytest.mark.parametrize("m, blade", [(3, (1, 2, 3)), (4, (1, 2, 3, 4))])
+def test_invert_batch_rejects_exactly_singular_rows(m, blade):
+    # the pseudoscalar squares to +1 for m = 3 and 4, so 1 + e_A is a zero
+    # divisor ((1 + e_A)(1 - e_A) = 0); one such row fails the whole batch
+    x = (1.0 + CliffordElement.blade(m, blade)).coeffs
+    with pytest.raises(NonInvertibleError):
+        invert_batch(m, x[None])
+    rows = np.random.default_rng(3).uniform(-1, 1, size=(5, 1 << m))
+    rows[2] = x
+    with pytest.raises(NonInvertibleError):
+        invert_batch(m, rows)
 
 
 def test_batched_inverse_residual():

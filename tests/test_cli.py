@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,9 +101,12 @@ def test_shard_merge_fails_on_one_failing_shard():
 def test_algebra_inverse_check_and_its_negative_controls(monkeypatch):
     # the algebra record passes with invert_batch and fails with an inverse
     # perturbed by a relative 1e-12 (a backward error far below the 1e-10
-    # of the other fields) and with the cone formula conj(a)/n(a) off the
-    # cone (exact for m <= 2, where every element is in the cone)
+    # of the other fields), with the cone formula conj(a)/n(a) off the
+    # cone (exact for m <= 2, where every element is in the cone), and
+    # with a spinor decode table whose e1 has the other sign (the check's
+    # sign-table product does not go through that table)
     invert = algebra.invert_batch
+    spinor = algebra._spinor
 
     def perturbed(m, a):
         noise = np.random.default_rng(0).choice([-1.0, 1.0], size=a.shape)
@@ -111,11 +115,20 @@ def test_algebra_inverse_check_and_its_negative_controls(monkeypatch):
     def cone(m, a):
         return algebra.conj_batch(m, a) / np.sum(a * a, axis=1, keepdims=True)
 
+    def flipped_decode(m):
+        table = spinor(m)
+        sign = np.where(np.arange(1 << m) & 1, -1.0, 1.0)
+        return SimpleNamespace(blocks=table.blocks, d=table.d, enc=table.enc,
+                               dec=table.dec * sign)
+
     for m in (1, 2, 3, 6, 8):
         rng = np.random.default_rng(m)
         assert _algebra_shard(m, 200, rng).passed, m
-        for control in (perturbed, cone) if m >= 3 else (perturbed,):
-            monkeypatch.setattr(algebra, "invert_batch", control)
+        controls = [("invert_batch", perturbed), ("_spinor", flipped_decode)]
+        if m >= 3:
+            controls.append(("invert_batch", cone))
+        for name, control in controls:
+            monkeypatch.setattr(algebra, name, control)
             rep = _algebra_shard(m, 200, np.random.default_rng(m))
             monkeypatch.undo()
             assert not rep.passed, (m, control.__name__, rep.data)
