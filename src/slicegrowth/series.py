@@ -11,6 +11,8 @@ x (1 - x e^{I theta})^{-*2} presume.
 power_sum is the one power-series evaluator: stems and their complex
 slice shadows (slicemaps.ComplexSeries) are evaluated through it, and
 power_derivative is the one formal partial derivative of both.
+central_partials is the one finite-difference stencil of the holomorphy
+checks on rows, cr_residual and slicemaps.regularity_residual.
 """
 
 from __future__ import annotations
@@ -102,17 +104,6 @@ class StemSeries:
         shape = (alpha.shape[0], self.n, self.dim)
         return (np.ascontiguousarray(vals.real).reshape(shape),
                 np.ascontiguousarray(vals.imag).reshape(shape))
-
-    def eval(self, alpha, beta):
-        """Single-point evaluation; returns (F1, F2) as lists of elements."""
-        f1, f2 = self.eval_arrays(
-            np.asarray(alpha, float).reshape(1, -1),
-            np.asarray(beta, float).reshape(1, -1),
-        )
-        return (
-            [CliffordElement(self.m, row) for row in f1[0]],
-            [CliffordElement(self.m, row) for row in f2[0]],
-        )
 
     # -- calculus -------------------------------------------------------------
 
@@ -207,51 +198,44 @@ def identity_map(m: int, n: int) -> StemSeries:
     return StemSeries(m, n, terms, degree=1)
 
 
-def cr_residual(stem, z, step: float = 1e-5) -> float:
-    """Max over variables of the finite-difference d/d(conj z_t) defect.
+def central_partials(evaluate, alpha: np.ndarray, beta: np.ndarray,
+                     step: float = 1e-5):
+    """Central-difference partials in every alpha_t and beta_t at the rows
+    z = alpha + i beta, from one evaluation of the 4n shifted row sets.
 
-    ``stem`` may be a StemSeries or any callable (alpha, beta) -> (F1, F2)
-    returning Clifford-vector pairs; the latter admits hand-built even-odd
-    pairs that are not holomorphic.
+    alpha, beta are (B, n); evaluate maps (4nB, n) alpha and beta rows to
+    an array with one leading row per point.  Returns (d_alpha, d_beta),
+    each (n, B, ...): index t is the partial in variable t.
     """
-    alpha, beta = z
-    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    n = alpha.shape[0]
-
-    if isinstance(stem, StemSeries):
-        def evaluate(a, b):
-            f1, f2 = stem.eval_arrays(a.reshape(1, -1), b.reshape(1, -1))
-            return f1[0], f2[0]
-    else:
-        def evaluate(a, b):
-            f1, f2 = stem(a, b)
-            return _coeff_rows(f1), _coeff_rows(f2)
-
-    worst = 0.0
-    for t in range(n):
-        da = np.zeros(n)
-        da[t] = step
-        f1p, f2p = evaluate(alpha + da, beta)
-        f1m, f2m = evaluate(alpha - da, beta)
-        d1a = (f1p - f1m) / (2 * step)
-        d2a = (f2p - f2m) / (2 * step)
-        f1p, f2p = evaluate(alpha, beta + da)
-        f1m, f2m = evaluate(alpha, beta - da)
-        d1b = (f1p - f1m) / (2 * step)
-        d2b = (f2p - f2m) / (2 * step)
-        # d/d(conj z_t) = (d/d alpha_t + i d/d beta_t) / 2 on F = F1 + i F2
-        r1 = 0.5 * (d1a - d2b)
-        r2 = 0.5 * (d2a + d1b)
-        worst = max(worst, float(np.sqrt(np.sum(r1 * r1) + np.sum(r2 * r2))))
-    return worst
+    alpha, beta = np.atleast_2d(alpha), np.atleast_2d(beta)
+    B, n = alpha.shape
+    h = step * np.eye(n)[:, None, :]          # (n, 1, n): a step in variable t
+    a = np.broadcast_to(alpha, (n, B, n))
+    b = np.broadcast_to(beta, (n, B, n))
+    points_a = np.concatenate([a + h, a - h, a, a]).reshape(-1, n)
+    points_b = np.concatenate([b, b, b + h, b - h]).reshape(-1, n)
+    vals = evaluate(points_a, points_b)
+    vals = vals.reshape((4, n, B) + vals.shape[1:])
+    return (vals[0] - vals[1]) / (2 * step), (vals[2] - vals[3]) / (2 * step)
 
 
-def _coeff_rows(values) -> np.ndarray:
-    return np.stack([
-        v.coeffs if isinstance(v, CliffordElement) else np.asarray(v, float)
-        for v in values
-    ])
+def cr_residual(evaluate, alpha: np.ndarray, beta: np.ndarray,
+                step: float = 1e-5) -> np.ndarray:
+    """Finite-difference d/d(conj z_t) defect of F = F1 + i F2 at the rows
+    z = alpha + i beta, maximized over t; shape (B,).
+
+    evaluate is a row evaluator (alpha, beta) -> (F1, F2), each
+    (B, n, dim), such as StemSeries.eval_arrays or SliceMap.stem_arrays;
+    a row's residual vanishes (up to FD truncation) exactly when F is
+    holomorphic there.
+    """
+    da, db = central_partials(lambda a, b: np.stack(evaluate(a, b), axis=1),
+                              alpha, beta, step)
+    # d/d(conj z_t) = (d/d alpha_t + i d/d beta_t) / 2 on F = F1 + i F2
+    r1 = 0.5 * (da[:, :, 0] - db[:, :, 1])
+    r2 = 0.5 * (da[:, :, 1] + db[:, :, 0])
+    sq = np.sum(r1 * r1, axis=(2, 3)) + np.sum(r2 * r2, axis=(2, 3))
+    return np.max(np.sqrt(sq), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ Values are coefficient rows: SliceMap.eval_arrays takes points as
 (B, dim), and representation_formula, two_slice_average and
 regularity_residual take and return rows the same way (products by
 algebra.mul_batch, (J-K)^{-1} by algebra.invert_batch).  SliceMap.eval
-is the one-point wrapper over eval_arrays.
+is the one-point wrapper over eval_arrays.  regularity_residual shares
+its stencil (series.central_partials) with series.cr_residual.
 
 On a slice I whose complex plane C_I holds every coefficient, f is its
 holomorphic shadow f_I on C_I^n: a ComplexSeries evaluated, like the
-stem, by series.power_sum.
+stem, by series.power_sum; the criteria read it for its derivatives.
 
 ClosedFormMap evaluates the extremal families x_t (1 - x_t e^{I theta})^{-*p}
 (koebe p = 2, cayley p = 1, and the paper example x_t (1 - x_t e^{I theta})
@@ -45,7 +46,7 @@ from .algebra import (
     singular_values_batch,
 )
 from .errors import BasisError, RepresentationError
-from .series import StemSeries, _coeff_rows, power_derivative, power_sum
+from .series import StemSeries, central_partials, power_derivative, power_sum
 from .slicespace import SlicePoint
 
 
@@ -144,12 +145,12 @@ class ClosedFormMap(SliceMap):
 
 
 class RawSliceMap(SliceMap):
-    """Slice map built from an explicit even-odd pair of callables.
+    """Slice map built from an explicit even-odd pair of row callables.
 
-    f1_fn/f2_fn take one point's (alpha, beta), each of shape (n,), and
-    return n Clifford values (elements or coefficient rows).  Lets the
-    checks exercise slice mappings that are not series-built, e.g.
-    non-holomorphic controls.  It has no stem, so no derivative.
+    f1_fn/f2_fn take (alpha, beta) rows of shape (B, n) and return
+    coefficient rows of shape (B, n, dim).  Lets the checks exercise
+    slice mappings that are not series-built, e.g. non-holomorphic
+    controls.  It has no stem, so no derivative.
     """
 
     def __init__(self, m: int, n: int, f1_fn, f2_fn):
@@ -160,9 +161,8 @@ class RawSliceMap(SliceMap):
         self.f2_fn = f2_fn
 
     def stem_arrays(self, alpha: np.ndarray, beta: np.ndarray):
-        rows = list(zip(np.atleast_2d(alpha), np.atleast_2d(beta)))
-        return (np.stack([_coeff_rows(self.f1_fn(a, b)) for a, b in rows]),
-                np.stack([_coeff_rows(self.f2_fn(a, b)) for a, b in rows]))
+        alpha, beta = np.atleast_2d(alpha), np.atleast_2d(beta)
+        return self.f1_fn(alpha, beta), self.f2_fn(alpha, beta)
 
 
 def representation_formula(f: SliceMap, alpha: np.ndarray, beta: np.ndarray,
@@ -208,20 +208,14 @@ def regularity_residual(f: SliceMap, alpha: np.ndarray, beta: np.ndarray,
 
     alpha, beta are (B, n) and J is (B, dim).  A row's residual vanishes
     (up to FD truncation) exactly when the restriction to its slice is
-    holomorphic.  One eval_arrays call takes all 4n shifted points.
+    holomorphic.  One eval_arrays call takes all 4n shifted points
+    (series.central_partials, the stencil of series.cr_residual too).
     """
     alpha, beta, J = (np.atleast_2d(x) for x in (alpha, beta, J))
     B, n = alpha.shape
     J = np.broadcast_to(J, (B, J.shape[-1]))
-    h = step * np.eye(n)[:, None, :]          # (n, 1, n): a step in variable t
-    a = np.broadcast_to(alpha, (n, B, n))
-    b = np.broadcast_to(beta, (n, B, n))
-    points_a = np.concatenate([a + h, a - h, a, a]).reshape(-1, n)
-    points_b = np.concatenate([b, b, b + h, b - h]).reshape(-1, n)
-    vals = f.eval_arrays(points_a, points_b, np.tile(J, (4 * n, 1)))
-    vals = vals.reshape(4, n, B, n, -1)
-    da = (vals[0] - vals[1]) / (2 * step)
-    db = (vals[2] - vals[3]) / (2 * step)
+    da, db = central_partials(
+        lambda a, b: f.eval_arrays(a, b, np.tile(J, (4 * n, 1))), alpha, beta, step)
     defect = da + mul_batch(f.m, J[None, :, None, :], db)
     return np.max(np.sqrt(np.sum(defect * defect, axis=(2, 3))), axis=0)
 

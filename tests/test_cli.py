@@ -90,6 +90,22 @@ def test_shard_merge_keeps_algebra_key_order():
     ]
 
 
+def test_sharded_growth_ball_asserts_only_what_every_shard_checked():
+    # at truncation 40 the series' spot-check fails on some shards only;
+    # shard 1 of this record reads violated(2/64) while shard 0 reads ok
+    cfg = RunConfig(seed=7, samples=60, truncation=40, shards=3, maps=("koebe",))
+    reports = {rep.check: rep for rep in run_suite("growth-ball", cfg)}
+    rep = reports["growth-ball-koebe-e1-theta0.700"]
+    assert rep.data["hypothesis_status"] == "violated(2/192)"
+    assert rep.data["asserted"] is False and rep.passed
+    # every sharded record counts the spot-checks of all three shards
+    for rep in reports.values():
+        if rep.check.startswith("growth-ball-"):
+            status = rep.data["hypothesis_status"]
+            assert status == "ok" or status.endswith("/192)"), status
+            assert rep.data["asserted"] == (status == "ok")
+
+
 def test_shard_merge_fails_on_one_failing_shard():
     parts = [Report.from_error("c", err, 1.0, 10) for err in (0.5, 2.0, 0.1)]
     merged = _merge_shards(parts, ("max_error",))

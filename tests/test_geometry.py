@@ -415,11 +415,29 @@ def test_oracle_gauge_properties_negative_control():
 
 def test_value_gauge_on_slice():
     e1 = CliffordElement.generator(2, 1)
-    vals = [CliffordElement.scalar(2, 0.3) + 0.4 * e1,
-            CliffordElement.scalar(2, -0.1)]
-    rho, resid = value_gauge_on_slice(polydisc_gauge(2, 2), vals, e1)
+    rows = np.array([[[0.3, 0.4, 0.0, 0.0], [-0.1, 0.0, 0.0, 0.0]],
+                     [[0.0, 0.0, 0.0, 0.0], [0.6, -0.8, 0.0, 0.0]]])
+    rho, resid = value_gauge_on_slice(polydisc_gauge(2, 2), rows, e1)
     assert resid < 1e-14
-    assert rho == pytest.approx(0.5)
+    np.testing.assert_allclose(rho, [0.5, 1.0])
+    # a value off the slice of e1 shows in the residual
+    rows[1, 0, 2] = 0.25
+    _, resid = value_gauge_on_slice(polydisc_gauge(2, 2), rows, e1)
+    assert resid == 0.25
+
+
+def test_growth_check_domain_reads_the_map_not_its_series():
+    # a closed-form Koebe map over a reference stem truncated at N = 5:
+    # the gauge-form and the real diagonal must come from the closed form,
+    # whose gauge-form is exact, not from the five-term series
+    m, n = 3, 2
+    e1 = CliffordElement.generator(m, 1)
+    f = ClosedFormMap(koebe_map(0.0, e1, 5, n), 2, 0.0, e1)
+    rep = growth_check_domain(f, polydisc_gauge(n, m), "starlike", 0.9, 200,
+                              np.random.default_rng(25), e1, 0.0)
+    assert rep.data["diagonal_sharpness_gap"] <= 1e-12, rep.data
+    assert rep.data["gauge_form_violation_lower"] == 0.0, rep.data
+    assert rep.data["gauge_form_violation_upper"] == 0.0, rep.data
 
 
 def test_growth_check_domain_ball_matches_ball_suite():

@@ -10,6 +10,7 @@ from slicegrowth.errors import NonInvertibleError
 from slicegrowth.series import (
     StemSeries,
     UnivariateSeries,
+    central_partials,
     convex_test_map,
     cr_residual,
     identity_map,
@@ -34,10 +35,10 @@ def test_eval_linear_term_at_i():
     c = np.zeros((n, 1 << m))
     c[0] = [0.3, -0.7, 0.2, 0.9]
     stem = StemSeries(m, n, {(1, 0): c})
-    f1, f2 = stem.eval([0.0, 0.0], [1.0, 0.0])
-    assert all(v == CliffordElement.zero(m) for v in f1)
-    np.testing.assert_allclose(f2[0].coeffs, c[0])
-    assert f2[1] == CliffordElement.zero(m)
+    f1, f2 = (v[0] for v in stem.eval_arrays([[0.0, 0.0]], [[1.0, 0.0]]))
+    assert np.array_equal(f1, np.zeros((n, 1 << m)))
+    np.testing.assert_allclose(f2[0], c[0])
+    assert np.array_equal(f2[1], np.zeros(1 << m))
 
 
 def test_eval_square_at_i():
@@ -45,9 +46,9 @@ def test_eval_square_at_i():
     m, n = 2, 1
     a = np.array([[0.5, 1.0, -1.0, 0.25]])
     stem = StemSeries(m, n, {(2,): a})
-    f1, f2 = stem.eval([0.0], [1.0])
-    np.testing.assert_allclose(f1[0].coeffs, -a[0])
-    assert f2[0] == CliffordElement.zero(m)
+    f1, f2 = (v[0] for v in stem.eval_arrays([[0.0]], [[1.0]]))
+    np.testing.assert_allclose(f1[0], -a[0])
+    assert np.array_equal(f2[0], np.zeros(1 << m))
 
 
 def test_even_odd_pair_exact():
@@ -66,11 +67,11 @@ def test_derivative_matches_finite_differences():
     stem = _rand_stem(rng)
     d0 = stem.derivative(0)
     h = 1e-5
-    z = (np.array([0.3, -0.4]), np.array([0.2, 0.1]))
-    f1p, _ = stem.eval(z[0] + [h, 0.0], z[1])
-    f1m, _ = stem.eval(z[0] - [h, 0.0], z[1])
-    fd = (f1p[0].coeffs - f1m[0].coeffs) / (2 * h)
-    exact = d0.eval(z[0], z[1])[0][0].coeffs
+    z = (np.array([[0.3, -0.4]]), np.array([[0.2, 0.1]]))
+    f1p, _ = stem.eval_arrays(z[0] + [h, 0.0], z[1])
+    f1m, _ = stem.eval_arrays(z[0] - [h, 0.0], z[1])
+    fd = (f1p[0, 0] - f1m[0, 0]) / (2 * h)
+    exact = d0.eval_arrays(z[0], z[1])[0][0, 0]
     np.testing.assert_allclose(fd, exact, atol=1e-8)
 
 
@@ -86,21 +87,67 @@ def test_derivative_of_monomials():
     assert dsq.coefficient((1,))[0] == CliffordElement.scalar(2, 4.0)
 
 
+def _re_z1_rows(alpha, beta):
+    # F1 = Re(z_1), F2 = 0 on rows: d/d conj z_1 = 1/2
+    f1 = np.zeros(alpha.shape + (4,))
+    f1[:, 0, 0] = alpha[:, 0]
+    return f1, np.zeros_like(f1)
+
+
 def test_cr_residual_series_and_control():
     rng = np.random.default_rng(2)
     stem = _rand_stem(rng)
-    z = (np.array([0.25, -0.3]), np.array([0.15, 0.4]))
-    assert cr_residual(stem, z) < 1e-8
+    alpha, beta = np.array([[0.25, -0.3]]), np.array([[0.15, 0.4]])
+    assert cr_residual(stem.eval_arrays, alpha, beta)[0] < 1e-8
 
     const = StemSeries(2, 2, {(0, 0): rng.uniform(-1, 1, (2, 4))})
-    assert cr_residual(const, z) < 1e-14
+    assert cr_residual(const.eval_arrays, alpha, beta)[0] < 1e-14
 
-    def control(alpha, beta):
-        f1 = np.zeros((2, 4))
-        f1[0, 0] = alpha[0]  # F1 = Re(z_1), F2 = 0: d/d conj z_1 = 1/2
-        return f1, np.zeros((2, 4))
+    assert cr_residual(_re_z1_rows, alpha, beta)[0] == pytest.approx(0.5, abs=1e-9)
 
-    assert cr_residual(control, z) == pytest.approx(0.5, abs=1e-9)
+
+def _re_z1_squared_rows(alpha, beta):
+    # F1 = Re(z_1)^2, F2 = 0: d/d conj z_1 = Re(z_1), which differs by row
+    f1 = np.zeros(alpha.shape + (4,))
+    f1[:, 0, 0] = alpha[:, 0] ** 2
+    return f1, np.zeros_like(f1)
+
+
+def test_cr_residual_rows():
+    # a batch of rows reads what each row reads alone; the controls read
+    # their own d/d conj z_1 on every row of a batch
+    rng = np.random.default_rng(21)
+    stem = _rand_stem(rng)
+    alpha, beta = rng.uniform(-0.3, 0.3, (2, 20, 2))
+    for evaluate in (stem.eval_arrays, _re_z1_squared_rows):
+        batched = cr_residual(evaluate, alpha, beta)
+        assert batched.shape == (20,)
+        single = [cr_residual(evaluate, alpha[i:i + 1], beta[i:i + 1])[0]
+                  for i in range(20)]
+        np.testing.assert_allclose(batched, single, rtol=0, atol=1e-9)
+    assert np.all(cr_residual(stem.eval_arrays, alpha, beta) < 1e-8)
+    np.testing.assert_allclose(cr_residual(_re_z1_squared_rows, alpha, beta),
+                               np.abs(alpha[:, 0]), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(cr_residual(_re_z1_rows, alpha, beta), 0.5,
+                               rtol=0, atol=1e-9)
+
+
+def test_central_partials_of_a_monomial():
+    # F(z) = z_1^2 c: d/d alpha_1 = 2 z_1 c and d/d beta_1 = 2 i z_1 c,
+    # the partials in z_2 vanish
+    m, n = 2, 2
+    c = np.zeros((n, 1 << m))
+    c[0] = [1.0, 0.5, -0.25, 2.0]
+    stem = StemSeries(m, n, {(2, 0): c})
+    rng = np.random.default_rng(22)
+    alpha, beta = rng.uniform(-0.5, 0.5, (2, 5, n))
+    da, db = central_partials(lambda a, b: np.stack(stem.eval_arrays(a, b), axis=1),
+                              alpha, beta)
+    z1 = alpha[:, 0] + 1j * beta[:, 0]
+    for d, w in ((da, 2 * z1), (db, 2j * z1)):
+        np.testing.assert_allclose(d[0, :, 0, 0], w.real[:, None] * c[0], atol=1e-9)
+        np.testing.assert_allclose(d[0, :, 1, 0], w.imag[:, None] * c[0], atol=1e-9)
+        assert np.max(np.abs(d[1])) < 1e-9
 
 
 def test_star_unit_identity():
@@ -209,10 +256,10 @@ def test_koebe_matches_closed_form_on_real_axis():
     e1 = CliffordElement.generator(m, 1)
     f = koebe_map(0.0, e1, N, n)
     for x in np.linspace(-0.9, 0.9, 19):
-        f1, f2 = f.eval([x], [0.0])
-        val = f1[0].scalar_part
+        f1, f2 = f.eval_arrays([[x]], [[0.0]])
+        val = f1[0, 0, 0]
         assert abs(val - x / (1 - x) ** 2) < 1e-9
-        assert f2[0] == CliffordElement.zero(m)
+        assert np.array_equal(f2[0, 0], np.zeros(1 << m))
 
 
 def test_convex_variants():
@@ -225,8 +272,8 @@ def test_convex_variants():
 
     cay = convex_test_map(0.0, e1, N, n, variant="cayley")
     for x in np.linspace(-0.9, 0.9, 19):
-        f1, _ = cay.eval([x], [0.0])
-        assert abs(f1[0].scalar_part - x / (1 - x)) < 1e-9
+        f1, _ = cay.eval_arrays([[x]], [[0.0]])
+        assert abs(f1[0, 0, 0] - x / (1 - x)) < 1e-9
     with pytest.raises(ValueError):
         convex_test_map(0.0, e1, N, n, variant="bogus")
 
@@ -240,8 +287,8 @@ def test_tail_bounds():
     # tail dominates the actual truncation error on the real axis
     small = koebe_map(0.0, e1, 40, 1)
     x = 0.8
-    f1, _ = small.eval([x], [0.0])
-    actual_gap = abs(f1[0].scalar_part - x / (1 - x) ** 2)
+    f1, _ = small.eval_arrays([[x]], [[0.0]])
+    actual_gap = abs(f1[0, 0, 0] - x / (1 - x) ** 2)
     assert actual_gap <= tail_bound(small, x)
     # monotone decrease with the order
     tails = [tail_bound(koebe_map(0.0, e1, N, 1), 0.9) for N in (50, 100, 200, 300)]

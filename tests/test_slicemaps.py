@@ -6,10 +6,15 @@ import pytest
 
 from slicegrowth.algebra import CliffordElement
 from slicegrowth.errors import BasisError, RepresentationError
-from slicegrowth.series import StemSeries, identity_map, koebe_map, tail_bound
+from slicegrowth.series import (
+    StemSeries,
+    cr_residual,
+    identity_map,
+    koebe_map,
+    tail_bound,
+)
 from slicegrowth.slicemaps import (
     ClosedFormMap,
-    RawSliceMap,
     SliceMap,
     complex_on_slice,
     default_module_basis,
@@ -22,7 +27,7 @@ from slicegrowth.slicemaps import (
     well_defined_gap,
 )
 from slicegrowth.slicespace import embed, make_point, sample_S, sample_S_batch
-from slicegrowth.suites import MAP_FAMILIES, _random_stem
+from slicegrowth.suites import MAP_FAMILIES, _random_stem, _re_z1_control
 
 
 def _rand_map(rng, m=3, n=2, degree=5, terms=8):
@@ -204,8 +209,7 @@ def test_row_functions_give_each_row_its_own_bits():
     B = 9
     alpha, beta = rng.uniform(-0.5, 0.5, (B, 2)), rng.uniform(-0.5, 0.5, (B, 2))
     J, K, I = (sample_S_batch(rng, 3, B) for _ in range(3))
-    control = RawSliceMap(3, 2, lambda a, b: [[a[0]] + [0] * 7, [0] * 8],
-                          lambda a, b: np.zeros((2, 8)))
+    control = _re_z1_control(3, 2)
     batched = {
         "representation": representation_formula(f, alpha, beta, J, K, I),
         "average": two_slice_average(f, alpha, beta, J, I),
@@ -290,12 +294,25 @@ def test_regularity_residuals():
     const = SliceMap(StemSeries(2, 2, {(0, 0): rng.uniform(-1, 1, (2, 4))}))
     assert regularity_residual(const, *p)[0] < 1e-14
 
-    control = RawSliceMap(
-        2, 2,
-        lambda a, b: [[a[0], 0, 0, 0], [0, 0, 0, 0]],
-        lambda a, b: np.zeros((2, 4)),
-    )
-    assert regularity_residual(control, *p)[0] > 0.1
+    assert regularity_residual(_re_z1_control(2, 2), *p)[0] > 0.1
+
+
+def test_re_z1_control_fails_both_holomorphy_checks():
+    # the one Re(z_1) control of the stem and regularity suites, on every
+    # row of a batch: d Re(z_1)/d conj(z_1) = 1/2, and d/d alpha_1 = 1
+    # while J d/d beta_1 = 0
+    rng = np.random.default_rng(24)
+    control = _re_z1_control(3, 2)
+    alpha, beta = rng.uniform(-0.4, 0.4, (2, 20, 2))
+    cr = cr_residual(control.stem_arrays, alpha, beta)
+    np.testing.assert_allclose(cr, 0.5, rtol=0, atol=1e-9)
+    reg = regularity_residual(control, alpha, beta, sample_S_batch(rng, 3, 20))
+    assert reg.shape == (20,) and np.all(reg > 0.1)
+    # a constant stem reads zero through both
+    const = SliceMap(StemSeries(3, 2, {(0, 0): rng.uniform(-1, 1, (2, 8))}))
+    assert np.all(cr_residual(const.stem_arrays, alpha, beta) < 1e-14)
+    assert np.all(regularity_residual(const, alpha, beta,
+                                      sample_S_batch(rng, 3, 20)) < 1e-14)
 
 
 def test_split_single_component_for_m1():
