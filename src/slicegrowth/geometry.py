@@ -600,7 +600,9 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
     factor up to sqrt(n) at the real diagonal (where the norm-form and
     gauge-form are exactly sharp), so the pass verdict asserts the
     norm-form and gauge-form with tail slack and reports the rho-form.
-    At theta = 0 the real diagonal is also checked in closed form
+    The gauge-form projects the values onto the slice of I; their largest
+    off-slice residual is counted in max_error and asserted against tol
+    alone, so a map whose values leave the slice fails.  At theta = 0 the real diagonal is also checked in closed form
     through the gauge-form reading.  The hypothesis status comes from the
     same spot-check as growth_check_ball, drawn after every sample; it is
     reported and does not gate the verdict.
@@ -638,7 +640,7 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
     diag = np.repeat(np.array(diag_x, dtype=np.float64)[:, None], f.n, axis=1)
     vals = f.eval_arrays(np.vstack([alpha_i, diag]), np.vstack([beta_i, 0 * diag]),
                          I.coeffs)
-    rhos, _ = value_gauge_on_slice(g, vals, I)
+    rhos, off_slice = value_gauge_on_slice(g, vals, I)
     value_rho, diag_rho = rhos[:samples], rhos[samples:]
     lo_g = rho_i / (1.0 + rho_i) ** p
     hi_g = rho_i / (1.0 - rho_i) ** p
@@ -650,11 +652,14 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
     diag_gap = float(np.max(np.abs(diag_rho - envelope), initial=0.0))
 
     asserted_max = max(norm_viol[0], norm_viol[1], gauge_viol[0], gauge_viol[1],
-                       diag_gap)
+                       diag_gap, off_slice)
     if g.kind == "ball":
         asserted_max = max(asserted_max, rho_viol[0], rho_viol[1])
+    # truncating a series keeps its values on the slice, so the residual
+    # gets tol alone, not the tail slack
+    passed = asserted_max <= slack and off_slice <= tol
     return Report(
-        f"growth-domain-{g.kind}-{family}", asserted_max <= slack, samples,
+        f"growth-domain-{g.kind}-{family}", passed, samples,
         {
             "family": family, "domain": g.kind, "m": f.m, "n": f.n,
             "theta": theta, "r_max": r_max, "N": f.stem.degree,
@@ -666,6 +671,7 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
             "gauge_form_violation_lower": gauge_viol[0],
             "gauge_form_violation_upper": gauge_viol[1],
             "diagonal_sharpness_gap": diag_gap,
+            "off_slice_residual": off_slice,
             "rho_form_asserted": g.kind == "ball",
             "tail_bound": tail_bound(f.stem, r_max),
             "max_error": asserted_max, "threshold": slack,

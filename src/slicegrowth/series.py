@@ -9,10 +9,19 @@ on the right of the powers), which is what expressions like
 x (1 - x e^{I theta})^{-*2} presume.
 
 power_sum is the one power-series evaluator: stems and their complex
-slice shadows (slicemaps.ComplexSeries) are evaluated through it, and
-power_derivative is the one formal partial derivative of both.
-central_partials is the one finite-difference stencil of the holomorphy
-checks on rows, cr_residual and slicemaps.regularity_residual.
+slice shadows (slicemaps.ComplexSeries) are evaluated through it, in
+blocks of _EVAL_CHUNK rows, and power_derivative is the one formal
+partial derivative of both.  central_partials is the one
+finite-difference stencil of the holomorphy checks on rows, cr_residual
+and slicemaps.regularity_residual.
+
+star_mul and star_inverse work on the spinor blocks of the coefficients
+(algebra.spinor_encode): a series is encoded once and decoded once.
+star_mul takes every order from one stacked matrix product over
+overlapping windows of one padded copy of a factor; star_inverse forms
+the blocks of -a_0^{-1} a_j once and takes one small matrix product per
+order.  Neither holds more than a few copies of its series' blocks, so
+memory stays small at m = 8.
 """
 
 from __future__ import annotations
@@ -22,10 +31,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import CliffordElement, mul_coeffs, mul_batch, slice_exp
+from .algebra import CliffordElement, slice_exp, spinor_decode, spinor_encode
 from .errors import DimensionError, NonInvertibleError
 
-_EVAL_CHUNK = 2048    # rows per power_sum block: about 60 MB of monomials at n = 2, N = 300
+# rows per power_sum block.  A block's powers up to exponent e take
+# (e + 1) n 256 complex numbers, 2.5 MB at n = 2 and e = 301 (the N = 300
+# maps), and a mixed table of K monomials K 256 more (2.4 MB at K = 600):
+# about the 4 MB L2 cache of the 2-vCPU Xeon they were timed on.  There,
+# 4,096 rows of the N = 300 Koebe map took 14 ms in blocks of 256 and
+# 32 ms in blocks of 2,048.
+_EVAL_CHUNK = 256
 
 
 class StemSeries:
@@ -39,15 +54,11 @@ class StemSeries:
 
     def __init__(self, m: int, n: int, terms: dict, degree: Optional[int] = None,
                  tail_model: Optional[Callable[[float], float]] = None):
-        self.m = m
-        self.n = n
         dim = 1 << m
-        keys = sorted(terms)
         rows = []
-        for k in keys:
+        for k, coeff in terms.items():
             if len(k) != n or any(e < 0 for e in k):
                 raise DimensionError(f"bad multi-index {k} for n={n}")
-            coeff = terms[k]
             if isinstance(coeff, (list, tuple)):
                 coeff = np.stack([
                     c.coeffs if isinstance(c, CliffordElement) else np.asarray(c, float)
@@ -60,18 +71,29 @@ class StemSeries:
                     f"coefficient for {k} has shape {coeff.shape}, want {(n, dim)}"
                 )
             rows.append(coeff)
-        self._keys = keys
-        self._kmat = (
-            np.array(keys, dtype=np.int64).reshape(len(keys), n)
-            if keys else np.zeros((0, n), dtype=np.int64)
-        )
-        self._amat = (
-            np.stack(rows) if rows else np.zeros((0, n, dim))
-        )
-        self._aflat = self._amat.reshape(len(keys), n * dim)
-        self.degree = degree if degree is not None else (
-            int(self._kmat.sum(axis=1).max()) if keys else 0
-        )
+        kmat = np.array(list(terms), dtype=np.int64).reshape(len(rows), n)
+        amat = np.stack(rows) if rows else np.zeros((0, n, dim))
+        self._set_tables(m, n, kmat, amat, degree, tail_model)
+
+    @classmethod
+    def _from_tables(cls, m: int, n: int, kmat: np.ndarray, amat: np.ndarray,
+                     degree: Optional[int] = None,
+                     tail_model: Optional[Callable[[float], float]] = None) -> "StemSeries":
+        """The series with distinct exponent rows kmat (K, n) and
+        coefficients amat (K, n, 2**m), in any row order."""
+        self = cls.__new__(cls)
+        self._set_tables(m, n, kmat, amat, degree, tail_model)
+        return self
+
+    def _set_tables(self, m, n, kmat, amat, degree, tail_model):
+        # rows in lexicographic multi-index order, as sorted(terms) gives
+        order = np.lexsort(kmat.T[::-1])
+        self.m = m
+        self.n = n
+        self._kmat = kmat[order]
+        self._amat = amat[order]
+        self._aflat = self._amat.reshape(len(kmat), n << m)
+        self.degree = degree if degree is not None else int(kmat.sum(axis=1).max(initial=0))
         self.tail_model = tail_model
 
     @property
@@ -79,15 +101,14 @@ class StemSeries:
         return 1 << self.m
 
     def multi_indices(self):
-        return list(self._keys)
+        return [tuple(k) for k in self._kmat.tolist()]
 
     def coefficient(self, k) -> list[CliffordElement]:
-        k = tuple(k)
-        try:
-            pos = self._keys.index(k)
-        except ValueError:
+        k = np.asarray(k)
+        pos = np.flatnonzero(np.all(self._kmat == k, axis=1)) if k.shape == (self.n,) else []
+        if not len(pos):
             return [CliffordElement.zero(self.m) for _ in range(self.n)]
-        return [CliffordElement(self.m, row) for row in self._amat[pos]]
+        return [CliffordElement(self.m, row) for row in self._amat[pos[0]]]
 
     # -- evaluation -----------------------------------------------------------
 
@@ -112,8 +133,8 @@ class StemSeries:
         if not 0 <= t < self.n:
             raise DimensionError(f"variable index {t} out of range 0..{self.n - 1}")
         kmat, amat = power_derivative(self._kmat, self._amat, t)
-        return StemSeries(self.m, self.n, dict(zip(map(tuple, kmat.tolist()), amat)),
-                          degree=max(self.degree - 1, 0))
+        return StemSeries._from_tables(self.m, self.n, kmat, amat,
+                                       degree=max(self.degree - 1, 0))
 
     # -- serialization ----------------------------------------------------------
 
@@ -127,7 +148,7 @@ class StemSeries:
                     "k": [int(e) for e in k],
                     "a": [CliffordElement(self.m, row).to_json() for row in coeff],
                 }
-                for k, coeff in zip(self._keys, self._amat)
+                for k, coeff in zip(self._kmat.tolist(), self._amat)
             ],
         }
 
@@ -144,17 +165,36 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
     """The one power-series evaluator: sum_k z^k coeffs[k] at each row of z.
 
     kmat: (K, n) exponents; coeffs: (K, C) real or complex; z: (B, n)
-    complex.  Returns (B, C) complex.  Powers are built by cumulative
-    products, _EVAL_CHUNK rows at a time.  A real table is contracted
-    with the real and imaginary parts of the monomials separately, so
-    conjugating z flips the sign of the imaginary part bit-for-bit.  A
-    complex table is summed row by row (einsum, not a BLAS product), so a
-    point gets the same bits alone as inside a batch; a real table's
-    BLAS product gives a row bits that depend on the batch.
+    complex.  Returns (B, C) complex.  The rows of z go in blocks of
+    _EVAL_CHUNK, and a block's powers z_t^e are built once, by cumulative
+    products.  When every term is in one variable (the componentwise
+    maps), the coefficient of z_t^e goes to row e of variable t's table,
+    which is contracted with the powers of z_t as they are.  Otherwise
+    the monomials are gathered from the powers into a (K, block) table.
+
+    A real table is contracted with the powers or monomials viewed as
+    interleaved (re, im) floats, so conjugating z flips the sign of the
+    imaginary part bit-for-bit.  A complex table is summed row by row
+    (einsum, not a BLAS product), so a point gets the same bits alone as
+    inside a batch; a real table's BLAS product gives a row bits that
+    depend on the batch.
     """
-    B = z.shape[0]
-    real = not np.iscomplexobj(coeffs)
+    B, n = z.shape
     top = int(kmat.max(initial=0))
+    if np.all(np.sum(kmat > 0, axis=1) <= 1):
+        tables = np.zeros((n, top + 1, coeffs.shape[1]), dtype=coeffs.dtype)
+        tables[np.argmax(kmat, axis=1), kmat.max(axis=1, initial=0)] = coeffs
+
+        def parts(powers):
+            return [(powers[:, t], tables[t]) for t in range(n)]
+    else:
+        def parts(powers):
+            w = powers[kmat[:, 0], 0]
+            for t in range(1, n):
+                w *= powers[kmat[:, t], t]
+            return [(w, coeffs)]
+
+    real = not np.iscomplexobj(coeffs)
     out = np.empty((B, coeffs.shape[1]), dtype=np.complex128)
     for lo in range(0, B, _EVAL_CHUNK):
         zc = np.ascontiguousarray(z[lo:lo + _EVAL_CHUNK].T)
@@ -162,15 +202,15 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
         powers[0] = 1.0
         for prev, cur in zip(powers[:-1], powers[1:]):
             np.multiply(prev, zc, out=cur)
-        w = np.ones((kmat.shape[0], zc.shape[1]), dtype=np.complex128)
-        for t in range(kmat.shape[1]):
-            w *= powers[kmat[:, t], t]
+        vals = None
+        for w, table in parts(powers):
+            part = w.view(np.float64).T @ table if real else np.einsum("kb,kc->bc", w, table)
+            vals = part if vals is None else vals + part
         block = out[lo:lo + zc.shape[1]]
-        if real:
-            block.real = w.real.T @ coeffs
-            block.imag = w.imag.T @ coeffs
+        if real:    # vals has rows re, im, re, im, ...
+            block.real, block.imag = vals[0::2], vals[1::2]
         else:
-            block[:] = np.einsum("kb,kc->bc", w, coeffs)
+            block[:] = vals
     return out
 
 
@@ -248,14 +288,14 @@ class UnivariateSeries:
     def __init__(self, m: int, coeffs):
         self.m = m
         dim = 1 << m
-        rows = [
-            c.coeffs if isinstance(c, CliffordElement) else np.asarray(c, float)
-            for c in coeffs
-        ]
-        if not rows:
-            rows = [np.zeros(dim)]
-        arr = np.stack(rows).astype(np.float64)
-        if arr.shape[1] != dim:
+        if isinstance(coeffs, np.ndarray):
+            arr = np.array(coeffs, dtype=np.float64, ndmin=2)
+        else:
+            arr = np.array([c.coeffs if isinstance(c, CliffordElement) else c
+                            for c in coeffs], dtype=np.float64, ndmin=2)
+        if not arr.size:
+            arr = np.zeros((1, dim))
+        if arr.ndim != 2 or arr.shape[1] != dim:
             raise DimensionError(f"coefficients must have length {dim}")
         arr.setflags(write=False)
         self.coeffs = arr
@@ -275,42 +315,68 @@ class UnivariateSeries:
         return UnivariateSeries(self.m, np.vstack([pad, self.coeffs]))
 
 
+def _block_columns(blocks: np.ndarray, width: int, top: int) -> np.ndarray:
+    """Columns [X_k; X_{k-1}; ...; X_{k-width+1}] for k = top, ..., 0 of the
+    spinor blocks X_i (len(blocks), nb, d, d), zero outside the given
+    orders: shape (nb, top + 1, width d, d).  They are overlapping windows
+    of one reversed, zero-padded copy, so they take no memory each."""
+    nb, d = blocks.shape[1], blocks.shape[2]
+    rev = np.zeros((nb, top + width, d, d), dtype=np.complex128)
+    rev[:, top + 1 - len(blocks):top + 1] = blocks[::-1].swapaxes(0, 1)
+    rows = rev.reshape(nb, (top + width) * d, d)
+    win = np.lib.stride_tricks.sliding_window_view(rows, width * d, axis=1)
+    return win[:, ::d].swapaxes(-1, -2)
+
+
+def _block_row(blocks: np.ndarray) -> np.ndarray:
+    """Spinor blocks (J, nb, d, d) side by side, in order: (nb, d, J d)."""
+    J, nb, d = blocks.shape[:3]
+    return blocks.transpose(1, 2, 0, 3).reshape(nb, d, J * d)
+
+
 def star_mul(f: UnivariateSeries, g: UnivariateSeries,
              trunc: Optional[int] = None) -> UnivariateSeries:
-    """Cauchy star product: c_k = sum_j a_j * b_{k-j}, order preserved."""
+    """Cauchy star product: c_k = sum_j a_j * b_{k-j}, order preserved.
+
+    In the spinor representation c_k is the block row [A_0 ... A_F] times
+    the block column [B_k; B_{k-1}; ...; B_{k-F}], so one stacked matrix
+    product over the windows of _block_columns gives every order.  The
+    windows are views, and only orders through the truncation are encoded.
+    """
     if f.m != g.m:
         raise DimensionError("star product requires matching generator counts")
-    n_out = f.degree + g.degree if trunc is None else min(trunc, f.degree + g.degree)
-    out = np.zeros((n_out + 1, f.coeffs.shape[1]))
-    for k in range(n_out + 1):
-        j0 = max(0, k - g.degree)
-        j1 = min(k, f.degree)
-        if j0 > j1:
-            continue
-        js = np.arange(j0, j1 + 1)
-        prods = mul_batch(f.m, f.coeffs[js], g.coeffs[k - js])
-        out[k] = prods.sum(axis=0)
-    return UnivariateSeries(f.m, out)
+    m = f.m
+    top = f.degree + g.degree if trunc is None else min(trunc, f.degree + g.degree)
+    a = spinor_encode(m, f.coeffs[:top + 1])
+    b = spinor_encode(m, g.coeffs[:top + 1])
+    prods = np.matmul(_block_row(a)[:, None], _block_columns(b, len(a), top))
+    return UnivariateSeries(m, spinor_decode(m, prods[:, ::-1].swapaxes(0, 1)))
 
 
 def star_inverse(f: UnivariateSeries, trunc: int) -> UnivariateSeries:
     """Star inverse through order trunc: b_0 = a_0^{-1},
-    b_k = -a_0^{-1} sum_{j=1..k} a_j * b_{k-j}."""
+    b_k = -a_0^{-1} sum_{j=1..k} a_j * b_{k-j}.
+
+    The spinor blocks M_j of -a_0^{-1} a_j are formed once; then each
+    order is one matrix product of the block row [M_1 ... M_J] with the
+    column [B_{k-1}; ...; B_{k-J}] of a history kept in reverse order.
+    """
     try:
         a0inv = f.coefficient(0).inverse()
     except NonInvertibleError as exc:
         raise NonInvertibleError("constant coefficient is not invertible") from exc
-    dim = f.coeffs.shape[1]
-    out = np.zeros((trunc + 1, dim))
-    out[0] = a0inv.coeffs
-    for k in range(1, trunc + 1):
-        j1 = min(k, f.degree)
-        if j1 < 1:
-            continue
-        js = np.arange(1, j1 + 1)
-        acc = mul_batch(f.m, f.coeffs[js], out[k - js]).sum(axis=0)
-        out[k] = -mul_coeffs(f.m, a0inv.coeffs, acc)
-    return UnivariateSeries(f.m, out)
+    m = f.m
+    J = min(f.degree, trunc)
+    enc = spinor_encode(m, np.vstack([a0inv.coeffs, f.coeffs[1:J + 1]]))
+    ops = _block_row(-np.matmul(enc[0], enc[1:]))               # (nb, d, J d)
+    nb, d = enc.shape[1], enc.shape[2]
+    # hist[:, trunc - k] = B_k; the J blocks past trunc stay zero (orders < 0)
+    hist = np.zeros((nb, trunc + J + 1, d, d), dtype=np.complex128)
+    hist[:, trunc] = enc[0]
+    rows = hist.reshape(nb, (trunc + J + 1) * d, d)
+    for pos in range(trunc - 1, -1, -1):
+        np.matmul(ops, rows[:, (pos + 1) * d:(pos + 1 + J) * d], out=hist[:, pos])
+    return UnivariateSeries(m, spinor_decode(m, hist[:, trunc::-1].swapaxes(0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +421,21 @@ def convex_test_map(theta: float, I: CliffordElement, N: int, n: int,
 
 
 def _assemble_componentwise(series: UnivariateSeries, n: int, tail_model) -> StemSeries:
-    m = series.m
-    dim = 1 << m
-    terms = {}
-    for p, row in enumerate(series.coeffs):
-        if not np.any(row):
-            continue
-        for t in range(n):
-            k = [0] * n
-            k[t] = p
-            coeff = np.zeros((n, dim))
-            coeff[t] = row
-            terms[tuple(k)] = coeff
-    return StemSeries(m, n, terms, degree=series.degree, tail_model=tail_model)
+    """The map with components x_t -> series(x_t): one exponent row per
+    nonzero coefficient and variable, and the constant shared by all."""
+    coeffs = series.coeffs
+    powers = np.flatnonzero(np.any(coeffs[1:], axis=1)) + 1
+    rows = np.arange(n * len(powers))
+    var = np.repeat(np.arange(n), len(powers))
+    kmat = np.zeros((len(rows), n), dtype=np.int64)
+    amat = np.zeros((len(rows), n, coeffs.shape[1]))
+    kmat[rows, var] = np.tile(powers, n)
+    amat[rows, var] = np.tile(coeffs[powers], (n, 1))
+    if np.any(coeffs[0]):
+        kmat = np.vstack([np.zeros((1, n), dtype=np.int64), kmat])
+        amat = np.vstack([np.broadcast_to(coeffs[0], (1,) + amat.shape[1:]), amat])
+    return StemSeries._from_tables(series.m, n, kmat, amat, degree=series.degree,
+                                   tail_model=tail_model)
 
 
 def koebe_tail(n: int, N: int):

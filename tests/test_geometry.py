@@ -466,6 +466,24 @@ def test_growth_check_domain_hypothesis_status():
     assert rep.data["hypothesis_status"] == "off-slice"
 
 
+def test_growth_check_domain_fails_values_off_the_slice():
+    # coefficients on the slice of e2, judged on the slice of e1: the
+    # values leave the slice of e1 and the record fails on that residual,
+    # although at N = 40 it sits under the tail slack of the growth bounds
+    e1, e2 = CliffordElement.generator(2, 1), CliffordElement.generator(2, 2)
+    off = SliceMap(koebe_map(0.7, e2, 40, 2))
+    rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
+                              np.random.default_rng(16), e1, 0.7)
+    assert not rep.passed, rep.data
+    assert 1.0 < rep.data["off_slice_residual"] < rep.data["threshold"]
+    assert rep.data["max_error"] >= rep.data["off_slice_residual"]
+    on = SliceMap(koebe_map(0.7, e1, 40, 2))
+    rep = growth_check_domain(on, polydisc_gauge(2, 2), "starlike", 0.9, 300,
+                              np.random.default_rng(16), e1, 0.7)
+    assert rep.passed, rep.data
+    assert rep.data["off_slice_residual"] <= 1e-15
+
+
 def test_growth_check_domain_polydisc():
     f = SliceMap(koebe_map(0.0, E1_3, 300, 2))
     rng = np.random.default_rng(10)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicegrowth.algebra import CliffordElement, slice_exp
+from slicegrowth.algebra import CliffordElement, mul_batch, mul_coeffs, slice_exp
 from slicegrowth.errors import NonInvertibleError
 from slicegrowth.series import (
+    _EVAL_CHUNK,
     StemSeries,
     UnivariateSeries,
     central_partials,
@@ -15,10 +16,13 @@ from slicegrowth.series import (
     cr_residual,
     identity_map,
     koebe_map,
+    power_sum,
     star_inverse,
     star_mul,
     tail_bound,
 )
+from slicegrowth.slicemaps import ComplexSeries
+from slicegrowth.suites import _random_stem
 
 
 def _rand_stem(rng, m=2, n=2, degree=4, terms=6):
@@ -228,6 +232,98 @@ def test_star_inverse_involution():
     np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-10)
 
 
+def _reference_star_mul(f, g, trunc=None):
+    """The star product order by order: one product batch per order."""
+    n_out = f.degree + g.degree if trunc is None else min(trunc, f.degree + g.degree)
+    out = np.zeros((n_out + 1, f.coeffs.shape[1]))
+    for k in range(n_out + 1):
+        j0 = max(0, k - g.degree)
+        j1 = min(k, f.degree)
+        if j0 > j1:
+            continue
+        js = np.arange(j0, j1 + 1)
+        out[k] = mul_batch(f.m, f.coeffs[js], g.coeffs[k - js]).sum(axis=0)
+    return out
+
+
+def _reference_star_inverse(f, trunc):
+    """The star inverse order by order: b_k = -a_0^{-1} sum_j a_j b_{k-j}."""
+    a0inv = f.coefficient(0).inverse()
+    out = np.zeros((trunc + 1, f.coeffs.shape[1]))
+    out[0] = a0inv.coeffs
+    for k in range(1, trunc + 1):
+        j1 = min(k, f.degree)
+        if j1 < 1:
+            continue
+        js = np.arange(1, j1 + 1)
+        acc = mul_batch(f.m, f.coeffs[js], out[k - js]).sum(axis=0)
+        out[k] = -mul_coeffs(f.m, a0inv.coeffs, acc)
+    return out
+
+
+def _relative_gap(new, ref):
+    assert new.shape == ref.shape
+    return float(np.max(np.abs(new - ref)) / np.max(np.abs(ref)))
+
+
+def _decaying_series(rng, m, degree):
+    # a_0 = 1 + v and |a_k| <= 0.5**k / 2 with |v| <= 1/2, as in the stem
+    # suite but with a constant that is not a scalar, so that the order of
+    # the products a_0^{-1} a_j shows: invertible, with an inverse whose
+    # coefficients stay bounded
+    coeffs = rng.uniform(-1.0, 1.0, (degree + 1, 1 << m))
+    coeffs *= (0.5 * 0.5 ** np.arange(degree + 1)
+               / np.maximum(1.0, np.linalg.norm(coeffs, axis=1)))[:, None]
+    coeffs[0, 0] = 1.0
+    return UnivariateSeries(m, coeffs)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_star_mul_matches_per_order_reference(m):
+    # both product regimes of mul_batch (structure tensor below m = 4,
+    # spinor blocks from m = 4), truncations below and above the degrees
+    rng = np.random.default_rng(40 + m)
+    g = UnivariateSeries(m, rng.uniform(-1, 1, (41, 1 << m)))
+    for degree in (1, 40, 300):
+        f = UnivariateSeries(m, rng.uniform(-1, 1, (degree + 1, 1 << m)))
+        for trunc in (None, 0, degree // 2, 20, degree + 60):
+            for a, b in ((f, g), (g, f), (f, f)):
+                gap = _relative_gap(star_mul(a, b, trunc).coeffs,
+                                    _reference_star_mul(a, b, trunc))
+                assert gap <= 1e-13, (degree, trunc, a.degree, b.degree, gap)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_star_inverse_matches_per_order_reference(m):
+    rng = np.random.default_rng(50 + m)
+    e1 = CliffordElement.generator(m, 1)
+    unit = UnivariateSeries(m, [CliffordElement.scalar(m, 1.0), -slice_exp(e1, 0.7)])
+    for f in (unit, _decaying_series(rng, m, 1), _decaying_series(rng, m, 40),
+              _decaying_series(rng, m, 300)):
+        for trunc in (0, 1, f.degree // 2, 40, f.degree + 60):
+            gap = _relative_gap(star_inverse(f, trunc).coeffs,
+                                _reference_star_inverse(f, trunc))
+            assert gap <= 1e-13, (f.degree, trunc, gap)
+
+
+def test_power_sum_matches_plain_sum():
+    # more than three blocks of rows; the stem suite's mixed multi-indices
+    # with a real table, and a complex table through ComplexSeries
+    rng = np.random.default_rng(45)
+    B = 3 * _EVAL_CHUNK + 17
+    z = rng.uniform(-0.9, 0.9, (B, 3)) + 1j * rng.uniform(-0.9, 0.9, (B, 3))
+    stem = _random_stem(2, 3, rng, degree=6, terms=12)
+    kmat, real = stem._kmat, stem._aflat
+    assert np.count_nonzero(kmat, axis=1).max() > 1
+    complex_table = real[:, :3] + 1j * real[:, 3:6]
+    for coeffs, evaluate in ((real, lambda: power_sum(kmat, real, z)),
+                             (complex_table, lambda: ComplexSeries(kmat, complex_table).eval(z))):
+        expected = np.zeros((B, coeffs.shape[1]), dtype=complex)
+        for k, a in zip(kmat, coeffs):
+            expected += np.prod(z ** k, axis=1)[:, None] * a
+        assert _relative_gap(evaluate(), expected) <= 1e-13
+
+
 def test_koebe_coefficients_and_normalization():
     m, n, N = 2, 2, 50
     e1 = CliffordElement.generator(m, 1)
@@ -284,12 +380,15 @@ def test_tail_bounds():
     f = koebe_map(0.0, e1, 300, n)
     assert tail_bound(f, 0.9) < 1e-9
     assert tail_bound(identity_map(m, n), 0.9) == 0.0
-    # tail dominates the actual truncation error on the real axis
+    # at theta = 0 on the positive real axis the tail is the truncation
+    # error itself, so the two agree to rounding in f(x); a tail model
+    # that under- or overestimates fails
     small = koebe_map(0.0, e1, 40, 1)
     x = 0.8
+    exact = x / (1 - x) ** 2
     f1, _ = small.eval_arrays([[x]], [[0.0]])
-    actual_gap = abs(f1[0, 0, 0] - x / (1 - x) ** 2)
-    assert actual_gap <= tail_bound(small, x)
+    actual_gap = abs(f1[0, 0, 0] - exact)
+    assert abs(actual_gap - tail_bound(small, x)) <= 16 * np.finfo(float).eps * exact
     # monotone decrease with the order
     tails = [tail_bound(koebe_map(0.0, e1, N, 1), 0.9) for N in (50, 100, 200, 300)]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
