@@ -36,10 +36,10 @@ from .errors import DimensionError, NonInvertibleError
 
 # rows per power_sum block.  A block's powers up to exponent e take
 # (e + 1) n 256 complex numbers, 2.5 MB at n = 2 and e = 301 (the N = 300
-# maps), and a mixed table of K monomials K 256 more (2.4 MB at K = 600):
-# about the 4 MB L2 cache of the 2-vCPU Xeon they were timed on.  There,
-# 4,096 rows of the N = 300 Koebe map took 14 ms in blocks of 256 and
-# 32 ms in blocks of 2,048.
+# maps), and its K monomials K 256 more (2.4 MB at K = 600): about the
+# 4 MB L2 cache of the 2-vCPU Xeon they were timed on.  There, 4,096 rows
+# of the N = 300 Koebe map took 35 ms in blocks of 256 and 53 ms in
+# blocks of 2,048, and of a mixed table of 595 monomials 16 and 45 ms.
 _EVAL_CHUNK = 256
 
 
@@ -166,13 +166,11 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
 
     kmat: (K, n) exponents; coeffs: (K, C) real or complex; z: (B, n)
     complex.  Returns (B, C) complex.  The rows of z go in blocks of
-    _EVAL_CHUNK, and a block's powers z_t^e are built once, by cumulative
-    products.  When every term is in one variable (the componentwise
-    maps), the coefficient of z_t^e goes to row e of variable t's table,
-    which is contracted with the powers of z_t as they are.  Otherwise
-    the monomials are gathered from the powers into a (K, block) table.
+    _EVAL_CHUNK; a block's powers z_t^e are built once, by cumulative
+    products, and its monomials are gathered from them into a (K, block)
+    table, which is contracted with coeffs.
 
-    A real table is contracted with the powers or monomials viewed as
+    A real table is contracted with the monomials viewed as
     interleaved (re, im) floats, so conjugating z flips the sign of the
     imaginary part bit-for-bit.  A complex table is summed row by row
     (einsum, not a BLAS product), so a point gets the same bits alone as
@@ -181,19 +179,6 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
     """
     B, n = z.shape
     top = int(kmat.max(initial=0))
-    if np.all(np.sum(kmat > 0, axis=1) <= 1):
-        tables = np.zeros((n, top + 1, coeffs.shape[1]), dtype=coeffs.dtype)
-        tables[np.argmax(kmat, axis=1), kmat.max(axis=1, initial=0)] = coeffs
-
-        def parts(powers):
-            return [(powers[:, t], tables[t]) for t in range(n)]
-    else:
-        def parts(powers):
-            w = powers[kmat[:, 0], 0]
-            for t in range(1, n):
-                w *= powers[kmat[:, t], t]
-            return [(w, coeffs)]
-
     real = not np.iscomplexobj(coeffs)
     out = np.empty((B, coeffs.shape[1]), dtype=np.complex128)
     for lo in range(0, B, _EVAL_CHUNK):
@@ -202,10 +187,10 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
         powers[0] = 1.0
         for prev, cur in zip(powers[:-1], powers[1:]):
             np.multiply(prev, zc, out=cur)
-        vals = None
-        for w, table in parts(powers):
-            part = w.view(np.float64).T @ table if real else np.einsum("kb,kc->bc", w, table)
-            vals = part if vals is None else vals + part
+        w = powers[kmat[:, 0], 0]
+        for t in range(1, n):
+            w *= powers[kmat[:, t], t]
+        vals = w.view(np.float64).T @ coeffs if real else np.einsum("kb,kc->bc", w, coeffs)
         block = out[lo:lo + zc.shape[1]]
         if real:    # vals has rows re, im, re, im, ...
             block.real, block.imag = vals[0::2], vals[1::2]

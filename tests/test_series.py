@@ -308,20 +308,27 @@ def test_star_inverse_matches_per_order_reference(m):
 
 def test_power_sum_matches_plain_sum():
     # more than three blocks of rows; the stem suite's mixed multi-indices
-    # with a real table, and a complex table through ComplexSeries
+    # and a componentwise N = 300 Koebe table (terms in one variable
+    # each), each with a real table and a complex table through
+    # ComplexSeries
     rng = np.random.default_rng(45)
     B = 3 * _EVAL_CHUNK + 17
     z = rng.uniform(-0.9, 0.9, (B, 3)) + 1j * rng.uniform(-0.9, 0.9, (B, 3))
     stem = _random_stem(2, 3, rng, degree=6, terms=12)
-    kmat, real = stem._kmat, stem._aflat
-    assert np.count_nonzero(kmat, axis=1).max() > 1
-    complex_table = real[:, :3] + 1j * real[:, 3:6]
-    for coeffs, evaluate in ((real, lambda: power_sum(kmat, real, z)),
-                             (complex_table, lambda: ComplexSeries(kmat, complex_table).eval(z))):
-        expected = np.zeros((B, coeffs.shape[1]), dtype=complex)
-        for k, a in zip(kmat, coeffs):
-            expected += np.prod(z ** k, axis=1)[:, None] * a
-        assert _relative_gap(evaluate(), expected) <= 1e-13
+    assert np.count_nonzero(stem._kmat, axis=1).max() > 1
+    koebe = koebe_map(0.7, CliffordElement.generator(2, 1), 300, 2)
+    assert np.count_nonzero(koebe._kmat, axis=1).max() == 1
+    disc = rng.uniform(0.0, 0.8, (B, 2)) * np.exp(2j * np.pi * rng.uniform(size=(B, 2)))
+    for f, z in ((stem, z), (koebe, disc)):
+        kmat, real = f._kmat, f._aflat
+        complex_table = real[:, :3] + 1j * real[:, 3:6]
+        for coeffs, evaluate in (
+                (real, lambda: power_sum(kmat, real, z)),
+                (complex_table, lambda: ComplexSeries(kmat, complex_table).eval(z))):
+            expected = np.zeros((B, coeffs.shape[1]), dtype=complex)
+            for k, a in zip(kmat, coeffs):
+                expected += np.prod(z ** k, axis=1)[:, None] * a
+            assert _relative_gap(evaluate(), expected) <= 1e-13
 
 
 def test_koebe_coefficients_and_normalization():
