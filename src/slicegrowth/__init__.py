@@ -43,10 +43,9 @@ from .reports import Report
 from .series import (
     StemSeries,
     UnivariateSeries,
-    convex_test_map,
     cr_residual,
+    extremal_series,
     identity_map,
-    koebe_map,
     star_inverse,
     star_mul,
     tail_bound,

@@ -13,7 +13,7 @@ import time
 
 import click
 
-from . import geometry, reports, suites
+from . import geometry, reports, slicemaps, suites
 from .algebra import CliffordElement
 
 _SEED_ENVVAR = "SLICEGROWTH_SEED"
@@ -117,8 +117,8 @@ def envelope(map_, theta, r_grid, m, n, truncation, out):
         raise click.UsageError("--r-grid values must lie in [0, 1)")
     _validated(suites.RunConfig(m=m, n=n, truncation=truncation, theta=theta))
 
-    family, build, _ = suites.MAP_FAMILIES[map_]
-    f = build(theta, CliffordElement.generator(m, 1), truncation, n)
+    family, p, _ = suites.MAP_FAMILIES[map_]
+    f = slicemaps.ClosedFormMap(p, theta, CliffordElement.generator(m, 1), truncation, n)
     rows = geometry.envelope_table(f, family, radii)
 
     header = "r,lower_bound,f_at_minus_r,f_at_plus_r,upper_bound"

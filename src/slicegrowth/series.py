@@ -22,6 +22,10 @@ overlapping windows of one padded copy of a factor; star_inverse forms
 the blocks of -a_0^{-1} a_j once and takes one small matrix product per
 order.  Neither holds more than a few copies of its series' blocks, so
 memory stays small at m = 8.
+
+extremal_series(p, theta, I, N, n) builds the extremal family
+x_t (1 - x_t e^{I theta})^{-*p} by its exponent p, and extremal_tail
+bounds the tail its truncation drops.
 """
 
 from __future__ import annotations
@@ -105,7 +109,9 @@ class StemSeries:
 
     def coefficient(self, k) -> list[CliffordElement]:
         k = np.asarray(k)
-        pos = np.flatnonzero(np.all(self._kmat == k, axis=1)) if k.shape == (self.n,) else []
+        if k.shape != (self.n,):
+            raise DimensionError(f"bad multi-index {k.tolist()} for n={self.n}")
+        pos = np.flatnonzero(np.all(self._kmat == k, axis=1))
         if not len(pos):
             return [CliffordElement.zero(self.m) for _ in range(self.n)]
         return [CliffordElement(self.m, row) for row in self._amat[pos[0]]]
@@ -365,44 +371,26 @@ def star_inverse(f: UnivariateSeries, trunc: int) -> UnivariateSeries:
 
 
 # ---------------------------------------------------------------------------
-# extremal map builders and tail accounting
+# the extremal family and its tail
 # ---------------------------------------------------------------------------
 
-def _geometric_unit(m: int, theta: float, I: CliffordElement) -> UnivariateSeries:
-    one = CliffordElement.scalar(m, 1.0)
-    return UnivariateSeries(m, [one, -slice_exp(I, theta)])
-
-
-def koebe_map(theta: float, I: CliffordElement, N: int, n: int) -> StemSeries:
-    """Componentwise x_t (1 - x_t e^{I theta})^{-*2}.
-
-    Built through the star algebra (inverse then square), which lands on
-    the coefficients (k+1) e^{I k theta} at power k+1; the classical
-    slice restriction is x/(1-x)^2 for theta = 0.
-    """
+def extremal_series(p: int, theta: float, I: CliffordElement, N: int,
+                    n: int) -> StemSeries:
+    """Componentwise x_t (1 - x_t e^{I theta})^{-*p} through order N + 1:
+    p = 2 the starlike Koebe map (coefficients (k+1) e^{I k theta} at
+    power k+1; x/(1-x)^2 at theta = 0), p = 1 the convex Cayley map
+    (x/(1-x)), and p = -1 the paper's degree-two example, exact at any N,
+    whose slice restriction has a vanishing derivative inside the disc."""
+    if p not in (-1, 1, 2):
+        raise ValueError(f"no extremal map of exponent {p!r}; want -1, 1 or 2")
     m = I.m
-    inv = star_inverse(_geometric_unit(m, theta, I), N)
-    sq = star_mul(inv, inv, trunc=N).shift(1)
-    return _assemble_componentwise(sq, n, tail_model=koebe_tail(n, N))
-
-
-def convex_test_map(theta: float, I: CliffordElement, N: int, n: int,
-                    variant: str = "cayley") -> StemSeries:
-    """One-variable convex-family test maps applied componentwise.
-
-    "cayley" is x_t (1 - x_t e^{I theta})^{-*1} (slice restriction
-    x/(1-x) at theta = 0); "paper_example" is the degree-two polynomial
-    x_t (1 - x_t e^{I theta}), kept for reporting because its slice
-    restriction has a vanishing derivative inside the unit disc.
-    """
-    m = I.m
-    if variant == "cayley":
-        inv = star_inverse(_geometric_unit(m, theta, I), N).shift(1)
-        return _assemble_componentwise(inv, n, tail_model=_cayley_tail(n, N))
-    if variant == "paper_example":
-        base = _geometric_unit(m, theta, I).shift(1)
-        return _assemble_componentwise(base, n, tail_model=None)
-    raise ValueError(f"unknown convex variant {variant!r}")
+    base = UnivariateSeries(m, [CliffordElement.scalar(m, 1.0), -slice_exp(I, theta)])
+    if p == -1:
+        return _assemble_componentwise(base.shift(1), n, tail_model=None)
+    inv = star_inverse(base, N)
+    if p == 2:
+        inv = star_mul(inv, inv, trunc=N)
+    return _assemble_componentwise(inv.shift(1), n, tail_model=extremal_tail(p, n, N))
 
 
 def _assemble_componentwise(series: UnivariateSeries, n: int, tail_model) -> StemSeries:
@@ -423,24 +411,22 @@ def _assemble_componentwise(series: UnivariateSeries, n: int, tail_model) -> Ste
                                    tail_model=tail_model)
 
 
-def koebe_tail(n: int, N: int):
-    # sum_{k>N} (k+1) r^{k+1} = r^{N+2} ((N+2) - (N+1) r) / (1-r)^2 per component
+def extremal_tail(p: int, n: int, N: int):
+    """Norm bound r -> sqrt(n) sum_{k>N} |c_k| r^{k+1} of the tail that
+    extremal_series(p, ., ., N, n) drops on the polydisc of radius r:
+    |c_k| = k+1 for p = 2 and 1 for p = 1."""
+    if p not in (1, 2):
+        raise ValueError(f"no truncated extremal map of exponent {p!r}; want 1 or 2")
+
     def bound(r: float) -> float:
         if r < 0:
             raise ValueError("radius must be non-negative")
         if r >= 1:
             return math.inf
-        return math.sqrt(n) * r ** (N + 2) * ((N + 2) - (N + 1) * r) / (1 - r) ** 2
-    return bound
-
-
-def _cayley_tail(n: int, N: int):
-    # sum_{k>N} r^{k+1} = r^{N+2} / (1-r) per component
-    def bound(r: float) -> float:
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        if r >= 1:
-            return math.inf
+        if p == 2:
+            # sum_{k>N} (k+1) r^{k+1} = r^{N+2} ((N+2) - (N+1) r) / (1-r)^2
+            return math.sqrt(n) * r ** (N + 2) * ((N + 2) - (N + 1) * r) / (1 - r) ** 2
+        # sum_{k>N} r^{k+1} = r^{N+2} / (1-r)
         return math.sqrt(n) * r ** (N + 2) / (1 - r)
     return bound
 

@@ -24,10 +24,11 @@ On a slice I whose complex plane C_I holds every coefficient, f is its
 holomorphic shadow f_I on C_I^n: a ComplexSeries evaluated, like the
 stem, by series.power_sum; the criteria read it for its derivatives.
 
-ClosedFormMap evaluates the extremal families x_t (1 - x_t e^{I theta})^{-*p}
-(koebe p = 2, cayley p = 1, and the paper example x_t (1 - x_t e^{I theta})
-as p = -1) in closed form.  It keeps the star-built stem as its reference:
-the stem's coefficients, tail bound and slice shadow are those of the
+ClosedFormMap(p, theta, I, N, n) evaluates the extremal family
+x_t (1 - x_t e^{I theta})^{-*p} (koebe p = 2, cayley p = 1, and the paper
+example x_t (1 - x_t e^{I theta}) as p = -1) in closed form.  It builds
+its own reference stem, series.extremal_series(p, theta, I, N, n): the
+stem's coefficients, tail bound and slice shadow are those of the
 truncated series, and only the values come from the closed form.
 """
 
@@ -46,7 +47,7 @@ from .algebra import (
     singular_values_batch,
 )
 from .errors import BasisError, RepresentationError
-from .series import StemSeries, central_partials, power_derivative, power_sum
+from .series import StemSeries, central_partials, extremal_series, power_derivative, power_sum
 from .slicespace import SlicePoint
 
 
@@ -77,11 +78,7 @@ class SliceMap:
         stem row over many slices, or one slice over many points).
         """
         f1, f2 = self.stem_arrays(alpha, beta)
-        j_rows = np.atleast_2d(j_rows)
-        out = np.empty((max(len(f1), len(j_rows)),) + f1.shape[1:])
-        for t in range(self.n):
-            out[:, t, :] = f1[:, t, :] + mul_batch(self.m, j_rows, f2[:, t, :])
-        return out
+        return f1 + mul_batch(self.m, np.atleast_2d(j_rows)[:, None, :], f2)
 
     def derivative(self, t: int) -> "SliceMap":
         return SliceMap(self.stem.derivative(t))
@@ -89,7 +86,8 @@ class SliceMap:
 
 class ClosedFormMap(SliceMap):
     """The componentwise map x_t (1 - x_t e^{I theta})^{-*p}, evaluated in
-    closed form, over its star-built truncated stem as the reference.
+    closed form, over its star-built stem extremal_series(p, theta, I, N, n)
+    as the reference.
 
     On z = alpha + i beta each component is F_t = P(z_t) + Q(z_t) I with
     A = (1 - z e^{i theta})^{-p}, B = (1 - z e^{-i theta})^{-p},
@@ -100,8 +98,8 @@ class ClosedFormMap(SliceMap):
     Q = -z^2 sin(theta) are summed as written.
     """
 
-    def __init__(self, stem: StemSeries, p: int, theta: float, I: CliffordElement):
-        super().__init__(stem)
+    def __init__(self, p: int, theta: float, I: CliffordElement, N: int, n: int):
+        super().__init__(extremal_series(p, theta, I, N, n))
         self.p = p
         self.theta = theta
         self.I = I

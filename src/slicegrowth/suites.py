@@ -4,19 +4,20 @@ produce one report record each.
 Every suite derives its RNG stream from (seed, suite tag, shard index),
 so reports are byte-identical for a fixed (config, seed, shard count).
 Only the algebra and growth-ball suites split their sample budgets over
-`shards` independent streams; the other suites run one stream whatever
-the shard count.  Shard merging takes maxima of the error fields, sums
-sample counts and ANDs the pass verdicts.
+`shards` independent streams (_sharded); the other suites run one stream
+whatever the shard count.  Shard merging takes maxima of the error
+fields, sums sample counts and ANDs the pass verdicts.
 
 Slice maps are evaluated on coefficient rows (SliceMap.eval_arrays);
 the representation and regularity suites draw their cases in stream
 order and evaluate them in blocks of _BLOCK cases.
 
-The growth suites evaluate the extremal families in closed form
-(slicemaps.ClosedFormMap, built by MAP_FAMILIES); the truncated
-star-product series stays the reference for tail bounds, slice shadows
-and the closed-form-* agreement records.  The stem, regularity and
-extremal suites test the series itself.
+The growth suites evaluate the extremal families in closed form, as
+slicemaps.ClosedFormMap(p, theta, I, N, n) with the exponent p that
+MAP_FAMILIES names; the truncated star-product series
+(series.extremal_series) stays the reference for tail bounds, slice
+shadows and the closed-form-* agreement records.  The stem, regularity
+and extremal suites test that series itself (extremal_series(2, ...)).
 """
 
 from __future__ import annotations
@@ -63,22 +64,14 @@ _SHARP_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 _BLOCK = 256
 
 
-def _closed_form(build, p: int):
-    """Builder of the ClosedFormMap of exponent p over the star-built stem
-    build(theta, I, N, n)."""
-    def make(theta, I, N, n):
-        return slicemaps.ClosedFormMap(build(theta, I, N, n), p, theta, I)
-    return make
-
-
-# growth-suite map families: name -> (family, builder(theta, I, N, n) of a
-# ClosedFormMap, asserted).  The degree-two paper example fails the convex
-# hypothesis, so its growth bounds are reported but never asserted.
+# growth-suite map families: name -> (family, exponent p of
+# slicemaps.ClosedFormMap(p, theta, I, N, n), asserted).  The degree-two
+# paper example fails the convex hypothesis, so its growth bounds are
+# reported but never asserted.
 MAP_FAMILIES = {
-    "koebe": ("starlike", _closed_form(series.koebe_map, 2), True),
-    "cayley": ("convex", _closed_form(series.convex_test_map, 1), True),
-    "paper-example": ("convex", _closed_form(functools.partial(
-        series.convex_test_map, variant="paper_example"), -1), False),
+    "koebe": ("starlike", 2, True),
+    "cayley": ("convex", 1, True),
+    "paper-example": ("convex", -1, False),
 }
 
 
@@ -135,11 +128,10 @@ def _stable_tag(*parts) -> int:
 
 
 def _shard_sizes(total: int, shards: int) -> list[int]:
-    base = total // shards
-    out = [base] * shards
-    for i in range(total - base * shards):
-        out[i] += 1
-    return [s for s in out if s > 0]
+    """The non-empty shares of total samples over shards streams, the
+    first total % shards of them one larger: at most total entries."""
+    used = min(shards, total)
+    return [total // used + (i < total % used) for i in range(used)]
 
 
 def _merge_shards(parts: list[Report], keys) -> Report:
@@ -159,6 +151,15 @@ def _merge_shards(parts: list[Report], keys) -> Report:
         merged.passed = merged.passed and extra.passed
     merged.passed = merged.passed or not merged.data.get("asserted", True)
     return merged
+
+
+def _sharded(cfg: RunConfig, suite: str, budget: int, tag: int, check, keys) -> Report:
+    """One record from check(size, rng) on each shard of budget samples,
+    shard i drawing from the stream _rng(cfg, suite, i, tag), merged by
+    _merge_shards over keys."""
+    return _merge_shards([check(size, _rng(cfg, suite, shard, tag))
+                          for shard, size in enumerate(_shard_sizes(budget, cfg.shards))],
+                         keys)
 
 
 def _re_z1_control(m: int, n: int) -> slicemaps.RawSliceMap:
@@ -268,12 +269,9 @@ def run_algebra(cfg: RunConfig) -> list[Report]:
     for m in m_values:
         # work per case grows like 4**m; keep large-m batches tractable
         budget_m = max(200, total // 4 ** max(0, m - 5)) if m > 5 else total
-        parts = [
-            _algebra_shard(m, size, _rng(cfg, "algebra", shard, m))
-            for shard, size in enumerate(_shard_sizes(budget_m, cfg.shards))
-        ]
-        reports.append(_merge_shards(
-            parts, ("max_error",) + _ALGEBRA_ERRORS + ("inverse_residual",)))
+        reports.append(_sharded(
+            cfg, "algebra", budget_m, m, functools.partial(_algebra_shard, m),
+            ("max_error",) + _ALGEBRA_ERRORS + ("inverse_residual",)))
     return reports
 
 
@@ -319,7 +317,7 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     # boundary so the third derivative keeps the FD error under budget
     theta = cfg.theta if cfg.theta is not None else 0.7
     i_elem = CliffordElement.generator(m, 1)
-    koebe = series.koebe_map(theta, i_elem, trunc, n)
+    koebe = series.extremal_series(2, theta, i_elem, trunc, n)
     cr_points = min(count, 50)
     alpha, beta = rng.uniform(-0.3, 0.3, (cr_points, 2, n)).transpose(1, 0, 2)
     worst_cr = max(float(np.max(series.cr_residual(s.eval_arrays, alpha, beta)))
@@ -375,7 +373,7 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     # analytic tail decreases with the truncation order
     orders = sorted({max(10, trunc // 8), max(20, trunc // 4),
                      max(30, trunc // 2), trunc})
-    tails = [series.koebe_tail(n, N)(cfg.r_max) for N in orders]
+    tails = [series.extremal_tail(2, n, N)(cfg.r_max) for N in orders]
     monotone = all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
     reports.append(Report.from_error(
         "stem-tail-monotone", 0.0 if monotone else 1.0, 0.5, len(tails),
@@ -489,7 +487,7 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
     worst = 0.0
     maps = [
         slicemaps.SliceMap(_random_stem(m, n, rng)),
-        slicemaps.SliceMap(series.koebe_map(theta, i_elem, 60, n)),
+        slicemaps.SliceMap(series.extremal_series(2, theta, i_elem, 60, n)),
         slicemaps.SliceMap(series.identity_map(m, n)),
     ]
     for lo in range(0, count, _BLOCK):
@@ -540,14 +538,12 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
 def _extremal_maps(m: int, n: int, trunc: int, theta: float):
     e1 = CliffordElement.generator(m, 1)
     out = [("identity", slicemaps.SliceMap(series.identity_map(m, n)), e1)]
-    out.append(("koebe", slicemaps.SliceMap(series.koebe_map(theta, e1, trunc, n)), e1))
+    out.append(("koebe", slicemaps.SliceMap(
+        series.extremal_series(2, theta, e1, trunc, n)), e1))
     if m == 2:
         e12 = CliffordElement.blade(m, (1, 2))
-        out.append((
-            "koebe-bivector",
-            slicemaps.SliceMap(series.koebe_map(theta, e12, trunc, n)),
-            e12,
-        ))
+        out.append(("koebe-bivector", slicemaps.SliceMap(
+            series.extremal_series(2, theta, e12, trunc, n)), e12))
     return out
 
 
@@ -603,24 +599,19 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
     reports = []
     wanted = cfg.maps or tuple(MAP_FAMILIES)
 
-    shard_plan = _shard_sizes(count, cfg.shards)
-    for label, (family, build, asserted) in MAP_FAMILIES.items():
+    for label, (family, p, asserted) in MAP_FAMILIES.items():
         if label not in wanted:
             continue
         for iname, i_elem in directions:
             sweep = []
             for theta in thetas:
-                f = build(theta, i_elem, trunc, n)
+                f = slicemaps.ClosedFormMap(p, theta, i_elem, trunc, n)
                 sweep.append(f)
-                parts = []
-                for shard, size in enumerate(shard_plan):
-                    rng = _rng(cfg, "growth-ball", shard,
-                               _stable_tag(label, iname, f"{theta:.9f}"))
-                    parts.append(geometry.growth_check_ball(
-                        f, family, cfg.r_max, size, rng, i_elem, theta,
-                        1e-9, asserted))
-                rep = _merge_shards(parts, ("max_violation_lower",
-                                            "max_violation_upper", "max_error"))
+                rep = _sharded(
+                    cfg, "growth-ball", count, _stable_tag(label, iname, f"{theta:.9f}"),
+                    lambda size, rng: geometry.growth_check_ball(
+                        f, family, cfg.r_max, size, rng, i_elem, theta, 1e-9, asserted),
+                    ("max_violation_lower", "max_violation_upper", "max_error"))
                 rep.check = f"growth-ball-{label}-{iname}-theta{theta:.3f}"
                 rep.data["map"] = label
                 reports.append(rep)
@@ -653,12 +644,12 @@ def run_growth_domain(cfg: RunConfig) -> list[Report]:
     wanted = cfg.maps or tuple(MAP_FAMILIES)
 
     # the domain checks always assert, so unasserted families are skipped
-    for label, (family, build, asserted) in MAP_FAMILIES.items():
+    for label, (family, p, asserted) in MAP_FAMILIES.items():
         if label not in wanted or not asserted:
             continue
         _, i_elem = directions[0]
         theta = thetas[0]
-        f = build(theta, i_elem, trunc, n)
+        f = slicemaps.ClosedFormMap(p, theta, i_elem, trunc, n)
         for domain in cfg.domains:
             gauge = geometry.ball_gauge(n, m) if domain == "ball" \
                 else geometry.polydisc_gauge(n, m)

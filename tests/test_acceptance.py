@@ -14,7 +14,7 @@ from slicegrowth.geometry import (
     growth_check_domain,
     polydisc_gauge,
 )
-from slicegrowth.series import koebe_map, convex_test_map, tail_bound
+from slicegrowth.series import extremal_series, tail_bound
 from slicegrowth.slicemaps import SliceMap
 from slicegrowth.suites import (
     RunConfig,
@@ -155,8 +155,8 @@ def test_criterion_8_growth_domain():
     details = []
     ok = True
     for label, family, stem in (
-        ("koebe", "starlike", koebe_map(0.0, e1, 300, n)),
-        ("cayley", "convex", convex_test_map(0.0, e1, 300, n)),
+        ("koebe", "starlike", extremal_series(2, 0.0, e1, 300, n)),
+        ("cayley", "convex", extremal_series(1, 0.0, e1, 300, n)),
     ):
         f = SliceMap(stem)
         slack = tail_bound(stem, 0.9) + 1e-9

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from slicegrowth.suites import (
     SUITES,
     _algebra_shard,
     _merge_shards,
+    _shard_sizes,
     run_suite,
 )
 
@@ -104,6 +106,24 @@ def test_sharded_growth_ball_asserts_only_what_every_shard_checked():
             status = rep.data["hypothesis_status"]
             assert status == "ok" or status.endswith("/192)"), status
             assert rep.data["asserted"] == (status == "ok")
+
+
+def test_shard_plan_has_at_most_total_entries():
+    # the plan is the split into `shards` shares with the empty ones dropped
+    for total in range(30):
+        for shards in range(1, 40):
+            base = total // shards
+            split = [base + (i < total - base * shards) for i in range(shards)]
+            assert _shard_sizes(total, shards) == [s for s in split if s > 0]
+    # without ever holding the `shards`-long split (8 MB at 10**6)
+    tracemalloc.start()
+    try:
+        plan = _shard_sizes(3, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan == [1, 1, 1]
+    assert peak < 10_000, peak
 
 
 def test_shard_merge_fails_on_one_failing_shard():

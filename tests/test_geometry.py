@@ -31,9 +31,8 @@ from slicegrowth.geometry import (
 )
 from slicegrowth.series import (
     StemSeries,
-    convex_test_map,
+    extremal_series,
     identity_map,
-    koebe_map,
 )
 from slicegrowth.slicemaps import ClosedFormMap, SliceMap
 from slicegrowth.slicespace import (
@@ -75,7 +74,7 @@ def test_profile_identity_has_no_slope():
 
 def test_profile_matches_sampled_norms_for_koebe():
     rng = np.random.default_rng(1)
-    f = SliceMap(koebe_map(0.6, E1_3, 80, 2))
+    f = SliceMap(extremal_series(2, 0.6, E1_3, 80, 2))
     o = make_orbit([0.25, -0.1], [0.3, 0.2])
     prof = extremal_profile(f, o, E1_3)
     for _ in range(50):
@@ -98,7 +97,7 @@ def test_profile_rejects_off_slice_maps():
 
 def test_verify_extremal_passes_for_koebe():
     rng = np.random.default_rng(2)
-    f = SliceMap(koebe_map(0.3, E1_3, 80, 2))
+    f = SliceMap(extremal_series(2, 0.3, E1_3, 80, 2))
     o = make_orbit([0.2, -0.3], [0.25, 0.15])
     rep = verify_extremal(f, o, E1_3, 400, rng)
     assert rep.passed, rep.data
@@ -107,14 +106,14 @@ def test_verify_extremal_passes_for_koebe():
 def test_verify_extremal_bivector_direction():
     rng = np.random.default_rng(3)
     e12 = CliffordElement.blade(2, (1, 2))
-    f = SliceMap(koebe_map(0.5, e12, 80, 1))
+    f = SliceMap(extremal_series(2, 0.5, e12, 80, 1))
     o = make_orbit([0.3], [0.4])
     rep = verify_extremal(f, o, e12, 400, rng)
     assert rep.passed, rep.data
 
 
 def test_profile_linearity_residual():
-    f = SliceMap(koebe_map(0.8, E1_3, 80, 2))
+    f = SliceMap(extremal_series(2, 0.8, E1_3, 80, 2))
     o = make_orbit([0.35, -0.15], [0.2, 0.3])
     assert profile_linearity(f, o, E1_3) < 1e-9
 
@@ -127,7 +126,7 @@ def test_starlike_criterion_identity_and_koebe():
     assert val == pytest.approx(float(np.sum(np.abs(z) ** 2)), abs=1e-12)
 
     rng = np.random.default_rng(4)
-    k = SliceMap(koebe_map(0.7, e1, 200, 2))
+    k = SliceMap(extremal_series(2, 0.7, e1, 200, 2))
     for _ in range(100):
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
         w *= rng.uniform(0.05, 0.9) / np.linalg.norm(w)
@@ -137,7 +136,7 @@ def test_starlike_criterion_identity_and_koebe():
 def test_starlike_criterion_flags_paper_example():
     # the degree-two polynomial family loses injectivity inside the ball
     e1 = CliffordElement.generator(2, 1)
-    f = SliceMap(convex_test_map(0.0, e1, 10, 2, variant="paper_example"))
+    f = SliceMap(extremal_series(-1, 0.0, e1, 10, 2))
     z = np.array([0.6 + 0.0j, 0.0 + 0.0j])
     with pytest.raises(CriterionError):
         # Jacobian is singular where the derivative vanishes (z_1 = 1/2)
@@ -154,38 +153,38 @@ def test_convex_criterion_values():
 
     # cayley slice x/(1-x) (powers 1..60): criterion 1 + 2x/(1-x) equals 3
     # at x = 0.5
-    cay = SliceMap(convex_test_map(0.0, e1, 59, 1))
+    cay = SliceMap(extremal_series(1, 0.0, e1, 59, 1))
     assert convex_criterion_slice(cay, e1, 0, 0.5) == pytest.approx(3.0, abs=1e-9)
 
     # koebe slice x/(1-x)^2 fails convexity on the negative axis:
     # 1 + (4x + 2x^2)/(1 - x^2) = -9.42105... at x = -0.9
     # (f'' needs ~400 terms to settle at |x| = 0.9: terms decay like k^3 0.9^k)
-    koe = SliceMap(koebe_map(0.0, e1, 398, 1))
+    koe = SliceMap(extremal_series(2, 0.0, e1, 398, 1))
     val = convex_criterion_slice(koe, e1, 0, -0.9)
     assert val == pytest.approx(1 + (4 * -0.9 + 2 * 0.81) / (1 - 0.81), abs=1e-6)
     assert val < 0.0
 
     # negative controls: the paper example x(1 - x) has f' = 0 at x = 1/2,
     # and a koebe map built on the slice of e2 leaves the slice of e1
-    paper = SliceMap(convex_test_map(0.0, e1, 10, 2, variant="paper_example"))
+    paper = SliceMap(extremal_series(-1, 0.0, e1, 10, 2))
     with pytest.raises(CriterionError):
         convex_criterion_slice(paper, e1, 0, 0.5)
     e2 = CliffordElement.generator(m, 2)
     with pytest.raises(HypothesisViolationError):
-        convex_criterion_slice(SliceMap(koebe_map(0.7, e2, 40, 1)), e1, 0, 0.3)
+        convex_criterion_slice(SliceMap(extremal_series(2, 0.7, e2, 40, 1)), e1, 0, 0.3)
 
 
 def test_batched_criteria_equal_single_points():
     rng = np.random.default_rng(13)
     e1 = CliffordElement.generator(3, 1)
-    k = SliceMap(koebe_map(0.7, e1, 200, 2))
+    k = SliceMap(extremal_series(2, 0.7, e1, 200, 2))
     z = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
     z *= rng.uniform(0.05, 0.9, size=(40, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
     batch = starlike_criterion_slice(k, e1, z)
     assert batch.shape == (40,)
     assert np.array_equal(batch, [starlike_criterion_slice(k, e1, w) for w in z])
 
-    for f in (k, SliceMap(convex_test_map(0.7, e1, 200, 2))):
+    for f in (k, SliceMap(extremal_series(1, 0.7, e1, 200, 2))):
         for t in (0, 1):
             xs = rng.uniform(-0.9, 0.9, size=40)
             batch = convex_criterion_slice(f, e1, t, xs)
@@ -194,7 +193,7 @@ def test_batched_criteria_equal_single_points():
 
     # where a scalar call raises, the batch reports NaN and still raises on
     # a singular Jacobian
-    paper = SliceMap(convex_test_map(0.0, e1, 10, 2, variant="paper_example"))
+    paper = SliceMap(extremal_series(-1, 0.0, e1, 10, 2))
     vals = convex_criterion_slice(paper, e1, 0, np.array([0.3, 0.5]))
     assert vals[0] == convex_criterion_slice(paper, e1, 0, 0.3)
     assert np.isnan(vals[1])
@@ -215,7 +214,7 @@ def test_hypothesis_status_spot_check():
         "growth-ball-paper-example-e12-theta0.000": "violated(11/64)",
     }
     # coefficients off the slice of e1 are flagged for both families
-    off = SliceMap(koebe_map(0.7, CliffordElement.generator(m, 2), 40, 2))
+    off = SliceMap(extremal_series(2, 0.7, CliffordElement.generator(m, 2), 40, 2))
     for family in ("starlike", "convex"):
         rng = np.random.default_rng(14)
         assert _hypothesis_status(off, family, e1, 0.9, rng) == "off-slice"
@@ -223,14 +222,16 @@ def test_hypothesis_status_spot_check():
 
 def test_closed_form_agreement_negative_controls():
     e1 = CliffordElement.generator(3, 1)
-    stem = koebe_map(0.7, e1, 300, 2)
-    good = closed_form_agreement([ClosedFormMap(stem, 2, 0.7, e1)], 0.9, 300,
+    good = closed_form_agreement([ClosedFormMap(2, 0.7, e1, 300, 2)], 0.9, 300,
                                  np.random.default_rng(15))
     assert good.passed, good.data
     assert good.data["value_gap"] <= good.data["tail_bound"] + 1e-9
     assert good.samples == 300
-    for wrong in (ClosedFormMap(stem, 2, 0.75, e1), ClosedFormMap(stem, 1, 0.7, e1)):
-        bad = closed_form_agreement([ClosedFormMap(stem, 2, 0.7, e1), wrong],
+    # the Koebe stem paired with a wrong theta or exponent, set on the map
+    for attr, value in (("theta", 0.75), ("p", 1)):
+        wrong = ClosedFormMap(2, 0.7, e1, 300, 2)
+        setattr(wrong, attr, value)
+        bad = closed_form_agreement([ClosedFormMap(2, 0.7, e1, 300, 2), wrong],
                                     0.9, 300, np.random.default_rng(15))
         assert not bad.passed, bad.data
         assert bad.data["value_gap"] > 1e-3
@@ -248,7 +249,7 @@ def test_growth_bounds_shapes():
 
 def test_growth_check_ball_koebe():
     rng = np.random.default_rng(5)
-    f = SliceMap(koebe_map(0.0, E1_3, 300, 2))
+    f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
     rep = growth_check_ball(f, "starlike", 0.9, 2000, rng, E1_3, 0.0)
     assert rep.passed, rep.data
     assert rep.data["hypothesis_status"] == "ok"
@@ -257,7 +258,7 @@ def test_growth_check_ball_koebe():
 def test_growth_check_ball_flags_paper_example():
     rng = np.random.default_rng(6)
     e1 = CliffordElement.generator(2, 1)
-    f = SliceMap(convex_test_map(0.0, e1, 20, 2, variant="paper_example"))
+    f = SliceMap(extremal_series(-1, 0.0, e1, 20, 2))
     rep = growth_check_ball(f, "convex", 0.9, 500, rng, e1, 0.0)
     # the lower growth bound is badly violated, but the hypothesis fails
     # first, so the report flags instead of asserting
@@ -268,16 +269,16 @@ def test_growth_check_ball_flags_paper_example():
 
 
 def test_sharpness_rows():
-    f = SliceMap(koebe_map(0.0, E1_3, 300, 2))
+    f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
     rep = sharpness_axis(f, "starlike", (0.1, 0.5, 0.9))
     assert rep.passed, rep.data
-    c = SliceMap(convex_test_map(0.0, E1_3, 300, 2))
+    c = SliceMap(extremal_series(1, 0.0, E1_3, 300, 2))
     rep2 = sharpness_axis(c, "convex", (0.1, 0.5, 0.9))
     assert rep2.passed, rep2.data
 
 
 def test_envelope_table_closed_forms():
-    f = SliceMap(koebe_map(0.0, E1_3, 300, 1))
+    f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 1))
     rows = envelope_table(f, "starlike", [0.0, 0.5])
     assert rows[0]["lower_bound"] == 0.0
     assert rows[0]["f_at_plus_r"] == pytest.approx(0.0, abs=1e-15)
@@ -432,7 +433,7 @@ def test_growth_check_domain_reads_the_map_not_its_series():
     # whose gauge-form is exact, not from the five-term series
     m, n = 3, 2
     e1 = CliffordElement.generator(m, 1)
-    f = ClosedFormMap(koebe_map(0.0, e1, 5, n), 2, 0.0, e1)
+    f = ClosedFormMap(2, 0.0, e1, 5, n)
     rep = growth_check_domain(f, polydisc_gauge(n, m), "starlike", 0.9, 200,
                               np.random.default_rng(25), e1, 0.0)
     assert rep.data["diagonal_sharpness_gap"] <= 1e-12, rep.data
@@ -441,7 +442,7 @@ def test_growth_check_domain_reads_the_map_not_its_series():
 
 
 def test_growth_check_domain_ball_matches_ball_suite():
-    f = SliceMap(koebe_map(0.0, E1_3, 300, 2))
+    f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
     rng1 = np.random.default_rng([9, 1])
     rng2 = np.random.default_rng([9, 1])
     ball_rep = growth_check_ball(f, "starlike", 0.9, 800, rng1, E1_3, 0.0)
@@ -456,11 +457,11 @@ def test_growth_check_domain_ball_matches_ball_suite():
 
 def test_growth_check_domain_hypothesis_status():
     e1 = CliffordElement.generator(2, 1)
-    paper = SliceMap(convex_test_map(0.0, e1, 20, 2, variant="paper_example"))
+    paper = SliceMap(extremal_series(-1, 0.0, e1, 20, 2))
     rep = growth_check_domain(paper, ball_gauge(2, 2), "convex", 0.9, 300,
                               np.random.default_rng(16), e1, 0.0)
     assert rep.data["hypothesis_status"].startswith("violated")
-    off = SliceMap(koebe_map(0.7, CliffordElement.generator(2, 2), 40, 2))
+    off = SliceMap(extremal_series(2, 0.7, CliffordElement.generator(2, 2), 40, 2))
     rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
     assert rep.data["hypothesis_status"] == "off-slice"
@@ -471,13 +472,13 @@ def test_growth_check_domain_fails_values_off_the_slice():
     # values leave the slice of e1 and the record fails on that residual,
     # although at N = 40 it sits under the tail slack of the growth bounds
     e1, e2 = CliffordElement.generator(2, 1), CliffordElement.generator(2, 2)
-    off = SliceMap(koebe_map(0.7, e2, 40, 2))
+    off = SliceMap(extremal_series(2, 0.7, e2, 40, 2))
     rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
     assert not rep.passed, rep.data
     assert 1.0 < rep.data["off_slice_residual"] < rep.data["threshold"]
     assert rep.data["max_error"] > rep.data["threshold"]
-    on = SliceMap(koebe_map(0.7, e1, 40, 2))
+    on = SliceMap(extremal_series(2, 0.7, e1, 40, 2))
     rep = growth_check_domain(on, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
     assert rep.passed, rep.data
@@ -485,7 +486,7 @@ def test_growth_check_domain_fails_values_off_the_slice():
 
 
 def test_growth_check_domain_polydisc():
-    f = SliceMap(koebe_map(0.0, E1_3, 300, 2))
+    f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
     rng = np.random.default_rng(10)
     rep = growth_check_domain(f, polydisc_gauge(2, 3), "starlike", 0.9, 800,
                               rng, E1_3, 0.0)
@@ -501,7 +502,7 @@ def test_growth_check_domain_polydisc():
 def test_growth_check_domain_polydisc_literal_rho_form_overshoots():
     # documents the sqrt(n) overshoot of the literal rho-form at the
     # real diagonal: ||f(diag(r))|| = sqrt(2) r/(1-r)^2 > r/(1-r)^2
-    f = SliceMap(koebe_map(0.0, E1_3, 300, 2))
+    f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
     diag = make_point([0.9, 0.9], [0.0, 0.0], E1_3)
     val = np.sqrt(sum(v.euclid_norm() ** 2 for v in f.eval(diag)))
     rho = gauge_rho(polydisc_gauge(2, 3), diag.alpha, diag.beta)

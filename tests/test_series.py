@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicegrowth.algebra import CliffordElement, mul_batch, mul_coeffs, slice_exp
-from slicegrowth.errors import NonInvertibleError
+from slicegrowth.errors import DimensionError, NonInvertibleError
 from slicegrowth.series import (
     _EVAL_CHUNK,
     StemSeries,
     UnivariateSeries,
     central_partials,
-    convex_test_map,
     cr_residual,
+    extremal_series,
+    extremal_tail,
     identity_map,
-    koebe_map,
     power_sum,
     star_inverse,
     star_mul,
@@ -53,6 +53,17 @@ def test_eval_square_at_i():
     f1, f2 = (v[0] for v in stem.eval_arrays([[0.0]], [[1.0]]))
     np.testing.assert_allclose(f1[0], -a[0])
     assert np.array_equal(f2[0], np.zeros(1 << m))
+
+
+def test_coefficient_rejects_a_multi_index_of_the_wrong_length():
+    stem = identity_map(2, 2)
+    for k in ((1,), (1, 0, 0), 1):
+        with pytest.raises(DimensionError):
+            stem.coefficient(k)
+    with pytest.raises(DimensionError):
+        StemSeries(2, 2, {(1,): np.zeros((2, 4))})
+    # an absent index of the right length reads as zero
+    assert all(v == CliffordElement.zero(2) for v in stem.coefficient((3, 0)))
 
 
 def test_even_odd_pair_exact():
@@ -316,7 +327,7 @@ def test_power_sum_matches_plain_sum():
     z = rng.uniform(-0.9, 0.9, (B, 3)) + 1j * rng.uniform(-0.9, 0.9, (B, 3))
     stem = _random_stem(2, 3, rng, degree=6, terms=12)
     assert np.count_nonzero(stem._kmat, axis=1).max() > 1
-    koebe = koebe_map(0.7, CliffordElement.generator(2, 1), 300, 2)
+    koebe = extremal_series(2, 0.7, CliffordElement.generator(2, 1), 300, 2)
     assert np.count_nonzero(koebe._kmat, axis=1).max() == 1
     disc = rng.uniform(0.0, 0.8, (B, 2)) * np.exp(2j * np.pi * rng.uniform(size=(B, 2)))
     for f, z in ((stem, z), (koebe, disc)):
@@ -334,7 +345,7 @@ def test_power_sum_matches_plain_sum():
 def test_koebe_coefficients_and_normalization():
     m, n, N = 2, 2, 50
     e1 = CliffordElement.generator(m, 1)
-    f = koebe_map(0.0, e1, N, n)
+    f = extremal_series(2, 0.0, e1, N, n)
     # normalized: no constant term, unit linear coefficient
     zero = f.coefficient((0, 0))
     assert all(v == CliffordElement.zero(m) for v in zero)
@@ -346,7 +357,7 @@ def test_koebe_coefficients_and_normalization():
         assert coeff.isclose(CliffordElement.scalar(m, k + 1.0), 1e-12)
 
     theta = 1.1
-    g = koebe_map(theta, e1, N, n)
+    g = extremal_series(2, theta, e1, N, n)
     for k in range(0, 6):
         coeff = g.coefficient((0, k + 1))[1]
         expected = (k + 1.0) * slice_exp(e1, k * theta)
@@ -357,7 +368,7 @@ def test_koebe_coefficients_and_normalization():
 def test_koebe_matches_closed_form_on_real_axis():
     m, n, N = 3, 1, 300
     e1 = CliffordElement.generator(m, 1)
-    f = koebe_map(0.0, e1, N, n)
+    f = extremal_series(2, 0.0, e1, N, n)
     for x in np.linspace(-0.9, 0.9, 19):
         f1, f2 = f.eval_arrays([[x]], [[0.0]])
         val = f1[0, 0, 0]
@@ -365,39 +376,48 @@ def test_koebe_matches_closed_form_on_real_axis():
         assert np.array_equal(f2[0, 0], np.zeros(1 << m))
 
 
-def test_convex_variants():
+def test_convex_and_paper_example_maps():
     m, n, N = 2, 1, 300
     e1 = CliffordElement.generator(m, 1)
-    poly = convex_test_map(0.0, e1, N, n, variant="paper_example")
+    poly = extremal_series(-1, 0.0, e1, N, n)
     assert poly.coefficient((1,))[0] == CliffordElement.scalar(m, 1.0)
     assert poly.coefficient((2,))[0] == CliffordElement.scalar(m, -1.0)
     assert poly.degree == 2
+    assert poly.tail_model is None
 
-    cay = convex_test_map(0.0, e1, N, n, variant="cayley")
+    cay = extremal_series(1, 0.0, e1, N, n)
     for x in np.linspace(-0.9, 0.9, 19):
         f1, _ = cay.eval_arrays([[x]], [[0.0]])
         assert abs(f1[0, 0, 0] - x / (1 - x)) < 1e-9
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_extremal_series_rejects_other_exponents(p):
+    e1 = CliffordElement.generator(2, 1)
     with pytest.raises(ValueError):
-        convex_test_map(0.0, e1, N, n, variant="bogus")
+        extremal_series(p, 0.0, e1, 40, 1)
+    with pytest.raises(ValueError):
+        extremal_tail(p, 1, 40)
 
 
-def test_tail_bounds():
+@pytest.mark.parametrize("p", [1, 2])
+def test_tail_bounds(p):
     m, n = 2, 2
     e1 = CliffordElement.generator(m, 1)
-    f = koebe_map(0.0, e1, 300, n)
+    f = extremal_series(p, 0.0, e1, 300, n)
     assert tail_bound(f, 0.9) < 1e-9
     assert tail_bound(identity_map(m, n), 0.9) == 0.0
     # at theta = 0 on the positive real axis the tail is the truncation
     # error itself, so the two agree to rounding in f(x); a tail model
     # that under- or overestimates fails
-    small = koebe_map(0.0, e1, 40, 1)
+    small = extremal_series(p, 0.0, e1, 40, 1)
     x = 0.8
-    exact = x / (1 - x) ** 2
+    exact = x / (1 - x) ** p
     f1, _ = small.eval_arrays([[x]], [[0.0]])
     actual_gap = abs(f1[0, 0, 0] - exact)
     assert abs(actual_gap - tail_bound(small, x)) <= 16 * np.finfo(float).eps * exact
     # monotone decrease with the order
-    tails = [tail_bound(koebe_map(0.0, e1, N, 1), 0.9) for N in (50, 100, 200, 300)]
+    tails = [tail_bound(extremal_series(p, 0.0, e1, N, 1), 0.9) for N in (50, 100, 200, 300)]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
 
 

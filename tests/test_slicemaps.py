@@ -9,8 +9,8 @@ from slicegrowth.errors import BasisError, RepresentationError
 from slicegrowth.series import (
     StemSeries,
     cr_residual,
+    extremal_series,
     identity_map,
-    koebe_map,
     tail_bound,
 )
 from slicegrowth.slicemaps import (
@@ -59,7 +59,7 @@ def test_well_definedness_is_exact():
 
 def test_koebe_on_real_slice_axis():
     e1 = CliffordElement.generator(3, 1)
-    f = SliceMap(koebe_map(0.0, e1, 300, 2))
+    f = SliceMap(extremal_series(2, 0.0, e1, 300, 2))
     for x in (0.5, -0.7, 0.9):
         p = make_point([x, 0.0], [0.0, 0.0], e1)
         vals = f.eval(p)
@@ -70,12 +70,11 @@ def test_closed_form_matches_series():
     m = 3
     rng = np.random.default_rng(12)
     directions = (CliffordElement.generator(m, 1), CliffordElement.blade(m, (1, 2)))
-    for label, (_, build, _) in MAP_FAMILIES.items():
+    for label, (_, exponent, _) in MAP_FAMILIES.items():
         for i_elem in directions:
             for theta in (0.0, 0.7, np.pi / 2):
                 for n in (1, 2):
-                    f = build(theta, i_elem, 300, n)
-                    assert isinstance(f, ClosedFormMap)
+                    f = ClosedFormMap(exponent, theta, i_elem, 300, n)
                     bound = tail_bound(f.stem, 0.9) + 1e-9
                     # points of the polydisc of radius 0.9 on random slices
                     radius = 0.9 * np.sqrt(rng.uniform(0, 1, size=(200, n)))
@@ -96,16 +95,19 @@ def test_closed_form_matches_series():
 
 def test_closed_form_coefficient_gap_detects_wrong_family():
     e1 = CliffordElement.generator(2, 1)
-    stem = koebe_map(0.7, e1, 40, 2)
-    assert ClosedFormMap(stem, 2, 0.7, e1).coefficient_gap() < 1e-12
-    assert ClosedFormMap(stem, 1, 0.7, e1).coefficient_gap() > 1.0
-    assert ClosedFormMap(stem, 2, 0.8, e1).coefficient_gap() > 0.05
+    f = ClosedFormMap(2, 0.7, e1, 40, 2)
+    assert f.coefficient_gap() < 1e-12
+    # the Koebe stem paired with a wrong exponent or theta, set on the map
+    f.p = 1
+    assert f.coefficient_gap() > 1.0
+    f.p, f.theta = 2, 0.8
+    assert f.coefficient_gap() > 0.05
     # a stem term in two variables is no part of the componentwise map
-    table = {k: stem.coefficient(k) for k in stem.multi_indices()}
+    f.theta = 0.7
+    table = {k: f.stem.coefficient(k) for k in f.stem.multi_indices()}
     table[(1, 1)] = np.full((2, 4), 1e-6)
-    mixed = StemSeries(2, 2, table, degree=stem.degree)
-    assert ClosedFormMap(mixed, 2, 0.7, e1).coefficient_gap() == pytest.approx(
-        1e-6, rel=1e-3)
+    f.stem = StemSeries(2, 2, table, degree=f.stem.degree)
+    assert f.coefficient_gap() == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_representation_reconstructs_random_maps():
@@ -204,7 +206,7 @@ def test_row_functions_give_each_row_its_own_bits():
     # the stem row is shared here only by broadcasting
     rng = np.random.default_rng(14)
     I0 = sample_S(rng, 3)
-    f = ClosedFormMap(koebe_map(0.7, I0, 40, 2), 2, 0.7, I0)
+    f = ClosedFormMap(2, 0.7, I0, 40, 2)
     stem_map = _rand_map(rng)
     B = 9
     alpha, beta = rng.uniform(-0.5, 0.5, (B, 2)), rng.uniform(-0.5, 0.5, (B, 2))
@@ -235,7 +237,7 @@ def test_row_functions_give_each_row_its_own_bits():
 
 def test_jacobian_of_koebe_at_origin_is_identity():
     e1 = CliffordElement.generator(2, 1)
-    f = SliceMap(koebe_map(0.9, e1, 60, 2))
+    f = SliceMap(extremal_series(2, 0.9, e1, 60, 2))
     origin = make_point([0.0, 0.0], [0.0, 0.0], e1)
     for s in range(2):
         row = f.derivative(s).eval(origin)
@@ -261,7 +263,7 @@ def test_shadow_matches_slice_map_on_its_slice():
     # koebe coefficients lie in C_I, so f_I is the shadow's value there
     rng = np.random.default_rng(12)
     i_elem = CliffordElement.generator(3, 2)
-    f = SliceMap(koebe_map(0.7, i_elem, 40, 2))
+    f = SliceMap(extremal_series(2, 0.7, i_elem, 40, 2))
     alpha = rng.uniform(-0.5, 0.5, (20, 2))
     beta = rng.uniform(-0.5, 0.5, (20, 2))
     on_slice, resid = complex_on_slice(f.eval_arrays(alpha, beta, i_elem.coeffs), i_elem)
@@ -331,7 +333,7 @@ def test_split_koebe_concentrates_on_slice():
     # coefficients live in span{1, e1}: only the unit-blade component survives
     m = 2
     e1 = CliffordElement.generator(m, 1)
-    f = SliceMap(koebe_map(0.7, e1, 40, 1))
+    f = SliceMap(extremal_series(2, 0.7, e1, 40, 1))
     comps, basis = split_components(f, e1, completion=[
         CliffordElement.scalar(m, 1.0), CliffordElement.generator(m, 2)])
     assert np.max(np.abs(comps[1].coeffs)) < 1e-12
