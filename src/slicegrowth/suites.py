@@ -12,6 +12,16 @@ Slice maps are evaluated on coefficient rows (SliceMap.eval_arrays);
 the representation and regularity suites draw their cases in stream
 order and evaluate them in blocks of _BLOCK cases.
 
+run_suite("all", cfg) runs the suites on a fork-context multiprocessing
+pool of min(len(SUITES), usable CPUs) workers, one task per suite, and
+concatenates their reports in SUITES order.  Since no suite's numbers
+depend on the process that runs it or on what ran before it, the report
+is byte-identical to that of the serial loop, which runs with one usable
+CPU or where os.sched_getaffinity does not exist.  A worker looks its
+suite up by name in SUITES as it was at the fork, and an exception a
+suite raises is raised again in the parent.  multiprocessing is imported
+only then, so importing the package does not load it.
+
 The growth suites evaluate the extremal families in closed form, as
 slicemaps.ClosedFormMap(p, theta, I, N, n) with the exponent p that
 MAP_FAMILIES names; the truncated star-product series
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import zlib
 from dataclasses import dataclass
 from typing import Optional
@@ -211,7 +222,25 @@ def _inverse_errors(m: int, a: np.ndarray, inv: np.ndarray):
     return float(np.max(backward)), float(np.max(raw))
 
 
-def _algebra_shard(m: int, count: int, rng) -> Report:
+def _anticommutation_error(m: int) -> float:
+    """Largest deviation of e_i e_j + e_j e_i from -2 delta_ij over the
+    generators of R_m: exact integer identities, so one value per m."""
+    pair_err = 0.0
+    for i in range(1, m + 1):
+        ei = CliffordElement.generator(m, i)
+        for j in range(1, m + 1):
+            ej = CliffordElement.generator(m, j)
+            s = (ei * ej + ej * ei).coeffs
+            expect = np.zeros(1 << m)
+            if i == j:
+                expect[0] = -2.0
+            pair_err = max(pair_err, float(np.max(np.abs(s - expect))))
+    return pair_err
+
+
+def _algebra_shard(m: int, pair_err: float, count: int, rng) -> Report:
+    """One algebra record from count sampled cases, with the m-wide
+    anticommutation error pair_err (_anticommutation_error) folded in."""
     dim = 1 << m
     a = rng.uniform(-1.0, 1.0, size=(count, dim))
     b = rng.uniform(-1.0, 1.0, size=(count, dim))
@@ -232,18 +261,6 @@ def _algebra_shard(m: int, count: int, rng) -> Report:
     invol_err = float(np.max(np.abs(algebra.conj_batch(m, algebra.conj_batch(m, a)) - a)))
 
     inv_err, inv_resid = _inverse_errors(m, a, algebra.invert_batch(m, a))
-
-    # anticommutation relations are exact integer identities
-    pair_err = 0.0
-    for i in range(1, m + 1):
-        ei = CliffordElement.generator(m, i)
-        for j in range(1, m + 1):
-            ej = CliffordElement.generator(m, j)
-            s = (ei * ej + ej * ei).coeffs
-            expect = np.zeros(dim)
-            if i == j:
-                expect[0] = -2.0
-            pair_err = max(pair_err, float(np.max(np.abs(s - expect))))
 
     # sampled roots of -1 square to -1
     roots = slicespace.sample_S_batch(rng, m, min(count, 2000))
@@ -270,7 +287,8 @@ def run_algebra(cfg: RunConfig) -> list[Report]:
         # work per case grows like 4**m; keep large-m batches tractable
         budget_m = max(200, total // 4 ** max(0, m - 5)) if m > 5 else total
         reports.append(_sharded(
-            cfg, "algebra", budget_m, m, functools.partial(_algebra_shard, m),
+            cfg, "algebra", budget_m, m,
+            functools.partial(_algebra_shard, m, _anticommutation_error(m)),
             ("max_error",) + _ALGEBRA_ERRORS + ("inverse_residual",)))
     return reports
 
@@ -719,13 +737,33 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
+def _run_named(cfg: RunConfig, name: str) -> list[Report]:
+    """The reports of SUITES[name]: a pool task, looked up by name in the
+    forked worker so that it runs whatever SUITES held at the fork."""
+    return SUITES[name](cfg)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
+
+
 def run_suite(name: str, cfg: RunConfig) -> list[Report]:
     cfg.validate()
     if name == "all":
-        reports = []
-        for key in SUITES:
-            reports.extend(SUITES[key](cfg))
-        return reports
+        task = functools.partial(_run_named, cfg)
+        workers = min(len(SUITES), _usable_cpus())
+        if workers < 2:
+            parts = list(map(task, SUITES))
+        else:
+            # loaded here, not at import: single-suite runs never pay for it
+            import multiprocessing
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                parts = pool.map(task, SUITES, chunksize=1)
+                pool.close()
+                pool.join()
+        return [rep for part in parts for rep in part]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](cfg)

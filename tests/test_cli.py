@@ -14,14 +14,17 @@ from click.testing import CliRunner
 
 from slicegrowth import algebra
 from slicegrowth.cli import main
+from slicegrowth.errors import SliceAnalysisError
 from slicegrowth.reports import Report, render, summary_lines
 from slicegrowth.suites import (
     _INVERSE_MULTIPLE,
     RunConfig,
     SUITES,
     _algebra_shard,
+    _anticommutation_error,
     _merge_shards,
     _shard_sizes,
+    _usable_cpus,
     run_suite,
 )
 
@@ -159,13 +162,14 @@ def test_algebra_inverse_check_and_its_negative_controls(monkeypatch):
 
     for m in (1, 2, 3, 6, 8):
         rng = np.random.default_rng(m)
-        assert _algebra_shard(m, 200, rng).passed, m
+        pair_err = _anticommutation_error(m)
+        assert _algebra_shard(m, pair_err, 200, rng).passed, m
         controls = [("invert_batch", perturbed), ("_spinor", flipped_decode)]
         if m >= 3:
             controls.append(("invert_batch", cone))
         for name, control in controls:
             monkeypatch.setattr(algebra, name, control)
-            rep = _algebra_shard(m, 200, np.random.default_rng(m))
+            rep = _algebra_shard(m, pair_err, 200, np.random.default_rng(m))
             monkeypatch.undo()
             assert not rep.passed, (m, control.__name__, rep.data)
             assert rep.data["inverse_identity"] > _INVERSE_MULTIPLE * (1 << m) * \
@@ -321,6 +325,47 @@ def test_cli_suite_value_error_is_not_a_usage_error(monkeypatch):
     result = CliRunner().invoke(main, ["verify", "gauge", "--quiet"])
     assert result.exit_code == 1
     assert isinstance(result.exception, ValueError)
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="the pool needs 2 usable CPUs")
+@pytest.mark.parametrize("shards", [1, 3])
+def test_pooled_run_all_equals_serial_concatenation(shards, monkeypatch):
+    cfg = small_config(shards=shards)
+    serial = [rep for run in SUITES.values() for rep in run(cfg)]
+    assert render(run_suite("all", cfg), "json") == render(serial, "json")
+    # the suites ran in forked workers, not in this process
+    monkeypatch.setitem(SUITES, "gauge",
+                        lambda cfg: [Report("pid", True, 1, {"pid": os.getpid()})])
+    assert run_suite("all", cfg)[-1].data["pid"] != os.getpid()
+
+
+def test_run_all_raises_a_suite_error_as_the_suite_did(monkeypatch):
+    # the error crosses back from the worker with its type and message
+    def broken_suite(cfg):
+        raise SliceAnalysisError("boom")
+
+    monkeypatch.setitem(SUITES, "extremal", broken_suite)
+    with pytest.raises(SliceAnalysisError) as info:
+        run_suite("all", small_config())
+    assert type(info.value) is SliceAnalysisError and str(info.value) == "boom"
+    result = CliRunner().invoke(main, ["verify", "all", "--samples", "40",
+                                       "--truncation", "40", "--quiet"])
+    assert result.exit_code == 1
+    assert type(result.exception) is SliceAnalysisError
+    assert str(result.exception) == "boom"
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # the pool is imported by `verify all` only, so single-suite runs and
+    # interpreter start-up do not pay for it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, slicegrowth.cli; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # map -> (lower, ||f(-1/2)||, ||f(1/2)||, upper) at r = 1/2, theta = 0
