@@ -8,7 +8,6 @@ slice domains, wired into a deterministic verification harness.
 
 from .algebra import (
     CliffordElement,
-    in_quadratic_cone,
     in_sqrt_minus_one,
     slice_exp,
 )
@@ -23,7 +22,6 @@ from .errors import (
     RepresentationError,
     SamplingError,
     SliceAnalysisError,
-    SliceMismatchError,
 )
 from .geometry import (
     ExtremalProfile,
@@ -61,15 +59,9 @@ from .slicemaps import (
 from .slicespace import (
     SliceOrbit,
     SlicePoint,
-    circle_rotate,
-    decompose,
-    embed,
-    is_paravector_slice,
     make_orbit,
     make_point,
-    orbit_point,
     point_norm,
-    sample_S,
     vector_norm,
 )
 from .suites import RunConfig, run_suite

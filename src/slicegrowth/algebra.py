@@ -319,9 +319,6 @@ class CliffordElement:
         """Coefficient 2-norm; equals sqrt(n(x)) on the quadratic cone."""
         return float(np.linalg.norm(self.coeffs))
 
-    def is_scalar(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.coeffs[1:]), initial=0.0) <= tol)
-
     def isclose(self, other: "CliffordElement", tol: float = 1e-12) -> bool:
         return self.m == other.m and bool(
             np.max(np.abs(self.coeffs - other.coeffs)) <= tol
@@ -414,14 +411,7 @@ class CliffordElement:
             )
         return CliffordElement(self.m, invert_batch(self.m, row)[0])
 
-    # -- serialization and display -------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "coeffs": [float(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CliffordElement":
-        return cls(int(obj["m"]), obj["coeffs"])
+    # -- display ---------------------------------------------------------------
 
     def __repr__(self):
         names = _tables(self.m).names
@@ -437,18 +427,6 @@ class CliffordElement:
 # ---------------------------------------------------------------------------
 # predicates and helpers
 # ---------------------------------------------------------------------------
-
-def in_quadratic_cone(x: CliffordElement, tol: float = 1e-10) -> bool:
-    """Membership in the quadratic cone: reals, plus elements whose trace
-    and norm are scalar (within tol) with 4 n(x) > t(x)**2."""
-    if x.is_scalar(tol):
-        return True
-    t = x.trace()
-    nn = x.norm_sq()
-    if not (t.is_scalar(tol) and nn.is_scalar(tol)):
-        return False
-    return 4.0 * nn.scalar_part > t.scalar_part ** 2
-
 
 def in_sqrt_minus_one(x: CliffordElement, tol: float = 1e-10) -> bool:
     """True when t(x) ~ 0 and n(x) ~ 1 componentwise, i.e. x*x ~ -1 inside

@@ -15,16 +15,12 @@ class NonInvertibleError(SliceAnalysisError):
 
 
 class ConeError(SliceAnalysisError):
-    """A value expected inside the quadratic cone (or on the sphere of
-    square roots of -1) is not there within tolerance."""
-
-
-class SliceMismatchError(SliceAnalysisError):
-    """Components of a vector do not share a common slice."""
+    """A slice unit J is not a square root of -1 within tolerance."""
 
 
 class SamplingError(SliceAnalysisError):
-    """A rejection sampler exhausted its retry budget."""
+    """A randomized search exhausted its retry budget, or what it looks
+    for does not exist."""
 
 
 class RepresentationError(SliceAnalysisError):

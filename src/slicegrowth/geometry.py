@@ -288,7 +288,7 @@ def _hypothesis_status(f: SliceMap, family: str, I: CliffordElement,
                 norm = np.linalg.norm(z)
                 if norm < 1e-9:
                     continue
-                points.append(z * (rng.uniform(0.05, r_max) / norm))
+                points.append(z * (rng.uniform(min(0.05, r_max / 2), r_max) / norm))
             values = [starlike_criterion_slice(f, I, np.reshape(points, (-1, f.n)))]
         else:
             # convex family: per-component one-variable criterion at real x
@@ -616,8 +616,7 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
     xnorm = np.sqrt(np.sum(alpha ** 2 + beta ** 2, axis=1))
     norms = _batch_norms(f, alpha, beta, j_rows)
 
-    lo_rho = rho / (1.0 + rho) ** p
-    hi_rho = rho / (1.0 - rho) ** p
+    lo_rho, hi_rho = growth_bounds(rho, family)
     lo_x = xnorm / (1.0 + rho) ** p
     hi_x = xnorm / (1.0 - rho) ** p
     rho_viol = (
@@ -643,8 +642,7 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
                          I.coeffs)
     rhos, off_slice = value_gauge_on_slice(g, vals, I)
     value_rho, diag_rho = rhos[:samples], rhos[samples:]
-    lo_g = rho_i / (1.0 + rho_i) ** p
-    hi_g = rho_i / (1.0 - rho_i) ** p
+    lo_g, hi_g = growth_bounds(rho_i, family)
     gauge_viol = (
         float(np.max(lo_g - value_rho, initial=0.0)),
         float(np.max(value_rho - hi_g, initial=0.0)),

@@ -142,30 +142,6 @@ class StemSeries:
         return StemSeries._from_tables(self.m, self.n, kmat, amat,
                                        degree=max(self.degree - 1, 0))
 
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "N": self.degree,
-            "terms": [
-                {
-                    "k": [int(e) for e in k],
-                    "a": [CliffordElement(self.m, row).to_json() for row in coeff],
-                }
-                for k, coeff in zip(self._kmat.tolist(), self._amat)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StemSeries":
-        terms = {
-            tuple(entry["k"]): [CliffordElement.from_json(a) for a in entry["a"]]
-            for entry in obj["terms"]
-        }
-        return cls(int(obj["m"]), int(obj["n"]), terms, degree=int(obj["N"]))
-
 
 def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The one power-series evaluator: sum_k z^k coeffs[k] at each row of z.

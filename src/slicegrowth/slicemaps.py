@@ -128,10 +128,12 @@ class ClosedFormMap(SliceMap):
         binom = [0, 1]
         for k in range(1, degree):
             binom.append(binom[-1] * (k + self.p - 1) // k)
+        # theta reduced to (-pi, pi], so k * angle keeps its digits at large |theta|
+        angle = math.atan2(math.sin(self.theta), math.cos(self.theta))
         k = np.arange(-1, degree)
         rows = np.array(binom, dtype=np.float64)[:, None] * (
-            np.cos(k * self.theta)[:, None] * _unit_row(self.m)
-            + np.sin(k * self.theta)[:, None] * self.I.coeffs)
+            np.cos(k * angle)[:, None] * _unit_row(self.m)
+            + np.sin(k * angle)[:, None] * self.I.coeffs)
         expected = np.zeros((degree + 1, n, n, 1 << self.m))
         expected[:, np.arange(n), np.arange(n)] = rows[:, None, :]
         # terms in one variable go to (power, variable); the rest must vanish
@@ -350,10 +352,3 @@ def reassemble_on_slice(components, basis, I: CliffordElement, z) -> np.ndarray:
         scale = vals.real[..., None] * _unit_row(m) + vals.imag[..., None] * I.coeffs
         acc = acc + mul_batch(m, scale, b.coeffs)
     return acc[0] if z.ndim == 1 else acc
-
-
-def well_defined_gap(f: SliceMap, p: SlicePoint) -> float:
-    """Max difference between evaluating at (beta, J) and (-beta, -J)."""
-    vals = f.eval_arrays(np.stack([p.alpha, p.alpha]), np.stack([p.beta, -p.beta]),
-                         np.stack([p.J.coeffs, -p.J.coeffs]))
-    return float(np.max(np.abs(vals[0] - vals[1])))

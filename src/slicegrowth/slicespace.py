@@ -1,10 +1,18 @@
-"""Points of the several-variable slice cone in slice coordinates.
+"""Points of the several-variable slice cone, held as rows.
 
-A point is stored as (alpha, beta, J) with real n-vectors alpha, beta and
-J a square root of -1, representing the Clifford vector with components
-x_t = alpha_t + beta_t * J.  The pair (beta, J) and (-beta, -J) describe
-the same point; the canonical form keeps the first nonzero coefficient of
-J positive and, for real points (beta = 0), pins J to e_1.
+A point x with components x_t = alpha_t + beta_t * J, J a square root of
+-1, is the row pair (alpha, beta) of shape (n,) with the slice row J of
+shape (2**m,); a batch of B points is (alpha, beta) of shape (B, n) with
+J rows of shape (B, 2**m) or one J row broadcast over them.  This is what
+SliceMap.eval_arrays and gauge_rho take.  The pair (beta, J) and
+(-beta, -J) describe the same point.
+
+sample_S_batch draws J rows (unit grade-1 vectors, each a root of -1);
+SliceOrbit is the orbit alpha + beta*J over all J, and anticommuting_unit
+completes a slice I to the sweep J(u) = u*I + sqrt(1-u**2)*I_perp.
+make_point builds the one-point SlicePoint that SliceMap.eval takes; its
+canonical form keeps the first nonzero coefficient of J positive and, for
+real points (beta = 0), pins J to e_1.
 """
 
 from __future__ import annotations
@@ -13,14 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    CliffordElement,
-    grades,
-    in_sqrt_minus_one,
-    mul_coeffs,
-    slice_exp,
-)
-from .errors import ConeError, DimensionError, SamplingError, SliceMismatchError
+from .algebra import CliffordElement, grades, in_sqrt_minus_one, mul_coeffs
+from .errors import ConeError, DimensionError, SamplingError
 
 _CANON_EPS = 1e-12
 
@@ -53,17 +55,6 @@ class SlicePoint:
     @property
     def n(self) -> int:
         return self.alpha.shape[0]
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": [float(a) for a in self.alpha],
-            "beta": [float(b) for b in self.beta],
-            "J": self.J.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SlicePoint":
-        return make_point(obj["alpha"], obj["beta"], CliffordElement.from_json(obj["J"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,53 +98,6 @@ def make_orbit(alpha, beta) -> SliceOrbit:
     return SliceOrbit(alpha, beta)
 
 
-def embed(p: SlicePoint) -> list[CliffordElement]:
-    """Componentwise Clifford vector x_t = alpha_t + beta_t * J."""
-    out = []
-    for a, b in zip(p.alpha, p.beta):
-        out.append(CliffordElement.scalar(p.m, a) + b * p.J)
-    return out
-
-
-def decompose(xs, tol: float = 1e-9) -> SlicePoint:
-    """Recover canonical (alpha, beta, J) from a vector of Clifford values.
-
-    Every component must be alpha_t + beta_t*J for one shared J (up to
-    sign); real components are compatible with any slice.  Raises
-    ConeError when a component's imaginary part is not a scaled root of
-    -1, SliceMismatchError when components sit on different slices.
-    """
-    xs = list(xs)
-    if not xs:
-        raise DimensionError("empty component list")
-    m = xs[0].m
-    alphas = np.array([x.scalar_part for x in xs])
-    imags = np.stack([x.coeffs for x in xs])
-    imags[:, 0] = 0.0
-    norms = np.linalg.norm(imags, axis=1)
-    scale = max(1.0, float(np.max([x.euclid_norm() for x in xs])))
-
-    ref = int(np.argmax(norms))
-    if norms[ref] <= tol * scale:
-        return make_point(alphas, np.zeros_like(alphas), CliffordElement.generator(m, 1))
-
-    j0 = imags[ref] / norms[ref]
-    if not in_sqrt_minus_one(CliffordElement(m, j0), max(tol, 1e-12) * 100):
-        raise ConeError("component imaginary part is not a scaled root of -1")
-
-    betas = imags @ j0
-    for t in range(len(xs)):
-        if norms[t] <= tol * scale:
-            betas[t] = 0.0
-            continue
-        ut = imags[t] / norms[t]
-        if not in_sqrt_minus_one(CliffordElement(m, ut), max(tol, 1e-12) * 100):
-            raise ConeError(f"component {t} lies outside the quadratic cone")
-        if np.linalg.norm(imags[t] - betas[t] * j0) > tol * scale:
-            raise SliceMismatchError("components do not share a common slice")
-    return make_point(alphas, betas, CliffordElement(m, j0))
-
-
 def point_norm(p: SlicePoint) -> float:
     """sqrt(sum of alpha_t**2 + beta_t**2); the slice-cone Euclidean norm."""
     return float(np.sqrt(np.dot(p.alpha, p.alpha) + np.dot(p.beta, p.beta)))
@@ -168,68 +112,15 @@ def vector_norm(values) -> float:
     return float(np.sqrt(total))
 
 
-def orbit_point(o: SliceOrbit, J: CliffordElement, tol: float = 1e-10) -> SlicePoint:
-    """Representative of the orbit on the slice of J."""
-    return make_point(o.alpha, o.beta, J, tol)
-
-
-def sample_S(rng, m: int, strategy: str = "vector", max_tries: int = 1000,
-             tol: float = 1e-10) -> CliffordElement:
-    """Draw an element of the sphere of square roots of -1.
-
-    "vector" draws a uniform unit grade-1 vector, which is always a root
-    of -1.  "rejection" draws a full random element, projects the trace
-    out, normalizes, and accepts when the square lands on -1; for m >= 3
-    that set has measure zero among trace-free directions, so rejection
-    is only practical for m <= 2 and exhausts its budget otherwise.
-    """
-    if strategy == "vector":
-        v = rng.normal(size=m)
-        nv = np.linalg.norm(v)
-        while nv < 1e-12:
-            v = rng.normal(size=m)
-            nv = np.linalg.norm(v)
-        return CliffordElement.from_vector(m, v / nv)
-    if strategy != "rejection":
-        raise ValueError(f"unknown sampling strategy {strategy!r}")
-    cs = np.where((grades(m) * (grades(m) + 1) // 2) % 2 == 0, 1.0, -1.0)
-    for _ in range(max_tries):
-        x = rng.normal(size=1 << m)
-        x = 0.5 * (x - cs * x)  # remove the trace: (x - conj(x)) / 2
-        nx = np.linalg.norm(x)
-        if nx < 1e-12:
-            continue
-        x /= nx
-        cand = CliffordElement(m, x)
-        if in_sqrt_minus_one(cand, tol):
-            return cand
-    raise SamplingError(
-        f"rejection sampling found no root of -1 in {max_tries} tries (m={m})"
-    )
-
-
 def sample_S_batch(rng, m: int, count: int) -> np.ndarray:
-    """Vector-strategy coefficient rows, shape (count, 2**m)."""
+    """Uniform unit grade-1 vectors, each a root of -1, as coefficient
+    rows of shape (count, 2**m)."""
     v = rng.normal(size=(count, m))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     out = np.zeros((count, 1 << m))
     for i in range(m):
         out[:, 1 << i] = v[:, i]
     return out
-
-
-def circle_rotate(p: SlicePoint, theta: float, tol: float = 1e-9) -> SlicePoint:
-    """Left multiplication of every component by e^{J theta}."""
-    rot = slice_exp(p.J, theta)
-    rotated = [rot * x for x in embed(p)]
-    return decompose(rotated, tol)
-
-
-def is_paravector_slice(p: SlicePoint, tol: float = 1e-10) -> bool:
-    """True when J is purely grade-1, so the embedded components are
-    paravectors."""
-    mask = grades(p.m) != 1
-    return bool(np.max(np.abs(p.J.coeffs[mask]), initial=0.0) <= tol)
 
 
 def anticommuting_unit(i_elem: CliffordElement, rng=None,

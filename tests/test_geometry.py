@@ -35,14 +35,8 @@ from slicegrowth.series import (
     identity_map,
 )
 from slicegrowth.slicemaps import ClosedFormMap, SliceMap
-from slicegrowth.slicespace import (
-    make_orbit,
-    make_point,
-    orbit_point,
-    point_norm,
-    sample_S,
-)
-from slicegrowth.suites import RunConfig, run_growth_ball
+from slicegrowth.slicespace import make_orbit, make_point, point_norm, sample_S_batch
+from slicegrowth.suites import RunConfig, run_growth_ball, run_suite
 
 
 E1_3 = CliffordElement.generator(3, 1)
@@ -65,9 +59,8 @@ def test_profile_identity_has_no_slope():
     assert abs(prof.c1) < 1e-14
     assert np.max(np.abs(prof.b)) < 1e-14
     norms = []
-    for _ in range(50):
-        j = sample_S(rng, 3)
-        p = orbit_point(o, j)
+    for j in sample_S_batch(rng, 3, 50):
+        p = make_point(o.alpha, o.beta, CliffordElement(3, j))
         norms.append(np.sqrt(sum(v.euclid_norm() ** 2 for v in f.eval(p))))
     assert max(norms) - min(norms) < 1e-12
 
@@ -77,10 +70,10 @@ def test_profile_matches_sampled_norms_for_koebe():
     f = SliceMap(extremal_series(2, 0.6, E1_3, 80, 2))
     o = make_orbit([0.25, -0.1], [0.3, 0.2])
     prof = extremal_profile(f, o, E1_3)
-    for _ in range(50):
-        j = sample_S(rng, 3)
-        u = float(np.dot(j.coeffs, E1_3.coeffs))
-        val = np.sqrt(sum(v.euclid_norm() ** 2 for v in f.eval(orbit_point(o, j))))
+    for j in sample_S_batch(rng, 3, 50):
+        u = float(np.dot(j, E1_3.coeffs))
+        val = np.sqrt(sum(v.euclid_norm() ** 2
+                          for v in f.eval(make_point(o.alpha, o.beta, CliffordElement(3, j)))))
         assert abs(val ** 2 - prof.g(u)) < 1e-9
 
 
@@ -314,7 +307,7 @@ def test_oracle_gauge_matches_closed_form():
     oracle = oracle_gauge(_closed_member(ball), 2, 2)
     for _ in range(50):
         p = make_point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2),
-                       sample_S(rng, 2))
+                       CliffordElement(2, sample_S_batch(rng, 2, 1)[0]))
         rho = gauge_rho(oracle, p.alpha, p.beta, p.J.coeffs)
         assert abs(rho - gauge_rho(ball, p.alpha, p.beta)) < 1e-8
 
@@ -338,7 +331,7 @@ def test_gauge_batch_equals_rows_bit_for_bit():
     alpha[[0, 17]] = 0.0
     beta[[0, 17]] = 0.0
     beta[5] = 0.0
-    j_rows = np.array([sample_S(rng, m).coeffs for _ in range(40)])
+    j_rows = sample_S_batch(rng, m, 40)
     ball, poly = ball_gauge(n, m), polydisc_gauge(n, m)
     # a domain whose radius depends on the slice unit reads j_rows
     by_j = oracle_gauge(
@@ -465,6 +458,12 @@ def test_growth_check_domain_hypothesis_status():
     rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
     assert rep.data["hypothesis_status"] == "off-slice"
+
+
+def test_growth_domain_runs_below_the_spot_check_radius():
+    # the starlike spot-check draws radii from [min(0.05, r_max / 2), r_max]
+    reports = run_suite("growth-domain", RunConfig(r_max=0.01, samples=50))
+    assert reports and all(rep.passed for rep in reports)
 
 
 def test_growth_check_domain_fails_values_off_the_slice():

@@ -419,13 +419,3 @@ def test_tail_bounds(p):
     # monotone decrease with the order
     tails = [tail_bound(extremal_series(p, 0.0, e1, N, 1), 0.9) for N in (50, 100, 200, 300)]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
-
-
-def test_stem_json_roundtrip():
-    rng = np.random.default_rng(6)
-    stem = _rand_stem(rng, m=2, n=2)
-    again = StemSeries.from_json(stem.to_json())
-    assert stem.multi_indices() == again.multi_indices()
-    for k in stem.multi_indices():
-        for a, b in zip(stem.coefficient(k), again.coefficient(k)):
-            assert a == b

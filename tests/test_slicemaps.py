@@ -24,9 +24,8 @@ from slicegrowth.slicemaps import (
     slice_shadow,
     split_components,
     two_slice_average,
-    well_defined_gap,
 )
-from slicegrowth.slicespace import embed, make_point, sample_S, sample_S_batch
+from slicegrowth.slicespace import make_point, sample_S_batch
 from slicegrowth.suites import MAP_FAMILIES, _random_stem, _re_z1_control
 
 
@@ -40,21 +39,23 @@ def _rand_map(rng, m=3, n=2, degree=5, terms=8):
 
 
 def test_identity_map_evaluates_to_embedding():
+    # the identity map's values are the points' own rows alpha_t + beta_t J
     f = SliceMap(identity_map(3, 2))
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        p = make_point(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), sample_S(rng, 3))
-        vals = f.eval(p)
-        for a, b in zip(vals, embed(p)):
-            assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-14
+    alpha, beta = rng.uniform(-1, 1, (2, 20, 2))
+    J = sample_S_batch(rng, 3, 20)
+    expected = beta[:, :, None] * J[:, None, :]
+    expected[:, :, 0] += alpha
+    assert np.max(np.abs(f.eval_arrays(alpha, beta, J) - expected)) < 1e-14
 
 
 def test_well_definedness_is_exact():
+    # (beta, J) and (-beta, -J) name one point and give it the same bits
     rng = np.random.default_rng(1)
     f = _rand_map(rng)
-    for _ in range(50):
-        p = make_point(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), sample_S(rng, 3))
-        assert well_defined_gap(f, p) == 0.0
+    alpha, beta = rng.uniform(-1, 1, (2, 50, 2))
+    J = sample_S_batch(rng, 3, 50)
+    assert np.array_equal(f.eval_arrays(alpha, beta, J), f.eval_arrays(alpha, -beta, -J))
 
 
 def test_koebe_on_real_slice_axis():
@@ -110,11 +111,18 @@ def test_closed_form_coefficient_gap_detects_wrong_family():
     assert f.coefficient_gap() == pytest.approx(1e-6, rel=1e-3)
 
 
+@pytest.mark.parametrize("theta", [123.45678, 12345.678, -1e6, 1e300])
+def test_closed_form_coefficient_gap_at_large_theta(theta):
+    # the reference e^{I k theta} is taken at theta reduced to (-pi, pi]
+    f = ClosedFormMap(2, theta, CliffordElement.generator(3, 1), 300, 2)
+    assert f.coefficient_gap() < 1e-10
+
+
 def test_representation_reconstructs_random_maps():
     rng = np.random.default_rng(2)
     f = _rand_map(rng)
     draws = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
-              *(sample_S(rng, 3).coeffs for _ in range(3))) for _ in range(50)]
+              *sample_S_batch(rng, 3, 3)) for _ in range(50)]
     alpha, beta, J, K, I = map(np.array, zip(*draws))
     keep = np.linalg.norm(J - K, axis=1) >= 1e-3
     rec = representation_formula(f, alpha[keep], beta[keep], J[keep], K[keep], I[keep])
@@ -128,7 +136,7 @@ def test_representation_collapse_and_average_form():
     alpha, beta = np.array([[0.2, -0.6]]), np.array([[0.9, 0.4]])
     J = CliffordElement.generator(3, 1).coeffs
     K = CliffordElement.generator(3, 2).coeffs
-    I = sample_S(rng, 3).coeffs
+    I = sample_S_batch(rng, 3, 1)[0]
 
     collapsed = representation_formula(f, alpha, beta, J, K, J)
     assert np.max(np.abs(collapsed - f.eval_arrays(alpha, beta, J))) < 1e-12
@@ -147,25 +155,25 @@ def test_representation_rejects_close_pair():
     alpha, beta = np.array([[0.1, 0.1]]), np.array([[0.5, -0.2]])
     J = CliffordElement.generator(3, 1).coeffs
     with pytest.raises(RepresentationError):
-        representation_formula(f, alpha, beta, J, J, sample_S(rng, 3).coeffs)
+        representation_formula(f, alpha, beta, J, J, sample_S_batch(rng, 3, 1)[0])
     nudged = CliffordElement.from_vector(3, [np.sqrt(1 - 1e-9), np.sqrt(1e-9), 0.0])
     with pytest.raises(RepresentationError):
-        representation_formula(f, alpha, beta, J, nudged.coeffs, sample_S(rng, 3).coeffs)
+        representation_formula(f, alpha, beta, J, nudged.coeffs, sample_S_batch(rng, 3, 1)[0])
     # one close pair among good ones rejects the batch
     K = np.stack([CliffordElement.generator(3, 2).coeffs, nudged.coeffs])
     with pytest.raises(RepresentationError):
         representation_formula(f, np.repeat(alpha, 2, axis=0), np.repeat(beta, 2, axis=0),
-                               J, K, sample_S(rng, 3).coeffs)
+                               J, K, sample_S_batch(rng, 3, 1)[0])
 
 
 def test_two_pair_independence():
     rng = np.random.default_rng(5)
     f = _rand_map(rng)
     alpha, beta = np.array([[0.3, -0.2]]), np.array([[0.8, 0.1]])
-    I = sample_S(rng, 3).coeffs
+    I = sample_S_batch(rng, 3, 1)[0]
     recs = []
     for _ in range(4):
-        J, K = sample_S(rng, 3).coeffs, sample_S(rng, 3).coeffs
+        J, K = sample_S_batch(rng, 3, 2)
         if np.linalg.norm(J - K) < 1e-2:
             continue
         recs.append(representation_formula(f, alpha, beta, J, K, I))
@@ -179,7 +187,7 @@ def test_derivative_commutes_with_reconstruction():
     alpha, beta = np.array([[0.4, 0.2]]), np.array([[0.3, -0.5]])
     J = CliffordElement.generator(3, 2).coeffs
     K = CliffordElement.generator(3, 3).coeffs
-    I = sample_S(rng, 3).coeffs
+    I = sample_S_batch(rng, 3, 1)[0]
     df = f.derivative(1)
     rec_of_deriv = representation_formula(df, alpha, beta, J, K, I)
     assert np.max(np.abs(rec_of_deriv - df.eval_arrays(alpha, beta, I))) < 1e-8
@@ -205,7 +213,7 @@ def test_row_functions_give_each_row_its_own_bits():
     # BLAS product whose bits depend on the batch size (see power_sum), so
     # the stem row is shared here only by broadcasting
     rng = np.random.default_rng(14)
-    I0 = sample_S(rng, 3)
+    I0 = CliffordElement(3, sample_S_batch(rng, 3, 1)[0])
     f = ClosedFormMap(2, 0.7, I0, 40, 2)
     stem_map = _rand_map(rng)
     B = 9
@@ -249,7 +257,7 @@ def test_jacobian_of_koebe_at_origin_is_identity():
 def test_shadow_eval_batched_matches_single_points():
     rng = np.random.default_rng(11)
     f = _rand_map(rng, m=2, n=3)
-    shadow, _ = slice_shadow(f, sample_S(rng, 2))
+    shadow, _ = slice_shadow(f, CliffordElement(2, sample_S_batch(rng, 2, 1)[0]))
     z = rng.uniform(-0.7, 0.7, (6, 3)) + 1j * rng.uniform(-0.7, 0.7, (6, 3))
     batch = shadow.eval(z)
     assert batch.shape == (6, 3)
@@ -276,7 +284,7 @@ def test_slice_derivative_matches_finite_differences():
     rng = np.random.default_rng(7)
     f = _rand_map(rng, m=2)
     d0 = f.derivative(0)
-    J = sample_S(rng, 2)
+    J = CliffordElement(2, sample_S_batch(rng, 2, 1)[0])
     h = 1e-5
     p = make_point([0.3, -0.2], [0.1, 0.25], J)
     plus = f.eval(make_point(p.alpha + [h, 0], p.beta, J))
@@ -290,7 +298,7 @@ def test_slice_derivative_matches_finite_differences():
 def test_regularity_residuals():
     rng = np.random.default_rng(8)
     f = _rand_map(rng, m=2)
-    p = ([0.2, -0.1], [0.3, 0.15], sample_S(rng, 2).coeffs)
+    p = ([0.2, -0.1], [0.3, 0.15], sample_S_batch(rng, 2, 1)[0])
     assert regularity_residual(f, *p)[0] < 1e-7
 
     const = SliceMap(StemSeries(2, 2, {(0, 0): rng.uniform(-1, 1, (2, 4))}))
