@@ -49,6 +49,7 @@ from .slicespace import (
     SliceOrbit,
     anticommuting_unit,
     sample_S_batch,
+    unit_rows,
     vector_norm,
 )
 
@@ -530,20 +531,40 @@ def value_gauge_on_slice(g: Gauge, rows: np.ndarray, I: CliffordElement):
     return gauge_rho(g, cvals.real, cvals.imag), resid
 
 
+def _gauge_property_draws(rng, m: int, n: int, samples: int, j_budget: int):
+    """(J, alpha, beta, s, phi, scale_target, axial J rows) for
+    gauge_properties_check, in the stream order of drawing sample by
+    sample, with one generator call per run of same-distribution draws:
+    one uniform call per sample, with array bounds, and one normal call for
+    a sample's axial rows together with the next sample's J row."""
+    per = 1 + j_budget  # a sample's J row, then its axial rows
+    lows = np.array([-1.0] * (2 * n) + [0.1, 0.0, 0.2])
+    highs = np.array([1.0] * (2 * n) + [2.0, 2.0 * np.pi, 1.8])
+    uniforms = np.empty((samples, 2 * n + 3))
+    raw = np.empty((samples * per, m))
+    raw[0] = rng.normal(size=m)
+    for i in range(samples):
+        uniforms[i] = rng.uniform(lows, highs)
+        normals = raw[i * per + 1:(i + 1) * per + 1]  # j_budget rows for the last
+        normals[:] = rng.normal(size=normals.shape)
+    rows = unit_rows(raw).reshape(samples, per, -1)
+    s, phi, scale_target = uniforms[:, 2 * n:].T.copy()
+    return (rows[:, 0].copy(), uniforms[:, :n].copy(), uniforms[:, n:2 * n].copy(),
+            s, phi, scale_target, rows[:, 1:].reshape(samples * j_budget, -1))
+
+
 def gauge_properties_check(g: Gauge, samples: int, rng,
                            tol: float = 1e-12) -> Report:
     """Positivity, slice-complex homogeneity, membership equivalence and
     axial symmetry of a gauge, sampled.
 
-    The draws are taken sample by sample; then one gauge call per
+    The draws (_gauge_property_draws) take one generator call per run of
+    same-distribution draws, in stream order; then one gauge call per
     quantity evaluates every sample."""
     n, m = g.n, g.m
     j_budget = 32
-    draws = [(sample_S_batch(rng, m, 1)[0], rng.uniform(-1.0, 1.0, n),
-              rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 2.0),
-              rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.2, 1.8),
-              sample_S_batch(rng, m, j_budget)) for _ in range(samples)]
-    j_elem, alpha, beta, s, phi, scale_target, j_axial = map(np.array, zip(*draws))
+    j_elem, alpha, beta, s, phi, scale_target, j_axial = _gauge_property_draws(
+        rng, m, n, samples, j_budget)
     rho = gauge_rho(g, alpha, beta, j_elem)
     positive_ok = gauge_rho(g, np.zeros(n), np.zeros(n)) == 0.0 and \
         not np.any(rho <= 0.0)
@@ -566,7 +587,7 @@ def gauge_properties_check(g: Gauge, samples: int, rng,
     # axial symmetry over the orbit
     rhos = gauge_rho(g, np.repeat(alpha, j_budget, axis=0),
                      np.repeat(beta, j_budget, axis=0),
-                     j_axial.reshape(samples * j_budget, -1))
+                     j_axial)
     worst_axial = float(np.max(np.ptp(rhos.reshape(samples, j_budget), axis=1)))
 
     max_error = max(worst_hom, worst_axial, 0.0 if positive_ok else 1.0,

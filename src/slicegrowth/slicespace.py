@@ -7,7 +7,9 @@ J rows of shape (B, 2**m) or one J row broadcast over them.  This is what
 SliceMap.eval_arrays and gauge_rho take.  The pair (beta, J) and
 (-beta, -J) describe the same point.
 
-sample_S_batch draws J rows (unit grade-1 vectors, each a root of -1);
+sample_S_batch draws J rows (unit grade-1 vectors, each a root of -1),
+which unit_rows makes from raw normal rows, so a suite can draw the raw
+rows of many cases in one generator call and normalize them once.
 SliceOrbit is the orbit alpha + beta*J over all J, and anticommuting_unit
 completes a slice I to the sweep J(u) = u*I + sqrt(1-u**2)*I_perp.
 make_point builds the one-point SlicePoint that SliceMap.eval takes; its
@@ -112,15 +114,21 @@ def vector_norm(values) -> float:
     return float(np.sqrt(total))
 
 
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """Unit grade-1 coefficient rows of shape (..., 2**m) from the raw
+    normal rows v of shape (..., m), each scaled to length one.  For a
+    C-contiguous v a row's bits do not depend on the batch it is in."""
+    m = v.shape[-1]
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    out = np.zeros(v.shape[:-1] + (1 << m,))
+    out[..., [1 << i for i in range(m)]] = v
+    return out
+
+
 def sample_S_batch(rng, m: int, count: int) -> np.ndarray:
     """Uniform unit grade-1 vectors, each a root of -1, as coefficient
     rows of shape (count, 2**m)."""
-    v = rng.normal(size=(count, m))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    out = np.zeros((count, 1 << m))
-    for i in range(m):
-        out[:, 1 << i] = v[:, i]
-    return out
+    return unit_rows(rng.normal(size=(count, m)))
 
 
 def anticommuting_unit(i_elem: CliffordElement, rng=None,

@@ -8,9 +8,15 @@ Only the algebra and growth-ball suites split their sample budgets over
 whatever the shard count.  Shard merging takes maxima of the error
 fields, sums sample counts and ANDs the pass verdicts.
 
-Slice maps are evaluated on coefficient rows (SliceMap.eval_arrays);
-the representation and regularity suites draw their cases in stream
-order and evaluate them in blocks of _BLOCK cases.
+Slice maps are evaluated on coefficient rows (SliceMap.eval_arrays).
+The representation, regularity and gauge suites draw their cases with
+one generator call per run of same-distribution draws, in stream order:
+consecutive normal draws, or consecutive uniform draws, give the same
+bits in one call as one at a time, so the reports are those of drawing
+value by value.  J rows come from raw normal rows through
+slicespace.unit_rows, once per block; the representation and regularity
+suites evaluate their cases in blocks of _BLOCK, and no report depends
+on its size.
 
 run_suite("all", cfg) runs the suites on a fork-context multiprocessing
 pool of min(len(SUITES), usable CPUs) workers, one task per suite, and
@@ -72,7 +78,7 @@ _DEFAULT_SAMPLES = {
 
 _SHARP_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # cases per batched evaluation, so peak memory does not grow with the budget
-_BLOCK = 256
+_BLOCK = 512
 
 
 # growth-suite map families: name -> (family, exponent p of
@@ -224,18 +230,13 @@ def _inverse_errors(m: int, a: np.ndarray, inv: np.ndarray):
 
 def _anticommutation_error(m: int) -> float:
     """Largest deviation of e_i e_j + e_j e_i from -2 delta_ij over the
-    generators of R_m: exact integer identities, so one value per m."""
-    pair_err = 0.0
-    for i in range(1, m + 1):
-        ei = CliffordElement.generator(m, i)
-        for j in range(1, m + 1):
-            ej = CliffordElement.generator(m, j)
-            s = (ei * ej + ej * ei).coeffs
-            expect = np.zeros(1 << m)
-            if i == j:
-                expect[0] = -2.0
-            pair_err = max(pair_err, float(np.max(np.abs(s - expect))))
-    return pair_err
+    generators of R_m: exact integer identities, so one value per m.  One
+    mul_batch call forms every product e_i e_j."""
+    gens = np.eye(1 << m)[[1 << i for i in range(m)]]
+    prods = algebra.mul_batch(m, gens[:, None], gens[None, :])
+    sums = prods + prods.transpose(1, 0, 2)
+    sums[np.arange(m), np.arange(m), 0] += 2.0
+    return float(np.max(np.abs(sums)))
 
 
 def _algebra_shard(m: int, pair_err: float, count: int, rng) -> Report:
@@ -408,6 +409,55 @@ def _gap(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(u - v), initial=0.0))
 
 
+def _representation_cases(rng, m: int, n: int, cases: np.ndarray,
+                          cond_threshold: float):
+    """(alpha, beta, rows, rejected) for the representation cases, drawn
+    in stream order with one generator call per run of same-distribution
+    draws: case c draws alpha and beta in one call, the pair (J, K) in one
+    and I in one, with the pair (J2, K2) when c % 10 == 0 (otherwise J2, K2
+    are J, K).  A pair whose rows are closer than cond_threshold is
+    redrawn alone, and rejected counts the redraws.  rows stacks the unit
+    rows J, K, I, J2, K2, shape (5, cases, 2**m); beta keeps its first
+    nonzero component positive, as make_orbit does."""
+    size = cases.size
+    alpha, beta = np.empty((2, size, n))
+    raw = np.empty((5, size, m))
+    rejected = 0
+
+    def accepted(pair):
+        nonlocal rejected
+        while True:
+            # a pair with |a/|a| - b/|b|| > 2 cond_threshold in floats
+            # passes at once: that distance differs from the rows' by
+            # rounding only.  Any other pair is judged on its unit rows,
+            # the rows sample_S_batch would have drawn.
+            a, b = pair.tolist()
+            na, nb = math.hypot(*a), math.hypot(*b)
+            if math.dist([x * nb for x in a], [y * na for y in b]) > \
+                    2.0 * cond_threshold * na * nb:
+                return pair
+            j_row, k_row = slicespace.unit_rows(pair)
+            if np.linalg.norm(j_row - k_row) >= cond_threshold:
+                return pair
+            rejected += 1
+            pair = rng.normal(size=(2, m))
+
+    for row, case in enumerate(cases):
+        alpha[row], beta[row] = rng.uniform(-1, 1, (2, n))
+        raw[:2, row] = accepted(rng.normal(size=(2, m)))
+        if case % 10 == 0:
+            drawn = rng.normal(size=(3, m))
+            raw[2, row] = drawn[0]
+            raw[3:, row] = accepted(drawn[1:])
+        else:
+            raw[2, row] = rng.normal(size=m)
+            raw[3:, row] = raw[:2, row]
+
+    first = beta[np.arange(size), np.argmax(beta != 0.0, axis=1)]
+    beta[first < 0.0] *= -1.0
+    return alpha, beta, slicespace.unit_rows(raw), rejected
+
+
 def run_representation(cfg: RunConfig) -> list[Report]:
     m = cfg.m or 3
     n = cfg.n
@@ -426,26 +476,13 @@ def run_representation(cfg: RunConfig) -> list[Report]:
     maps = [slicemaps.SliceMap(_random_stem(m, n, rng)) for _ in range(8)]
     derivatives = [f.derivative(0) for f in maps]
 
-    def draw_pair():
-        nonlocal rejected
-        while True:
-            j_row = slicespace.sample_S_batch(rng, m, 1)[0]
-            k_row = slicespace.sample_S_batch(rng, m, 1)[0]
-            if np.linalg.norm(j_row - k_row) >= cond_threshold:
-                return j_row, k_row
-            rejected += 1
-
     # case c uses map c % 8 and runs the sub-checks when c % 10 == 0
     for lo in range(0, count, _BLOCK):
         cases = np.arange(lo, min(lo + _BLOCK, count))
-        alpha, beta = np.empty((2, cases.size, n))
-        J, K, I, J2, K2 = np.empty((5, cases.size, 1 << m))
-        for row, case in enumerate(cases):
-            o = slicespace.make_orbit(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
-            alpha[row], beta[row] = o.alpha, o.beta
-            J[row], K[row] = draw_pair()
-            I[row] = slicespace.sample_S_batch(rng, m, 1)[0]
-            J2[row], K2[row] = draw_pair() if case % 10 == 0 else (J[row], K[row])
+        alpha, beta, rows, block_rejected = _representation_cases(
+            rng, m, n, cases, cond_threshold)
+        J, K, I, J2, K2 = rows
+        rejected += block_rejected
 
         for index, (f, df) in enumerate(zip(maps, derivatives)):
             r = np.flatnonzero(cases % len(maps) == index)
@@ -509,10 +546,15 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
         slicemaps.SliceMap(series.identity_map(m, n)),
     ]
     for lo in range(0, count, _BLOCK):
-        draws = [(int(rng.integers(len(maps))), slicespace.sample_S_batch(rng, m, 1)[0],
-                  rng.uniform(-0.4, 0.4, n), rng.uniform(-0.4, 0.4, n))
-                 for _ in range(lo, min(lo + _BLOCK, count))]
-        which, J, alpha, beta = map(np.array, zip(*draws))
+        size = min(_BLOCK, count - lo)
+        which = np.empty(size, dtype=np.int64)
+        raw = np.empty((size, m))
+        alpha, beta = np.empty((2, size, n))
+        for row in range(size):
+            which[row] = rng.integers(len(maps))
+            raw[row] = rng.normal(size=m)
+            alpha[row], beta[row] = rng.uniform(-0.4, 0.4, (2, n))
+        J = slicespace.unit_rows(raw)
         for index, f in enumerate(maps):
             r = which == index
             if np.any(r):
@@ -539,8 +581,8 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
     # holomorphic splitting reassembles the slice restriction
     f = slicemaps.SliceMap(_random_stem(m, n, rng))
     comps, basis = slicemaps.split_components(f, i_elem)
-    zs = np.array([rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
-                   for _ in range(min(count, 200))])
+    re_im = rng.uniform(-0.7, 0.7, (min(count, 200), 2, n))
+    zs = re_im[:, 0] + 1j * re_im[:, 1]
     worst_split = _gap(slicemaps.reassemble_on_slice(comps, basis, i_elem, zs),
                        f.eval_arrays(zs.real, zs.imag, i_elem.coeffs))
     reports.append(Report.from_error(
@@ -699,9 +741,12 @@ def run_gauge(cfg: RunConfig) -> list[Report]:
         for name, g in closed.items()}
     for name, oracle in oracles.items():
         points = max(count, 100)
-        draws = [(slicespace.sample_S_batch(rng, m, 1)[0], rng.uniform(-1.5, 1.5, n),
-                  rng.uniform(-1.5, 1.5, n)) for _ in range(points)]
-        j_rows, alpha, beta = map(np.array, zip(*draws))
+        raw = np.empty((points, m))
+        alpha, beta = np.empty((2, points, n))
+        for row in range(points):
+            raw[row] = rng.normal(size=m)
+            alpha[row], beta[row] = rng.uniform(-1.5, 1.5, (2, n))
+        j_rows = slicespace.unit_rows(raw)
         worst = float(np.max(np.abs(
             geometry.gauge_rho(oracle, alpha, beta, j_rows) -
             geometry.gauge_rho(closed[name], alpha, beta))))

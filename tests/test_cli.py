@@ -137,6 +137,21 @@ def test_shard_merge_fails_on_one_failing_shard():
     assert merged.data["max_error"] == 2.0
 
 
+def test_anticommutation_error_matches_the_pairwise_products():
+    # the reference forms e_i e_j + e_j e_i pair by pair through the
+    # sign-table product of CliffordElement
+    for m in range(1, 9):
+        worst = 0.0
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                ei, ej = algebra.CliffordElement.generator(m, i), \
+                    algebra.CliffordElement.generator(m, j)
+                expect = np.zeros(1 << m)
+                expect[0] = -2.0 if i == j else 0.0
+                worst = max(worst, float(np.max(np.abs((ei * ej + ej * ei).coeffs - expect))))
+        assert _anticommutation_error(m) == worst == 0.0, m
+
+
 def test_algebra_inverse_check_and_its_negative_controls(monkeypatch):
     # the algebra record passes with invert_batch and fails with an inverse
     # perturbed by a relative 1e-12 (a backward error far below the 1e-10
