@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from slicegrowth import algebra
+from slicegrowth import suites as suites_mod
 from slicegrowth.cli import main
 from slicegrowth.errors import SliceAnalysisError
 from slicegrowth.reports import Report, render, summary_lines
@@ -316,8 +317,6 @@ def test_cli_seed_envvar(tmp_path):
 
 def test_cli_failure_exit_code(tmp_path, monkeypatch):
     # an impossible tolerance forces a check failure; report is still written
-    import slicegrowth.suites as suites_mod
-
     def failing_suite(cfg):
         return [Report.from_error("forced", 1.0, 1e-12, 1)]
 
@@ -331,8 +330,6 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
 
 def test_cli_suite_value_error_is_not_a_usage_error(monkeypatch):
     # only config validation maps to exit 2; an error inside a suite does not
-    import slicegrowth.suites as suites_mod
-
     def broken_suite(cfg):
         raise ValueError("internal failure")
 
@@ -370,17 +367,64 @@ def test_run_all_raises_a_suite_error_as_the_suite_did(monkeypatch):
     assert str(result.exception) == "boom"
 
 
+@pytest.mark.skipif(_usable_cpus() < 2, reason="the pool needs 2 usable CPUs")
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("suite, options", [
+    ("algebra", {"m": 8}), ("growth-ball", {}), ("growth-domain", {})])
+def test_pooled_suite_equals_its_serial_run(suite, options, shards, monkeypatch):
+    cfg = small_config(shards=shards, **options)
+    pooled = render(run_suite(suite, cfg), "json")
+    monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)
+    assert render(run_suite(suite, cfg), "json") == pooled
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="the pool needs 2 usable CPUs")
+def test_pooled_algebra_runs_each_m_in_a_worker(monkeypatch):
+    monkeypatch.setattr(suites_mod, "_algebra_record", lambda cfg, m: [
+        Report(f"pid-m{m}", True, 1, {"pid": os.getpid()})])
+    reports = run_suite("algebra", small_config(m=3))
+    assert [rep.check for rep in reports] == ["pid-m1", "pid-m2", "pid-m3"]
+    assert os.getpid() not in {rep.data["pid"] for rep in reports}
+    monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)
+    assert {rep.data["pid"] for rep in run_suite("algebra", small_config(m=3))} == \
+        {os.getpid()}
+
+
+def test_pooled_suite_raises_a_task_error_as_the_task_did(monkeypatch):
+    # one m of the algebra suite fails; its error crosses back from the worker
+    record = suites_mod._algebra_record
+
+    def broken_record(cfg, m):
+        if m == 2:
+            raise SliceAnalysisError("boom at m=2")
+        return record(cfg, m)
+
+    monkeypatch.setattr(suites_mod, "_algebra_record", broken_record)
+    with pytest.raises(SliceAnalysisError) as info:
+        run_suite("algebra", small_config(m=3))
+    assert type(info.value) is SliceAnalysisError and str(info.value) == "boom at m=2"
+    result = CliRunner().invoke(main, ["verify", "algebra", "--m", "3",
+                                       "--samples", "40", "--quiet"])
+    assert result.exit_code == 1
+    assert type(result.exception) is SliceAnalysisError
+    assert str(result.exception) == "boom at m=2"
+
+
 def test_cli_import_does_not_load_multiprocessing():
-    # the pool is imported by `verify all` only, so single-suite runs and
-    # interpreter start-up do not pay for it
+    # the pool is imported only by runs of two or more tasks, so interpreter
+    # start-up and one-task suites (the pointwise ones) do not pay for it
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, slicegrowth.cli; print('multiprocessing' in sys.modules)"],
+         "import sys, slicegrowth.cli; print('multiprocessing' in sys.modules)\n"
+         "from slicegrowth.suites import RunConfig, run_suite\n"
+         "for name in ('gauge', 'representation'):\n"
+         "    run_suite(name, RunConfig(samples=20))\n"
+         "    print('multiprocessing' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False"] * 3
 
 
 # map -> (lower, ||f(-1/2)||, ||f(1/2)||, upper) at r = 1/2, theta = 0
