@@ -18,18 +18,19 @@ slicespace.unit_rows, once per block; the representation and regularity
 suites evaluate their cases in blocks of _BLOCK, and no report depends
 on its size.
 
-run_suite(name, cfg) splits the requested suites (all of them for
-"all") into tasks: one per record group with streams of its own
-(_TASKS: algebra per m, growth-ball per (map, direction), growth-domain
-per map), and the whole suite for any other.  A fork-context
-multiprocessing pool of min(tasks, usable CPUs) workers maps the tasks
-in report order and concatenates their reports.  Since no task's numbers
-depend on the process that runs it or on what ran before it, and a task
-keeps its shards and batches whole, the report is byte-identical to
-that of the serial loop over SUITES, which runs with one task, one
-usable CPU or where os.sched_getaffinity does not exist.  A worker looks
-its task up by suite name and index as SUITES and _TASKS were at the
-fork, and an exception a task raises is raised again in the parent.
+run_suite(name, cfg) splits the requested suites into tasks.  "all" is
+one task per suite.  A single suite whose function in SUITES has a
+.tasks(cfg) splitter gives the tasks it lists (run_algebra: one per m,
+each with streams of its own); any other suite is one task.  A
+fork-context multiprocessing pool of min(tasks, usable CPUs) workers
+maps the tasks in report order and concatenates their reports.  Since
+no task's numbers depend on the process that runs it or on what ran
+before it, and a task keeps its shards and batches whole, the report is
+byte-identical to that of the serial loop over SUITES, which runs with
+one task, one usable CPU or where os.sched_getaffinity does not exist.
+A worker looks its task up by suite name and index in SUITES as it was
+at the fork, so a replaced entry without a splitter runs whole on both
+paths, and an exception a task raises is raised again in the parent.
 multiprocessing is imported only for the pool, so importing the package
 and one-task runs do not load it.
 
@@ -184,11 +185,6 @@ def _sharded(cfg: RunConfig, suite: str, budget: int, tag: int, check, keys) -> 
                          keys)
 
 
-def _run_tasks(tasks) -> list[Report]:
-    """The records of a suite's tasks (see run_suite), run in order."""
-    return [rep for task in tasks for rep in task()]
-
-
 def _re_z1_control(m: int, n: int) -> slicemaps.RawSliceMap:
     """Slice map of the even-odd pair (F1, F2) = (Re z_1, 0): not
     holomorphic, the control both holomorphy checks must detect."""
@@ -304,7 +300,11 @@ def _algebra_tasks(cfg: RunConfig):
 
 
 def run_algebra(cfg: RunConfig) -> list[Report]:
-    return _run_tasks(_algebra_tasks(cfg))
+    return [rep for task in _algebra_tasks(cfg) for rep in task()]
+
+
+# each m draws from streams of its own: one pool task per m (run_suite)
+run_algebra.tasks = _algebra_tasks
 
 
 # ---------------------------------------------------------------------------
@@ -664,84 +664,75 @@ def _growth_cases(cfg: RunConfig):
     return m, thetas, directions
 
 
-def _growth_ball_group(cfg: RunConfig, label: str, iname: str, i_elem, thetas) -> list[Report]:
-    """The theta sweep of one (map, direction), then its sharpness and
-    closed-form records, which read the sweep's maps."""
-    family, p, asserted = MAP_FAMILIES[label]
-    count = cfg.budget("growth-ball")
-    reports = []
-    sweep = []
-    for theta in thetas:
-        f = slicemaps.ClosedFormMap(p, theta, i_elem, cfg.truncation, cfg.n)
-        sweep.append(f)
-        rep = _sharded(
-            cfg, "growth-ball", count, _stable_tag(label, iname, f"{theta:.9f}"),
-            lambda size, rng: geometry.growth_check_ball(
-                f, family, cfg.r_max, size, rng, i_elem, theta, 1e-9, asserted),
-            ("max_violation_lower", "max_violation_upper", "max_error"))
-        rep.check = f"growth-ball-{label}-{iname}-theta{theta:.3f}"
-        rep.data["map"] = label
-        reports.append(rep)
-
-    f0 = next((f for f in sweep if abs(f.theta) < 1e-15), None)
-    if f0 is not None:
-        sharp = geometry.sharpness_axis(f0, family, _SHARP_GRID, 1e-8)
-        sharp.check = f"sharpness-{label}-{iname}"
-        sharp.data["map"] = label
-        if not asserted:
-            sharp.data["asserted"] = False
-            sharp.passed = True
-        reports.append(sharp)
-
-    agree = geometry.closed_form_agreement(
-        sweep, cfg.r_max, min(count, 1000),
-        _rng(cfg, "growth-ball", 0, _stable_tag("closed-form", label, iname)))
-    agree.check = f"closed-form-{label}-{iname}"
-    agree.data["map"] = label
-    reports.append(agree)
-    return reports
-
-
-def _growth_ball_tasks(cfg: RunConfig):
-    _, thetas, directions = _growth_cases(cfg)
-    wanted = cfg.maps or tuple(MAP_FAMILIES)
-    return [functools.partial(_growth_ball_group, cfg, label, iname, i_elem, thetas)
-            for label in MAP_FAMILIES if label in wanted
-            for iname, i_elem in directions]
-
-
 def run_growth_ball(cfg: RunConfig) -> list[Report]:
-    return _run_tasks(_growth_ball_tasks(cfg))
-
-
-def _growth_domain_map(cfg: RunConfig, label: str, m: int, theta, i_elem) -> list[Report]:
-    family, p, _ = MAP_FAMILIES[label]
-    f = slicemaps.ClosedFormMap(p, theta, i_elem, cfg.truncation, cfg.n)
-    reports = []
-    for domain in cfg.domains:
-        gauge = geometry.ball_gauge(cfg.n, m) if domain == "ball" \
-            else geometry.polydisc_gauge(cfg.n, m)
-        rng = _rng(cfg, "growth-domain", 0, _stable_tag(label, domain))
-        rep = geometry.growth_check_domain(
-            f, gauge, family, cfg.r_max, cfg.budget("growth-domain"), rng, i_elem,
-            theta, 1e-9)
-        rep.check = f"growth-domain-{domain}-{label}"
-        rep.data["map"] = label
-        reports.append(rep)
-    return reports
-
-
-def _growth_domain_tasks(cfg: RunConfig):
     m, thetas, directions = _growth_cases(cfg)
+    n = cfg.n
+    count = cfg.budget("growth-ball")
+    trunc = cfg.truncation
+    reports = []
     wanted = cfg.maps or tuple(MAP_FAMILIES)
-    # the domain checks always assert, so unasserted families are skipped
-    return [functools.partial(_growth_domain_map, cfg, label, m, thetas[0], directions[0][1])
-            for label, (_, _, asserted) in MAP_FAMILIES.items()
-            if label in wanted and asserted]
+
+    for label, (family, p, asserted) in MAP_FAMILIES.items():
+        if label not in wanted:
+            continue
+        for iname, i_elem in directions:
+            sweep = []
+            for theta in thetas:
+                f = slicemaps.ClosedFormMap(p, theta, i_elem, trunc, n)
+                sweep.append(f)
+                rep = _sharded(
+                    cfg, "growth-ball", count, _stable_tag(label, iname, f"{theta:.9f}"),
+                    lambda size, rng: geometry.growth_check_ball(
+                        f, family, cfg.r_max, size, rng, i_elem, theta, 1e-9, asserted),
+                    ("max_violation_lower", "max_violation_upper", "max_error"))
+                rep.check = f"growth-ball-{label}-{iname}-theta{theta:.3f}"
+                rep.data["map"] = label
+                reports.append(rep)
+
+            f0 = next((f for f in sweep if abs(f.theta) < 1e-15), None)
+            if f0 is not None:
+                sharp = geometry.sharpness_axis(f0, family, _SHARP_GRID, 1e-8)
+                sharp.check = f"sharpness-{label}-{iname}"
+                sharp.data["map"] = label
+                if not asserted:
+                    sharp.data["asserted"] = False
+                    sharp.passed = True
+                reports.append(sharp)
+
+            agree = geometry.closed_form_agreement(
+                sweep, cfg.r_max, min(count, 1000),
+                _rng(cfg, "growth-ball", 0, _stable_tag("closed-form", label, iname)))
+            agree.check = f"closed-form-{label}-{iname}"
+            agree.data["map"] = label
+            reports.append(agree)
+    return reports
 
 
 def run_growth_domain(cfg: RunConfig) -> list[Report]:
-    return _run_tasks(_growth_domain_tasks(cfg))
+    m, thetas, directions = _growth_cases(cfg)
+    n = cfg.n
+    count = cfg.budget("growth-domain")
+    trunc = cfg.truncation
+    reports = []
+    wanted = cfg.maps or tuple(MAP_FAMILIES)
+
+    # the domain checks always assert, so unasserted families are skipped
+    for label, (family, p, asserted) in MAP_FAMILIES.items():
+        if label not in wanted or not asserted:
+            continue
+        _, i_elem = directions[0]
+        theta = thetas[0]
+        f = slicemaps.ClosedFormMap(p, theta, i_elem, trunc, n)
+        for domain in cfg.domains:
+            gauge = geometry.ball_gauge(n, m) if domain == "ball" \
+                else geometry.polydisc_gauge(n, m)
+            rng = _rng(cfg, "growth-domain", 0, _stable_tag(label, domain))
+            rep = geometry.growth_check_domain(
+                f, gauge, family, cfg.r_max, count, rng, i_elem, theta, 1e-9)
+            rep.check = f"growth-domain-{domain}-{label}"
+            rep.data["map"] = label
+            reports.append(rep)
+    return reports
 
 
 def run_gauge(cfg: RunConfig) -> list[Report]:
@@ -804,24 +795,21 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
-# the suites whose record groups draw from streams of their own, each
-# group one pool task; any other suite is one task
-_TASKS = {
-    "algebra": _algebra_tasks,
-    "growth-ball": _growth_ball_tasks,
-    "growth-domain": _growth_domain_tasks,
-}
-
-
 def _suite_tasks(cfg: RunConfig, name: str):
-    split = _TASKS.get(name)
-    return split(cfg) if split else [functools.partial(SUITES[name], cfg)]
+    """The pool tasks of SUITES[name]: those its .tasks(cfg) lists, or
+    the whole suite as one task."""
+    run = SUITES[name]
+    split = getattr(run, "tasks", None)
+    return split(cfg) if split else [functools.partial(run, cfg)]
 
 
 def _run_task(cfg: RunConfig, task) -> list[Report]:
-    """The reports of task (suite name, index): a pool task, looked up in
-    the forked worker so that it runs whatever SUITES held at the fork."""
+    """The reports of task (suite name, index into _suite_tasks, or None
+    for the whole suite): a pool task, looked up in the forked worker so
+    that it runs whatever SUITES held at the fork."""
     name, index = task
+    if index is None:
+        return SUITES[name](cfg)
     return _suite_tasks(cfg, name)[index]()
 
 
@@ -833,13 +821,18 @@ def _usable_cpus() -> int:
 
 def run_suite(name: str, cfg: RunConfig) -> list[Report]:
     cfg.validate()
-    if name != "all" and name not in SUITES:
+    if name == "all":
+        # one task per suite: growth-ball, the longest suite, already bounds
+        # the schedule, and algebra's per-m tasks would only start it later
+        # (verify all on 2 CPUs: 1.13 -> 1.23 s when split)
+        names = tuple(SUITES)
+        tasks = [(suite, None) for suite in names]
+    elif name in SUITES:
+        names = (name,)
+        tasks = [(name, index) for index in range(len(_suite_tasks(cfg, name)))]
+    else:
         raise ValueError(f"unknown suite {name!r}")
-    names = tuple(SUITES) if name == "all" else (name,)
-    cpus = _usable_cpus()
-    tasks = [(suite, index) for suite in names
-             for index in range(len(_suite_tasks(cfg, suite)))] if cpus > 1 else []
-    workers = min(len(tasks), cpus)
+    workers = min(len(tasks), _usable_cpus())
     if workers < 2:
         parts = [SUITES[suite](cfg) for suite in names]
     else:

@@ -369,13 +369,22 @@ def test_run_all_raises_a_suite_error_as_the_suite_did(monkeypatch):
 
 @pytest.mark.skipif(_usable_cpus() < 2, reason="the pool needs 2 usable CPUs")
 @pytest.mark.parametrize("shards", [1, 3])
-@pytest.mark.parametrize("suite, options", [
-    ("algebra", {"m": 8}), ("growth-ball", {}), ("growth-domain", {})])
-def test_pooled_suite_equals_its_serial_run(suite, options, shards, monkeypatch):
-    cfg = small_config(shards=shards, **options)
-    pooled = render(run_suite(suite, cfg), "json")
+def test_pooled_algebra_equals_its_serial_run(shards, monkeypatch):
+    cfg = small_config(shards=shards, m=8)
+    pooled = render(run_suite("algebra", cfg), "json")
     monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)
-    assert render(run_suite(suite, cfg), "json") == pooled
+    assert render(run_suite("algebra", cfg), "json") == pooled
+
+
+def test_a_replaced_suite_runs_whole_pooled_or_serial(monkeypatch):
+    # an entry of SUITES without a .tasks splitter is one task, so a
+    # pooled run calls the replacement as the serial run does
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name,
+                            lambda cfg, name=name: [Report(name, True, 1, {})])
+    cfg = small_config(m=8)
+    assert [rep.check for rep in run_suite("algebra", cfg)] == ["algebra"]
+    assert [rep.check for rep in run_suite("all", cfg)] == list(SUITES)
 
 
 @pytest.mark.skipif(_usable_cpus() < 2, reason="the pool needs 2 usable CPUs")
