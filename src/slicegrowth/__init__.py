@@ -40,7 +40,6 @@ from .geometry import (
 from .reports import Report
 from .series import (
     StemSeries,
-    UnivariateSeries,
     cr_residual,
     extremal_series,
     identity_map,

@@ -1,14 +1,18 @@
 """Dense arithmetic in the real Clifford algebra with m anticommuting
 generators of negative square (e_i e_i = -1, e_i e_j = -e_j e_i).
 
-Elements carry 2**m real coefficients over the blade basis
-e_A = e_{h_1} ... e_{h_r} with h_1 < ... < h_r.  A blade is indexed by the
-bitmask whose bit i-1 marks generator e_i, so for m = 2 the coefficient
-order is (1, e1, e2, e12).  Product signs count the transpositions needed
+An element is a row of 2**m real coefficients over the blade basis
+e_A = e_{h_1} ... e_{h_r} with h_1 < ... < h_r, and a batch of elements
+is an array of such rows.  A blade is indexed by the bitmask whose bit
+i-1 marks generator e_i, so for m = 2 the coefficient order is
+(1, e1, e2, e12).  Product signs count the transpositions needed
 to interleave-sort the two blades plus one factor -1 per repeated
 generator; sign tables and conjugation signs are computed once per m and
 cached.  mul_coeffs multiplies by the sign table and is the reference
-every faster path is tested against.
+every faster path is tested against.  Every product, conjugate and
+inverse goes through the row kernels (mul_coeffs, mul_batch, conj_batch,
+invert_batch); CliffordElement is only a validated, immutable row with
+its m.
 
 Conjugation acts on grade k as (-1)**(k*(k+1)/2), i.e. reversion composed
 with grade involution.  This makes t(x) = x + conj(x) vanish and
@@ -56,7 +60,7 @@ class _Tables:
 
     __slots__ = (
         "m", "dim", "sign", "xor_flat", "grades", "conj_sign",
-        "struct_flat", "xor_mat", "left_sign", "names",
+        "struct_flat", "xor_mat", "left_sign",
     )
 
     def __init__(self, m: int):
@@ -92,11 +96,6 @@ class _Tables:
         # left-multiplication gather: (x*y)[k] = sum_j x[k^j] sign(k^j, j) y[j]
         self.xor_mat = idx[:, None] ^ idx[None, :]
         self.left_sign = sign[self.xor_mat, idx[None, :]]
-
-        self.names = tuple(
-            "1" if i == 0 else "e" + "".join(str(b + 1) for b in range(m) if i >> b & 1)
-            for i in range(dim)
-        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,8 +153,8 @@ def _spinor(m: int) -> _Spinor:
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient-array kernels (shared by the element class and the batched
-# verification paths; arrays have trailing axis of length 2**m)
+# coefficient-row kernels: every product, conjugate and inverse (arrays
+# have trailing axis of length 2**m)
 # ---------------------------------------------------------------------------
 
 def mul_coeffs(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,11 +234,9 @@ def invert_batch(m: int, a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class CliffordElement:
-    """Immutable element of the 2**m-dimensional algebra.
-
-    Supports +, -, * (algebra product or real scaling), / by reals, and
-    the conjugate/trace/norm operations used by the slice machinery.
-    """
+    """An immutable coefficient row of the 2**m-dimensional algebra,
+    validated once.  Products, conjugates and inverses go through the row
+    kernels above on .coeffs."""
 
     __slots__ = ("m", "coeffs")
 
@@ -267,10 +264,6 @@ class CliffordElement:
         return cls(m, c)
 
     @classmethod
-    def zero(cls, m: int) -> "CliffordElement":
-        return cls(m, np.zeros(1 << m))
-
-    @classmethod
     def generator(cls, m: int, i: int) -> "CliffordElement":
         """The generator e_i, 1-indexed."""
         if not 1 <= i <= m:
@@ -294,134 +287,16 @@ class CliffordElement:
         c[mask] = 1.0
         return cls(m, c)
 
-    @classmethod
-    def from_vector(cls, m: int, v) -> "CliffordElement":
-        """Grade-1 element with coefficients v over (e_1, ..., e_m)."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (m,):
-            raise DimensionError(f"expected {m} vector components, got {v.shape}")
-        c = np.zeros(1 << m)
-        for i in range(m):
-            c[1 << i] = v[i]
-        return cls(m, c)
-
-    # -- basic queries -------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
+    # -- test helpers ----------------------------------------------------------
 
     @property
     def scalar_part(self) -> float:
         return float(self.coeffs[0])
 
-    def euclid_norm(self) -> float:
-        """Coefficient 2-norm; equals sqrt(n(x)) on the quadratic cone."""
-        return float(np.linalg.norm(self.coeffs))
-
     def isclose(self, other: "CliffordElement", tol: float = 1e-12) -> bool:
         return self.m == other.m and bool(
             np.max(np.abs(self.coeffs - other.coeffs)) <= tol
         )
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "CliffordElement"):
-        if self.m != other.m:
-            raise DimensionError(f"mixed generator counts {self.m} and {other.m}")
-
-    def __add__(self, other):
-        if isinstance(other, CliffordElement):
-            self._check(other)
-            return CliffordElement(self.m, self.coeffs + other.coeffs)
-        if isinstance(other, (int, float)):
-            c = self.coeffs.copy()
-            c[0] += other
-            return CliffordElement(self.m, c)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, CliffordElement):
-            self._check(other)
-            return CliffordElement(self.m, self.coeffs - other.coeffs)
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return CliffordElement(self.m, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, CliffordElement):
-            self._check(other)
-            return CliffordElement(self.m, mul_coeffs(self.m, self.coeffs, other.coeffs))
-        if isinstance(other, (int, float)):
-            return CliffordElement(self.m, self.coeffs * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return CliffordElement(self.m, other * self.coeffs)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return CliffordElement(self.m, self.coeffs / other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CliffordElement)
-            and self.m == other.m
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None
-
-    # -- involutions and norms ----------------------------------------------
-
-    def conjugate(self) -> "CliffordElement":
-        """Clifford conjugate: (-1)**(k(k+1)/2) on the grade-k part."""
-        return CliffordElement(self.m, self.coeffs * _tables(self.m).conj_sign)
-
-    def trace(self) -> "CliffordElement":
-        """t(x) = x + conj(x); scalar exactly on the quadratic cone."""
-        return self + self.conjugate()
-
-    def norm_sq(self) -> "CliffordElement":
-        """n(x) = x * conj(x); scalar exactly on the quadratic cone."""
-        return self * self.conjugate()
-
-    def inverse(self, tol: float = 1e-10) -> "CliffordElement":
-        """Multiplicative inverse by invert_batch.
-
-        Raises NonInvertibleError when the smallest singular value of the
-        left-multiplication operator is below tol relative to the largest.
-        """
-        row = self.coeffs[None]
-        svals = singular_values_batch(self.m, row)[0]
-        if svals[-1] <= tol * max(1.0, svals[0]):
-            raise NonInvertibleError(
-                f"left operator numerically singular (sigma_min={svals[-1]:.3e})"
-            )
-        return CliffordElement(self.m, invert_batch(self.m, row)[0])
-
-    # -- display ---------------------------------------------------------------
-
-    def __repr__(self):
-        names = _tables(self.m).names
-        parts = [
-            f"{c:+.6g}*{names[i]}" if i else f"{c:+.6g}"
-            for i, c in enumerate(self.coeffs)
-            if c != 0.0
-        ]
-        body = " ".join(parts) if parts else "0"
-        return f"<R_{self.m}: {body}>"
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +304,24 @@ class CliffordElement:
 # ---------------------------------------------------------------------------
 
 def in_sqrt_minus_one(x: CliffordElement, tol: float = 1e-10) -> bool:
-    """True when t(x) ~ 0 and n(x) ~ 1 componentwise, i.e. x*x ~ -1 inside
-    the cone."""
-    t = x.trace()
-    if np.max(np.abs(t.coeffs)) > tol:
+    """True when t(x) = x + conj(x) ~ 0 and n(x) = x * conj(x) ~ 1
+    componentwise, i.e. x*x ~ -1 inside the cone."""
+    m, c = x.m, x.coeffs
+    t = c + conj_batch(m, c)
+    if np.max(np.abs(t)) > tol:
         return False
-    nn = x.norm_sq()
-    target = np.zeros(x.dim)
+    nn = mul_coeffs(m, c, conj_batch(m, c))
+    target = np.zeros(len(c))
     target[0] = 1.0
-    return bool(np.max(np.abs(nn.coeffs - target)) <= tol)
+    return bool(np.max(np.abs(nn - target)) <= tol)
 
 
-def slice_exp(i_elem: CliffordElement, theta: float) -> CliffordElement:
-    """e^{I theta} = cos(theta) + I sin(theta) for I a square root of -1."""
-    return CliffordElement.scalar(i_elem.m, math.cos(theta)) + math.sin(theta) * i_elem
+def slice_exp(i_elem: CliffordElement, theta: float) -> np.ndarray:
+    """The row of e^{I theta} = cos(theta) + I sin(theta) for I a square
+    root of -1."""
+    row = np.zeros(1 << i_elem.m)
+    row[0] = math.cos(theta)
+    return row + math.sin(theta) * i_elem.coeffs
 
 
 def grades(m: int) -> np.ndarray:

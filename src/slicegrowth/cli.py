@@ -3,7 +3,8 @@ verification suites and writes machine-readable reports;
 `slicegrowth envelope` emits growth-envelope plot data.
 
 Exit codes: 0 all checks pass, 1 at least one check failed (report still
-written), 2 usage error.
+written), 2 usage error or a run that selects no check (no report
+written).
 """
 
 from __future__ import annotations
@@ -87,6 +88,13 @@ def verify(suite, m, n, seed, samples, truncation, r_max, theta, map_, domain,
     started = time.perf_counter()
     results = suites.run_suite(suite, cfg)
     elapsed = time.perf_counter() - started
+    if not results:
+        chosen = {"--map": map_, "--domain": domain, "--m": m, "--n": n, "--theta": theta}
+        given = " ".join(f"{key} {value}" for key, value in chosen.items()
+                         if value is not None)
+        click.echo(f"Error: verify {suite} ran no check with {given}; no report written",
+                   err=True)
+        sys.exit(2)
 
     _write_report(reports.render(results, fmt), out)
     if not quiet:

@@ -4,9 +4,10 @@ A stem series F(z) = sum_k z^k a_k has complex-scalar monomials z^k and
 Clifford-vector coefficients a_k; because the coefficients are real
 Clifford values, F(conj z) = conj(F(z)) holds identically and the induced
 slice mapping is well defined.  The star product realizes the standard
-non-commutative Cauchy convolution on one-variable series (coefficients
-on the right of the powers), which is what expressions like
-x (1 - x e^{I theta})^{-*2} presume.
+non-commutative Cauchy convolution on one-variable series sum_k x^k a_k
+(coefficients on the right of the powers), which is what expressions
+like x (1 - x e^{I theta})^{-*2} presume.  Such a series is its (K, 2**m)
+coefficient array: row k holds a_k.
 
 power_sum is the one power-series evaluator: stems and their complex
 slice shadows (slicemaps.ComplexSeries) are evaluated through it, in
@@ -15,13 +16,15 @@ partial derivative of both.  central_partials is the one
 finite-difference stencil of the holomorphy checks on rows, cr_residual
 and slicemaps.regularity_residual.
 
-star_mul and star_inverse work on the spinor blocks of the coefficients
+star_mul(m, a, b, trunc) and star_inverse(m, a, trunc) take and return
+such arrays, and work on the spinor blocks of the coefficients
 (algebra.spinor_encode): a series is encoded once and decoded once.
 star_mul takes every order from one stacked matrix product over
 overlapping windows of one padded copy of a factor; star_inverse forms
 the blocks of -a_0^{-1} a_j once and takes one small matrix product per
-order.  Neither holds more than a few copies of its series' blocks, so
-memory stays small at m = 8.
+order, after refusing a constant term whose smallest singular value is
+at most 1e-10 of its largest.  Neither holds more than a few copies of
+its series' blocks, so memory stays small at m = 8.
 
 extremal_series(p, theta, I, N, n) builds the extremal family
 x_t (1 - x_t e^{I theta})^{-*p} by its exponent p, and extremal_tail
@@ -35,7 +38,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import CliffordElement, slice_exp, spinor_decode, spinor_encode
+from .algebra import (
+    CliffordElement,
+    invert_batch,
+    singular_values_batch,
+    slice_exp,
+    spinor_decode,
+    spinor_encode,
+)
 from .errors import DimensionError, NonInvertibleError
 
 # rows per power_sum block.  A block's powers up to exponent e take
@@ -51,9 +61,9 @@ class StemSeries:
     """Finite multivariate power series with Clifford-vector coefficients.
 
     terms maps a multi-index (tuple of n non-negative ints) to an (n, 2**m)
-    coefficient array or a sequence of n CliffordElements.  An optional
-    tail_model(r) upper-bounds the norm of the dropped analytic tail on
-    the closed polydisc of radius r (None means the series is exact).
+    coefficient array.  An optional tail_model(r) upper-bounds the norm of
+    the dropped analytic tail on the closed polydisc of radius r (None
+    means the series is exact).
     """
 
     def __init__(self, m: int, n: int, terms: dict, degree: Optional[int] = None,
@@ -63,13 +73,7 @@ class StemSeries:
         for k, coeff in terms.items():
             if len(k) != n or any(e < 0 for e in k):
                 raise DimensionError(f"bad multi-index {k} for n={n}")
-            if isinstance(coeff, (list, tuple)):
-                coeff = np.stack([
-                    c.coeffs if isinstance(c, CliffordElement) else np.asarray(c, float)
-                    for c in coeff
-                ])
-            else:
-                coeff = np.asarray(coeff, dtype=np.float64)
+            coeff = np.asarray(coeff, dtype=np.float64)
             if coeff.shape != (n, dim):
                 raise DimensionError(
                     f"coefficient for {k} has shape {coeff.shape}, want {(n, dim)}"
@@ -107,14 +111,16 @@ class StemSeries:
     def multi_indices(self):
         return [tuple(k) for k in self._kmat.tolist()]
 
-    def coefficient(self, k) -> list[CliffordElement]:
+    def coefficient(self, k) -> np.ndarray:
+        """A copy of the (n, 2**m) coefficient rows of multi-index k (zero
+        if absent)."""
         k = np.asarray(k)
         if k.shape != (self.n,):
             raise DimensionError(f"bad multi-index {k.tolist()} for n={self.n}")
         pos = np.flatnonzero(np.all(self._kmat == k, axis=1))
         if not len(pos):
-            return [CliffordElement.zero(self.m) for _ in range(self.n)]
-        return [CliffordElement(self.m, row) for row in self._amat[pos[0]]]
+            return np.zeros((self.n, self.dim))
+        return self._amat[pos[0]].copy()
 
     # -- evaluation -----------------------------------------------------------
 
@@ -246,40 +252,15 @@ def cr_residual(evaluate, alpha: np.ndarray, beta: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# one-variable star-product series
+# one-variable star-product series, as (K, 2**m) coefficient arrays
 # ---------------------------------------------------------------------------
 
-class UnivariateSeries:
-    """Truncated series sum_k x^k a_k with Clifford coefficients a_k."""
-
-    def __init__(self, m: int, coeffs):
-        self.m = m
-        dim = 1 << m
-        if isinstance(coeffs, np.ndarray):
-            arr = np.array(coeffs, dtype=np.float64, ndmin=2)
-        else:
-            arr = np.array([c.coeffs if isinstance(c, CliffordElement) else c
-                            for c in coeffs], dtype=np.float64, ndmin=2)
-        if not arr.size:
-            arr = np.zeros((1, dim))
-        if arr.ndim != 2 or arr.shape[1] != dim:
-            raise DimensionError(f"coefficients must have length {dim}")
-        arr.setflags(write=False)
-        self.coeffs = arr
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def coefficient(self, k: int) -> CliffordElement:
-        if k > self.degree:
-            return CliffordElement.zero(self.m)
-        return CliffordElement(self.m, self.coeffs[k])
-
-    def shift(self, p: int = 1) -> "UnivariateSeries":
-        """Multiply by x**p (exponent shift; coefficients stay put)."""
-        pad = np.zeros((p, self.coeffs.shape[1]))
-        return UnivariateSeries(self.m, np.vstack([pad, self.coeffs]))
+def _series_rows(m: int, a) -> np.ndarray:
+    """The coefficient array of sum_k x^k a_k, validated: (K, 2**m), K >= 1."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or not len(a) or a.shape[1] != 1 << m:
+        raise DimensionError(f"series coefficients must be (K, {1 << m}), got {a.shape}")
+    return a
 
 
 def _block_columns(blocks: np.ndarray, width: int, top: int) -> np.ndarray:
@@ -301,40 +282,42 @@ def _block_row(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(1, 2, 0, 3).reshape(nb, d, J * d)
 
 
-def star_mul(f: UnivariateSeries, g: UnivariateSeries,
-             trunc: Optional[int] = None) -> UnivariateSeries:
-    """Cauchy star product: c_k = sum_j a_j * b_{k-j}, order preserved.
+def star_mul(m: int, a, b, trunc: Optional[int] = None) -> np.ndarray:
+    """Cauchy star product of the coefficient arrays a and b:
+    c_k = sum_j a_j * b_{k-j}, order preserved, through order trunc.
 
     In the spinor representation c_k is the block row [A_0 ... A_F] times
     the block column [B_k; B_{k-1}; ...; B_{k-F}], so one stacked matrix
     product over the windows of _block_columns gives every order.  The
     windows are views, and only orders through the truncation are encoded.
     """
-    if f.m != g.m:
-        raise DimensionError("star product requires matching generator counts")
-    m = f.m
-    top = f.degree + g.degree if trunc is None else min(trunc, f.degree + g.degree)
-    a = spinor_encode(m, f.coeffs[:top + 1])
-    b = spinor_encode(m, g.coeffs[:top + 1])
+    a, b = _series_rows(m, a), _series_rows(m, b)
+    degree = len(a) + len(b) - 2
+    top = degree if trunc is None else min(trunc, degree)
+    a = spinor_encode(m, a[:top + 1])
+    b = spinor_encode(m, b[:top + 1])
     prods = np.matmul(_block_row(a)[:, None], _block_columns(b, len(a), top))
-    return UnivariateSeries(m, spinor_decode(m, prods[:, ::-1].swapaxes(0, 1)))
+    return spinor_decode(m, prods[:, ::-1].swapaxes(0, 1))
 
 
-def star_inverse(f: UnivariateSeries, trunc: int) -> UnivariateSeries:
-    """Star inverse through order trunc: b_0 = a_0^{-1},
-    b_k = -a_0^{-1} sum_{j=1..k} a_j * b_{k-j}.
+def star_inverse(m: int, a, trunc: int) -> np.ndarray:
+    """Star inverse of the coefficient array a through order trunc:
+    b_0 = a_0^{-1}, b_k = -a_0^{-1} sum_{j=1..k} a_j * b_{k-j}.
+
+    Raises NonInvertibleError when the smallest singular value of a_0's
+    left-multiplication operator is at most 1e-10 max(1, largest).
 
     The spinor blocks M_j of -a_0^{-1} a_j are formed once; then each
     order is one matrix product of the block row [M_1 ... M_J] with the
     column [B_{k-1}; ...; B_{k-J}] of a history kept in reverse order.
     """
-    try:
-        a0inv = f.coefficient(0).inverse()
-    except NonInvertibleError as exc:
-        raise NonInvertibleError("constant coefficient is not invertible") from exc
-    m = f.m
-    J = min(f.degree, trunc)
-    enc = spinor_encode(m, np.vstack([a0inv.coeffs, f.coeffs[1:J + 1]]))
+    a = _series_rows(m, a)
+    svals = singular_values_batch(m, a[:1])[0]
+    if svals[-1] <= 1e-10 * max(1.0, svals[0]):
+        raise NonInvertibleError("constant coefficient is not invertible")
+    a0inv = invert_batch(m, a[:1])
+    J = min(len(a) - 1, trunc)
+    enc = spinor_encode(m, np.vstack([a0inv, a[1:J + 1]]))
     ops = _block_row(-np.matmul(enc[0], enc[1:]))               # (nb, d, J d)
     nb, d = enc.shape[1], enc.shape[2]
     # hist[:, trunc - k] = B_k; the J blocks past trunc stay zero (orders < 0)
@@ -343,7 +326,7 @@ def star_inverse(f: UnivariateSeries, trunc: int) -> UnivariateSeries:
     rows = hist.reshape(nb, (trunc + J + 1) * d, d)
     for pos in range(trunc - 1, -1, -1):
         np.matmul(ops, rows[:, (pos + 1) * d:(pos + 1 + J) * d], out=hist[:, pos])
-    return UnivariateSeries(m, spinor_decode(m, hist[:, trunc::-1].swapaxes(0, 1)))
+    return spinor_decode(m, hist[:, trunc::-1].swapaxes(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -360,30 +343,29 @@ def extremal_series(p: int, theta: float, I: CliffordElement, N: int,
     if p not in (-1, 1, 2):
         raise ValueError(f"no extremal map of exponent {p!r}; want -1, 1 or 2")
     m = I.m
-    base = UnivariateSeries(m, [CliffordElement.scalar(m, 1.0), -slice_exp(I, theta)])
+    base = np.zeros((2, 1 << m))
+    base[0, 0] = 1.0
+    base[1] = -slice_exp(I, theta)
     if p == -1:
-        return _assemble_componentwise(base.shift(1), n, tail_model=None)
-    inv = star_inverse(base, N)
+        return _assemble_componentwise(m, base, n, tail_model=None)
+    inv = star_inverse(m, base, N)
     if p == 2:
-        inv = star_mul(inv, inv, trunc=N)
-    return _assemble_componentwise(inv.shift(1), n, tail_model=extremal_tail(p, n, N))
+        inv = star_mul(m, inv, inv, trunc=N)
+    return _assemble_componentwise(m, inv, n, tail_model=extremal_tail(p, n, N))
 
 
-def _assemble_componentwise(series: UnivariateSeries, n: int, tail_model) -> StemSeries:
-    """The map with components x_t -> series(x_t): one exponent row per
-    nonzero coefficient and variable, and the constant shared by all."""
-    coeffs = series.coeffs
-    powers = np.flatnonzero(np.any(coeffs[1:], axis=1)) + 1
-    rows = np.arange(n * len(powers))
-    var = np.repeat(np.arange(n), len(powers))
+def _assemble_componentwise(m: int, series: np.ndarray, n: int, tail_model) -> StemSeries:
+    """The map with components x_t -> x_t series(x_t) for the coefficient
+    array series: one exponent row per nonzero coefficient and variable,
+    its power shifted by the factor x_t."""
+    nonzero = np.flatnonzero(np.any(series, axis=1))
+    rows = np.arange(n * len(nonzero))
+    var = np.repeat(np.arange(n), len(nonzero))
     kmat = np.zeros((len(rows), n), dtype=np.int64)
-    amat = np.zeros((len(rows), n, coeffs.shape[1]))
-    kmat[rows, var] = np.tile(powers, n)
-    amat[rows, var] = np.tile(coeffs[powers], (n, 1))
-    if np.any(coeffs[0]):
-        kmat = np.vstack([np.zeros((1, n), dtype=np.int64), kmat])
-        amat = np.vstack([np.broadcast_to(coeffs[0], (1,) + amat.shape[1:]), amat])
-    return StemSeries._from_tables(series.m, n, kmat, amat, degree=series.degree,
+    amat = np.zeros((len(rows), n, 1 << m))
+    kmat[rows, var] = np.tile(nonzero + 1, n)
+    amat[rows, var] = np.tile(series[nonzero], (n, 1))
+    return StemSeries._from_tables(m, n, kmat, amat, degree=len(series),
                                    tail_model=tail_model)
 
 

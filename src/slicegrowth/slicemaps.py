@@ -296,13 +296,14 @@ def default_module_basis(I: CliffordElement, tol: float = 1e-10) -> list[Cliffor
             "default module basis needs a grade-1 direction; "
             "pass an explicit completion"
         )
-    v = I.coeffs[[1 << i for i in range(m)]]
-    frame = np.concatenate([v[None, :], np.eye(m)], axis=0)
+    axes = [1 << i for i in range(m)]
+    frame = np.concatenate([I.coeffs[axes][None, :], np.eye(m)], axis=0)
     q, _ = np.linalg.qr(frame.T)
-    comp_vectors = [CliffordElement.from_vector(m, q[:, i]) for i in range(1, m)]
+    comp_vectors = np.zeros((m - 1, 1 << m))
+    comp_vectors[:, axes] = q[:, 1:m].T
     basis = [CliffordElement.scalar(m, 1.0)]
     for vec in comp_vectors:
-        basis = basis + [b * vec for b in basis]
+        basis += [CliffordElement(m, mul_coeffs(m, b.coeffs, vec)) for b in basis]
     return basis
 
 

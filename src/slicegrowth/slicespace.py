@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CliffordElement, grades, in_sqrt_minus_one, mul_coeffs
+from .algebra import CliffordElement, conj_batch, grades, in_sqrt_minus_one, mul_coeffs
 from .errors import ConeError, DimensionError, SamplingError
 
 _CANON_EPS = 1e-12
@@ -84,7 +84,7 @@ def make_point(alpha, beta, J: CliffordElement, tol: float = 1e-10) -> SlicePoin
         return SlicePoint(alpha, beta, CliffordElement.generator(J.m, 1))
     s = _canonical_j_sign(J.coeffs)
     if s < 0:
-        J = -J
+        J = CliffordElement(J.m, -J.coeffs)
         beta = _as_real_vector(-np.asarray(beta), "beta")
     return SlicePoint(alpha, beta, J)
 
@@ -106,10 +106,11 @@ def point_norm(p: SlicePoint) -> float:
 
 
 def vector_norm(values) -> float:
-    """Euclidean norm of a Clifford vector (all blade coefficients stacked)."""
+    """Euclidean norm of a Clifford vector given as coefficient rows (all
+    blade coefficients stacked)."""
     total = 0.0
     for v in values:
-        c = v.coeffs if isinstance(v, CliffordElement) else np.asarray(v)
+        c = np.asarray(v)
         total += float(np.dot(c, c))
     return float(np.sqrt(total))
 
@@ -155,7 +156,9 @@ def anticommuting_unit(i_elem: CliffordElement, rng=None,
             w -= (w @ v) * v
             nw = np.linalg.norm(w)
             if nw > 1e-8:
-                return CliffordElement.from_vector(m, w / nw)
+                row = np.zeros(1 << m)
+                row[[1 << i for i in range(m)]] = w / nw
+                return CliffordElement(m, row)
         raise SamplingError("failed to draw an orthogonal unit vector")
 
     nz = np.nonzero(np.abs(c) > 1e-12)[0]
@@ -184,12 +187,11 @@ def anticommuting_unit(i_elem: CliffordElement, rng=None,
     amat = lmat + rmat
     _, svals, vt = np.linalg.svd(amat)
     null = vt[svals <= 1e-10 * max(1.0, svals[0])]
-    trace_sign = np.where((g * (g + 1) // 2) % 2 == 0, 1.0, -1.0)
     for _ in range(max_tries):
         if null.shape[0] == 0:
             break
         y = rng.normal(size=null.shape[0]) @ null
-        y = 0.5 * (y - trace_sign * y)
+        y = 0.5 * (y - conj_batch(m, y))
         y -= (y @ c) * c
         ny = np.linalg.norm(y)
         if ny < 1e-8:

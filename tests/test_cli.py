@@ -140,16 +140,17 @@ def test_shard_merge_fails_on_one_failing_shard():
 
 def test_anticommutation_error_matches_the_pairwise_products():
     # the reference forms e_i e_j + e_j e_i pair by pair through the
-    # sign-table product of CliffordElement
+    # sign-table product mul_coeffs
     for m in range(1, 9):
         worst = 0.0
         for i in range(1, m + 1):
             for j in range(1, m + 1):
-                ei, ej = algebra.CliffordElement.generator(m, i), \
-                    algebra.CliffordElement.generator(m, j)
+                ei, ej = algebra.CliffordElement.generator(m, i).coeffs, \
+                    algebra.CliffordElement.generator(m, j).coeffs
                 expect = np.zeros(1 << m)
                 expect[0] = -2.0 if i == j else 0.0
-                worst = max(worst, float(np.max(np.abs((ei * ej + ej * ei).coeffs - expect))))
+                anti = algebra.mul_coeffs(m, ei, ej) + algebra.mul_coeffs(m, ej, ei)
+                worst = max(worst, float(np.max(np.abs(anti - expect))))
         assert _anticommutation_error(m) == worst == 0.0, m
 
 
@@ -326,6 +327,27 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
     result = runner.invoke(main, ["verify", "gauge", "--out", str(out), "--quiet"])
     assert result.exit_code == 1
     assert json.loads(out.read_text())[0]["pass"] is False
+
+
+def test_cli_run_without_checks_is_an_error(tmp_path):
+    # growth-domain skips unasserted maps, so paper-example alone selects
+    # no check: exit 2, naming the suite and options, and no report
+    out = tmp_path / "empty.json"
+    result = CliRunner().invoke(main, ["verify", "growth-domain", "--map", "paper-example",
+                                       "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "verify growth-domain ran no check with --map paper-example" in result.output
+    assert not out.exists()
+
+
+def test_cli_all_with_one_map_still_reports(tmp_path):
+    out = tmp_path / "all.json"
+    result = CliRunner().invoke(main, ["verify", "all", "--map", "paper-example",
+                                       "--out", str(out), "--quiet"])
+    assert result.exit_code == 0, result.output
+    blob = json.loads(out.read_text())
+    assert blob and all(rec["pass"] for rec in blob)
+    assert any("paper-example" in rec["check"] for rec in blob)
 
 
 def test_cli_suite_value_error_is_not_a_usage_error(monkeypatch):

@@ -61,7 +61,7 @@ def test_profile_identity_has_no_slope():
     norms = []
     for j in sample_S_batch(rng, 3, 50):
         p = make_point(o.alpha, o.beta, CliffordElement(3, j))
-        norms.append(np.sqrt(sum(v.euclid_norm() ** 2 for v in f.eval(p))))
+        norms.append(np.sqrt(sum(np.dot(v.coeffs, v.coeffs) for v in f.eval(p))))
     assert max(norms) - min(norms) < 1e-12
 
 
@@ -72,7 +72,7 @@ def test_profile_matches_sampled_norms_for_koebe():
     prof = extremal_profile(f, o, E1_3)
     for j in sample_S_batch(rng, 3, 50):
         u = float(np.dot(j, E1_3.coeffs))
-        val = np.sqrt(sum(v.euclid_norm() ** 2
+        val = np.sqrt(sum(np.dot(v.coeffs, v.coeffs)
                           for v in f.eval(make_point(o.alpha, o.beta, CliffordElement(3, j)))))
         assert abs(val ** 2 - prof.g(u)) < 1e-9
 
@@ -503,6 +503,6 @@ def test_growth_check_domain_polydisc_literal_rho_form_overshoots():
     # real diagonal: ||f(diag(r))|| = sqrt(2) r/(1-r)^2 > r/(1-r)^2
     f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
     diag = make_point([0.9, 0.9], [0.0, 0.0], E1_3)
-    val = np.sqrt(sum(v.euclid_norm() ** 2 for v in f.eval(diag)))
+    val = np.sqrt(sum(np.dot(v.coeffs, v.coeffs) for v in f.eval(diag)))
     rho = gauge_rho(polydisc_gauge(2, 3), diag.alpha, diag.beta)
     assert val > rho / (1 - rho) ** 2 * 1.4

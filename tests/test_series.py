@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicegrowth.algebra import CliffordElement, mul_batch, mul_coeffs, slice_exp
+from slicegrowth.algebra import CliffordElement, invert_batch, mul_batch, mul_coeffs, slice_exp
 from slicegrowth.errors import DimensionError, NonInvertibleError
 from slicegrowth.series import (
     _EVAL_CHUNK,
     StemSeries,
-    UnivariateSeries,
     central_partials,
     cr_residual,
     extremal_series,
@@ -63,7 +62,14 @@ def test_coefficient_rejects_a_multi_index_of_the_wrong_length():
     with pytest.raises(DimensionError):
         StemSeries(2, 2, {(1,): np.zeros((2, 4))})
     # an absent index of the right length reads as zero
-    assert all(v == CliffordElement.zero(2) for v in stem.coefficient((3, 0)))
+    assert np.array_equal(stem.coefficient((3, 0)), np.zeros((2, 4)))
+
+
+def test_coefficient_is_a_copy():
+    stem = identity_map(2, 2)
+    rows = stem.coefficient((1, 0))
+    rows[0, 0] = 5.0
+    assert stem.coefficient((1, 0))[0, 0] == 1.0
 
 
 def test_even_odd_pair_exact():
@@ -93,13 +99,11 @@ def test_derivative_matches_finite_differences():
 def test_derivative_of_monomials():
     stem = identity_map(2, 2)
     d = stem.derivative(0)
-    ones = d.coefficient((0, 0))
-    assert ones[0] == CliffordElement.scalar(2, 1.0)
-    assert ones[1] == CliffordElement.zero(2)
+    assert np.array_equal(d.coefficient((0, 0)), [[1.0, 0, 0, 0], [0, 0, 0, 0]])
 
     sq = StemSeries(2, 1, {(2,): np.array([[2.0, 0, 0, 0]])})
     dsq = sq.derivative(0)
-    assert dsq.coefficient((1,))[0] == CliffordElement.scalar(2, 4.0)
+    assert np.array_equal(dsq.coefficient((1,)), [[4.0, 0, 0, 0]])
 
 
 def _re_z1_rows(alpha, beta):
@@ -165,29 +169,33 @@ def test_central_partials_of_a_monomial():
         assert np.max(np.abs(d[1])) < 1e-9
 
 
+def _geometric_base(m, theta, I=None):
+    """Coefficients of 1 - x e^{I theta}, I = e1 by default."""
+    I = CliffordElement.generator(m, 1) if I is None else I
+    return np.stack([CliffordElement.scalar(m, 1.0).coeffs, -slice_exp(I, theta)])
+
+
 def test_star_unit_identity():
-    one = UnivariateSeries(2, [CliffordElement.scalar(2, 1.0)])
+    one = CliffordElement.scalar(2, 1.0).coeffs[None]
     rng = np.random.default_rng(3)
-    g = UnivariateSeries(2, rng.uniform(-1, 1, size=(5, 4)))
-    prod = star_mul(one, g)
-    np.testing.assert_allclose(prod.coeffs, g.coeffs, atol=1e-15)
-    prod2 = star_mul(g, one)
-    np.testing.assert_allclose(prod2.coeffs, g.coeffs, atol=1e-15)
+    g = rng.uniform(-1, 1, size=(5, 4))
+    np.testing.assert_allclose(star_mul(2, one, g), g, atol=1e-15)
+    np.testing.assert_allclose(star_mul(2, g, one), g, atol=1e-15)
 
 
 def test_star_telescoping_geometric():
     # (1 - x e1) * (sum x^k e1^k) telescopes to 1
     m, N = 2, 30
-    e1 = CliffordElement.generator(m, 1)
-    base = UnivariateSeries(m, [CliffordElement.scalar(m, 1.0), -e1])
-    powers = [CliffordElement.scalar(m, 1.0)]
-    for _ in range(N):
-        powers.append(powers[-1] * e1)
-    geo = UnivariateSeries(m, powers)
-    prod = star_mul(base, geo, trunc=N)
-    expected = np.zeros_like(prod.coeffs)
+    e1 = CliffordElement.generator(m, 1).coeffs
+    powers = np.zeros((N + 1, 1 << m))
+    powers[0, 0] = 1.0
+    for k in range(N):
+        powers[k + 1] = mul_coeffs(m, powers[k], e1)
+    base = np.stack([CliffordElement.scalar(m, 1.0).coeffs, -e1])
+    prod = star_mul(m, base, powers, trunc=N)
+    expected = np.zeros_like(prod)
     expected[0, 0] = 1.0
-    np.testing.assert_allclose(prod.coeffs, expected, atol=1e-13)
+    np.testing.assert_allclose(prod, expected, atol=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,80 +203,94 @@ def test_star_telescoping_geometric():
 def test_star_mul_associative_and_distributive(seed):
     rng = np.random.default_rng(seed)
     m = 2
-    f, g, h = (UnivariateSeries(m, rng.uniform(-1, 1, size=(4, 4)))
-               for _ in range(3))
-    lhs = star_mul(star_mul(f, g), h)
-    rhs = star_mul(f, star_mul(g, h))
-    np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
-    both = star_mul(f, UnivariateSeries(m, g.coeffs + h.coeffs))
-    split = star_mul(f, g).coeffs + star_mul(f, h).coeffs
-    np.testing.assert_allclose(both.coeffs, split, atol=1e-12)
+    f, g, h = rng.uniform(-1, 1, size=(3, 4, 4))
+    lhs = star_mul(m, star_mul(m, f, g), h)
+    rhs = star_mul(m, f, star_mul(m, g, h))
+    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+    both = star_mul(m, f, g + h)
+    split = star_mul(m, f, g) + star_mul(m, f, h)
+    np.testing.assert_allclose(both, split, atol=1e-12)
 
 
 def test_star_inverse_geometric_closed_form():
     m, N, theta = 2, 40, 0.8
     e1 = CliffordElement.generator(m, 1)
-    base = UnivariateSeries(m, [CliffordElement.scalar(m, 1.0),
-                                -slice_exp(e1, theta)])
-    inv = star_inverse(base, N)
+    base = _geometric_base(m, theta)
+    inv = star_inverse(m, base, N)
     for k in range(N + 1):
-        expected = slice_exp(e1, k * theta)
-        assert inv.coefficient(k).isclose(expected, 1e-12)
-    ident = star_mul(base, inv, trunc=N)
-    expected = np.zeros_like(ident.coeffs)
+        assert np.max(np.abs(inv[k] - slice_exp(e1, k * theta))) <= 1e-12
+    ident = star_mul(m, base, inv, trunc=N)
+    expected = np.zeros_like(ident)
     expected[0, 0] = 1.0
-    np.testing.assert_allclose(ident.coeffs, expected, atol=1e-12)
+    np.testing.assert_allclose(ident, expected, atol=1e-12)
 
 
 def test_star_inverse_scalar_and_errors():
-    two = UnivariateSeries(2, [CliffordElement.scalar(2, 2.0)])
-    inv = star_inverse(two, 3)
-    assert inv.coefficient(0).isclose(CliffordElement.scalar(2, 0.5), 1e-14)
-    zero_lead = UnivariateSeries(2, [CliffordElement.zero(2),
-                                     CliffordElement.scalar(2, 1.0)])
+    inv = star_inverse(2, CliffordElement.scalar(2, 2.0).coeffs[None], 3)
+    assert np.max(np.abs(inv[0] - CliffordElement.scalar(2, 0.5).coeffs)) <= 1e-14
+    zero_lead = np.stack([np.zeros(4), CliffordElement.scalar(2, 1.0).coeffs])
     with pytest.raises(NonInvertibleError):
-        star_inverse(zero_lead, 3)
+        star_inverse(2, zero_lead, 3)
+    for bad in (np.zeros((0, 4)), np.zeros((2, 8)), np.zeros(4)):
+        with pytest.raises(DimensionError):
+            star_inverse(2, bad, 3)
+        with pytest.raises(DimensionError):
+            star_mul(2, bad, zero_lead)
+
+
+def test_star_inverse_rejects_numerically_singular_constant():
+    # 1 + t e123 is singular at t = 1 (e123 squares to +1 for m = 3); near
+    # it the solve would succeed, and the singular-value test must refuse
+    m = 3
+    one = CliffordElement.scalar(m, 1.0).coeffs
+    e123 = CliffordElement.blade(m, (1, 2, 3)).coeffs
+    with pytest.raises(NonInvertibleError, match="constant coefficient is not invertible"):
+        star_inverse(m, (one + (1.0 - 1e-13) * e123)[None], 2)
+    a0 = one + 0.5 * e123
+    b = star_inverse(m, a0[None], 2)
+    assert np.max(np.abs(mul_coeffs(m, b[0], a0) - one)) <= 1e-14
 
 
 def test_star_inverse_involution():
     rng = np.random.default_rng(5)
     m, N = 2, 25
-    coeffs = [CliffordElement.scalar(m, 1.0)]
+    f = np.zeros((N + 1, 4))
+    f[0, 0] = 1.0
     for k in range(1, N + 1):
         row = rng.uniform(-1, 1, 4)
         row *= 0.4 ** k / max(1.0, np.linalg.norm(row))
-        coeffs.append(CliffordElement(m, row))
-    f = UnivariateSeries(m, coeffs)
-    back = star_inverse(star_inverse(f, N), N)
-    np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-10)
+        f[k] = row
+    back = star_inverse(m, star_inverse(m, f, N), N)
+    np.testing.assert_allclose(back, f, atol=1e-10)
 
 
-def _reference_star_mul(f, g, trunc=None):
+def _reference_star_mul(m, f, g, trunc=None):
     """The star product order by order: one product batch per order."""
-    n_out = f.degree + g.degree if trunc is None else min(trunc, f.degree + g.degree)
-    out = np.zeros((n_out + 1, f.coeffs.shape[1]))
+    f_deg, g_deg = len(f) - 1, len(g) - 1
+    n_out = f_deg + g_deg if trunc is None else min(trunc, f_deg + g_deg)
+    out = np.zeros((n_out + 1, f.shape[1]))
     for k in range(n_out + 1):
-        j0 = max(0, k - g.degree)
-        j1 = min(k, f.degree)
+        j0 = max(0, k - g_deg)
+        j1 = min(k, f_deg)
         if j0 > j1:
             continue
         js = np.arange(j0, j1 + 1)
-        out[k] = mul_batch(f.m, f.coeffs[js], g.coeffs[k - js]).sum(axis=0)
+        out[k] = mul_batch(m, f[js], g[k - js]).sum(axis=0)
     return out
 
 
-def _reference_star_inverse(f, trunc):
+def _reference_star_inverse(m, f, trunc):
     """The star inverse order by order: b_k = -a_0^{-1} sum_j a_j b_{k-j}."""
-    a0inv = f.coefficient(0).inverse()
-    out = np.zeros((trunc + 1, f.coeffs.shape[1]))
-    out[0] = a0inv.coeffs
+    a0inv = invert_batch(m, f[:1])[0]
+    out = np.zeros((trunc + 1, f.shape[1]))
+    out[0] = a0inv
     for k in range(1, trunc + 1):
-        j1 = min(k, f.degree)
+        j1 = min(k, len(f) - 1)
         if j1 < 1:
             continue
         js = np.arange(1, j1 + 1)
-        acc = mul_batch(f.m, f.coeffs[js], out[k - js]).sum(axis=0)
-        out[k] = -mul_coeffs(f.m, a0inv.coeffs, acc)
+        acc = mul_batch(m, f[js], out[k - js]).sum(axis=0)
+        out[k] = -mul_coeffs(m, a0inv, acc)
     return out
 
 
@@ -286,7 +308,7 @@ def _decaying_series(rng, m, degree):
     coeffs *= (0.5 * 0.5 ** np.arange(degree + 1)
                / np.maximum(1.0, np.linalg.norm(coeffs, axis=1)))[:, None]
     coeffs[0, 0] = 1.0
-    return UnivariateSeries(m, coeffs)
+    return coeffs
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -294,27 +316,26 @@ def test_star_mul_matches_per_order_reference(m):
     # both product regimes of mul_batch (structure tensor below m = 4,
     # spinor blocks from m = 4), truncations below and above the degrees
     rng = np.random.default_rng(40 + m)
-    g = UnivariateSeries(m, rng.uniform(-1, 1, (41, 1 << m)))
+    g = rng.uniform(-1, 1, (41, 1 << m))
     for degree in (1, 40, 300):
-        f = UnivariateSeries(m, rng.uniform(-1, 1, (degree + 1, 1 << m)))
+        f = rng.uniform(-1, 1, (degree + 1, 1 << m))
         for trunc in (None, 0, degree // 2, 20, degree + 60):
             for a, b in ((f, g), (g, f), (f, f)):
-                gap = _relative_gap(star_mul(a, b, trunc).coeffs,
-                                    _reference_star_mul(a, b, trunc))
-                assert gap <= 1e-13, (degree, trunc, a.degree, b.degree, gap)
+                gap = _relative_gap(star_mul(m, a, b, trunc),
+                                    _reference_star_mul(m, a, b, trunc))
+                assert gap <= 1e-13, (degree, trunc, len(a), len(b), gap)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_star_inverse_matches_per_order_reference(m):
     rng = np.random.default_rng(50 + m)
-    e1 = CliffordElement.generator(m, 1)
-    unit = UnivariateSeries(m, [CliffordElement.scalar(m, 1.0), -slice_exp(e1, 0.7)])
-    for f in (unit, _decaying_series(rng, m, 1), _decaying_series(rng, m, 40),
-              _decaying_series(rng, m, 300)):
-        for trunc in (0, 1, f.degree // 2, 40, f.degree + 60):
-            gap = _relative_gap(star_inverse(f, trunc).coeffs,
-                                _reference_star_inverse(f, trunc))
-            assert gap <= 1e-13, (f.degree, trunc, gap)
+    for f in (_geometric_base(m, 0.7), _decaying_series(rng, m, 1),
+              _decaying_series(rng, m, 40), _decaying_series(rng, m, 300)):
+        degree = len(f) - 1
+        for trunc in (0, 1, degree // 2, 40, degree + 60):
+            gap = _relative_gap(star_inverse(m, f, trunc),
+                                _reference_star_inverse(m, f, trunc))
+            assert gap <= 1e-13, (degree, trunc, gap)
 
 
 def test_power_sum_matches_plain_sum():
@@ -347,22 +368,20 @@ def test_koebe_coefficients_and_normalization():
     e1 = CliffordElement.generator(m, 1)
     f = extremal_series(2, 0.0, e1, N, n)
     # normalized: no constant term, unit linear coefficient
-    zero = f.coefficient((0, 0))
-    assert all(v == CliffordElement.zero(m) for v in zero)
+    assert np.array_equal(f.coefficient((0, 0)), np.zeros((n, 1 << m)))
     lin = f.coefficient((1, 0))
-    assert lin[0] == CliffordElement.scalar(m, 1.0)
-    assert lin[1] == CliffordElement.zero(m)
+    assert np.array_equal(lin, [CliffordElement.scalar(m, 1.0).coeffs, np.zeros(1 << m)])
     for k in range(0, 6):
         coeff = f.coefficient((k + 1, 0))[0]
-        assert coeff.isclose(CliffordElement.scalar(m, k + 1.0), 1e-12)
+        assert np.max(np.abs(coeff - CliffordElement.scalar(m, k + 1.0).coeffs)) <= 1e-12
 
     theta = 1.1
     g = extremal_series(2, theta, e1, N, n)
     for k in range(0, 6):
         coeff = g.coefficient((0, k + 1))[1]
         expected = (k + 1.0) * slice_exp(e1, k * theta)
-        assert coeff.isclose(expected, 1e-11)
-        assert coeff.euclid_norm() == pytest.approx(k + 1.0, abs=1e-11)
+        assert np.max(np.abs(coeff - expected)) <= 1e-11
+        assert np.linalg.norm(coeff) == pytest.approx(k + 1.0, abs=1e-11)
 
 
 def test_koebe_matches_closed_form_on_real_axis():
@@ -380,8 +399,8 @@ def test_convex_and_paper_example_maps():
     m, n, N = 2, 1, 300
     e1 = CliffordElement.generator(m, 1)
     poly = extremal_series(-1, 0.0, e1, N, n)
-    assert poly.coefficient((1,))[0] == CliffordElement.scalar(m, 1.0)
-    assert poly.coefficient((2,))[0] == CliffordElement.scalar(m, -1.0)
+    assert np.array_equal(poly.coefficient((1,))[0], CliffordElement.scalar(m, 1.0).coeffs)
+    assert np.array_equal(poly.coefficient((2,))[0], CliffordElement.scalar(m, -1.0).coeffs)
     assert poly.degree == 2
     assert poly.tail_model is None
 

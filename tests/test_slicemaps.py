@@ -25,7 +25,7 @@ from slicegrowth.slicemaps import (
     split_components,
     two_slice_average,
 )
-from slicegrowth.slicespace import make_point, sample_S_batch
+from slicegrowth.slicespace import make_point, sample_S_batch, unit_rows
 from slicegrowth.suites import MAP_FAMILIES, _random_stem, _re_z1_control
 
 
@@ -156,7 +156,7 @@ def test_representation_rejects_close_pair():
     J = CliffordElement.generator(3, 1).coeffs
     with pytest.raises(RepresentationError):
         representation_formula(f, alpha, beta, J, J, sample_S_batch(rng, 3, 1)[0])
-    nudged = CliffordElement.from_vector(3, [np.sqrt(1 - 1e-9), np.sqrt(1e-9), 0.0])
+    nudged = CliffordElement(3, [0.0, np.sqrt(1 - 1e-9), np.sqrt(1e-9), 0, 0, 0, 0, 0])
     with pytest.raises(RepresentationError):
         representation_formula(f, alpha, beta, J, nudged.coeffs, sample_S_batch(rng, 3, 1)[0])
     # one close pair among good ones rejects the batch
@@ -330,7 +330,7 @@ def test_split_single_component_for_m1():
     f = _rand_map(rng, m=1, n=2, degree=3, terms=5)
     e1 = CliffordElement.generator(1, 1)
     comps, basis = split_components(f, e1)
-    assert len(comps) == 1 and basis[0] == CliffordElement.scalar(1, 1.0)
+    assert len(comps) == 1 and np.array_equal(basis[0].coeffs, [1.0, 0.0])
     z = np.array([0.3 + 0.2j, -0.1 + 0.4j])
     direct = f.eval_arrays(z.real[None], z.imag[None], e1.coeffs)[0]
     rebuilt = reassemble_on_slice(comps, basis, e1, z)
@@ -352,8 +352,7 @@ def test_split_reassembles_generic_map():
     rng = np.random.default_rng(10)
     for m in (2, 3):
         f = _rand_map(rng, m=m)
-        i_elem = CliffordElement.from_vector(
-            m, (lambda v: v / np.linalg.norm(v))(rng.normal(size=m)))
+        i_elem = CliffordElement(m, unit_rows(rng.normal(size=m)))
         comps, basis = split_components(f, i_elem)
         assert len(comps) == 1 << (m - 1)
         for _ in range(25):
@@ -382,5 +381,6 @@ def test_split_rejects_degenerate_completion():
 def test_default_module_basis_requires_vector_direction():
     with pytest.raises(BasisError):
         default_module_basis(CliffordElement.blade(2, (1, 2)))
-    basis = default_module_basis(CliffordElement.from_vector(3, [0.6, 0.0, 0.8]))
+    i_elem = CliffordElement(3, [0.0, 0.6, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0])   # 0.6 e1 + 0.8 e3
+    basis = default_module_basis(i_elem)
     assert len(basis) == 4

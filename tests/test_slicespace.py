@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slicegrowth.algebra import CliffordElement, in_sqrt_minus_one
+from slicegrowth.algebra import CliffordElement, in_sqrt_minus_one, mul_coeffs
 from slicegrowth.errors import SamplingError
 from slicegrowth.slicespace import (
     anticommuting_unit,
@@ -16,24 +16,24 @@ from slicegrowth.slicespace import (
 
 
 def test_canonicalization_folds_sign():
-    j = CliffordElement.from_vector(2, [-1.0, 0.0])  # first coeff negative
+    j = CliffordElement(2, [0.0, -1.0, 0.0, 0.0])  # first coeff negative
     p = make_point([0.5], [1.0], j)
-    q = make_point([0.5], [-1.0], -j)
+    q = make_point([0.5], [-1.0], CliffordElement(2, -j.coeffs))
     np.testing.assert_allclose(p.beta, q.beta)
-    assert p.J == q.J
+    assert np.array_equal(p.J.coeffs, q.J.coeffs)
     # canonical form is idempotent
     r = make_point(p.alpha, p.beta, p.J)
-    assert r.J == p.J and np.array_equal(r.beta, p.beta)
+    assert np.array_equal(r.J.coeffs, p.J.coeffs) and np.array_equal(r.beta, p.beta)
 
 
 def test_real_point_pins_canonical_slice():
-    j = CliffordElement.from_vector(3, [0.0, 1.0, 0.0])
+    j = CliffordElement.generator(3, 2)
     p = make_point([1.0, 2.0], [0.0, 0.0], j)
-    assert p.J == CliffordElement.generator(3, 1)
+    assert np.array_equal(p.J.coeffs, CliffordElement.generator(3, 1).coeffs)
 
 
 def test_point_norm_examples():
-    j = CliffordElement.from_vector(2, [0.6, 0.8])
+    j = CliffordElement(2, [0.0, 0.6, 0.8, 0.0])
     p = make_point([3.0, 0.0], [4.0, 0.0], j)
     assert point_norm(p) == pytest.approx(5.0, abs=1e-12)
     origin = make_point([0.0], [0.0], CliffordElement.generator(2, 1))
@@ -58,11 +58,11 @@ def test_orbit_point_real_orbit():
 
 def test_orbit_opposite_slices_fold():
     o = make_orbit([0.1], [0.9])
-    j = CliffordElement.from_vector(2, [1.0, 0.0])
+    j = CliffordElement.generator(2, 1)
     a = make_point(o.alpha, o.beta, j)
-    b = make_point(o.alpha, o.beta, -j)
+    b = make_point(o.alpha, o.beta, CliffordElement(2, -j.coeffs))
     # embedded points differ, canonical slices agree up to the beta sign
-    assert a.J == b.J
+    assert np.array_equal(a.J.coeffs, b.J.coeffs)
     np.testing.assert_allclose(a.beta, -b.beta)
 
 
@@ -84,15 +84,15 @@ def test_sample_m1_is_pm_e1():
 
 
 def test_vector_norm_stacks_coefficients():
-    e1 = CliffordElement.generator(2, 1)
-    assert vector_norm([3.0 + 0.0 * e1, 4.0 * e1]) == pytest.approx(5.0)
+    e1 = CliffordElement.generator(2, 1).coeffs
+    assert vector_norm([[3.0, 0.0, 0.0, 0.0], 4.0 * e1]) == pytest.approx(5.0)
 
 
 def test_anticommuting_unit_families():
     rng = np.random.default_rng(12)
     cases = [
         CliffordElement.generator(3, 1),
-        CliffordElement.from_vector(3, np.array([0.6, 0.0, 0.8])),
+        CliffordElement(3, [0.0, 0.6, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0]),   # 0.6 e1 + 0.8 e3
         CliffordElement.blade(2, (1, 2)),
         CliffordElement(2, [0.0, 0.6, 0.0, 0.8]),   # 0.6 e1 + 0.8 e12
     ]
@@ -100,12 +100,13 @@ def test_anticommuting_unit_families():
         perp = anticommuting_unit(i_elem, rng)
         m = i_elem.m
         assert in_sqrt_minus_one(perp, 1e-9)
-        anti = i_elem * perp + perp * i_elem
-        assert np.max(np.abs(anti.coeffs)) < 1e-9
-        assert abs(np.dot(perp.coeffs, i_elem.coeffs)) < 1e-9
+        c, d = i_elem.coeffs, perp.coeffs
+        anti = mul_coeffs(m, c, d) + mul_coeffs(m, d, c)
+        assert np.max(np.abs(anti)) < 1e-9
+        assert abs(np.dot(d, c)) < 1e-9
         # the u-sweep stays on the sphere of roots of -1
         for u in (-1.0, -0.4, 0.0, 0.8, 1.0):
-            j = u * i_elem + np.sqrt(1 - u ** 2) * perp
+            j = CliffordElement(m, u * c + np.sqrt(1 - u ** 2) * d)
             assert in_sqrt_minus_one(j, 1e-9)
     with pytest.raises(SamplingError):
         anticommuting_unit(CliffordElement.generator(1, 1), rng)
