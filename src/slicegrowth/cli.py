@@ -56,8 +56,8 @@ def main():
 @main.command()
 @click.argument("suite", type=click.Choice(suites.SUITE_NAMES))
 @click.option("--m", type=int, default=None, help="Generator count (1..8).")
-@click.option("--n", type=int, default=2, show_default=True,
-              help="Number of slice variables.")
+@click.option("--n", type=int, default=None,
+              help="Number of slice variables (default 2; extremal sweeps 1 and 2).")
 @click.option("--seed", type=int, default=suites.DEFAULT_SEED,
               envvar=_SEED_ENVVAR, show_default=True,
               help=f"RNG seed (env {_SEED_ENVVAR} overrides the default).")

@@ -3,10 +3,12 @@ produce one report record each.
 
 Every suite derives its RNG stream from (seed, suite tag, shard index),
 so reports are byte-identical for a fixed (config, seed, shard count).
-Only the algebra and growth-ball suites split their sample budgets over
+The algebra suite and both growth suites split their sample budgets over
 `shards` independent streams (_sharded); the other suites run one stream
 whatever the shard count.  Shard merging takes maxima of the error
-fields, sums sample counts and ANDs the pass verdicts.
+fields, sums sample counts and ANDs the pass verdicts.  Every growth
+record, on the ball or another gauge, comes from one checker,
+geometry.growth_check_domain, through _growth_record.
 
 Slice maps are evaluated on coefficient rows (SliceMap.eval_arrays).
 The representation, regularity and gauge suites draw their cases with
@@ -101,7 +103,7 @@ MAP_FAMILIES = {
 @dataclass
 class RunConfig:
     m: Optional[int] = None
-    n: int = 2
+    n: Optional[int] = None   # suites take 2 (extremal sweeps 1 and 2)
     seed: int = DEFAULT_SEED
     samples: Optional[int] = None
     truncation: int = 300
@@ -114,7 +116,7 @@ class RunConfig:
     def validate(self):
         if self.m is not None and not 1 <= self.m <= MAX_M:
             raise ValueError(f"m must be in 1..{MAX_M}")
-        if self.n < 1:
+        if self.n is not None and self.n < 1:
             raise ValueError("n must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
@@ -161,7 +163,7 @@ def _merge_shards(parts: list[Report], keys) -> Report:
     """One record from per-shard records: the maximum of each named field,
     the sum of samples and the AND of the pass verdicts.  A record with a
     hypothesis spot-check is asserted only if every shard's passed, and
-    an unasserted record passes."""
+    geometry.judge_growth lets an unasserted record pass."""
     merged = parts[0]
     if "asserted" in merged.data:
         merged.data["hypothesis_status"] = geometry.merge_hypothesis_status(
@@ -172,8 +174,7 @@ def _merge_shards(parts: list[Report], keys) -> Report:
             merged.data[key] = max(merged.data[key], extra.data[key])
         merged.samples += extra.samples
         merged.passed = merged.passed and extra.passed
-    merged.passed = merged.passed or not merged.data.get("asserted", True)
-    return merged
+    return geometry.judge_growth(merged, merged.data.get("asserted", True))
 
 
 def _sharded(cfg: RunConfig, suite: str, budget: int, tag: int, check, keys) -> Report:
@@ -326,7 +327,7 @@ def _random_stem(m: int, n: int, rng, degree: int = 5, terms: int = 8) -> series
 
 def run_stem(cfg: RunConfig) -> list[Report]:
     m = cfg.m or 3
-    n = cfg.n
+    n = cfg.n or 2
     count = cfg.budget("stem")
     trunc = cfg.truncation
     rng = _rng(cfg, "stem", 0)
@@ -471,7 +472,7 @@ def _representation_cases(rng, m: int, n: int, cases: np.ndarray,
 
 def run_representation(cfg: RunConfig) -> list[Report]:
     m = cfg.m or 3
-    n = cfg.n
+    n = cfg.n or 2
     count = cfg.budget("representation")
     rng = _rng(cfg, "representation", 0)
     cond_threshold = 1e-3
@@ -543,7 +544,7 @@ def run_representation(cfg: RunConfig) -> list[Report]:
 
 def run_regularity(cfg: RunConfig) -> list[Report]:
     m = cfg.m or 3
-    n = cfg.n
+    n = cfg.n or 2
     count = cfg.budget("regularity")
     rng = _rng(cfg, "regularity", 0)
     theta = cfg.theta if cfg.theta is not None else 0.7
@@ -624,7 +625,7 @@ def run_extremal(cfg: RunConfig) -> list[Report]:
     tol = 1e-9
     reports = []
     m_values = (cfg.m,) if cfg.m else (2, 3)
-    n_values = (cfg.n,) if cfg.n != 2 else (1, 2)
+    n_values = (cfg.n,) if cfg.n else (1, 2)
     for m in m_values:
         if m < 2:
             # the sphere of roots of -1 is {-e1, e1}: no transverse sweep
@@ -662,11 +663,34 @@ def _growth_cases(cfg: RunConfig):
     return m, thetas, directions
 
 
+# the fields a shard merge takes the maximum of: the readings the gauge picks
+_GROWTH_KEYS = {
+    "ball": ("max_violation_lower", "max_violation_upper", "max_error"),
+    "polydisc": tuple(f"{form}_form_violation_{side}" for form in ("rho", "norm", "gauge")
+                      for side in ("lower", "upper"))
+    + ("diagonal_sharpness_gap", "off_slice_residual", "max_error"),
+}
+
+
+def _growth_record(cfg: RunConfig, suite: str, check: str, label: str, tag: int,
+                   f: slicemaps.ClosedFormMap, gauge: geometry.Gauge) -> Report:
+    """The record `check` of map `label`, f, on the gauge: the suite's
+    budget over its shards, shard i drawing from _rng(cfg, suite, i, tag)."""
+    family, _, asserted = MAP_FAMILIES[label]
+    rep = _sharded(cfg, suite, cfg.budget(suite), tag,
+                   lambda size, rng: geometry.growth_check_domain(
+                       f, gauge, family, cfg.r_max, size, rng, f.I, f.theta, 1e-9,
+                       asserted),
+                   _GROWTH_KEYS[gauge.kind])
+    rep.check = check
+    rep.data["map"] = label
+    return rep
+
+
 def run_growth_ball(cfg: RunConfig) -> list[Report]:
     m, thetas, directions = _growth_cases(cfg)
-    n = cfg.n
-    count = cfg.budget("growth-ball")
-    trunc = cfg.truncation
+    n = cfg.n or 2
+    ball = geometry.ball_gauge(n, m)
     reports = []
     wanted = cfg.maps or tuple(MAP_FAMILIES)
 
@@ -676,29 +700,21 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
         for iname, i_elem in directions:
             sweep = []
             for theta in thetas:
-                f = slicemaps.ClosedFormMap(p, theta, i_elem, trunc, n)
+                f = slicemaps.ClosedFormMap(p, theta, i_elem, cfg.truncation, n)
                 sweep.append(f)
-                rep = _sharded(
-                    cfg, "growth-ball", count, _stable_tag(label, iname, f"{theta:.9f}"),
-                    lambda size, rng: geometry.growth_check_ball(
-                        f, family, cfg.r_max, size, rng, i_elem, theta, 1e-9, asserted),
-                    ("max_violation_lower", "max_violation_upper", "max_error"))
-                rep.check = f"growth-ball-{label}-{iname}-theta{theta:.3f}"
-                rep.data["map"] = label
-                reports.append(rep)
+                reports.append(_growth_record(
+                    cfg, "growth-ball", f"growth-ball-{label}-{iname}-theta{theta:.3f}",
+                    label, _stable_tag(label, iname, f"{theta:.9f}"), f, ball))
 
             f0 = next((f for f in sweep if abs(f.theta) < 1e-15), None)
             if f0 is not None:
                 sharp = geometry.sharpness_axis(f0, family, _SHARP_GRID, 1e-8)
                 sharp.check = f"sharpness-{label}-{iname}"
                 sharp.data["map"] = label
-                if not asserted:
-                    sharp.data["asserted"] = False
-                    sharp.passed = True
-                reports.append(sharp)
+                reports.append(geometry.judge_growth(sharp, asserted))
 
             agree = geometry.closed_form_agreement(
-                sweep, cfg.r_max, min(count, 1000),
+                sweep, cfg.r_max, min(cfg.budget("growth-ball"), 1000),
                 _rng(cfg, "growth-ball", 0, _stable_tag("closed-form", label, iname)))
             agree.check = f"closed-form-{label}-{iname}"
             agree.data["map"] = label
@@ -708,34 +724,25 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
 
 def run_growth_domain(cfg: RunConfig) -> list[Report]:
     m, thetas, directions = _growth_cases(cfg)
-    n = cfg.n
-    count = cfg.budget("growth-domain")
-    trunc = cfg.truncation
+    n = cfg.n or 2
     reports = []
     wanted = cfg.maps or tuple(MAP_FAMILIES)
 
-    # the domain checks always assert, so unasserted families are skipped
+    # the domain suite reports the asserted families only
     for label, (family, p, asserted) in MAP_FAMILIES.items():
         if label not in wanted or not asserted:
             continue
-        _, i_elem = directions[0]
-        theta = thetas[0]
-        f = slicemaps.ClosedFormMap(p, theta, i_elem, trunc, n)
+        f = slicemaps.ClosedFormMap(p, thetas[0], directions[0][1], cfg.truncation, n)
         for domain in cfg.domains:
-            gauge = geometry.ball_gauge(n, m) if domain == "ball" \
-                else geometry.polydisc_gauge(n, m)
-            rng = _rng(cfg, "growth-domain", 0, _stable_tag(label, domain))
-            rep = geometry.growth_check_domain(
-                f, gauge, family, cfg.r_max, count, rng, i_elem, theta, 1e-9)
-            rep.check = f"growth-domain-{domain}-{label}"
-            rep.data["map"] = label
-            reports.append(rep)
+            reports.append(_growth_record(
+                cfg, "growth-domain", f"growth-domain-{domain}-{label}", label,
+                _stable_tag(label, domain), f, geometry.Gauge(domain, n, m)))
     return reports
 
 
 def run_gauge(cfg: RunConfig) -> list[Report]:
     m = cfg.m or 3
-    n = cfg.n
+    n = cfg.n or 2
     count = cfg.budget("gauge")
     rng = _rng(cfg, "gauge", 0)
     reports = []

@@ -73,7 +73,7 @@ def test_different_seeds_differ():
 
 
 def test_shard_merge_is_deterministic():
-    for suite in ("algebra", "growth-ball"):
+    for suite in ("algebra", "growth-ball", "growth-domain"):
         a = run_suite(suite, small_config(shards=3))
         b = run_suite(suite, small_config(shards=3))
         assert render(a, "json") == render(b, "json"), suite
@@ -85,6 +85,25 @@ def test_shard_merge_is_deterministic():
         agree = [rep for rep in a if rep.check.startswith("closed-form-")]
         assert all(rep.samples == 40 * 3 for rep in agree), suite
         assert len(agree) == (6 if suite == "growth-ball" else 0), suite
+        # a growth record's spot-check counts the 64 points of every shard
+        for rep in sampled:
+            status = rep.data.get("hypothesis_status", "ok")
+            assert status == "ok" or status.endswith("/192)"), (rep.check, status)
+            assert status == "ok" or rep.data["asserted"] is False, rep.check
+
+
+def test_extremal_runs_only_the_requested_n(tmp_path):
+    # without --n the extremal suite sweeps n = 1 and 2; --n 2 runs n = 2
+    # alone, with the records the sweep gives it
+    sweep = run_suite("extremal", small_config())
+    assert {rep.data["n"] for rep in sweep} == {1, 2}
+    out = tmp_path / "n2.json"
+    result = CliRunner().invoke(main, ["verify", "extremal", "--n", "2", "--samples", "40",
+                                       "--truncation", "40", "--seed", "123",
+                                       "--out", str(out), "--quiet"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text()) == [rep.record() for rep in sweep
+                                           if rep.data["n"] == 2]
 
 
 def test_shard_merge_keeps_algebra_key_order():

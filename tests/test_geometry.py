@@ -29,6 +29,7 @@ from slicegrowth.geometry import (
     value_gauge_on_slice,
     verify_extremal,
 )
+from slicegrowth.reports import render, summary_lines
 from slicegrowth.series import (
     StemSeries,
     extremal_series,
@@ -435,17 +436,56 @@ def test_growth_check_domain_reads_the_map_not_its_series():
 
 
 def test_growth_check_domain_ball_matches_ball_suite():
+    # on the ball gauge the one checker gives growth_check_ball's record
+    # bit for bit from the same stream
     f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
-    rng1 = np.random.default_rng([9, 1])
-    rng2 = np.random.default_rng([9, 1])
-    ball_rep = growth_check_ball(f, "starlike", 0.9, 800, rng1, E1_3, 0.0)
+    ball_rep = growth_check_ball(f, "starlike", 0.9, 800,
+                                 np.random.default_rng([9, 1]), E1_3, 0.0)
     dom_rep = growth_check_domain(f, ball_gauge(2, 3), "starlike", 0.9, 800,
-                                  rng2, E1_3, 0.0)
-    assert dom_rep.passed, dom_rep.data
-    assert abs(dom_rep.data["rho_form_violation_lower"] -
-               ball_rep.data["max_violation_lower"]) < 1e-12
-    assert abs(dom_rep.data["rho_form_violation_upper"] -
-               ball_rep.data["max_violation_upper"]) < 1e-12
+                                  np.random.default_rng([9, 1]), E1_3, 0.0)
+    assert dom_rep.passed and dom_rep.data["asserted"], dom_rep.data
+    assert render([dom_rep], "json") == render([ball_rep], "json")
+
+
+class _ScaledClosedForm(ClosedFormMap):
+    """A ClosedFormMap whose values are scaled; its stem, and so its
+    spot-check, stays that of the unscaled map."""
+
+    def __init__(self, scale, *args):
+        super().__init__(*args)
+        self.scale = scale
+
+    def eval_arrays(self, alpha, beta, j_rows):
+        return self.scale * super().eval_arrays(alpha, beta, j_rows)
+
+
+@pytest.mark.parametrize("p, family", [(2, "starlike"), (1, "convex")])
+def test_growth_checker_fails_scaled_maps_on_every_gauge(p, family):
+    # Koebe and Cayley values scaled by 1 +- 1% fail at default budgets, by
+    # far more than the slack, on the ball and polydisc gauges and through
+    # growth_check_ball; the unscaled maps pass
+    m, n = 3, 2
+    checks = {
+        "ball": lambda f, rng, theta: growth_check_domain(
+            f, ball_gauge(n, m), family, 0.9, 10_000, rng, E1_3, theta),
+        "polydisc": lambda f, rng, theta: growth_check_domain(
+            f, polydisc_gauge(n, m), family, 0.9, 10_000, rng, E1_3, theta),
+        "growth_check_ball": lambda f, rng, theta: growth_check_ball(
+            f, family, 0.9, 10_000, rng, E1_3, theta),
+    }
+    for theta in (0.0, 0.7):
+        for name, check in checks.items():
+            for scale in (1.0, 1.01, 0.99):
+                f = _ScaledClosedForm(scale, p, theta, E1_3, 300, n)
+                rep = check(f, np.random.default_rng(31), theta)
+                where = (name, theta, scale, rep.data)
+                assert rep.data["hypothesis_status"] == "ok", where
+                assert rep.data["asserted"], where
+                if scale == 1.0:
+                    assert rep.passed, where
+                else:
+                    assert not rep.passed, where
+                    assert rep.data["max_error"] > 1e4 * rep.data["threshold"], where
 
 
 def test_growth_check_domain_hypothesis_status():
@@ -467,21 +507,35 @@ def test_growth_domain_runs_below_the_spot_check_radius():
 
 
 def test_growth_check_domain_fails_values_off_the_slice():
-    # coefficients on the slice of e2, judged on the slice of e1: the
-    # values leave the slice of e1 and the record fails on that residual,
-    # although at N = 40 it sits under the tail slack of the growth bounds
+    # a stem on the slice of e1 whose closed-form values take e2 in place
+    # of e1: the spot-check reads ok, and the record fails on the values'
+    # off-slice residual, which is judged against tol, not the tail slack
     e1, e2 = CliffordElement.generator(2, 1), CliffordElement.generator(2, 2)
-    off = SliceMap(extremal_series(2, 0.7, e2, 40, 2))
+    off = ClosedFormMap(2, 0.7, e1, 300, 2)
+    off.I = e2
     rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
+    assert rep.data["hypothesis_status"] == "ok" and rep.data["asserted"], rep.data
     assert not rep.passed, rep.data
-    assert 1.0 < rep.data["off_slice_residual"] < rep.data["threshold"]
-    assert rep.data["max_error"] > rep.data["threshold"]
-    on = SliceMap(extremal_series(2, 0.7, e1, 40, 2))
+    assert rep.data["off_slice_residual"] > 1.0
+    assert rep.data["max_error"] == \
+        rep.data["off_slice_residual"] * rep.data["threshold"] / 1e-9
+    on = ClosedFormMap(2, 0.7, e1, 300, 2)
     rep = growth_check_domain(on, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
-    assert rep.passed, rep.data
+    assert rep.passed and rep.data["asserted"], rep.data
     assert rep.data["off_slice_residual"] <= 1e-15
+
+    # coefficients on the slice of e2 judged on the slice of e1: the
+    # spot-check reads off-slice, so the record is not asserted and says so
+    stem_off = SliceMap(extremal_series(2, 0.7, e2, 40, 2))
+    rep = growth_check_domain(stem_off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
+                              np.random.default_rng(16), e1, 0.7)
+    assert rep.data["hypothesis_status"] == "off-slice"
+    assert rep.data["asserted"] is False and rep.passed, rep.data
+    rep.check = "growth-domain-polydisc-off"
+    assert summary_lines([rep])[-1] == \
+        "[NOT ASSERTED] growth-domain-polydisc-off  hypothesis_status=off-slice"
 
 
 def test_growth_check_domain_polydisc():
