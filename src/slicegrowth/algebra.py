@@ -37,7 +37,8 @@ invert_batch inverts the blocks.  mul_batch multiplies the blocks from
 m = _SPINOR_MIN = 4 up; below it the dense structure tensor is faster
 (measured on the algebra suite's batches with BLAS at one thread).  Encode
 and decode contract each row by its own stacked vector-matrix product, so
-a row gets the same bits alone as in a batch.
+a row gets the same bits alone as in a batch.  mul_batch expands each row
+of an operand once and broadcasts it, with the bits of expanded operands.
 """
 
 from __future__ import annotations
@@ -165,35 +166,43 @@ def mul_coeffs(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def spinor_encode(m: int, a: np.ndarray) -> np.ndarray:
-    """Spinor blocks of the rows of a (B, dim): shape (B, blocks, d, d)."""
+    """Spinor blocks of the rows of a (..., dim): shape (..., blocks, d, d)."""
     s = _spinor(m)
-    flat = np.matmul(np.asarray(a, dtype=np.float64)[:, None, :], s.enc)[:, 0, :]
-    return flat.view(np.complex128).reshape(len(a), s.blocks, s.d, s.d)
+    a = np.asarray(a, dtype=np.float64)
+    flat = np.matmul(a[..., None, :], s.enc)[..., 0, :]
+    return flat.view(np.complex128).reshape(a.shape[:-1] + (s.blocks, s.d, s.d))
 
 
 def spinor_decode(m: int, blocks: np.ndarray) -> np.ndarray:
-    """Coefficient rows (B, dim) of spinor blocks (B, blocks, d, d)."""
-    flat = np.ascontiguousarray(blocks).reshape(len(blocks), 1, -1).view(np.float64)
-    return np.matmul(flat, _spinor(m).dec)[:, 0, :]
+    """Coefficient rows (..., dim) of spinor blocks (..., blocks, d, d)."""
+    dec = _spinor(m).dec
+    flat = np.ascontiguousarray(blocks).reshape(blocks.shape[:-3] + (1, dec.shape[1]))
+    return np.matmul(flat.view(np.float64), dec)[..., 0, :]
 
 
 def mul_batch(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched product: a, b broadcastable to (..., dim)."""
+    """Batched product: a, b broadcastable to (..., dim).  Below
+    _SPINOR_MIN the left operators of a are built in chunks along the
+    first axis, or once where a is broadcast along it."""
     t = _tables(m)
-    a, b = np.broadcast_arrays(a, b)
-    flat_a = a.reshape(-1, t.dim)
-    flat_b = b.reshape(-1, t.dim)
+    a, b = (np.asarray(x, dtype=np.float64) for x in (a, b))
     if m >= _SPINOR_MIN:
-        prod = np.matmul(spinor_encode(m, flat_a), spinor_encode(m, flat_b))
-        return spinor_decode(m, prod).reshape(a.shape)
-    rows = flat_a.shape[0]
-    out = np.empty_like(flat_a)
-    chunk = max(1, (1 << 22) // (t.dim * t.dim))  # ~32 MB of stacked operators
-    for lo in range(0, rows, chunk):
-        hi = min(lo + chunk, rows)
-        left = (flat_a[lo:hi] @ t.struct_flat).reshape(hi - lo, t.dim, t.dim)
-        out[lo:hi] = np.matmul(flat_b[lo:hi, None, :], left)[:, 0, :]
-    return out.reshape(a.shape)
+        return spinor_decode(m, np.matmul(spinor_encode(m, a), spinor_encode(m, b)))
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    nd = max(len(shape), 2)
+    a, b = (x.reshape((1,) * (nd - x.ndim) + x.shape) for x in (a, b))
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+
+    def left(x):  # operators (..., dim, dim) with row @ op = x * row
+        return (x @ t.struct_flat).reshape(x.shape[:-1] + (t.dim, t.dim))
+    ops = left(a) if len(a) == 1 else None
+    # ~512 KB of operators per chunk stays in cache
+    step = max(1, (1 << 16) // max(1, math.prod(a.shape[1:]) * t.dim))
+    for lo in range(0, len(out), step):
+        op = ops if ops is not None else left(a[lo:lo + step])
+        rows = b if len(b) == 1 else b[lo:lo + step]
+        out[lo:lo + step] = np.matmul(rows[..., None, :], op)[..., 0, :]
+    return out.reshape(shape)
 
 
 def conj_batch(m: int, a: np.ndarray) -> np.ndarray:
@@ -214,7 +223,7 @@ def singular_values_batch(m: int, a: np.ndarray) -> np.ndarray:
     a, largest first, shape (B, blocks d): those of the spinor blocks, each
     of which the operator repeats d times."""
     svals = np.linalg.svd(spinor_encode(m, a), compute_uv=False)
-    return -np.sort(-svals.reshape(len(a), -1), axis=1)
+    return -np.sort(-svals.reshape(len(a), math.prod(svals.shape[1:])), axis=1)
 
 
 def invert_batch(m: int, a: np.ndarray) -> np.ndarray:

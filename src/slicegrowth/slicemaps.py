@@ -29,7 +29,8 @@ x_t (1 - x_t e^{I theta})^{-*p} (koebe p = 2, cayley p = 1, and the paper
 example x_t (1 - x_t e^{I theta}) as p = -1) in closed form.  It builds
 its own reference stem, series.extremal_series(p, theta, I, N, n): the
 stem's coefficients, tail bound and slice shadow are those of the
-truncated series, and only the values come from the closed form.
+truncated series, and only the values come from the closed form, as
+real multiples of 1, I, J and J I, with no general product.
 """
 
 from __future__ import annotations
@@ -104,20 +105,39 @@ class ClosedFormMap(SliceMap):
         self.theta = theta
         self.I = I
 
-    def stem_arrays(self, alpha: np.ndarray, beta: np.ndarray):
+    def _pq(self, alpha: np.ndarray, beta: np.ndarray):
+        """P and Q at z = alpha + i beta, each (B, n) complex."""
         z = np.atleast_2d(alpha) + 1j * np.atleast_2d(beta)
         cos, sin = math.cos(self.theta), math.sin(self.theta)
         if self.p == -1:
             # the polynomial itself, with fewer roundings than A and B
-            pz = z - z * z * cos
-            qz = -(z * z) * sin
-        else:
-            a = (1.0 - z * complex(cos, sin)) ** -self.p
-            b = (1.0 - z * complex(cos, -sin)) ** -self.p
-            pz = 0.5 * z * (a + b)
-            qz = -0.5j * z * (a - b)
-        vals = pz[..., None] * _unit_row(self.m) + qz[..., None] * self.I.coeffs
-        return np.ascontiguousarray(vals.real), np.ascontiguousarray(vals.imag)
+            return z - z * z * cos, -(z * z) * sin
+        a = (1.0 - z * complex(cos, sin)) ** -self.p
+        b = (1.0 - z * complex(cos, -sin)) ** -self.p
+        return 0.5 * z * (a + b), -0.5j * z * (a - b)
+
+    def _on_slice(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Rows x 1 + y I of real (B, n) parts x, y: shape (B, n, dim)."""
+        return x[..., None] * _unit_row(self.m) + y[..., None] * self.I.coeffs
+
+    def stem_arrays(self, alpha: np.ndarray, beta: np.ndarray):
+        pz, qz = self._pq(alpha, beta)
+        return self._on_slice(pz.real, qz.real), self._on_slice(pz.imag, qz.imag)
+
+    def eval_arrays(self, alpha: np.ndarray, beta: np.ndarray,
+                    j_rows: np.ndarray) -> np.ndarray:
+        """F1 + J F2 with J F2 = P.im J + Q.im (J I), in ~64 KB chunks of
+        rows; J I is one vector-matrix product per slice row, by rows e_A I."""
+        pz, qz = self._pq(alpha, beta)
+        J = np.atleast_2d(j_rows)[:, None, :]
+        JI = J @ mul_batch(self.m, np.eye(1 << self.m), self.I.coeffs)
+        out = np.empty((len(J) if len(pz) == 1 else len(pz), self.n, 1 << self.m))
+        step = max(1, (1 << 13) // (self.n << self.m))
+        for lo in range(0, len(out), step):
+            p, q, j, ji = (x if len(x) == 1 else x[lo:lo + step] for x in (pz, qz, J, JI))
+            out[lo:lo + step] = self._on_slice(p.real, q.real) + (
+                p.imag[..., None] * j + q.imag[..., None] * ji)
+        return out
 
     def coefficient_gap(self) -> float:
         """Largest difference between a coefficient of the stem and the

@@ -18,7 +18,7 @@ bits in one call as one at a time, so the reports are those of drawing
 value by value.  J rows come from raw normal rows through
 slicespace.unit_rows, once per block; the representation and regularity
 suites evaluate their cases in blocks of _BLOCK, and no report depends
-on its size.
+on its size.  The algebra suite checks a shard's cases _BLOCK at a time.
 
 run_suite(name, cfg) splits the requested suites into tasks.  "all" is
 one task per suite.  A single suite whose function in SUITES has a
@@ -85,7 +85,7 @@ _DEFAULT_SAMPLES = {
 }
 
 _SHARP_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-# cases per batched evaluation, so peak memory does not grow with the budget
+# cases per batched evaluation or algebra check: no temporary grows with the budget
 _BLOCK = 512
 
 
@@ -224,7 +224,7 @@ def _inverse_errors(m: int, a: np.ndarray, inv: np.ndarray):
     (Cauchy-Schwarz) to the inverse's own backward error."""
     dim = 1 << m
     resid = np.empty_like(a)
-    chunk = max(1, (1 << 18) // (dim * dim))  # ~2 MB of operators stays in cache
+    chunk = max(1, (1 << 16) // (dim * dim))  # ~512 KB of operators stays in cache
     for lo in range(0, len(a), chunk):
         hi = min(lo + chunk, len(a))
         ls = algebra.left_matrix_batch(m, a[lo:hi])
@@ -246,14 +246,9 @@ def _anticommutation_error(m: int) -> float:
     return float(np.max(np.abs(sums)))
 
 
-def _algebra_shard(m: int, pair_err: float, count: int, rng) -> Report:
-    """One algebra record from count sampled cases, with the m-wide
-    anticommutation error pair_err (_anticommutation_error) folded in."""
-    dim = 1 << m
-    a = rng.uniform(-1.0, 1.0, size=(count, dim))
-    b = rng.uniform(-1.0, 1.0, size=(count, dim))
-    c = rng.uniform(-1.0, 1.0, size=(count, dim))
-
+def _algebra_block_errors(m: int, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """(associativity, anti_automorphism, involution, inverse_identity,
+    inverse_residual) over the rows of the cases a, b, c."""
     ab = algebra.mul_batch(m, a, b)
     bc = algebra.mul_batch(m, b, c)
     assoc = algebra.mul_batch(m, ab, c) - algebra.mul_batch(m, a, bc)
@@ -267,8 +262,24 @@ def _algebra_shard(m: int, pair_err: float, count: int, rng) -> Report:
     anti_err = float(np.max(np.abs(conj_ab - conj_ba)))
 
     invol_err = float(np.max(np.abs(algebra.conj_batch(m, algebra.conj_batch(m, a)) - a)))
+    return (assoc_err, anti_err, invol_err,
+            *_inverse_errors(m, a, algebra.invert_batch(m, a)))
 
-    inv_err, inv_resid = _inverse_errors(m, a, algebra.invert_batch(m, a))
+
+def _algebra_shard(m: int, pair_err: float, count: int, rng) -> Report:
+    """One algebra record from count sampled cases, with the m-wide
+    anticommutation error pair_err (_anticommutation_error) folded in.
+    The cases are drawn whole and checked _BLOCK at a time; every error is
+    a maximum over rows, so no field depends on the block size."""
+    dim = 1 << m
+    a = rng.uniform(-1.0, 1.0, size=(count, dim))
+    b = rng.uniform(-1.0, 1.0, size=(count, dim))
+    c = rng.uniform(-1.0, 1.0, size=(count, dim))
+    worst = np.zeros(5)
+    for lo in range(0, count, _BLOCK):
+        worst = np.maximum(worst, _algebra_block_errors(
+            m, a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], c[lo:lo + _BLOCK]))
+    assoc_err, anti_err, invol_err, inv_err, inv_resid = map(float, worst)
 
     # sampled roots of -1 square to -1
     roots = slicespace.sample_S_batch(rng, m, min(count, 2000))

@@ -199,6 +199,35 @@ def test_batched_kernels_give_each_row_its_own_bits():
             assert np.array_equal(mul_batch(m, a[row], b[row]), prod[row]), (m, i)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_broadcast_operands_give_the_bits_of_expanded_ones(m):
+    # mul_batch expands each row of an operand once and broadcasts it; a
+    # product row must not depend on that
+    rng = np.random.default_rng(30 + m)
+    dim = 1 << m
+    col = rng.uniform(-1, 1, (7, 1, dim))
+    rows = rng.uniform(-1, 1, (7, 3, dim))
+    one = rng.uniform(-1, 1, dim)
+    for a, b in ((col, rows), (one, rows), (rows, one)):
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        expanded = mul_batch(m, np.broadcast_to(a, shape).copy(),
+                             np.broadcast_to(b, shape).copy())
+        got = mul_batch(m, a, b)
+        assert got.shape == shape and got.tobytes() == expanded.tobytes(), (a.shape, b.shape)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_kernels_take_zero_rows(m):
+    dim = 1 << m
+    empty = np.zeros((0, dim))
+    assert mul_batch(m, empty, empty).shape == (0, dim)
+    assert mul_batch(m, np.zeros((0, 1, dim)), np.zeros((0, 3, dim))).shape == (0, 3, dim)
+    assert mul_batch(m, np.zeros((2, 0, dim)), np.ones(dim)).shape == (2, 0, dim)
+    assert invert_batch(m, empty).shape == (0, dim)
+    assert singular_values_batch(m, empty).shape == (0, (1 + m % 2) << (m // 2))
+    assert spinor_decode(m, spinor_encode(m, empty)).shape == (0, dim)
+
+
 @pytest.mark.parametrize("m, blade", [(3, (1, 2, 3)), (4, (1, 2, 3, 4))])
 def test_invert_batch_rejects_exactly_singular_rows(m, blade):
     # the pseudoscalar squares to +1 for m = 3 and 4, so 1 + e_A is a zero

@@ -94,6 +94,24 @@ def test_closed_form_matches_series():
                     assert np.max(np.abs(one - batch)) < 1e-12
 
 
+@pytest.mark.parametrize("p", [2, 1, -1])
+def test_closed_form_values_match_the_generic_product(p):
+    # ClosedFormMap.eval_arrays sums J F2 as P.im J + Q.im (J I); the generic
+    # path multiplies J by F2 = P.im + Q.im I through mul_batch
+    m, n = 3, 2
+    rng = np.random.default_rng(40 + p)
+    directions = (CliffordElement.generator(m, 1), CliffordElement.blade(m, (1, 2)),
+                  CliffordElement(m, unit_rows(np.array([0.6, -0.48, 0.64]))))
+    for i_elem in directions:
+        f = ClosedFormMap(p, 0.7, i_elem, 20, n)
+        alpha, beta = rng.uniform(-0.6, 0.6, (2, 50, n))
+        j_rows = sample_S_batch(rng, m, 50)
+        closed = f.eval_arrays(alpha, beta, j_rows)
+        generic = SliceMap.eval_arrays(f, alpha, beta, j_rows)
+        scale = np.max(np.abs(generic), axis=2, keepdims=True)
+        assert np.all(np.abs(closed - generic) <= 4 * np.finfo(float).eps * scale), p
+
+
 def test_closed_form_coefficient_gap_detects_wrong_family():
     e1 = CliffordElement.generator(2, 1)
     f = ClosedFormMap(2, 0.7, e1, 40, 2)

@@ -1,14 +1,18 @@
 """The pointwise suites draw with one generator call per run of
 same-distribution draws; these tests hold them to the stream of drawing
 one value at a time, bit for bit, and their reports to independence from
-the evaluation block size."""
+the evaluation block size; the blocked suites' working sets stay bounded."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import slicegrowth.suites as suites
-from slicegrowth.geometry import _gauge_property_draws
+from slicegrowth.algebra import CliffordElement
+from slicegrowth.geometry import _gauge_property_draws, growth_check_domain, polydisc_gauge
 from slicegrowth.reports import render
+from slicegrowth.slicemaps import ClosedFormMap
 from slicegrowth.slicespace import make_orbit, sample_S_batch
 from slicegrowth.suites import RunConfig, _representation_cases, run_suite
 
@@ -85,13 +89,40 @@ def test_gauge_property_draws_keep_the_stream(m, n):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("suite", ["representation", "regularity"])
+@pytest.mark.parametrize("suite", ["representation", "regularity", "algebra"])
 def test_reports_do_not_depend_on_the_block_size(suite, monkeypatch):
+    options = {"m": 6, "samples": 300} if suite == "algebra" else {"samples": 150}
     for seed in (1, 7):
-        cfg = RunConfig(samples=150, seed=seed)
+        cfg = RunConfig(seed=seed, **options)
         reports = []
         for block in (1, 97, suites._BLOCK):
             monkeypatch.setattr(suites, "_BLOCK", block)
             reports.append(render(run_suite(suite, cfg), "json"))
             monkeypatch.undo()
         assert reports[0] == reports[1] == reports[2], seed
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_sets_stay_bounded():
+    # an m = 5 algebra shard holds its three case arrays (7.7 MB) and one
+    # block of checks (12 MB in all); a 10,000-sample polydisc growth record
+    # holds its samples and values (7 MB).  Evaluated whole, with operands
+    # copied to the full shape, they peaked at about 39 and 18 MB
+    rng = np.random.default_rng(5)
+    shard = traced_peak(lambda: suites._algebra_shard(5, 0.0, 10_000, rng))
+    assert shard < 20e6, shard
+    m, n = 3, 2
+    e1 = CliffordElement.generator(m, 1)
+    f = ClosedFormMap(2, 0.7, e1, 300, n)
+    record = traced_peak(lambda: growth_check_domain(
+        f, polydisc_gauge(n, m), "starlike", 0.9, 10_000,
+        np.random.default_rng(6), e1, 0.7))
+    assert record < 10e6, record
