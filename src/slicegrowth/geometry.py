@@ -47,13 +47,7 @@ from .errors import (
 from .reports import Report
 from .series import tail_bound
 from .slicemaps import ClosedFormMap, SliceMap, complex_on_slice, slice_shadow
-from .slicespace import (
-    SliceOrbit,
-    anticommuting_unit,
-    sample_S_batch,
-    unit_rows,
-    vector_norm,
-)
+from .slicespace import SliceOrbit, anticommuting_unit, sample_S_batch, vector_norm
 
 _ZERO_COMPONENT_TOL = 1e-12
 # resolution credited to oracle bisection (60 halvings); membership is not
@@ -278,28 +272,20 @@ def _sample_ball(rng, samples: int, n: int, m: int, r_max: float):
 
 def _hypothesis_status(f: SliceMap, family: str, I: CliffordElement,
                        r_max: float, rng, checks: int = 64) -> str:
-    """Spot-check of the starlike/convex hypothesis on the slice of I.
-
-    All points are drawn first; then one batched criterion call per
-    record (starlike) or per component (convex) judges them.
-    """
+    """Spot-check of the starlike/convex hypothesis on the slice of I at
+    checks points, drawn whole and judged in one batched criterion call
+    (starlike) or one per component (convex)."""
     try:
         if family == "starlike":
-            points = []
-            for _ in range(checks):
-                z = rng.normal(size=f.n) + 1j * rng.normal(size=f.n)
-                norm = np.linalg.norm(z)
-                if norm < 1e-9:
-                    continue
-                points.append(z * (rng.uniform(min(0.05, r_max / 2), r_max) / norm))
-            values = [starlike_criterion_slice(f, I, np.reshape(points, (-1, f.n)))]
+            # uniform directions in C^n, radii in [min(0.05, r_max / 2), r_max)
+            z = rng.normal(size=(checks, f.n)) + 1j * rng.normal(size=(checks, f.n))
+            radii = rng.uniform(min(0.05, r_max / 2), r_max, checks)
+            values = [starlike_criterion_slice(
+                f, I, z * (radii / np.linalg.norm(z, axis=1))[:, None])]
         else:
             # convex family: per-component one-variable criterion at real x
-            xs = np.empty(checks)
-            ts = np.empty(checks, dtype=np.int64)
-            for i in range(checks):
-                xs[i] = rng.uniform(-r_max, r_max)
-                ts[i] = rng.integers(f.n)
+            xs = rng.uniform(-r_max, r_max, checks)
+            ts = rng.integers(f.n, size=checks)
             values = [convex_criterion_slice(f, I, t, xs[ts == t])
                       for t in range(f.n)]
     except HypothesisViolationError:
@@ -518,40 +504,23 @@ def value_gauge_on_slice(g: Gauge, rows: np.ndarray, I: CliffordElement):
     return gauge_rho(g, cvals.real, cvals.imag), resid
 
 
-def _gauge_property_draws(rng, m: int, n: int, samples: int, j_budget: int):
-    """(J, alpha, beta, s, phi, scale_target, axial J rows) for
-    gauge_properties_check, in the stream order of drawing sample by
-    sample, with one generator call per run of same-distribution draws:
-    one uniform call per sample, with array bounds, and one normal call for
-    a sample's axial rows together with the next sample's J row."""
-    per = 1 + j_budget  # a sample's J row, then its axial rows
-    lows = np.array([-1.0] * (2 * n) + [0.1, 0.0, 0.2])
-    highs = np.array([1.0] * (2 * n) + [2.0, 2.0 * np.pi, 1.8])
-    uniforms = np.empty((samples, 2 * n + 3))
-    raw = np.empty((samples * per, m))
-    raw[0] = rng.normal(size=m)
-    for i in range(samples):
-        uniforms[i] = rng.uniform(lows, highs)
-        normals = raw[i * per + 1:(i + 1) * per + 1]  # j_budget rows for the last
-        normals[:] = rng.normal(size=normals.shape)
-    rows = unit_rows(raw).reshape(samples, per, -1)
-    s, phi, scale_target = uniforms[:, 2 * n:].T.copy()
-    return (rows[:, 0].copy(), uniforms[:, :n].copy(), uniforms[:, n:2 * n].copy(),
-            s, phi, scale_target, rows[:, 1:].reshape(samples * j_budget, -1))
-
-
 def gauge_properties_check(g: Gauge, samples: int, rng,
                            tol: float = 1e-12) -> Report:
     """Positivity, slice-complex homogeneity, membership equivalence and
     axial symmetry of a gauge, sampled.
 
-    The draws (_gauge_property_draws) take one generator call per run of
-    same-distribution draws, in stream order; then one gauge call per
-    quantity evaluates every sample."""
+    Each sample draws a slice J, a point alpha + J beta in the cube
+    [-1, 1]^2n, a scale s in [0.1, 2], an angle phi in [0, 2 pi), a target
+    gauge value in [0.2, 1.8] and j_budget slices of its orbit: one
+    generator call for the J rows, one for the points and one for the
+    scalars.  Then one gauge call per quantity evaluates every sample."""
     n, m = g.n, g.m
     j_budget = 32
-    j_elem, alpha, beta, s, phi, scale_target, j_axial = _gauge_property_draws(
-        rng, m, n, samples, j_budget)
+    j_rows = sample_S_batch(rng, m, samples * (1 + j_budget))
+    j_elem, j_axial = j_rows[:samples], j_rows[samples:]
+    alpha, beta = rng.uniform(-1.0, 1.0, (2, samples, n))
+    s, phi, scale_target = rng.uniform((0.1, 0.0, 0.2), (2.0, 2.0 * np.pi, 1.8),
+                                       (samples, 3)).T
     rho = gauge_rho(g, alpha, beta, j_elem)
     positive_ok = gauge_rho(g, np.zeros(n), np.zeros(n)) == 0.0 and \
         not np.any(rho <= 0.0)

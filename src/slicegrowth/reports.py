@@ -81,6 +81,8 @@ def summary_lines(reports: list[Report]) -> list[str]:
         detail = ""
         if err is not None and thr is not None:
             detail = f"  max_error={err:.3e} (threshold {thr:.3e})"
+        elif "error" in rep.data:
+            detail = f"  {rep.data['error']}"
         out.append(f"[{status}] {rep.check}{detail}")
     # a record that is not asserted passes whatever its errors are
     for rep in reports:

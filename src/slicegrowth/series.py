@@ -156,7 +156,8 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
     complex.  Returns (B, C) complex.  The rows of z go in blocks of
     _EVAL_CHUNK; a block's powers z_t^e are built once, by cumulative
     products, and its monomials are gathered from them into a (K, block)
-    table, which is contracted with coeffs.
+    table, which is contracted with coeffs.  One power table and one
+    monomial table serve every block of a call.
 
     A real table is contracted with the monomials viewed as
     interleaved (re, im) floats, so conjugating z flips the sign of the
@@ -169,15 +170,18 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
     top = int(kmat.max(initial=0))
     real = not np.iscomplexobj(coeffs)
     out = np.empty((B, coeffs.shape[1]), dtype=np.complex128)
+    width = min(B, _EVAL_CHUNK)
+    powers = np.empty((top + 1, n, width), dtype=np.complex128)
+    powers[0] = 1.0
+    monomials = np.empty((len(kmat), width), dtype=np.complex128)
     for lo in range(0, B, _EVAL_CHUNK):
-        zc = np.ascontiguousarray(z[lo:lo + _EVAL_CHUNK].T)
-        powers = np.empty((top + 1,) + zc.shape, dtype=np.complex128)
-        powers[0] = 1.0
-        for prev, cur in zip(powers[:-1], powers[1:]):
+        zc = z[lo:lo + _EVAL_CHUNK].T
+        pw, w = powers[..., :zc.shape[1]], monomials[:, :zc.shape[1]]
+        for prev, cur in zip(pw[:-1], pw[1:]):
             np.multiply(prev, zc, out=cur)
-        w = powers[kmat[:, 0], 0]
+        np.take(pw[:, 0], kmat[:, 0], axis=0, out=w, mode="clip")
         for t in range(1, n):
-            w *= powers[kmat[:, t], t]
+            w *= pw[kmat[:, t], t]
         vals = w.view(np.float64).T @ coeffs if real else np.einsum("kb,kc->bc", w, coeffs)
         block = out[lo:lo + zc.shape[1]]
         if real:    # vals has rows re, im, re, im, ...

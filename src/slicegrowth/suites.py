@@ -1,40 +1,38 @@
 """Verification suites: deterministic, seeded batteries of checks that
 produce one report record each.
 
-Every suite derives its RNG stream from (seed, suite tag, shard index),
-so reports are byte-identical for a fixed (config, seed, shard count).
-The algebra suite and both growth suites split their sample budgets over
-`shards` independent streams (_sharded); the other suites run one stream
-whatever the shard count.  Shard merging takes maxima of the error
-fields, sums sample counts and ANDs the pass verdicts.  Every growth
-record, on the ball or another gauge, comes from one checker,
-geometry.growth_check_domain, through _growth_record.
+Every random check draws from a stream of its own, derived from (seed,
+suite tag, shard index, check tag), so reports are byte-identical for a
+fixed (config, seed, shard count) and no check's draws depend on the
+checks run before it.  The algebra suite and both growth suites split
+their sample budgets over `shards` streams (_sharded); every other check
+runs one stream, _check_rng(cfg, suite, record name), the one _sharded
+gives a record's shard 0.  The five representation records read the
+cases of one stream, as do regularity-constant and its control.  Shard
+merging takes maxima of the error fields, sums sample counts and ANDs
+the pass verdicts.  Every growth record, on the ball or another gauge,
+comes from one checker, geometry.growth_check_domain, via _growth_record.
 
-Slice maps are evaluated on coefficient rows (SliceMap.eval_arrays).
-The representation, regularity and gauge suites draw their cases with
-one generator call per run of same-distribution draws, in stream order:
-consecutive normal draws, or consecutive uniform draws, give the same
-bits in one call as one at a time, so the reports are those of drawing
-value by value.  J rows come from raw normal rows through
-slicespace.unit_rows, once per block; the representation and regularity
-suites evaluate their cases in blocks of _BLOCK, and no report depends
-on its size.  The algebra suite checks a shard's cases _BLOCK at a time.
+A check draws its cases in bulk, one generator call per array (alpha and
+beta together, the raw normal rows of its J rows, the scalars), and
+redraws rejected cases in bulk.  Slice maps are evaluated on coefficient
+rows (SliceMap.eval_arrays); the representation and regularity suites
+expand their J rows (slicespace.unit_rows) and evaluate their cases in
+blocks of _BLOCK, and the algebra suite checks a shard's cases _BLOCK at
+a time; no report depends on the block size.
 
 run_suite(name, cfg) splits the requested suites into tasks.  "all" is
 one task per suite.  A single suite whose function in SUITES has a
 .tasks(cfg) splitter gives the tasks it lists (run_algebra: one per m,
 each with streams of its own); any other suite is one task.  A
-fork-context multiprocessing pool of min(tasks, usable CPUs) workers
-maps the tasks in report order and concatenates their reports.  Since
-no task's numbers depend on the process that runs it or on what ran
-before it, and a task keeps its shards and batches whole, the report is
-byte-identical to that of the serial loop over SUITES, which runs with
-one task, one usable CPU or where os.sched_getaffinity does not exist.
-A worker looks its task up by suite name and index in SUITES as it was
-at the fork, so a replaced entry without a splitter runs whole on both
-paths, and an exception a task raises is raised again in the parent.
-multiprocessing is imported only for the pool, so importing the package
-and one-task runs do not load it.
+fork-context pool of min(tasks, usable CPUs) workers maps the tasks in
+report order; with one task or one usable CPU (or no
+os.sched_getaffinity) a loop runs the same tasks in process.  No task's
+numbers depend on the process that runs it or on what ran before it, so
+both give the same bytes.  Both run a task through _run_task, which looks
+it up in SUITES as it is where it runs and turns a SliceAnalysisError
+into one failed record, <suite>-error; any other exception is raised in
+the caller.  multiprocessing is imported only for the pool.
 
 The growth suites evaluate the extremal families in closed form, as
 slicemaps.ClosedFormMap(p, theta, I, N, n) with the exponent p that
@@ -57,6 +55,7 @@ import numpy as np
 
 from . import algebra, geometry, series, slicemaps, slicespace
 from .algebra import CliffordElement
+from .errors import SliceAnalysisError
 from .reports import Report
 
 DEFAULT_SEED = 1
@@ -144,6 +143,12 @@ class RunConfig:
 
 def _rng(cfg: RunConfig, suite: str, shard: int, extra: int = 0):
     return np.random.default_rng([cfg.seed, _SUITE_TAGS[suite], shard, extra])
+
+
+def _check_rng(cfg: RunConfig, suite: str, check: str):
+    """The stream of the record named check: the one _sharded gives its
+    shard 0."""
+    return _rng(cfg, suite, 0, _stable_tag(check))
 
 
 def _stable_tag(*parts) -> int:
@@ -324,16 +329,13 @@ run_algebra.tasks = _algebra_tasks
 # ---------------------------------------------------------------------------
 
 def _random_stem(m: int, n: int, rng, degree: int = 5, terms: int = 8) -> series.StemSeries:
-    dim = 1 << m
-    table = {}
-    for _ in range(terms):
-        k = tuple(int(v) for v in rng.integers(0, degree + 1, size=n))
-        if sum(k) > degree:
-            continue
-        table[k] = rng.uniform(-1.0, 1.0, size=(n, dim))
-    if not table:
-        table[(0,) * n] = rng.uniform(-1.0, 1.0, size=(n, dim))
-    return series.StemSeries(m, n, table)
+    """A stem with the drawn multi-indices of total degree at most degree
+    among `terms` draws (a repeated one keeps its last coefficients), or
+    the constant term alone if none qualifies; one call per array."""
+    ks = rng.integers(0, degree + 1, size=(terms, n)).tolist()
+    coeffs = rng.uniform(-1.0, 1.0, size=(terms, n, 1 << m))
+    table = {tuple(k): c for k, c in zip(ks, coeffs) if sum(k) <= degree}
+    return series.StemSeries(m, n, table or {(0,) * n: coeffs[0]})
 
 
 def run_stem(cfg: RunConfig) -> list[Report]:
@@ -341,13 +343,12 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     n = cfg.n or 2
     count = cfg.budget("stem")
     trunc = cfg.truncation
-    rng = _rng(cfg, "stem", 0)
     reports = []
 
     # even-odd pair identity on random stems (exact by construction)
+    rng = _check_rng(cfg, "stem", "stem-even-odd")
     stem = _random_stem(m, n, rng)
-    alpha = rng.uniform(-0.9, 0.9, size=(count, n))
-    beta = rng.uniform(-0.9, 0.9, size=(count, n))
+    alpha, beta = rng.uniform(-0.9, 0.9, (2, count, n))
     f1p, f2p = stem.eval_arrays(alpha, beta)
     f1m, f2m = stem.eval_arrays(alpha, -beta)
     eo_err = max(
@@ -363,7 +364,9 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     i_elem = CliffordElement.generator(m, 1)
     koebe = series.extremal_series(2, theta, i_elem, trunc, n)
     cr_points = min(count, 50)
-    alpha, beta = rng.uniform(-0.3, 0.3, (cr_points, 2, n)).transpose(1, 0, 2)
+    rng = _check_rng(cfg, "stem", "stem-cr-residual")
+    stem = _random_stem(m, n, rng)
+    alpha, beta = rng.uniform(-0.3, 0.3, (2, cr_points, n))
     worst_cr = max(float(np.max(series.cr_residual(s.eval_arrays, alpha, beta)))
                    for s in (stem, koebe))
     reports.append(Report.from_error(
@@ -384,13 +387,10 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     ident = series.star_mul(m, base, inv, trunc=trunc)
     ident_err = float(np.max(np.abs(ident - unit)))
 
-    rand_series = np.zeros((41, 1 << m))
-    rand_series[0, 0] = 1.0
-    budget = 0.5
-    for k in range(1, 41):
-        row = rng.uniform(-1.0, 1.0, size=1 << m)
-        row *= budget * 0.5 ** k / max(1.0, float(np.linalg.norm(row)))
-        rand_series[k] = row
+    # 1 + sum_k x^k a_k with |a_k| <= 0.5**(k+1): row k drawn, then scaled
+    rows = _check_rng(cfg, "stem", "stem-star-inverse").uniform(-1.0, 1.0, (40, 1 << m))
+    rows *= (0.5 ** np.arange(2, 42) / np.maximum(1.0, np.linalg.norm(rows, axis=1)))[:, None]
+    rand_series = np.vstack([unit[:1], rows])
     rinv = series.star_inverse(m, rand_series, trunc)
     rident = series.star_mul(m, rand_series, rinv, trunc=trunc)
     ident_err = max(ident_err, float(np.max(np.abs(rident - unit))))
@@ -432,60 +432,37 @@ def _gap(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(u - v), initial=0.0))
 
 
-def _representation_cases(rng, m: int, n: int, cases: np.ndarray,
-                          cond_threshold: float):
-    """(alpha, beta, rows, rejected) for the representation cases, drawn
-    in stream order with one generator call per run of same-distribution
-    draws: case c draws alpha and beta in one call, the pair (J, K) in one
-    and I in one, with the pair (J2, K2) when c % 10 == 0 (otherwise J2, K2
-    are J, K).  A pair whose rows are closer than cond_threshold is
-    redrawn alone, and rejected counts the redraws.  rows stacks the unit
-    rows J, K, I, J2, K2, shape (5, cases, 2**m); beta keeps its first
-    nonzero component positive, as make_orbit does."""
-    size = cases.size
-    alpha, beta = np.empty((2, size, n))
-    raw = np.empty((5, size, m))
+def _representation_cases(rng, m: int, n: int, count: int, cond_threshold: float):
+    """(alpha, beta, raw, rejected) for count representation cases, one
+    generator call per array: alpha and beta, the raw normal rows of every
+    pair (J, K) and then of a second pair (J2, K2) for each case
+    c % 10 == 0, and those of I.  The other cases take J2, K2 = J, K.  The
+    pairs whose unit rows are closer than cond_threshold are redrawn
+    together, round after round, and rejected counts the redraws.  raw
+    stacks the rows of J, K, I, J2, K2: shape (5, count, m)."""
+    alpha, beta = rng.uniform(-1.0, 1.0, (2, count, n))
+    sub = np.arange(0, count, 10)
+    pairs = rng.normal(size=(2, count + sub.size, m))
+    raw = np.empty((5, count, m))
+    raw[2] = rng.normal(size=(count, m))
     rejected = 0
-
-    def accepted(pair):
-        nonlocal rejected
-        while True:
-            # a pair with |a/|a| - b/|b|| > 2 cond_threshold in floats
-            # passes at once: that distance differs from the rows' by
-            # rounding only.  Any other pair is judged on its unit rows,
-            # the rows sample_S_batch would have drawn.
-            a, b = pair.tolist()
-            na, nb = math.hypot(*a), math.hypot(*b)
-            if math.dist([x * nb for x in a], [y * na for y in b]) > \
-                    2.0 * cond_threshold * na * nb:
-                return pair
-            j_row, k_row = slicespace.unit_rows(pair)
-            if np.linalg.norm(j_row - k_row) >= cond_threshold:
-                return pair
-            rejected += 1
-            pair = rng.normal(size=(2, m))
-
-    for row, case in enumerate(cases):
-        alpha[row], beta[row] = rng.uniform(-1, 1, (2, n))
-        raw[:2, row] = accepted(rng.normal(size=(2, m)))
-        if case % 10 == 0:
-            drawn = rng.normal(size=(3, m))
-            raw[2, row] = drawn[0]
-            raw[3:, row] = accepted(drawn[1:])
-        else:
-            raw[2, row] = rng.normal(size=m)
-            raw[3:, row] = raw[:2, row]
-
-    first = beta[np.arange(size), np.argmax(beta != 0.0, axis=1)]
-    beta[first < 0.0] *= -1.0
-    return alpha, beta, slicespace.unit_rows(raw), rejected
+    close = np.arange(pairs.shape[1])
+    while close.size:
+        unit = pairs[:, close] / np.linalg.norm(pairs[:, close], axis=-1, keepdims=True)
+        close = close[np.linalg.norm(unit[0] - unit[1], axis=-1) < cond_threshold]
+        rejected += close.size
+        pairs[:, close] = rng.normal(size=(2, close.size, m))
+    raw[:2] = raw[3:] = pairs[:, :count]
+    raw[3:, sub] = pairs[:, count:]
+    return alpha, beta, raw, rejected
 
 
 def run_representation(cfg: RunConfig) -> list[Report]:
     m = cfg.m or 3
     n = cfg.n or 2
     count = cfg.budget("representation")
-    rng = _rng(cfg, "representation", 0)
+    # the five records share one stream: every check reads the same cases
+    rng = _check_rng(cfg, "representation", "representation-reconstruction")
     cond_threshold = 1e-3
     rec_formula = functools.partial(slicemaps.representation_formula,
                                     cond_threshold=cond_threshold)
@@ -495,23 +472,20 @@ def run_representation(cfg: RunConfig) -> list[Report]:
     worst_cor = 0.0
     worst_collapse = 0.0
     worst_deriv = 0.0
-    rejected = 0
     maps = [slicemaps.SliceMap(_random_stem(m, n, rng)) for _ in range(8)]
     derivatives = [f.derivative(0) for f in maps]
+    alpha, beta, raw, rejected = _representation_cases(rng, m, n, count, cond_threshold)
 
     # case c uses map c % 8 and runs the sub-checks when c % 10 == 0
     for lo in range(0, count, _BLOCK):
         cases = np.arange(lo, min(lo + _BLOCK, count))
-        alpha, beta, rows, block_rejected = _representation_cases(
-            rng, m, n, cases, cond_threshold)
-        J, K, I, J2, K2 = rows
-        rejected += block_rejected
+        J, K, I, J2, K2 = slicespace.unit_rows(raw[:, cases])
 
         for index, (f, df) in enumerate(zip(maps, derivatives)):
             r = np.flatnonzero(cases % len(maps) == index)
             if r.size == 0:
                 continue
-            a, b = alpha[r], beta[r]
+            a, b = alpha[cases[r]], beta[cases[r]]
             direct = f.eval_arrays(a, b, I[r])
             rec = rec_formula(f, a, b, J[r], K[r], I[r])
             worst = max(worst, _gap(rec, direct))
@@ -557,38 +531,37 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
     m = cfg.m or 3
     n = cfg.n or 2
     count = cfg.budget("regularity")
-    rng = _rng(cfg, "regularity", 0)
     theta = cfg.theta if cfg.theta is not None else 0.7
     i_elem = CliffordElement.generator(m, 1)
     reports = []
 
+    # case c checks map which[c] at alpha + J beta
+    rng = _check_rng(cfg, "regularity", "regularity-series")
     worst = 0.0
     maps = [
         slicemaps.SliceMap(_random_stem(m, n, rng)),
         slicemaps.SliceMap(series.extremal_series(2, theta, i_elem, 60, n)),
         slicemaps.SliceMap(series.identity_map(m, n)),
     ]
+    which = rng.integers(len(maps), size=count)
+    raw = rng.normal(size=(count, m))
+    alpha, beta = rng.uniform(-0.4, 0.4, (2, count, n))
     for lo in range(0, count, _BLOCK):
-        size = min(_BLOCK, count - lo)
-        which = np.empty(size, dtype=np.int64)
-        raw = np.empty((size, m))
-        alpha, beta = np.empty((2, size, n))
-        for row in range(size):
-            which[row] = rng.integers(len(maps))
-            raw[row] = rng.normal(size=m)
-            alpha[row], beta[row] = rng.uniform(-0.4, 0.4, (2, n))
-        J = slicespace.unit_rows(raw)
+        block = slice(lo, lo + _BLOCK)
+        J = slicespace.unit_rows(raw[block])
         for index, f in enumerate(maps):
-            r = which == index
+            r = which[block] == index
             if np.any(r):
-                worst = max(worst, float(np.max(
-                    slicemaps.regularity_residual(f, alpha[r], beta[r], J[r]))))
+                worst = max(worst, float(np.max(slicemaps.regularity_residual(
+                    f, alpha[block][r], beta[block][r], J[r]))))
     reports.append(Report.from_error(
         "regularity-series", worst, 1e-7, count, m=m, n=n))
 
+    # the constant map and the control share one stream: one point
+    rng = _check_rng(cfg, "regularity", "regularity-constant")
     const = slicemaps.SliceMap(series.StemSeries(
         m, n, {(0,) * n: rng.uniform(-1, 1, size=(n, 1 << m))}))
-    a0, b0 = rng.uniform(-0.4, 0.4, n), rng.uniform(-0.4, 0.4, n)
+    a0, b0 = rng.uniform(-0.4, 0.4, (2, n))
     reports.append(Report.from_error(
         "regularity-constant",
         float(slicemaps.regularity_residual(const, a0, b0, i_elem.coeffs)[0]), 1e-14,
@@ -602,12 +575,12 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
         1, m=m, n=n, control_residual=control_res))
 
     # holomorphic splitting reassembles the slice restriction
+    rng = _check_rng(cfg, "regularity", "regularity-splitting")
     f = slicemaps.SliceMap(_random_stem(m, n, rng))
     comps, basis = slicemaps.split_components(f, i_elem)
-    re_im = rng.uniform(-0.7, 0.7, (min(count, 200), 2, n))
-    zs = re_im[:, 0] + 1j * re_im[:, 1]
-    worst_split = _gap(slicemaps.reassemble_on_slice(comps, basis, i_elem, zs),
-                       f.eval_arrays(zs.real, zs.imag, i_elem.coeffs))
+    x, y = rng.uniform(-0.7, 0.7, (2, min(count, 200), n))
+    worst_split = _gap(slicemaps.reassemble_on_slice(comps, basis, i_elem, x + 1j * y),
+                       f.eval_arrays(x, y, i_elem.coeffs))
     reports.append(Report.from_error(
         "regularity-splitting", worst_split, 1e-10,
         min(count, 200), m=m, n=n, components=len(comps)))
@@ -645,13 +618,13 @@ def run_extremal(cfg: RunConfig) -> list[Report]:
                 m=m, note="no orthogonal root of -1 exists for m=1"))
             continue
         for n in n_values:
-            rng = _rng(cfg, "extremal", 0, m * 10 + n)
             for name, f, i_elem in _extremal_maps(m, n, min(cfg.truncation, 120), theta):
-                o = slicespace.make_orbit(
-                    rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n))
+                check = f"extremal-{name}-m{m}-n{n}"
+                rng = _check_rng(cfg, "extremal", check)
+                o = slicespace.make_orbit(*rng.uniform(-0.5, 0.5, (2, n)))
                 rep = geometry.verify_extremal(f, o, i_elem, count, rng, tol)
                 lin = geometry.profile_linearity(f, o, i_elem, rng=rng)
-                rep.check = f"extremal-{name}-m{m}-n{n}"
+                rep.check = check
                 rep.data["map"] = name
                 rep.data["linearity_residual"] = lin
                 rep.data["max_error"] = max(rep.data["max_error"], lin)
@@ -755,27 +728,24 @@ def run_gauge(cfg: RunConfig) -> list[Report]:
     m = cfg.m or 3
     n = cfg.n or 2
     count = cfg.budget("gauge")
-    rng = _rng(cfg, "gauge", 0)
+    props = max(count // 10, 20)
     reports = []
 
     closed = {"ball": geometry.ball_gauge(n, m),
               "polydisc": geometry.polydisc_gauge(n, m)}
-    for g in closed.values():
+    for name, g in closed.items():
         reports.append(geometry.gauge_properties_check(
-            g, max(count // 10, 20), rng, 1e-12))
+            g, props, _check_rng(cfg, "gauge", f"gauge-{name}"), 1e-12))
 
     # bisection oracles wrapping the closed-form membership tests
     oracles = {name: geometry.oracle_gauge(
         lambda a, b, j, _g=g: geometry.gauge_rho(_g, a, b) < 1.0, n, m)
         for name, g in closed.items()}
+    points = max(count, 100)
     for name, oracle in oracles.items():
-        points = max(count, 100)
-        raw = np.empty((points, m))
-        alpha, beta = np.empty((2, points, n))
-        for row in range(points):
-            raw[row] = rng.normal(size=m)
-            alpha[row], beta[row] = rng.uniform(-1.5, 1.5, (2, n))
-        j_rows = slicespace.unit_rows(raw)
+        rng = _check_rng(cfg, "gauge", f"gauge-bisection-{name}")
+        j_rows = slicespace.sample_S_batch(rng, m, points)
+        alpha, beta = rng.uniform(-1.5, 1.5, (2, points, n))
         worst = float(np.max(np.abs(
             geometry.gauge_rho(oracle, alpha, beta, j_rows) -
             geometry.gauge_rho(closed[name], alpha, beta))))
@@ -787,7 +757,7 @@ def run_gauge(cfg: RunConfig) -> list[Report]:
     # is not starlike breaks homogeneity and membership equivalence
     for name, oracle in oracles.items():
         rep = geometry.gauge_properties_check(
-            oracle, max(count // 10, 20), rng, 1e-12)
+            oracle, props, _check_rng(cfg, "gauge", f"gauge-oracle-{name}"), 1e-12)
         rep.check = f"gauge-oracle-{name}"
         reports.append(rep)
     return reports
@@ -821,12 +791,15 @@ def _suite_tasks(cfg: RunConfig, name: str):
 
 def _run_task(cfg: RunConfig, task) -> list[Report]:
     """The reports of task (suite name, index into _suite_tasks, or None
-    for the whole suite): a pool task, looked up in the forked worker so
-    that it runs whatever SUITES held at the fork."""
+    for the whole suite), looked up where it runs, so that a forked worker
+    runs whatever SUITES held at the fork.  A SliceAnalysisError it raises
+    becomes its one failed record, <suite>-error, so the run still writes
+    a report; any other exception propagates."""
     name, index = task
-    if index is None:
-        return SUITES[name](cfg)
-    return _suite_tasks(cfg, name)[index]()
+    try:
+        return SUITES[name](cfg) if index is None else _suite_tasks(cfg, name)[index]()
+    except SliceAnalysisError as exc:
+        return [Report(f"{name}-error", False, 0, {"error": f"{type(exc).__name__}: {exc}"})]
 
 
 def _usable_cpus() -> int:
@@ -841,16 +814,14 @@ def run_suite(name: str, cfg: RunConfig) -> list[Report]:
         # one task per suite: growth-ball, the longest suite, already bounds
         # the schedule, and algebra's per-m tasks would only start it later
         # (verify all on 2 CPUs: 1.13 -> 1.23 s when split)
-        names = tuple(SUITES)
-        tasks = [(suite, None) for suite in names]
+        tasks = [(suite, None) for suite in SUITES]
     elif name in SUITES:
-        names = (name,)
         tasks = [(name, index) for index in range(len(_suite_tasks(cfg, name)))]
     else:
         raise ValueError(f"unknown suite {name!r}")
     workers = min(len(tasks), _usable_cpus())
     if workers < 2:
-        parts = [SUITES[suite](cfg) for suite in names]
+        parts = [_run_task(cfg, task) for task in tasks]
     else:
         # loaded here, not at import: one-task runs never pay for it
         import multiprocessing

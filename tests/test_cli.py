@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from slicegrowth import algebra
 from slicegrowth import suites as suites_mod
 from slicegrowth.cli import main
-from slicegrowth.errors import SliceAnalysisError
+from slicegrowth.errors import GaugeError, SliceAnalysisError
 from slicegrowth.reports import Report, render, summary_lines
 from slicegrowth.suites import (
     _INVERSE_MULTIPLE,
@@ -117,11 +117,11 @@ def test_shard_merge_keeps_algebra_key_order():
 
 def test_sharded_growth_ball_asserts_only_what_every_shard_checked():
     # at truncation 40 the series' spot-check fails on some shards only;
-    # shard 1 of this record reads violated(2/64) while shard 0 reads ok
-    cfg = RunConfig(seed=7, samples=60, truncation=40, shards=3, maps=("koebe",))
+    # shard 2 of this record reads violated(1/64) while shards 0 and 1 read ok
+    cfg = RunConfig(seed=2, samples=60, truncation=40, shards=3, maps=("koebe",))
     reports = {rep.check: rep for rep in run_suite("growth-ball", cfg)}
     rep = reports["growth-ball-koebe-e1-theta0.700"]
-    assert rep.data["hypothesis_status"] == "violated(2/192)"
+    assert rep.data["hypothesis_status"] == "violated(1/192)"
     assert rep.data["asserted"] is False and rep.passed
     # every sharded record counts the spot-checks of all three shards
     for rep in reports.values():
@@ -393,19 +393,53 @@ def test_pooled_run_all_equals_serial_concatenation(shards, monkeypatch):
 
 
 def test_run_all_raises_a_suite_error_as_the_suite_did(monkeypatch):
-    # the error crosses back from the worker with its type and message
+    # an error from outside the package crosses back from the worker with
+    # its type and message
     def broken_suite(cfg):
-        raise SliceAnalysisError("boom")
+        raise ValueError("boom")
 
     monkeypatch.setitem(SUITES, "extremal", broken_suite)
-    with pytest.raises(SliceAnalysisError) as info:
+    with pytest.raises(ValueError) as info:
         run_suite("all", small_config())
-    assert type(info.value) is SliceAnalysisError and str(info.value) == "boom"
+    assert type(info.value) is ValueError and str(info.value) == "boom"
     result = CliRunner().invoke(main, ["verify", "all", "--samples", "40",
                                        "--truncation", "40", "--quiet"])
     assert result.exit_code == 1
-    assert type(result.exception) is SliceAnalysisError
+    assert type(result.exception) is ValueError
     assert str(result.exception) == "boom"
+
+
+@pytest.mark.parametrize("pooled", [
+    pytest.param(True, marks=pytest.mark.skipif(
+        _usable_cpus() < 2, reason="the pool needs 2 usable CPUs")),
+    False,
+])
+def test_a_suite_error_becomes_one_failed_record(pooled, tmp_path, monkeypatch):
+    # the package's errors fail the suite's one record, <suite>-error, and
+    # the report of every other suite is still written, bytes unchanged
+    if not pooled:
+        monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)
+    args = ["verify", "all", "--samples", "40", "--truncation", "40", "--out"]
+    result = CliRunner().invoke(main, args + [str(tmp_path / "clean.json"), "--quiet"])
+    assert result.exit_code == 0, result.output
+
+    def broken_suite(cfg):
+        raise GaugeError("membership never became true along the ray")
+
+    monkeypatch.setitem(SUITES, "stem", broken_suite)
+    result = CliRunner().invoke(main, args + [str(tmp_path / "broken.json")])
+    assert result.exit_code == 1, result.output
+    clean, broken = ([json.dumps(rec) for rec in json.loads((tmp_path / name).read_text())]
+                     for name in ("clean.json", "broken.json"))
+    first = next(i for i, rec in enumerate(clean) if '"check": "stem-' in rec)
+    stem = [rec for rec in clean if '"check": "stem-' in rec]
+    assert broken[first] == json.dumps({
+        "check": "stem-error",
+        "error": "GaugeError: membership never became true along the ray",
+        "samples": 0, "pass": False})
+    assert broken[:first] + broken[first + 1:] == clean[:first] + clean[first + len(stem):]
+    assert "[FAIL] stem-error  GaugeError: membership never became true along the ray" in \
+        result.output
 
 
 @pytest.mark.skipif(_usable_cpus() < 2, reason="the pool needs 2 usable CPUs")
@@ -441,23 +475,32 @@ def test_pooled_algebra_runs_each_m_in_a_worker(monkeypatch):
 
 
 def test_pooled_suite_raises_a_task_error_as_the_task_did(monkeypatch):
-    # one m of the algebra suite fails; its error crosses back from the worker
+    # one m of the algebra suite fails; an error from outside the package
+    # crosses back from the worker, and one of the package fails that task
+    # alone, pooled or serial
     record = suites_mod._algebra_record
+    error = ValueError
 
     def broken_record(cfg, m):
         if m == 2:
-            raise SliceAnalysisError("boom at m=2")
+            raise error("boom at m=2")
         return record(cfg, m)
 
     monkeypatch.setattr(suites_mod, "_algebra_record", broken_record)
-    with pytest.raises(SliceAnalysisError) as info:
+    with pytest.raises(ValueError) as info:
         run_suite("algebra", small_config(m=3))
-    assert type(info.value) is SliceAnalysisError and str(info.value) == "boom at m=2"
+    assert type(info.value) is ValueError and str(info.value) == "boom at m=2"
     result = CliRunner().invoke(main, ["verify", "algebra", "--m", "3",
                                        "--samples", "40", "--quiet"])
     assert result.exit_code == 1
-    assert type(result.exception) is SliceAnalysisError
+    assert type(result.exception) is ValueError
     assert str(result.exception) == "boom at m=2"
+    error = SliceAnalysisError
+    pooled = run_suite("algebra", small_config(m=3))
+    assert [rep.check for rep in pooled] == ["algebra-m1", "algebra-error", "algebra-m3"]
+    assert pooled[1].data == {"error": "SliceAnalysisError: boom at m=2"}
+    monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)
+    assert render(run_suite("algebra", small_config(m=3)), "json") == render(pooled, "json")
 
 
 def test_cli_import_does_not_load_multiprocessing():

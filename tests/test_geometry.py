@@ -204,8 +204,8 @@ def test_hypothesis_status_spot_check():
     status = {rep.check: rep.data["hypothesis_status"] for rep in reports
               if rep.check.startswith("growth-ball")}
     assert status == {
-        "growth-ball-paper-example-e1-theta0.000": "violated(9/64)",
-        "growth-ball-paper-example-e12-theta0.000": "violated(11/64)",
+        "growth-ball-paper-example-e1-theta0.000": "violated(10/64)",
+        "growth-ball-paper-example-e12-theta0.000": "violated(9/64)",
     }
     # coefficients off the slice of e1 are flagged for both families
     off = SliceMap(extremal_series(2, 0.7, CliffordElement.generator(m, 2), 40, 2))

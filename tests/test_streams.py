@@ -1,20 +1,24 @@
-"""The pointwise suites draw with one generator call per run of
-same-distribution draws; these tests hold them to the stream of drawing
-one value at a time, bit for bit, and their reports to independence from
-the evaluation block size; the blocked suites' working sets stay bounded."""
+"""Every random check draws its cases in bulk from a stream of its own:
+these tests hold the draws to their contract and each check to its own
+stream, the reports to independence from the evaluation block size, and
+the blocked suites' working sets to a bound."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import slicegrowth.geometry as geometry
 import slicegrowth.suites as suites
 from slicegrowth.algebra import CliffordElement
-from slicegrowth.geometry import _gauge_property_draws, growth_check_domain, polydisc_gauge
-from slicegrowth.reports import render
+from slicegrowth.geometry import ball_gauge, gauge_properties_check, growth_check_domain, \
+    polydisc_gauge
+from slicegrowth.reports import Report, render
 from slicegrowth.slicemaps import ClosedFormMap
-from slicegrowth.slicespace import make_orbit, sample_S_batch
-from slicegrowth.suites import RunConfig, _representation_cases, run_suite
+from slicegrowth.slicespace import unit_rows
+from slicegrowth.suites import RunConfig, _check_rng, _random_stem, _representation_cases, \
+    run_suite
 
 
 def same_bits(a, b) -> bool:
@@ -22,71 +26,120 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def representation_reference(rng, m, n, cases, cond_threshold):
-    """The representation draws case by case, one generator call per
-    value: (alpha, beta, J, K, I, J2, K2, rejected)."""
-    rejected = 0
-
-    def draw_pair():
-        nonlocal rejected
-        while True:
-            j_row = sample_S_batch(rng, m, 1)[0]
-            k_row = sample_S_batch(rng, m, 1)[0]
-            if np.linalg.norm(j_row - k_row) >= cond_threshold:
-                return j_row, k_row
-            rejected += 1
-
-    drawn = []
-    for case in cases:
-        o = make_orbit(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
-        j_row, k_row = draw_pair()
-        i_row = sample_S_batch(rng, m, 1)[0]
-        j2, k2 = draw_pair() if case % 10 == 0 else (j_row, k_row)
-        drawn.append((o.alpha, o.beta, j_row, k_row, i_row, j2, k2))
-    return [np.array(part) for part in zip(*drawn)] + [rejected]
-
-
-def gauge_reference(rng, m, n, samples, j_budget):
-    """The gauge property draws sample by sample, one generator call per
-    value."""
-    draws = [(sample_S_batch(rng, m, 1)[0], rng.uniform(-1.0, 1.0, n),
-              rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 2.0),
-              rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.2, 1.8),
-              sample_S_batch(rng, m, j_budget)) for _ in range(samples)]
-    *head, j_axial = map(np.array, zip(*draws))
-    return head + [j_axial.reshape(samples * j_budget, -1)]
+def assert_unit_grade1(rows, count, m):
+    assert rows.shape == (count, 1 << m)
+    assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert not np.any(np.delete(rows, [1 << i for i in range(m)], axis=1))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("m", range(1, 9))
 def test_representation_block_draws_keep_the_stream(m, n):
-    seed = 100 * m + n
-    rejected = 0
-    for cases in (np.arange(0, 45), np.arange(95, 131)):
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        *expect, ref_rejected = representation_reference(ref_rng, m, n, cases, 1e-3)
-        alpha, beta, rows, block_rejected = _representation_cases(rng, m, n, cases, 1e-3)
-        for name, want, got in zip(("alpha", "beta", "J", "K", "I", "J2", "K2"),
-                                   expect, [alpha, beta, *rows]):
-            assert same_bits(got, want), (name, cases[0])
-        assert block_rejected == ref_rejected
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        rejected += block_rejected
+    count, cond = 131, 1e-3
+    alpha, beta, raw, rejected = _representation_cases(
+        np.random.default_rng(100 * m + n), m, n, count, cond)
+    assert alpha.shape == beta.shape == (count, n)
+    assert np.all(np.abs(alpha) <= 1.0) and np.all(np.abs(beta) <= 1.0)
+    J, K, I, J2, K2 = unit_rows(raw)
+    for rows in (J, K, I, J2, K2):
+        assert_unit_grade1(rows, count, m)
+    # every used pair is at least cond_threshold apart
+    for a, b in ((J, K), (J2, K2)):
+        assert np.min(np.linalg.norm(a - b, axis=1)) >= cond
+    # a case c % 10 == 0 draws a second pair; the others reuse (J, K)
+    own = np.arange(count) % 10 == 0
+    assert same_bits(J2[~own], J[~own]) and same_bits(K2[~own], K[~own])
+    assert not np.any(np.all(raw[3:, own] == raw[:2, own], axis=2))
     if m == 1:
         # J, K in {e1, -e1}: about half the pairs are redrawn
         assert rejected > 10
+    # the suite reads its cases from the stream of its first record, after
+    # the eight stems of its maps, and reports the redraws
+    cfg = RunConfig(m=m, n=n, samples=count if m < 7 else 11, seed=m + 10 * n)
+    rng = _check_rng(cfg, "representation", "representation-reconstruction")
+    for _ in range(8):
+        _random_stem(m, n, rng)
+    expect = _representation_cases(rng, m, n, cfg.samples, cond)[3]
+    assert run_suite("representation", cfg)[0].data["rejected_pairs"] == expect
+
+
+class RecordingGauge:
+    """gauge_rho that records the points and slices it is called with."""
+
+    def __init__(self):
+        self.calls = []
+        self.gauge_rho = geometry.gauge_rho
+
+    def __call__(self, g, alpha, beta, j_rows=None):
+        self.calls.append((np.asarray(alpha), np.asarray(beta), j_rows))
+        return self.gauge_rho(g, alpha, beta, j_rows)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("m", range(1, 9))
-def test_gauge_property_draws_keep_the_stream(m, n):
-    for samples in (1, 20):
-        ref_rng, rng = np.random.default_rng(m + 10 * n), np.random.default_rng(m + 10 * n)
-        expect = gauge_reference(ref_rng, m, n, samples, 32)
-        got = _gauge_property_draws(rng, m, n, samples, 32)
-        for index, (want, have) in enumerate(zip(expect, got)):
-            assert same_bits(have, want), index
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+def test_gauge_property_draws_keep_the_stream(m, n, monkeypatch):
+    samples, j_budget = 20, 32
+    recorder = RecordingGauge()
+    monkeypatch.setattr(geometry, "gauge_rho", recorder)
+    rep = gauge_properties_check(ball_gauge(n, m), samples, np.random.default_rng(m + 10 * n))
+    assert rep.passed, rep.data
+    (a, b, j_elem), _, (a2, b2, j2), (a3, b3, _), (a4, b4, j_axial) = recorder.calls
+    # the points in [-1, 1]^2n on the slices J, and the orbits' slices
+    assert a.shape == b.shape == (samples, n)
+    assert np.all(np.abs(a) <= 1.0) and np.all(np.abs(b) <= 1.0)
+    assert_unit_grade1(j_elem, samples, m)
+    assert j2 is j_elem
+    assert same_bits(a4, np.repeat(a, j_budget, axis=0))
+    assert same_bits(b4, np.repeat(b, j_budget, axis=0))
+    assert_unit_grade1(j_axial, samples * j_budget, m)
+    # t = s e^{J phi} with s in [0.1, 2] and phi in [0, 2 pi)
+    z, z2 = a + 1j * b, a2 + 1j * b2
+    rho = np.sqrt(np.sum(np.abs(z) ** 2, axis=1))
+    s = np.sqrt(np.sum(np.abs(z2) ** 2, axis=1)) / rho
+    assert np.all((s >= 0.1 - 1e-12) & (s <= 2.0 + 1e-12))
+    phi = np.angle(z2 / (s[:, None] * z)) % (2 * np.pi)
+    assert np.allclose(phi, phi[:, :1], atol=1e-9)
+    assert np.max(phi) > np.pi > np.min(phi)
+    # the scaled point's gauge value is the target, in [0.2, 1.8]
+    target = np.sqrt(np.sum(a3 ** 2 + b3 ** 2, axis=1))
+    assert np.all((target >= 0.2 - 1e-12) & (target <= 1.8 + 1e-12))
+    # the gauge suite's record is the check on its own stream
+    monkeypatch.undo()
+    cfg = RunConfig(m=m, n=n, samples=200, seed=m)
+    fresh = gauge_properties_check(ball_gauge(n, m), 20, _check_rng(cfg, "gauge", "gauge-ball"))
+    assert render([run_suite("gauge", cfg)[0]], "json") == render([fresh], "json")
+
+
+def stub_call(monkeypatch, owner, name: str, index: int, check: str):
+    """Replace call `index` of owner.name by a stub that draws 10,000
+    normals from the generator it is given and returns a passing record
+    named check."""
+    real = getattr(owner, name)
+    calls = itertools.count()
+
+    def patched(*args):
+        if next(calls) != index:
+            return real(*args)
+        next(arg for arg in args if isinstance(arg, np.random.Generator)).normal(size=10_000)
+        return Report.from_error(check, 0.0, 1.0, 1)
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+@pytest.mark.parametrize("suite, layer, index, check", [
+    ("gauge", "gauge_properties_check", 0, "gauge-ball"),
+    ("extremal", "verify_extremal", 1, "extremal-koebe-m2-n1"),
+])
+def test_a_stubbed_check_leaves_the_other_records(suite, layer, index, check, monkeypatch):
+    # one stream per check: a check that draws differently moves no other
+    # record of its suite
+    cfg = RunConfig(samples=200, seed=5)
+    before = {rep.check: render([rep], "json") for rep in run_suite(suite, cfg)}
+    stub_call(monkeypatch, geometry, layer, index, check)
+    after = {rep.check: render([rep], "json") for rep in run_suite(suite, cfg)}
+    assert list(after) == list(before)
+    assert after.pop(check) != before.pop(check)
+    assert after == before
 
 
 @pytest.mark.parametrize("suite", ["representation", "regularity", "algebra"])
