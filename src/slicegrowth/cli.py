@@ -74,7 +74,8 @@ def main():
 @click.option("--domain", type=click.Choice(["ball", "polydisc"]), default=None,
               help="Restrict the domain suite to one gauge.")
 @click.option("--shards", type=int, default=1, show_default=True,
-              help="Sample-shard count (deterministic per shard count).")
+              help="Split every suite's sample budgets over this many seeded "
+                   "streams (deterministic per shard count).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,

@@ -1,17 +1,16 @@
 """Verification suites: deterministic, seeded batteries of checks that
 produce one report record each.
 
-Every random check draws from a stream of its own, derived from (seed,
-suite tag, shard index, check tag), so reports are byte-identical for a
-fixed (config, seed, shard count) and no check's draws depend on the
-checks run before it.  The algebra suite and both growth suites split
-their sample budgets over `shards` streams (_sharded); every other check
-runs one stream, _check_rng(cfg, suite, record name), the one _sharded
-gives a record's shard 0.  The five representation records read the
-cases of one stream, as do regularity-constant and its control.  Shard
-merging takes maxima of the error fields, sums sample counts and ANDs
-the pass verdicts.  Every growth record, on the ball or another gauge,
-comes from one checker, geometry.growth_check_domain, via _growth_record.
+Every random check runs through one runner, _sharded: check(size, rng)
+gives the check's records for size samples, and shard i of its budget
+draws from the stream _rng(cfg, suite, i, tag) of (seed, suite, shard,
+check tag).  So reports are byte-identical for a fixed (config, seed,
+shard count), and no check's draws depend on the checks run before it.
+A check whose draws are no sample budget runs with budget 1: one shard.
+_merge_shards reduces each field by its reducer in _REDUCERS, sums the
+samples and ANDs the verdicts; a SliceAnalysisError inside a check
+becomes its one failed record, <name>-error.  Every growth record comes
+from one checker, geometry.growth_check_domain, via _growth_record.
 
 A check draws its cases in bulk, one generator call per array (alpha and
 beta together, the raw normal rows of its J rows, the scalars), and
@@ -31,8 +30,9 @@ os.sched_getaffinity) a loop runs the same tasks in process.  No task's
 numbers depend on the process that runs it or on what ran before it, so
 both give the same bytes.  Both run a task through _run_task, which looks
 it up in SUITES as it is where it runs and turns a SliceAnalysisError
-into one failed record, <suite>-error; any other exception is raised in
-the caller.  multiprocessing is imported only for the pool.
+raised outside any check (by a replaced suite, say) into one failed
+record, <suite>-error; any other exception is raised in the caller.
+multiprocessing is imported only for the pool.
 
 The growth suites evaluate the extremal families in closed form, as
 slicemaps.ClosedFormMap(p, theta, I, N, n) with the exponent p that
@@ -141,14 +141,8 @@ class RunConfig:
         return self.samples if self.samples is not None else _DEFAULT_SAMPLES[suite]
 
 
-def _rng(cfg: RunConfig, suite: str, shard: int, extra: int = 0):
-    return np.random.default_rng([cfg.seed, _SUITE_TAGS[suite], shard, extra])
-
-
-def _check_rng(cfg: RunConfig, suite: str, check: str):
-    """The stream of the record named check: the one _sharded gives its
-    shard 0."""
-    return _rng(cfg, suite, 0, _stable_tag(check))
+def _rng(cfg: RunConfig, suite: str, shard: int, tag: int):
+    return np.random.default_rng([cfg.seed, _SUITE_TAGS[suite], shard, tag])
 
 
 def _stable_tag(*parts) -> int:
@@ -164,31 +158,59 @@ def _shard_sizes(total: int, shards: int) -> list[int]:
     return [total // used + (i < total % used) for i in range(used)]
 
 
-def _merge_shards(parts: list[Report], keys) -> Report:
-    """One record from per-shard records: the maximum of each named field,
-    the sum of samples and the AND of the pass verdicts.  A record with a
-    hypothesis spot-check is asserted only if every shard's passed, and
-    geometry.judge_growth lets an unasserted record pass."""
+def _error_record(name: str, exc: Exception) -> Report:
+    """The one failed record, <name>-error, of a check or task that raised exc."""
+    return Report(f"{name}-error", False, 0, {"error": f"{type(exc).__name__}: {exc}"})
+
+
+_ALGEBRA_ERRORS = ("associativity", "anti_automorphism", "involution",
+                   "inverse_identity", "anticommutation", "root_square")
+
+# a field's reducer over the shards of a check: max for an error, sum for a
+# count, all for a flag (a growth record is asserted only if every shard's
+# spot-check passed); any other field is shard 0's
+_REDUCERS = {
+    **dict.fromkeys(
+        ("max_error", *_ALGEBRA_ERRORS, "inverse_residual", "endpoint_violation",
+         "profile_residual", "linearity_residual", "homogeneity_error", "axial_error",
+         "value_gap", "coefficient_gap", "max_violation_lower", "max_violation_upper",
+         *(f"{form}_form_violation_{side}" for form in ("rho", "norm", "gauge")
+           for side in ("lower", "upper")),
+         "diagonal_sharpness_gap", "off_slice_residual"), max),
+    "rejected_pairs": sum, "membership_mismatches": sum,
+    "positive_definite": all, "asserted": all,
+    "hypothesis_status": geometry.merge_hypothesis_status,
+}
+
+
+def _merge_shards(parts: list[Report], keys: dict) -> Report:
+    """One record from the per-shard records of one check: each field that
+    keys names is its reducer over the shards' values, every other field
+    is shard 0's, samples are summed and the pass verdicts ANDed."""
     merged = parts[0]
-    if "asserted" in merged.data:
-        merged.data["hypothesis_status"] = geometry.merge_hypothesis_status(
-            [part.data["hypothesis_status"] for part in parts])
-        merged.data["asserted"] = all(part.data["asserted"] for part in parts)
-    for extra in parts[1:]:
-        for key in keys:
-            merged.data[key] = max(merged.data[key], extra.data[key])
-        merged.samples += extra.samples
-        merged.passed = merged.passed and extra.passed
-    return geometry.judge_growth(merged, merged.data.get("asserted", True))
+    for key, reduce in keys.items():
+        if key in merged.data:
+            merged.data[key] = reduce([part.data[key] for part in parts])
+    merged.samples = sum(part.samples for part in parts)
+    merged.passed = all(part.passed for part in parts)
+    return merged
 
 
-def _sharded(cfg: RunConfig, suite: str, budget: int, tag: int, check, keys) -> Report:
-    """One record from check(size, rng) on each shard of budget samples,
-    shard i drawing from the stream _rng(cfg, suite, i, tag), merged by
-    _merge_shards over keys."""
-    return _merge_shards([check(size, _rng(cfg, suite, shard, tag))
-                          for shard, size in enumerate(_shard_sizes(budget, cfg.shards))],
-                         keys)
+def _sharded(cfg: RunConfig, suite: str, name: str, budget: int, check,
+             tag: Optional[int] = None) -> list[Report]:
+    """The records of check `name`: check(size, rng) on each shard of
+    budget samples from _rng(cfg, suite, shard, tag), tag by default
+    _stable_tag(name), merged over _REDUCERS, the first named name.  A
+    SliceAnalysisError inside the check becomes its one record, <name>-error."""
+    tag = _stable_tag(name) if tag is None else tag
+    try:
+        shards = [check(size, _rng(cfg, suite, shard, tag))
+                  for shard, size in enumerate(_shard_sizes(budget, cfg.shards))]
+    except SliceAnalysisError as exc:
+        return [_error_record(name, exc)]
+    records = [_merge_shards(list(parts), _REDUCERS) for parts in zip(*shards)]
+    records[0].check = name
+    return records
 
 
 def _re_z1_control(m: int, n: int) -> slicemaps.RawSliceMap:
@@ -205,8 +227,6 @@ def _re_z1_control(m: int, n: int) -> slicemaps.RawSliceMap:
 # algebra suite
 # ---------------------------------------------------------------------------
 
-_ALGEBRA_ERRORS = ("associativity", "anti_automorphism", "involution",
-                   "inverse_identity", "anticommutation", "root_square")
 # the inverse's backward error must stay below _INVERSE_MULTIPLE * dim * eps:
 # invert_batch inverts spinor blocks of size d = 2**(m//2) <= sqrt(dim) by LU
 # (residual of order d eps |M| |M^-1|, Higham 2002, section 14.3), encode and
@@ -307,9 +327,9 @@ def _algebra_record(cfg: RunConfig, m: int) -> list[Report]:
     total = cfg.budget("algebra")
     # work per case grows like 4**m; keep large-m batches tractable
     budget_m = max(200, total // 4 ** max(0, m - 5)) if m > 5 else total
-    return [_sharded(cfg, "algebra", budget_m, m,
-                     functools.partial(_algebra_shard, m, _anticommutation_error(m)),
-                     ("max_error",) + _ALGEBRA_ERRORS + ("inverse_residual",))]
+    pair_err = _anticommutation_error(m)
+    return _sharded(cfg, "algebra", f"algebra-m{m}", budget_m,
+                    lambda size, rng: [_algebra_shard(m, pair_err, size, rng)], tag=m)
 
 
 def _algebra_tasks(cfg: RunConfig):
@@ -343,34 +363,30 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     n = cfg.n or 2
     count = cfg.budget("stem")
     trunc = cfg.truncation
-    reports = []
 
     # even-odd pair identity on random stems (exact by construction)
-    rng = _check_rng(cfg, "stem", "stem-even-odd")
-    stem = _random_stem(m, n, rng)
-    alpha, beta = rng.uniform(-0.9, 0.9, (2, count, n))
-    f1p, f2p = stem.eval_arrays(alpha, beta)
-    f1m, f2m = stem.eval_arrays(alpha, -beta)
-    eo_err = max(
-        float(np.max(np.abs(f1m - f1p), initial=0.0)),
-        float(np.max(np.abs(f2m + f2p), initial=0.0)),
-    )
-    reports.append(Report.from_error(
-        "stem-even-odd", eo_err, 1e-12, count, m=m, n=n))
+    def even_odd(size, rng):
+        stem = _random_stem(m, n, rng)
+        alpha, beta = rng.uniform(-0.9, 0.9, (2, size, n))
+        f1p, f2p = stem.eval_arrays(alpha, beta)
+        f1m, f2m = stem.eval_arrays(alpha, -beta)
+        eo_err = max(_gap(f1m, f1p), _gap(f2m, -f2p))
+        return [Report.from_error("stem-even-odd", eo_err, 1e-12, size, m=m, n=n)]
+    reports = _sharded(cfg, "stem", "stem-even-odd", count, even_odd)
 
     # holomorphy residual via finite differences; sampled away from the
     # boundary so the third derivative keeps the FD error under budget
     theta = cfg.theta if cfg.theta is not None else 0.7
     i_elem = CliffordElement.generator(m, 1)
     koebe = series.extremal_series(2, theta, i_elem, trunc, n)
-    cr_points = min(count, 50)
-    rng = _check_rng(cfg, "stem", "stem-cr-residual")
-    stem = _random_stem(m, n, rng)
-    alpha, beta = rng.uniform(-0.3, 0.3, (2, cr_points, n))
-    worst_cr = max(float(np.max(series.cr_residual(s.eval_arrays, alpha, beta)))
-                   for s in (stem, koebe))
-    reports.append(Report.from_error(
-        "stem-cr-residual", worst_cr, 1e-8, cr_points, m=m, n=n))
+
+    def cr_residual(size, rng):
+        stem = _random_stem(m, n, rng)
+        alpha, beta = rng.uniform(-0.3, 0.3, (2, size, n))
+        worst_cr = max(float(np.max(series.cr_residual(s.eval_arrays, alpha, beta)))
+                       for s in (stem, koebe))
+        return [Report.from_error("stem-cr-residual", worst_cr, 1e-8, size, m=m, n=n)]
+    reports += _sharded(cfg, "stem", "stem-cr-residual", min(count, 50), cr_residual)
 
     # the non-holomorphic control must be detected: d Re(z_1)/d conj(z_1) = 1/2
     control = float(series.cr_residual(_re_z1_control(m, n).stem_arrays,
@@ -385,22 +401,25 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     base = np.stack([unit[0], -algebra.slice_exp(i_elem, theta)])
     inv = series.star_inverse(m, base, trunc)
     ident = series.star_mul(m, base, inv, trunc=trunc)
-    ident_err = float(np.max(np.abs(ident - unit)))
 
-    # 1 + sum_k x^k a_k with |a_k| <= 0.5**(k+1): row k drawn, then scaled
-    rows = _check_rng(cfg, "stem", "stem-star-inverse").uniform(-1.0, 1.0, (40, 1 << m))
-    rows *= (0.5 ** np.arange(2, 42) / np.maximum(1.0, np.linalg.norm(rows, axis=1)))[:, None]
-    rand_series = np.vstack([unit[:1], rows])
-    rinv = series.star_inverse(m, rand_series, trunc)
-    rident = series.star_mul(m, rand_series, rinv, trunc=trunc)
-    ident_err = max(ident_err, float(np.max(np.abs(rident - unit))))
-    # rinv is exact only through trunc, so its inverse is too
-    order = min(40, trunc)
-    dbl = series.star_inverse(m, rinv, order)
-    ident_err = max(ident_err, float(np.max(np.abs(dbl - rand_series[:order + 1]))))
-    reports.append(Report.from_error(
-        "stem-star-inverse", ident_err, 1e-10, trunc,
-        m=m, order=trunc))
+    # 1 + sum_k x^k a_k with |a_k| <= 0.5**(k+1): row k drawn, then scaled;
+    # 40 rows are no sample budget, so the check runs one shard
+    def star_inverse(_, rng):
+        rows = rng.uniform(-1.0, 1.0, (40, 1 << m))
+        scale = 0.5 ** np.arange(2, 42) / np.maximum(1.0, np.linalg.norm(rows, axis=1))
+        rows *= scale[:, None]
+        rand_series = np.vstack([unit[:1], rows])
+        rinv = series.star_inverse(m, rand_series, trunc)
+        rident = series.star_mul(m, rand_series, rinv, trunc=trunc)
+        ident_err = max(float(np.max(np.abs(ident - unit))),
+                        float(np.max(np.abs(rident - unit))))
+        # rinv is exact only through trunc, so its inverse is too
+        order = min(40, trunc)
+        dbl = series.star_inverse(m, rinv, order)
+        ident_err = max(ident_err, float(np.max(np.abs(dbl - rand_series[:order + 1]))))
+        return [Report.from_error("stem-star-inverse", ident_err, 1e-10, trunc,
+                                  m=m, order=trunc)]
+    reports += _sharded(cfg, "stem", "stem-star-inverse", 1, star_inverse)
 
     # coefficient norms of the starlike family: (k+1) exactly
     coeff_err = 0.0
@@ -457,12 +476,8 @@ def _representation_cases(rng, m: int, n: int, count: int, cond_threshold: float
     return alpha, beta, raw, rejected
 
 
-def run_representation(cfg: RunConfig) -> list[Report]:
-    m = cfg.m or 3
-    n = cfg.n or 2
-    count = cfg.budget("representation")
-    # the five records share one stream: every check reads the same cases
-    rng = _check_rng(cfg, "representation", "representation-reconstruction")
+def _representation_shard(m: int, n: int, count: int, rng) -> list[Report]:
+    """The five representation records, all read from the same count cases."""
     cond_threshold = 1e-3
     rec_formula = functools.partial(slicemaps.representation_formula,
                                     cond_threshold=cond_threshold)
@@ -523,26 +538,21 @@ def run_representation(cfg: RunConfig) -> list[Report]:
     ]
 
 
+def run_representation(cfg: RunConfig) -> list[Report]:
+    return _sharded(cfg, "representation", "representation-reconstruction",
+                    cfg.budget("representation"),
+                    functools.partial(_representation_shard, cfg.m or 3, cfg.n or 2))
+
+
 # ---------------------------------------------------------------------------
 # regularity suite
 # ---------------------------------------------------------------------------
 
-def run_regularity(cfg: RunConfig) -> list[Report]:
-    m = cfg.m or 3
-    n = cfg.n or 2
-    count = cfg.budget("regularity")
-    theta = cfg.theta if cfg.theta is not None else 0.7
-    i_elem = CliffordElement.generator(m, 1)
-    reports = []
-
-    # case c checks map which[c] at alpha + J beta
-    rng = _check_rng(cfg, "regularity", "regularity-series")
+def _regularity_series(m: int, n: int, fixed: list, count: int, rng) -> list[Report]:
+    """regularity-series on count cases of a drawn map and the maps fixed:
+    case c checks map which[c] at alpha + J beta."""
     worst = 0.0
-    maps = [
-        slicemaps.SliceMap(_random_stem(m, n, rng)),
-        slicemaps.SliceMap(series.extremal_series(2, theta, i_elem, 60, n)),
-        slicemaps.SliceMap(series.identity_map(m, n)),
-    ]
+    maps = [slicemaps.SliceMap(_random_stem(m, n, rng)), *fixed]
     which = rng.integers(len(maps), size=count)
     raw = rng.normal(size=(count, m))
     alpha, beta = rng.uniform(-0.4, 0.4, (2, count, n))
@@ -554,37 +564,45 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
             if np.any(r):
                 worst = max(worst, float(np.max(slicemaps.regularity_residual(
                     f, alpha[block][r], beta[block][r], J[r]))))
-    reports.append(Report.from_error(
-        "regularity-series", worst, 1e-7, count, m=m, n=n))
+    return [Report.from_error("regularity-series", worst, 1e-7, count, m=m, n=n)]
 
-    # the constant map and the control share one stream: one point
-    rng = _check_rng(cfg, "regularity", "regularity-constant")
-    const = slicemaps.SliceMap(series.StemSeries(
-        m, n, {(0,) * n: rng.uniform(-1, 1, size=(n, 1 << m))}))
-    a0, b0 = rng.uniform(-0.4, 0.4, (2, n))
-    reports.append(Report.from_error(
-        "regularity-constant",
-        float(slicemaps.regularity_residual(const, a0, b0, i_elem.coeffs)[0]), 1e-14,
-        1, m=m, n=n))
 
-    # control with stem F1 = Re(z_1): residual must be O(1), not small
-    control = _re_z1_control(m, n)
-    control_res = float(slicemaps.regularity_residual(control, a0, b0, i_elem.coeffs)[0])
-    reports.append(Report.from_error(
-        "regularity-control-detected", 0.0 if control_res > 0.1 else 1.0, 0.5,
-        1, m=m, n=n, control_residual=control_res))
+def run_regularity(cfg: RunConfig) -> list[Report]:
+    m = cfg.m or 3
+    n = cfg.n or 2
+    count = cfg.budget("regularity")
+    theta = cfg.theta if cfg.theta is not None else 0.7
+    i_elem = CliffordElement.generator(m, 1)
+    fixed = [slicemaps.SliceMap(series.extremal_series(2, theta, i_elem, 60, n)),
+             slicemaps.SliceMap(series.identity_map(m, n))]
+    reports = _sharded(cfg, "regularity", "regularity-series", count,
+                       functools.partial(_regularity_series, m, n, fixed))
+
+    # the constant map and the control share one point: one shard
+    def constant(_, rng):
+        const = slicemaps.SliceMap(series.StemSeries(
+            m, n, {(0,) * n: rng.uniform(-1, 1, size=(n, 1 << m))}))
+        a0, b0 = rng.uniform(-0.4, 0.4, (2, n))
+        # control with stem F1 = Re(z_1): residual must be O(1), not small
+        residual, control_res = (float(slicemaps.regularity_residual(
+            g, a0, b0, i_elem.coeffs)[0]) for g in (const, _re_z1_control(m, n)))
+        return [Report.from_error("regularity-constant", residual, 1e-14, 1, m=m, n=n),
+                Report.from_error("regularity-control-detected",
+                                  0.0 if control_res > 0.1 else 1.0, 0.5, 1, m=m, n=n,
+                                  control_residual=control_res)]
+    reports += _sharded(cfg, "regularity", "regularity-constant", 1, constant)
 
     # holomorphic splitting reassembles the slice restriction
-    rng = _check_rng(cfg, "regularity", "regularity-splitting")
-    f = slicemaps.SliceMap(_random_stem(m, n, rng))
-    comps, basis = slicemaps.split_components(f, i_elem)
-    x, y = rng.uniform(-0.7, 0.7, (2, min(count, 200), n))
-    worst_split = _gap(slicemaps.reassemble_on_slice(comps, basis, i_elem, x + 1j * y),
-                       f.eval_arrays(x, y, i_elem.coeffs))
-    reports.append(Report.from_error(
-        "regularity-splitting", worst_split, 1e-10,
-        min(count, 200), m=m, n=n, components=len(comps)))
-    return reports
+    def splitting(size, rng):
+        f = slicemaps.SliceMap(_random_stem(m, n, rng))
+        comps, basis = slicemaps.split_components(f, i_elem)
+        x, y = rng.uniform(-0.7, 0.7, (2, size, n))
+        worst_split = _gap(slicemaps.reassemble_on_slice(comps, basis, i_elem, x + 1j * y),
+                           f.eval_arrays(x, y, i_elem.coeffs))
+        return [Report.from_error("regularity-splitting", worst_split, 1e-10, size,
+                                  m=m, n=n, components=len(comps))]
+    return reports + _sharded(cfg, "regularity", "regularity-splitting", min(count, 200),
+                              splitting)
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +621,22 @@ def _extremal_maps(m: int, n: int, trunc: int, theta: float):
     return out
 
 
+def _extremal_shard(name: str, f: slicemaps.SliceMap, i_elem: CliffordElement, tol: float,
+                    count: int, rng) -> list[Report]:
+    """The record of map `name`, f, on an orbit it draws: count roots of -1
+    and a u-sweep.  Each shard draws its own orbit, so a merged record's
+    error fields are maxima over the shards, and c0, c1, endpoint_* and
+    sampled_* are shard 0's: their --shards 1 values."""
+    o = slicespace.make_orbit(*rng.uniform(-0.5, 0.5, (2, f.n)))
+    rep = geometry.verify_extremal(f, o, i_elem, count, rng, tol)
+    lin = geometry.profile_linearity(f, o, i_elem, rng=rng)
+    rep.data["map"] = name
+    rep.data["linearity_residual"] = lin
+    rep.data["max_error"] = max(rep.data["max_error"], lin)
+    rep.passed = rep.data["max_error"] <= tol
+    return [rep]
+
+
 def run_extremal(cfg: RunConfig) -> list[Report]:
     count = cfg.budget("extremal")
     theta = cfg.theta if cfg.theta is not None else 0.7
@@ -619,17 +653,8 @@ def run_extremal(cfg: RunConfig) -> list[Report]:
             continue
         for n in n_values:
             for name, f, i_elem in _extremal_maps(m, n, min(cfg.truncation, 120), theta):
-                check = f"extremal-{name}-m{m}-n{n}"
-                rng = _check_rng(cfg, "extremal", check)
-                o = slicespace.make_orbit(*rng.uniform(-0.5, 0.5, (2, n)))
-                rep = geometry.verify_extremal(f, o, i_elem, count, rng, tol)
-                lin = geometry.profile_linearity(f, o, i_elem, rng=rng)
-                rep.check = check
-                rep.data["map"] = name
-                rep.data["linearity_residual"] = lin
-                rep.data["max_error"] = max(rep.data["max_error"], lin)
-                rep.passed = rep.data["max_error"] <= tol
-                reports.append(rep)
+                reports += _sharded(cfg, "extremal", f"extremal-{name}-m{m}-n{n}", count,
+                                    functools.partial(_extremal_shard, name, f, i_elem, tol))
     return reports
 
 
@@ -647,28 +672,20 @@ def _growth_cases(cfg: RunConfig):
     return m, thetas, directions
 
 
-# the fields a shard merge takes the maximum of: the readings the gauge picks
-_GROWTH_KEYS = {
-    "ball": ("max_violation_lower", "max_violation_upper", "max_error"),
-    "polydisc": tuple(f"{form}_form_violation_{side}" for form in ("rho", "norm", "gauge")
-                      for side in ("lower", "upper"))
-    + ("diagonal_sharpness_gap", "off_slice_residual", "max_error"),
-}
-
-
 def _growth_record(cfg: RunConfig, suite: str, check: str, label: str, tag: int,
-                   f: slicemaps.ClosedFormMap, gauge: geometry.Gauge) -> Report:
+                   f: slicemaps.ClosedFormMap, gauge: geometry.Gauge) -> list[Report]:
     """The record `check` of map `label`, f, on the gauge: the suite's
-    budget over its shards, shard i drawing from _rng(cfg, suite, i, tag)."""
+    budget over its shards, shard i drawing from _rng(cfg, suite, i, tag),
+    judged once merged (an error record has no verdict to judge)."""
     family, _, asserted = MAP_FAMILIES[label]
-    rep = _sharded(cfg, suite, cfg.budget(suite), tag,
-                   lambda size, rng: geometry.growth_check_domain(
-                       f, gauge, family, cfg.r_max, size, rng, f.I, f.theta, 1e-9,
-                       asserted),
-                   _GROWTH_KEYS[gauge.kind])
-    rep.check = check
-    rep.data["map"] = label
-    return rep
+
+    def shard(size, rng):
+        rep = geometry.growth_check_domain(f, gauge, family, cfg.r_max, size, rng, f.I,
+                                           f.theta, 1e-9, asserted)
+        rep.data["map"] = label
+        return [rep]
+    return [geometry.judge_growth(rep, rep.data.get("asserted", True))
+            for rep in _sharded(cfg, suite, check, cfg.budget(suite), shard, tag=tag)]
 
 
 def run_growth_ball(cfg: RunConfig) -> list[Report]:
@@ -686,9 +703,9 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
             for theta in thetas:
                 f = slicemaps.ClosedFormMap(p, theta, i_elem, cfg.truncation, n)
                 sweep.append(f)
-                reports.append(_growth_record(
+                reports += _growth_record(
                     cfg, "growth-ball", f"growth-ball-{label}-{iname}-theta{theta:.3f}",
-                    label, _stable_tag(label, iname, f"{theta:.9f}"), f, ball))
+                    label, _stable_tag(label, iname, f"{theta:.9f}"), f, ball)
 
             f0 = next((f for f in sweep if abs(f.theta) < 1e-15), None)
             if f0 is not None:
@@ -697,12 +714,13 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
                 sharp.data["map"] = label
                 reports.append(geometry.judge_growth(sharp, asserted))
 
-            agree = geometry.closed_form_agreement(
-                sweep, cfg.r_max, min(cfg.budget("growth-ball"), 1000),
-                _rng(cfg, "growth-ball", 0, _stable_tag("closed-form", label, iname)))
-            agree.check = f"closed-form-{label}-{iname}"
-            agree.data["map"] = label
-            reports.append(agree)
+            def agreement(size, rng):
+                agree = geometry.closed_form_agreement(sweep, cfg.r_max, size, rng)
+                agree.data["map"] = label
+                return [agree]
+            reports += _sharded(cfg, "growth-ball", f"closed-form-{label}-{iname}",
+                                min(cfg.budget("growth-ball"), 1000), agreement,
+                                tag=_stable_tag("closed-form", label, iname))
     return reports
 
 
@@ -718,9 +736,9 @@ def run_growth_domain(cfg: RunConfig) -> list[Report]:
             continue
         f = slicemaps.ClosedFormMap(p, thetas[0], directions[0][1], cfg.truncation, n)
         for domain in cfg.domains:
-            reports.append(_growth_record(
+            reports += _growth_record(
                 cfg, "growth-domain", f"growth-domain-{domain}-{label}", label,
-                _stable_tag(label, domain), f, geometry.Gauge(domain, n, m)))
+                _stable_tag(label, domain), f, geometry.Gauge(domain, n, m))
     return reports
 
 
@@ -729,13 +747,13 @@ def run_gauge(cfg: RunConfig) -> list[Report]:
     n = cfg.n or 2
     count = cfg.budget("gauge")
     props = max(count // 10, 20)
-    reports = []
 
-    closed = {"ball": geometry.ball_gauge(n, m),
-              "polydisc": geometry.polydisc_gauge(n, m)}
-    for name, g in closed.items():
-        reports.append(geometry.gauge_properties_check(
-            g, props, _check_rng(cfg, "gauge", f"gauge-{name}"), 1e-12))
+    def properties(g, check):
+        return _sharded(cfg, "gauge", check, props, lambda size, rng: [
+            geometry.gauge_properties_check(g, size, rng, 1e-12)])
+
+    closed = {"ball": geometry.ball_gauge(n, m), "polydisc": geometry.polydisc_gauge(n, m)}
+    reports = [rep for name, g in closed.items() for rep in properties(g, f"gauge-{name}")]
 
     # bisection oracles wrapping the closed-form membership tests
     oracles = {name: geometry.oracle_gauge(
@@ -743,23 +761,18 @@ def run_gauge(cfg: RunConfig) -> list[Report]:
         for name, g in closed.items()}
     points = max(count, 100)
     for name, oracle in oracles.items():
-        rng = _check_rng(cfg, "gauge", f"gauge-bisection-{name}")
-        j_rows = slicespace.sample_S_batch(rng, m, points)
-        alpha, beta = rng.uniform(-1.5, 1.5, (2, points, n))
-        worst = float(np.max(np.abs(
-            geometry.gauge_rho(oracle, alpha, beta, j_rows) -
-            geometry.gauge_rho(closed[name], alpha, beta))))
-        reports.append(Report.from_error(
-            f"gauge-bisection-{name}", worst, 1e-8,
-            points, m=m, n=n))
+        def bisection(size, rng):
+            j_rows = slicespace.sample_S_batch(rng, m, size)
+            alpha, beta = rng.uniform(-1.5, 1.5, (2, size, n))
+            worst = _gap(geometry.gauge_rho(oracle, alpha, beta, j_rows),
+                         geometry.gauge_rho(closed[name], alpha, beta))
+            return [Report.from_error(f"gauge-bisection-{name}", worst, 1e-8, size, m=m, n=n)]
+        reports += _sharded(cfg, "gauge", f"gauge-bisection-{name}", points, bisection)
 
     # the oracles' own properties: bisection over a membership test that
     # is not starlike breaks homogeneity and membership equivalence
     for name, oracle in oracles.items():
-        rep = geometry.gauge_properties_check(
-            oracle, props, _check_rng(cfg, "gauge", f"gauge-oracle-{name}"), 1e-12)
-        rep.check = f"gauge-oracle-{name}"
-        reports.append(rep)
+        reports += properties(oracle, f"gauge-oracle-{name}")
     return reports
 
 
@@ -792,14 +805,15 @@ def _suite_tasks(cfg: RunConfig, name: str):
 def _run_task(cfg: RunConfig, task) -> list[Report]:
     """The reports of task (suite name, index into _suite_tasks, or None
     for the whole suite), looked up where it runs, so that a forked worker
-    runs whatever SUITES held at the fork.  A SliceAnalysisError it raises
-    becomes its one failed record, <suite>-error, so the run still writes
-    a report; any other exception propagates."""
+    runs whatever SUITES held at the fork.  A SliceAnalysisError raised
+    outside any check (_sharded isolates those) becomes its one failed
+    record, <suite>-error, so the run still writes a report; any other
+    exception propagates."""
     name, index = task
     try:
         return SUITES[name](cfg) if index is None else _suite_tasks(cfg, name)[index]()
     except SliceAnalysisError as exc:
-        return [Report(f"{name}-error", False, 0, {"error": f"{type(exc).__name__}: {exc}"})]
+        return [_error_record(name, exc)]
 
 
 def _usable_cpus() -> int:

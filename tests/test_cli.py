@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from slicegrowth import algebra
+from slicegrowth import algebra, geometry
 from slicegrowth import suites as suites_mod
 from slicegrowth.cli import main
-from slicegrowth.errors import GaugeError, SliceAnalysisError
+from slicegrowth.errors import GaugeError, HypothesisViolationError, SliceAnalysisError
 from slicegrowth.reports import Report, render, summary_lines
 from slicegrowth.suites import (
     _INVERSE_MULTIPLE,
@@ -73,10 +73,29 @@ def test_different_seeds_differ():
 
 
 def test_shard_merge_is_deterministic():
-    for suite in ("algebra", "growth-ball", "growth-domain"):
+    # a check that splits less than the whole budget of 40 samples sums to
+    # its share; a representation sub-check runs on every tenth case of
+    # each shard
+    shares = {"stem-cr-residual": min(40, 50), "regularity-splitting": min(40, 200),
+              **{f"gauge-{kind}{name}": max(40 // 10, 20)
+                 for kind in ("", "oracle-") for name in ("ball", "polydisc")},
+              **{f"gauge-bisection-{name}": max(40, 100) for name in ("ball", "polydisc")}}
+    whole = ("stem-even-odd", "representation-reconstruction", "regularity-series",
+             "extremal-")
+    sub = sum((size + 9) // 10 for size in _shard_sizes(40, 3))
+    for suite in SUITES:
         a = run_suite(suite, small_config(shards=3))
         b = run_suite(suite, small_config(shards=3))
         assert render(a, "json") == render(b, "json"), suite
+        for rep in a:
+            if rep.check in shares:
+                assert rep.samples == shares[rep.check], rep.check
+            elif rep.check.startswith(whole):
+                assert rep.samples == 40, rep.check
+            elif rep.check.startswith("representation-"):
+                assert rep.samples == sub, rep.check
+        if suite not in ("algebra", "growth-ball", "growth-domain"):
+            continue
         # every sharded record accounts for the whole budget across shards;
         # a closed-form agreement record runs one stream of the budget per theta
         sampled = [rep for rep in a
@@ -150,11 +169,16 @@ def test_shard_plan_has_at_most_total_entries():
 
 
 def test_shard_merge_fails_on_one_failing_shard():
-    parts = [Report.from_error("c", err, 1.0, 10) for err in (0.5, 2.0, 0.1)]
-    merged = _merge_shards(parts, ("max_error",))
+    parts = [Report.from_error("c", err, 1.0, 10, rejected_pairs=count, positive_definite=flag)
+             for err, count, flag in ((0.5, 1, True), (2.0, 2, False), (0.1, 4, True))]
+    merged = _merge_shards(parts, {"max_error": max, "rejected_pairs": sum,
+                                   "positive_definite": all})
     assert merged.passed is False
     assert merged.samples == 30
     assert merged.data["max_error"] == 2.0
+    # a count is summed and a flag ANDed over the shards
+    assert merged.data["rejected_pairs"] == 7
+    assert merged.data["positive_definite"] is False
 
 
 def test_anticommutation_error_matches_the_pairwise_products():
@@ -440,6 +464,66 @@ def test_a_suite_error_becomes_one_failed_record(pooled, tmp_path, monkeypatch):
     assert broken[:first] + broken[first + 1:] == clean[:first] + clean[first + len(stem):]
     assert "[FAIL] stem-error  GaugeError: membership never became true along the ray" in \
         result.output
+
+
+@pytest.mark.parametrize("pooled", [
+    pytest.param(True, marks=pytest.mark.skipif(
+        _usable_cpus() < 2, reason="the pool needs 2 usable CPUs")),
+    False,
+])
+def test_a_check_error_becomes_one_failed_record(pooled, tmp_path, monkeypatch):
+    # the package's errors inside one check fail that check's one record,
+    # <check>-error, in its place; every other record keeps its bytes
+    if not pooled:
+        monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)
+    args = ["verify", "all", "--samples", "40", "--truncation", "40", "--out"]
+    result = CliRunner().invoke(main, args + [str(tmp_path / "clean.json"), "--quiet"])
+    assert result.exit_code == 0, result.output
+    check = geometry.gauge_properties_check
+    raised = []
+
+    def broken_check(g, *rest):
+        if g.kind == "oracle" and not raised:
+            raised.append(g)
+            raise GaugeError("membership never became true along the ray")
+        return check(g, *rest)
+
+    monkeypatch.setattr(geometry, "gauge_properties_check", broken_check)
+    result = CliRunner().invoke(main, args + [str(tmp_path / "broken.json")])
+    assert result.exit_code == 1, result.output
+    clean, broken = (json.loads((tmp_path / name).read_text())
+                     for name in ("clean.json", "broken.json"))
+    index = next(i for i, rec in enumerate(clean) if rec["check"] == "gauge-oracle-ball")
+    assert broken[index] == {
+        "check": "gauge-oracle-ball-error",
+        "error": "GaugeError: membership never became true along the ray",
+        "samples": 0, "pass": False}
+    assert json.dumps(broken[:index] + broken[index + 1:]) == \
+        json.dumps(clean[:index] + clean[index + 1:])
+    assert "[FAIL] gauge-oracle-ball-error  GaugeError: membership never became true " \
+        "along the ray" in result.output
+
+
+def test_a_growth_check_error_is_neither_renamed_nor_judged(monkeypatch):
+    # an error record has no verdict: it fails even where the map's growth
+    # record would not be asserted
+    check = geometry.growth_check_domain
+    calls = []
+
+    def broken_check(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise HypothesisViolationError("values leave the slice")
+        return check(*args)
+
+    monkeypatch.setattr(geometry, "growth_check_domain", broken_check)
+    reports = run_suite("growth-ball", small_config(shards=3, maps=("paper-example",)))
+    assert reports[0].record() == {
+        "check": "growth-ball-paper-example-e1-theta0.000-error",
+        "error": "HypothesisViolationError: values leave the slice",
+        "samples": 0, "pass": False}
+    assert reports[1].check == "growth-ball-paper-example-e1-theta0.700"
+    assert reports[1].passed and reports[1].data["asserted"] is False
 
 
 @pytest.mark.skipif(_usable_cpus() < 2, reason="the pool needs 2 usable CPUs")

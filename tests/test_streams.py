@@ -4,21 +4,24 @@ stream, the reports to independence from the evaluation block size, and
 the blocked suites' working sets to a bound."""
 
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import slicegrowth.geometry as geometry
 import slicegrowth.suites as suites
 from slicegrowth.algebra import CliffordElement
+from slicegrowth.cli import main
 from slicegrowth.geometry import ball_gauge, gauge_properties_check, growth_check_domain, \
     polydisc_gauge
 from slicegrowth.reports import Report, render
 from slicegrowth.slicemaps import ClosedFormMap
 from slicegrowth.slicespace import unit_rows
-from slicegrowth.suites import RunConfig, _check_rng, _random_stem, _representation_cases, \
-    run_suite
+from slicegrowth.suites import RunConfig, _random_stem, _representation_cases, _rng, \
+    _shard_sizes, _stable_tag, run_suite
 
 
 def same_bits(a, b) -> bool:
@@ -56,11 +59,53 @@ def test_representation_block_draws_keep_the_stream(m, n):
     # the suite reads its cases from the stream of its first record, after
     # the eight stems of its maps, and reports the redraws
     cfg = RunConfig(m=m, n=n, samples=count if m < 7 else 11, seed=m + 10 * n)
-    rng = _check_rng(cfg, "representation", "representation-reconstruction")
+    rng = _rng(cfg, "representation", 0, _stable_tag("representation-reconstruction"))
     for _ in range(8):
         _random_stem(m, n, rng)
     expect = _representation_cases(rng, m, n, cfg.samples, cond)[3]
     assert run_suite("representation", cfg)[0].data["rejected_pairs"] == expect
+
+
+def test_sharded_representation_counts_every_shards_redraws():
+    # at m = 1 about half the pairs are redrawn, and each shard redraws the
+    # pairs of its own stream
+    cfg = RunConfig(m=1, samples=300, shards=3, seed=4)
+    expect = 0
+    for shard, size in enumerate(_shard_sizes(cfg.samples, cfg.shards)):
+        rng = _rng(cfg, "representation", shard, _stable_tag("representation-reconstruction"))
+        for _ in range(8):
+            _random_stem(1, 2, rng)
+        expect += _representation_cases(rng, 1, 2, size, 1e-3)[3]
+    rep = run_suite("representation", cfg)[0]
+    assert rep.check == "representation-reconstruction"
+    assert rep.samples == cfg.samples
+    assert rep.data["rejected_pairs"] == expect
+
+
+def test_every_stream_comes_from_the_shard_runner_once(tmp_path, monkeypatch):
+    # one path to the generators: each (suite, shard, tag) stream of a
+    # serial run is drawn by _sharded, and by it alone, once
+    calls = []
+    rng = suites._rng
+
+    def recording_rng(cfg, suite, shard, tag):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+            caller = caller.f_back
+        calls.append((caller.f_code.co_name, suite, shard, tag))
+        return rng(cfg, suite, shard, tag)
+
+    monkeypatch.setattr(suites, "_rng", recording_rng)
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
+    result = CliRunner().invoke(main, ["verify", "all", "--shards", "3", "--samples", "200",
+                                       "--truncation", "40", "--quiet",
+                                       "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 0, result.output
+    assert {caller for caller, *_ in calls} == {"_sharded"}
+    streams = [call[1:] for call in calls]
+    assert len(set(streams)) == len(streams)
+    assert {suite for suite, _, _ in streams} == set(suites.SUITES)
+    assert {shard for _, shard, _ in streams} == {0, 1, 2}
 
 
 class RecordingGauge:
@@ -106,7 +151,8 @@ def test_gauge_property_draws_keep_the_stream(m, n, monkeypatch):
     # the gauge suite's record is the check on its own stream
     monkeypatch.undo()
     cfg = RunConfig(m=m, n=n, samples=200, seed=m)
-    fresh = gauge_properties_check(ball_gauge(n, m), 20, _check_rng(cfg, "gauge", "gauge-ball"))
+    fresh = gauge_properties_check(ball_gauge(n, m), 20,
+                                   _rng(cfg, "gauge", 0, _stable_tag("gauge-ball")))
     assert render([run_suite("gauge", cfg)[0]], "json") == render([fresh], "json")
 
 
