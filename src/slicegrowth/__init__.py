@@ -8,6 +8,8 @@ slice domains, wired into a deterministic verification harness.
 
 from .algebra import (
     CliffordElement,
+    blade,
+    generator,
     in_sqrt_minus_one,
     slice_exp,
 )

@@ -11,8 +11,10 @@ generator; sign tables and conjugation signs are computed once per m and
 cached.  mul_coeffs multiplies by the sign table and is the reference
 every faster path is tested against.  Every product, conjugate and
 inverse goes through the row kernels (mul_coeffs, mul_batch, conj_batch,
-invert_batch); CliffordElement is only a validated, immutable row with
-its m.
+invert_batch).  blade and generator build basis rows, and row_m reads
+and validates the m of a row; a slice direction I is such a row.
+CliffordElement is only the validated, immutable row of the one-point
+layer (slicespace.make_point, SliceMap.eval).
 
 Conjugation acts on grade k as (-1)**(k*(k+1)/2), i.e. reversion composed
 with grade involution.  This makes t(x) = x + conj(x) vanish and
@@ -239,13 +241,75 @@ def invert_batch(m: int, a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# element type
+# rows of basis blades, and the roots of -1
+# ---------------------------------------------------------------------------
+
+def row_m(row) -> int:
+    """The m of a coefficient row of length 2**m; DimensionError for any
+    other length."""
+    dim = np.shape(row)[-1]
+    m = dim.bit_length() - 1
+    if dim != 1 << m or not 1 <= m <= MAX_GENERATORS:
+        raise DimensionError(
+            f"a row needs 2**m coefficients for m in 1..{MAX_GENERATORS}, got {dim}")
+    return m
+
+
+def blade(m: int, indices: Iterable[int] = ()) -> np.ndarray:
+    """The row of the basis blade e_{h_1}...e_{h_r} for strictly increasing
+    1-based indices; () gives the scalar 1."""
+    idx = list(indices)
+    if idx != sorted(set(idx)):
+        raise DimensionError("blade indices must be strictly increasing")
+    mask = 0
+    for i in idx:
+        if not 1 <= i <= m:
+            raise DimensionError(f"blade index {i} out of range 1..{m}")
+        mask |= 1 << (i - 1)
+    row = np.zeros(_tables(m).dim)
+    row[mask] = 1.0
+    return row
+
+
+def generator(m: int, i: int) -> np.ndarray:
+    """The row of the generator e_i, 1-indexed."""
+    return blade(m, (i,))
+
+
+def in_sqrt_minus_one(x: np.ndarray, tol: float = 1e-10) -> bool:
+    """True when the row x has t(x) = x + conj(x) ~ 0 and
+    n(x) = x * conj(x) ~ 1 componentwise, i.e. x*x ~ -1 inside the cone."""
+    m, c = row_m(x), np.asarray(x, dtype=np.float64)
+    t = c + conj_batch(m, c)
+    if np.max(np.abs(t)) > tol:
+        return False
+    nn = mul_coeffs(m, c, conj_batch(m, c))
+    target = np.zeros(len(c))
+    target[0] = 1.0
+    return bool(np.max(np.abs(nn - target)) <= tol)
+
+
+def slice_exp(I: np.ndarray, theta: float) -> np.ndarray:
+    """The row of e^{I theta} = cos(theta) + I sin(theta) for the row I of
+    a square root of -1."""
+    row = np.zeros(len(I))
+    row[0] = math.cos(theta)
+    return row + math.sin(theta) * I
+
+
+def grades(m: int) -> np.ndarray:
+    return _tables(m).grades
+
+
+# ---------------------------------------------------------------------------
+# the value type of the one-point layer
 # ---------------------------------------------------------------------------
 
 class CliffordElement:
     """An immutable coefficient row of the 2**m-dimensional algebra,
-    validated once.  Products, conjugates and inverses go through the row
-    kernels above on .coeffs."""
+    validated once: the value type of the one-point layer
+    (slicespace.make_point, SlicePoint, SliceMap.eval).  Everything else
+    takes rows."""
 
     __slots__ = ("m", "coeffs")
 
@@ -263,75 +327,3 @@ class CliffordElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("CliffordElement is immutable")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def scalar(cls, m: int, value: float) -> "CliffordElement":
-        c = np.zeros(1 << m)
-        c[0] = value
-        return cls(m, c)
-
-    @classmethod
-    def generator(cls, m: int, i: int) -> "CliffordElement":
-        """The generator e_i, 1-indexed."""
-        if not 1 <= i <= m:
-            raise DimensionError(f"generator index {i} out of range 1..{m}")
-        c = np.zeros(1 << m)
-        c[1 << (i - 1)] = 1.0
-        return cls(m, c)
-
-    @classmethod
-    def blade(cls, m: int, indices: Iterable[int]) -> "CliffordElement":
-        """Basis blade e_{h_1}...e_{h_r} for strictly increasing indices."""
-        idx = list(indices)
-        if idx != sorted(set(idx)):
-            raise DimensionError("blade indices must be strictly increasing")
-        mask = 0
-        for i in idx:
-            if not 1 <= i <= m:
-                raise DimensionError(f"blade index {i} out of range 1..{m}")
-            mask |= 1 << (i - 1)
-        c = np.zeros(1 << m)
-        c[mask] = 1.0
-        return cls(m, c)
-
-    # -- test helpers ----------------------------------------------------------
-
-    @property
-    def scalar_part(self) -> float:
-        return float(self.coeffs[0])
-
-    def isclose(self, other: "CliffordElement", tol: float = 1e-12) -> bool:
-        return self.m == other.m and bool(
-            np.max(np.abs(self.coeffs - other.coeffs)) <= tol
-        )
-
-
-# ---------------------------------------------------------------------------
-# predicates and helpers
-# ---------------------------------------------------------------------------
-
-def in_sqrt_minus_one(x: CliffordElement, tol: float = 1e-10) -> bool:
-    """True when t(x) = x + conj(x) ~ 0 and n(x) = x * conj(x) ~ 1
-    componentwise, i.e. x*x ~ -1 inside the cone."""
-    m, c = x.m, x.coeffs
-    t = c + conj_batch(m, c)
-    if np.max(np.abs(t)) > tol:
-        return False
-    nn = mul_coeffs(m, c, conj_batch(m, c))
-    target = np.zeros(len(c))
-    target[0] = 1.0
-    return bool(np.max(np.abs(nn - target)) <= tol)
-
-
-def slice_exp(i_elem: CliffordElement, theta: float) -> np.ndarray:
-    """The row of e^{I theta} = cos(theta) + I sin(theta) for I a square
-    root of -1."""
-    row = np.zeros(1 << i_elem.m)
-    row[0] = math.cos(theta)
-    return row + math.sin(theta) * i_elem.coeffs
-
-
-def grades(m: int) -> np.ndarray:
-    return _tables(m).grades

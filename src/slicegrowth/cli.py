@@ -15,7 +15,7 @@ import time
 import click
 
 from . import geometry, reports, slicemaps, suites
-from .algebra import CliffordElement
+from .algebra import generator
 
 _SEED_ENVVAR = "SLICEGROWTH_SEED"
 
@@ -127,7 +127,7 @@ def envelope(map_, theta, r_grid, m, n, truncation, out):
     _validated(suites.RunConfig(m=m, n=n, truncation=truncation, theta=theta))
 
     family, p, _ = suites.MAP_FAMILIES[map_]
-    f = slicemaps.ClosedFormMap(p, theta, CliffordElement.generator(m, 1), truncation, n)
+    f = slicemaps.ClosedFormMap(p, theta, generator(m, 1), truncation, n)
     rows = geometry.envelope_table(f, family, radii)
 
     header = "r,lower_bound,f_at_minus_r,f_at_plus_r,upper_bound"

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import CliffordElement, mul_batch
+from .algebra import generator, mul_batch, row_m
 from .errors import (
     CriterionError,
     GaugeError,
@@ -61,10 +61,6 @@ _BISECT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ExtremalProfile:
-    value_a: np.ndarray    # F1-side slice values, (n, dim) coefficient rows
-    value_b: np.ndarray    # F2-side slice values, (n, dim)
-    a: np.ndarray          # real parts of B_t / A_t where A_t != 0, else 0
-    b: np.ndarray          # imaginary parts, same convention
     c0: float
     c1: float
 
@@ -72,26 +68,24 @@ class ExtremalProfile:
         return self.c0 - self.c1 * np.asarray(u, dtype=np.float64)
 
 
-def extremal_profile(f, o: SliceOrbit, I: CliffordElement,
+def extremal_profile(f, o: SliceOrbit, I: np.ndarray,
                      tol: float = 1e-9) -> ExtremalProfile:
-    """Build the affine norm profile of f along the orbit o for slice I.
+    """Build the affine norm profile of f along the orbit o for the slice
+    row I.
 
     Requires the values at +-I to lie in the slice of I; raises
     HypothesisViolationError otherwise.  Components whose A_t vanishes
     route |B_t|^2 into the constant term.
     """
     v_i, v_mi = f.eval_arrays(o.alpha[None], o.beta[None],
-                              np.stack([I.coeffs, -I.coeffs]))
-    n = len(v_i)
+                              np.stack([I, -I]))
     value_a = 0.5 * (v_i + v_mi)
-    value_b = -0.5 * mul_batch(f.m, I.coeffs, v_i - v_mi)
+    value_b = -0.5 * mul_batch(f.m, I, v_i - v_mi)
 
-    a = np.zeros(n)
-    b = np.zeros(n)
     c0 = 0.0
     c1 = 0.0
     scale = max(1.0, vector_norm(v_i), vector_norm(v_mi))
-    for t in range(n):
+    for t in range(len(v_i)):
         ca, ra = complex_on_slice(value_a[t], I)
         cb, rb = complex_on_slice(value_b[t], I)
         if max(ra, rb) > tol * scale:
@@ -105,11 +99,9 @@ def extremal_profile(f, o: SliceOrbit, I: CliffordElement,
             c0 += abs(cb) ** 2
             continue
         ratio = cb / ca
-        a[t] = ratio.real
-        b[t] = ratio.imag
         c0 += (1.0 + ratio.real ** 2 + ratio.imag ** 2) * abs(ca) ** 2
         c1 += 2.0 * ratio.imag * abs(ca) ** 2
-    return ExtremalProfile(value_a, value_b, a, b, c0, c1)
+    return ExtremalProfile(c0, c1)
 
 
 def _batch_norms(f: SliceMap, alpha, beta, j_rows) -> np.ndarray:
@@ -118,11 +110,11 @@ def _batch_norms(f: SliceMap, alpha, beta, j_rows) -> np.ndarray:
     return np.sqrt(np.sum(vals * vals, axis=(1, 2)))
 
 
-def sample_roots_spanning(I: CliffordElement, rng, count: int) -> np.ndarray:
+def sample_roots_spanning(I: np.ndarray, rng, count: int) -> np.ndarray:
     """J rows mixing vector-strategy draws with the u-sweep family
     u*I + sqrt(1-u^2)*I_perp, so <J, I> covers [-1, 1] even for
     non-grade-1 directions I."""
-    m = I.m
+    m = row_m(I)
     half = count // 2
     rows = sample_S_batch(rng, m, count - half)
     if half:
@@ -131,13 +123,12 @@ def sample_roots_spanning(I: CliffordElement, rng, count: int) -> np.ndarray:
         except SamplingError:
             return np.vstack([rows, sample_S_batch(rng, m, half)])
         us = rng.uniform(-1.0, 1.0, size=half)
-        sweep = us[:, None] * I.coeffs[None, :] + \
-            np.sqrt(1.0 - us ** 2)[:, None] * perp.coeffs[None, :]
+        sweep = us[:, None] * I[None, :] + np.sqrt(1.0 - us ** 2)[:, None] * perp[None, :]
         rows = np.vstack([rows, sweep])
     return rows
 
 
-def verify_extremal(f: SliceMap, o: SliceOrbit, I: CliffordElement,
+def verify_extremal(f: SliceMap, o: SliceOrbit, I: np.ndarray,
                     samples: int, rng, tol: float = 1e-9) -> Report:
     """Sampled check that the norm extrema over J sit at J = +-I and that
     the measured norms match the affine profile g(u)."""
@@ -145,10 +136,10 @@ def verify_extremal(f: SliceMap, o: SliceOrbit, I: CliffordElement,
     j_rows = sample_roots_spanning(I, rng, samples)
     # one stem row over the endpoints +-I and every sampled J
     norms = _batch_norms(f, o.alpha[None], o.beta[None],
-                         np.vstack([I.coeffs, -I.coeffs, j_rows]))
+                         np.vstack([I, -I, j_rows]))
     hi, lo = float(max(norms[:2])), float(min(norms[:2]))
     norms = norms[2:]
-    u = j_rows @ I.coeffs
+    u = j_rows @ I
     profile_residual = float(np.max(np.abs(norms ** 2 - prof.g(u))))
     violation = max(0.0, float(np.max(norms)) - hi, lo - float(np.min(norms)))
 
@@ -163,14 +154,15 @@ def verify_extremal(f: SliceMap, o: SliceOrbit, I: CliffordElement,
     )
 
 
-def profile_linearity(f: SliceMap, o: SliceOrbit, I: CliffordElement,
-                      points: int = 11, rng=None) -> float:
+def profile_linearity(f: SliceMap, o: SliceOrbit, I: np.ndarray, rng,
+                      points: int = 11) -> float:
     """Least-squares residual of ||f||^2 against a line in u over an
-    equispaced u-sweep; zero in exact arithmetic."""
+    equispaced u-sweep toward a perpendicular drawn from rng; zero in
+    exact arithmetic."""
     perp = anticommuting_unit(I, rng)
     us = np.linspace(-1.0, 1.0, points)
-    rows = us[:, None] * I.coeffs[None, :] + \
-        np.sqrt(np.maximum(0.0, 1.0 - us ** 2))[:, None] * perp.coeffs[None, :]
+    rows = us[:, None] * I[None, :] + \
+        np.sqrt(np.maximum(0.0, 1.0 - us ** 2))[:, None] * perp[None, :]
     sq = _batch_norms(f, o.alpha[None], o.beta[None], rows) ** 2
     design = np.stack([np.ones_like(us), us], axis=1)
     coef, *_ = np.linalg.lstsq(design, sq, rcond=None)
@@ -181,7 +173,7 @@ def profile_linearity(f: SliceMap, o: SliceOrbit, I: CliffordElement,
 # starlike / convex criteria on a slice
 # ---------------------------------------------------------------------------
 
-def _shadow_in_slice(f: SliceMap, I: CliffordElement, tol: float):
+def _shadow_in_slice(f: SliceMap, I: np.ndarray, tol: float):
     """slice_shadow(f, I), raising HypothesisViolationError if a
     coefficient leaves the slice of I by more than tol."""
     shadow, resid = slice_shadow(f, I)
@@ -193,7 +185,7 @@ def _shadow_in_slice(f: SliceMap, I: CliffordElement, tol: float):
     return shadow
 
 
-def starlike_criterion_slice(f: SliceMap, I: CliffordElement, z,
+def starlike_criterion_slice(f: SliceMap, I: np.ndarray, z,
                              tol: float = 1e-9):
     """Re <Df_I(z)^{-1} f_I(z), z> through the complex identification of
     the slice of I; positive everywhere iff the restriction is starlike.
@@ -218,7 +210,7 @@ def starlike_criterion_slice(f: SliceMap, I: CliffordElement, z,
     return float(vals[0]) if z.ndim == 1 else vals
 
 
-def convex_criterion_slice(f: SliceMap, I: CliffordElement, t: int, x,
+def convex_criterion_slice(f: SliceMap, I: np.ndarray, t: int, x,
                            tol: float = 1e-9):
     """Re(1 + x f_t''(x)/f_t'(x)) for component t of the slice shadow f_I
     at real x on the z_t axis (the other variables at 0): the classical
@@ -270,7 +262,7 @@ def _sample_ball(rng, samples: int, n: int, m: int, r_max: float):
     return alpha, beta, j_rows, radii
 
 
-def _hypothesis_status(f: SliceMap, family: str, I: CliffordElement,
+def _hypothesis_status(f: SliceMap, family: str, I: np.ndarray,
                        r_max: float, rng, checks: int = 64) -> str:
     """Spot-check of the starlike/convex hypothesis on the slice of I at
     checks points, drawn whole and judged in one batched criterion call
@@ -308,7 +300,7 @@ def merge_hypothesis_status(statuses: list[str]) -> str:
 
 
 def growth_check_ball(f: SliceMap, family: str, r_max: float, samples: int,
-                      rng, I: CliffordElement, theta: float = 0.0,
+                      rng, I: np.ndarray, theta: float = 0.0,
                       tol: float = 1e-9, assert_bounds: bool = True) -> Report:
     """growth_check_domain on the unit ball, ball_gauge(f.n, f.m).
 
@@ -329,21 +321,20 @@ def judge_growth(rep: Report, asserted: bool) -> Report:
     return rep
 
 
-def closed_form_agreement(maps: list[ClosedFormMap], r_max: float,
+def closed_form_agreement(maps: list[ClosedFormMap], coeff_gap: float, r_max: float,
                           samples: int, rng, tol: float = 1e-9) -> Report:
     """Check closed-form maps against their reference series: at `samples`
     ball points per map, |series - closed form| must stay within the
-    series' tail bound at r_max plus tol, and the star-built coefficients
-    must equal the closed form's within tol."""
+    series' tail bound at r_max plus tol, and coeff_gap, the largest
+    ClosedFormMap.coefficient_gap of the maps (sample-free, so a sharded
+    caller computes it once), must stay within tol."""
     value_gap = 0.0
-    coeff_gap = 0.0
     for f in maps:
         alpha, beta, j_rows, _ = _sample_ball(rng, samples, f.n, f.m, r_max)
         diff = f.eval_arrays(alpha, beta, j_rows) - \
             SliceMap(f.stem).eval_arrays(alpha, beta, j_rows)
         value_gap = max(value_gap, float(np.max(
             np.sqrt(np.sum(diff * diff, axis=(1, 2))), initial=0.0)))
-        coeff_gap = max(coeff_gap, f.coefficient_gap())
     tail = max(tail_bound(f.stem, r_max) for f in maps)
     first = maps[0]
     return Report.from_error(
@@ -381,8 +372,7 @@ def envelope_table(f: SliceMap, family: str, r_grid) -> list[dict]:
     radii = [float(r) for r in r_grid]
     alpha = np.zeros((2 * len(radii), f.n))
     alpha[:, 0] = radii + [-r for r in radii]
-    vals = f.eval_arrays(alpha, np.zeros_like(alpha),
-                         CliffordElement.generator(f.m, 1).coeffs)
+    vals = f.eval_arrays(alpha, np.zeros_like(alpha), generator(f.m, 1))
     norms = [vector_norm(v) for v in vals]   # the bits of the sharpness records
     rows = []
     for r, plus, minus in zip(radii, norms, norms[len(radii):]):
@@ -484,7 +474,7 @@ def gauge_rho(g: Gauge, alpha, beta, j_rows=None):
         rho = np.max(np.sqrt(a ** 2 + b ** 2), axis=1)
     elif g.kind == "oracle":
         if j_rows is None:
-            j_rows = CliffordElement.generator(g.m, 1).coeffs
+            j_rows = generator(g.m, 1)
         rho = _bisect_rho(g.member_fn, a, b,
                           np.broadcast_to(j_rows, (len(a), 1 << g.m)))
     else:
@@ -492,8 +482,9 @@ def gauge_rho(g: Gauge, alpha, beta, j_rows=None):
     return float(rho[0]) if np.ndim(alpha) == 1 else rho
 
 
-def value_gauge_on_slice(g: Gauge, rows: np.ndarray, I: CliffordElement):
-    """Gauge of Clifford vectors whose components lie in the slice of I.
+def value_gauge_on_slice(g: Gauge, rows: np.ndarray, I: np.ndarray):
+    """Gauge of Clifford vectors whose components lie in the slice of the
+    row I.
 
     rows has shape (B, n, dim); returns (rho of shape (B,), the largest
     off-slice residual).  This is the quantity the sharp classical domain
@@ -562,7 +553,7 @@ def gauge_properties_check(g: Gauge, samples: int, rng,
 # ---------------------------------------------------------------------------
 
 def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
-                        samples: int, rng, I: CliffordElement,
+                        samples: int, rng, I: np.ndarray,
                         theta: float = 0.0, tol: float = 1e-9,
                         asserted: bool = True) -> Report:
     """The one growth checker: every growth record is sampled over random
@@ -616,8 +607,7 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
         if abs(theta) < 1e-15 and g.kind == "polydisc":
             diag_x = [sign * r for r in (0.1, 0.3, 0.5, 0.7, 0.9) for sign in (1.0, -1.0)]
         diag = np.repeat(np.array(diag_x, dtype=np.float64)[:, None], f.n, axis=1)
-        vals = f.eval_arrays(np.vstack([alpha_i, diag]), np.vstack([beta_i, 0 * diag]),
-                             I.coeffs)
+        vals = f.eval_arrays(np.vstack([alpha_i, diag]), np.vstack([beta_i, 0 * diag]), I)
         rhos, off_slice = value_gauge_on_slice(g, vals, I)
         value_rho, diag_rho = rhos[:samples], rhos[samples:]
         lo_g, hi_g = growth_bounds(rho_i, family)

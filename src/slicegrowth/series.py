@@ -27,7 +27,7 @@ at most 1e-10 of its largest.  Neither holds more than a few copies of
 its series' blocks, so memory stays small at m = 8.
 
 extremal_series(p, theta, I, N, n) builds the extremal family
-x_t (1 - x_t e^{I theta})^{-*p} by its exponent p, and extremal_tail
+x_t (1 - x_t e^{I theta})^{-*p} by its exponent p, for the slice row I, and extremal_tail
 bounds the tail its truncation drops.
 """
 
@@ -39,8 +39,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (
-    CliffordElement,
     invert_batch,
+    row_m,
     singular_values_batch,
     slice_exp,
     spinor_decode,
@@ -337,7 +337,7 @@ def star_inverse(m: int, a, trunc: int) -> np.ndarray:
 # the extremal family and its tail
 # ---------------------------------------------------------------------------
 
-def extremal_series(p: int, theta: float, I: CliffordElement, N: int,
+def extremal_series(p: int, theta: float, I: np.ndarray, N: int,
                     n: int) -> StemSeries:
     """Componentwise x_t (1 - x_t e^{I theta})^{-*p} through order N + 1:
     p = 2 the starlike Koebe map (coefficients (k+1) e^{I k theta} at
@@ -346,7 +346,7 @@ def extremal_series(p: int, theta: float, I: CliffordElement, N: int,
     whose slice restriction has a vanishing derivative inside the disc."""
     if p not in (-1, 1, 2):
         raise ValueError(f"no extremal map of exponent {p!r}; want -1, 1 or 2")
-    m = I.m
+    m = row_m(I)
     base = np.zeros((2, 1 << m))
     base[0, 0] = 1.0
     base[1] = -slice_exp(I, theta)

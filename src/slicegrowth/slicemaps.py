@@ -16,9 +16,12 @@ Values are coefficient rows: SliceMap.eval_arrays takes points as
 (alpha, beta) rows of shape (B, n) and slices as J rows of shape
 (B, dim), and representation_formula, two_slice_average and
 regularity_residual take and return rows the same way (products by
-algebra.mul_batch, (J-K)^{-1} by algebra.invert_batch).  SliceMap.eval
-is the one-point wrapper over eval_arrays.  regularity_residual shares
-its stencil (series.central_partials) with series.cr_residual.
+algebra.mul_batch, (J-K)^{-1} by algebra.invert_batch).  A slice
+direction I is a row too, and so is every module basis element.
+SliceMap.eval is the one-point wrapper over eval_arrays, the one method
+that takes a SlicePoint and returns algebra.CliffordElement values.
+regularity_residual shares its stencil (series.central_partials) with
+series.cr_residual.
 
 On a slice I whose complex plane C_I holds every coefficient, f is its
 holomorphic shadow f_I on C_I^n: a ComplexSeries evaluated, like the
@@ -41,10 +44,12 @@ import numpy as np
 
 from .algebra import (
     CliffordElement,
+    blade,
     grades,
     invert_batch,
     mul_batch,
     mul_coeffs,
+    row_m,
     singular_values_batch,
 )
 from .errors import BasisError, RepresentationError
@@ -99,7 +104,7 @@ class ClosedFormMap(SliceMap):
     Q = -z^2 sin(theta) are summed as written.
     """
 
-    def __init__(self, p: int, theta: float, I: CliffordElement, N: int, n: int):
+    def __init__(self, p: int, theta: float, I: np.ndarray, N: int, n: int):
         super().__init__(extremal_series(p, theta, I, N, n))
         self.p = p
         self.theta = theta
@@ -118,7 +123,7 @@ class ClosedFormMap(SliceMap):
 
     def _on_slice(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Rows x 1 + y I of real (B, n) parts x, y: shape (B, n, dim)."""
-        return x[..., None] * _unit_row(self.m) + y[..., None] * self.I.coeffs
+        return x[..., None] * blade(self.m) + y[..., None] * self.I
 
     def stem_arrays(self, alpha: np.ndarray, beta: np.ndarray):
         pz, qz = self._pq(alpha, beta)
@@ -130,7 +135,7 @@ class ClosedFormMap(SliceMap):
         rows; J I is one vector-matrix product per slice row, by rows e_A I."""
         pz, qz = self._pq(alpha, beta)
         J = np.atleast_2d(j_rows)[:, None, :]
-        JI = J @ mul_batch(self.m, np.eye(1 << self.m), self.I.coeffs)
+        JI = J @ mul_batch(self.m, np.eye(1 << self.m), self.I)
         out = np.empty((len(J) if len(pz) == 1 else len(pz), self.n, 1 << self.m))
         step = max(1, (1 << 13) // (self.n << self.m))
         for lo in range(0, len(out), step):
@@ -152,8 +157,8 @@ class ClosedFormMap(SliceMap):
         angle = math.atan2(math.sin(self.theta), math.cos(self.theta))
         k = np.arange(-1, degree)
         rows = np.array(binom, dtype=np.float64)[:, None] * (
-            np.cos(k * angle)[:, None] * _unit_row(self.m)
-            + np.sin(k * angle)[:, None] * self.I.coeffs)
+            np.cos(k * angle)[:, None] * blade(self.m)
+            + np.sin(k * angle)[:, None] * self.I)
         expected = np.zeros((degree + 1, n, n, 1 << self.m))
         expected[:, np.arange(n), np.arange(n)] = rows[:, None, :]
         # terms in one variable go to (power, variable); the rest must vanish
@@ -244,8 +249,8 @@ def regularity_residual(f: SliceMap, alpha: np.ndarray, beta: np.ndarray,
 # complex identification of a slice and holomorphic splitting
 # ---------------------------------------------------------------------------
 
-def complex_on_slice(rows: np.ndarray, I: CliffordElement):
-    """Project coefficient rows (..., dim) onto span{1, I}.
+def complex_on_slice(rows: np.ndarray, I: np.ndarray):
+    """Project coefficient rows (..., dim) onto span{1, I}, I a slice row.
 
     Returns (complex array, max off-slice residual).  The projection is
     orthogonal in the coefficient inner product, for which 1 and any
@@ -253,15 +258,9 @@ def complex_on_slice(rows: np.ndarray, I: CliffordElement):
     """
     rows = np.asarray(rows)
     re = rows[..., 0]
-    im = rows @ I.coeffs
-    resid = rows - re[..., None] * _unit_row(I.m) - im[..., None] * I.coeffs
+    im = rows @ I
+    resid = rows - re[..., None] * blade(row_m(I)) - im[..., None] * I
     return re + 1j * im, float(np.max(np.abs(resid), initial=0.0))
-
-
-def _unit_row(m: int) -> np.ndarray:
-    row = np.zeros(1 << m)
-    row[0] = 1.0
-    return row
 
 
 class ComplexSeries:
@@ -292,60 +291,60 @@ class ComplexSeries:
         return np.stack(cols, axis=-1)
 
 
-def slice_shadow(f: SliceMap, I: CliffordElement):
+def slice_shadow(f: SliceMap, I: np.ndarray):
     """Complex series of f restricted to the slice of I, plus the total
     off-slice coefficient residual (zero iff all coefficients lie in C_I)."""
     coeffs, resid = complex_on_slice(f.stem._amat, I)
     return ComplexSeries(f.stem._kmat.copy(), coeffs), resid
 
 
-def default_module_basis(I: CliffordElement, tol: float = 1e-10) -> list[CliffordElement]:
+def default_module_basis(I: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Blade basis of the algebra as a left module over the slice of I.
 
-    For a unit grade-1 direction I, extends it to an orthonormal frame of
-    generator space and returns the 2**(m-1) blades built from the
-    complementary frame vectors.  Raises BasisError otherwise (callers
-    must pass an explicit completion).
+    For a unit grade-1 direction row I, extends it to an orthonormal frame
+    of generator space and returns the rows of the 2**(m-1) blades built
+    from the complementary frame vectors, shape (2**(m-1), 2**m).  Raises
+    BasisError otherwise (callers must pass an explicit completion).
     """
-    m = I.m
-    if m == 1:
-        return [CliffordElement.scalar(1, 1.0)]
+    m = row_m(I)
     g = grades(m)
-    if np.max(np.abs(I.coeffs[g != 1]), initial=0.0) > tol:
+    if np.max(np.abs(I[g != 1]), initial=0.0) > tol:
         raise BasisError(
             "default module basis needs a grade-1 direction; "
             "pass an explicit completion"
         )
     axes = [1 << i for i in range(m)]
-    frame = np.concatenate([I.coeffs[axes][None, :], np.eye(m)], axis=0)
+    frame = np.concatenate([I[axes][None, :], np.eye(m)], axis=0)
     q, _ = np.linalg.qr(frame.T)
     comp_vectors = np.zeros((m - 1, 1 << m))
     comp_vectors[:, axes] = q[:, 1:m].T
-    basis = [CliffordElement.scalar(m, 1.0)]
+    basis = [blade(m)]
     for vec in comp_vectors:
-        basis += [CliffordElement(m, mul_coeffs(m, b.coeffs, vec)) for b in basis]
-    return basis
+        basis += [mul_coeffs(m, b, vec) for b in basis]
+    return np.array(basis)
 
 
-def split_components(f: SliceMap, I: CliffordElement, completion=None,
+def split_components(f: SliceMap, I: np.ndarray, completion=None,
                      tol: float = 1e-10):
     """Split f_I into holomorphic complex series F_A with
-    f_I(z) = sum_A F_A(z) I_A over a module basis {I_A}.
+    f_I(z) = sum_A F_A(z) I_A over a module basis {I_A}, given as rows
+    (completion, or default_module_basis(I)).
 
     Returns (components, basis) where components is a list of
-    ComplexSeries aligned with basis.  Raises BasisError when the
+    ComplexSeries aligned with the basis rows.  Raises BasisError when the
     change-of-basis operator {I_A, I*I_A} is numerically singular.
     """
     m, dim = f.m, 1 << f.m
-    basis = list(completion) if completion is not None else default_module_basis(I, tol)
+    basis = np.asarray(completion if completion is not None
+                       else default_module_basis(I, tol), dtype=np.float64)
     if len(basis) * 2 != dim:
         raise BasisError(
             f"module basis must have {dim // 2} elements, got {len(basis)}"
         )
     cols = []
     for b in basis:
-        cols.append(b.coeffs)
-        cols.append(mul_coeffs(m, I.coeffs, b.coeffs))
+        cols.append(b)
+        cols.append(mul_coeffs(m, I, b))
     bmat = np.stack(cols, axis=1)
     svals = np.linalg.svd(bmat, compute_uv=False)
     if svals[-1] <= 1e-10 * max(1.0, svals[0]):
@@ -361,15 +360,16 @@ def split_components(f: SliceMap, I: CliffordElement, completion=None,
     return components, basis
 
 
-def reassemble_on_slice(components, basis, I: CliffordElement, z) -> np.ndarray:
-    """Evaluate sum_A F_A(z) I_A as coefficient rows on the slice of I:
-    shape (n, dim) at z of shape (n,), or (B, n, dim) at z of shape (B, n)."""
-    m = I.m
+def reassemble_on_slice(components, basis, I: np.ndarray, z) -> np.ndarray:
+    """Evaluate sum_A F_A(z) I_A, over the basis rows I_A, as coefficient
+    rows on the slice of I: shape (n, dim) at z of shape (n,), or
+    (B, n, dim) at z of shape (B, n)."""
+    m = row_m(I)
     z = np.asarray(z, dtype=np.complex128)
     batch = z.reshape(-1, components[0].n)
     acc = np.zeros(batch.shape + (1 << m,))
     for comp, b in zip(components, basis):
         vals = comp.eval(batch)
-        scale = vals.real[..., None] * _unit_row(m) + vals.imag[..., None] * I.coeffs
-        acc = acc + mul_batch(m, scale, b.coeffs)
+        scale = vals.real[..., None] * blade(m) + vals.imag[..., None] * I
+        acc = acc + mul_batch(m, scale, b)
     return acc[0] if z.ndim == 1 else acc

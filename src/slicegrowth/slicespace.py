@@ -11,10 +11,11 @@ sample_S_batch draws J rows (unit grade-1 vectors, each a root of -1),
 which unit_rows makes from raw normal rows, so a suite can draw the raw
 rows of many cases in one generator call and normalize them once.
 SliceOrbit is the orbit alpha + beta*J over all J, and anticommuting_unit
-completes a slice I to the sweep J(u) = u*I + sqrt(1-u**2)*I_perp.
-make_point builds the one-point SlicePoint that SliceMap.eval takes; its
-canonical form keeps the first nonzero coefficient of J positive and, for
-real points (beta = 0), pins J to e_1.
+completes a slice row I to the sweep J(u) = u*I + sqrt(1-u**2)*I_perp.
+make_point builds the one-point SlicePoint that SliceMap.eval takes, the
+one place where J is an algebra.CliffordElement; its canonical form keeps
+the first nonzero coefficient of J positive and, for real points
+(beta = 0), pins J to e_1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CliffordElement, conj_batch, grades, in_sqrt_minus_one, mul_coeffs
+from .algebra import (CliffordElement, conj_batch, generator, grades, in_sqrt_minus_one,
+                      mul_coeffs, row_m)
 from .errors import ConeError, DimensionError, SamplingError
 
 _CANON_EPS = 1e-12
@@ -78,10 +80,10 @@ def make_point(alpha, beta, J: CliffordElement, tol: float = 1e-10) -> SlicePoin
     beta = _as_real_vector(beta, "beta")
     if alpha.shape != beta.shape:
         raise DimensionError("alpha and beta must have equal length")
-    if not in_sqrt_minus_one(J, tol):
+    if not in_sqrt_minus_one(J.coeffs, tol):
         raise ConeError("J is not a square root of -1 within tolerance")
     if not np.any(beta):
-        return SlicePoint(alpha, beta, CliffordElement.generator(J.m, 1))
+        return SlicePoint(alpha, beta, CliffordElement(J.m, generator(J.m, 1)))
     s = _canonical_j_sign(J.coeffs)
     if s < 0:
         J = CliffordElement(J.m, -J.coeffs)
@@ -132,22 +134,20 @@ def sample_S_batch(rng, m: int, count: int) -> np.ndarray:
     return unit_rows(rng.normal(size=(count, m)))
 
 
-def anticommuting_unit(i_elem: CliffordElement, rng=None,
-                       max_tries: int = 200) -> CliffordElement:
-    """A root of -1 that is Euclid-orthogonal to I and anticommutes with it.
+def anticommuting_unit(I: np.ndarray, rng, max_tries: int = 200) -> np.ndarray:
+    """The row of a root of -1 that is Euclid-orthogonal to the row I and
+    anticommutes with it, drawn from rng.
 
     Used to sweep J(u) = u*I + sqrt(1-u**2)*I_perp across [-1, 1].  Handles
     grade-1 directions, single blades of even grade, the full trace-free
     sphere at m = 2, and falls back to a randomized search in the
     anticommutant kernel otherwise.
     """
-    m = i_elem.m
+    m = row_m(I)
     if m < 2:
         raise SamplingError("no orthogonal root of -1 exists for m = 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     g = grades(m)
-    c = i_elem.coeffs
+    c = np.asarray(I, dtype=np.float64)
 
     if np.max(np.abs(c[g != 1]), initial=0.0) <= 1e-12:  # grade-1 direction
         v = c[[1 << i for i in range(m)]]
@@ -158,13 +158,13 @@ def anticommuting_unit(i_elem: CliffordElement, rng=None,
             if nw > 1e-8:
                 row = np.zeros(1 << m)
                 row[[1 << i for i in range(m)]] = w / nw
-                return CliffordElement(m, row)
+                return row
         raise SamplingError("failed to draw an orthogonal unit vector")
 
     nz = np.nonzero(np.abs(c) > 1e-12)[0]
     if nz.size == 1 and g[nz[0]] % 2 == 0:  # single even blade: any generator in it
         gen = int(np.log2(nz[0] & -nz[0])) + 1
-        return CliffordElement.generator(m, gen)
+        return generator(m, gen)
 
     if m == 2:  # the whole trace-free unit sphere squares to -1
         for _ in range(max_tries):
@@ -173,7 +173,7 @@ def anticommuting_unit(i_elem: CliffordElement, rng=None,
             w -= (w @ c) * c
             nw = np.linalg.norm(w)
             if nw > 1e-8:
-                return CliffordElement(m, w / nw)
+                return w / nw
         raise SamplingError("failed to draw a trace-free orthogonal unit")
 
     # generic: nullspace of y -> I*y + y*I restricted to trace-free, I-orthogonal
@@ -196,7 +196,7 @@ def anticommuting_unit(i_elem: CliffordElement, rng=None,
         ny = np.linalg.norm(y)
         if ny < 1e-8:
             continue
-        cand = CliffordElement(m, y / ny)
+        cand = y / ny
         if in_sqrt_minus_one(cand, 1e-10):
             return cand
     raise SamplingError("no anticommuting root of -1 found for this direction")

@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from . import algebra, geometry, series, slicemaps, slicespace
-from .algebra import CliffordElement
+from .algebra import blade, generator
 from .errors import SliceAnalysisError
 from .reports import Report
 
@@ -377,8 +377,8 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     # holomorphy residual via finite differences; sampled away from the
     # boundary so the third derivative keeps the FD error under budget
     theta = cfg.theta if cfg.theta is not None else 0.7
-    i_elem = CliffordElement.generator(m, 1)
-    koebe = series.extremal_series(2, theta, i_elem, trunc, n)
+    e1 = generator(m, 1)
+    koebe = series.extremal_series(2, theta, e1, trunc, n)
 
     def cr_residual(size, rng):
         stem = _random_stem(m, n, rng)
@@ -398,7 +398,7 @@ def run_stem(cfg: RunConfig) -> list[Report]:
     # star-inverse identity through the full truncation order
     unit = np.zeros((trunc + 1, 1 << m))
     unit[0, 0] = 1.0
-    base = np.stack([unit[0], -algebra.slice_exp(i_elem, theta)])
+    base = np.stack([unit[0], -algebra.slice_exp(e1, theta)])
     inv = series.star_inverse(m, base, trunc)
     ident = series.star_mul(m, base, inv, trunc=trunc)
 
@@ -572,8 +572,8 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
     n = cfg.n or 2
     count = cfg.budget("regularity")
     theta = cfg.theta if cfg.theta is not None else 0.7
-    i_elem = CliffordElement.generator(m, 1)
-    fixed = [slicemaps.SliceMap(series.extremal_series(2, theta, i_elem, 60, n)),
+    e1 = generator(m, 1)
+    fixed = [slicemaps.SliceMap(series.extremal_series(2, theta, e1, 60, n)),
              slicemaps.SliceMap(series.identity_map(m, n))]
     reports = _sharded(cfg, "regularity", "regularity-series", count,
                        functools.partial(_regularity_series, m, n, fixed))
@@ -585,7 +585,7 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
         a0, b0 = rng.uniform(-0.4, 0.4, (2, n))
         # control with stem F1 = Re(z_1): residual must be O(1), not small
         residual, control_res = (float(slicemaps.regularity_residual(
-            g, a0, b0, i_elem.coeffs)[0]) for g in (const, _re_z1_control(m, n)))
+            g, a0, b0, e1)[0]) for g in (const, _re_z1_control(m, n)))
         return [Report.from_error("regularity-constant", residual, 1e-14, 1, m=m, n=n),
                 Report.from_error("regularity-control-detected",
                                   0.0 if control_res > 0.1 else 1.0, 0.5, 1, m=m, n=n,
@@ -595,10 +595,10 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
     # holomorphic splitting reassembles the slice restriction
     def splitting(size, rng):
         f = slicemaps.SliceMap(_random_stem(m, n, rng))
-        comps, basis = slicemaps.split_components(f, i_elem)
+        comps, basis = slicemaps.split_components(f, e1)
         x, y = rng.uniform(-0.7, 0.7, (2, size, n))
-        worst_split = _gap(slicemaps.reassemble_on_slice(comps, basis, i_elem, x + 1j * y),
-                           f.eval_arrays(x, y, i_elem.coeffs))
+        worst_split = _gap(slicemaps.reassemble_on_slice(comps, basis, e1, x + 1j * y),
+                           f.eval_arrays(x, y, e1))
         return [Report.from_error("regularity-splitting", worst_split, 1e-10, size,
                                   m=m, n=n, components=len(comps))]
     return reports + _sharded(cfg, "regularity", "regularity-splitting", min(count, 200),
@@ -610,26 +610,26 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
 # ---------------------------------------------------------------------------
 
 def _extremal_maps(m: int, n: int, trunc: int, theta: float):
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     out = [("identity", slicemaps.SliceMap(series.identity_map(m, n)), e1)]
     out.append(("koebe", slicemaps.SliceMap(
         series.extremal_series(2, theta, e1, trunc, n)), e1))
     if m == 2:
-        e12 = CliffordElement.blade(m, (1, 2))
+        e12 = blade(m, (1, 2))
         out.append(("koebe-bivector", slicemaps.SliceMap(
             series.extremal_series(2, theta, e12, trunc, n)), e12))
     return out
 
 
-def _extremal_shard(name: str, f: slicemaps.SliceMap, i_elem: CliffordElement, tol: float,
+def _extremal_shard(name: str, f: slicemaps.SliceMap, I: np.ndarray, tol: float,
                     count: int, rng) -> list[Report]:
     """The record of map `name`, f, on an orbit it draws: count roots of -1
     and a u-sweep.  Each shard draws its own orbit, so a merged record's
     error fields are maxima over the shards, and c0, c1, endpoint_* and
     sampled_* are shard 0's: their --shards 1 values."""
     o = slicespace.make_orbit(*rng.uniform(-0.5, 0.5, (2, f.n)))
-    rep = geometry.verify_extremal(f, o, i_elem, count, rng, tol)
-    lin = geometry.profile_linearity(f, o, i_elem, rng=rng)
+    rep = geometry.verify_extremal(f, o, I, count, rng, tol)
+    lin = geometry.profile_linearity(f, o, I, rng)
     rep.data["map"] = name
     rep.data["linearity_residual"] = lin
     rep.data["max_error"] = max(rep.data["max_error"], lin)
@@ -652,9 +652,9 @@ def run_extremal(cfg: RunConfig) -> list[Report]:
                 m=m, note="no orthogonal root of -1 exists for m=1"))
             continue
         for n in n_values:
-            for name, f, i_elem in _extremal_maps(m, n, min(cfg.truncation, 120), theta):
+            for name, f, I in _extremal_maps(m, n, min(cfg.truncation, 120), theta):
                 reports += _sharded(cfg, "extremal", f"extremal-{name}-m{m}-n{n}", count,
-                                    functools.partial(_extremal_shard, name, f, i_elem, tol))
+                                    functools.partial(_extremal_shard, name, f, I, tol))
     return reports
 
 
@@ -665,10 +665,9 @@ def run_extremal(cfg: RunConfig) -> list[Report]:
 def _growth_cases(cfg: RunConfig):
     m = cfg.m or 3
     thetas = (cfg.theta,) if cfg.theta is not None else (0.0, 0.7, np.pi / 2)
-    e1 = CliffordElement.generator(m, 1)
-    directions = [("e1", e1)]
+    directions = [("e1", generator(m, 1))]
     if m >= 2:
-        directions.append(("e12", CliffordElement.blade(m, (1, 2))))
+        directions.append(("e12", blade(m, (1, 2))))
     return m, thetas, directions
 
 
@@ -698,10 +697,10 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
     for label, (family, p, asserted) in MAP_FAMILIES.items():
         if label not in wanted:
             continue
-        for iname, i_elem in directions:
+        for iname, I in directions:
             sweep = []
             for theta in thetas:
-                f = slicemaps.ClosedFormMap(p, theta, i_elem, cfg.truncation, n)
+                f = slicemaps.ClosedFormMap(p, theta, I, cfg.truncation, n)
                 sweep.append(f)
                 reports += _growth_record(
                     cfg, "growth-ball", f"growth-ball-{label}-{iname}-theta{theta:.3f}",
@@ -714,8 +713,11 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
                 sharp.data["map"] = label
                 reports.append(geometry.judge_growth(sharp, asserted))
 
+            # sample-free: once per (map, direction), not once per shard
+            gap = max(f.coefficient_gap() for f in sweep)
+
             def agreement(size, rng):
-                agree = geometry.closed_form_agreement(sweep, cfg.r_max, size, rng)
+                agree = geometry.closed_form_agreement(sweep, gap, cfg.r_max, size, rng)
                 agree.data["map"] = label
                 return [agree]
             reports += _sharded(cfg, "growth-ball", f"closed-form-{label}-{iname}",

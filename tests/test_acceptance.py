@@ -6,7 +6,7 @@ import time
 import numpy as np
 from click.testing import CliRunner
 
-from slicegrowth.algebra import CliffordElement
+from slicegrowth.algebra import generator
 from slicegrowth.cli import main
 from slicegrowth.geometry import (
     ball_gauge,
@@ -152,7 +152,7 @@ def test_criterion_7_gauge_suite():
 
 def test_criterion_8_growth_domain():
     m, n = 3, 2
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     details = []
     ok = True
     for label, family, stem in (

@@ -1,26 +1,39 @@
 """Clifford row kernels against an independent brute-force blade oracle."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slicegrowth
+from slicegrowth import algebra
 from slicegrowth.algebra import (
     CliffordElement,
+    blade,
     conj_batch,
+    generator,
     in_sqrt_minus_one,
     invert_batch,
     left_matrix_batch,
     mul_batch,
     mul_coeffs,
+    row_m,
     singular_values_batch,
     slice_exp,
     spinor_decode,
     spinor_encode,
 )
-from slicegrowth.errors import NonInvertibleError
+from slicegrowth.errors import DimensionError, NonInvertibleError
+
+
+def isclose(a, b, tol=1e-12):
+    """Two coefficient rows of one length agree within tol."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= tol)
 
 
 # --- reference oracle: tuple blades, bubble sort, explicit cancellation ----
@@ -56,19 +69,19 @@ def all_blades(m):
 def test_full_product_table_matches_oracle(m):
     blades = all_blades(m)
     for a in blades:
-        ea = CliffordElement.blade(m, a).coeffs
+        ea = blade(m, a)
         for b in blades:
-            eb = CliffordElement.blade(m, b).coeffs
+            eb = blade(m, b)
             c, sign = ref_blade_mul(a, b)
-            expected = sign * CliffordElement.blade(m, c).coeffs
+            expected = sign * blade(m, c)
             assert np.array_equal(mul_coeffs(m, ea, eb), expected), f"e_{a} * e_{b}"
 
 
 def test_generator_squares_and_bivector():
-    e1 = CliffordElement.generator(2, 1).coeffs
-    e2 = CliffordElement.generator(2, 2).coeffs
-    e12 = CliffordElement.blade(2, (1, 2)).coeffs
-    minus_one = CliffordElement.scalar(2, -1.0).coeffs
+    e1 = generator(2, 1)
+    e2 = generator(2, 2)
+    e12 = blade(2, (1, 2))
+    minus_one = -blade(2)
     assert np.array_equal(mul_coeffs(2, e1, e1), minus_one)
     assert np.array_equal(mul_coeffs(2, e1, e2), e12)
     # frozen from the transposition-counting oracle
@@ -76,62 +89,59 @@ def test_generator_squares_and_bivector():
 
 
 def test_conjugate_signs():
-    one = CliffordElement.scalar(3, 1.0).coeffs
+    one = blade(3)
     assert np.array_equal(conj_batch(3, one), one)
-    for blade, sign in (((1,), -1.0), ((1, 2), -1.0), ((1, 2, 3), 1.0)):  # (-1)^(k(k+1)/2)
-        row = CliffordElement.blade(3, blade).coeffs
-        assert np.array_equal(conj_batch(3, row), sign * row), blade
+    for indices, sign in (((1,), -1.0), ((1, 2), -1.0), ((1, 2, 3), 1.0)):  # (-1)^(k(k+1)/2)
+        row = blade(3, indices)
+        assert np.array_equal(conj_batch(3, row), sign * row), indices
 
 
 def test_conjugate_matches_reversed_product_oracle():
     # conj(e_{h1..hr}) equals the product of -e_{hr} ... -e_{h1}
     m = 4
-    for blade in all_blades(m):
-        expected = CliffordElement.scalar(m, 1.0).coeffs
-        for i in reversed(blade):
-            expected = mul_coeffs(m, expected, -CliffordElement.generator(m, i).coeffs)
-        assert np.array_equal(conj_batch(m, CliffordElement.blade(m, blade).coeffs), expected)
+    for indices in all_blades(m):
+        expected = blade(m)
+        for i in reversed(indices):
+            expected = mul_coeffs(m, expected, -generator(m, i))
+        assert np.array_equal(conj_batch(m, blade(m, indices)), expected)
 
 
 def test_sqrt_minus_one_members():
-    assert in_sqrt_minus_one(CliffordElement.generator(3, 2))
-    assert in_sqrt_minus_one(CliffordElement.blade(2, (1, 2)))
-    assert not in_sqrt_minus_one(CliffordElement.scalar(2, 1.0))
-    mix = CliffordElement(3, [0.0, 0.6, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0])
+    assert in_sqrt_minus_one(generator(3, 2))
+    assert in_sqrt_minus_one(blade(2, (1, 2)))
+    assert not in_sqrt_minus_one(blade(2))
+    mix = np.array([0.0, 0.6, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0])
     assert in_sqrt_minus_one(mix)
-    assert CliffordElement(3, mul_coeffs(3, mix.coeffs, mix.coeffs)).isclose(
-        CliffordElement.scalar(3, -1.0), 1e-12)
+    assert isclose(mul_coeffs(3, mix, mix), -blade(3), 1e-12)
 
 
 def test_sqrt_minus_one_fails_each_condition_alone():
     # e123 at m = 3 has trace 2 e123 and norm 1: only the trace condition
     # fails.  2 e1 has trace 0 and norm 4: only the norm condition fails
     m = 3
-    e123 = CliffordElement.blade(m, (1, 2, 3))
-    two_e1 = CliffordElement(m, 2.0 * CliffordElement.generator(m, 1).coeffs)
-    for x, trace, norm in ((e123, 2.0 * e123.coeffs, CliffordElement.scalar(m, 1.0)),
-                           (two_e1, np.zeros(1 << m), CliffordElement.scalar(m, 4.0))):
-        c = x.coeffs
+    e123 = blade(m, (1, 2, 3))
+    two_e1 = 2.0 * generator(m, 1)
+    for c, trace, norm in ((e123, 2.0 * e123, blade(m)),
+                           (two_e1, np.zeros(1 << m), 4.0 * blade(m))):
         assert np.array_equal(c + conj_batch(m, c), trace)
-        assert np.array_equal(mul_coeffs(m, c, conj_batch(m, c)), norm.coeffs)
-        assert in_sqrt_minus_one(x) is False
+        assert np.array_equal(mul_coeffs(m, c, conj_batch(m, c)), norm)
+        assert in_sqrt_minus_one(c) is False
 
 
 def test_inverse_examples():
-    e1 = CliffordElement.generator(2, 1).coeffs
-    e2 = CliffordElement.generator(2, 2).coeffs
+    e1 = generator(2, 1)
+    e2 = generator(2, 2)
     assert np.max(np.abs(invert_batch(2, e1[None])[0] + e1)) <= 1e-14
-    two = CliffordElement.scalar(2, 2.0).coeffs
+    two = 2.0 * blade(2)
     assert np.max(np.abs(invert_batch(2, two[None])[0]
-                         - CliffordElement.scalar(2, 0.5).coeffs)) <= 1e-14
+                         - 0.5 * blade(2))) <= 1e-14
     d = e1 - e2
     dinv = invert_batch(2, d[None])[0]
-    assert CliffordElement(2, mul_coeffs(2, d, dinv)).isclose(
-        CliffordElement.scalar(2, 1.0), 1e-12)
+    assert isclose(mul_coeffs(2, d, dinv), blade(2), 1e-12)
     with pytest.raises(NonInvertibleError):
         invert_batch(3, np.zeros((1, 8)))
     # 1 + e123 is a zero divisor at m = 3 (e123 squares to +1)
-    x = CliffordElement.scalar(3, 1.0).coeffs + CliffordElement.blade(3, (1, 2, 3)).coeffs
+    x = blade(3) + blade(3, (1, 2, 3))
     with pytest.raises(NonInvertibleError):
         invert_batch(3, x[None])
 
@@ -162,14 +172,14 @@ def test_spinor_blocks_are_a_representation():
     # the generators' blocks square to -1 and anticommute, and the blocks
     # of a basis blade are the product of its generators' blocks
     for m in range(1, 9):
-        gens = [spinor_encode(m, CliffordElement.generator(m, i).coeffs[None])[0]
+        gens = [spinor_encode(m, generator(m, i)[None])[0]
                 for i in range(1, m + 1)]
         eye = np.broadcast_to(np.eye(gens[0].shape[-1]), gens[0].shape)
         for i, gi in enumerate(gens):
             np.testing.assert_array_equal(gi @ gi, -eye)
             for gj in gens[i + 1:]:
                 np.testing.assert_array_equal(gi @ gj, -(gj @ gi))
-        e_all = spinor_encode(m, CliffordElement.blade(m, range(1, m + 1)).coeffs[None])[0]
+        e_all = spinor_encode(m, blade(m, range(1, m + 1))[None])[0]
         prod = eye
         for g in gens:
             prod = prod @ g
@@ -232,7 +242,7 @@ def test_kernels_take_zero_rows(m):
 def test_invert_batch_rejects_exactly_singular_rows(m, blade):
     # the pseudoscalar squares to +1 for m = 3 and 4, so 1 + e_A is a zero
     # divisor ((1 + e_A)(1 - e_A) = 0); one such row fails the whole batch
-    x = CliffordElement.scalar(m, 1.0).coeffs + CliffordElement.blade(m, blade).coeffs
+    x = algebra.blade(m) + algebra.blade(m, blade)
     with pytest.raises(NonInvertibleError):
         invert_batch(m, x[None])
     rows = np.random.default_rng(3).uniform(-1, 1, size=(5, 1 << m))
@@ -269,24 +279,83 @@ def test_anticommutation_exact():
     for m in (2, 3, 4):
         for i in range(1, m + 1):
             for j in range(1, m + 1):
-                ei = CliffordElement.generator(m, i).coeffs
-                ej = CliffordElement.generator(m, j).coeffs
+                ei = generator(m, i)
+                ej = generator(m, j)
                 s = mul_coeffs(m, ei, ej) + mul_coeffs(m, ej, ei)
-                expected = CliffordElement.scalar(m, -2.0 if i == j else 0.0).coeffs
+                expected = (-2.0 if i == j else 0.0) * blade(m)
                 assert np.array_equal(s, expected)
 
 
 def test_slice_exp():
-    e1 = CliffordElement.generator(2, 1)
+    e1 = generator(2, 1)
     r = slice_exp(e1, np.pi)
-    assert CliffordElement(2, r).isclose(CliffordElement.scalar(2, -1.0), 1e-12)
+    assert isclose(r, -blade(2), 1e-12)
     half = slice_exp(e1, np.pi / 2)
-    assert CliffordElement(2, half).isclose(e1, 1e-12)
+    assert isclose(half, e1, 1e-12)
+
+
+def test_blade_and_generator_validate():
+    assert np.array_equal(blade(2), [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(generator(3, 3), blade(3, (3,)))
+    assert np.array_equal(blade(3, (1, 3)), np.eye(8)[0b101])
+    for m, i in ((2, 0), (2, 3), (3, -1)):
+        with pytest.raises(DimensionError, match="out of range"):
+            generator(m, i)
+    for indices in ((2, 1), (1, 1), (3, 1, 2)):
+        with pytest.raises(DimensionError, match="strictly increasing"):
+            blade(3, indices)
+    with pytest.raises(DimensionError, match="out of range"):
+        blade(2, (1, 3))
+    for m in (0, 9):
+        with pytest.raises(DimensionError, match="generator count"):
+            blade(m)
+        with pytest.raises(DimensionError):
+            generator(m, 1)
+
+
+def test_row_m_reads_and_validates_the_length():
+    for m in range(1, 9):
+        assert row_m(np.zeros(1 << m)) == m
+    for length in (1, 6, 512):
+        with pytest.raises(DimensionError):
+            row_m(np.zeros(length))
+    # the row-taking predicates validate through row_m
+    with pytest.raises(DimensionError):
+        in_sqrt_minus_one(np.zeros(6))
+    with pytest.raises(DimensionError):
+        in_sqrt_minus_one(np.zeros(512))
 
 
 def test_immutability():
-    x = CliffordElement.generator(2, 1)
+    x = CliffordElement(2, generator(2, 1))
     with pytest.raises(ValueError):
         x.coeffs[0] = 5.0
     with pytest.raises(AttributeError):
         x.m = 3
+
+
+def test_clifford_element_stays_in_the_one_point_layer():
+    # slice directions are rows everywhere; the class is only the value type
+    # of make_point, SlicePoint and SliceMap.eval, with no constructor or
+    # helper of its own
+    src = Path(slicegrowth.__file__).parent
+    files = sorted(p.name for p in src.glob("*.py") if "CliffordElement" in p.read_text())
+    assert files == ["__init__.py", "algebra.py", "slicemaps.py", "slicespace.py"]
+    users = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if getattr(child, "id", None) == "CliffordElement" or \
+                    getattr(child, "attr", None) == "CliffordElement":
+                users.add(f"{module}:{scope}")
+            visit(child, module, scope)
+    for path in src.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    assert users == {"slicespace:SlicePoint", "slicespace:make_point",
+                     "slicemaps:SliceMap.eval"}
+    methods = sorted(k for k, v in vars(CliffordElement).items()
+                     if callable(v) or isinstance(v, (classmethod, staticmethod, property)))
+    assert methods == ["__init__", "__setattr__"]

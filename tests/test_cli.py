@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from slicegrowth import suites as suites_mod
 from slicegrowth.cli import main
 from slicegrowth.errors import GaugeError, HypothesisViolationError, SliceAnalysisError
 from slicegrowth.reports import Report, render, summary_lines
+from slicegrowth.slicemaps import ClosedFormMap
 from slicegrowth.suites import (
     _INVERSE_MULTIPLE,
     RunConfig,
@@ -150,6 +152,24 @@ def test_sharded_growth_ball_asserts_only_what_every_shard_checked():
             assert rep.data["asserted"] == (status == "ok")
 
 
+def test_sharded_closed_form_records_compare_coefficients_once(monkeypatch):
+    # the coefficient gap draws nothing, so each map of a sweep is compared
+    # once, not once per shard of its closed-form-* record
+    calls = Counter()
+    original = ClosedFormMap.coefficient_gap
+
+    def counted(f):
+        calls[f] += 1
+        return original(f)
+    monkeypatch.setattr(ClosedFormMap, "coefficient_gap", counted)
+    reports = run_suite("growth-ball", small_config(shards=3))
+    closed = [rep for rep in reports if rep.check.startswith("closed-form-")]
+    # each record's 40 samples per map, over its three shards
+    assert len(closed) == 6 and all(rep.passed and rep.samples == 120 for rep in closed)
+    # three maps, two directions and three thetas
+    assert len(calls) == 18 and set(calls.values()) == {1}, calls
+
+
 def test_shard_plan_has_at_most_total_entries():
     # the plan is the split into `shards` shares with the empty ones dropped
     for total in range(30):
@@ -188,8 +208,7 @@ def test_anticommutation_error_matches_the_pairwise_products():
         worst = 0.0
         for i in range(1, m + 1):
             for j in range(1, m + 1):
-                ei, ej = algebra.CliffordElement.generator(m, i).coeffs, \
-                    algebra.CliffordElement.generator(m, j).coeffs
+                ei, ej = algebra.generator(m, i), algebra.generator(m, j)
                 expect = np.zeros(1 << m)
                 expect[0] = -2.0 if i == j else 0.0
                 anti = algebra.mul_coeffs(m, ei, ej) + algebra.mul_coeffs(m, ej, ei)

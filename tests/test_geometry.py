@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slicegrowth.algebra import CliffordElement
+from slicegrowth.algebra import CliffordElement, blade, generator
 from slicegrowth.errors import (
     CriterionError,
     GaugeError,
@@ -40,7 +40,7 @@ from slicegrowth.slicespace import make_orbit, make_point, point_norm, sample_S_
 from slicegrowth.suites import RunConfig, run_growth_ball, run_suite
 
 
-E1_3 = CliffordElement.generator(3, 1)
+E1_3 = generator(3, 1)
 
 
 def test_profile_real_orbit_is_constant():
@@ -58,7 +58,6 @@ def test_profile_identity_has_no_slope():
     o = make_orbit([0.3, -0.5], [0.6, 0.2])
     prof = extremal_profile(f, o, E1_3)
     assert abs(prof.c1) < 1e-14
-    assert np.max(np.abs(prof.b)) < 1e-14
     norms = []
     for j in sample_S_batch(rng, 3, 50):
         p = make_point(o.alpha, o.beta, CliffordElement(3, j))
@@ -72,7 +71,7 @@ def test_profile_matches_sampled_norms_for_koebe():
     o = make_orbit([0.25, -0.1], [0.3, 0.2])
     prof = extremal_profile(f, o, E1_3)
     for j in sample_S_batch(rng, 3, 50):
-        u = float(np.dot(j, E1_3.coeffs))
+        u = float(np.dot(j, E1_3))
         val = np.sqrt(sum(np.dot(v.coeffs, v.coeffs)
                           for v in f.eval(make_point(o.alpha, o.beta, CliffordElement(3, j)))))
         assert abs(val ** 2 - prof.g(u)) < 1e-9
@@ -99,7 +98,7 @@ def test_verify_extremal_passes_for_koebe():
 
 def test_verify_extremal_bivector_direction():
     rng = np.random.default_rng(3)
-    e12 = CliffordElement.blade(2, (1, 2))
+    e12 = blade(2, (1, 2))
     f = SliceMap(extremal_series(2, 0.5, e12, 80, 1))
     o = make_orbit([0.3], [0.4])
     rep = verify_extremal(f, o, e12, 400, rng)
@@ -109,12 +108,12 @@ def test_verify_extremal_bivector_direction():
 def test_profile_linearity_residual():
     f = SliceMap(extremal_series(2, 0.8, E1_3, 80, 2))
     o = make_orbit([0.35, -0.15], [0.2, 0.3])
-    assert profile_linearity(f, o, E1_3) < 1e-9
+    assert profile_linearity(f, o, E1_3, np.random.default_rng(0)) < 1e-9
 
 
 def test_starlike_criterion_identity_and_koebe():
     f = SliceMap(identity_map(2, 2))
-    e1 = CliffordElement.generator(2, 1)
+    e1 = generator(2, 1)
     z = np.array([0.3 + 0.2j, -0.4 + 0.1j])
     val = starlike_criterion_slice(f, e1, z)
     assert val == pytest.approx(float(np.sum(np.abs(z) ** 2)), abs=1e-12)
@@ -129,7 +128,7 @@ def test_starlike_criterion_identity_and_koebe():
 
 def test_starlike_criterion_flags_paper_example():
     # the degree-two polynomial family loses injectivity inside the ball
-    e1 = CliffordElement.generator(2, 1)
+    e1 = generator(2, 1)
     f = SliceMap(extremal_series(-1, 0.0, e1, 10, 2))
     z = np.array([0.6 + 0.0j, 0.0 + 0.0j])
     with pytest.raises(CriterionError):
@@ -141,7 +140,7 @@ def test_starlike_criterion_flags_paper_example():
 
 def test_convex_criterion_values():
     m = 2
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     ident = SliceMap(identity_map(m, 1))
     assert convex_criterion_slice(ident, e1, 0, 0.3) == pytest.approx(1.0, abs=1e-12)
 
@@ -163,14 +162,14 @@ def test_convex_criterion_values():
     paper = SliceMap(extremal_series(-1, 0.0, e1, 10, 2))
     with pytest.raises(CriterionError):
         convex_criterion_slice(paper, e1, 0, 0.5)
-    e2 = CliffordElement.generator(m, 2)
+    e2 = generator(m, 2)
     with pytest.raises(HypothesisViolationError):
         convex_criterion_slice(SliceMap(extremal_series(2, 0.7, e2, 40, 1)), e1, 0, 0.3)
 
 
 def test_batched_criteria_equal_single_points():
     rng = np.random.default_rng(13)
-    e1 = CliffordElement.generator(3, 1)
+    e1 = generator(3, 1)
     k = SliceMap(extremal_series(2, 0.7, e1, 200, 2))
     z = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
     z *= rng.uniform(0.05, 0.9, size=(40, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
@@ -197,7 +196,7 @@ def test_batched_criteria_equal_single_points():
 
 def test_hypothesis_status_spot_check():
     m = 3
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     # the default-seed streams of the theta = 0 paper-example records
     reports = run_growth_ball(RunConfig(seed=20240811, theta=0.0,
                                         maps=("paper-example",)))
@@ -208,16 +207,20 @@ def test_hypothesis_status_spot_check():
         "growth-ball-paper-example-e12-theta0.000": "violated(9/64)",
     }
     # coefficients off the slice of e1 are flagged for both families
-    off = SliceMap(extremal_series(2, 0.7, CliffordElement.generator(m, 2), 40, 2))
+    off = SliceMap(extremal_series(2, 0.7, generator(m, 2), 40, 2))
     for family in ("starlike", "convex"):
         rng = np.random.default_rng(14)
         assert _hypothesis_status(off, family, e1, 0.9, rng) == "off-slice"
 
 
+def _agreement(maps, seed):
+    gap = max(f.coefficient_gap() for f in maps)
+    return closed_form_agreement(maps, gap, 0.9, 300, np.random.default_rng(seed))
+
+
 def test_closed_form_agreement_negative_controls():
-    e1 = CliffordElement.generator(3, 1)
-    good = closed_form_agreement([ClosedFormMap(2, 0.7, e1, 300, 2)], 0.9, 300,
-                                 np.random.default_rng(15))
+    e1 = generator(3, 1)
+    good = _agreement([ClosedFormMap(2, 0.7, e1, 300, 2)], 15)
     assert good.passed, good.data
     assert good.data["value_gap"] <= good.data["tail_bound"] + 1e-9
     assert good.samples == 300
@@ -225,8 +228,7 @@ def test_closed_form_agreement_negative_controls():
     for attr, value in (("theta", 0.75), ("p", 1)):
         wrong = ClosedFormMap(2, 0.7, e1, 300, 2)
         setattr(wrong, attr, value)
-        bad = closed_form_agreement([ClosedFormMap(2, 0.7, e1, 300, 2), wrong],
-                                    0.9, 300, np.random.default_rng(15))
+        bad = _agreement([ClosedFormMap(2, 0.7, e1, 300, 2), wrong], 15)
         assert not bad.passed, bad.data
         assert bad.data["value_gap"] > 1e-3
         assert bad.data["coefficient_gap"] > 1e-3
@@ -251,7 +253,7 @@ def test_growth_check_ball_koebe():
 
 def test_growth_check_ball_flags_paper_example():
     rng = np.random.default_rng(6)
-    e1 = CliffordElement.generator(2, 1)
+    e1 = generator(2, 1)
     f = SliceMap(extremal_series(-1, 0.0, e1, 20, 2))
     rep = growth_check_ball(f, "convex", 0.9, 500, rng, e1, 0.0)
     # the lower growth bound is badly violated, but the hypothesis fails
@@ -342,7 +344,8 @@ def test_gauge_batch_equals_rows_bit_for_bit():
                          ball_rows / (1.0 + 0.5 * j_rows[:, 1] ** 2))) < 1e-8
     # the ball gauge keeps the bits of the point norm
     assert ball_rows.tobytes() == np.array([
-        point_norm(make_point(a, b, E1_3)) for a, b in zip(alpha, beta)]).tobytes()
+        point_norm(make_point(a, b, CliffordElement(m, E1_3))) for a, b in zip(alpha, beta)
+    ]).tobytes()
     for g in (ball, poly, oracle_gauge(_closed_member(ball), n, m),
               oracle_gauge(_closed_member(poly), n, m), by_j):
         batch = gauge_rho(g, alpha, beta, j_rows)
@@ -353,7 +356,7 @@ def test_gauge_batch_equals_rows_bit_for_bit():
         assert batch[0] == 0.0 and batch[17] == 0.0
         # one slice unit for the whole batch, e_1 by default
         assert gauge_rho(g, alpha, beta).tobytes() == \
-            gauge_rho(g, alpha, beta, E1_3.coeffs).tobytes()
+            gauge_rho(g, alpha, beta, E1_3).tobytes()
 
 
 @pytest.mark.parametrize("inner, outer, point, message", [
@@ -409,7 +412,7 @@ def test_oracle_gauge_properties_negative_control():
 
 
 def test_value_gauge_on_slice():
-    e1 = CliffordElement.generator(2, 1)
+    e1 = generator(2, 1)
     rows = np.array([[[0.3, 0.4, 0.0, 0.0], [-0.1, 0.0, 0.0, 0.0]],
                      [[0.0, 0.0, 0.0, 0.0], [0.6, -0.8, 0.0, 0.0]]])
     rho, resid = value_gauge_on_slice(polydisc_gauge(2, 2), rows, e1)
@@ -426,7 +429,7 @@ def test_growth_check_domain_reads_the_map_not_its_series():
     # the gauge-form and the real diagonal must come from the closed form,
     # whose gauge-form is exact, not from the five-term series
     m, n = 3, 2
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     f = ClosedFormMap(2, 0.0, e1, 5, n)
     rep = growth_check_domain(f, polydisc_gauge(n, m), "starlike", 0.9, 200,
                               np.random.default_rng(25), e1, 0.0)
@@ -489,12 +492,12 @@ def test_growth_checker_fails_scaled_maps_on_every_gauge(p, family):
 
 
 def test_growth_check_domain_hypothesis_status():
-    e1 = CliffordElement.generator(2, 1)
+    e1 = generator(2, 1)
     paper = SliceMap(extremal_series(-1, 0.0, e1, 20, 2))
     rep = growth_check_domain(paper, ball_gauge(2, 2), "convex", 0.9, 300,
                               np.random.default_rng(16), e1, 0.0)
     assert rep.data["hypothesis_status"].startswith("violated")
-    off = SliceMap(extremal_series(2, 0.7, CliffordElement.generator(2, 2), 40, 2))
+    off = SliceMap(extremal_series(2, 0.7, generator(2, 2), 40, 2))
     rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
     assert rep.data["hypothesis_status"] == "off-slice"
@@ -510,7 +513,7 @@ def test_growth_check_domain_fails_values_off_the_slice():
     # a stem on the slice of e1 whose closed-form values take e2 in place
     # of e1: the spot-check reads ok, and the record fails on the values'
     # off-slice residual, which is judged against tol, not the tail slack
-    e1, e2 = CliffordElement.generator(2, 1), CliffordElement.generator(2, 2)
+    e1, e2 = generator(2, 1), generator(2, 2)
     off = ClosedFormMap(2, 0.7, e1, 300, 2)
     off.I = e2
     rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
@@ -556,7 +559,7 @@ def test_growth_check_domain_polydisc_literal_rho_form_overshoots():
     # documents the sqrt(n) overshoot of the literal rho-form at the
     # real diagonal: ||f(diag(r))|| = sqrt(2) r/(1-r)^2 > r/(1-r)^2
     f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
-    diag = make_point([0.9, 0.9], [0.0, 0.0], E1_3)
+    diag = make_point([0.9, 0.9], [0.0, 0.0], CliffordElement(3, E1_3))
     val = np.sqrt(sum(np.dot(v.coeffs, v.coeffs) for v in f.eval(diag)))
     rho = gauge_rho(polydisc_gauge(2, 3), diag.alpha, diag.beta)
     assert val > rho / (1 - rho) ** 2 * 1.4

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicegrowth.algebra import CliffordElement, invert_batch, mul_batch, mul_coeffs, slice_exp
+from slicegrowth.algebra import (blade, generator, invert_batch, mul_batch, mul_coeffs,
+                                 slice_exp)
 from slicegrowth.errors import DimensionError, NonInvertibleError
 from slicegrowth.series import (
     _EVAL_CHUNK,
@@ -171,12 +172,12 @@ def test_central_partials_of_a_monomial():
 
 def _geometric_base(m, theta, I=None):
     """Coefficients of 1 - x e^{I theta}, I = e1 by default."""
-    I = CliffordElement.generator(m, 1) if I is None else I
-    return np.stack([CliffordElement.scalar(m, 1.0).coeffs, -slice_exp(I, theta)])
+    I = generator(m, 1) if I is None else I
+    return np.stack([blade(m), -slice_exp(I, theta)])
 
 
 def test_star_unit_identity():
-    one = CliffordElement.scalar(2, 1.0).coeffs[None]
+    one = blade(2)[None]
     rng = np.random.default_rng(3)
     g = rng.uniform(-1, 1, size=(5, 4))
     np.testing.assert_allclose(star_mul(2, one, g), g, atol=1e-15)
@@ -186,12 +187,12 @@ def test_star_unit_identity():
 def test_star_telescoping_geometric():
     # (1 - x e1) * (sum x^k e1^k) telescopes to 1
     m, N = 2, 30
-    e1 = CliffordElement.generator(m, 1).coeffs
+    e1 = generator(m, 1)
     powers = np.zeros((N + 1, 1 << m))
     powers[0, 0] = 1.0
     for k in range(N):
         powers[k + 1] = mul_coeffs(m, powers[k], e1)
-    base = np.stack([CliffordElement.scalar(m, 1.0).coeffs, -e1])
+    base = np.stack([blade(m), -e1])
     prod = star_mul(m, base, powers, trunc=N)
     expected = np.zeros_like(prod)
     expected[0, 0] = 1.0
@@ -214,7 +215,7 @@ def test_star_mul_associative_and_distributive(seed):
 
 def test_star_inverse_geometric_closed_form():
     m, N, theta = 2, 40, 0.8
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     base = _geometric_base(m, theta)
     inv = star_inverse(m, base, N)
     for k in range(N + 1):
@@ -226,9 +227,9 @@ def test_star_inverse_geometric_closed_form():
 
 
 def test_star_inverse_scalar_and_errors():
-    inv = star_inverse(2, CliffordElement.scalar(2, 2.0).coeffs[None], 3)
-    assert np.max(np.abs(inv[0] - CliffordElement.scalar(2, 0.5).coeffs)) <= 1e-14
-    zero_lead = np.stack([np.zeros(4), CliffordElement.scalar(2, 1.0).coeffs])
+    inv = star_inverse(2, 2.0 * blade(2)[None], 3)
+    assert np.max(np.abs(inv[0] - 0.5 * blade(2))) <= 1e-14
+    zero_lead = np.stack([np.zeros(4), blade(2)])
     with pytest.raises(NonInvertibleError):
         star_inverse(2, zero_lead, 3)
     for bad in (np.zeros((0, 4)), np.zeros((2, 8)), np.zeros(4)):
@@ -242,8 +243,8 @@ def test_star_inverse_rejects_numerically_singular_constant():
     # 1 + t e123 is singular at t = 1 (e123 squares to +1 for m = 3); near
     # it the solve would succeed, and the singular-value test must refuse
     m = 3
-    one = CliffordElement.scalar(m, 1.0).coeffs
-    e123 = CliffordElement.blade(m, (1, 2, 3)).coeffs
+    one = blade(m)
+    e123 = blade(m, (1, 2, 3))
     with pytest.raises(NonInvertibleError, match="constant coefficient is not invertible"):
         star_inverse(m, (one + (1.0 - 1e-13) * e123)[None], 2)
     a0 = one + 0.5 * e123
@@ -348,7 +349,7 @@ def test_power_sum_matches_plain_sum():
     z = rng.uniform(-0.9, 0.9, (B, 3)) + 1j * rng.uniform(-0.9, 0.9, (B, 3))
     stem = _random_stem(2, 3, rng, degree=6, terms=12)
     assert np.count_nonzero(stem._kmat, axis=1).max() > 1
-    koebe = extremal_series(2, 0.7, CliffordElement.generator(2, 1), 300, 2)
+    koebe = extremal_series(2, 0.7, generator(2, 1), 300, 2)
     assert np.count_nonzero(koebe._kmat, axis=1).max() == 1
     disc = rng.uniform(0.0, 0.8, (B, 2)) * np.exp(2j * np.pi * rng.uniform(size=(B, 2)))
     for f, z in ((stem, z), (koebe, disc)):
@@ -365,15 +366,15 @@ def test_power_sum_matches_plain_sum():
 
 def test_koebe_coefficients_and_normalization():
     m, n, N = 2, 2, 50
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     f = extremal_series(2, 0.0, e1, N, n)
     # normalized: no constant term, unit linear coefficient
     assert np.array_equal(f.coefficient((0, 0)), np.zeros((n, 1 << m)))
     lin = f.coefficient((1, 0))
-    assert np.array_equal(lin, [CliffordElement.scalar(m, 1.0).coeffs, np.zeros(1 << m)])
+    assert np.array_equal(lin, [blade(m), np.zeros(1 << m)])
     for k in range(0, 6):
         coeff = f.coefficient((k + 1, 0))[0]
-        assert np.max(np.abs(coeff - CliffordElement.scalar(m, k + 1.0).coeffs)) <= 1e-12
+        assert np.max(np.abs(coeff - (k + 1.0) * blade(m))) <= 1e-12
 
     theta = 1.1
     g = extremal_series(2, theta, e1, N, n)
@@ -386,7 +387,7 @@ def test_koebe_coefficients_and_normalization():
 
 def test_koebe_matches_closed_form_on_real_axis():
     m, n, N = 3, 1, 300
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     f = extremal_series(2, 0.0, e1, N, n)
     for x in np.linspace(-0.9, 0.9, 19):
         f1, f2 = f.eval_arrays([[x]], [[0.0]])
@@ -397,10 +398,10 @@ def test_koebe_matches_closed_form_on_real_axis():
 
 def test_convex_and_paper_example_maps():
     m, n, N = 2, 1, 300
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     poly = extremal_series(-1, 0.0, e1, N, n)
-    assert np.array_equal(poly.coefficient((1,))[0], CliffordElement.scalar(m, 1.0).coeffs)
-    assert np.array_equal(poly.coefficient((2,))[0], CliffordElement.scalar(m, -1.0).coeffs)
+    assert np.array_equal(poly.coefficient((1,))[0], blade(m))
+    assert np.array_equal(poly.coefficient((2,))[0], -blade(m))
     assert poly.degree == 2
     assert poly.tail_model is None
 
@@ -412,7 +413,7 @@ def test_convex_and_paper_example_maps():
 
 @pytest.mark.parametrize("p", [0, 3])
 def test_extremal_series_rejects_other_exponents(p):
-    e1 = CliffordElement.generator(2, 1)
+    e1 = generator(2, 1)
     with pytest.raises(ValueError):
         extremal_series(p, 0.0, e1, 40, 1)
     with pytest.raises(ValueError):
@@ -422,7 +423,7 @@ def test_extremal_series_rejects_other_exponents(p):
 @pytest.mark.parametrize("p", [1, 2])
 def test_tail_bounds(p):
     m, n = 2, 2
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     f = extremal_series(p, 0.0, e1, 300, n)
     assert tail_bound(f, 0.9) < 1e-9
     assert tail_bound(identity_map(m, n), 0.9) == 0.0

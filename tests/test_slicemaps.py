@@ -4,7 +4,7 @@ and the module-basis splitting."""
 import numpy as np
 import pytest
 
-from slicegrowth.algebra import CliffordElement
+from slicegrowth.algebra import CliffordElement, blade, generator
 from slicegrowth.errors import BasisError, RepresentationError
 from slicegrowth.series import (
     StemSeries,
@@ -27,6 +27,16 @@ from slicegrowth.slicemaps import (
 )
 from slicegrowth.slicespace import make_point, sample_S_batch, unit_rows
 from slicegrowth.suites import MAP_FAMILIES, _random_stem, _re_z1_control
+
+
+def isclose(a, b, tol=1e-12):
+    """Two coefficient rows of one length agree within tol."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= tol)
+
+
+def scalar_part(row) -> float:
+    return float(row[0])
 
 
 def _rand_map(rng, m=3, n=2, degree=5, terms=8):
@@ -59,18 +69,18 @@ def test_well_definedness_is_exact():
 
 
 def test_koebe_on_real_slice_axis():
-    e1 = CliffordElement.generator(3, 1)
+    e1 = generator(3, 1)
     f = SliceMap(extremal_series(2, 0.0, e1, 300, 2))
     for x in (0.5, -0.7, 0.9):
-        p = make_point([x, 0.0], [0.0, 0.0], e1)
+        p = make_point([x, 0.0], [0.0, 0.0], CliffordElement(3, e1))
         vals = f.eval(p)
-        assert abs(vals[0].scalar_part - x / (1 - x) ** 2) < 1e-9
+        assert abs(scalar_part(vals[0].coeffs) - x / (1 - x) ** 2) < 1e-9
 
 
 def test_closed_form_matches_series():
     m = 3
     rng = np.random.default_rng(12)
-    directions = (CliffordElement.generator(m, 1), CliffordElement.blade(m, (1, 2)))
+    directions = (generator(m, 1), blade(m, (1, 2)))
     for label, (_, exponent, _) in MAP_FAMILIES.items():
         for i_elem in directions:
             for theta in (0.0, 0.7, np.pi / 2):
@@ -100,8 +110,7 @@ def test_closed_form_values_match_the_generic_product(p):
     # path multiplies J by F2 = P.im + Q.im I through mul_batch
     m, n = 3, 2
     rng = np.random.default_rng(40 + p)
-    directions = (CliffordElement.generator(m, 1), CliffordElement.blade(m, (1, 2)),
-                  CliffordElement(m, unit_rows(np.array([0.6, -0.48, 0.64]))))
+    directions = (generator(m, 1), blade(m, (1, 2)), unit_rows(np.array([0.6, -0.48, 0.64])))
     for i_elem in directions:
         f = ClosedFormMap(p, 0.7, i_elem, 20, n)
         alpha, beta = rng.uniform(-0.6, 0.6, (2, 50, n))
@@ -113,7 +122,7 @@ def test_closed_form_values_match_the_generic_product(p):
 
 
 def test_closed_form_coefficient_gap_detects_wrong_family():
-    e1 = CliffordElement.generator(2, 1)
+    e1 = generator(2, 1)
     f = ClosedFormMap(2, 0.7, e1, 40, 2)
     assert f.coefficient_gap() < 1e-12
     # the Koebe stem paired with a wrong exponent or theta, set on the map
@@ -132,7 +141,7 @@ def test_closed_form_coefficient_gap_detects_wrong_family():
 @pytest.mark.parametrize("theta", [123.45678, 12345.678, -1e6, 1e300])
 def test_closed_form_coefficient_gap_at_large_theta(theta):
     # the reference e^{I k theta} is taken at theta reduced to (-pi, pi]
-    f = ClosedFormMap(2, theta, CliffordElement.generator(3, 1), 300, 2)
+    f = ClosedFormMap(2, theta, generator(3, 1), 300, 2)
     assert f.coefficient_gap() < 1e-10
 
 
@@ -152,8 +161,8 @@ def test_representation_collapse_and_average_form():
     rng = np.random.default_rng(3)
     f = _rand_map(rng)
     alpha, beta = np.array([[0.2, -0.6]]), np.array([[0.9, 0.4]])
-    J = CliffordElement.generator(3, 1).coeffs
-    K = CliffordElement.generator(3, 2).coeffs
+    J = generator(3, 1)
+    K = generator(3, 2)
     I = sample_S_batch(rng, 3, 1)[0]
 
     collapsed = representation_formula(f, alpha, beta, J, K, J)
@@ -171,14 +180,14 @@ def test_representation_rejects_close_pair():
     rng = np.random.default_rng(4)
     f = _rand_map(rng)
     alpha, beta = np.array([[0.1, 0.1]]), np.array([[0.5, -0.2]])
-    J = CliffordElement.generator(3, 1).coeffs
+    J = generator(3, 1)
     with pytest.raises(RepresentationError):
         representation_formula(f, alpha, beta, J, J, sample_S_batch(rng, 3, 1)[0])
-    nudged = CliffordElement(3, [0.0, np.sqrt(1 - 1e-9), np.sqrt(1e-9), 0, 0, 0, 0, 0])
+    nudged = np.array([0.0, np.sqrt(1 - 1e-9), np.sqrt(1e-9), 0, 0, 0, 0, 0])
     with pytest.raises(RepresentationError):
-        representation_formula(f, alpha, beta, J, nudged.coeffs, sample_S_batch(rng, 3, 1)[0])
+        representation_formula(f, alpha, beta, J, nudged, sample_S_batch(rng, 3, 1)[0])
     # one close pair among good ones rejects the batch
-    K = np.stack([CliffordElement.generator(3, 2).coeffs, nudged.coeffs])
+    K = np.stack([generator(3, 2), nudged])
     with pytest.raises(RepresentationError):
         representation_formula(f, np.repeat(alpha, 2, axis=0), np.repeat(beta, 2, axis=0),
                                J, K, sample_S_batch(rng, 3, 1)[0])
@@ -203,8 +212,8 @@ def test_derivative_commutes_with_reconstruction():
     rng = np.random.default_rng(6)
     f = _rand_map(rng)
     alpha, beta = np.array([[0.4, 0.2]]), np.array([[0.3, -0.5]])
-    J = CliffordElement.generator(3, 2).coeffs
-    K = CliffordElement.generator(3, 3).coeffs
+    J = generator(3, 2)
+    K = generator(3, 3)
     I = sample_S_batch(rng, 3, 1)[0]
     df = f.derivative(1)
     rec_of_deriv = representation_formula(df, alpha, beta, J, K, I)
@@ -231,7 +240,7 @@ def test_row_functions_give_each_row_its_own_bits():
     # BLAS product whose bits depend on the batch size (see power_sum), so
     # the stem row is shared here only by broadcasting
     rng = np.random.default_rng(14)
-    I0 = CliffordElement(3, sample_S_batch(rng, 3, 1)[0])
+    I0 = sample_S_batch(rng, 3, 1)[0]
     f = ClosedFormMap(2, 0.7, I0, 40, 2)
     stem_map = _rand_map(rng)
     B = 9
@@ -262,20 +271,20 @@ def test_row_functions_give_each_row_its_own_bits():
 
 
 def test_jacobian_of_koebe_at_origin_is_identity():
-    e1 = CliffordElement.generator(2, 1)
+    e1 = generator(2, 1)
     f = SliceMap(extremal_series(2, 0.9, e1, 60, 2))
-    origin = make_point([0.0, 0.0], [0.0, 0.0], e1)
+    origin = make_point([0.0, 0.0], [0.0, 0.0], CliffordElement(2, e1))
     for s in range(2):
         row = f.derivative(s).eval(origin)
         for t in range(2):
-            expected = CliffordElement.scalar(2, 1.0 if s == t else 0.0)
-            assert row[t].isclose(expected, 1e-12)
+            expected = (1.0 if s == t else 0.0) * blade(2)
+            assert isclose(row[t].coeffs, expected, 1e-12)
 
 
 def test_shadow_eval_batched_matches_single_points():
     rng = np.random.default_rng(11)
     f = _rand_map(rng, m=2, n=3)
-    shadow, _ = slice_shadow(f, CliffordElement(2, sample_S_batch(rng, 2, 1)[0]))
+    shadow, _ = slice_shadow(f, sample_S_batch(rng, 2, 1)[0])
     z = rng.uniform(-0.7, 0.7, (6, 3)) + 1j * rng.uniform(-0.7, 0.7, (6, 3))
     batch = shadow.eval(z)
     assert batch.shape == (6, 3)
@@ -288,11 +297,11 @@ def test_shadow_eval_batched_matches_single_points():
 def test_shadow_matches_slice_map_on_its_slice():
     # koebe coefficients lie in C_I, so f_I is the shadow's value there
     rng = np.random.default_rng(12)
-    i_elem = CliffordElement.generator(3, 2)
+    i_elem = generator(3, 2)
     f = SliceMap(extremal_series(2, 0.7, i_elem, 40, 2))
     alpha = rng.uniform(-0.5, 0.5, (20, 2))
     beta = rng.uniform(-0.5, 0.5, (20, 2))
-    on_slice, resid = complex_on_slice(f.eval_arrays(alpha, beta, i_elem.coeffs), i_elem)
+    on_slice, resid = complex_on_slice(f.eval_arrays(alpha, beta, i_elem), i_elem)
     shadow, coeff_resid = slice_shadow(f, i_elem)
     assert max(resid, coeff_resid) < 1e-12
     assert np.max(np.abs(on_slice - shadow.eval(alpha + 1j * beta))) < 1e-12
@@ -346,11 +355,11 @@ def test_re_z1_control_fails_both_holomorphy_checks():
 def test_split_single_component_for_m1():
     rng = np.random.default_rng(9)
     f = _rand_map(rng, m=1, n=2, degree=3, terms=5)
-    e1 = CliffordElement.generator(1, 1)
+    e1 = generator(1, 1)
     comps, basis = split_components(f, e1)
-    assert len(comps) == 1 and np.array_equal(basis[0].coeffs, [1.0, 0.0])
+    assert len(comps) == 1 and np.array_equal(basis, [[1.0, 0.0]])
     z = np.array([0.3 + 0.2j, -0.1 + 0.4j])
-    direct = f.eval_arrays(z.real[None], z.imag[None], e1.coeffs)[0]
+    direct = f.eval_arrays(z.real[None], z.imag[None], e1)[0]
     rebuilt = reassemble_on_slice(comps, basis, e1, z)
     assert np.max(np.abs(rebuilt - direct)) < 1e-12
 
@@ -358,10 +367,9 @@ def test_split_single_component_for_m1():
 def test_split_koebe_concentrates_on_slice():
     # coefficients live in span{1, e1}: only the unit-blade component survives
     m = 2
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     f = SliceMap(extremal_series(2, 0.7, e1, 40, 1))
-    comps, basis = split_components(f, e1, completion=[
-        CliffordElement.scalar(m, 1.0), CliffordElement.generator(m, 2)])
+    comps, basis = split_components(f, e1, completion=[blade(m), generator(m, 2)])
     assert np.max(np.abs(comps[1].coeffs)) < 1e-12
     assert np.max(np.abs(comps[0].coeffs)) > 0.5
 
@@ -370,13 +378,13 @@ def test_split_reassembles_generic_map():
     rng = np.random.default_rng(10)
     for m in (2, 3):
         f = _rand_map(rng, m=m)
-        i_elem = CliffordElement(m, unit_rows(rng.normal(size=m)))
+        i_elem = unit_rows(rng.normal(size=m))
         comps, basis = split_components(f, i_elem)
         assert len(comps) == 1 << (m - 1)
         for _ in range(25):
             z = rng.uniform(-0.8, 0.8, 2) + 1j * rng.uniform(-0.8, 0.8, 2)
             rebuilt = reassemble_on_slice(comps, basis, i_elem, z)
-            direct = f.eval_arrays(z.real[None], z.imag[None], i_elem.coeffs)[0]
+            direct = f.eval_arrays(z.real[None], z.imag[None], i_elem)[0]
             assert np.max(np.abs(rebuilt - direct)) < 1e-10
         # a batch of points gets the bits each point gets alone
         zs = rng.uniform(-0.8, 0.8, (7, 2)) + 1j * rng.uniform(-0.8, 0.8, (7, 2))
@@ -388,17 +396,16 @@ def test_split_reassembles_generic_map():
 def test_split_rejects_degenerate_completion():
     rng = np.random.default_rng(11)
     f = _rand_map(rng, m=2)
-    e1 = CliffordElement.generator(2, 1)
+    e1 = generator(2, 1)
     with pytest.raises(BasisError):
-        split_components(f, e1, completion=[
-            CliffordElement.scalar(2, 1.0), e1])  # {1, I} is not a module basis
+        split_components(f, e1, completion=[blade(2), e1])  # {1, I} is not a module basis
     with pytest.raises(BasisError):
-        split_components(f, e1, completion=[CliffordElement.scalar(2, 1.0)])
+        split_components(f, e1, completion=[blade(2)])
 
 
 def test_default_module_basis_requires_vector_direction():
     with pytest.raises(BasisError):
-        default_module_basis(CliffordElement.blade(2, (1, 2)))
-    i_elem = CliffordElement(3, [0.0, 0.6, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0])   # 0.6 e1 + 0.8 e3
+        default_module_basis(blade(2, (1, 2)))
+    i_elem = np.array([0.0, 0.6, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0])   # 0.6 e1 + 0.8 e3
     basis = default_module_basis(i_elem)
-    assert len(basis) == 4
+    assert len(basis) == 4 and basis.shape == (4, 8)

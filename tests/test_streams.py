@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import slicegrowth.geometry as geometry
 import slicegrowth.suites as suites
-from slicegrowth.algebra import CliffordElement
+from slicegrowth.algebra import generator
 from slicegrowth.cli import main
 from slicegrowth.geometry import ball_gauge, gauge_properties_check, growth_check_domain, \
     polydisc_gauge
@@ -219,7 +219,7 @@ def test_working_sets_stay_bounded():
     shard = traced_peak(lambda: suites._algebra_shard(5, 0.0, 10_000, rng))
     assert shard < 20e6, shard
     m, n = 3, 2
-    e1 = CliffordElement.generator(m, 1)
+    e1 = generator(m, 1)
     f = ClosedFormMap(2, 0.7, e1, 300, n)
     record = traced_peak(lambda: growth_check_domain(
         f, polydisc_gauge(n, m), "starlike", 0.9, 10_000,
