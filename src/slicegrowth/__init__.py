@@ -50,9 +50,9 @@ from .series import (
     tail_bound,
 )
 from .slicemaps import (
-    ClosedFormMap,
-    RawSliceMap,
+    ShadowMap,
     SliceMap,
+    extremal_map,
     representation_formula,
     split_components,
     two_slice_average,

@@ -114,9 +114,8 @@ def verify(suite, m, n, seed, samples, truncation, r_max, theta, map_, domain,
               show_default=True, help="Comma-separated radii.")
 @click.option("--m", type=int, default=3, show_default=True)
 @click.option("--n", type=int, default=2, show_default=True)
-@click.option("--truncation", type=int, default=300, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def envelope(map_, theta, r_grid, m, n, truncation, out):
+def envelope(map_, theta, r_grid, m, n, out):
     """Emit growth-envelope rows (r, lower, ||f(-r)||, ||f(r)||, upper)."""
     try:
         radii = [float(tok) for tok in r_grid.split(",") if tok.strip()]
@@ -124,10 +123,10 @@ def envelope(map_, theta, r_grid, m, n, truncation, out):
         raise click.UsageError(f"bad --r-grid: {exc}")
     if not radii or any(not 0.0 <= r < 1.0 for r in radii):
         raise click.UsageError("--r-grid values must lie in [0, 1)")
-    _validated(suites.RunConfig(m=m, n=n, truncation=truncation, theta=theta))
+    _validated(suites.RunConfig(m=m, n=n, theta=theta))
 
     family, p, _ = suites.MAP_FAMILIES[map_]
-    f = slicemaps.ClosedFormMap(p, theta, generator(m, 1), truncation, n)
+    f = slicemaps.extremal_map(p, theta, generator(m, 1), n)
     rows = geometry.envelope_table(f, family, radii)
 
     header = "r,lower_bound,f_at_minus_r,f_at_plus_r,upper_bound"

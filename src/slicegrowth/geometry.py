@@ -12,16 +12,15 @@ so the extrema over all J are attained at J = +-I.  The profile, its
 sampled check and envelope_table evaluate through SliceMap.eval_arrays,
 one stem row broadcast over many J rows.  The starlike and
 convex criteria (starlike_criterion_slice, convex_criterion_slice) read
-the slice shadow f_I and its derivatives, at one point or a batch.
+the shadow f.shadow(I, tol) and its derivatives, at one point or a batch.
 One growth checker, growth_check_domain, samples a gauged domain (the
 unit ball is the ball gauge), reads every value through
-SliceMap.eval_arrays (in closed form for a ClosedFormMap; the gauge-form
-through value_gauge_on_slice on the slice of I), and compares against
-the closed-form envelopes with the reference series' truncation tail as
-slack.  One batched starlike/convex spot-check on the series' slice
-shadow decides whether a record is asserted, and judge_growth, the one
-verdict rule of every growth record, lets one that is not asserted pass.
-closed_form_agreement checks a ClosedFormMap against its series.
+SliceMap.eval_arrays (the gauge-form through value_gauge_on_slice on the
+slice of I), and compares against the closed-form envelopes with tol as
+slack.  One batched starlike/convex spot-check on the map's shadow
+decides whether a record is asserted, and judge_growth, the one verdict
+rule of every growth record, lets one that is not asserted pass.
+closed_form_agreement alone reads a map's truncated reference series.
 
 gauge_rho evaluates a domain's gauge at one point (alpha, beta of shape
 (n,)) or at B rows ((B, n)): the ball and polydisc in closed form, and
@@ -45,8 +44,8 @@ from .errors import (
     SamplingError,
 )
 from .reports import Report
-from .series import tail_bound
-from .slicemaps import ClosedFormMap, SliceMap, complex_on_slice, slice_shadow
+from .series import StemSeries, tail_bound
+from .slicemaps import ShadowMap, SliceMap, complex_on_slice
 from .slicespace import SliceOrbit, anticommuting_unit, sample_S_batch, vector_norm
 
 _ZERO_COMPONENT_TOL = 1e-12
@@ -173,33 +172,21 @@ def profile_linearity(f: SliceMap, o: SliceOrbit, I: np.ndarray, rng,
 # starlike / convex criteria on a slice
 # ---------------------------------------------------------------------------
 
-def _shadow_in_slice(f: SliceMap, I: np.ndarray, tol: float):
-    """slice_shadow(f, I), raising HypothesisViolationError if a
-    coefficient leaves the slice of I by more than tol."""
-    shadow, resid = slice_shadow(f, I)
-    if resid > tol:
-        raise HypothesisViolationError(
-            f"map does not send the slice of I into itself "
-            f"(coefficient residual {resid:.3e})"
-        )
-    return shadow
-
-
 def starlike_criterion_slice(f: SliceMap, I: np.ndarray, z,
                              tol: float = 1e-9):
     """Re <Df_I(z)^{-1} f_I(z), z> through the complex identification of
     the slice of I; positive everywhere iff the restriction is starlike.
 
     z has shape (n,) (returns a float) or (B, n) (returns B values, each
-    with the bits it has alone).  Raises HypothesisViolationError if the
-    map's coefficients leave the slice, CriterionError on a singular
-    Jacobian at any point.
+    with the bits it has alone).  Raises HypothesisViolationError where
+    f.shadow(I, tol) does (the map does not send the slice of I into
+    itself), CriterionError on a singular Jacobian at any point.
     """
-    shadow = _shadow_in_slice(f, I, tol)
+    g, dg, _ = f.shadow(I, tol)
     z = np.asarray(z, dtype=np.complex128)
     batch = z.reshape(-1, f.n)
-    jac = shadow.jacobian(batch)
-    val = shadow.eval(batch)
+    jac = dg(batch)
+    val = g(batch)
     try:
         w = np.linalg.solve(jac, val[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -217,17 +204,16 @@ def convex_criterion_slice(f: SliceMap, I: np.ndarray, t: int, x,
     convexity criterion of that one-variable restriction.
 
     x is a float (returns a float) or an array (returns values of its
-    shape).  Raises HypothesisViolationError if the map's coefficients
-    leave the slice, and CriterionError where f_t' vanishes at a float x;
-    in an array the value there is NaN.
+    shape).  Raises HypothesisViolationError where f.shadow(I, tol) does,
+    and CriterionError where f_t' vanishes at a float x; in an array the
+    value there is NaN.
     """
-    shadow = _shadow_in_slice(f, I, tol)
+    _, dg, d2g = f.shadow(I, tol)
     x = np.asarray(x, dtype=np.float64)
-    z = np.zeros(x.shape + (f.n,), dtype=np.complex128)
-    z[..., t] = x
-    d1 = shadow.derivative(t)
-    v1 = d1.eval(z)[..., t]
-    v2 = d1.derivative(t).eval(z)[..., t]
+    z = np.zeros((x.size, f.n), dtype=np.complex128)
+    z[:, t] = x.ravel()
+    v1 = dg(z)[:, t, t].reshape(x.shape)
+    v2 = d2g(z)[:, t, t, t].reshape(x.shape)
     vanished = np.abs(v1) <= tol
     if x.ndim == 0:
         if vanished:
@@ -321,27 +307,28 @@ def judge_growth(rep: Report, asserted: bool) -> Report:
     return rep
 
 
-def closed_form_agreement(maps: list[ClosedFormMap], coeff_gap: float, r_max: float,
-                          samples: int, rng, tol: float = 1e-9) -> Report:
-    """Check closed-form maps against their reference series: at `samples`
-    ball points per map, |series - closed form| must stay within the
-    series' tail bound at r_max plus tol, and coeff_gap, the largest
-    ClosedFormMap.coefficient_gap of the maps (sample-free, so a sharded
-    caller computes it once), must stay within tol."""
+def closed_form_agreement(maps: list[ShadowMap], stems: list[StemSeries], thetas,
+                          coeff_gap: float, r_max: float, samples: int, rng,
+                          tol: float = 1e-9) -> Report:
+    """Check closed-form maps against their reference series, the map of
+    each theta of thetas against its stem: at `samples` ball points per
+    map, |series - closed form| must stay within the series' tail bound at
+    r_max plus tol, and coeff_gap, the largest series.coefficient_gap of
+    the stems (sample-free, so a sharded caller computes it once), must
+    stay within tol."""
     value_gap = 0.0
-    for f in maps:
+    for f, stem in zip(maps, stems):
         alpha, beta, j_rows, _ = _sample_ball(rng, samples, f.n, f.m, r_max)
         diff = f.eval_arrays(alpha, beta, j_rows) - \
-            SliceMap(f.stem).eval_arrays(alpha, beta, j_rows)
+            SliceMap(stem).eval_arrays(alpha, beta, j_rows)
         value_gap = max(value_gap, float(np.max(
             np.sqrt(np.sum(diff * diff, axis=(1, 2))), initial=0.0)))
-    tail = max(tail_bound(f.stem, r_max) for f in maps)
-    first = maps[0]
+    tail = max(tail_bound(stem, r_max) for stem in stems)
     return Report.from_error(
         "closed-form", max(value_gap - tail, coeff_gap), tol,
         samples * len(maps),
-        m=first.m, n=first.n, N=first.stem.degree, r_max=r_max,
-        thetas=" ".join(f"{f.theta:g}" for f in maps),
+        m=maps[0].m, n=maps[0].n, N=stems[0].degree, r_max=r_max,
+        thetas=" ".join(f"{theta:g}" for theta in thetas),
         value_gap=value_gap, tail_bound=tail, coefficient_gap=coeff_gap,
     )
 
@@ -351,7 +338,7 @@ def sharpness_axis(f: SliceMap, family: str, r_grid, tol: float = 1e-8) -> Repor
     ||f(-r e)|| hits the lower envelope and ||f(+r e)|| the upper one.
 
     The verdict is on the worst gap over the grid, also reported as
-    raw_gap, with no truncation tail subtracted.
+    raw_gap.
     """
     worst = 0.0
     rows = envelope_table(f, family, r_grid)
@@ -360,7 +347,7 @@ def sharpness_axis(f: SliceMap, family: str, r_grid, tol: float = 1e-8) -> Repor
                     abs(row["f_at_plus_r"] - row["upper_bound"]))
     return Report.from_error(
         f"sharpness-{family}", worst, tol, len(rows),
-        family=family, m=f.m, n=f.n, N=f.stem.degree,
+        family=family, m=f.m, n=f.n,
         raw_gap=worst,
         r_grid=" ".join(f"{row['r']:g}" for row in rows),
     )
@@ -572,18 +559,16 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
     sharp), so the norm-form and gauge-form are asserted and the rho-form
     is reported.  The gauge-form takes a second sample set on the slice
     of I, drawn before the spot-check, and projects the values onto that
-    slice; their largest off-slice residual is asserted against tol alone
-    and enters max_error scaled by threshold / tol, so a map whose values
-    leave the slice fails.  At theta = 0 the real polydisc diagonal is
-    also checked in closed form through the gauge-form.
+    slice; their largest off-slice residual enters max_error, so a map
+    whose values leave the slice fails.  At theta = 0 the real polydisc
+    diagonal is also checked in closed form through the gauge-form.
 
-    Bounds get the truncation tail plus tol as slack.  A record is
-    asserted when `asserted` holds and the spot-check reads ok, and
-    judge_growth lets one that is not asserted pass.
+    The record reads the map alone, f.eval_arrays and f.shadow, and every
+    bound gets tol as slack.  A record is asserted when `asserted` holds
+    and the spot-check reads ok, and judge_growth lets one that is not
+    asserted pass.
     """
     p = _FAMILY_POWER[family]
-    tail = tail_bound(f.stem, r_max)
-    slack = tail + tol
 
     alpha, beta, j_rows, rho = _sample_gauged(g, rng, samples, f.n, f.m, r_max)
     norms = _batch_norms(f, alpha, beta, j_rows)
@@ -626,18 +611,15 @@ def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
             "off_slice_residual": off_slice,
             "rho_form_asserted": False,
         }
-        # truncating a series keeps its values on the slice, so the residual
-        # gets tol alone, not the tail slack: in units of the threshold it is
-        # off_slice * slack / tol
-        max_error = max(*norm_viol, *gauge_viol, diag_gap, off_slice * slack / tol)
+        max_error = max(*norm_viol, *gauge_viol, diag_gap, off_slice)
 
     asserted = asserted and status == "ok"
     return judge_growth(Report(
-        f"growth-{g.kind}-{family}", max_error <= slack, samples,
+        f"growth-{g.kind}-{family}", max_error <= tol, samples,
         {
             **head, "m": f.m, "n": f.n, "theta": theta, "r_max": r_max,
-            "N": f.stem.degree, "hypothesis_status": status, "asserted": asserted,
-            **forms, "tail_bound": tail, "max_error": max_error, "threshold": slack,
+            "hypothesis_status": status, "asserted": asserted,
+            **forms, "max_error": max_error, "threshold": tol,
         },
     ), asserted)
 

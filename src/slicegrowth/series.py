@@ -27,8 +27,9 @@ at most 1e-10 of its largest.  Neither holds more than a few copies of
 its series' blocks, so memory stays small at m = 8.
 
 extremal_series(p, theta, I, N, n) builds the extremal family
-x_t (1 - x_t e^{I theta})^{-*p} by its exponent p, for the slice row I, and extremal_tail
-bounds the tail its truncation drops.
+x_t (1 - x_t e^{I theta})^{-*p} by its exponent p, for the slice row I;
+extremal_tail bounds the tail its truncation drops, and coefficient_gap
+compares a series with the family's coefficients.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (
+    blade,
     invert_batch,
     row_m,
     singular_values_batch,
@@ -356,6 +358,30 @@ def extremal_series(p: int, theta: float, I: np.ndarray, N: int,
     if p == 2:
         inv = star_mul(m, inv, inv, trunc=N)
     return _assemble_componentwise(m, inv, n, tail_model=extremal_tail(p, n, N))
+
+
+def coefficient_gap(f: StemSeries, p: int, theta: float, I: np.ndarray) -> float:
+    """Largest difference between a coefficient of f, over every power
+    0..f.degree of every component, and the one of x_t (1 - x_t e^{I theta})^{-*p}
+    at its multi-index: binom(k+p-1, k) e^{I k theta} at power k+1 of x_t."""
+    kmat, amat = f._kmat, f._amat
+    n, degree = f.n, f.degree
+    binom = [0, 1]
+    for k in range(1, degree):
+        binom.append(binom[-1] * (k + p - 1) // k)
+    # theta reduced to (-pi, pi], so k * angle keeps its digits at large |theta|
+    angle = math.atan2(math.sin(theta), math.cos(theta))
+    k = np.arange(-1, degree)
+    rows = np.array(binom, dtype=np.float64)[:, None] * (
+        np.cos(k * angle)[:, None] * blade(f.m) + np.sin(k * angle)[:, None] * I)
+    expected = np.zeros((degree + 1, n, n, f.dim))
+    expected[:, np.arange(n), np.arange(n)] = rows[:, None, :]
+    # terms in one variable go to (power, variable); the rest must vanish
+    single = np.count_nonzero(kmat, axis=1) == 1
+    table = np.zeros_like(expected)
+    table[kmat[single].sum(axis=1), kmat[single].argmax(axis=1)] = amat[single]
+    return max(float(np.max(np.abs(table - expected))),
+               float(np.max(np.abs(amat[~single]), initial=0.0)))
 
 
 def _assemble_componentwise(m: int, series: np.ndarray, n: int, tail_model) -> StemSeries:

@@ -24,16 +24,16 @@ regularity_residual shares its stencil (series.central_partials) with
 series.cr_residual.
 
 On a slice I whose complex plane C_I holds every coefficient, f is its
-holomorphic shadow f_I on C_I^n: a ComplexSeries evaluated, like the
-stem, by series.power_sum; the criteria read it for its derivatives.
+holomorphic shadow f_I on C_I^n.  f.shadow(I, tol) gives its values,
+Jacobians and second derivatives as callables of (B, n) complex points,
+for the starlike and convex criteria: for a SliceMap, through its stem's
+slice_shadow, a ComplexSeries evaluated by series.power_sum.
 
-ClosedFormMap(p, theta, I, N, n) evaluates the extremal family
-x_t (1 - x_t e^{I theta})^{-*p} (koebe p = 2, cayley p = 1, and the paper
-example x_t (1 - x_t e^{I theta}) as p = -1) in closed form.  It builds
-its own reference stem, series.extremal_series(p, theta, I, N, n): the
-stem's coefficients, tail bound and slice shadow are those of the
-truncated series, and only the values come from the closed form, as
-real multiples of 1, I, J and J I, with no general product.
+ShadowMap(I, n, g, dg, d2g) is the map given by its shadow alone, with
+no stem series: its values are real multiples of 1, I, J and J I, with
+no general product.  extremal_map(p, theta, I, n) is the extremal family
+x_t (1 - x_t e^{I theta})^{-*p} as one shadow (Koebe p = 2, Cayley
+p = 1 and the paper example x_t (1 - x_t e^{I theta}) as p = -1).
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .algebra import (
     row_m,
     singular_values_batch,
 )
-from .errors import BasisError, RepresentationError
-from .series import StemSeries, central_partials, extremal_series, power_derivative, power_sum
+from .errors import BasisError, HypothesisViolationError, RepresentationError
+from .series import StemSeries, central_partials, power_derivative, power_sum
 from .slicespace import SlicePoint
 
 
@@ -89,37 +89,41 @@ class SliceMap:
     def derivative(self, t: int) -> "SliceMap":
         return SliceMap(self.stem.derivative(t))
 
+    def shadow(self, I: np.ndarray, tol: float = 1e-9):
+        """The shadow f_I on the slice of I as (eval, jacobian, hessian)
+        of the stem's slice_shadow, each a callable of (B, n) complex
+        points.  Raises HypothesisViolationError if a coefficient leaves
+        the slice of I by more than tol."""
+        series, resid = slice_shadow(self, I)
+        if resid > tol:
+            raise HypothesisViolationError(
+                f"map does not send the slice of I into itself "
+                f"(coefficient residual {resid:.3e})"
+            )
+        return series.eval, series.jacobian, series.hessian
 
-class ClosedFormMap(SliceMap):
-    """The componentwise map x_t (1 - x_t e^{I theta})^{-*p}, evaluated in
-    closed form, over its star-built stem extremal_series(p, theta, I, N, n)
-    as the reference.
 
-    On z = alpha + i beta each component is F_t = P(z_t) + Q(z_t) I with
-    A = (1 - z e^{i theta})^{-p}, B = (1 - z e^{-i theta})^{-p},
-    P = z (A + B)/2 and Q = z (A - B)/(2i): the sums of the stem's real
-    Clifford coefficients binom(k+p-1, k) e^{I k theta} at power k+1.
-    p = 2 is the Koebe map, p = 1 the Cayley map and p = -1 the paper
-    example x_t (1 - x_t e^{I theta}), whose P = z - z^2 cos(theta) and
-    Q = -z^2 sin(theta) are summed as written.
+class ShadowMap(SliceMap):
+    """The slice map with every coefficient in C_I, given by its shadow g
+    on C_I^n: g maps (B, n) complex points to (B, n) values, dg to (B, n, n)
+    Jacobians and d2g to (B, n, n, n) second derivatives d^2 g_s/dz_t dz_u.
+
+    Its stem is P + Q I with P = (g(z) + conj g(conj z))/2 and
+    Q = (g(z) - conj g(conj z))/(2i), so on the slice of J its value is
+    P.re + Q.re I + P.im J + Q.im (J I).  It has no stem series.
     """
 
-    def __init__(self, p: int, theta: float, I: np.ndarray, N: int, n: int):
-        super().__init__(extremal_series(p, theta, I, N, n))
-        self.p = p
-        self.theta = theta
+    def __init__(self, I: np.ndarray, n: int, g, dg=None, d2g=None):
+        self.m = row_m(I)
+        self.n = n
         self.I = I
+        self.g, self.dg, self.d2g = g, dg, d2g
 
     def _pq(self, alpha: np.ndarray, beta: np.ndarray):
         """P and Q at z = alpha + i beta, each (B, n) complex."""
         z = np.atleast_2d(alpha) + 1j * np.atleast_2d(beta)
-        cos, sin = math.cos(self.theta), math.sin(self.theta)
-        if self.p == -1:
-            # the polynomial itself, with fewer roundings than A and B
-            return z - z * z * cos, -(z * z) * sin
-        a = (1.0 - z * complex(cos, sin)) ** -self.p
-        b = (1.0 - z * complex(cos, -sin)) ** -self.p
-        return 0.5 * z * (a + b), -0.5j * z * (a - b)
+        gz, gc = self.g(z), np.conj(self.g(np.conj(z)))
+        return 0.5 * (gz + gc), -0.5j * (gz - gc)
 
     def _on_slice(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Rows x 1 + y I of real (B, n) parts x, y: shape (B, n, dim)."""
@@ -144,50 +148,30 @@ class ClosedFormMap(SliceMap):
                 p.imag[..., None] * j + q.imag[..., None] * ji)
         return out
 
-    def coefficient_gap(self) -> float:
-        """Largest difference between a coefficient of the stem and the
-        closed form's coefficient at the same multi-index, over every
-        power 0..stem.degree of every component."""
-        kmat, amat = self.stem._kmat, self.stem._amat
-        n, degree = self.n, self.stem.degree
-        binom = [0, 1]
-        for k in range(1, degree):
-            binom.append(binom[-1] * (k + self.p - 1) // k)
-        # theta reduced to (-pi, pi], so k * angle keeps its digits at large |theta|
-        angle = math.atan2(math.sin(self.theta), math.cos(self.theta))
-        k = np.arange(-1, degree)
-        rows = np.array(binom, dtype=np.float64)[:, None] * (
-            np.cos(k * angle)[:, None] * blade(self.m)
-            + np.sin(k * angle)[:, None] * self.I)
-        expected = np.zeros((degree + 1, n, n, 1 << self.m))
-        expected[:, np.arange(n), np.arange(n)] = rows[:, None, :]
-        # terms in one variable go to (power, variable); the rest must vanish
-        single = np.count_nonzero(kmat, axis=1) == 1
-        table = np.zeros_like(expected)
-        table[kmat[single].sum(axis=1), kmat[single].argmax(axis=1)] = amat[single]
-        return max(float(np.max(np.abs(table - expected))),
-                   float(np.max(np.abs(amat[~single]), initial=0.0)))
+    def shadow(self, I: np.ndarray, tol: float = 1e-9):
+        """(g, dg, d2g) on the map's own row I.  On any other row (-I
+        too), or without derivatives, raises HypothesisViolationError."""
+        if self.dg is None or self.d2g is None or np.max(np.abs(I - self.I)) > tol:
+            raise HypothesisViolationError("map has no shadow with derivatives on I")
+        return self.g, self.dg, self.d2g
 
 
-class RawSliceMap(SliceMap):
-    """Slice map built from an explicit even-odd pair of row callables.
+def extremal_map(p: int, theta: float, I: np.ndarray, n: int) -> ShadowMap:
+    """The componentwise map x_t (1 - x_t e^{I theta})^{-*p} (Koebe p = 2,
+    Cayley p = 1, the paper example x_t (1 - x_t e^{I theta}) as p = -1):
+    the ShadowMap of g_t = z_t (1 - c z_t)^{-p} with c = e^{i theta},
+    phi' = (1 - c z)^{-p-1} (1 + (p-1) c z) and
+    phi'' = p c (1 - c z)^{-p-2} (2 + (p-1) c z) on each component."""
+    c = complex(math.cos(theta), math.sin(theta))
+    eye = np.eye(n)     # component s depends on z_s alone: diagonal derivatives
 
-    f1_fn/f2_fn take (alpha, beta) rows of shape (B, n) and return
-    coefficient rows of shape (B, n, dim).  Lets the checks exercise
-    slice mappings that are not series-built, e.g. non-holomorphic
-    controls.  It has no stem, so no derivative.
-    """
+    def dg(z):
+        return ((1.0 - c * z) ** (-p - 1) * (1.0 + (p - 1) * c * z))[..., None] * eye
 
-    def __init__(self, m: int, n: int, f1_fn, f2_fn):
-        self.stem = None
-        self.m = m
-        self.n = n
-        self.f1_fn = f1_fn
-        self.f2_fn = f2_fn
-
-    def stem_arrays(self, alpha: np.ndarray, beta: np.ndarray):
-        alpha, beta = np.atleast_2d(alpha), np.atleast_2d(beta)
-        return self.f1_fn(alpha, beta), self.f2_fn(alpha, beta)
+    def d2g(z):
+        phi2 = p * c * (1.0 - c * z) ** (-p - 2) * (2.0 + (p - 1) * c * z)
+        return phi2[..., None, None] * (eye[:, :, None] * eye)
+    return ShadowMap(I, n, lambda z: z * (1.0 - c * z) ** -p, dg, d2g)
 
 
 def representation_formula(f: SliceMap, alpha: np.ndarray, beta: np.ndarray,
@@ -289,6 +273,12 @@ class ComplexSeries:
         z of shape (n,) or (B, n)."""
         cols = [self.derivative(t).eval(z) for t in range(self.n)]
         return np.stack(cols, axis=-1)
+
+    def hessian(self, z) -> np.ndarray:
+        """Second derivatives H[..., s, t, u] = d^2 component_s / d z_t d z_u
+        at z of shape (n,) or (B, n)."""
+        rows = [self.derivative(t).jacobian(z) for t in range(self.n)]
+        return np.stack(rows, axis=-2)
 
 
 def slice_shadow(f: SliceMap, I: np.ndarray):

@@ -34,12 +34,11 @@ raised outside any check (by a replaced suite, say) into one failed
 record, <suite>-error; any other exception is raised in the caller.
 multiprocessing is imported only for the pool.
 
-The growth suites evaluate the extremal families in closed form, as
-slicemaps.ClosedFormMap(p, theta, I, N, n) with the exponent p that
-MAP_FAMILIES names; the truncated star-product series
-(series.extremal_series) stays the reference for tail bounds, slice
-shadows and the closed-form-* agreement records.  The stem, regularity
-and extremal suites test that series itself (extremal_series(2, ...)).
+The growth suites evaluate the extremal families by their shadows,
+slicemaps.extremal_map(p, theta, I, n) of the exponent p in MAP_FAMILIES;
+the truncated star-product series (series.extremal_series) is built only
+for the closed-form-* agreement records.  The stem, regularity and
+extremal suites test that series itself (extremal_series(2, ...)).
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ _BLOCK = 512
 
 
 # growth-suite map families: name -> (family, exponent p of
-# slicemaps.ClosedFormMap(p, theta, I, N, n), asserted).  The degree-two
+# slicemaps.extremal_map(p, theta, I, n), asserted).  The degree-two
 # paper example fails the convex hypothesis, so its growth bounds are
 # reported but never asserted.
 MAP_FAMILIES = {
@@ -213,14 +212,12 @@ def _sharded(cfg: RunConfig, suite: str, name: str, budget: int, check,
     return records
 
 
-def _re_z1_control(m: int, n: int) -> slicemaps.RawSliceMap:
-    """Slice map of the even-odd pair (F1, F2) = (Re z_1, 0): not
-    holomorphic, the control both holomorphy checks must detect."""
-    def f1(a, b):
-        rows = np.zeros(a.shape + (1 << m,))
-        rows[:, 0, 0] = a[:, 0]
-        return rows
-    return slicemaps.RawSliceMap(m, n, f1, lambda a, b: np.zeros(a.shape + (1 << m,)))
+def _re_z1_control(m: int, n: int) -> slicemaps.ShadowMap:
+    """Slice map of the shadow g = (Re z_1, 0, ..., 0), of even-odd pair
+    (Re z_1, 0): not holomorphic, the control both holomorphy checks must
+    detect.  It has no derivatives, so no spot-check reads it."""
+    return slicemaps.ShadowMap(generator(m, 1), n,
+                               lambda z: np.where(np.arange(n) == 0, z.real, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -672,15 +669,16 @@ def _growth_cases(cfg: RunConfig):
 
 
 def _growth_record(cfg: RunConfig, suite: str, check: str, label: str, tag: int,
-                   f: slicemaps.ClosedFormMap, gauge: geometry.Gauge) -> list[Report]:
-    """The record `check` of map `label`, f, on the gauge: the suite's
-    budget over its shards, shard i drawing from _rng(cfg, suite, i, tag),
-    judged once merged (an error record has no verdict to judge)."""
+                   f: slicemaps.ShadowMap, theta: float,
+                   gauge: geometry.Gauge) -> list[Report]:
+    """The record `check` of map `label`, f at theta, on the gauge: the
+    suite's budget over its shards, shard i drawing from _rng(cfg, suite,
+    i, tag), judged once merged (an error record has no verdict to judge)."""
     family, _, asserted = MAP_FAMILIES[label]
 
     def shard(size, rng):
         rep = geometry.growth_check_domain(f, gauge, family, cfg.r_max, size, rng, f.I,
-                                           f.theta, 1e-9, asserted)
+                                           theta, 1e-9, asserted)
         rep.data["map"] = label
         return [rep]
     return [geometry.judge_growth(rep, rep.data.get("asserted", True))
@@ -698,26 +696,29 @@ def run_growth_ball(cfg: RunConfig) -> list[Report]:
         if label not in wanted:
             continue
         for iname, I in directions:
-            sweep = []
-            for theta in thetas:
-                f = slicemaps.ClosedFormMap(p, theta, I, cfg.truncation, n)
-                sweep.append(f)
+            sweep = [slicemaps.extremal_map(p, theta, I, n) for theta in thetas]
+            for theta, f in zip(thetas, sweep):
                 reports += _growth_record(
                     cfg, "growth-ball", f"growth-ball-{label}-{iname}-theta{theta:.3f}",
-                    label, _stable_tag(label, iname, f"{theta:.9f}"), f, ball)
+                    label, _stable_tag(label, iname, f"{theta:.9f}"), f, theta, ball)
 
-            f0 = next((f for f in sweep if abs(f.theta) < 1e-15), None)
+            f0 = next((f for theta, f in zip(thetas, sweep) if abs(theta) < 1e-15), None)
             if f0 is not None:
                 sharp = geometry.sharpness_axis(f0, family, _SHARP_GRID, 1e-8)
                 sharp.check = f"sharpness-{label}-{iname}"
                 sharp.data["map"] = label
                 reports.append(geometry.judge_growth(sharp, asserted))
 
+            # the reference series, for this record alone; the gap is
             # sample-free: once per (map, direction), not once per shard
-            gap = max(f.coefficient_gap() for f in sweep)
+            stems = [series.extremal_series(p, theta, I, cfg.truncation, n)
+                     for theta in thetas]
+            gap = max(series.coefficient_gap(stem, p, theta, I)
+                      for stem, theta in zip(stems, thetas))
 
             def agreement(size, rng):
-                agree = geometry.closed_form_agreement(sweep, gap, cfg.r_max, size, rng)
+                agree = geometry.closed_form_agreement(sweep, stems, thetas, gap,
+                                                       cfg.r_max, size, rng)
                 agree.data["map"] = label
                 return [agree]
             reports += _sharded(cfg, "growth-ball", f"closed-form-{label}-{iname}",
@@ -736,11 +737,11 @@ def run_growth_domain(cfg: RunConfig) -> list[Report]:
     for label, (family, p, asserted) in MAP_FAMILIES.items():
         if label not in wanted or not asserted:
             continue
-        f = slicemaps.ClosedFormMap(p, thetas[0], directions[0][1], cfg.truncation, n)
+        f = slicemaps.extremal_map(p, thetas[0], directions[0][1], n)
         for domain in cfg.domains:
             reports += _growth_record(
                 cfg, "growth-domain", f"growth-domain-{domain}-{label}", label,
-                _stable_tag(label, domain), f, geometry.Gauge(domain, n, m))
+                _stable_tag(label, domain), f, thetas[0], geometry.Gauge(domain, n, m))
     return reports
 
 

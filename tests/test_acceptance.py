@@ -115,7 +115,7 @@ def test_criterion_5_growth_ball_starlike():
     ok = (all(rep.passed and rep.data["asserted"] for rep in checks)
           and all(rep.passed for rep in sharp) and sharp_gap <= 1e-8)
     _announce(5, "growth-ball starlike", ok,
-              f"max violation {worst:.2e} <= tail+1e-9 ({slack:.2e}) over "
+              f"max violation {worst:.2e} <= tol ({slack:.2e}) over "
               f"10^4 samples x 6 configs; axis sharpness {sharp_gap:.2e} (1e-8)")
 
 

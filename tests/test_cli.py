@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from slicegrowth import algebra, geometry
+from slicegrowth import algebra, geometry, series, slicemaps
 from slicegrowth import suites as suites_mod
 from slicegrowth.cli import main
 from slicegrowth.errors import GaugeError, HypothesisViolationError, SliceAnalysisError
 from slicegrowth.reports import Report, render, summary_lines
-from slicegrowth.slicemaps import ClosedFormMap
 from slicegrowth.suites import (
     _INVERSE_MULTIPLE,
     RunConfig,
@@ -136,12 +135,16 @@ def test_shard_merge_keeps_algebra_key_order():
     ]
 
 
-def test_sharded_growth_ball_asserts_only_what_every_shard_checked():
-    # at truncation 40 the series' spot-check fails on some shards only;
-    # shard 2 of this record reads violated(1/64) while shards 0 and 1 read ok
-    cfg = RunConfig(seed=2, samples=60, truncation=40, shards=3, maps=("koebe",))
+def test_sharded_growth_ball_asserts_only_what_every_shard_checked(monkeypatch):
+    # the paper example, marked asserted: at theta = 0 its convex criterion
+    # (1 - 4x)/(1 - 2x) fails for x in (1/4, 1/2), so at r_max just above 1/4
+    # the spot-check fails on some shards only; shard 1 of this record reads
+    # violated(1/64) while shards 0 and 2 read ok
+    monkeypatch.setitem(suites_mod.MAP_FAMILIES, "paper-example", ("convex", -1, True))
+    cfg = RunConfig(seed=5, samples=60, shards=3, r_max=0.26, theta=0.0,
+                    maps=("paper-example",))
     reports = {rep.check: rep for rep in run_suite("growth-ball", cfg)}
-    rep = reports["growth-ball-koebe-e1-theta0.700"]
+    rep = reports["growth-ball-paper-example-e1-theta0.000"]
     assert rep.data["hypothesis_status"] == "violated(1/192)"
     assert rep.data["asserted"] is False and rep.passed
     # every sharded record counts the spot-checks of all three shards
@@ -156,12 +159,12 @@ def test_sharded_closed_form_records_compare_coefficients_once(monkeypatch):
     # the coefficient gap draws nothing, so each map of a sweep is compared
     # once, not once per shard of its closed-form-* record
     calls = Counter()
-    original = ClosedFormMap.coefficient_gap
+    original = series.coefficient_gap
 
-    def counted(f):
-        calls[f] += 1
-        return original(f)
-    monkeypatch.setattr(ClosedFormMap, "coefficient_gap", counted)
+    def counted(stem, p, theta, I):
+        calls[p, theta, I.tobytes()] += 1
+        return original(stem, p, theta, I)
+    monkeypatch.setattr(series, "coefficient_gap", counted)
     reports = run_suite("growth-ball", small_config(shards=3))
     closed = [rep for rep in reports if rep.check.startswith("closed-form-")]
     # each record's 40 samples per map, over its three shards
@@ -338,8 +341,7 @@ def test_cli_usage_errors():
         assert result.exit_code == 2, (theta, result.output)
         assert "theta must be finite" in result.output
     # envelope validates through RunConfig.validate like verify
-    for args in (["--n", "0"], ["--n", "-1"], ["--truncation", "-3"],
-                 ["--truncation", "0"], ["--theta", "inf"], ["--theta", "nan"],
+    for args in (["--n", "0"], ["--n", "-1"], ["--theta", "inf"], ["--theta", "nan"],
                  ["--m", "0"], ["--m", "9"]):
         result = runner.invoke(main, ["envelope"] + args)
         assert result.exit_code == 2, (args, result.output)
@@ -637,7 +639,7 @@ def test_cli_envelope(tmp_path):
         out = tmp_path / f"env-{map_name}.csv"
         result = runner.invoke(main, [
             "envelope", "--map", map_name, "--theta", "0.0",
-            "--r-grid", "0.0,0.5", "--truncation", "120", "--out", str(out),
+            "--r-grid", "0.0,0.5", "--out", str(out),
         ])
         assert result.exit_code == 0, (map_name, result.output)
         lines = out.read_text().strip().split("\n")
@@ -668,7 +670,7 @@ def test_cli_csv_format(tmp_path):
 
 def test_cli_growth_ball_short_truncation(tmp_path):
     # the closed form is exact, so a short reference series only widens
-    # the tail slack of the checks and of the agreement records
+    # the tail slack of the agreement records, the one reader of the series
     out = tmp_path / "ball-20.json"
     result = CliRunner().invoke(main, [
         "verify", "growth-ball", "--truncation", "20", "--out", str(out),
@@ -679,6 +681,70 @@ def test_cli_growth_ball_short_truncation(tmp_path):
     agree = [rec for rec in records if rec["check"].startswith("closed-form-")]
     assert len(agree) == 6 and all(rec["pass"] for rec in agree)
     assert all(rec["N"] in (21, 2) for rec in agree)
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_truncation_moves_only_the_closed_form_records(shards):
+    # growth and sharpness records read the map alone: their bytes are the
+    # same at every truncation, and only the closed-form-* records, which
+    # compare the map with its reference series, may differ
+    def growth_bytes(truncation):
+        reports = [rep for suite in ("growth-ball", "growth-domain")
+                   for rep in run_suite(suite, small_config(truncation=truncation,
+                                                            shards=shards))]
+        assert any(rep.check.startswith("closed-form-") for rep in reports)
+        return render([rep for rep in reports
+                       if not rep.check.startswith("closed-form-")], "json")
+    reference = growth_bytes(300)
+    assert '"N"' not in reference and '"tail_bound"' not in reference
+    for truncation in (1, 40):
+        assert growth_bytes(truncation) == reference, truncation
+
+
+def test_koebe_is_asserted_at_truncation_one(tmp_path):
+    # the spot-check reads the map's own derivatives, not a one-term series
+    out = tmp_path / "koebe-1.json"
+    result = CliRunner().invoke(main, [
+        "verify", "growth-ball", "--truncation", "1", "--theta", "0", "--map", "koebe",
+        "--out", str(out), "--quiet"])
+    assert result.exit_code == 0, result.output
+    records = {rec["check"]: rec for rec in json.loads(out.read_text())}
+    for direction in ("e1", "e12"):
+        rec = records[f"growth-ball-koebe-{direction}-theta0.000"]
+        assert rec["hypothesis_status"] == "ok" and rec["asserted"] and rec["pass"], rec
+        assert rec["threshold"] == 1e-9, rec
+
+
+def test_short_truncation_asserts_every_starlike_and_convex_record():
+    # at truncation 40 the spot-check on the series read violated(k/64) on
+    # these nine records, which were then not asserted; the map's shadow
+    # asserts every one of them
+    reports = {rep.check: rep for rep in run_suite("all", RunConfig(
+        seed=7, samples=40, truncation=40))}
+    nine = ["growth-ball-koebe-e1-theta0.700", "growth-ball-koebe-e1-theta1.571",
+            "growth-ball-koebe-e12-theta0.000", "growth-ball-koebe-e12-theta1.571",
+            "growth-ball-cayley-e1-theta0.700", "growth-ball-cayley-e1-theta1.571",
+            "growth-ball-cayley-e12-theta0.700", "growth-ball-cayley-e12-theta1.571",
+            "growth-domain-ball-koebe"]
+    for name in nine:
+        rep = reports[name]
+        assert rep.data["hypothesis_status"] == "ok", (name, rep.data)
+        assert rep.data["asserted"] and rep.passed, (name, rep.data)
+
+
+def test_growth_ball_evaluates_no_series(monkeypatch):
+    # the closed-form-* records evaluate their reference series through
+    # StemSeries; nothing in growth-ball evaluates a complex slice shadow
+    calls = Counter()
+    original = slicemaps.ComplexSeries.eval
+
+    def counted(self, z):
+        calls["eval"] += 1
+        return original(self, z)
+    monkeypatch.setattr(slicemaps.ComplexSeries, "eval", counted)
+    reports = run_suite("growth-ball", small_config())
+    assert reports and all(rep.passed for rep in reports)
+    assert calls["eval"] == 0
 
 
 def test_traced_benchmark_finds_every_layer_boundary():

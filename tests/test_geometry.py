@@ -32,12 +32,13 @@ from slicegrowth.geometry import (
 from slicegrowth.reports import render, summary_lines
 from slicegrowth.series import (
     StemSeries,
+    coefficient_gap,
     extremal_series,
     identity_map,
 )
-from slicegrowth.slicemaps import ClosedFormMap, SliceMap
+from slicegrowth.slicemaps import SliceMap, extremal_map
 from slicegrowth.slicespace import make_orbit, make_point, point_norm, sample_S_batch
-from slicegrowth.suites import RunConfig, run_growth_ball, run_suite
+from slicegrowth.suites import MAP_FAMILIES, RunConfig, _re_z1_control, run_growth_ball, run_suite
 
 
 E1_3 = generator(3, 1)
@@ -194,6 +195,46 @@ def test_batched_criteria_equal_single_points():
         starlike_criterion_slice(paper, e1, np.array([[0.3 + 0j, 0j], [0.5 + 0j, 0j]]))
 
 
+@pytest.mark.parametrize("label", list(MAP_FAMILIES))
+def test_closed_form_criteria_match_the_series(label):
+    # the criteria of the shadow (g, phi', phi'') against those of the
+    # N = 300 series, whose tail at |z| <= 0.8 is far below rounding
+    _, p, _ = MAP_FAMILIES[label]
+    m, n = 3, 2
+    rng = np.random.default_rng(41)
+    for I in (generator(m, 1), blade(m, (1, 2))):
+        for theta in (0.0, 0.7, np.pi / 2):
+            closed = extremal_map(p, theta, I, n)
+            ref = SliceMap(extremal_series(p, theta, I, 300, n))
+            z = rng.normal(size=(50, n)) + 1j * rng.normal(size=(50, n))
+            z *= rng.uniform(0.05, 0.8, size=(50, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
+            gap = np.abs(starlike_criterion_slice(closed, I, z)
+                         - starlike_criterion_slice(ref, I, z))
+            assert np.max(gap) <= 1e-9, (label, theta)
+            for t in range(n):
+                xs = rng.uniform(-0.8, 0.8, 50)
+                gap = np.abs(convex_criterion_slice(closed, I, t, xs)
+                             - convex_criterion_slice(ref, I, t, xs))
+                assert np.max(gap) <= 1e-9, (label, theta, t)
+
+
+def test_shadow_map_is_off_slice_on_any_other_row():
+    # a map given by its shadow on e1 is judged on e1 alone: on -e1 or e2,
+    # and for a shadow without derivatives, the spot-check reads off-slice
+    e1, e2 = generator(3, 1), generator(3, 2)
+    for label, (family, p, _) in MAP_FAMILIES.items():
+        f = extremal_map(p, 0.7, e1, 2)
+        for other in (-e1, e2):
+            status = _hypothesis_status(f, family, other, 0.9, np.random.default_rng(3))
+            assert status == "off-slice", (label, other)
+        status = _hypothesis_status(f, family, e1, 0.9, np.random.default_rng(3))
+        assert status != "off-slice", label
+    control = _re_z1_control(3, 2)
+    for family in ("starlike", "convex"):
+        assert _hypothesis_status(control, family, e1, 0.9,
+                                  np.random.default_rng(3)) == "off-slice"
+
+
 def test_hypothesis_status_spot_check():
     m = 3
     e1 = generator(m, 1)
@@ -213,25 +254,31 @@ def test_hypothesis_status_spot_check():
         assert _hypothesis_status(off, family, e1, 0.9, rng) == "off-slice"
 
 
-def _agreement(maps, seed):
-    gap = max(f.coefficient_gap() for f in maps)
-    return closed_form_agreement(maps, gap, 0.9, 300, np.random.default_rng(seed))
+def _agreement(maps, p, thetas, gap_p, seed):
+    """closed_form_agreement of maps against the e1 reference series of
+    exponent p at thetas, with the coefficient gap taken at exponent gap_p."""
+    e1 = generator(3, 1)
+    stems = [extremal_series(p, theta, e1, 300, 2) for theta in thetas]
+    gap = max(coefficient_gap(stem, gap_p, theta, e1) for stem, theta in zip(stems, thetas))
+    return closed_form_agreement(maps, stems, thetas, gap, 0.9, 300,
+                                 np.random.default_rng(seed))
 
 
 def test_closed_form_agreement_negative_controls():
     e1 = generator(3, 1)
-    good = _agreement([ClosedFormMap(2, 0.7, e1, 300, 2)], 15)
+    good = _agreement([extremal_map(2, 0.7, e1, 2)], 2, [0.7], 2, 15)
     assert good.passed, good.data
     assert good.data["value_gap"] <= good.data["tail_bound"] + 1e-9
-    assert good.samples == 300
-    # the Koebe stem paired with a wrong theta or exponent, set on the map
-    for attr, value in (("theta", 0.75), ("p", 1)):
-        wrong = ClosedFormMap(2, 0.7, e1, 300, 2)
-        setattr(wrong, attr, value)
-        bad = _agreement([ClosedFormMap(2, 0.7, e1, 300, 2), wrong], 15)
+    assert good.samples == 300 and good.data["thetas"] == "0.7"
+    # the theta = 0.7 Koebe series paired with a map of a wrong theta or
+    # exponent fails on the values
+    for wrong in (extremal_map(2, 0.75, e1, 2), extremal_map(1, 0.7, e1, 2)):
+        bad = _agreement([extremal_map(2, 0.7, e1, 2), wrong], 2, [0.7, 0.7], 2, 15)
         assert not bad.passed, bad.data
         assert bad.data["value_gap"] > 1e-3
-        assert bad.data["coefficient_gap"] > 1e-3
+    # and the series compared with a wrong family's coefficients fails on them
+    bad = _agreement([extremal_map(2, 0.7, e1, 2)], 2, [0.7], 1, 15)
+    assert not bad.passed and bad.data["coefficient_gap"] > 1e-3, bad.data
 
 
 def test_growth_bounds_shapes():
@@ -425,12 +472,11 @@ def test_value_gauge_on_slice():
 
 
 def test_growth_check_domain_reads_the_map_not_its_series():
-    # a closed-form Koebe map over a reference stem truncated at N = 5:
-    # the gauge-form and the real diagonal must come from the closed form,
-    # whose gauge-form is exact, not from the five-term series
+    # the closed-form Koebe map: the gauge-form and the real diagonal come
+    # from its shadow, whose gauge-form is exact, with no series behind it
     m, n = 3, 2
     e1 = generator(m, 1)
-    f = ClosedFormMap(2, 0.0, e1, 5, n)
+    f = extremal_map(2, 0.0, e1, n)
     rep = growth_check_domain(f, polydisc_gauge(n, m), "starlike", 0.9, 200,
                               np.random.default_rng(25), e1, 0.0)
     assert rep.data["diagonal_sharpness_gap"] <= 1e-12, rep.data
@@ -450,16 +496,13 @@ def test_growth_check_domain_ball_matches_ball_suite():
     assert render([dom_rep], "json") == render([ball_rep], "json")
 
 
-class _ScaledClosedForm(ClosedFormMap):
-    """A ClosedFormMap whose values are scaled; its stem, and so its
-    spot-check, stays that of the unscaled map."""
-
-    def __init__(self, scale, *args):
-        super().__init__(*args)
-        self.scale = scale
-
-    def eval_arrays(self, alpha, beta, j_rows):
-        return self.scale * super().eval_arrays(alpha, beta, j_rows)
+def _scaled_map(scale, p, theta, I, n):
+    """extremal_map(p, theta, I, n) with its values scaled; its shadow, and
+    so its spot-check, stays that of the unscaled map."""
+    f = extremal_map(p, theta, I, n)
+    values = f.eval_arrays
+    f.eval_arrays = lambda alpha, beta, j_rows: scale * values(alpha, beta, j_rows)
+    return f
 
 
 @pytest.mark.parametrize("p, family", [(2, "starlike"), (1, "convex")])
@@ -479,7 +522,7 @@ def test_growth_checker_fails_scaled_maps_on_every_gauge(p, family):
     for theta in (0.0, 0.7):
         for name, check in checks.items():
             for scale in (1.0, 1.01, 0.99):
-                f = _ScaledClosedForm(scale, p, theta, E1_3, 300, n)
+                f = _scaled_map(scale, p, theta, E1_3, n)
                 rep = check(f, np.random.default_rng(31), theta)
                 where = (name, theta, scale, rep.data)
                 assert rep.data["hypothesis_status"] == "ok", where
@@ -510,20 +553,20 @@ def test_growth_domain_runs_below_the_spot_check_radius():
 
 
 def test_growth_check_domain_fails_values_off_the_slice():
-    # a stem on the slice of e1 whose closed-form values take e2 in place
-    # of e1: the spot-check reads ok, and the record fails on the values'
-    # off-slice residual, which is judged against tol, not the tail slack
+    # a map whose values take e2 in place of e1 while its shadow is read on
+    # e1: the spot-check reads ok, and the record fails on the values'
+    # off-slice residual, which enters max_error as it is, against tol
     e1, e2 = generator(2, 1), generator(2, 2)
-    off = ClosedFormMap(2, 0.7, e1, 300, 2)
-    off.I = e2
+    off = extremal_map(2, 0.7, e2, 2)
+    off.shadow = extremal_map(2, 0.7, e1, 2).shadow
     rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
     assert rep.data["hypothesis_status"] == "ok" and rep.data["asserted"], rep.data
     assert not rep.passed, rep.data
     assert rep.data["off_slice_residual"] > 1.0
-    assert rep.data["max_error"] == \
-        rep.data["off_slice_residual"] * rep.data["threshold"] / 1e-9
-    on = ClosedFormMap(2, 0.7, e1, 300, 2)
+    assert rep.data["max_error"] == rep.data["off_slice_residual"]
+    assert rep.data["threshold"] == 1e-9
+    on = extremal_map(2, 0.7, e1, 2)
     rep = growth_check_domain(on, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
     assert rep.passed and rep.data["asserted"], rep.data
@@ -548,7 +591,8 @@ def test_growth_check_domain_polydisc():
                               rng, E1_3, 0.0)
     assert rep.passed, rep.data
     # literal rho-form with the plain norm overshoots at the diagonal for
-    # n = 2 while the norm-form and value-gauge form hold with tail slack
+    # n = 2 while the norm-form and value-gauge form hold within tol, the
+    # N = 300 series' tail (5e-11 at 0.9) included
     assert not rep.data["rho_form_asserted"]
     assert rep.data["diagonal_sharpness_gap"] < rep.data["threshold"]
     assert rep.data["norm_form_violation_upper"] <= rep.data["threshold"]

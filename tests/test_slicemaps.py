@@ -8,16 +8,17 @@ from slicegrowth.algebra import CliffordElement, blade, generator
 from slicegrowth.errors import BasisError, RepresentationError
 from slicegrowth.series import (
     StemSeries,
+    coefficient_gap,
     cr_residual,
     extremal_series,
     identity_map,
     tail_bound,
 )
 from slicegrowth.slicemaps import (
-    ClosedFormMap,
     SliceMap,
     complex_on_slice,
     default_module_basis,
+    extremal_map,
     reassemble_on_slice,
     regularity_residual,
     representation_formula,
@@ -85,18 +86,20 @@ def test_closed_form_matches_series():
         for i_elem in directions:
             for theta in (0.0, 0.7, np.pi / 2):
                 for n in (1, 2):
-                    f = ClosedFormMap(exponent, theta, i_elem, 300, n)
-                    bound = tail_bound(f.stem, 0.9) + 1e-9
+                    f = extremal_map(exponent, theta, i_elem, n)
+                    stem = extremal_series(exponent, theta, i_elem, 300, n)
+                    bound = tail_bound(stem, 0.9) + 1e-9
                     # points of the polydisc of radius 0.9 on random slices
                     radius = 0.9 * np.sqrt(rng.uniform(0, 1, size=(200, n)))
                     angle = rng.uniform(0, 2 * np.pi, size=(200, n))
                     alpha, beta = radius * np.cos(angle), radius * np.sin(angle)
                     j_rows = sample_S_batch(rng, m, 200)
                     diff = f.eval_arrays(alpha, beta, j_rows) - \
-                        SliceMap(f.stem).eval_arrays(alpha, beta, j_rows)
+                        SliceMap(stem).eval_arrays(alpha, beta, j_rows)
                     gap = np.max(np.sqrt(np.sum(diff * diff, axis=(1, 2))))
                     assert gap <= bound, (label, theta, n, gap, bound)
-                    assert f.coefficient_gap() <= 1e-9, (label, theta, n)
+                    assert coefficient_gap(stem, exponent, theta, i_elem) <= 1e-9, \
+                        (label, theta, n)
                     # one point goes through the same closed form
                     p = make_point(alpha[0], beta[0], CliffordElement(m, j_rows[0]))
                     one = np.stack([v.coeffs for v in f.eval(p)])
@@ -106,13 +109,13 @@ def test_closed_form_matches_series():
 
 @pytest.mark.parametrize("p", [2, 1, -1])
 def test_closed_form_values_match_the_generic_product(p):
-    # ClosedFormMap.eval_arrays sums J F2 as P.im J + Q.im (J I); the generic
+    # ShadowMap.eval_arrays sums J F2 as P.im J + Q.im (J I); the generic
     # path multiplies J by F2 = P.im + Q.im I through mul_batch
     m, n = 3, 2
     rng = np.random.default_rng(40 + p)
     directions = (generator(m, 1), blade(m, (1, 2)), unit_rows(np.array([0.6, -0.48, 0.64])))
     for i_elem in directions:
-        f = ClosedFormMap(p, 0.7, i_elem, 20, n)
+        f = extremal_map(p, 0.7, i_elem, n)
         alpha, beta = rng.uniform(-0.6, 0.6, (2, 50, n))
         j_rows = sample_S_batch(rng, m, 50)
         closed = f.eval_arrays(alpha, beta, j_rows)
@@ -123,26 +126,23 @@ def test_closed_form_values_match_the_generic_product(p):
 
 def test_closed_form_coefficient_gap_detects_wrong_family():
     e1 = generator(2, 1)
-    f = ClosedFormMap(2, 0.7, e1, 40, 2)
-    assert f.coefficient_gap() < 1e-12
-    # the Koebe stem paired with a wrong exponent or theta, set on the map
-    f.p = 1
-    assert f.coefficient_gap() > 1.0
-    f.p, f.theta = 2, 0.8
-    assert f.coefficient_gap() > 0.05
+    stem = extremal_series(2, 0.7, e1, 40, 2)
+    assert coefficient_gap(stem, 2, 0.7, e1) < 1e-12
+    # the Koebe stem compared with a wrong exponent or theta
+    assert coefficient_gap(stem, 1, 0.7, e1) > 1.0
+    assert coefficient_gap(stem, 2, 0.8, e1) > 0.05
     # a stem term in two variables is no part of the componentwise map
-    f.theta = 0.7
-    table = {k: f.stem.coefficient(k) for k in f.stem.multi_indices()}
+    table = {k: stem.coefficient(k) for k in stem.multi_indices()}
     table[(1, 1)] = np.full((2, 4), 1e-6)
-    f.stem = StemSeries(2, 2, table, degree=f.stem.degree)
-    assert f.coefficient_gap() == pytest.approx(1e-6, rel=1e-3)
+    coupled = StemSeries(2, 2, table, degree=stem.degree)
+    assert coefficient_gap(coupled, 2, 0.7, e1) == pytest.approx(1e-6, rel=1e-3)
 
 
 @pytest.mark.parametrize("theta", [123.45678, 12345.678, -1e6, 1e300])
 def test_closed_form_coefficient_gap_at_large_theta(theta):
     # the reference e^{I k theta} is taken at theta reduced to (-pi, pi]
-    f = ClosedFormMap(2, theta, generator(3, 1), 300, 2)
-    assert f.coefficient_gap() < 1e-10
+    e1 = generator(3, 1)
+    assert coefficient_gap(extremal_series(2, theta, e1, 300, 2), 2, theta, e1) < 1e-10
 
 
 def test_representation_reconstructs_random_maps():
@@ -241,7 +241,7 @@ def test_row_functions_give_each_row_its_own_bits():
     # the stem row is shared here only by broadcasting
     rng = np.random.default_rng(14)
     I0 = sample_S_batch(rng, 3, 1)[0]
-    f = ClosedFormMap(2, 0.7, I0, 40, 2)
+    f = extremal_map(2, 0.7, I0, 2)
     stem_map = _rand_map(rng)
     B = 9
     alpha, beta = rng.uniform(-0.5, 0.5, (B, 2)), rng.uniform(-0.5, 0.5, (B, 2))

@@ -18,7 +18,7 @@ from slicegrowth.cli import main
 from slicegrowth.geometry import ball_gauge, gauge_properties_check, growth_check_domain, \
     polydisc_gauge
 from slicegrowth.reports import Report, render
-from slicegrowth.slicemaps import ClosedFormMap
+from slicegrowth.slicemaps import extremal_map
 from slicegrowth.slicespace import unit_rows
 from slicegrowth.suites import RunConfig, _random_stem, _representation_cases, _rng, \
     _shard_sizes, _stable_tag, run_suite
@@ -220,7 +220,7 @@ def test_working_sets_stay_bounded():
     assert shard < 20e6, shard
     m, n = 3, 2
     e1 = generator(m, 1)
-    f = ClosedFormMap(2, 0.7, e1, 300, n)
+    f = extremal_map(2, 0.7, e1, n)
     record = traced_peak(lambda: growth_check_domain(
         f, polydisc_gauge(n, m), "starlike", 0.9, 10_000,
         np.random.default_rng(6), e1, 0.7))
