@@ -75,7 +75,8 @@ def main():
               help="Restrict the domain suite to one gauge.")
 @click.option("--shards", type=int, default=1, show_default=True,
               help="Split every suite's sample budgets over this many seeded "
-                   "streams (deterministic per shard count).")
+                   f"streams, at most {suites.MAX_SHARDS} (deterministic per shard "
+                   "count).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,

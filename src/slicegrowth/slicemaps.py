@@ -31,9 +31,11 @@ slice_shadow, a ComplexSeries evaluated by series.power_sum.
 
 ShadowMap(I, n, g, dg, d2g) is the map given by its shadow alone, with
 no stem series: its values are real multiples of 1, I, J and J I, with
-no general product.  extremal_map(p, theta, I, n) is the extremal family
-x_t (1 - x_t e^{I theta})^{-*p} as one shadow (Koebe p = 2, Cayley
-p = 1 and the paper example x_t (1 - x_t e^{I theta}) as p = -1).
+no general product, and it is not a SliceMap: it has no stem, no
+derivative and no one-point eval.  extremal_map(p, theta, I, n) is the
+extremal family x_t (1 - x_t e^{I theta})^{-*p} as one shadow (Koebe
+p = 2, Cayley p = 1 and the paper example x_t (1 - x_t e^{I theta}) as
+p = -1).
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class SliceMap:
         return series.eval, series.jacobian, series.hessian
 
 
-class ShadowMap(SliceMap):
+class ShadowMap:
     """The slice map with every coefficient in C_I, given by its shadow g
     on C_I^n: g maps (B, n) complex points to (B, n) values, dg to (B, n, n)
     Jacobians and d2g to (B, n, n, n) second derivatives d^2 g_s/dz_t dz_u.

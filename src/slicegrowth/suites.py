@@ -1,16 +1,24 @@
 """Verification suites: deterministic, seeded batteries of checks that
 produce one report record each.
 
-Every random check runs through one runner, _sharded: check(size, rng)
-gives the check's records for size samples, and shard i of its budget
+A suite is a function of the run's config that declares its checks in
+report order and runs none of them.  A check, Check(name, budget, run,
+tag), gives its records for size samples as run(size, rng).  Declaring
+one is free: it makes no draw and builds no series, map or gauge.  A
+check's setup sits in run behind functools.cache, so it runs once, in
+the process that runs the check, for all its shards.  A record that uses
+no samples comes from a check of budget 1: one shard.
+
+Every check runs through one runner, _sharded: shard i of its budget
 draws from the stream _rng(cfg, suite, i, tag) of (seed, suite, shard,
 check tag).  So reports are byte-identical for a fixed (config, seed,
 shard count), and no check's draws depend on the checks run before it.
-A check whose draws are no sample budget runs with budget 1: one shard.
 _merge_shards reduces each field by its reducer in _REDUCERS, sums the
-samples and ANDs the verdicts; a SliceAnalysisError inside a check
-becomes its one failed record, <name>-error.  Every growth record comes
-from one checker, geometry.growth_check_domain, via _growth_record.
+samples and ANDs the verdicts, and a growth record that not every shard
+asserted passes (geometry.judge_growth).  Any exception inside a check
+becomes its one failed record, <name>-error, and its traceback goes to
+stderr; an exception while declaring checks propagates.  Every growth
+record comes from one checker, geometry.growth_check_domain.
 
 A check draws its cases in bulk, one generator call per array (alpha and
 beta together, the raw normal rows of its J rows, the scalars), and
@@ -20,18 +28,14 @@ expand their J rows (slicespace.unit_rows) and evaluate their cases in
 blocks of _BLOCK, and the algebra suite checks a shard's cases _BLOCK at
 a time; no report depends on the block size.
 
-run_suite(name, cfg) splits the requested suites into tasks.  "all" is
-one task per suite.  A single suite whose function in SUITES has a
-.tasks(cfg) splitter gives the tasks it lists (run_algebra: one per m,
-each with streams of its own); any other suite is one task.  A
-fork-context pool of min(tasks, usable CPUs) workers maps the tasks in
-report order; with one task or one usable CPU (or no
-os.sched_getaffinity) a loop runs the same tasks in process.  No task's
-numbers depend on the process that runs it or on what ran before it, so
-both give the same bytes.  Both run a task through _run_task, which looks
-it up in SUITES as it is where it runs and turns a SliceAnalysisError
-raised outside any check (by a replaced suite, say) into one failed
-record, <suite>-error; any other exception is raised in the caller.
+run_suite(name, cfg) lists the declared checks of the requested suites
+in report order as (suite, index) tasks.  A fork-context pool of
+min(tasks, usable CPUs) workers maps them when that is 2 or more, and a
+loop runs them in process otherwise (one task, one usable CPU or no
+os.sched_getaffinity).  Both run a task through _run_task, which
+declares its suite again where it runs, so that a forked worker runs
+what SUITES held at the fork.  No check's numbers depend on the process
+that runs it or on what ran before it, so both give the same bytes.
 multiprocessing is imported only for the pool.
 
 The growth suites evaluate the extremal families by their shadows,
@@ -48,13 +52,12 @@ import math
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import algebra, geometry, series, slicemaps, slicespace
 from .algebra import blade, generator
-from .errors import SliceAnalysisError
 from .reports import Report
 
 DEFAULT_SEED = 1
@@ -81,6 +84,10 @@ _DEFAULT_SAMPLES = {
     "growth-domain": 10_000,
     "gauge": 200,
 }
+
+# each shard has a fixed cost: in process, extremal takes 0.05 s at
+# --shards 1, 0.9 s at 64 and 2.9 s at 300 (2-vCPU Xeon VM)
+MAX_SHARDS = 64
 
 _SHARP_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # cases per batched evaluation or algebra check: no temporary grows with the budget
@@ -126,8 +133,8 @@ class RunConfig:
             raise ValueError("theta must be finite")
         if self.truncation < 1:
             raise ValueError("truncation must be positive")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
+        if not 1 <= self.shards <= MAX_SHARDS:
+            raise ValueError(f"shards must be in 1..{MAX_SHARDS}")
         for name in self.maps or ():
             if name not in MAP_FAMILIES:
                 raise ValueError(f"unknown map {name!r}")
@@ -138,6 +145,17 @@ class RunConfig:
 
     def budget(self, suite: str) -> int:
         return self.samples if self.samples is not None else _DEFAULT_SAMPLES[suite]
+
+
+@dataclass(frozen=True)
+class Check:
+    """A declared check: run(size, rng) gives its records for size of its
+    budget's samples, drawn from rng, whose streams tag picks
+    (_stable_tag(name) by default).  Its first record is named name."""
+    name: str
+    budget: int
+    run: Callable[[int, np.random.Generator], list[Report]]
+    tag: Optional[int] = None
 
 
 def _rng(cfg: RunConfig, suite: str, shard: int, tag: int):
@@ -155,11 +173,6 @@ def _shard_sizes(total: int, shards: int) -> list[int]:
     first total % shards of them one larger: at most total entries."""
     used = min(shards, total)
     return [total // used + (i < total % used) for i in range(used)]
-
-
-def _error_record(name: str, exc: Exception) -> Report:
-    """The one failed record, <name>-error, of a check or task that raised exc."""
-    return Report(f"{name}-error", False, 0, {"error": f"{type(exc).__name__}: {exc}"})
 
 
 _ALGEBRA_ERRORS = ("associativity", "anti_automorphism", "involution",
@@ -185,30 +198,33 @@ _REDUCERS = {
 def _merge_shards(parts: list[Report], keys: dict) -> Report:
     """One record from the per-shard records of one check: each field that
     keys names is its reducer over the shards' values, every other field
-    is shard 0's, samples are summed and the pass verdicts ANDed."""
+    is shard 0's, samples are summed and the pass verdicts ANDed.  A
+    record that not every shard asserted passes (geometry.judge_growth)."""
     merged = parts[0]
     for key, reduce in keys.items():
         if key in merged.data:
             merged.data[key] = reduce([part.data[key] for part in parts])
     merged.samples = sum(part.samples for part in parts)
     merged.passed = all(part.passed for part in parts)
-    return merged
+    return geometry.judge_growth(merged, merged.data.get("asserted", True))
 
 
-def _sharded(cfg: RunConfig, suite: str, name: str, budget: int, check,
-             tag: Optional[int] = None) -> list[Report]:
-    """The records of check `name`: check(size, rng) on each shard of
-    budget samples from _rng(cfg, suite, shard, tag), tag by default
-    _stable_tag(name), merged over _REDUCERS, the first named name.  A
-    SliceAnalysisError inside the check becomes its one record, <name>-error."""
-    tag = _stable_tag(name) if tag is None else tag
+def _sharded(cfg: RunConfig, suite: str, check: Check) -> list[Report]:
+    """The records of check: check.run(size, rng) on each shard of its
+    budget, drawing from _rng(cfg, suite, shard, tag), merged over
+    _REDUCERS, the first named check.name.  Any exception inside the check
+    becomes its one record, <name>-error, and its traceback goes to stderr."""
+    tag = _stable_tag(check.name) if check.tag is None else check.tag
     try:
-        shards = [check(size, _rng(cfg, suite, shard, tag))
-                  for shard, size in enumerate(_shard_sizes(budget, cfg.shards))]
-    except SliceAnalysisError as exc:
-        return [_error_record(name, exc)]
+        shards = [check.run(size, _rng(cfg, suite, shard, tag))
+                  for shard, size in enumerate(_shard_sizes(check.budget, cfg.shards))]
+    except Exception as exc:
+        import traceback  # loaded here, not at import: only a failed check uses it
+        traceback.print_exc()
+        return [Report(f"{check.name}-error", False, 0,
+                       {"error": f"{type(exc).__name__}: {exc}"})]
     records = [_merge_shards(list(parts), _REDUCERS) for parts in zip(*shards)]
-    records[0].check = name
+    records[0].check = check.name
     return records
 
 
@@ -320,25 +336,16 @@ def _algebra_shard(m: int, pair_err: float, count: int, rng) -> Report:
                    "inverse_residual": inv_resid})
 
 
-def _algebra_record(cfg: RunConfig, m: int) -> list[Report]:
+def algebra_checks(cfg: RunConfig) -> list[Check]:
     total = cfg.budget("algebra")
-    # work per case grows like 4**m; keep large-m batches tractable
-    budget_m = max(200, total // 4 ** max(0, m - 5)) if m > 5 else total
-    pair_err = _anticommutation_error(m)
-    return _sharded(cfg, "algebra", f"algebra-m{m}", budget_m,
-                    lambda size, rng: [_algebra_shard(m, pair_err, size, rng)], tag=m)
 
-
-def _algebra_tasks(cfg: RunConfig):
-    return [functools.partial(_algebra_record, cfg, m) for m in range(1, (cfg.m or 5) + 1)]
-
-
-def run_algebra(cfg: RunConfig) -> list[Report]:
-    return [rep for task in _algebra_tasks(cfg) for rep in task()]
-
-
-# each m draws from streams of its own: one pool task per m (run_suite)
-run_algebra.tasks = _algebra_tasks
+    def check(m):
+        # work per case grows like 4**m; keep large-m batches tractable
+        budget = max(200, total // 4 ** (m - 5)) if m > 5 else total
+        pair_err = functools.cache(lambda: _anticommutation_error(m))
+        return Check(f"algebra-m{m}", budget,
+                     lambda size, rng: [_algebra_shard(m, pair_err(), size, rng)], tag=m)
+    return [check(m) for m in range(1, (cfg.m or 5) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +362,14 @@ def _random_stem(m: int, n: int, rng, degree: int = 5, terms: int = 8) -> series
     return series.StemSeries(m, n, table or {(0,) * n: coeffs[0]})
 
 
-def run_stem(cfg: RunConfig) -> list[Report]:
+def stem_checks(cfg: RunConfig) -> list[Check]:
     m = cfg.m or 3
     n = cfg.n or 2
     count = cfg.budget("stem")
     trunc = cfg.truncation
+    theta = cfg.theta if cfg.theta is not None else 0.7
+    e1 = generator(m, 1)
+    koebe = functools.cache(lambda: series.extremal_series(2, theta, e1, trunc, n))
 
     # even-odd pair identity on random stems (exact by construction)
     def even_odd(size, rng):
@@ -369,39 +379,32 @@ def run_stem(cfg: RunConfig) -> list[Report]:
         f1m, f2m = stem.eval_arrays(alpha, -beta)
         eo_err = max(_gap(f1m, f1p), _gap(f2m, -f2p))
         return [Report.from_error("stem-even-odd", eo_err, 1e-12, size, m=m, n=n)]
-    reports = _sharded(cfg, "stem", "stem-even-odd", count, even_odd)
 
     # holomorphy residual via finite differences; sampled away from the
     # boundary so the third derivative keeps the FD error under budget
-    theta = cfg.theta if cfg.theta is not None else 0.7
-    e1 = generator(m, 1)
-    koebe = series.extremal_series(2, theta, e1, trunc, n)
-
     def cr_residual(size, rng):
         stem = _random_stem(m, n, rng)
         alpha, beta = rng.uniform(-0.3, 0.3, (2, size, n))
         worst_cr = max(float(np.max(series.cr_residual(s.eval_arrays, alpha, beta)))
-                       for s in (stem, koebe))
+                       for s in (stem, koebe()))
         return [Report.from_error("stem-cr-residual", worst_cr, 1e-8, size, m=m, n=n)]
-    reports += _sharded(cfg, "stem", "stem-cr-residual", min(count, 50), cr_residual)
 
     # the non-holomorphic control must be detected: d Re(z_1)/d conj(z_1) = 1/2
-    control = float(series.cr_residual(_re_z1_control(m, n).stem_arrays,
-                                       np.full((1, n), 0.3), np.full((1, n), 0.2))[0])
-    reports.append(Report.from_error(
-        "stem-cr-control", abs(control - 0.5), 1e-6, 1, m=m, n=n,
-        control_residual=control))
+    def cr_control(_, rng):
+        control = float(series.cr_residual(_re_z1_control(m, n).stem_arrays,
+                                           np.full((1, n), 0.3), np.full((1, n), 0.2))[0])
+        return [Report.from_error("stem-cr-control", abs(control - 0.5), 1e-6, 1, m=m, n=n,
+                                  control_residual=control)]
 
-    # star-inverse identity through the full truncation order
-    unit = np.zeros((trunc + 1, 1 << m))
-    unit[0, 0] = 1.0
-    base = np.stack([unit[0], -algebra.slice_exp(e1, theta)])
-    inv = series.star_inverse(m, base, trunc)
-    ident = series.star_mul(m, base, inv, trunc=trunc)
-
+    # star-inverse identity through the full truncation order, on
     # 1 + sum_k x^k a_k with |a_k| <= 0.5**(k+1): row k drawn, then scaled;
     # 40 rows are no sample budget, so the check runs one shard
     def star_inverse(_, rng):
+        unit = np.zeros((trunc + 1, 1 << m))
+        unit[0, 0] = 1.0
+        base = np.stack([unit[0], -algebra.slice_exp(e1, theta)])
+        inv = series.star_inverse(m, base, trunc)
+        ident = series.star_mul(m, base, inv, trunc=trunc)
         rows = rng.uniform(-1.0, 1.0, (40, 1 << m))
         scale = 0.5 ** np.arange(2, 42) / np.maximum(1.0, np.linalg.norm(rows, axis=1))
         rows *= scale[:, None]
@@ -416,27 +419,31 @@ def run_stem(cfg: RunConfig) -> list[Report]:
         ident_err = max(ident_err, float(np.max(np.abs(dbl - rand_series[:order + 1]))))
         return [Report.from_error("stem-star-inverse", ident_err, 1e-10, trunc,
                                   m=m, order=trunc)]
-    reports += _sharded(cfg, "stem", "stem-star-inverse", 1, star_inverse)
 
     # coefficient norms of the starlike family: (k+1) exactly
-    coeff_err = 0.0
-    for p in range(1, trunc + 2):
-        key = [0] * n
-        key[0] = p
-        row = koebe.coefficient(tuple(key))[0]
-        coeff_err = max(coeff_err, abs(float(np.linalg.norm(row)) - p))
-    reports.append(Report.from_error(
-        "stem-koebe-coefficients", coeff_err, 1e-9, trunc + 1, m=m, n=n))
+    def koebe_coefficients(_, rng):
+        coeff_err = 0.0
+        for p in range(1, trunc + 2):
+            row = koebe().coefficient((p,) + (0,) * (n - 1))[0]
+            coeff_err = max(coeff_err, abs(float(np.linalg.norm(row)) - p))
+        return [Report.from_error("stem-koebe-coefficients", coeff_err, 1e-9, trunc + 1,
+                                  m=m, n=n)]
 
     # analytic tail decreases with the truncation order
-    orders = sorted({max(10, trunc // 8), max(20, trunc // 4),
-                     max(30, trunc // 2), trunc})
-    tails = [series.extremal_tail(2, n, N)(cfg.r_max) for N in orders]
-    monotone = all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
-    reports.append(Report.from_error(
-        "stem-tail-monotone", 0.0 if monotone else 1.0, 0.5, len(tails),
-        tails=" ".join(f"{t:.3e}" for t in tails)))
-    return reports
+    def tail_monotone(_, rng):
+        orders = sorted({max(10, trunc // 8), max(20, trunc // 4),
+                         max(30, trunc // 2), trunc})
+        tails = [series.extremal_tail(2, n, N)(cfg.r_max) for N in orders]
+        monotone = all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
+        return [Report.from_error("stem-tail-monotone", 0.0 if monotone else 1.0, 0.5,
+                                  len(tails), tails=" ".join(f"{t:.3e}" for t in tails))]
+
+    return [Check("stem-even-odd", count, even_odd),
+            Check("stem-cr-residual", min(count, 50), cr_residual),
+            Check("stem-cr-control", 1, cr_control),
+            Check("stem-star-inverse", 1, star_inverse),
+            Check("stem-koebe-coefficients", 1, koebe_coefficients),
+            Check("stem-tail-monotone", 1, tail_monotone)]
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +542,9 @@ def _representation_shard(m: int, n: int, count: int, rng) -> list[Report]:
     ]
 
 
-def run_representation(cfg: RunConfig) -> list[Report]:
-    return _sharded(cfg, "representation", "representation-reconstruction",
-                    cfg.budget("representation"),
-                    functools.partial(_representation_shard, cfg.m or 3, cfg.n or 2))
+def representation_checks(cfg: RunConfig) -> list[Check]:
+    return [Check("representation-reconstruction", cfg.budget("representation"),
+                  functools.partial(_representation_shard, cfg.m or 3, cfg.n or 2))]
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +570,15 @@ def _regularity_series(m: int, n: int, fixed: list, count: int, rng) -> list[Rep
     return [Report.from_error("regularity-series", worst, 1e-7, count, m=m, n=n)]
 
 
-def run_regularity(cfg: RunConfig) -> list[Report]:
+def regularity_checks(cfg: RunConfig) -> list[Check]:
     m = cfg.m or 3
     n = cfg.n or 2
     count = cfg.budget("regularity")
     theta = cfg.theta if cfg.theta is not None else 0.7
     e1 = generator(m, 1)
-    fixed = [slicemaps.SliceMap(series.extremal_series(2, theta, e1, 60, n)),
-             slicemaps.SliceMap(series.identity_map(m, n))]
-    reports = _sharded(cfg, "regularity", "regularity-series", count,
-                       functools.partial(_regularity_series, m, n, fixed))
+    fixed = functools.cache(lambda: [
+        slicemaps.SliceMap(series.extremal_series(2, theta, e1, 60, n)),
+        slicemaps.SliceMap(series.identity_map(m, n))])
 
     # the constant map and the control share one point: one shard
     def constant(_, rng):
@@ -587,7 +592,6 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
                 Report.from_error("regularity-control-detected",
                                   0.0 if control_res > 0.1 else 1.0, 0.5, 1, m=m, n=n,
                                   control_residual=control_res)]
-    reports += _sharded(cfg, "regularity", "regularity-constant", 1, constant)
 
     # holomorphic splitting reassembles the slice restriction
     def splitting(size, rng):
@@ -598,25 +602,16 @@ def run_regularity(cfg: RunConfig) -> list[Report]:
                            f.eval_arrays(x, y, e1))
         return [Report.from_error("regularity-splitting", worst_split, 1e-10, size,
                                   m=m, n=n, components=len(comps))]
-    return reports + _sharded(cfg, "regularity", "regularity-splitting", min(count, 200),
-                              splitting)
+
+    return [Check("regularity-series", count,
+                  lambda size, rng: _regularity_series(m, n, fixed(), size, rng)),
+            Check("regularity-constant", 1, constant),
+            Check("regularity-splitting", min(count, 200), splitting)]
 
 
 # ---------------------------------------------------------------------------
 # extremal suite
 # ---------------------------------------------------------------------------
-
-def _extremal_maps(m: int, n: int, trunc: int, theta: float):
-    e1 = generator(m, 1)
-    out = [("identity", slicemaps.SliceMap(series.identity_map(m, n)), e1)]
-    out.append(("koebe", slicemaps.SliceMap(
-        series.extremal_series(2, theta, e1, trunc, n)), e1))
-    if m == 2:
-        e12 = blade(m, (1, 2))
-        out.append(("koebe-bivector", slicemaps.SliceMap(
-            series.extremal_series(2, theta, e12, trunc, n)), e12))
-    return out
-
 
 def _extremal_shard(name: str, f: slicemaps.SliceMap, I: np.ndarray, tol: float,
                     count: int, rng) -> list[Report]:
@@ -634,25 +629,36 @@ def _extremal_shard(name: str, f: slicemaps.SliceMap, I: np.ndarray, tol: float,
     return [rep]
 
 
-def run_extremal(cfg: RunConfig) -> list[Report]:
+def extremal_checks(cfg: RunConfig) -> list[Check]:
     count = cfg.budget("extremal")
     theta = cfg.theta if cfg.theta is not None else 0.7
+    trunc = min(cfg.truncation, 120)
     tol = 1e-9
-    reports = []
-    m_values = (cfg.m,) if cfg.m else (2, 3)
-    n_values = (cfg.n,) if cfg.n else (1, 2)
-    for m in m_values:
+
+    def check(name, m, n, I):
+        @functools.cache
+        def f():
+            return slicemaps.SliceMap(series.identity_map(m, n) if name == "identity" else
+                                      series.extremal_series(2, theta, I, trunc, n))
+        return Check(f"extremal-{name}-m{m}-n{n}", count,
+                     lambda size, rng: _extremal_shard(name, f(), I, tol, size, rng))
+
+    def skipped(_, rng):
+        # the sphere of roots of -1 is {-e1, e1}: no transverse sweep
+        return [Report.from_error("extremal-skipped-m1", 0.0, tol, 0, m=1,
+                                  note="no orthogonal root of -1 exists for m=1")]
+
+    checks = []
+    for m in (cfg.m,) if cfg.m else (2, 3):
         if m < 2:
-            # the sphere of roots of -1 is {-e1, e1}: no transverse sweep
-            reports.append(Report.from_error(
-                "extremal-skipped-m1", 0.0, tol, 0,
-                m=m, note="no orthogonal root of -1 exists for m=1"))
+            checks.append(Check("extremal-skipped-m1", 1, skipped))
             continue
-        for n in n_values:
-            for name, f, I in _extremal_maps(m, n, min(cfg.truncation, 120), theta):
-                reports += _sharded(cfg, "extremal", f"extremal-{name}-m{m}-n{n}", count,
-                                    functools.partial(_extremal_shard, name, f, I, tol))
-    return reports
+        maps = [("identity", generator(m, 1)), ("koebe", generator(m, 1))]
+        if m == 2:
+            maps.append(("koebe-bivector", blade(m, (1, 2))))
+        checks += [check(name, m, n, I) for n in ((cfg.n,) if cfg.n else (1, 2))
+                   for name, I in maps]
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -665,118 +671,126 @@ def _growth_cases(cfg: RunConfig):
     directions = [("e1", generator(m, 1))]
     if m >= 2:
         directions.append(("e12", blade(m, (1, 2))))
-    return m, thetas, directions
+    return thetas, directions
 
 
-def _growth_record(cfg: RunConfig, suite: str, check: str, label: str, tag: int,
-                   f: slicemaps.ShadowMap, theta: float,
-                   gauge: geometry.Gauge) -> list[Report]:
-    """The record `check` of map `label`, f at theta, on the gauge: the
-    suite's budget over its shards, shard i drawing from _rng(cfg, suite,
-    i, tag), judged once merged (an error record has no verdict to judge)."""
-    family, _, asserted = MAP_FAMILIES[label]
+def _growth_check(cfg: RunConfig, suite: str, name: str, label: str, tag: int,
+                  theta: float, I: np.ndarray, domain: str) -> Check:
+    """The growth check `name` of map `label` at theta on the slice of I,
+    on the domain "ball" or "polydisc": the suite's budget over its
+    shards, judged once merged (_merge_shards)."""
+    family, p, asserted = MAP_FAMILIES[label]
+    f = functools.cache(lambda: slicemaps.extremal_map(p, theta, I, cfg.n or 2))
 
     def shard(size, rng):
-        rep = geometry.growth_check_domain(f, gauge, family, cfg.r_max, size, rng, f.I,
+        gauge = geometry.Gauge(domain, f().n, f().m)
+        rep = geometry.growth_check_domain(f(), gauge, family, cfg.r_max, size, rng, I,
                                            theta, 1e-9, asserted)
         rep.data["map"] = label
         return [rep]
-    return [geometry.judge_growth(rep, rep.data.get("asserted", True))
-            for rep in _sharded(cfg, suite, check, cfg.budget(suite), shard, tag=tag)]
+    return Check(name, cfg.budget(suite), shard, tag)
 
 
-def run_growth_ball(cfg: RunConfig) -> list[Report]:
-    m, thetas, directions = _growth_cases(cfg)
+def _sharpness_check(label: str, iname: str, theta: float, I: np.ndarray,
+                     n: int) -> Check:
+    """sharpness-<label>-<iname>: the map at theta (0) along the real axis."""
+    family, p, asserted = MAP_FAMILIES[label]
+
+    def sharpness(_, rng):
+        sharp = geometry.sharpness_axis(slicemaps.extremal_map(p, theta, I, n), family,
+                                        _SHARP_GRID, 1e-8)
+        sharp.data["map"] = label
+        return [geometry.judge_growth(sharp, asserted)]
+    return Check(f"sharpness-{label}-{iname}", 1, sharpness)
+
+
+def _closed_form_check(cfg: RunConfig, label: str, iname: str, I: np.ndarray,
+                       thetas, n: int) -> Check:
+    """closed-form-<label>-<iname>: the maps of the theta sweep against
+    their reference series, the one reader of the truncated series."""
+    _, p, _ = MAP_FAMILIES[label]
+
+    @functools.cache
+    def reference():
+        # the coefficient gap is sample-free: once per check, not per shard
+        stems = [series.extremal_series(p, theta, I, cfg.truncation, n) for theta in thetas]
+        gap = max(series.coefficient_gap(stem, p, theta, I)
+                  for stem, theta in zip(stems, thetas))
+        return [slicemaps.extremal_map(p, theta, I, n) for theta in thetas], stems, gap
+
+    def agreement(size, rng):
+        sweep, stems, gap = reference()
+        agree = geometry.closed_form_agreement(sweep, stems, thetas, gap, cfg.r_max,
+                                               size, rng)
+        agree.data["map"] = label
+        return [agree]
+    return Check(f"closed-form-{label}-{iname}", min(cfg.budget("growth-ball"), 1000),
+                 agreement, _stable_tag("closed-form", label, iname))
+
+
+def growth_ball_checks(cfg: RunConfig) -> list[Check]:
+    thetas, directions = _growth_cases(cfg)
     n = cfg.n or 2
-    ball = geometry.ball_gauge(n, m)
-    reports = []
     wanted = cfg.maps or tuple(MAP_FAMILIES)
-
-    for label, (family, p, asserted) in MAP_FAMILIES.items():
+    zero = next((theta for theta in thetas if abs(theta) < 1e-15), None)
+    checks = []
+    for label in MAP_FAMILIES:
         if label not in wanted:
             continue
         for iname, I in directions:
-            sweep = [slicemaps.extremal_map(p, theta, I, n) for theta in thetas]
-            for theta, f in zip(thetas, sweep):
-                reports += _growth_record(
-                    cfg, "growth-ball", f"growth-ball-{label}-{iname}-theta{theta:.3f}",
-                    label, _stable_tag(label, iname, f"{theta:.9f}"), f, theta, ball)
-
-            f0 = next((f for theta, f in zip(thetas, sweep) if abs(theta) < 1e-15), None)
-            if f0 is not None:
-                sharp = geometry.sharpness_axis(f0, family, _SHARP_GRID, 1e-8)
-                sharp.check = f"sharpness-{label}-{iname}"
-                sharp.data["map"] = label
-                reports.append(geometry.judge_growth(sharp, asserted))
-
-            # the reference series, for this record alone; the gap is
-            # sample-free: once per (map, direction), not once per shard
-            stems = [series.extremal_series(p, theta, I, cfg.truncation, n)
-                     for theta in thetas]
-            gap = max(series.coefficient_gap(stem, p, theta, I)
-                      for stem, theta in zip(stems, thetas))
-
-            def agreement(size, rng):
-                agree = geometry.closed_form_agreement(sweep, stems, thetas, gap,
-                                                       cfg.r_max, size, rng)
-                agree.data["map"] = label
-                return [agree]
-            reports += _sharded(cfg, "growth-ball", f"closed-form-{label}-{iname}",
-                                min(cfg.budget("growth-ball"), 1000), agreement,
-                                tag=_stable_tag("closed-form", label, iname))
-    return reports
+            checks += [_growth_check(cfg, "growth-ball",
+                                     f"growth-ball-{label}-{iname}-theta{theta:.3f}", label,
+                                     _stable_tag(label, iname, f"{theta:.9f}"), theta, I,
+                                     "ball")
+                       for theta in thetas]
+            if zero is not None:
+                checks.append(_sharpness_check(label, iname, zero, I, n))
+            checks.append(_closed_form_check(cfg, label, iname, I, thetas, n))
+    return checks
 
 
-def run_growth_domain(cfg: RunConfig) -> list[Report]:
-    m, thetas, directions = _growth_cases(cfg)
-    n = cfg.n or 2
-    reports = []
+def growth_domain_checks(cfg: RunConfig) -> list[Check]:
+    thetas, directions = _growth_cases(cfg)
     wanted = cfg.maps or tuple(MAP_FAMILIES)
-
     # the domain suite reports the asserted families only
-    for label, (family, p, asserted) in MAP_FAMILIES.items():
-        if label not in wanted or not asserted:
-            continue
-        f = slicemaps.extremal_map(p, thetas[0], directions[0][1], n)
-        for domain in cfg.domains:
-            reports += _growth_record(
-                cfg, "growth-domain", f"growth-domain-{domain}-{label}", label,
-                _stable_tag(label, domain), f, thetas[0], geometry.Gauge(domain, n, m))
-    return reports
+    return [_growth_check(cfg, "growth-domain", f"growth-domain-{domain}-{label}", label,
+                          _stable_tag(label, domain), thetas[0], directions[0][1], domain)
+            for label, (_, _, asserted) in MAP_FAMILIES.items()
+            if label in wanted and asserted for domain in cfg.domains]
 
 
-def run_gauge(cfg: RunConfig) -> list[Report]:
+def gauge_checks(cfg: RunConfig) -> list[Check]:
     m = cfg.m or 3
     n = cfg.n or 2
     count = cfg.budget("gauge")
-    props = max(count // 10, 20)
+    names = ("ball", "polydisc")
 
-    def properties(g, check):
-        return _sharded(cfg, "gauge", check, props, lambda size, rng: [
-            geometry.gauge_properties_check(g, size, rng, 1e-12)])
+    def oracle(name):
+        """The bisection oracle wrapping the closed-form membership test."""
+        closed = geometry.Gauge(name, n, m)
+        return geometry.oracle_gauge(
+            lambda a, b, j: geometry.gauge_rho(closed, a, b) < 1.0, n, m)
 
-    closed = {"ball": geometry.ball_gauge(n, m), "polydisc": geometry.polydisc_gauge(n, m)}
-    reports = [rep for name, g in closed.items() for rep in properties(g, f"gauge-{name}")]
+    def properties(check, gauge):
+        return Check(check, max(count // 10, 20), lambda size, rng: [
+            geometry.gauge_properties_check(gauge(), size, rng, 1e-12)])
 
-    # bisection oracles wrapping the closed-form membership tests
-    oracles = {name: geometry.oracle_gauge(
-        lambda a, b, j, _g=g: geometry.gauge_rho(_g, a, b) < 1.0, n, m)
-        for name, g in closed.items()}
-    points = max(count, 100)
-    for name, oracle in oracles.items():
-        def bisection(size, rng):
+    def bisection(name):
+        def run(size, rng):
             j_rows = slicespace.sample_S_batch(rng, m, size)
             alpha, beta = rng.uniform(-1.5, 1.5, (2, size, n))
-            worst = _gap(geometry.gauge_rho(oracle, alpha, beta, j_rows),
-                         geometry.gauge_rho(closed[name], alpha, beta))
+            worst = _gap(geometry.gauge_rho(oracle(name), alpha, beta, j_rows),
+                         geometry.gauge_rho(geometry.Gauge(name, n, m), alpha, beta))
             return [Report.from_error(f"gauge-bisection-{name}", worst, 1e-8, size, m=m, n=n)]
-        reports += _sharded(cfg, "gauge", f"gauge-bisection-{name}", points, bisection)
+        return Check(f"gauge-bisection-{name}", max(count, 100), run)
 
     # the oracles' own properties: bisection over a membership test that
     # is not starlike breaks homogeneity and membership equivalence
-    for name, oracle in oracles.items():
-        reports += properties(oracle, f"gauge-oracle-{name}")
-    return reports
+    return [*(properties(f"gauge-{name}", functools.partial(geometry.Gauge, name, n, m))
+              for name in names),
+            *(bisection(name) for name in names),
+            *(properties(f"gauge-oracle-{name}", functools.partial(oracle, name))
+              for name in names)]
 
 
 # ---------------------------------------------------------------------------
@@ -784,39 +798,25 @@ def run_gauge(cfg: RunConfig) -> list[Report]:
 # ---------------------------------------------------------------------------
 
 SUITES = {
-    "algebra": run_algebra,
-    "stem": run_stem,
-    "representation": run_representation,
-    "regularity": run_regularity,
-    "extremal": run_extremal,
-    "growth-ball": run_growth_ball,
-    "growth-domain": run_growth_domain,
-    "gauge": run_gauge,
+    "algebra": algebra_checks,
+    "stem": stem_checks,
+    "representation": representation_checks,
+    "regularity": regularity_checks,
+    "extremal": extremal_checks,
+    "growth-ball": growth_ball_checks,
+    "growth-domain": growth_domain_checks,
+    "gauge": gauge_checks,
 }
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
-def _suite_tasks(cfg: RunConfig, name: str):
-    """The pool tasks of SUITES[name]: those its .tasks(cfg) lists, or
-    the whole suite as one task."""
-    run = SUITES[name]
-    split = getattr(run, "tasks", None)
-    return split(cfg) if split else [functools.partial(run, cfg)]
-
-
 def _run_task(cfg: RunConfig, task) -> list[Report]:
-    """The reports of task (suite name, index into _suite_tasks, or None
-    for the whole suite), looked up where it runs, so that a forked worker
-    runs whatever SUITES held at the fork.  A SliceAnalysisError raised
-    outside any check (_sharded isolates those) becomes its one failed
-    record, <suite>-error, so the run still writes a report; any other
-    exception propagates."""
-    name, index = task
-    try:
-        return SUITES[name](cfg) if index is None else _suite_tasks(cfg, name)[index]()
-    except SliceAnalysisError as exc:
-        return [_error_record(name, exc)]
+    """The records of task (suite name, index of one of its checks), the
+    suite declared where the task runs, so that a forked worker runs
+    whatever SUITES held at the fork."""
+    suite, index = task
+    return _sharded(cfg, suite, SUITES[suite](cfg)[index])
 
 
 def _usable_cpus() -> int:
@@ -827,15 +827,10 @@ def _usable_cpus() -> int:
 
 def run_suite(name: str, cfg: RunConfig) -> list[Report]:
     cfg.validate()
-    if name == "all":
-        # one task per suite: growth-ball, the longest suite, already bounds
-        # the schedule, and algebra's per-m tasks would only start it later
-        # (verify all on 2 CPUs: 1.13 -> 1.23 s when split)
-        tasks = [(suite, None) for suite in SUITES]
-    elif name in SUITES:
-        tasks = [(name, index) for index in range(len(_suite_tasks(cfg, name)))]
-    else:
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
+    tasks = [(suite, index) for suite in (SUITES if name == "all" else (name,))
+             for index in range(len(SUITES[suite](cfg)))]
     workers = min(len(tasks), _usable_cpus())
     if workers < 2:
         parts = [_run_task(cfg, task) for task in tasks]

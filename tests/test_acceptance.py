@@ -17,15 +17,7 @@ from slicegrowth.geometry import (
 from slicegrowth.reports import render
 from slicegrowth.series import extremal_series, tail_bound
 from slicegrowth.slicemaps import SliceMap
-from slicegrowth.suites import (
-    RunConfig,
-    run_algebra,
-    run_extremal,
-    run_gauge,
-    run_growth_ball,
-    run_representation,
-    run_stem,
-)
+from slicegrowth.suites import RunConfig, run_suite
 
 SEED = 20240811
 
@@ -39,7 +31,7 @@ def _announce(num, name, passed, detail):
 def test_criterion_1_algebra_suite():
     cfg = RunConfig(m=5, seed=SEED, samples=10_000)
     t0 = time.perf_counter()
-    reports = run_algebra(cfg)
+    reports = run_suite("algebra", cfg)
     elapsed = time.perf_counter() - t0
     worst = max(rep.data["max_error"] for rep in reports)
     ok = all(rep.passed for rep in reports) and elapsed < 30.0
@@ -50,7 +42,7 @@ def test_criterion_1_algebra_suite():
 
 def test_criterion_2_stem_suite():
     cfg = RunConfig(seed=SEED, samples=1_000, truncation=300)
-    reports = {rep.check: rep for rep in run_stem(cfg)}
+    reports = {rep.check: rep for rep in run_suite("stem", cfg)}
     eo = reports["stem-even-odd"]
     cr = reports["stem-cr-residual"]
     star = reports["stem-star-inverse"]
@@ -67,7 +59,7 @@ def test_criterion_2_stem_suite():
 def test_criterion_3_representation_suite():
     cfg = RunConfig(m=3, n=2, seed=SEED, samples=1_000)
     t0 = time.perf_counter()
-    reports = {rep.check: rep for rep in run_representation(cfg)}
+    reports = {rep.check: rep for rep in run_suite("representation", cfg)}
     elapsed = time.perf_counter() - t0
     rec = reports["representation-reconstruction"]
     ok = (all(rep.passed for rep in reports.values())
@@ -82,7 +74,7 @@ def test_criterion_3_representation_suite():
 
 def test_criterion_4_extremal_suite():
     cfg = RunConfig(seed=SEED, samples=1_000)
-    reports = run_extremal(cfg)
+    reports = run_suite("extremal", cfg)
     # identity and koebe across m in {2,3}, n in {1,2}
     names = {rep.check for rep in reports}
     expected = {
@@ -100,7 +92,7 @@ def test_criterion_4_extremal_suite():
 def _growth_reports(map_name):
     cfg = RunConfig(seed=SEED, samples=10_000, truncation=300, r_max=0.9,
                     maps=(map_name,))
-    return run_growth_ball(cfg)
+    return run_suite("growth-ball", cfg)
 
 
 def test_criterion_5_growth_ball_starlike():
@@ -135,7 +127,7 @@ def test_criterion_6_growth_ball_convex():
 
 def test_criterion_7_gauge_suite():
     cfg = RunConfig(seed=SEED, samples=1_000)
-    reports = {rep.check: rep for rep in run_gauge(cfg)}
+    reports = {rep.check: rep for rep in run_suite("gauge", cfg)}
     closed = [reports["gauge-ball"], reports["gauge-polydisc"]]
     bisect = [reports["gauge-bisection-ball"], reports["gauge-bisection-polydisc"]]
     worst_closed = max(rep.data["max_error"] for rep in closed)

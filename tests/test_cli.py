@@ -16,10 +16,11 @@ from click.testing import CliRunner
 from slicegrowth import algebra, geometry, series, slicemaps
 from slicegrowth import suites as suites_mod
 from slicegrowth.cli import main
-from slicegrowth.errors import GaugeError, HypothesisViolationError, SliceAnalysisError
+from slicegrowth.errors import GaugeError, HypothesisViolationError
 from slicegrowth.reports import Report, render, summary_lines
 from slicegrowth.suites import (
     _INVERSE_MULTIPLE,
+    Check,
     RunConfig,
     SUITES,
     _algebra_shard,
@@ -165,12 +166,48 @@ def test_sharded_closed_form_records_compare_coefficients_once(monkeypatch):
         calls[p, theta, I.tobytes()] += 1
         return original(stem, p, theta, I)
     monkeypatch.setattr(series, "coefficient_gap", counted)
+    monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)  # counted in this process
     reports = run_suite("growth-ball", small_config(shards=3))
     closed = [rep for rep in reports if rep.check.startswith("closed-form-")]
     # each record's 40 samples per map, over its three shards
     assert len(closed) == 6 and all(rep.passed and rep.samples == 120 for rep in closed)
     # three maps, two directions and three thetas
     assert len(calls) == 18 and set(calls.values()) == {1}, calls
+
+
+def test_declaring_checks_is_free(monkeypatch):
+    # a suite declares its checks without drawing or building anything:
+    # each check's setup runs where the check runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("called while declaring checks")
+    for owner, name in ((series, "extremal_series"), (series, "power_sum"),
+                        (series, "identity_map"), (series, "coefficient_gap"),
+                        (suites_mod, "_rng"), (suites_mod, "_anticommutation_error"),
+                        (geometry, "Gauge"), (slicemaps, "extremal_map")):
+        monkeypatch.setattr(owner, name, refuse)
+    for name, declare in SUITES.items():
+        for cfg in (RunConfig(), RunConfig(m=2, shards=3)):
+            assert declare(cfg), name
+
+
+def test_check_setup_runs_once_per_check(monkeypatch):
+    # a check's setup runs once for all its shards: the anticommutation
+    # error of each m, and each series a check reads
+    calls = Counter()
+    for owner, name in ((suites_mod, "_anticommutation_error"), (series, "extremal_series")):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)  # counted in this process
+    run_suite("algebra", small_config(shards=3, m=3))
+    assert calls == {"_anticommutation_error": 3}
+    # stem-cr-residual and stem-koebe-coefficients; regularity-series;
+    # the koebe maps of extremal; the closed-form-* sweeps of three thetas
+    for suite, count in {"stem": 2, "regularity": 1, "extremal": 6, "growth-ball": 18}.items():
+        calls.clear()
+        run_suite(suite, small_config(shards=3))
+        assert calls == {"extremal_series": count}, suite
 
 
 def test_shard_plan_has_at_most_total_entries():
@@ -335,6 +372,11 @@ def test_cli_usage_errors():
     assert runner.invoke(main, ["verify", "algebra", "--m", "9"]).exit_code == 2
     assert runner.invoke(main, ["verify", "nonsense"]).exit_code == 2
     assert runner.invoke(main, ["verify", "growth-ball", "--r-max", "1.5"]).exit_code == 2
+    # the shard count is capped, not clamped: a larger one is rejected
+    for shards in ("0", "65", "100000"):
+        result = runner.invoke(main, ["verify", "extremal", "--shards", shards])
+        assert result.exit_code == 2, (shards, result.output)
+        assert "shards must be in 1..64" in result.output
     assert runner.invoke(main, ["envelope", "--r-grid", "0.1,banana"]).exit_code == 2
     for theta in ("nan", "inf"):
         result = runner.invoke(main, ["verify", "growth-ball", "--theta", theta])
@@ -383,7 +425,8 @@ def test_cli_seed_envvar(tmp_path):
 def test_cli_failure_exit_code(tmp_path, monkeypatch):
     # an impossible tolerance forces a check failure; report is still written
     def failing_suite(cfg):
-        return [Report.from_error("forced", 1.0, 1e-12, 1)]
+        return [Check("forced", 1,
+                      lambda size, rng: [Report.from_error("forced", 1.0, 1e-12, 1)])]
 
     monkeypatch.setitem(suites_mod.SUITES, "gauge", failing_suite)
     runner = CliRunner()
@@ -429,62 +472,31 @@ def test_cli_suite_value_error_is_not_a_usage_error(monkeypatch):
 @pytest.mark.parametrize("shards", [1, 3])
 def test_pooled_run_all_equals_serial_concatenation(shards, monkeypatch):
     cfg = small_config(shards=shards)
-    serial = [rep for run in SUITES.values() for rep in run(cfg)]
+    serial = [rep for name, declare in SUITES.items() for check in declare(cfg)
+              for rep in suites_mod._sharded(cfg, name, check)]
     assert render(run_suite("all", cfg), "json") == render(serial, "json")
-    # the suites ran in forked workers, not in this process
-    monkeypatch.setitem(SUITES, "gauge",
-                        lambda cfg: [Report("pid", True, 1, {"pid": os.getpid()})])
+    # the checks ran in forked workers, not in this process
+    monkeypatch.setitem(SUITES, "gauge", lambda cfg: [Check(
+        "pid", 1, lambda size, rng: [Report("pid", True, 1, {"pid": os.getpid()})])])
     assert run_suite("all", cfg)[-1].data["pid"] != os.getpid()
 
 
 def test_run_all_raises_a_suite_error_as_the_suite_did(monkeypatch):
-    # an error from outside the package crosses back from the worker with
-    # its type and message
-    def broken_suite(cfg):
-        raise ValueError("boom")
+    # an error while a suite declares its checks, one of the package's too,
+    # propagates with its type and message, and no report is written
+    for error in (ValueError, GaugeError):
+        def broken_suite(cfg):
+            raise error("boom")
 
-    monkeypatch.setitem(SUITES, "extremal", broken_suite)
-    with pytest.raises(ValueError) as info:
-        run_suite("all", small_config())
-    assert type(info.value) is ValueError and str(info.value) == "boom"
-    result = CliRunner().invoke(main, ["verify", "all", "--samples", "40",
-                                       "--truncation", "40", "--quiet"])
-    assert result.exit_code == 1
-    assert type(result.exception) is ValueError
-    assert str(result.exception) == "boom"
-
-
-@pytest.mark.parametrize("pooled", [
-    pytest.param(True, marks=pytest.mark.skipif(
-        _usable_cpus() < 2, reason="the pool needs 2 usable CPUs")),
-    False,
-])
-def test_a_suite_error_becomes_one_failed_record(pooled, tmp_path, monkeypatch):
-    # the package's errors fail the suite's one record, <suite>-error, and
-    # the report of every other suite is still written, bytes unchanged
-    if not pooled:
-        monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)
-    args = ["verify", "all", "--samples", "40", "--truncation", "40", "--out"]
-    result = CliRunner().invoke(main, args + [str(tmp_path / "clean.json"), "--quiet"])
-    assert result.exit_code == 0, result.output
-
-    def broken_suite(cfg):
-        raise GaugeError("membership never became true along the ray")
-
-    monkeypatch.setitem(SUITES, "stem", broken_suite)
-    result = CliRunner().invoke(main, args + [str(tmp_path / "broken.json")])
-    assert result.exit_code == 1, result.output
-    clean, broken = ([json.dumps(rec) for rec in json.loads((tmp_path / name).read_text())]
-                     for name in ("clean.json", "broken.json"))
-    first = next(i for i, rec in enumerate(clean) if '"check": "stem-' in rec)
-    stem = [rec for rec in clean if '"check": "stem-' in rec]
-    assert broken[first] == json.dumps({
-        "check": "stem-error",
-        "error": "GaugeError: membership never became true along the ray",
-        "samples": 0, "pass": False})
-    assert broken[:first] + broken[first + 1:] == clean[:first] + clean[first + len(stem):]
-    assert "[FAIL] stem-error  GaugeError: membership never became true along the ray" in \
-        result.output
+        monkeypatch.setitem(SUITES, "extremal", broken_suite)
+        with pytest.raises(error) as info:
+            run_suite("all", small_config())
+        assert type(info.value) is error and str(info.value) == "boom"
+        result = CliRunner().invoke(main, ["verify", "all", "--samples", "40",
+                                           "--truncation", "40", "--quiet"])
+        assert result.exit_code == 1
+        assert type(result.exception) is error
+        assert str(result.exception) == "boom"
 
 
 @pytest.mark.parametrize("pooled", [
@@ -493,49 +505,57 @@ def test_a_suite_error_becomes_one_failed_record(pooled, tmp_path, monkeypatch):
     False,
 ])
 def test_a_check_error_becomes_one_failed_record(pooled, tmp_path, monkeypatch):
-    # the package's errors inside one check fail that check's one record,
-    # <check>-error, in its place; every other record keeps its bytes
+    # any error inside one check, sampled or not and from outside the
+    # package too, fails that check's one record, <check>-error, in its
+    # place; every other record keeps its bytes
     if not pooled:
         monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)
     args = ["verify", "all", "--samples", "40", "--truncation", "40", "--out"]
     result = CliRunner().invoke(main, args + [str(tmp_path / "clean.json"), "--quiet"])
     assert result.exit_code == 0, result.output
     check = geometry.gauge_properties_check
-    raised = []
 
     def broken_check(g, *rest):
-        if g.kind == "oracle" and not raised:
-            raised.append(g)
+        if g.kind == "oracle":
             raise GaugeError("membership never became true along the ray")
         return check(g, *rest)
 
+    def broken_coefficient(stem, key):
+        raise ValueError(f"no coefficient {key}")
+
     monkeypatch.setattr(geometry, "gauge_properties_check", broken_check)
+    monkeypatch.setattr(series.StemSeries, "coefficient", broken_coefficient)
     result = CliRunner().invoke(main, args + [str(tmp_path / "broken.json")])
     assert result.exit_code == 1, result.output
     clean, broken = (json.loads((tmp_path / name).read_text())
                      for name in ("clean.json", "broken.json"))
-    index = next(i for i, rec in enumerate(clean) if rec["check"] == "gauge-oracle-ball")
-    assert broken[index] == {
-        "check": "gauge-oracle-ball-error",
-        "error": "GaugeError: membership never became true along the ray",
-        "samples": 0, "pass": False}
-    assert json.dumps(broken[:index] + broken[index + 1:]) == \
-        json.dumps(clean[:index] + clean[index + 1:])
-    assert "[FAIL] gauge-oracle-ball-error  GaugeError: membership never became true " \
-        "along the ray" in result.output
+    gauge_error = "GaugeError: membership never became true along the ray"
+    errors = {"stem-koebe-coefficients": "ValueError: no coefficient (1, 0)",
+              "gauge-oracle-ball": gauge_error, "gauge-oracle-polydisc": gauge_error}
+    failed = [i for i, rec in enumerate(clean) if rec["check"] in errors]
+    assert len(broken) == len(clean) and len(failed) == len(errors)
+    for i in failed:
+        assert broken[i] == {"check": clean[i]["check"] + "-error",
+                             "error": errors[clean[i]["check"]], "samples": 0, "pass": False}
+    assert json.dumps([rec for i, rec in enumerate(broken) if i not in failed]) == \
+        json.dumps([rec for i, rec in enumerate(clean) if i not in failed])
+    assert f"[FAIL] gauge-oracle-ball-error  {gauge_error}" in result.output
+    assert "[FAIL] stem-koebe-coefficients-error  ValueError: no coefficient (1, 0)" in \
+        result.output
+    if not pooled:
+        # the traceback goes to stderr (a worker's stderr is its own)
+        assert "Traceback (most recent call last)" in result.output
 
 
 def test_a_growth_check_error_is_neither_renamed_nor_judged(monkeypatch):
     # an error record has no verdict: it fails even where the map's growth
     # record would not be asserted
     check = geometry.growth_check_domain
-    calls = []
 
-    def broken_check(*args):
-        calls.append(args)
-        if len(calls) == 1:
+    def broken_check(f, gauge, family, r_max, size, rng, I, theta, *rest):
+        if theta == 0.0 and I[1] == 1.0:  # the first record's, e1 at theta 0
             raise HypothesisViolationError("values leave the slice")
-        return check(*args)
+        return check(f, gauge, family, r_max, size, rng, I, theta, *rest)
 
     monkeypatch.setattr(geometry, "growth_check_domain", broken_check)
     reports = run_suite("growth-ball", small_config(shards=3, maps=("paper-example",)))
@@ -557,72 +577,71 @@ def test_pooled_algebra_equals_its_serial_run(shards, monkeypatch):
 
 
 def test_a_replaced_suite_runs_whole_pooled_or_serial(monkeypatch):
-    # an entry of SUITES without a .tasks splitter is one task, so a
-    # pooled run calls the replacement as the serial run does
+    # an entry of SUITES declares the checks that run: a pooled run runs
+    # every check of the replacement, in order, as the serial run does
+    def replacement(name):
+        return lambda cfg: [Check(f"{name}-{i}", 1, lambda size, rng: [Report("", True, 1)])
+                            for i in range(2)]
     for name in SUITES:
-        monkeypatch.setitem(SUITES, name,
-                            lambda cfg, name=name: [Report(name, True, 1, {})])
+        monkeypatch.setitem(SUITES, name, replacement(name))
     cfg = small_config(m=8)
-    assert [rep.check for rep in run_suite("algebra", cfg)] == ["algebra"]
-    assert [rep.check for rep in run_suite("all", cfg)] == list(SUITES)
+    assert [rep.check for rep in run_suite("algebra", cfg)] == ["algebra-0", "algebra-1"]
+    pooled = render(run_suite("all", cfg), "json")
+    assert [rec["check"] for rec in json.loads(pooled)] == \
+        [f"{name}-{i}" for name in SUITES for i in range(2)]
+    monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)
+    assert render(run_suite("all", cfg), "json") == pooled
 
 
 @pytest.mark.skipif(_usable_cpus() < 2, reason="the pool needs 2 usable CPUs")
 def test_pooled_algebra_runs_each_m_in_a_worker(monkeypatch):
-    monkeypatch.setattr(suites_mod, "_algebra_record", lambda cfg, m: [
-        Report(f"pid-m{m}", True, 1, {"pid": os.getpid()})])
+    monkeypatch.setattr(suites_mod, "_algebra_shard", lambda m, pair_err, count, rng:
+                        Report("pid", True, count, {"pid": os.getpid()}))
     reports = run_suite("algebra", small_config(m=3))
-    assert [rep.check for rep in reports] == ["pid-m1", "pid-m2", "pid-m3"]
+    assert [rep.check for rep in reports] == ["algebra-m1", "algebra-m2", "algebra-m3"]
     assert os.getpid() not in {rep.data["pid"] for rep in reports}
     monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)
     assert {rep.data["pid"] for rep in run_suite("algebra", small_config(m=3))} == \
         {os.getpid()}
 
 
-def test_pooled_suite_raises_a_task_error_as_the_task_did(monkeypatch):
-    # one m of the algebra suite fails; an error from outside the package
-    # crosses back from the worker, and one of the package fails that task
-    # alone, pooled or serial
-    record = suites_mod._algebra_record
-    error = ValueError
+def test_pooled_suite_fails_a_check_error_as_the_serial_run_does(monkeypatch):
+    # one m of the algebra suite fails: an error inside its check, from
+    # outside the package too, fails that check's record alone, with the
+    # same bytes pooled or serial
+    shard = suites_mod._algebra_shard
 
-    def broken_record(cfg, m):
+    def broken_shard(m, *args):
         if m == 2:
-            raise error("boom at m=2")
-        return record(cfg, m)
+            raise ValueError("boom at m=2")
+        return shard(m, *args)
 
-    monkeypatch.setattr(suites_mod, "_algebra_record", broken_record)
-    with pytest.raises(ValueError) as info:
-        run_suite("algebra", small_config(m=3))
-    assert type(info.value) is ValueError and str(info.value) == "boom at m=2"
+    monkeypatch.setattr(suites_mod, "_algebra_shard", broken_shard)
+    pooled = run_suite("algebra", small_config(m=3))
+    assert [rep.check for rep in pooled] == ["algebra-m1", "algebra-m2-error", "algebra-m3"]
+    assert pooled[1].data == {"error": "ValueError: boom at m=2"}
     result = CliRunner().invoke(main, ["verify", "algebra", "--m", "3",
                                        "--samples", "40", "--quiet"])
-    assert result.exit_code == 1
-    assert type(result.exception) is ValueError
-    assert str(result.exception) == "boom at m=2"
-    error = SliceAnalysisError
-    pooled = run_suite("algebra", small_config(m=3))
-    assert [rep.check for rep in pooled] == ["algebra-m1", "algebra-error", "algebra-m3"]
-    assert pooled[1].data == {"error": "SliceAnalysisError: boom at m=2"}
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)
     assert render(run_suite("algebra", small_config(m=3)), "json") == render(pooled, "json")
 
 
 def test_cli_import_does_not_load_multiprocessing():
-    # the pool is imported only by runs of two or more tasks, so interpreter
-    # start-up and one-task suites (the pointwise ones) do not pay for it
+    # the pool is imported only by runs of two or more checks, so
+    # interpreter start-up and one-check suites (representation) do not
+    # pay for it
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys, slicegrowth.cli; print('multiprocessing' in sys.modules)\n"
          "from slicegrowth.suites import RunConfig, run_suite\n"
-         "for name in ('gauge', 'representation'):\n"
-         "    run_suite(name, RunConfig(samples=20))\n"
-         "    print('multiprocessing' in sys.modules)"],
+         "run_suite('representation', RunConfig(samples=20))\n"
+         "print('multiprocessing' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False"] * 3
+    assert result.stdout.split() == ["False"] * 2
 
 
 # map -> (lower, ||f(-1/2)||, ||f(1/2)||, upper) at r = 1/2, theta = 0

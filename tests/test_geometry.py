@@ -38,7 +38,7 @@ from slicegrowth.series import (
 )
 from slicegrowth.slicemaps import SliceMap, extremal_map
 from slicegrowth.slicespace import make_orbit, make_point, point_norm, sample_S_batch
-from slicegrowth.suites import MAP_FAMILIES, RunConfig, _re_z1_control, run_growth_ball, run_suite
+from slicegrowth.suites import MAP_FAMILIES, RunConfig, _re_z1_control, run_suite
 
 
 E1_3 = generator(3, 1)
@@ -239,8 +239,8 @@ def test_hypothesis_status_spot_check():
     m = 3
     e1 = generator(m, 1)
     # the default-seed streams of the theta = 0 paper-example records
-    reports = run_growth_ball(RunConfig(seed=20240811, theta=0.0,
-                                        maps=("paper-example",)))
+    reports = run_suite("growth-ball", RunConfig(seed=20240811, theta=0.0,
+                                                 maps=("paper-example",)))
     status = {rep.check: rep.data["hypothesis_status"] for rep in reports
               if rep.check.startswith("growth-ball")}
     assert status == {

@@ -100,11 +100,17 @@ def test_closed_form_matches_series():
                     assert gap <= bound, (label, theta, n, gap, bound)
                     assert coefficient_gap(stem, exponent, theta, i_elem) <= 1e-9, \
                         (label, theta, n)
-                    # one point goes through the same closed form
-                    p = make_point(alpha[0], beta[0], CliffordElement(m, j_rows[0]))
-                    one = np.stack([v.coeffs for v in f.eval(p)])
-                    batch = f.eval_arrays(alpha[:1], beta[:1], j_rows[:1])[0]
+                    # one point, as one row, goes through the same closed form
+                    one = f.eval_arrays(alpha[:1], beta[:1], j_rows[0])[0]
+                    batch = f.eval_arrays(alpha, beta, j_rows)[0]
                     assert np.max(np.abs(one - batch)) < 1e-12
+
+
+def test_a_shadow_map_has_no_stem_to_differentiate():
+    # a ShadowMap is not a SliceMap: nothing it would inherit reads a stem
+    f = extremal_map(2, 0.7, generator(3, 1), 2)
+    assert not isinstance(f, SliceMap)
+    assert not hasattr(f, "derivative") and not hasattr(f, "stem")
 
 
 @pytest.mark.parametrize("p", [2, 1, -1])

@@ -180,6 +180,7 @@ def test_a_stubbed_check_leaves_the_other_records(suite, layer, index, check, mo
     # one stream per check: a check that draws differently moves no other
     # record of its suite
     cfg = RunConfig(samples=200, seed=5)
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)  # stub_call counts in process
     before = {rep.check: render([rep], "json") for rep in run_suite(suite, cfg)}
     stub_call(monkeypatch, geometry, layer, index, check)
     after = {rep.check: render([rep], "json") for rep in run_suite(suite, cfg)}
