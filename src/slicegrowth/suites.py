@@ -25,8 +25,9 @@ beta together, the raw normal rows of its J rows, the scalars), and
 redraws rejected cases in bulk.  Slice maps are evaluated on coefficient
 rows (SliceMap.eval_arrays); the representation and regularity suites
 expand their J rows (slicespace.unit_rows) and evaluate their cases in
-blocks of _BLOCK, and the algebra suite checks a shard's cases _BLOCK at
-a time; no report depends on the block size.
+blocks of _BLOCK (representation takes each map's own cases _BLOCK at a
+time, so a block holds one map's rows), and the algebra suite checks a
+shard's cases _BLOCK at a time; no report depends on the block size.
 
 run_suite(name, cfg) lists the declared checks of the requested suites
 in report order as (suite, index) tasks.  A fork-context pool of
@@ -495,36 +496,34 @@ def _representation_shard(m: int, n: int, count: int, rng) -> list[Report]:
     derivatives = [f.derivative(0) for f in maps]
     alpha, beta, raw, rejected = _representation_cases(rng, m, n, count, cond_threshold)
 
-    # case c uses map c % 8 and runs the sub-checks when c % 10 == 0
-    for lo in range(0, count, _BLOCK):
-        cases = np.arange(lo, min(lo + _BLOCK, count))
-        J, K, I, J2, K2 = slicespace.unit_rows(raw[:, cases])
-
-        for index, (f, df) in enumerate(zip(maps, derivatives)):
-            r = np.flatnonzero(cases % len(maps) == index)
-            if r.size == 0:
-                continue
-            a, b = alpha[cases[r]], beta[cases[r]]
-            direct = f.eval_arrays(a, b, I[r])
-            rec = rec_formula(f, a, b, J[r], K[r], I[r])
+    # case c uses map c % 8 and runs the sub-checks when c % 10 == 0; each
+    # map takes its own cases _BLOCK at a time
+    for index, (f, df) in enumerate(zip(maps, derivatives)):
+        own = np.arange(index, count, len(maps))
+        for lo in range(0, own.size, _BLOCK):
+            cases = own[lo:lo + _BLOCK]
+            J, K, I, J2, K2 = slicespace.unit_rows(raw[:, cases])
+            a, b = alpha[cases], beta[cases]
+            direct = f.eval_arrays(a, b, I)
+            rec = rec_formula(f, a, b, J, K, I)
             worst = max(worst, _gap(rec, direct))
 
-            s = np.flatnonzero(cases[r] % 10 == 0)
+            s = np.flatnonzero(cases % 10 == 0)
             if s.size == 0:
                 continue
-            a, b, rs = a[s], b[s], r[s]
-            rec2 = rec_formula(f, a, b, J2[rs], K2[rs], I[rs])
+            a, b = a[s], b[s]
+            rec2 = rec_formula(f, a, b, J2[s], K2[s], I[s])
             worst_two_pair = max(worst_two_pair, _gap(rec[s], rec2))
 
-            cor = slicemaps.two_slice_average(f, a, b, J[rs], I[rs])
+            cor = slicemaps.two_slice_average(f, a, b, J[s], I[s])
             worst_cor = max(worst_cor, _gap(cor, direct[s]))
 
-            collapse = rec_formula(f, a, b, J[rs], K[rs], J[rs])
+            collapse = rec_formula(f, a, b, J[s], K[s], J[s])
             worst_collapse = max(worst_collapse,
-                                 _gap(collapse, f.eval_arrays(a, b, J[rs])))
+                                 _gap(collapse, f.eval_arrays(a, b, J[s])))
 
-            rec_d = rec_formula(df, a, b, J[rs], K[rs], I[rs])
-            worst_deriv = max(worst_deriv, _gap(rec_d, df.eval_arrays(a, b, I[rs])))
+            rec_d = rec_formula(df, a, b, J[s], K[s], I[s])
+            worst_deriv = max(worst_deriv, _gap(rec_d, df.eval_arrays(a, b, I[s])))
 
     sub = (count + 9) // 10  # cases that ran the sub-checks (case % 10 == 0)
     return [
@@ -825,12 +824,18 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else 1
 
 
-def run_suite(name: str, cfg: RunConfig) -> list[Report]:
-    cfg.validate()
+def suite_tasks(name: str, cfg: RunConfig) -> list[tuple[str, int]]:
+    """The declared checks of suite name (every suite for "all") in report
+    order, as (suite, index of the check) tasks."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
-    tasks = [(suite, index) for suite in (SUITES if name == "all" else (name,))
-             for index in range(len(SUITES[suite](cfg)))]
+    return [(suite, index) for suite in (SUITES if name == "all" else (name,))
+            for index in range(len(SUITES[suite](cfg)))]
+
+
+def run_suite(name: str, cfg: RunConfig) -> list[Report]:
+    cfg.validate()
+    tasks = suite_tasks(name, cfg)
     workers = min(len(tasks), _usable_cpus())
     if workers < 2:
         parts = [_run_task(cfg, task) for task in tasks]

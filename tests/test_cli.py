@@ -644,6 +644,63 @@ def test_cli_import_does_not_load_multiprocessing():
     assert result.stdout.split() == ["False"] * 2
 
 
+def test_only_the_cli_freezes_the_heap(tmp_path):
+    # importing the CLI and running a suite as a library leave the
+    # collector alone; a CLI run freezes what import built before any
+    # check runs, and its summary counts records and declared checks
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "rep.json"
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import gc, sys, slicegrowth.cli\n"
+         "from slicegrowth.suites import RunConfig, run_suite\n"
+         "run_suite('representation', RunConfig(samples=50))\n"
+         "print(gc.get_freeze_count())\n"
+         "slicegrowth.cli.main(['verify', 'representation', '--samples', '50',\n"
+         "                      '--out', sys.argv[1]], standalone_mode=False)\n"
+         "print(gc.get_freeze_count())\n"
+         "slicegrowth.cli.main(['verify', 'all', '--samples', '20', '--truncation', '20',\n"
+         "                      '--out', sys.argv[1]], standalone_mode=False)",
+         str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    before, after = map(int, result.stdout.split())
+    assert before == 0 < after
+    summaries = [line for line in result.stderr.splitlines()
+                 if line.startswith(("representation:", "all:"))]
+    assert summaries[0].startswith("representation: 5 records from 1 check in ")
+    records = len(json.loads(out.read_text()))
+    declared = sum(len(declare(RunConfig(samples=20, truncation=20)))
+                   for declare in SUITES.values())
+    assert records > declared
+    assert summaries[1].startswith(f"all: {records} records from {declared} checks in ")
+
+
+def test_representation_evaluates_each_maps_cases_in_one_batch(monkeypatch):
+    # at 3000 samples each of the 8 maps has 375 cases, one block of
+    # _BLOCK: one reconstruction per map and three more for the four maps
+    # of even index, whose cases include the sub-check cases c % 10 == 0
+    calls = Counter()
+    formula = slicemaps.representation_formula
+    eval_arrays = slicemaps.SliceMap.eval_arrays
+
+    def counting_formula(*args, **kwargs):
+        calls["representation_formula"] += 1
+        return formula(*args, **kwargs)
+
+    def counting_eval(self, *args, **kwargs):
+        calls["eval_arrays"] += 1
+        assert len(args[0]) <= suites_mod._BLOCK
+        return eval_arrays(self, *args, **kwargs)
+
+    monkeypatch.setattr(slicemaps, "representation_formula", counting_formula)
+    monkeypatch.setattr(slicemaps.SliceMap, "eval_arrays", counting_eval)
+    reports = run_suite("representation", RunConfig(seed=20240811, samples=3000))
+    assert all(rep.passed for rep in reports)
+    assert calls == {"representation_formula": 20, "eval_arrays": 64}
+
+
 # map -> (lower, ||f(-1/2)||, ||f(1/2)||, upper) at r = 1/2, theta = 0
 _HALF_ROWS = {
     "koebe": (0.5 / 2.25, 0.5 / 2.25, 2.0, 2.0),

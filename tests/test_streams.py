@@ -191,7 +191,10 @@ def test_a_stubbed_check_leaves_the_other_records(suite, layer, index, check, mo
 
 @pytest.mark.parametrize("suite", ["representation", "regularity", "algebra"])
 def test_reports_do_not_depend_on_the_block_size(suite, monkeypatch):
-    options = {"m": 6, "samples": 300} if suite == "algebra" else {"samples": 150}
+    # at 1000 samples each representation map has 125 cases, more than
+    # one block of 97
+    options = {"algebra": {"m": 6, "samples": 300}, "representation": {"samples": 1000},
+               "regularity": {"samples": 150}}[suite]
     for seed in (1, 7):
         cfg = RunConfig(seed=seed, **options)
         reports = []
