@@ -26,11 +26,9 @@ from .errors import (
     SliceAnalysisError,
 )
 from .geometry import (
-    ExtremalProfile,
     Gauge,
     ball_gauge,
     convex_criterion_slice,
-    extremal_profile,
     gauge_rho,
     growth_check_ball,
     growth_check_domain,

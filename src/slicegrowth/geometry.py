@@ -8,11 +8,13 @@ u = <J, I> (coefficient inner product):
 
     ||f(alpha + J beta)||^2 = c0 - c1 * u =: g(u),
 
-so the extrema over all J are attained at J = +-I.  The profile, its
-sampled check and envelope_table evaluate through SliceMap.eval_arrays,
-one stem row broadcast over many J rows.  The starlike and
-convex criteria (starlike_criterion_slice, convex_criterion_slice) read
-the shadow f.shadow(I, tol) and its derivatives, at one point or a batch.
+so the extrema over all J are attained at J = +-I, and g is the chord
+through the endpoint norms: c0 - c1 = ||f(I)||^2, c0 + c1 = ||f(-I)||^2.
+verify_extremal reads it from one SliceMap.eval_arrays call, one stem
+row broadcast over the J rows [I, -I, the sampled J, a u-sweep].  The
+starlike and convex criteria (starlike_criterion_slice,
+convex_criterion_slice) read the shadow f.shadow(I, tol) and its
+derivatives, at one point or a batch.
 One growth checker, growth_check_domain, samples a gauged domain (the
 unit ball is the ball gauge), reads every value through
 SliceMap.eval_arrays (the gauge-form through value_gauge_on_slice on the
@@ -36,71 +38,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import generator, mul_batch, row_m
-from .errors import (
-    CriterionError,
-    GaugeError,
-    HypothesisViolationError,
-    SamplingError,
-)
+from .algebra import generator, row_m
+from .errors import CriterionError, GaugeError, HypothesisViolationError
 from .reports import Report
 from .series import StemSeries, tail_bound
 from .slicemaps import ShadowMap, SliceMap, complex_on_slice
 from .slicespace import SliceOrbit, anticommuting_unit, sample_S_batch, vector_norm
 
-_ZERO_COMPONENT_TOL = 1e-12
 # resolution credited to oracle bisection (60 halvings); membership is not
 # compared within 100 times this of the boundary
 _BISECT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# extremal profile (norm of f along an orbit as a function of u = <J, I>)
+# extremal norms along an orbit, an affine function of u = <J, I>
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtremalProfile:
-    c0: float
-    c1: float
-
-    def g(self, u):
-        return self.c0 - self.c1 * np.asarray(u, dtype=np.float64)
-
-
-def extremal_profile(f, o: SliceOrbit, I: np.ndarray,
-                     tol: float = 1e-9) -> ExtremalProfile:
-    """Build the affine norm profile of f along the orbit o for the slice
-    row I.
-
-    Requires the values at +-I to lie in the slice of I; raises
-    HypothesisViolationError otherwise.  Components whose A_t vanishes
-    route |B_t|^2 into the constant term.
-    """
-    v_i, v_mi = f.eval_arrays(o.alpha[None], o.beta[None],
-                              np.stack([I, -I]))
-    value_a = 0.5 * (v_i + v_mi)
-    value_b = -0.5 * mul_batch(f.m, I, v_i - v_mi)
-
-    c0 = 0.0
-    c1 = 0.0
-    scale = max(1.0, vector_norm(v_i), vector_norm(v_mi))
-    for t in range(len(v_i)):
-        ca, ra = complex_on_slice(value_a[t], I)
-        cb, rb = complex_on_slice(value_b[t], I)
-        if max(ra, rb) > tol * scale:
-            raise HypothesisViolationError(
-                f"value component {t} leaves the slice of I "
-                f"(residual {max(ra, rb):.3e})"
-            )
-        ca = complex(ca)
-        cb = complex(cb)
-        if abs(ca) <= max(tol, _ZERO_COMPONENT_TOL):
-            c0 += abs(cb) ** 2
-            continue
-        ratio = cb / ca
-        c0 += (1.0 + ratio.real ** 2 + ratio.imag ** 2) * abs(ca) ** 2
-        c1 += 2.0 * ratio.imag * abs(ca) ** 2
-    return ExtremalProfile(c0, c1)
+# the u values of the equispaced sweep that the linearity residual fits
+_SWEEP_U = np.linspace(-1.0, 1.0, 11)
 
 
 def _batch_norms(f: SliceMap, alpha, beta, j_rows) -> np.ndarray:
@@ -109,63 +64,66 @@ def _batch_norms(f: SliceMap, alpha, beta, j_rows) -> np.ndarray:
     return np.sqrt(np.sum(vals * vals, axis=(1, 2)))
 
 
+def _sweep_rows(I: np.ndarray, perp: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """The roots of -1 u*I + sqrt(1-u^2)*perp, one row per u of us."""
+    return us[:, None] * I[None, :] + \
+        np.sqrt(np.maximum(0.0, 1.0 - us ** 2))[:, None] * perp[None, :]
+
+
 def sample_roots_spanning(I: np.ndarray, rng, count: int) -> np.ndarray:
     """J rows mixing vector-strategy draws with the u-sweep family
     u*I + sqrt(1-u^2)*I_perp, so <J, I> covers [-1, 1] even for
     non-grade-1 directions I."""
-    m = row_m(I)
     half = count // 2
-    rows = sample_S_batch(rng, m, count - half)
+    rows = sample_S_batch(rng, row_m(I), count - half)
     if half:
-        try:
-            perp = anticommuting_unit(I, rng)
-        except SamplingError:
-            return np.vstack([rows, sample_S_batch(rng, m, half)])
-        us = rng.uniform(-1.0, 1.0, size=half)
-        sweep = us[:, None] * I[None, :] + np.sqrt(1.0 - us ** 2)[:, None] * perp[None, :]
-        rows = np.vstack([rows, sweep])
+        perp = anticommuting_unit(I, rng)
+        rows = np.vstack([rows, _sweep_rows(I, perp, rng.uniform(-1.0, 1.0, size=half))])
     return rows
 
 
 def verify_extremal(f: SliceMap, o: SliceOrbit, I: np.ndarray,
                     samples: int, rng, tol: float = 1e-9) -> Report:
-    """Sampled check that the norm extrema over J sit at J = +-I and that
-    the measured norms match the affine profile g(u)."""
-    prof = extremal_profile(f, o, I, tol)
-    j_rows = sample_roots_spanning(I, rng, samples)
-    # one stem row over the endpoints +-I and every sampled J
-    norms = _batch_norms(f, o.alpha[None], o.beta[None],
-                         np.vstack([I, -I, j_rows]))
-    hi, lo = float(max(norms[:2])), float(min(norms[:2]))
-    norms = norms[2:]
-    u = j_rows @ I
-    profile_residual = float(np.max(np.abs(norms ** 2 - prof.g(u))))
-    violation = max(0.0, float(np.max(norms)) - hi, lo - float(np.min(norms)))
+    """Sampled check that the norm extrema over J sit at J = +-I, that the
+    squared norms match the affine profile g(u) = c0 - c1 u and that an
+    equispaced u-sweep toward a perpendicular drawn from rng lies on a
+    line (linearity_residual, a least-squares fit).
 
-    max_error = max(violation, profile_residual)
-    return Report.from_error(
-        "extremal", max_error, tol, samples,
+    One f.eval_arrays call takes the rows [I, -I, the sampled J, the
+    sweep].  The profile is the chord through the endpoint norms,
+    g(1) = ||f(I)||^2 and g(-1) = ||f(-I)||^2, which requires f(+-I) to
+    lie in the slice of I; raises HypothesisViolationError otherwise.
+    A NaN anywhere reaches max_error and fails the record.
+    """
+    j_rows = sample_roots_spanning(I, rng, samples)
+    sweep = _sweep_rows(I, anticommuting_unit(I, rng), _SWEEP_U)
+    vals = f.eval_arrays(o.alpha[None], o.beta[None], np.vstack([I, -I, j_rows, sweep]))
+    sq = np.sum(vals * vals, axis=(1, 2))
+    norms = np.sqrt(sq)
+    _, off_slice = complex_on_slice(vals[:2], I)
+    if off_slice > tol * max(1.0, *norms[:2]):
+        raise HypothesisViolationError(
+            f"values at +-I leave the slice of I (residual {off_slice:.3e})")
+    c0, c1 = 0.5 * (sq[0] + sq[1]), 0.5 * (sq[1] - sq[0])
+    hi, lo = float(np.max(norms[:2])), float(np.min(norms[:2]))
+    sampled, sweep_sq = norms[2:2 + samples], sq[2 + samples:]
+    profile_residual = float(np.max(np.abs(sq[2:2 + samples] - (c0 - c1 * (j_rows @ I)))))
+    # np.max, unlike the builtin max, keeps a NaN
+    violation = float(np.max([0.0, np.max(sampled) - hi, lo - np.min(sampled)]))
+    design = np.stack([np.ones_like(_SWEEP_U), _SWEEP_U], axis=1)
+    coef, *_ = np.linalg.lstsq(design, sweep_sq, rcond=None)
+    linearity = float(np.max(np.abs(sweep_sq - design @ coef)))
+
+    rep = Report.from_error(
+        "extremal", np.max([violation, profile_residual, linearity]), tol, samples,
         m=f.m, n=f.n,
         endpoint_max=hi, endpoint_min=lo,
-        sampled_max=float(np.max(norms)), sampled_min=float(np.min(norms)),
+        sampled_max=float(np.max(sampled)), sampled_min=float(np.min(sampled)),
         endpoint_violation=violation, profile_residual=profile_residual,
-        c0=prof.c0, c1=prof.c1,
+        c0=float(c0), c1=float(c1),
     )
-
-
-def profile_linearity(f: SliceMap, o: SliceOrbit, I: np.ndarray, rng,
-                      points: int = 11) -> float:
-    """Least-squares residual of ||f||^2 against a line in u over an
-    equispaced u-sweep toward a perpendicular drawn from rng; zero in
-    exact arithmetic."""
-    perp = anticommuting_unit(I, rng)
-    us = np.linspace(-1.0, 1.0, points)
-    rows = us[:, None] * I[None, :] + \
-        np.sqrt(np.maximum(0.0, 1.0 - us ** 2))[:, None] * perp[None, :]
-    sq = _batch_norms(f, o.alpha[None], o.beta[None], rows) ** 2
-    design = np.stack([np.ones_like(us), us], axis=1)
-    coef, *_ = np.linalg.lstsq(design, sq, rcond=None)
-    return float(np.max(np.abs(sq - design @ coef)))
+    rep.data["linearity_residual"] = linearity
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slicegrowth.algebra import CliffordElement, blade, generator
+from slicegrowth.algebra import CliffordElement, blade, generator, mul_batch
 from slicegrowth.errors import (
     CriterionError,
     GaugeError,
@@ -15,7 +15,6 @@ from slicegrowth.geometry import (
     closed_form_agreement,
     convex_criterion_slice,
     envelope_table,
-    extremal_profile,
     gauge_properties_check,
     gauge_rho,
     growth_bounds,
@@ -23,7 +22,6 @@ from slicegrowth.geometry import (
     growth_check_domain,
     oracle_gauge,
     polydisc_gauge,
-    profile_linearity,
     sharpness_axis,
     starlike_criterion_slice,
     value_gauge_on_slice,
@@ -47,9 +45,9 @@ E1_3 = generator(3, 1)
 def test_profile_real_orbit_is_constant():
     f = SliceMap(identity_map(3, 2))
     o = make_orbit([0.4, -0.7], [0.0, 0.0])
-    prof = extremal_profile(f, o, E1_3)
-    assert prof.c1 == pytest.approx(0.0, abs=1e-14)
-    assert prof.g(1.0) == pytest.approx(prof.g(-1.0), abs=1e-14)
+    rep = verify_extremal(f, o, E1_3, 50, np.random.default_rng(0))
+    assert rep.data["c1"] == pytest.approx(0.0, abs=1e-14)
+    assert rep.data["endpoint_max"] == pytest.approx(rep.data["endpoint_min"], abs=1e-14)
 
 
 def test_profile_identity_has_no_slope():
@@ -57,8 +55,8 @@ def test_profile_identity_has_no_slope():
     rng = np.random.default_rng(0)
     f = SliceMap(identity_map(3, 2))
     o = make_orbit([0.3, -0.5], [0.6, 0.2])
-    prof = extremal_profile(f, o, E1_3)
-    assert abs(prof.c1) < 1e-14
+    rep = verify_extremal(f, o, E1_3, 50, rng)
+    assert abs(rep.data["c1"]) < 1e-14
     norms = []
     for j in sample_S_batch(rng, 3, 50):
         p = make_point(o.alpha, o.beta, CliffordElement(3, j))
@@ -67,15 +65,19 @@ def test_profile_identity_has_no_slope():
 
 
 def test_profile_matches_sampled_norms_for_koebe():
+    # the chord through the endpoint norms predicts the norm at every J,
+    # each evaluated alone
     rng = np.random.default_rng(1)
     f = SliceMap(extremal_series(2, 0.6, E1_3, 80, 2))
     o = make_orbit([0.25, -0.1], [0.3, 0.2])
-    prof = extremal_profile(f, o, E1_3)
+    rep = verify_extremal(f, o, E1_3, 50, rng)
+    c0, c1 = rep.data["c0"], rep.data["c1"]
+    assert abs(c1) > 0.01
     for j in sample_S_batch(rng, 3, 50):
         u = float(np.dot(j, E1_3))
         val = np.sqrt(sum(np.dot(v.coeffs, v.coeffs)
                           for v in f.eval(make_point(o.alpha, o.beta, CliffordElement(3, j)))))
-        assert abs(val ** 2 - prof.g(u)) < 1e-9
+        assert abs(val ** 2 - (c0 - c1 * u)) < 1e-9
 
 
 def test_profile_rejects_off_slice_maps():
@@ -86,7 +88,7 @@ def test_profile_rejects_off_slice_maps():
     f = SliceMap(StemSeries(3, 2, table))
     o = make_orbit([0.5, 0.0], [0.2, 0.0])
     with pytest.raises(HypothesisViolationError):
-        extremal_profile(f, o, E1_3)
+        verify_extremal(f, o, E1_3, 50, np.random.default_rng(0))
 
 
 def test_verify_extremal_passes_for_koebe():
@@ -109,7 +111,57 @@ def test_verify_extremal_bivector_direction():
 def test_profile_linearity_residual():
     f = SliceMap(extremal_series(2, 0.8, E1_3, 80, 2))
     o = make_orbit([0.35, -0.15], [0.2, 0.3])
-    assert profile_linearity(f, o, E1_3, np.random.default_rng(0)) < 1e-9
+    rep = verify_extremal(f, o, E1_3, 20, np.random.default_rng(0))
+    assert rep.data["linearity_residual"] < 1e-9
+
+
+class NanOffTheAxis:
+    """The values of f, NaN on every slice but those of +-I."""
+
+    def __init__(self, f, I):
+        self.f, self.I, self.m, self.n = f, I, f.m, f.n
+
+    def eval_arrays(self, alpha, beta, j_rows):
+        vals = self.f.eval_arrays(alpha, beta, j_rows)
+        vals[np.abs(np.atleast_2d(j_rows) @ self.I) < 1.0] = np.nan
+        return vals
+
+
+def test_verify_extremal_fails_a_nan_map():
+    f = NanOffTheAxis(extremal_map(2, 0.3, E1_3, 2), E1_3)
+    o = make_orbit([0.2, -0.3], [0.25, 0.15])
+    rep = verify_extremal(f, o, E1_3, 400, np.random.default_rng(2))
+    assert np.isfinite(rep.data["c0"]) and np.isfinite(rep.data["c1"])
+    assert np.isnan(rep.data["profile_residual"])
+    assert np.isnan(rep.data["max_error"])
+    assert not rep.passed
+
+
+class IPlusJIJ:
+    """I + J I J in every component on the slice of J: 0 at J = +-I and
+    2I on the slices of the J that anticommute with I, so not slice
+    regular; the extremal record's negative control."""
+
+    def __init__(self, I, n):
+        self.I, self.m, self.n = I, 3, n
+
+    def eval_arrays(self, alpha, beta, j_rows):
+        J = np.atleast_2d(j_rows)
+        v = self.I + mul_batch(self.m, mul_batch(self.m, J, self.I), J)
+        return np.repeat(v[:, None, :], self.n, axis=1)
+
+
+def test_verify_extremal_negative_control():
+    o = make_orbit([0.2, -0.3], [0.25, 0.15])
+    control = verify_extremal(IPlusJIJ(E1_3, 2), o, E1_3, 400, np.random.default_rng(2))
+    assert not control.passed
+    assert control.data["c0"] == control.data["c1"] == 0.0
+    # the largest norm is 2 |I| sqrt(n) and its square 8, against 0 at +-I
+    assert control.data["endpoint_violation"] == pytest.approx(2 * np.sqrt(2), abs=0.01)
+    assert control.data["profile_residual"] == pytest.approx(8.0, abs=0.05)
+    koebe = verify_extremal(extremal_map(2, 0.3, E1_3, 2), o, E1_3, 400,
+                            np.random.default_rng(2))
+    assert koebe.passed, koebe.data
 
 
 def test_starlike_criterion_identity_and_koebe():

@@ -55,3 +55,25 @@ def test_report_diff_is_silent_on_equal_reports(tmp_path):
     code, lines = run_diff(tmp_path, records, moved)
     assert code == 1 and len(lines) == 1
     assert lines[0].startswith("stem-even-odd#1 max_error: 1e-300 -> -1e-300 (rel 2, ")
+
+
+def test_report_diff_names_records_and_fields_out_of_order(tmp_path):
+    a = [{"check": "stem-even-odd", "max_error": 0.0, "samples": 5, "pass": True},
+         {"check": "gauge-ball", "max_error": 0.0, "samples": 5, "pass": True},
+         {"check": "gauge-polydisc", "max_error": 0.0, "samples": 5, "pass": True}]
+    # every record and every field reversed: the same values, other bytes
+    code, lines = run_diff(tmp_path, a, [dict(reversed(rec.items())) for rec in reversed(a)])
+    assert code == 1
+    assert lines == [
+        "stem-even-odd: position 0 -> 2",
+        "stem-even-odd: field order check max_error samples pass"
+        " -> pass samples max_error check",
+        "gauge-ball: field order check max_error samples pass"
+        " -> pass samples max_error check",
+        "gauge-polydisc: position 2 -> 0",
+        "gauge-polydisc: field order check max_error samples pass"
+        " -> pass samples max_error check",
+    ]
+    # a record on one side only moves no other record's place
+    code, lines = run_diff(tmp_path, a, a[1:])
+    assert (code, lines) == (1, ["stem-even-odd: only in A"])

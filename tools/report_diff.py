@@ -6,8 +6,10 @@ Records are matched by check name (the k-th record of a name in A with
 the k-th of that name in B).  Prints one line per moved field, starting
 with the check name: both values and, for floats, the relative change
 and the distance in units in the last place.  Records and fields present
-on one side only get a line each too.  Exits 0 when nothing moved and 1
-otherwise.
+on one side only get a line each too, and so does a record whose place
+among the records of both sides moved (with its index in A and in B) or
+whose shared fields are in another order.  Exits 0 when nothing moved
+and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -45,9 +47,18 @@ def _describe(a, b) -> str:
     return text
 
 
+def _common(first, second) -> list:
+    """The items of first that are also in second, in first's order."""
+    return [item for item in first if item in second]
+
+
 def diff(a: list[dict], b: list[dict]) -> list[str]:
-    """One line per moved field, or record or field on one side only."""
+    """One line per moved field, per record whose position among the
+    records of both sides moved, per record whose shared fields changed
+    order, and per record or field on one side only."""
     ka, kb = _keyed(a), _keyed(b)
+    rank_a, rank_b = ({key: i for i, key in enumerate(_common(x, y))}
+                      for x, y in ((ka, kb), (kb, ka)))
     lines = []
     for key in list(ka) + [k for k in kb if k not in ka]:
         check = key[0] if key[1] == 0 else f"{key[0]}#{key[1]}"
@@ -58,6 +69,11 @@ def diff(a: list[dict], b: list[dict]) -> list[str]:
             lines.append(f"{check}: only in B")
             continue
         ra, rb = ka[key], kb[key]
+        if rank_a[key] != rank_b[key]:
+            lines.append(f"{check}: position {list(ka).index(key)} -> {list(kb).index(key)}")
+        order_a, order_b = _common(ra, rb), _common(rb, ra)
+        if order_a != order_b:
+            lines.append(f"{check}: field order {' '.join(order_a)} -> {' '.join(order_b)}")
         for field in list(ra) + [f for f in rb if f not in ra]:
             if field not in rb:
                 lines.append(f"{check} {field}: only in A ({ra[field]!r})")
