@@ -13,8 +13,8 @@ through the endpoint norms: c0 - c1 = ||f(I)||^2, c0 + c1 = ||f(-I)||^2.
 verify_extremal reads it from one SliceMap.eval_arrays call, one stem
 row broadcast over the J rows [I, -I, the sampled J, a u-sweep].  The
 starlike and convex criteria (starlike_criterion_slice,
-convex_criterion_slice) read the shadow f.shadow(I, tol) and its
-derivatives, at one point or a batch.
+convex_criterion_slice) read a ShadowMap's shadow f.shadow(I, tol) and
+its derivatives, at one point or a batch.
 One growth checker, growth_check_domain, samples a gauged domain (the
 unit ball is the ball gauge), reads every value through
 SliceMap.eval_arrays (the gauge-form through value_gauge_on_slice on the
@@ -38,10 +38,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import generator, row_m
+from .algebra import generator, mul_batch, row_m
 from .errors import CriterionError, GaugeError, HypothesisViolationError
 from .reports import Report
-from .series import StemSeries, tail_bound
+from .series import StemSeries, power_sum, side_by_side, tail_bound
 from .slicemaps import ShadowMap, SliceMap, complex_on_slice
 from .slicespace import SliceOrbit, anticommuting_unit, sample_S_batch, vector_norm
 
@@ -130,15 +130,16 @@ def verify_extremal(f: SliceMap, o: SliceOrbit, I: np.ndarray,
 # starlike / convex criteria on a slice
 # ---------------------------------------------------------------------------
 
-def starlike_criterion_slice(f: SliceMap, I: np.ndarray, z,
+def starlike_criterion_slice(f: ShadowMap, I: np.ndarray, z,
                              tol: float = 1e-9):
     """Re <Df_I(z)^{-1} f_I(z), z> through the complex identification of
     the slice of I; positive everywhere iff the restriction is starlike.
 
     z has shape (n,) (returns a float) or (B, n) (returns B values, each
     with the bits it has alone).  Raises HypothesisViolationError where
-    f.shadow(I, tol) does (the map does not send the slice of I into
-    itself), CriterionError on a singular Jacobian at any point.
+    the ShadowMap's f.shadow(I, tol) does (I is not the map's own slice,
+    or the map has no derivatives), CriterionError on a singular
+    Jacobian at any point.
     """
     g, dg, _ = f.shadow(I, tol)
     z = np.asarray(z, dtype=np.complex128)
@@ -155,16 +156,16 @@ def starlike_criterion_slice(f: SliceMap, I: np.ndarray, z,
     return float(vals[0]) if z.ndim == 1 else vals
 
 
-def convex_criterion_slice(f: SliceMap, I: np.ndarray, t: int, x,
+def convex_criterion_slice(f: ShadowMap, I: np.ndarray, t: int, x,
                            tol: float = 1e-9):
     """Re(1 + x f_t''(x)/f_t'(x)) for component t of the slice shadow f_I
     at real x on the z_t axis (the other variables at 0): the classical
     convexity criterion of that one-variable restriction.
 
     x is a float (returns a float) or an array (returns values of its
-    shape).  Raises HypothesisViolationError where f.shadow(I, tol) does,
-    and CriterionError where f_t' vanishes at a float x; in an array the
-    value there is NaN.
+    shape).  Raises HypothesisViolationError where the ShadowMap's
+    f.shadow(I, tol) does, and CriterionError where f_t' vanishes at a
+    float x; in an array the value there is NaN.
     """
     _, dg, d2g = f.shadow(I, tol)
     x = np.asarray(x, dtype=np.float64)
@@ -206,7 +207,7 @@ def _sample_ball(rng, samples: int, n: int, m: int, r_max: float):
     return alpha, beta, j_rows, radii
 
 
-def _hypothesis_status(f: SliceMap, family: str, I: np.ndarray,
+def _hypothesis_status(f: ShadowMap, family: str, I: np.ndarray,
                        r_max: float, rng, checks: int = 64) -> str:
     """Spot-check of the starlike/convex hypothesis on the slice of I at
     checks points, drawn whole and judged in one batched criterion call
@@ -243,7 +244,7 @@ def merge_hypothesis_status(statuses: list[str]) -> str:
     return f"violated({bad}/{int(counts[0][1]) * len(statuses)})"
 
 
-def growth_check_ball(f: SliceMap, family: str, r_max: float, samples: int,
+def growth_check_ball(f: ShadowMap, family: str, r_max: float, samples: int,
                       rng, I: np.ndarray, theta: float = 0.0,
                       tol: float = 1e-9, assert_bounds: bool = True) -> Report:
     """growth_check_domain on the unit ball, ball_gauge(f.n, f.m).
@@ -269,23 +270,31 @@ def closed_form_agreement(maps: list[ShadowMap], stems: list[StemSeries], thetas
                           coeff_gap: float, r_max: float, samples: int, rng,
                           tol: float = 1e-9) -> Report:
     """Check closed-form maps against their reference series, the map of
-    each theta of thetas against its stem: at `samples` ball points per
-    map, |series - closed form| must stay within the series' tail bound at
-    r_max plus tol, and coeff_gap, the largest series.coefficient_gap of
-    the stems (sample-free, so a sharded caller computes it once), must
-    stay within tol."""
-    value_gap = 0.0
-    for f, stem in zip(maps, stems):
-        alpha, beta, j_rows, _ = _sample_ball(rng, samples, f.n, f.m, r_max)
-        diff = f.eval_arrays(alpha, beta, j_rows) - \
-            SliceMap(stem).eval_arrays(alpha, beta, j_rows)
-        value_gap = max(value_gap, float(np.max(
-            np.sqrt(np.sum(diff * diff, axis=(1, 2))), initial=0.0)))
+    each theta of thetas against its stem, at one set of `samples` ball
+    points shared by every map: |series - closed form| must stay within
+    the series' tail bound at r_max plus tol at every point and map, and
+    coeff_gap, the largest series.coefficient_gap of the stems
+    (sample-free, so a sharded caller computes it once), must stay
+    within tol.
+
+    One power_sum call evaluates every stem, their coefficient tables
+    side by side (series.side_by_side, which raises unless the stems
+    share their exponent rows), so the points' monomials are built once.
+    A NaN anywhere fails the record.
+    """
+    m, n = maps[0].m, maps[0].n
+    kmat, coeffs = side_by_side(stems)
+    alpha, beta, j_rows, _ = _sample_ball(rng, samples, n, m, r_max)
+    vals = power_sum(kmat, coeffs, alpha + 1j * beta).reshape(samples, len(stems), n, 1 << m)
+    reference = vals.real + mul_batch(m, j_rows[:, None, None, :], vals.imag)
+    diff = np.stack([f.eval_arrays(alpha, beta, j_rows) for f in maps], axis=1) - reference
+    # np.max, unlike the builtin max, keeps a NaN
+    value_gap = float(np.max(np.sqrt(np.sum(diff * diff, axis=(2, 3)))))
     tail = max(tail_bound(stem, r_max) for stem in stems)
     return Report.from_error(
-        "closed-form", max(value_gap - tail, coeff_gap), tol,
+        "closed-form", np.max([value_gap - tail, coeff_gap]), tol,
         samples * len(maps),
-        m=maps[0].m, n=maps[0].n, N=stems[0].degree, r_max=r_max,
+        m=m, n=n, N=stems[0].degree, r_max=r_max,
         thetas=" ".join(f"{theta:g}" for theta in thetas),
         value_gap=value_gap, tail_bound=tail, coefficient_gap=coeff_gap,
     )
@@ -296,13 +305,12 @@ def sharpness_axis(f: SliceMap, family: str, r_grid, tol: float = 1e-8) -> Repor
     ||f(-r e)|| hits the lower envelope and ||f(+r e)|| the upper one.
 
     The verdict is on the worst gap over the grid, also reported as
-    raw_gap.
+    raw_gap; a NaN gap fails it.
     """
-    worst = 0.0
     rows = envelope_table(f, family, r_grid)
-    for row in rows:
-        worst = max(worst, abs(row["f_at_minus_r"] - row["lower_bound"]),
-                    abs(row["f_at_plus_r"] - row["upper_bound"]))
+    worst = float(np.max([[abs(row["f_at_minus_r"] - row["lower_bound"]),
+                           abs(row["f_at_plus_r"] - row["upper_bound"])] for row in rows],
+                         initial=0.0))
     return Report.from_error(
         f"sharpness-{family}", worst, tol, len(rows),
         family=family, m=f.m, n=f.n,
@@ -497,7 +505,7 @@ def gauge_properties_check(g: Gauge, samples: int, rng,
 # growth checks on gauged domains
 # ---------------------------------------------------------------------------
 
-def growth_check_domain(f: SliceMap, g: Gauge, family: str, r_max: float,
+def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
                         samples: int, rng, I: np.ndarray,
                         theta: float = 0.0, tol: float = 1e-9,
                         asserted: bool = True) -> Report:

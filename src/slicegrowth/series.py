@@ -9,10 +9,10 @@ non-commutative Cauchy convolution on one-variable series sum_k x^k a_k
 like x (1 - x e^{I theta})^{-*2} presume.  Such a series is its (K, 2**m)
 coefficient array: row k holds a_k.
 
-power_sum is the one power-series evaluator: stems and their complex
-slice shadows (slicemaps.ComplexSeries) are evaluated through it, in
-blocks of _EVAL_CHUNK rows, and power_derivative is the one formal
-partial derivative of both.  central_partials is the one
+power_sum is the one power-series evaluator: stems, their holomorphic
+components (slicemaps.ComplexSeries) and the side-by-side tables of
+series that share their exponents (side_by_side) are evaluated through
+it, in blocks of _EVAL_CHUNK rows.  central_partials is the one
 finite-difference stencil of the holomorphy checks on rows, cr_residual
 and slicemaps.regularity_residual.
 
@@ -143,10 +143,14 @@ class StemSeries:
     # -- calculus -------------------------------------------------------------
 
     def derivative(self, t: int) -> "StemSeries":
-        """Formal partial derivative in variable t (0-indexed)."""
+        """Formal partial derivative in variable t (0-indexed): the rows
+        with a positive t-exponent, scaled by it, exponent lowered by one."""
         if not 0 <= t < self.n:
             raise DimensionError(f"variable index {t} out of range 0..{self.n - 1}")
-        kmat, amat = power_derivative(self._kmat, self._amat, t)
+        keep = self._kmat[:, t] >= 1
+        kmat = self._kmat[keep].copy()
+        amat = self._amat[keep] * kmat[:, t, None, None]
+        kmat[:, t] -= 1
         return StemSeries._from_tables(self.m, self.n, kmat, amat,
                                        degree=max(self.degree - 1, 0))
 
@@ -157,9 +161,18 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
     kmat: (K, n) exponents; coeffs: (K, C) real or complex; z: (B, n)
     complex.  Returns (B, C) complex.  The rows of z go in blocks of
     _EVAL_CHUNK; a block's powers z_t^e are built once, by cumulative
-    products, and its monomials are gathered from them into a (K, block)
-    table, which is contracted with coeffs.  One power table and one
-    monomial table serve every block of a call.
+    products, into a table whose row e n + t holds z_t^e (row t is 1).
+    The (K, block) monomial table starts as one take from that whole
+    table: each row's power of its first variable with a nonzero
+    exponent (1 for a constant row).  Each later variable that some row
+    needs then multiplies the table's (K, block) columns by its powers,
+    taken into a second buffer, with 1 in every row that does not need
+    it.  Every multiply covers the whole table, because numpy's complex
+    multiply can give an element other bits on a subset of rows or in
+    another layout, and a row must get the same bits alone as in any
+    batch.  A componentwise table (one variable per row) needs no
+    multiply.  The buffers are allocated once per call, and a short last
+    block leaves their extra columns unread.
 
     A real table is contracted with the monomials viewed as
     interleaved (re, im) floats, so conjugating z flips the sign of the
@@ -175,15 +188,23 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
     width = min(B, _EVAL_CHUNK)
     powers = np.empty((top + 1, n, width), dtype=np.complex128)
     powers[0] = 1.0
+    table = powers.reshape((top + 1) * n, width)
+    first = np.argmax(kmat != 0, axis=1)
+    first_rows = kmat[np.arange(len(kmat)), first] * n + first
+    # exponent of each variable after a row's first, 0 (a factor 1) elsewhere
+    later = np.where(np.arange(n) > first[:, None], kmat, 0)
+    needed = [t for t in range(1, n) if later[:, t].any()]
     monomials = np.empty((len(kmat), width), dtype=np.complex128)
+    factors = np.empty_like(monomials) if needed else None
     for lo in range(0, B, _EVAL_CHUNK):
         zc = z[lo:lo + _EVAL_CHUNK].T
         pw, w = powers[..., :zc.shape[1]], monomials[:, :zc.shape[1]]
         for prev, cur in zip(pw[:-1], pw[1:]):
             np.multiply(prev, zc, out=cur)
-        np.take(pw[:, 0], kmat[:, 0], axis=0, out=w, mode="clip")
-        for t in range(1, n):
-            w *= pw[kmat[:, t], t]
+        np.take(table, first_rows, axis=0, out=monomials, mode="clip")
+        for t in needed:
+            np.take(table, later[:, t] * n + t, axis=0, out=factors, mode="clip")
+            w *= factors[:, :zc.shape[1]]
         vals = w.view(np.float64).T @ coeffs if real else np.einsum("kb,kc->bc", w, coeffs)
         block = out[lo:lo + zc.shape[1]]
         if real:    # vals has rows re, im, re, im, ...
@@ -193,15 +214,16 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
     return out
 
 
-def power_derivative(kmat: np.ndarray, coeffs: np.ndarray, t: int):
-    """Formal partial derivative in variable t of the table (kmat, coeffs):
-    rows with a positive t-exponent, scaled by it, exponent lowered by one."""
-    keep = kmat[:, t] >= 1
-    kmat = kmat[keep].copy()
-    scale = kmat[:, t].reshape((-1,) + (1,) * (coeffs.ndim - 1))
-    coeffs = coeffs[keep] * scale
-    kmat[:, t] -= 1
-    return kmat, coeffs
+def side_by_side(stems: list[StemSeries]):
+    """The exponent rows kmat (K, n) that the series share and their
+    coefficient tables side by side, (K, len(stems) n 2**m): one
+    power_sum call evaluates them all, series j in columns
+    j n 2**m ... (j + 1) n 2**m.  Raises DimensionError if the series'
+    exponent rows differ."""
+    kmat = stems[0]._kmat
+    if any(stem.m != stems[0].m or not np.array_equal(stem._kmat, kmat) for stem in stems):
+        raise DimensionError("series evaluated side by side must share their exponent rows")
+    return kmat, np.hstack([stem._aflat for stem in stems])
 
 
 def identity_map(m: int, n: int) -> StemSeries:

@@ -23,19 +23,16 @@ that takes a SlicePoint and returns algebra.CliffordElement values.
 regularity_residual shares its stencil (series.central_partials) with
 series.cr_residual.
 
-On a slice I whose complex plane C_I holds every coefficient, f is its
-holomorphic shadow f_I on C_I^n.  f.shadow(I, tol) gives its values,
-Jacobians and second derivatives as callables of (B, n) complex points,
-for the starlike and convex criteria: for a SliceMap, through its stem's
-slice_shadow, a ComplexSeries evaluated by series.power_sum.
-
 ShadowMap(I, n, g, dg, d2g) is the map given by its shadow alone, with
-no stem series: its values are real multiples of 1, I, J and J I, with
-no general product, and it is not a SliceMap: it has no stem, no
-derivative and no one-point eval.  extremal_map(p, theta, I, n) is the
-extremal family x_t (1 - x_t e^{I theta})^{-*p} as one shadow (Koebe
-p = 2, Cayley p = 1 and the paper example x_t (1 - x_t e^{I theta}) as
-p = -1).
+no stem series: on the slice of I, whose complex plane C_I holds every
+coefficient, the map is its holomorphic shadow g on C_I^n, and
+f.shadow(I, tol) gives g and its derivatives as callables of (B, n)
+complex points, for the starlike and convex criteria.  Its values are
+real multiples of 1, I, J and J I, with no general product, and it is
+not a SliceMap: it has no stem, no derivative and no one-point eval.
+extremal_map(p, theta, I, n) is the extremal family
+x_t (1 - x_t e^{I theta})^{-*p} as one shadow (Koebe p = 2, Cayley
+p = 1 and the paper example x_t (1 - x_t e^{I theta}) as p = -1).
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from .algebra import (
     singular_values_batch,
 )
 from .errors import BasisError, HypothesisViolationError, RepresentationError
-from .series import StemSeries, central_partials, power_derivative, power_sum
+from .series import StemSeries, central_partials, power_sum
 from .slicespace import SlicePoint
 
 
@@ -90,19 +87,6 @@ class SliceMap:
 
     def derivative(self, t: int) -> "SliceMap":
         return SliceMap(self.stem.derivative(t))
-
-    def shadow(self, I: np.ndarray, tol: float = 1e-9):
-        """The shadow f_I on the slice of I as (eval, jacobian, hessian)
-        of the stem's slice_shadow, each a callable of (B, n) complex
-        points.  Raises HypothesisViolationError if a coefficient leaves
-        the slice of I by more than tol."""
-        series, resid = slice_shadow(self, I)
-        if resid > tol:
-            raise HypothesisViolationError(
-                f"map does not send the slice of I into itself "
-                f"(coefficient residual {resid:.3e})"
-            )
-        return series.eval, series.jacobian, series.hessian
 
 
 class ShadowMap:
@@ -250,8 +234,8 @@ def complex_on_slice(rows: np.ndarray, I: np.ndarray):
 
 
 class ComplexSeries:
-    """Multivariate power series with complex n-vector coefficients; the
-    shadow of a stem series on one slice."""
+    """Multivariate power series with complex n-vector coefficients; a
+    holomorphic component of split_components."""
 
     def __init__(self, kmat: np.ndarray, coeffs: np.ndarray):
         self.kmat = kmat          # (K, n) exponents
@@ -266,28 +250,6 @@ class ComplexSeries:
         z = np.asarray(z, dtype=np.complex128)
         vals = power_sum(self.kmat, self.coeffs, z.reshape(-1, self.n))
         return vals.reshape(z.shape[:-1] + vals.shape[1:])
-
-    def derivative(self, t: int) -> "ComplexSeries":
-        return ComplexSeries(*power_derivative(self.kmat, self.coeffs, t))
-
-    def jacobian(self, z) -> np.ndarray:
-        """Complex Jacobian matrices J[..., s, t] = d component_s / d z_t at
-        z of shape (n,) or (B, n)."""
-        cols = [self.derivative(t).eval(z) for t in range(self.n)]
-        return np.stack(cols, axis=-1)
-
-    def hessian(self, z) -> np.ndarray:
-        """Second derivatives H[..., s, t, u] = d^2 component_s / d z_t d z_u
-        at z of shape (n,) or (B, n)."""
-        rows = [self.derivative(t).jacobian(z) for t in range(self.n)]
-        return np.stack(rows, axis=-2)
-
-
-def slice_shadow(f: SliceMap, I: np.ndarray):
-    """Complex series of f restricted to the slice of I, plus the total
-    off-slice coefficient residual (zero iff all coefficients lie in C_I)."""
-    coeffs, resid = complex_on_slice(f.stem._amat, I)
-    return ComplexSeries(f.stem._kmat.copy(), coeffs), resid
 
 
 def default_module_basis(I: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -179,8 +179,14 @@ def _shard_sizes(total: int, shards: int) -> list[int]:
 _ALGEBRA_ERRORS = ("associativity", "anti_automorphism", "involution",
                    "inverse_identity", "anticommutation", "root_square")
 
-# a field's reducer over the shards of a check: max for an error, sum for a
-# count, all for a flag (a growth record is asserted only if every shard's
+def _worst(values: list[float]) -> float:
+    """The largest error; a NaN in any place, which the builtin max keeps
+    only in the first, makes it NaN."""
+    return float(np.max(values))
+
+
+# a field's reducer over the shards of a check: _worst for an error, sum for
+# a count, all for a flag (a growth record is asserted only if every shard's
 # spot-check passed); any other field is shard 0's
 _REDUCERS = {
     **dict.fromkeys(
@@ -189,7 +195,7 @@ _REDUCERS = {
          "value_gap", "coefficient_gap", "max_violation_lower", "max_violation_upper",
          *(f"{form}_form_violation_{side}" for form in ("rho", "norm", "gauge")
            for side in ("lower", "upper")),
-         "diagonal_sharpness_gap", "off_slice_residual"), max),
+         "diagonal_sharpness_gap", "off_slice_residual"), _worst),
     "rejected_pairs": sum, "membership_mismatches": sum,
     "positive_definite": all, "asserted": all,
     "hypothesis_status": geometry.merge_hypothesis_status,

@@ -20,6 +20,7 @@ from slicegrowth.errors import GaugeError, HypothesisViolationError
 from slicegrowth.reports import Report, render, summary_lines
 from slicegrowth.suites import (
     _INVERSE_MULTIPLE,
+    _REDUCERS,
     Check,
     RunConfig,
     SUITES,
@@ -99,7 +100,8 @@ def test_shard_merge_is_deterministic():
         if suite not in ("algebra", "growth-ball", "growth-domain"):
             continue
         # every sharded record accounts for the whole budget across shards;
-        # a closed-form agreement record runs one stream of the budget per theta
+        # a closed-form agreement record compares each of its three maps at
+        # every point of the budget
         sampled = [rep for rep in a
                    if not rep.check.startswith(("sharpness-", "closed-form-"))]
         assert sampled and all(rep.samples == 40 for rep in sampled), suite
@@ -175,6 +177,42 @@ def test_sharded_closed_form_records_compare_coefficients_once(monkeypatch):
     assert len(calls) == 18 and set(calls.values()) == {1}, calls
 
 
+@pytest.mark.parametrize("shards", [1, 3])
+def test_closed_form_records_evaluate_their_series_once_per_shard(shards, monkeypatch):
+    # the series of a record's theta sweep share one point set and one
+    # power_sum call per shard; nothing else in growth-ball reads a series
+    calls = Counter()
+    original = series.power_sum
+
+    def counted(kmat, coeffs, z):
+        calls[coeffs.shape[1], len(z)] += 1
+        return original(kmat, coeffs, z)
+    for owner in (series, slicemaps, geometry):
+        monkeypatch.setattr(owner, "power_sum", counted, raising=False)
+    monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)  # counted in this process
+    reports = run_suite("growth-ball", small_config(shards=shards))
+    assert all(rep.passed for rep in reports)
+    # six records, each shard a third of 40 points, three maps of n 2^m columns
+    sizes = _shard_sizes(40, shards)
+    assert calls == Counter({(3 * 2 * 8, size): 6 * sizes.count(size) for size in sizes})
+
+
+def test_a_closed_form_sweep_of_other_exponents_is_an_error_record(monkeypatch):
+    # the stems of one record share their exponent rows, or the record is
+    # its check's error record
+    original = series.extremal_series
+
+    def uneven(p, theta, I, N, n):
+        return original(p, theta, I, N + (theta > 0), n)
+    monkeypatch.setattr(series, "extremal_series", uneven)
+    reports = run_suite("growth-ball", small_config(maps=("koebe",)))
+    errors = [rep for rep in reports if rep.check.startswith("closed-form-")]
+    assert [rep.check for rep in errors] == ["closed-form-koebe-e1-error",
+                                             "closed-form-koebe-e12-error"]
+    assert all(not rep.passed and rep.data["error"].startswith("DimensionError")
+               for rep in errors)
+
+
 def test_declaring_checks_is_free(monkeypatch):
     # a suite declares its checks without drawing or building anything:
     # each check's setup runs where the check runs
@@ -239,6 +277,15 @@ def test_shard_merge_fails_on_one_failing_shard():
     # a count is summed and a flag ANDed over the shards
     assert merged.data["rejected_pairs"] == 7
     assert merged.data["positive_definite"] is False
+
+
+def test_shard_merge_keeps_a_nan_error():
+    # the builtin max keeps a NaN only when it comes first
+    for errors in ((1e-12, float("nan")), (float("nan"), 1e-12)):
+        parts = [Report.from_error("c", err, 1.0, 10, value_gap=err) for err in errors]
+        merged = _merge_shards(parts, _REDUCERS)
+        assert np.isnan(merged.data["max_error"]) and np.isnan(merged.data["value_gap"])
+        assert merged.passed is False
 
 
 def test_anticommutation_error_matches_the_pairwise_products():
@@ -810,7 +857,7 @@ def test_short_truncation_asserts_every_starlike_and_convex_record():
 
 def test_growth_ball_evaluates_no_series(monkeypatch):
     # the closed-form-* records evaluate their reference series through
-    # StemSeries; nothing in growth-ball evaluates a complex slice shadow
+    # series.power_sum; nothing in growth-ball evaluates a ComplexSeries
     calls = Counter()
     original = slicemaps.ComplexSeries.eval
 

@@ -6,6 +6,7 @@ import pytest
 from slicegrowth.algebra import CliffordElement, blade, generator, mul_batch
 from slicegrowth.errors import (
     CriterionError,
+    DimensionError,
     GaugeError,
     HypothesisViolationError,
 )
@@ -34,7 +35,13 @@ from slicegrowth.series import (
     extremal_series,
     identity_map,
 )
-from slicegrowth.slicemaps import SliceMap, extremal_map
+from slicegrowth.slicemaps import (
+    ComplexSeries,
+    ShadowMap,
+    SliceMap,
+    complex_on_slice,
+    extremal_map,
+)
 from slicegrowth.slicespace import make_orbit, make_point, point_norm, sample_S_batch
 from slicegrowth.suites import MAP_FAMILIES, RunConfig, _re_z1_control, run_suite
 
@@ -164,15 +171,40 @@ def test_verify_extremal_negative_control():
     assert koebe.passed, koebe.data
 
 
+def _identity_shadow(I, n):
+    """The identity map as the ShadowMap of g(z) = z on the slice of I."""
+    return ShadowMap(I, n, lambda z: z,
+                     lambda z: np.broadcast_to(np.eye(n), z.shape + (n,)),
+                     lambda z: np.zeros(z.shape + (n, n)))
+
+
+def _series_shadow(stem, I):
+    """The ShadowMap of a stem series whose coefficients lie in C_I: its
+    projection onto C_I and the projections of its formal derivatives."""
+    def shadow_of(series):
+        return ComplexSeries(series._kmat, complex_on_slice(series._amat, I)[0]).eval
+
+    n = stem.n
+    g = shadow_of(stem)
+    first = [shadow_of(stem.derivative(t)) for t in range(n)]
+    second = [[shadow_of(stem.derivative(t).derivative(u)) for u in range(n)]
+              for t in range(n)]
+    return ShadowMap(
+        I, n, g,
+        lambda z: np.stack([d(z) for d in first], axis=-1),
+        lambda z: np.stack([np.stack([d(z) for d in row], axis=-1) for row in second],
+                           axis=-2))
+
+
 def test_starlike_criterion_identity_and_koebe():
-    f = SliceMap(identity_map(2, 2))
     e1 = generator(2, 1)
+    f = _identity_shadow(e1, 2)
     z = np.array([0.3 + 0.2j, -0.4 + 0.1j])
     val = starlike_criterion_slice(f, e1, z)
     assert val == pytest.approx(float(np.sum(np.abs(z) ** 2)), abs=1e-12)
 
     rng = np.random.default_rng(4)
-    k = SliceMap(extremal_series(2, 0.7, e1, 200, 2))
+    k = extremal_map(2, 0.7, e1, 2)
     for _ in range(100):
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
         w *= rng.uniform(0.05, 0.9) / np.linalg.norm(w)
@@ -182,7 +214,7 @@ def test_starlike_criterion_identity_and_koebe():
 def test_starlike_criterion_flags_paper_example():
     # the degree-two polynomial family loses injectivity inside the ball
     e1 = generator(2, 1)
-    f = SliceMap(extremal_series(-1, 0.0, e1, 10, 2))
+    f = extremal_map(-1, 0.0, e1, 2)
     z = np.array([0.6 + 0.0j, 0.0 + 0.0j])
     with pytest.raises(CriterionError):
         # Jacobian is singular where the derivative vanishes (z_1 = 1/2)
@@ -194,43 +226,41 @@ def test_starlike_criterion_flags_paper_example():
 def test_convex_criterion_values():
     m = 2
     e1 = generator(m, 1)
-    ident = SliceMap(identity_map(m, 1))
+    ident = _identity_shadow(e1, 1)
     assert convex_criterion_slice(ident, e1, 0, 0.3) == pytest.approx(1.0, abs=1e-12)
 
-    # cayley slice x/(1-x) (powers 1..60): criterion 1 + 2x/(1-x) equals 3
-    # at x = 0.5
-    cay = SliceMap(extremal_series(1, 0.0, e1, 59, 1))
+    # cayley slice x/(1-x): criterion 1 + 2x/(1-x) equals 3 at x = 0.5
+    cay = extremal_map(1, 0.0, e1, 1)
     assert convex_criterion_slice(cay, e1, 0, 0.5) == pytest.approx(3.0, abs=1e-9)
 
     # koebe slice x/(1-x)^2 fails convexity on the negative axis:
     # 1 + (4x + 2x^2)/(1 - x^2) = -9.42105... at x = -0.9
-    # (f'' needs ~400 terms to settle at |x| = 0.9: terms decay like k^3 0.9^k)
-    koe = SliceMap(extremal_series(2, 0.0, e1, 398, 1))
+    koe = extremal_map(2, 0.0, e1, 1)
     val = convex_criterion_slice(koe, e1, 0, -0.9)
     assert val == pytest.approx(1 + (4 * -0.9 + 2 * 0.81) / (1 - 0.81), abs=1e-6)
     assert val < 0.0
 
     # negative controls: the paper example x(1 - x) has f' = 0 at x = 1/2,
     # and a koebe map built on the slice of e2 leaves the slice of e1
-    paper = SliceMap(extremal_series(-1, 0.0, e1, 10, 2))
+    paper = extremal_map(-1, 0.0, e1, 2)
     with pytest.raises(CriterionError):
         convex_criterion_slice(paper, e1, 0, 0.5)
     e2 = generator(m, 2)
     with pytest.raises(HypothesisViolationError):
-        convex_criterion_slice(SliceMap(extremal_series(2, 0.7, e2, 40, 1)), e1, 0, 0.3)
+        convex_criterion_slice(extremal_map(2, 0.7, e2, 1), e1, 0, 0.3)
 
 
 def test_batched_criteria_equal_single_points():
     rng = np.random.default_rng(13)
     e1 = generator(3, 1)
-    k = SliceMap(extremal_series(2, 0.7, e1, 200, 2))
+    k = extremal_map(2, 0.7, e1, 2)
     z = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
     z *= rng.uniform(0.05, 0.9, size=(40, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
     batch = starlike_criterion_slice(k, e1, z)
     assert batch.shape == (40,)
     assert np.array_equal(batch, [starlike_criterion_slice(k, e1, w) for w in z])
 
-    for f in (k, SliceMap(extremal_series(1, 0.7, e1, 200, 2))):
+    for f in (k, extremal_map(1, 0.7, e1, 2)):
         for t in (0, 1):
             xs = rng.uniform(-0.9, 0.9, size=40)
             batch = convex_criterion_slice(f, e1, t, xs)
@@ -239,7 +269,7 @@ def test_batched_criteria_equal_single_points():
 
     # where a scalar call raises, the batch reports NaN and still raises on
     # a singular Jacobian
-    paper = SliceMap(extremal_series(-1, 0.0, e1, 10, 2))
+    paper = extremal_map(-1, 0.0, e1, 2)
     vals = convex_criterion_slice(paper, e1, 0, np.array([0.3, 0.5]))
     assert vals[0] == convex_criterion_slice(paper, e1, 0, 0.3)
     assert np.isnan(vals[1])
@@ -257,7 +287,7 @@ def test_closed_form_criteria_match_the_series(label):
     for I in (generator(m, 1), blade(m, (1, 2))):
         for theta in (0.0, 0.7, np.pi / 2):
             closed = extremal_map(p, theta, I, n)
-            ref = SliceMap(extremal_series(p, theta, I, 300, n))
+            ref = _series_shadow(extremal_series(p, theta, I, 300, n), I)
             z = rng.normal(size=(50, n)) + 1j * rng.normal(size=(50, n))
             z *= rng.uniform(0.05, 0.8, size=(50, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
             gap = np.abs(starlike_criterion_slice(closed, I, z)
@@ -300,7 +330,7 @@ def test_hypothesis_status_spot_check():
         "growth-ball-paper-example-e12-theta0.000": "violated(9/64)",
     }
     # coefficients off the slice of e1 are flagged for both families
-    off = SliceMap(extremal_series(2, 0.7, generator(m, 2), 40, 2))
+    off = extremal_map(2, 0.7, generator(m, 2), 2)
     for family in ("starlike", "convex"):
         rng = np.random.default_rng(14)
         assert _hypothesis_status(off, family, e1, 0.9, rng) == "off-slice"
@@ -333,6 +363,53 @@ def test_closed_form_agreement_negative_controls():
     assert not bad.passed and bad.data["coefficient_gap"] > 1e-3, bad.data
 
 
+def test_closed_form_agreement_compares_every_map_at_one_point_set():
+    # one point set serves every map of the sweep: a record of three maps
+    # draws what a record of one draws, and counts 300 points x 3 maps
+    e1 = generator(3, 1)
+    thetas = [0.0, 0.7, np.pi / 2]
+    maps = [extremal_map(2, theta, e1, 2) for theta in thetas]
+    rep = _agreement(maps, 2, thetas, 2, 15)
+    assert rep.passed and rep.samples == 900, rep.data
+    draws = np.random.default_rng(15)
+    closed_form_agreement(maps[:1], [extremal_series(2, 0.0, e1, 300, 2)], [0.0],
+                          0.0, 0.9, 300, draws)
+    after_three = np.random.default_rng(15)
+    closed_form_agreement(maps, [extremal_series(2, t, e1, 300, 2) for t in thetas],
+                          thetas, 0.0, 0.9, 300, after_three)
+    assert draws.random() == after_three.random()
+    # the reference series of one record must share their exponent rows
+    with pytest.raises(DimensionError):
+        closed_form_agreement(maps[:2], [extremal_series(2, 0.0, e1, 300, 2),
+                                         extremal_series(2, 0.7, e1, 299, 2)],
+                              thetas[:2], 0.0, 0.9, 10, np.random.default_rng(0))
+
+
+def _nan_first_row(f):
+    """The ShadowMap f with NaN values at the first row of every call."""
+    def g(z):
+        return np.where((np.arange(len(z)) == 0)[:, None], np.nan, f.g(z))
+    return ShadowMap(f.I, f.n, g, f.dg, f.d2g)
+
+
+def test_a_nan_row_fails_the_closed_form_and_sharpness_records():
+    # the builtin max(0.0, nan) is 0.0: an accumulator built on it passes a
+    # map whose values are NaN at one point
+    e1 = generator(3, 1)
+    for p, family in ((2, "starlike"), (1, "convex")):
+        f = extremal_map(p, 0.0, e1, 2)
+        stems = [extremal_series(p, 0.0, e1, 300, 2)]
+        good = closed_form_agreement([f], stems, [0.0], 0.0, 0.9, 50,
+                                     np.random.default_rng(1))
+        bad = closed_form_agreement([_nan_first_row(f)], stems, [0.0], 0.0, 0.9, 50,
+                                    np.random.default_rng(1))
+        assert good.passed and not bad.passed, (good.data, bad.data)
+        assert np.isnan(bad.data["value_gap"]) and np.isnan(bad.data["max_error"])
+        assert sharpness_axis(f, family, (0.1, 0.5, 0.9)).passed
+        sharp = sharpness_axis(_nan_first_row(f), family, (0.1, 0.5, 0.9))
+        assert not sharp.passed and np.isnan(sharp.data["raw_gap"]), sharp.data
+
+
 def test_growth_bounds_shapes():
     lo, hi = growth_bounds(0.5, "starlike")
     assert lo == pytest.approx(0.5 / 2.25)
@@ -344,7 +421,7 @@ def test_growth_bounds_shapes():
 
 def test_growth_check_ball_koebe():
     rng = np.random.default_rng(5)
-    f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
+    f = extremal_map(2, 0.0, E1_3, 2)
     rep = growth_check_ball(f, "starlike", 0.9, 2000, rng, E1_3, 0.0)
     assert rep.passed, rep.data
     assert rep.data["hypothesis_status"] == "ok"
@@ -353,7 +430,7 @@ def test_growth_check_ball_koebe():
 def test_growth_check_ball_flags_paper_example():
     rng = np.random.default_rng(6)
     e1 = generator(2, 1)
-    f = SliceMap(extremal_series(-1, 0.0, e1, 20, 2))
+    f = extremal_map(-1, 0.0, e1, 2)
     rep = growth_check_ball(f, "convex", 0.9, 500, rng, e1, 0.0)
     # the lower growth bound is badly violated, but the hypothesis fails
     # first, so the report flags instead of asserting
@@ -539,7 +616,7 @@ def test_growth_check_domain_reads_the_map_not_its_series():
 def test_growth_check_domain_ball_matches_ball_suite():
     # on the ball gauge the one checker gives growth_check_ball's record
     # bit for bit from the same stream
-    f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
+    f = extremal_map(2, 0.0, E1_3, 2)
     ball_rep = growth_check_ball(f, "starlike", 0.9, 800,
                                  np.random.default_rng([9, 1]), E1_3, 0.0)
     dom_rep = growth_check_domain(f, ball_gauge(2, 3), "starlike", 0.9, 800,
@@ -588,11 +665,11 @@ def test_growth_checker_fails_scaled_maps_on_every_gauge(p, family):
 
 def test_growth_check_domain_hypothesis_status():
     e1 = generator(2, 1)
-    paper = SliceMap(extremal_series(-1, 0.0, e1, 20, 2))
+    paper = extremal_map(-1, 0.0, e1, 2)
     rep = growth_check_domain(paper, ball_gauge(2, 2), "convex", 0.9, 300,
                               np.random.default_rng(16), e1, 0.0)
     assert rep.data["hypothesis_status"].startswith("violated")
-    off = SliceMap(extremal_series(2, 0.7, generator(2, 2), 40, 2))
+    off = extremal_map(2, 0.7, generator(2, 2), 2)
     rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
     assert rep.data["hypothesis_status"] == "off-slice"
@@ -624,9 +701,9 @@ def test_growth_check_domain_fails_values_off_the_slice():
     assert rep.passed and rep.data["asserted"], rep.data
     assert rep.data["off_slice_residual"] <= 1e-15
 
-    # coefficients on the slice of e2 judged on the slice of e1: the
-    # spot-check reads off-slice, so the record is not asserted and says so
-    stem_off = SliceMap(extremal_series(2, 0.7, e2, 40, 2))
+    # a map of the slice of e2 judged on the slice of e1: the spot-check
+    # reads off-slice, so the record is not asserted and says so
+    stem_off = extremal_map(2, 0.7, e2, 2)
     rep = growth_check_domain(stem_off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
     assert rep.data["hypothesis_status"] == "off-slice"
@@ -637,14 +714,13 @@ def test_growth_check_domain_fails_values_off_the_slice():
 
 
 def test_growth_check_domain_polydisc():
-    f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
+    f = extremal_map(2, 0.0, E1_3, 2)
     rng = np.random.default_rng(10)
     rep = growth_check_domain(f, polydisc_gauge(2, 3), "starlike", 0.9, 800,
                               rng, E1_3, 0.0)
     assert rep.passed, rep.data
     # literal rho-form with the plain norm overshoots at the diagonal for
-    # n = 2 while the norm-form and value-gauge form hold within tol, the
-    # N = 300 series' tail (5e-11 at 0.9) included
+    # n = 2 while the norm-form and value-gauge form hold within tol
     assert not rep.data["rho_form_asserted"]
     assert rep.data["diagonal_sharpness_gap"] < rep.data["threshold"]
     assert rep.data["norm_form_violation_upper"] <= rep.data["threshold"]

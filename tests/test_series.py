@@ -364,6 +364,50 @@ def test_power_sum_matches_plain_sum():
             assert _relative_gap(evaluate(), expected) <= 1e-13
 
 
+def _exponent_tables(n: int, rng) -> dict:
+    """Exponent tables (K, n) of every shape power_sum takes: one variable
+    per row, several per row, the constant alone, distinct random rows
+    (constant and one-variable rows among them) and none."""
+    componentwise = np.zeros((9, n), dtype=np.int64)
+    componentwise[np.arange(9), np.arange(9) % n] = np.arange(1, 10)
+    mixed = rng.integers(1, 4, size=(6, n))
+    mixed[:, 0] = np.arange(1, 7)               # distinct rows
+    return {
+        "componentwise": componentwise,
+        "mixed": mixed,
+        "constant": np.zeros((1, n), dtype=np.int64),
+        "random": np.unique(rng.integers(0, 5, size=(12, n)), axis=0),
+        "empty": np.zeros((0, n), dtype=np.int64),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_power_sum_equals_the_plain_product_row_by_row(n):
+    # against sum_k prod_t z_t^k_t c_k, at points with exact and signed
+    # zeros, for widths below, at and above one block; each row gets the
+    # same bits alone as in its batch
+    rng = np.random.default_rng(46 + n)
+    for name, kmat in _exponent_tables(n, rng).items():
+        for width in (1, 7, _EVAL_CHUNK, 1000):
+            z = rng.uniform(-0.9, 0.9, (width, n)) + 1j * rng.uniform(-0.9, 0.9, (width, n))
+            z[rng.random((width, n)) < 0.15] = 0.0
+            z.real[rng.random((width, n)) < 0.15] = -0.0
+            z.imag[rng.random((width, n)) < 0.15] = -0.0
+            real = rng.uniform(-1.0, 1.0, (len(kmat), 5))
+            for coeffs in (real, real + 1j * rng.uniform(-1.0, 1.0, real.shape)):
+                vals = power_sum(kmat, coeffs, z)
+                expected = np.zeros((width, 5), dtype=complex)
+                for k, c in zip(kmat, coeffs):
+                    expected += np.prod(z ** k, axis=1)[:, None] * c
+                where = (name, width, coeffs.dtype)
+                assert vals.shape == (width, 5), where
+                assert np.max(np.abs(vals - expected), initial=0.0) <= 1e-13, where
+                for row in sorted({*range(0, width, max(1, width // 16)), width - 1}):
+                    alone = power_sum(kmat, coeffs, z[row:row + 1])[0]
+                    assert np.array_equal(alone.view(np.int64), vals[row].view(np.int64)), \
+                        (*where, row)
+
+
 def test_koebe_coefficients_and_normalization():
     m, n, N = 2, 2, 50
     e1 = generator(m, 1)

@@ -15,6 +15,7 @@ from slicegrowth.series import (
     tail_bound,
 )
 from slicegrowth.slicemaps import (
+    ComplexSeries,
     SliceMap,
     complex_on_slice,
     default_module_basis,
@@ -22,7 +23,6 @@ from slicegrowth.slicemaps import (
     reassemble_on_slice,
     regularity_residual,
     representation_formula,
-    slice_shadow,
     split_components,
     two_slice_average,
 )
@@ -287,10 +287,17 @@ def test_jacobian_of_koebe_at_origin_is_identity():
             assert isclose(row[t].coeffs, expected, 1e-12)
 
 
+def _projected_series(f, I):
+    """The complex series of f's coefficients projected onto C_I, and the
+    largest off-slice coefficient residual."""
+    coeffs, resid = complex_on_slice(f.stem._amat, I)
+    return ComplexSeries(f.stem._kmat, coeffs), resid
+
+
 def test_shadow_eval_batched_matches_single_points():
     rng = np.random.default_rng(11)
     f = _rand_map(rng, m=2, n=3)
-    shadow, _ = slice_shadow(f, sample_S_batch(rng, 2, 1)[0])
+    shadow, _ = _projected_series(f, sample_S_batch(rng, 2, 1)[0])
     z = rng.uniform(-0.7, 0.7, (6, 3)) + 1j * rng.uniform(-0.7, 0.7, (6, 3))
     batch = shadow.eval(z)
     assert batch.shape == (6, 3)
@@ -308,7 +315,7 @@ def test_shadow_matches_slice_map_on_its_slice():
     alpha = rng.uniform(-0.5, 0.5, (20, 2))
     beta = rng.uniform(-0.5, 0.5, (20, 2))
     on_slice, resid = complex_on_slice(f.eval_arrays(alpha, beta, i_elem), i_elem)
-    shadow, coeff_resid = slice_shadow(f, i_elem)
+    shadow, coeff_resid = _projected_series(f, i_elem)
     assert max(resid, coeff_resid) < 1e-12
     assert np.max(np.abs(on_slice - shadow.eval(alpha + 1j * beta))) < 1e-12
 
