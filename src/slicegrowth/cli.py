@@ -15,7 +15,7 @@ import time
 
 import click
 
-from . import geometry, reports, slicemaps, suites
+from . import geometry, reports, suites
 from .algebra import generator
 
 _SEED_ENVVAR = "SLICEGROWTH_SEED"
@@ -26,7 +26,7 @@ def _build_config(m, n, seed, samples, truncation, r_max, theta, map_, domain,
     return _validated(suites.RunConfig(
         m=m, n=n, seed=seed, samples=samples, truncation=truncation,
         r_max=r_max, theta=theta,
-        maps=(map_,) if map_ else None,
+        maps=(map_,) if map_ is not None else None,
         domains=(domain,) if domain else ("ball", "polydisc"),
         shards=shards,
     ))
@@ -73,8 +73,8 @@ def main():
               help="Largest sampled radius / gauge value.")
 @click.option("--theta", type=float, default=None,
               help="Rotation parameter of the test maps (default: a small sweep).")
-@click.option("--map", "map_", type=click.Choice(list(suites.MAP_FAMILIES)),
-              default=None, help="Restrict growth suites to one map family.")
+@click.option("--map", "map_", default=None,
+              help=f"Restrict growth suites to one map: {', '.join(suites.GROWTH_MAPS)}.")
 @click.option("--domain", type=click.Choice(["ball", "polydisc"]), default=None,
               help="Restrict the domain suite to one gauge.")
 @click.option("--shards", type=int, default=1, show_default=True,
@@ -114,8 +114,8 @@ def verify(suite, m, n, seed, samples, truncation, r_max, theta, map_, domain,
 
 
 @main.command()
-@click.option("--map", "map_", type=click.Choice(list(suites.MAP_FAMILIES)),
-              default=next(iter(suites.MAP_FAMILIES)), show_default=True)
+@click.option("--map", "map_", default=next(iter(suites.GROWTH_MAPS)), show_default=True,
+              help=f"A growth map: {', '.join(suites.GROWTH_MAPS)}.")
 @click.option("--theta", type=float, default=0.0, show_default=True)
 @click.option("--r-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
               show_default=True, help="Comma-separated radii.")
@@ -130,11 +130,10 @@ def envelope(map_, theta, r_grid, m, n, out):
         raise click.UsageError(f"bad --r-grid: {exc}")
     if not radii or any(not 0.0 <= r < 1.0 for r in radii):
         raise click.UsageError("--r-grid values must lie in [0, 1)")
-    _validated(suites.RunConfig(m=m, n=n, theta=theta))
+    _validated(suites.RunConfig(m=m, n=n, theta=theta, maps=(map_,)))
 
-    family, p, _ = suites.MAP_FAMILIES[map_]
-    f = slicemaps.extremal_map(p, theta, generator(m, 1), n)
-    rows = geometry.envelope_table(f, family, radii)
+    entry = suites.GROWTH_MAPS[map_]
+    rows = geometry.envelope_table(entry.map(theta, generator(m, 1), n), entry.family, radii)
 
     header = "r,lower_bound,f_at_minus_r,f_at_plus_r,upper_bound"
     lines = [header]

@@ -130,6 +130,14 @@ def verify_extremal(f: SliceMap, o: SliceOrbit, I: np.ndarray,
 # starlike / convex criteria on a slice
 # ---------------------------------------------------------------------------
 
+def _shadow(f, I: np.ndarray, tol: float):
+    """f.shadow(I, tol); a map with none, such as the SliceMap of a stem
+    series, raises HypothesisViolationError, as one off its slice does."""
+    if not hasattr(f, "shadow"):
+        raise HypothesisViolationError(f"a {type(f).__name__} has no shadow")
+    return f.shadow(I, tol)
+
+
 def starlike_criterion_slice(f: ShadowMap, I: np.ndarray, z,
                              tol: float = 1e-9):
     """Re <Df_I(z)^{-1} f_I(z), z> through the complex identification of
@@ -137,11 +145,11 @@ def starlike_criterion_slice(f: ShadowMap, I: np.ndarray, z,
 
     z has shape (n,) (returns a float) or (B, n) (returns B values, each
     with the bits it has alone).  Raises HypothesisViolationError where
-    the ShadowMap's f.shadow(I, tol) does (I is not the map's own slice,
-    or the map has no derivatives), CriterionError on a singular
+    f.shadow(I, tol) does (I is not the map's own slice, the map has no
+    derivatives, or it has no shadow), CriterionError on a singular
     Jacobian at any point.
     """
-    g, dg, _ = f.shadow(I, tol)
+    g, dg, _ = _shadow(f, I, tol)
     z = np.asarray(z, dtype=np.complex128)
     batch = z.reshape(-1, f.n)
     jac = dg(batch)
@@ -163,11 +171,11 @@ def convex_criterion_slice(f: ShadowMap, I: np.ndarray, t: int, x,
     convexity criterion of that one-variable restriction.
 
     x is a float (returns a float) or an array (returns values of its
-    shape).  Raises HypothesisViolationError where the ShadowMap's
-    f.shadow(I, tol) does, and CriterionError where f_t' vanishes at a
+    shape).  Raises HypothesisViolationError where f.shadow(I, tol)
+    does, and CriterionError where f_t' vanishes at a
     float x; in an array the value there is NaN.
     """
-    _, dg, d2g = f.shadow(I, tol)
+    _, dg, d2g = _shadow(f, I, tol)
     x = np.asarray(x, dtype=np.float64)
     z = np.zeros((x.size, f.n), dtype=np.complex128)
     z[:, t] = x.ravel()
@@ -490,8 +498,9 @@ def gauge_properties_check(g: Gauge, samples: int, rng,
                      j_axial)
     worst_axial = float(np.max(np.ptp(rhos.reshape(samples, j_budget), axis=1)))
 
-    max_error = max(worst_hom, worst_axial, 0.0 if positive_ok else 1.0,
-                    float(member_mismatch))
+    # np.max, unlike the builtin max, keeps a NaN
+    max_error = float(np.max([worst_hom, worst_axial, 0.0 if positive_ok else 1.0,
+                              float(member_mismatch)]))
     return Report.from_error(
         f"gauge-{g.kind}", max_error, tol, samples,
         kind=g.kind, m=m, n=n,
@@ -529,8 +538,9 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
     whose values leave the slice fails.  At theta = 0 the real polydisc
     diagonal is also checked in closed form through the gauge-form.
 
-    The record reads the map alone, f.eval_arrays and f.shadow, and every
-    bound gets tol as slack.  A record is asserted when `asserted` holds
+    The record reads the map alone, f.eval_arrays and f.shadow, every
+    bound gets tol as slack, and a NaN in any reading fails the record
+    (np.max keeps it).  A record is asserted when `asserted` holds
     and the spot-check reads ok, and judge_growth lets one that is not
     asserted pass.
     """
@@ -544,7 +554,7 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
         status = _hypothesis_status(f, family, I, r_max, rng)
         head = {"family": family}
         forms = {"max_violation_lower": rho_viol[0], "max_violation_upper": rho_viol[1]}
-        max_error = max(rho_viol)
+        max_error = float(np.max(rho_viol))
     else:
         xnorm = np.sqrt(np.sum(alpha ** 2 + beta ** 2, axis=1))
         norm_viol = _violations(xnorm / (1.0 + rho) ** p, norms, xnorm / (1.0 - rho) ** p)
@@ -577,7 +587,7 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
             "off_slice_residual": off_slice,
             "rho_form_asserted": False,
         }
-        max_error = max(*norm_viol, *gauge_viol, diag_gap, off_slice)
+        max_error = float(np.max([*norm_viol, *gauge_viol, diag_gap, off_slice]))
 
     asserted = asserted and status == "ok"
     return judge_growth(Report(

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (CliffordElement, conj_batch, generator, grades, in_sqrt_minus_one,
-                      mul_coeffs, row_m)
+from .algebra import CliffordElement, generator, grades, in_sqrt_minus_one, row_m
 from .errors import ConeError, DimensionError, SamplingError
 
 _CANON_EPS = 1e-12
@@ -139,9 +138,8 @@ def anticommuting_unit(I: np.ndarray, rng, max_tries: int = 200) -> np.ndarray:
     anticommutes with it, drawn from rng.
 
     Used to sweep J(u) = u*I + sqrt(1-u**2)*I_perp across [-1, 1].  Handles
-    grade-1 directions, single blades of even grade, the full trace-free
-    sphere at m = 2, and falls back to a randomized search in the
-    anticommutant kernel otherwise.
+    grade-1 directions, single blades of even grade and the full
+    trace-free sphere at m = 2; any other direction raises SamplingError.
     """
     m = row_m(I)
     if m < 2:
@@ -176,27 +174,4 @@ def anticommuting_unit(I: np.ndarray, rng, max_tries: int = 200) -> np.ndarray:
                 return w / nw
         raise SamplingError("failed to draw a trace-free orthogonal unit")
 
-    # generic: nullspace of y -> I*y + y*I restricted to trace-free, I-orthogonal
-    dim = 1 << m
-    lmat = np.empty((dim, dim))
-    rmat = np.empty((dim, dim))
-    basis = np.eye(dim)
-    for j in range(dim):
-        lmat[:, j] = mul_coeffs(m, c, basis[j])
-        rmat[:, j] = mul_coeffs(m, basis[j], c)
-    amat = lmat + rmat
-    _, svals, vt = np.linalg.svd(amat)
-    null = vt[svals <= 1e-10 * max(1.0, svals[0])]
-    for _ in range(max_tries):
-        if null.shape[0] == 0:
-            break
-        y = rng.normal(size=null.shape[0]) @ null
-        y = 0.5 * (y - conj_batch(m, y))
-        y -= (y @ c) * c
-        ny = np.linalg.norm(y)
-        if ny < 1e-8:
-            continue
-        cand = y / ny
-        if in_sqrt_minus_one(cand, 1e-10):
-            return cand
     raise SamplingError("no anticommuting root of -1 found for this direction")

@@ -39,11 +39,15 @@ what SUITES held at the fork.  No check's numbers depend on the process
 that runs it or on what ran before it, so both give the same bytes.
 multiprocessing is imported only for the pool.
 
-The growth suites evaluate the extremal families by their shadows,
-slicemaps.extremal_map(p, theta, I, n) of the exponent p in MAP_FAMILIES;
-the truncated star-product series (series.extremal_series) is built only
-for the closed-form-* agreement records.  The stem, regularity and
-extremal suites test that series itself (extremal_series(2, ...)).
+The growth suites read one table, GROWTH_MAPS: each GrowthMap gives a
+map's hypothesis family, whether its bounds are asserted, its ShadowMap
+map(theta, I, n) and reference(theta, I, N, n), the truncated series and
+coefficient gap that only the closed-form-* records read.  Both growth
+suites declare their checks from it, and the CLI reads it by name, so a
+new growth map is one entry plus its reference series.  Extremal rays,
+per-domain assertion and negative controls join an entry with their
+first reader (ROADMAP items 8, 3 and 5).  The stem, regularity and
+extremal suites test the Koebe series itself (extremal_series(2, ...)).
 """
 
 from __future__ import annotations
@@ -90,19 +94,41 @@ _DEFAULT_SAMPLES = {
 # --shards 1, 0.9 s at 64 and 2.9 s at 300 (2-vCPU Xeon VM)
 MAX_SHARDS = 64
 
+_GROWTH_THETAS = (0.0, 0.7, np.pi / 2)  # the growth suites' theta sweep without --theta
 _SHARP_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # cases per batched evaluation or algebra check: no temporary grows with the budget
 _BLOCK = 512
 
 
-# growth-suite map families: name -> (family, exponent p of
-# slicemaps.extremal_map(p, theta, I, n), asserted).  The degree-two
-# paper example fails the convex hypothesis, so its growth bounds are
-# reported but never asserted.
-MAP_FAMILIES = {
-    "koebe": ("starlike", 2, True),
-    "cayley": ("convex", 1, True),
-    "paper-example": ("convex", -1, False),
+@dataclass(frozen=True)
+class GrowthMap:
+    """A map of the growth suites: the hypothesis family whose bounds it
+    meets, whether they are asserted, map(theta, I, n), its ShadowMap at
+    theta on the slice of I, and reference(theta, I, N, n), the
+    truncation-N series of that map with its coefficient gap, which the
+    closed-form-* records compare it with."""
+    family: str
+    asserted: bool
+    map: Callable[[float, np.ndarray, int], slicemaps.ShadowMap]
+    reference: Callable[[float, np.ndarray, int, int], tuple[series.StemSeries, float]]
+
+
+def _extremal(family: str, p: int, asserted: bool) -> GrowthMap:
+    """The extremal family of exponent p: slicemaps.extremal_map and its
+    star-product series, series.extremal_series."""
+    def reference(theta, I, N, n):
+        stem = series.extremal_series(p, theta, I, N, n)
+        return stem, series.coefficient_gap(stem, p, theta, I)
+    return GrowthMap(family, asserted,
+                     lambda theta, I, n: slicemaps.extremal_map(p, theta, I, n), reference)
+
+
+# the maps of the growth suites, in report order.  The degree-two paper
+# example fails the convex hypothesis: its bounds are reported, not asserted.
+GROWTH_MAPS = {
+    "koebe": _extremal("starlike", 2, True),
+    "cayley": _extremal("convex", 1, True),
+    "paper-example": _extremal("convex", -1, False),
 }
 
 
@@ -137,8 +163,8 @@ class RunConfig:
         if not 1 <= self.shards <= MAX_SHARDS:
             raise ValueError(f"shards must be in 1..{MAX_SHARDS}")
         for name in self.maps or ():
-            if name not in MAP_FAMILIES:
-                raise ValueError(f"unknown map {name!r}")
+            if name not in GROWTH_MAPS:
+                raise ValueError(f"unknown map {name!r}, not one of {', '.join(GROWTH_MAPS)}")
         for name in self.domains:
             if name not in ("ball", "polydisc"):
                 raise ValueError(f"unknown domain {name!r}")
@@ -334,7 +360,7 @@ def _algebra_shard(m: int, pair_err: float, count: int, rng) -> Report:
 
     errors = dict(zip(_ALGEBRA_ERRORS, (assoc_err, anti_err, invol_err, inv_err,
                                         pair_err, root_err)))
-    max_error = max(errors.values())
+    max_error = _worst(list(errors.values()))
     passed = max_error <= 1e-10 and \
         inv_err <= _INVERSE_MULTIPLE * dim * np.finfo(np.float64).eps
     # the raw residual grows like |a| |a^{-1}| eps: reported, not asserted
@@ -384,7 +410,7 @@ def stem_checks(cfg: RunConfig) -> list[Check]:
         alpha, beta = rng.uniform(-0.9, 0.9, (2, size, n))
         f1p, f2p = stem.eval_arrays(alpha, beta)
         f1m, f2m = stem.eval_arrays(alpha, -beta)
-        eo_err = max(_gap(f1m, f1p), _gap(f2m, -f2p))
+        eo_err = _worst([_gap(f1m, f1p), _gap(f2m, -f2p)])
         return [Report.from_error("stem-even-odd", eo_err, 1e-12, size, m=m, n=n)]
 
     # holomorphy residual via finite differences; sampled away from the
@@ -392,8 +418,8 @@ def stem_checks(cfg: RunConfig) -> list[Check]:
     def cr_residual(size, rng):
         stem = _random_stem(m, n, rng)
         alpha, beta = rng.uniform(-0.3, 0.3, (2, size, n))
-        worst_cr = max(float(np.max(series.cr_residual(s.eval_arrays, alpha, beta)))
-                       for s in (stem, koebe()))
+        worst_cr = _worst([float(np.max(series.cr_residual(s.eval_arrays, alpha, beta)))
+                           for s in (stem, koebe())])
         return [Report.from_error("stem-cr-residual", worst_cr, 1e-8, size, m=m, n=n)]
 
     # the non-holomorphic control must be detected: d Re(z_1)/d conj(z_1) = 1/2
@@ -418,21 +444,19 @@ def stem_checks(cfg: RunConfig) -> list[Check]:
         rand_series = np.vstack([unit[:1], rows])
         rinv = series.star_inverse(m, rand_series, trunc)
         rident = series.star_mul(m, rand_series, rinv, trunc=trunc)
-        ident_err = max(float(np.max(np.abs(ident - unit))),
-                        float(np.max(np.abs(rident - unit))))
         # rinv is exact only through trunc, so its inverse is too
         order = min(40, trunc)
         dbl = series.star_inverse(m, rinv, order)
-        ident_err = max(ident_err, float(np.max(np.abs(dbl - rand_series[:order + 1]))))
+        ident_err = _worst([_gap(ident, unit), _gap(rident, unit),
+                            _gap(dbl, rand_series[:order + 1])])
         return [Report.from_error("stem-star-inverse", ident_err, 1e-10, trunc,
                                   m=m, order=trunc)]
 
     # coefficient norms of the starlike family: (k+1) exactly
     def koebe_coefficients(_, rng):
-        coeff_err = 0.0
-        for p in range(1, trunc + 2):
-            row = koebe().coefficient((p,) + (0,) * (n - 1))[0]
-            coeff_err = max(coeff_err, abs(float(np.linalg.norm(row)) - p))
+        rows = [koebe().coefficient((p,) + (0,) * (n - 1))[0] for p in range(1, trunc + 2)]
+        coeff_err = _worst([abs(float(np.linalg.norm(row)) - p)
+                            for p, row in enumerate(rows, 1)])
         return [Report.from_error("stem-koebe-coefficients", coeff_err, 1e-9, trunc + 1,
                                   m=m, n=n)]
 
@@ -493,11 +517,7 @@ def _representation_shard(m: int, n: int, count: int, rng) -> list[Report]:
     rec_formula = functools.partial(slicemaps.representation_formula,
                                     cond_threshold=cond_threshold)
 
-    worst = 0.0
-    worst_two_pair = 0.0
-    worst_cor = 0.0
-    worst_collapse = 0.0
-    worst_deriv = 0.0
+    worst = worst_two_pair = worst_cor = worst_collapse = worst_deriv = 0.0
     maps = [slicemaps.SliceMap(_random_stem(m, n, rng)) for _ in range(8)]
     derivatives = [f.derivative(0) for f in maps]
     alpha, beta, raw, rejected = _representation_cases(rng, m, n, count, cond_threshold)
@@ -512,24 +532,24 @@ def _representation_shard(m: int, n: int, count: int, rng) -> list[Report]:
             a, b = alpha[cases], beta[cases]
             direct = f.eval_arrays(a, b, I)
             rec = rec_formula(f, a, b, J, K, I)
-            worst = max(worst, _gap(rec, direct))
+            worst = _worst([worst, _gap(rec, direct)])
 
             s = np.flatnonzero(cases % 10 == 0)
             if s.size == 0:
                 continue
             a, b = a[s], b[s]
             rec2 = rec_formula(f, a, b, J2[s], K2[s], I[s])
-            worst_two_pair = max(worst_two_pair, _gap(rec[s], rec2))
+            worst_two_pair = _worst([worst_two_pair, _gap(rec[s], rec2)])
 
             cor = slicemaps.two_slice_average(f, a, b, J[s], I[s])
-            worst_cor = max(worst_cor, _gap(cor, direct[s]))
+            worst_cor = _worst([worst_cor, _gap(cor, direct[s])])
 
             collapse = rec_formula(f, a, b, J[s], K[s], J[s])
-            worst_collapse = max(worst_collapse,
-                                 _gap(collapse, f.eval_arrays(a, b, J[s])))
+            worst_collapse = _worst([worst_collapse,
+                                     _gap(collapse, f.eval_arrays(a, b, J[s]))])
 
             rec_d = rec_formula(df, a, b, J[s], K[s], I[s])
-            worst_deriv = max(worst_deriv, _gap(rec_d, df.eval_arrays(a, b, I[s])))
+            worst_deriv = _worst([worst_deriv, _gap(rec_d, df.eval_arrays(a, b, I[s]))])
 
     sub = (count + 9) // 10  # cases that ran the sub-checks (case % 10 == 0)
     return [
@@ -570,8 +590,8 @@ def _regularity_series(m: int, n: int, fixed: list, count: int, rng) -> list[Rep
         for index, f in enumerate(maps):
             r = which[block] == index
             if np.any(r):
-                worst = max(worst, float(np.max(slicemaps.regularity_residual(
-                    f, alpha[block][r], beta[block][r], J[r]))))
+                worst = _worst([worst, float(np.max(slicemaps.regularity_residual(
+                    f, alpha[block][r], beta[block][r], J[r])))])
     return [Report.from_error("regularity-series", worst, 1e-7, count, m=m, n=n)]
 
 
@@ -669,98 +689,79 @@ def extremal_checks(cfg: RunConfig) -> list[Check]:
 # growth suites
 # ---------------------------------------------------------------------------
 
-def _growth_cases(cfg: RunConfig):
-    m = cfg.m or 3
-    thetas = (cfg.theta,) if cfg.theta is not None else (0.0, 0.7, np.pi / 2)
-    directions = [("e1", generator(m, 1))]
-    if m >= 2:
-        directions.append(("e12", blade(m, (1, 2))))
-    return thetas, directions
-
-
-def _growth_check(cfg: RunConfig, suite: str, name: str, label: str, tag: int,
-                  theta: float, I: np.ndarray, domain: str) -> Check:
+def _growth_check(cfg: RunConfig, suite: str, name: str, tag: int, label: str,
+                  entry: GrowthMap, theta: float, I: np.ndarray, domain: str) -> Check:
     """The growth check `name` of map `label` at theta on the slice of I,
-    on the domain "ball" or "polydisc": the suite's budget over its
-    shards, judged once merged (_merge_shards)."""
-    family, p, asserted = MAP_FAMILIES[label]
-    f = functools.cache(lambda: slicemaps.extremal_map(p, theta, I, cfg.n or 2))
+    bound as it is declared, on the domain "ball" or "polydisc": the
+    suite's budget over its shards, judged once merged (_merge_shards)."""
+    f = functools.cache(functools.partial(entry.map, theta, I, cfg.n or 2))
 
     def shard(size, rng):
         gauge = geometry.Gauge(domain, f().n, f().m)
-        rep = geometry.growth_check_domain(f(), gauge, family, cfg.r_max, size, rng, I,
-                                           theta, 1e-9, asserted)
+        rep = geometry.growth_check_domain(f(), gauge, entry.family, cfg.r_max, size, rng, I,
+                                           theta, 1e-9, entry.asserted)
         rep.data["map"] = label
         return [rep]
     return Check(name, cfg.budget(suite), shard, tag)
 
 
-def _sharpness_check(label: str, iname: str, theta: float, I: np.ndarray,
-                     n: int) -> Check:
-    """sharpness-<label>-<iname>: the map at theta (0) along the real axis."""
-    family, p, asserted = MAP_FAMILIES[label]
-
-    def sharpness(_, rng):
-        sharp = geometry.sharpness_axis(slicemaps.extremal_map(p, theta, I, n), family,
-                                        _SHARP_GRID, 1e-8)
-        sharp.data["map"] = label
-        return [geometry.judge_growth(sharp, asserted)]
-    return Check(f"sharpness-{label}-{iname}", 1, sharpness)
-
-
-def _closed_form_check(cfg: RunConfig, label: str, iname: str, I: np.ndarray,
-                       thetas, n: int) -> Check:
-    """closed-form-<label>-<iname>: the maps of the theta sweep against
-    their reference series, the one reader of the truncated series."""
-    _, p, _ = MAP_FAMILIES[label]
-
-    @functools.cache
-    def reference():
-        # the coefficient gap is sample-free: once per check, not per shard
-        stems = [series.extremal_series(p, theta, I, cfg.truncation, n) for theta in thetas]
-        gap = max(series.coefficient_gap(stem, p, theta, I)
-                  for stem, theta in zip(stems, thetas))
-        return [slicemaps.extremal_map(p, theta, I, n) for theta in thetas], stems, gap
-
-    def agreement(size, rng):
-        sweep, stems, gap = reference()
-        agree = geometry.closed_form_agreement(sweep, stems, thetas, gap, cfg.r_max,
-                                               size, rng)
-        agree.data["map"] = label
-        return [agree]
-    return Check(f"closed-form-{label}-{iname}", min(cfg.budget("growth-ball"), 1000),
-                 agreement, _stable_tag("closed-form", label, iname))
-
-
 def growth_ball_checks(cfg: RunConfig) -> list[Check]:
-    thetas, directions = _growth_cases(cfg)
-    n = cfg.n or 2
-    wanted = cfg.maps or tuple(MAP_FAMILIES)
-    zero = next((theta for theta in thetas if abs(theta) < 1e-15), None)
+    """Per map of GROWTH_MAPS (or of cfg.maps) and slice direction: a
+    growth check at each theta, the sharpness check at theta 0 and the
+    closed-form check of the theta sweep."""
+    m, n = cfg.m or 3, cfg.n or 2
+    thetas = (cfg.theta,) if cfg.theta is not None else _GROWTH_THETAS
+    directions = [("e1", generator(m, 1))]
+    if m >= 2:
+        directions.append(("e12", blade(m, (1, 2))))
+
+    def sharpness(label, entry, iname, theta, I):
+        def run(_, rng):
+            sharp = geometry.sharpness_axis(entry.map(theta, I, n), entry.family,
+                                            _SHARP_GRID, 1e-8)
+            sharp.data["map"] = label
+            return [geometry.judge_growth(sharp, entry.asserted)]
+        return Check(f"sharpness-{label}-{iname}", 1, run)
+
+    def closed_form(label, entry, iname, I):
+        # the sweep's maps and reference series; the sample-free gap once per check
+        @functools.cache
+        def reference():
+            stems, gaps = zip(*(entry.reference(theta, I, cfg.truncation, n)
+                                for theta in thetas))
+            return [entry.map(theta, I, n) for theta in thetas], stems, thetas, _worst(gaps)
+
+        def run(size, rng):
+            agree = geometry.closed_form_agreement(*reference(), cfg.r_max, size, rng)
+            agree.data["map"] = label
+            return [agree]
+        return Check(f"closed-form-{label}-{iname}", min(cfg.budget("growth-ball"), 1000),
+                     run, _stable_tag("closed-form", label, iname))
+
     checks = []
-    for label in MAP_FAMILIES:
-        if label not in wanted:
+    for label, entry in GROWTH_MAPS.items():
+        if label not in (cfg.maps or GROWTH_MAPS):
             continue
         for iname, I in directions:
             checks += [_growth_check(cfg, "growth-ball",
-                                     f"growth-ball-{label}-{iname}-theta{theta:.3f}", label,
-                                     _stable_tag(label, iname, f"{theta:.9f}"), theta, I,
-                                     "ball")
-                       for theta in thetas]
-            if zero is not None:
-                checks.append(_sharpness_check(label, iname, zero, I, n))
-            checks.append(_closed_form_check(cfg, label, iname, I, thetas, n))
+                                     f"growth-ball-{label}-{iname}-theta{theta:.3f}",
+                                     _stable_tag(label, iname, f"{theta:.9f}"), label, entry,
+                                     theta, I, "ball") for theta in thetas]
+            checks += [sharpness(label, entry, iname, theta, I)
+                       for theta in thetas if abs(theta) < 1e-15]
+            checks.append(closed_form(label, entry, iname, I))
     return checks
 
 
 def growth_domain_checks(cfg: RunConfig) -> list[Check]:
-    thetas, directions = _growth_cases(cfg)
-    wanted = cfg.maps or tuple(MAP_FAMILIES)
-    # the domain suite reports the asserted families only
-    return [_growth_check(cfg, "growth-domain", f"growth-domain-{domain}-{label}", label,
-                          _stable_tag(label, domain), thetas[0], directions[0][1], domain)
-            for label, (_, _, asserted) in MAP_FAMILIES.items()
-            if label in wanted and asserted for domain in cfg.domains]
+    """Per asserted map of GROWTH_MAPS (or of cfg.maps) and domain: a
+    growth check at the sweep's first theta on the slice of e1."""
+    theta = cfg.theta if cfg.theta is not None else _GROWTH_THETAS[0]
+    I = generator(cfg.m or 3, 1)
+    return [_growth_check(cfg, "growth-domain", f"growth-domain-{domain}-{label}",
+                          _stable_tag(label, domain), label, entry, theta, I, domain)
+            for label, entry in GROWTH_MAPS.items()
+            if label in (cfg.maps or GROWTH_MAPS) and entry.asserted for domain in cfg.domains]
 
 
 def gauge_checks(cfg: RunConfig) -> list[Check]:

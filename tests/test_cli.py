@@ -1,5 +1,6 @@
 """Harness wiring: suite registry, report formats, CLI contract."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -143,7 +144,8 @@ def test_sharded_growth_ball_asserts_only_what_every_shard_checked(monkeypatch):
     # (1 - 4x)/(1 - 2x) fails for x in (1/4, 1/2), so at r_max just above 1/4
     # the spot-check fails on some shards only; shard 1 of this record reads
     # violated(1/64) while shards 0 and 2 read ok
-    monkeypatch.setitem(suites_mod.MAP_FAMILIES, "paper-example", ("convex", -1, True))
+    monkeypatch.setitem(suites_mod.GROWTH_MAPS, "paper-example", dataclasses.replace(
+        suites_mod.GROWTH_MAPS["paper-example"], asserted=True))
     cfg = RunConfig(seed=5, samples=60, shards=3, r_max=0.26, theta=0.0,
                     maps=("paper-example",))
     reports = {rep.check: rep for rep in run_suite("growth-ball", cfg)}
@@ -211,6 +213,27 @@ def test_a_closed_form_sweep_of_other_exponents_is_an_error_record(monkeypatch):
                                              "closed-form-koebe-e12-error"]
     assert all(not rep.passed and rep.data["error"].startswith("DimensionError")
                for rep in errors)
+
+
+def test_a_nan_in_slice_map_values_fails_every_record_that_reads_them(monkeypatch):
+    # one NaN row in every SliceMap.eval_arrays value must reach max_error:
+    # an accumulator through the builtin max drops it (max(0.0, nan) is 0.0)
+    original = slicemaps.SliceMap.eval_arrays
+
+    def poisoned(self, alpha, beta, j_rows):
+        vals = original(self, alpha, beta, j_rows)
+        vals[-1] = np.nan
+        return vals
+    monkeypatch.setattr(slicemaps.SliceMap, "eval_arrays", poisoned)
+    monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)  # poisoned in this process
+    cfg = RunConfig(seed=20240811, samples=300)
+    reports = {rep.check: rep for suite in ("representation", "regularity")
+               for rep in run_suite(suite, cfg)}
+    for name in ("representation-reconstruction", "representation-two-pair",
+                 "representation-average-form", "representation-collapse",
+                 "representation-derivative-commutes", "regularity-series"):
+        assert not reports[name].passed, name
+        assert np.isnan(reports[name].data["max_error"]), (name, reports[name].data)
 
 
 def test_declaring_checks_is_free(monkeypatch):
@@ -429,6 +452,13 @@ def test_cli_usage_errors():
         result = runner.invoke(main, ["verify", "growth-ball", "--theta", theta])
         assert result.exit_code == 2, (theta, result.output)
         assert "theta must be finite" in result.output
+    # a map name that is not in the table, the empty one too, is rejected
+    for command in ("verify", "envelope"):
+        for name in ("bogus", ""):
+            args = [command] + (["growth-ball"] if command == "verify" else [])
+            result = runner.invoke(main, args + ["--map", name])
+            assert result.exit_code == 2, (command, name, result.output)
+            assert f"unknown map {name!r}" in result.output
     # envelope validates through RunConfig.validate like verify
     for args in (["--n", "0"], ["--n", "-1"], ["--theta", "inf"], ["--theta", "nan"],
                  ["--m", "0"], ["--m", "9"]):
@@ -746,6 +776,44 @@ def test_representation_evaluates_each_maps_cases_in_one_batch(monkeypatch):
     reports = run_suite("representation", RunConfig(seed=20240811, samples=3000))
     assert all(rep.passed for rep in reports)
     assert calls == {"representation_formula": 20, "eval_arrays": 64}
+
+
+def test_a_new_growth_map_is_one_table_entry(monkeypatch, tmp_path):
+    # an entry added to GROWTH_MAPS alone gets its growth, sharpness and
+    # closed-form records and its envelope through the CLI.  Koebe's shadow
+    # scaled by 1.01 keeps Koebe's spot-check and reference series, and its
+    # sharpness records leave the envelopes along the extremal ray
+    koebe = suites_mod.GROWTH_MAPS["koebe"]
+
+    def scaled(theta, I, n):
+        f = koebe.map(theta, I, n)
+        return slicemaps.ShadowMap(I, n, *(lambda z, h=h: 1.01 * h(z)
+                                           for h in (f.g, f.dg, f.d2g)))
+    monkeypatch.setitem(suites_mod.GROWTH_MAPS, "koebe-scaled",
+                        dataclasses.replace(koebe, map=scaled))
+    out = tmp_path / "scaled.json"
+    result = CliRunner().invoke(main, ["verify", "growth-ball", "--map", "koebe-scaled",
+                                       "--samples", "40", "--truncation", "40",
+                                       "--out", str(out), "--quiet"])
+    assert result.exit_code == 1, result.output
+    records = json.loads(out.read_text())
+    assert [rec["check"] for rec in records] == [
+        name for iname in ("e1", "e12") for name in (
+            *(f"growth-ball-koebe-scaled-{iname}-theta{theta}"
+              for theta in ("0.000", "0.700", "1.571")),
+            f"sharpness-koebe-scaled-{iname}", f"closed-form-koebe-scaled-{iname}")]
+    assert all(rec["map"] == "koebe-scaled" for rec in records)
+    for rec in records:
+        if rec["check"].startswith("sharpness-"):
+            assert not rec["pass"] and rec["raw_gap"] > 1e-3, rec
+        elif rec["check"].startswith("growth-"):
+            assert rec["hypothesis_status"] == "ok" and rec["asserted"], rec
+    env = tmp_path / "env.csv"
+    result = CliRunner().invoke(main, ["envelope", "--map", "koebe-scaled", "--r-grid", "0.5",
+                                       "--out", str(env)])
+    assert result.exit_code == 0, result.output
+    row = [float(v) for v in env.read_text().split("\n")[1].split(",")]
+    assert row[3] == pytest.approx(1.01 * _HALF_ROWS["koebe"][2], rel=1e-12)
 
 
 # map -> (lower, ||f(-1/2)||, ||f(1/2)||, upper) at r = 1/2, theta = 0

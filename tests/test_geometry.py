@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slicegrowth import geometry as geometry_mod
 from slicegrowth.algebra import CliffordElement, blade, generator, mul_batch
 from slicegrowth.errors import (
     CriterionError,
@@ -43,7 +44,7 @@ from slicegrowth.slicemaps import (
     extremal_map,
 )
 from slicegrowth.slicespace import make_orbit, make_point, point_norm, sample_S_batch
-from slicegrowth.suites import MAP_FAMILIES, RunConfig, _re_z1_control, run_suite
+from slicegrowth.suites import GROWTH_MAPS, RunConfig, _re_z1_control, run_suite
 
 
 E1_3 = generator(3, 1)
@@ -277,17 +278,17 @@ def test_batched_criteria_equal_single_points():
         starlike_criterion_slice(paper, e1, np.array([[0.3 + 0j, 0j], [0.5 + 0j, 0j]]))
 
 
-@pytest.mark.parametrize("label", list(MAP_FAMILIES))
+@pytest.mark.parametrize("label", list(GROWTH_MAPS))
 def test_closed_form_criteria_match_the_series(label):
     # the criteria of the shadow (g, phi', phi'') against those of the
     # N = 300 series, whose tail at |z| <= 0.8 is far below rounding
-    _, p, _ = MAP_FAMILIES[label]
+    entry = GROWTH_MAPS[label]
     m, n = 3, 2
     rng = np.random.default_rng(41)
     for I in (generator(m, 1), blade(m, (1, 2))):
         for theta in (0.0, 0.7, np.pi / 2):
-            closed = extremal_map(p, theta, I, n)
-            ref = _series_shadow(extremal_series(p, theta, I, 300, n), I)
+            closed = entry.map(theta, I, n)
+            ref = _series_shadow(entry.reference(theta, I, 300, n)[0], I)
             z = rng.normal(size=(50, n)) + 1j * rng.normal(size=(50, n))
             z *= rng.uniform(0.05, 0.8, size=(50, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
             gap = np.abs(starlike_criterion_slice(closed, I, z)
@@ -304,12 +305,12 @@ def test_shadow_map_is_off_slice_on_any_other_row():
     # a map given by its shadow on e1 is judged on e1 alone: on -e1 or e2,
     # and for a shadow without derivatives, the spot-check reads off-slice
     e1, e2 = generator(3, 1), generator(3, 2)
-    for label, (family, p, _) in MAP_FAMILIES.items():
-        f = extremal_map(p, 0.7, e1, 2)
+    for label, entry in GROWTH_MAPS.items():
+        f = entry.map(0.7, e1, 2)
         for other in (-e1, e2):
-            status = _hypothesis_status(f, family, other, 0.9, np.random.default_rng(3))
+            status = _hypothesis_status(f, entry.family, other, 0.9, np.random.default_rng(3))
             assert status == "off-slice", (label, other)
-        status = _hypothesis_status(f, family, e1, 0.9, np.random.default_rng(3))
+        status = _hypothesis_status(f, entry.family, e1, 0.9, np.random.default_rng(3))
         assert status != "off-slice", label
     control = _re_z1_control(3, 2)
     for family in ("starlike", "convex"):
@@ -673,6 +674,53 @@ def test_growth_check_domain_hypothesis_status():
     rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), e1, 0.7)
     assert rep.data["hypothesis_status"] == "off-slice"
+
+
+def test_growth_check_reads_a_series_map_off_slice():
+    # a map of a stem series gives the criteria no shadow: its spot-check
+    # reads off-slice and its record is reported, not asserted, as for a
+    # ShadowMap without derivatives
+    rng = np.random.default_rng(16)
+    rep = growth_check_domain(SliceMap(extremal_series(2, 0.0, generator(3, 1), 40, 2)),
+                              ball_gauge(2, 3), "starlike", 0.9, 10, rng, generator(3, 1))
+    assert rep.data["hypothesis_status"] == "off-slice", rep.data
+    assert rep.data["asserted"] is False and rep.passed
+
+
+def test_growth_check_domain_fails_a_nan_on_the_slice_of_i():
+    # values that are NaN only where the gauge-form reads them, on the
+    # slice of I: the norm-form reads finite values first, and the NaN
+    # must still reach max_error
+    e1 = generator(2, 1)
+    f = extremal_map(2, 0.7, e1, 2)
+    values = f.eval_arrays
+
+    def nan_on_i(alpha, beta, j_rows):
+        vals = values(alpha, beta, j_rows)
+        if np.ndim(j_rows) == 1:   # the one call on the slice of I
+            vals[-1] = np.nan
+        return vals
+    f.eval_arrays = nan_on_i
+    rep = growth_check_domain(f, polydisc_gauge(2, 2), "starlike", 0.9, 300,
+                              np.random.default_rng(16), e1, 0.7)
+    assert np.isfinite(rep.data["norm_form_violation_upper"]), rep.data
+    assert np.isnan(rep.data["max_error"]) and not rep.passed, rep.data
+
+
+def test_gauge_properties_check_fails_a_nan_on_an_orbit(monkeypatch):
+    # a NaN among the orbit gauges alone (the axial reading, read after
+    # the finite homogeneity error) must reach max_error
+    original = geometry_mod.gauge_rho
+
+    def poisoned(g, alpha, beta, j_rows=None):
+        rho = original(g, alpha, beta, j_rows)
+        if np.ndim(rho) and len(rho) == 20 * 32:   # the samples' orbits
+            rho[-1] = np.nan
+        return rho
+    monkeypatch.setattr(geometry_mod, "gauge_rho", poisoned)
+    rep = gauge_properties_check(ball_gauge(2, 3), 20, np.random.default_rng(4))
+    assert np.isfinite(rep.data["homogeneity_error"]), rep.data
+    assert np.isnan(rep.data["max_error"]) and not rep.passed, rep.data
 
 
 def test_growth_domain_runs_below_the_spot_check_radius():

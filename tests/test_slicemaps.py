@@ -8,6 +8,7 @@ from slicegrowth.algebra import CliffordElement, blade, generator
 from slicegrowth.errors import BasisError, RepresentationError
 from slicegrowth.series import (
     StemSeries,
+    central_partials,
     coefficient_gap,
     cr_residual,
     extremal_series,
@@ -16,6 +17,7 @@ from slicegrowth.series import (
 )
 from slicegrowth.slicemaps import (
     ComplexSeries,
+    ShadowMap,
     SliceMap,
     complex_on_slice,
     default_module_basis,
@@ -27,7 +29,7 @@ from slicegrowth.slicemaps import (
     two_slice_average,
 )
 from slicegrowth.slicespace import make_point, sample_S_batch, unit_rows
-from slicegrowth.suites import MAP_FAMILIES, _random_stem, _re_z1_control
+from slicegrowth.suites import GROWTH_MAPS, _random_stem, _re_z1_control
 
 
 def isclose(a, b, tol=1e-12):
@@ -78,16 +80,71 @@ def test_koebe_on_real_slice_axis():
         assert abs(scalar_part(vals[0].coeffs) - x / (1 - x) ** 2) < 1e-9
 
 
+# relative bound on a shadow's hand-written derivatives against central
+# differences of step 1e-4 at |z| <= 0.6: the stencils' truncation error
+# there is below 4e-7 for every entry
+_DERIVATIVE_BOUND = 1e-5
+
+
+def _derivative_gaps(f: ShadowMap, rng, step: float = 1e-4):
+    """Largest gaps of the full tensors Dg and D2g of f's shadow, each over
+    its largest entry, to central differences of g (the stencil of
+    series.central_partials, nested for D2g) at 20 random interior points."""
+    g, dg, d2g = f.shadow(f.I)
+    z = rng.normal(size=(20, f.n)) + 1j * rng.normal(size=(20, f.n))
+    z *= rng.uniform(0.05, 0.6, (20, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
+
+    def first(a, b):
+        # d g_s / d x_u at rows (B, s, u): g is holomorphic, so a real step
+        # gives its complex derivative
+        return np.moveaxis(central_partials(lambda x, y: g(x + 1j * y), a, b, step)[0], 0, -1)
+    second = np.moveaxis(central_partials(first, z.real, z.imag, step)[0], 0, -1)
+    return tuple(float(np.max(np.abs(exact - fd)) / np.max(np.abs(exact)))
+                 for exact, fd in ((dg(z), first(z.real, z.imag)), (d2g(z), second)))
+
+
+@pytest.mark.parametrize("label", list(GROWTH_MAPS))
+def test_growth_map_derivatives_match_central_differences(label):
+    # the criteria read each entry's hand-written Dg and D2g, never g's own
+    # derivatives: both must be those of g, over every index
+    rng = np.random.default_rng(44)
+    for I in (generator(3, 1), blade(3, (1, 2))):
+        for theta in (0.0, 0.7, np.pi / 2):
+            for n in (1, 2, 3):
+                gaps = _derivative_gaps(GROWTH_MAPS[label].map(theta, I, n), rng)
+                assert max(gaps) <= _DERIVATIVE_BOUND, (label, theta, n, gaps)
+
+
+def test_derivative_check_fails_a_perturbed_entry():
+    # D2g off by 1e-3 of its largest entry at one index fails the check,
+    # on the diagonal the convex criterion reads and off it; so does Dg
+    rng = np.random.default_rng(44)
+    e1 = generator(3, 1)
+    for label, entry in GROWTH_MAPS.items():
+        f = entry.map(0.7, e1, 2)
+        z = np.full((1, 2), 0.3 + 0.1j)
+        scale1, scale2 = (np.max(np.abs(d(z))) for d in (f.dg, f.d2g))
+        for index in ((0, 0, 0), (0, 0, 1), (1, 0, 1)):
+            bump = np.zeros((2, 2, 2))
+            bump[index] = 1e-3 * scale2
+            wrong = ShadowMap(e1, 2, f.g, f.dg, lambda z, d2g=f.d2g, bump=bump: d2g(z) + bump)
+            assert _derivative_gaps(wrong, rng)[1] > _DERIVATIVE_BOUND, (label, index)
+        bump = np.zeros((2, 2))
+        bump[0, 1] = 1e-3 * scale1
+        wrong = ShadowMap(e1, 2, f.g, lambda z, dg=f.dg: dg(z) + bump, f.d2g)
+        assert _derivative_gaps(wrong, rng)[0] > _DERIVATIVE_BOUND, label
+
+
 def test_closed_form_matches_series():
     m = 3
     rng = np.random.default_rng(12)
     directions = (generator(m, 1), blade(m, (1, 2)))
-    for label, (_, exponent, _) in MAP_FAMILIES.items():
+    for label, entry in GROWTH_MAPS.items():
         for i_elem in directions:
             for theta in (0.0, 0.7, np.pi / 2):
                 for n in (1, 2):
-                    f = extremal_map(exponent, theta, i_elem, n)
-                    stem = extremal_series(exponent, theta, i_elem, 300, n)
+                    f = entry.map(theta, i_elem, n)
+                    stem, coeff_gap = entry.reference(theta, i_elem, 300, n)
                     bound = tail_bound(stem, 0.9) + 1e-9
                     # points of the polydisc of radius 0.9 on random slices
                     radius = 0.9 * np.sqrt(rng.uniform(0, 1, size=(200, n)))
@@ -98,8 +155,7 @@ def test_closed_form_matches_series():
                         SliceMap(stem).eval_arrays(alpha, beta, j_rows)
                     gap = np.max(np.sqrt(np.sum(diff * diff, axis=(1, 2))))
                     assert gap <= bound, (label, theta, n, gap, bound)
-                    assert coefficient_gap(stem, exponent, theta, i_elem) <= 1e-9, \
-                        (label, theta, n)
+                    assert coeff_gap <= 1e-9, (label, theta, n)
                     # one point, as one row, goes through the same closed form
                     one = f.eval_arrays(alpha[:1], beta[:1], j_rows[0])[0]
                     batch = f.eval_arrays(alpha, beta, j_rows)[0]

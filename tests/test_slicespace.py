@@ -109,3 +109,12 @@ def test_anticommuting_unit_families():
             assert in_sqrt_minus_one(u * c + np.sqrt(1 - u ** 2) * d, 1e-9)
     with pytest.raises(SamplingError):
         anticommuting_unit(generator(1, 1), rng)
+
+
+def test_anticommuting_unit_rejects_other_directions():
+    # a root of -1 that is neither grade 1, one even blade nor at m = 2:
+    # 0.6 e12 + 0.8 e13 squares to -1 at m = 3, and no sweep is drawn for it
+    root = 0.6 * blade(3, (1, 2)) + 0.8 * blade(3, (1, 3))
+    assert in_sqrt_minus_one(root, 1e-12)
+    with pytest.raises(SamplingError):
+        anticommuting_unit(root, np.random.default_rng(12))
