@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CliffordElement, generator, grades, in_sqrt_minus_one, row_m
+from .algebra import CliffordElement, generator, grades, in_sqrt_minus_one, mul_coeffs, row_m
 from .errors import ConeError, DimensionError, SamplingError
 
 _CANON_EPS = 1e-12
@@ -137,9 +137,11 @@ def anticommuting_unit(I: np.ndarray, rng, max_tries: int = 200) -> np.ndarray:
     """The row of a root of -1 that is Euclid-orthogonal to the row I and
     anticommutes with it, drawn from rng.
 
-    Used to sweep J(u) = u*I + sqrt(1-u**2)*I_perp across [-1, 1].  Handles
-    grade-1 directions, single blades of even grade and the full
-    trace-free sphere at m = 2; any other direction raises SamplingError.
+    Used to sweep J(u) = u*I + sqrt(1-u**2)*I_perp across [-1, 1].  A
+    grade-1 direction gets a drawn grade-1 unit; any other gets the first
+    generator e_i orthogonal to I that anticommutes with it (the lowest
+    generator of an even blade), or at m = 2, where the whole trace-free
+    unit sphere squares to -1, a drawn unit.  Otherwise SamplingError.
     """
     m = row_m(I)
     if m < 2:
@@ -159,10 +161,11 @@ def anticommuting_unit(I: np.ndarray, rng, max_tries: int = 200) -> np.ndarray:
                 return row
         raise SamplingError("failed to draw an orthogonal unit vector")
 
-    nz = np.nonzero(np.abs(c) > 1e-12)[0]
-    if nz.size == 1 and g[nz[0]] % 2 == 0:  # single even blade: any generator in it
-        gen = int(np.log2(nz[0] & -nz[0])) + 1
-        return generator(m, gen)
+    for i in range(1, m + 1):
+        e = generator(m, i)
+        if abs(c[1 << (i - 1)]) <= 1e-12 and \
+                np.max(np.abs(mul_coeffs(m, c, e) + mul_coeffs(m, e, c))) <= 1e-12:
+            return e
 
     if m == 2:  # the whole trace-free unit sphere squares to -1
         for _ in range(max_tries):

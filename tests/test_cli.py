@@ -236,6 +236,61 @@ def test_a_nan_in_slice_map_values_fails_every_record_that_reads_them(monkeypatc
         assert np.isnan(reports[name].data["max_error"]), (name, reports[name].data)
 
 
+def _module_bindings(value):
+    """(module, name) of every module-level binding of value in the package."""
+    return [(module, name) for module_name, module in list(sys.modules.items())
+            if module_name.split(".")[0] == "slicegrowth"
+            for name, bound in vars(module).items() if bound is value]
+
+
+@pytest.mark.parametrize("owner, name", [(slicemaps.ShadowMap, "eval_arrays"),
+                                         (algebra, "mul_batch"), (geometry, "gauge_rho")],
+                         ids=["ShadowMap.eval_arrays", "mul_batch", "gauge_rho"])
+def test_a_nan_row_fails_every_asserted_record_whose_check_reads_it(owner, name, monkeypatch):
+    # one row of each return value of the evaluator is NaN, through every
+    # binding of it; a check that called it must fail each of its asserted
+    # records, with a NaN in the field that failed, or as an error record.
+    # regularity-constant shares its check with the control, a ShadowMap,
+    # but reads only the constant series map
+    exempt = {"regularity-constant"} if owner is slicemaps.ShadowMap else set()
+    original = vars(owner)[name]
+    calls, running = Counter(), [None]
+
+    def poisoned(*args, **kwargs):
+        calls[running[0]] += 1
+        values = original(*args, **kwargs)
+        if np.ndim(values) == 0:
+            return np.nan
+        values = np.array(values, dtype=np.float64)
+        values[-1] = np.nan
+        return values
+    sites = [(owner, name)] if isinstance(owner, type) else _module_bindings(original)
+    for site, attr in sites:
+        monkeypatch.setattr(site, attr, poisoned)
+    assert not _module_bindings(original)
+
+    sharded, check_of = suites_mod._sharded, {}
+
+    def counted(cfg, suite, check):
+        running[0] = check.name
+        records = sharded(cfg, suite, check)
+        check_of.update((rep.check, check.name) for rep in records)
+        return records
+    monkeypatch.setattr(suites_mod, "_sharded", counted)
+    monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)  # counted in this process
+    reports = run_suite("all", RunConfig(seed=20240811, samples=300))
+
+    read = [rep for rep in reports if calls[check_of[rep.check]]
+            and rep.data.get("asserted", True)
+            and rep.check not in exempt]
+    assert len(read) >= 20, [rep.check for rep in read]
+    for rep in read:
+        nan = [key for key, value in rep.data.items()
+               if isinstance(value, float) and np.isnan(value)]
+        assert not rep.passed, rep.record()
+        assert nan or rep.check.endswith("-error"), rep.record()
+
+
 def test_declaring_checks_is_free(monkeypatch):
     # a suite declares its checks without drawing or building anything:
     # each check's setup runs where the check runs
@@ -719,6 +774,49 @@ def test_cli_import_does_not_load_multiprocessing():
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False"] * 2
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # numpy.random (with secrets, hashlib and OpenSSL) loads at a check's
+    # first draw or before a pool forks, not at start-up; this process
+    # has it loaded already, so ask a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, slicegrowth.cli; print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="the pool needs 2 usable CPUs")
+def test_pooled_workers_load_no_module_the_parent_lacks(tmp_path):
+    # the parent imports what the checks load before the pool forks, so
+    # the workers share those pages instead of each loading its own copy.
+    # Each worker writes its sys.modules after every task it runs
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys\n"
+         "from slicegrowth import suites\n"
+         "original = suites._run_task\n"
+         "def recording(cfg, task):\n"
+         "    reports = original(cfg, task)\n"
+         "    with open(os.path.join(sys.argv[1], str(os.getpid())), 'w') as fh:\n"
+         "        fh.write('\\n'.join(sys.modules))\n"
+         "    return reports\n"
+         "suites._run_task = recording\n"
+         "suites.run_suite('all', suites.RunConfig(samples=20, truncation=20))\n"
+         "print('\\n'.join(sys.modules))",
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    parent = set(result.stdout.split())
+    workers = {path.name: set(path.read_text().split()) for path in tmp_path.iterdir()}
+    assert len(workers) >= 2 and str(os.getpid()) not in workers
+    assert {pid: sorted(modules - parent) for pid, modules in workers.items()} == \
+        {pid: [] for pid in workers}
 
 
 def test_only_the_cli_freezes_the_heap(tmp_path):

@@ -95,7 +95,9 @@ def test_anticommuting_unit_families():
         generator(3, 1),
         np.array([0.0, 0.6, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0]),   # 0.6 e1 + 0.8 e3
         blade(2, (1, 2)),
-        np.array([0.0, 0.6, 0.0, 0.8]),   # 0.6 e1 + 0.8 e12
+        np.array([0.0, 0.6, 0.0, 0.8]),   # 0.6 e1 + 0.8 e12: e2 serves
+        np.array([0.0, 0.48, 0.64, 0.6]),  # 0.48 e1 + 0.64 e2 + 0.6 e12: drawn at m = 2
+        0.6 * blade(3, (1, 2)) + 0.8 * blade(3, (1, 3)),   # e1 serves
     ]
     for c in cases:
         d = anticommuting_unit(c, rng)
@@ -112,9 +114,19 @@ def test_anticommuting_unit_families():
 
 
 def test_anticommuting_unit_rejects_other_directions():
-    # a root of -1 that is neither grade 1, one even blade nor at m = 2:
-    # 0.6 e12 + 0.8 e13 squares to -1 at m = 3, and no sweep is drawn for it
+    # a root of -1 other than grade 1 gets the first generator orthogonal to
+    # it that anticommutes with it: the lowest generator of an even blade,
+    # and e1 for 0.6 e12 + 0.8 e13 at m = 3
+    rng = np.random.default_rng(12)
+    for root, gen in ((blade(3, (1, 2)), generator(3, 1)), (blade(3, (2, 3)), generator(3, 2)),
+                      (blade(4, (3, 4)), generator(4, 3))):
+        assert np.array_equal(anticommuting_unit(root, rng), gen)
     root = 0.6 * blade(3, (1, 2)) + 0.8 * blade(3, (1, 3))
     assert in_sqrt_minus_one(root, 1e-12)
+    assert np.array_equal(anticommuting_unit(root, rng), generator(3, 1))
+    # (e12 + e13 + e23)/sqrt(3) squares to -1 too, but each generator
+    # commutes with one of its blades: no sweep is drawn for it
+    root = (blade(3, (1, 2)) + blade(3, (1, 3)) + blade(3, (2, 3))) / np.sqrt(3)
+    assert in_sqrt_minus_one(root, 1e-12)
     with pytest.raises(SamplingError):
-        anticommuting_unit(root, np.random.default_rng(12))
+        anticommuting_unit(root, rng)
