@@ -32,7 +32,7 @@ class BasisError(SliceAnalysisError):
 
 
 class CriterionError(SliceAnalysisError):
-    """A geometric criterion hit a singular Jacobian or vanishing derivative."""
+    """A geometric criterion hit a singular Jacobian."""
 
 
 class GaugeError(SliceAnalysisError):

@@ -13,12 +13,12 @@ through the endpoint norms: c0 - c1 = ||f(I)||^2, c0 + c1 = ||f(-I)||^2.
 verify_extremal reads it from one SliceMap.eval_arrays call, one stem
 row broadcast over the J rows [I, -I, the sampled J, a u-sweep].  The
 starlike and convex criteria (starlike_criterion_slice,
-convex_criterion_slice) read a ShadowMap's shadow f.shadow(I, tol) and
-its derivatives, at one point or a batch.
+convex_criterion_slice) read a ShadowMap alone: its slice row f.I and its
+shadow f.g with the derivatives f.dg and f.d2g, on a batch of rows.
 One growth checker, growth_check_domain, samples a gauged domain (the
-unit ball is the ball gauge), reads every value through
-SliceMap.eval_arrays (the gauge-form through value_gauge_on_slice on the
-slice of I), and compares against the closed-form envelopes with tol as
+unit ball is the ball gauge), reads every value through the map's
+eval_arrays (the gauge-form through value_gauge_on_slice on the slice
+f.I), and compares against the closed-form envelopes with tol as
 slack.  One batched starlike/convex spot-check on the map's shadow
 decides whether a record is asserted, and judge_growth, the one verdict
 rule of every growth record, lets one that is not asserted pass.
@@ -130,64 +130,50 @@ def verify_extremal(f: SliceMap, o: SliceOrbit, I: np.ndarray,
 # starlike / convex criteria on a slice
 # ---------------------------------------------------------------------------
 
-def _shadow(f, I: np.ndarray, tol: float):
-    """f.shadow(I, tol); a map with none, such as the SliceMap of a stem
-    series, raises HypothesisViolationError, as one off its slice does."""
-    if not hasattr(f, "shadow"):
-        raise HypothesisViolationError(f"a {type(f).__name__} has no shadow")
-    return f.shadow(I, tol)
+def _shadow(f):
+    """(f.g, f.dg, f.d2g); a map without derivatives, such as the SliceMap
+    of a stem series or a ShadowMap given by g alone, raises
+    HypothesisViolationError, which the spot-check reads as off-slice."""
+    if getattr(f, "dg", None) is None or getattr(f, "d2g", None) is None:
+        raise HypothesisViolationError(f"a {type(f).__name__} has no derivatives")
+    return f.g, f.dg, f.d2g
 
 
-def starlike_criterion_slice(f: ShadowMap, I: np.ndarray, z,
-                             tol: float = 1e-9):
+def starlike_criterion_slice(f: ShadowMap, z: np.ndarray) -> np.ndarray:
     """Re <Df_I(z)^{-1} f_I(z), z> through the complex identification of
-    the slice of I; positive everywhere iff the restriction is starlike.
+    the slice f.I; positive everywhere iff the restriction is starlike.
 
-    z has shape (n,) (returns a float) or (B, n) (returns B values, each
-    with the bits it has alone).  Raises HypothesisViolationError where
-    f.shadow(I, tol) does (I is not the map's own slice, the map has no
-    derivatives, or it has no shadow), CriterionError on a singular
-    Jacobian at any point.
+    z holds B complex rows (B, n); returns B values, each with the bits it
+    has alone.  Raises HypothesisViolationError where the map has no
+    derivatives, CriterionError on a singular Jacobian at any point.
     """
-    g, dg, _ = _shadow(f, I, tol)
+    g, dg, _ = _shadow(f)
     z = np.asarray(z, dtype=np.complex128)
-    batch = z.reshape(-1, f.n)
-    jac = dg(batch)
-    val = g(batch)
     try:
-        w = np.linalg.solve(jac, val[..., None])[..., 0]
+        w = np.linalg.solve(dg(z), g(z)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise CriterionError("singular slice Jacobian") from exc
     if not np.all(np.isfinite(w)):
         raise CriterionError("singular slice Jacobian")
-    vals = np.real(np.sum(np.conj(batch) * w, axis=1))
-    return float(vals[0]) if z.ndim == 1 else vals
+    return np.real(np.sum(np.conj(z) * w, axis=1))
 
 
-def convex_criterion_slice(f: ShadowMap, I: np.ndarray, t: int, x,
-                           tol: float = 1e-9):
-    """Re(1 + x f_t''(x)/f_t'(x)) for component t of the slice shadow f_I
-    at real x on the z_t axis (the other variables at 0): the classical
-    convexity criterion of that one-variable restriction.
-
-    x is a float (returns a float) or an array (returns values of its
-    shape).  Raises HypothesisViolationError where f.shadow(I, tol)
-    does, and CriterionError where f_t' vanishes at a
-    float x; in an array the value there is NaN.
+def convex_criterion_slice(f: ShadowMap, t: int, x: np.ndarray,
+                           tol: float = 1e-9) -> np.ndarray:
+    """Re(1 + x f_t''(x)/f_t'(x)) for component t of the shadow f_I at the
+    real points x, of shape (B,), on the z_t axis (the other variables at
+    0): the classical convexity criterion of that one-variable
+    restriction.  A value is NaN where |f_t'| <= tol.  Raises
+    HypothesisViolationError where the map has no derivatives.
     """
-    _, dg, d2g = _shadow(f, I, tol)
+    _, dg, d2g = _shadow(f)
     x = np.asarray(x, dtype=np.float64)
-    z = np.zeros((x.size, f.n), dtype=np.complex128)
-    z[:, t] = x.ravel()
-    v1 = dg(z)[:, t, t].reshape(x.shape)
-    v2 = d2g(z)[:, t, t, t].reshape(x.shape)
-    vanished = np.abs(v1) <= tol
-    if x.ndim == 0:
-        if vanished:
-            raise CriterionError(f"derivative vanishes at x={x}")
-        return float((1.0 + x * v2 / v1).real)
+    z = np.zeros((len(x), f.n), dtype=np.complex128)
+    z[:, t] = x
+    v1 = dg(z)[:, t, t]
+    v2 = d2g(z)[:, t, t, t]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(vanished, np.nan, (1.0 + x * v2 / v1).real)
+        return np.where(np.abs(v1) <= tol, np.nan, (1.0 + x * v2 / v1).real)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +201,9 @@ def _sample_ball(rng, samples: int, n: int, m: int, r_max: float):
     return alpha, beta, j_rows, radii
 
 
-def _hypothesis_status(f: ShadowMap, family: str, I: np.ndarray,
-                       r_max: float, rng, checks: int = 64) -> str:
-    """Spot-check of the starlike/convex hypothesis on the slice of I at
+def _hypothesis_status(f: ShadowMap, family: str, r_max: float, rng,
+                       checks: int = 64) -> str:
+    """Spot-check of the starlike/convex hypothesis on the slice f.I at
     checks points, drawn whole and judged in one batched criterion call
     (starlike) or one per component (convex)."""
     try:
@@ -226,12 +212,12 @@ def _hypothesis_status(f: ShadowMap, family: str, I: np.ndarray,
             z = rng.normal(size=(checks, f.n)) + 1j * rng.normal(size=(checks, f.n))
             radii = rng.uniform(min(0.05, r_max / 2), r_max, checks)
             values = [starlike_criterion_slice(
-                f, I, z * (radii / np.linalg.norm(z, axis=1))[:, None])]
+                f, z * (radii / np.linalg.norm(z, axis=1))[:, None])]
         else:
             # convex family: per-component one-variable criterion at real x
             xs = rng.uniform(-r_max, r_max, checks)
             ts = rng.integers(f.n, size=checks)
-            values = [convex_criterion_slice(f, I, t, xs[ts == t])
+            values = [convex_criterion_slice(f, t, xs[ts == t])
                       for t in range(f.n)]
     except HypothesisViolationError:
         return "off-slice"
@@ -253,15 +239,15 @@ def merge_hypothesis_status(statuses: list[str]) -> str:
 
 
 def growth_check_ball(f: ShadowMap, family: str, r_max: float, samples: int,
-                      rng, I: np.ndarray, theta: float = 0.0,
-                      tol: float = 1e-9, assert_bounds: bool = True) -> Report:
+                      rng, theta: float = 0.0, tol: float = 1e-9,
+                      assert_bounds: bool = True) -> Report:
     """growth_check_domain on the unit ball, ball_gauge(f.n, f.m).
 
     No suite calls it: the name stays only as a layer boundary that the
     benchmark's traced run (perfbench/traced.py) wraps, until that run
     reads a trace of its own (ROADMAP items 6 and 10)."""
     return growth_check_domain(f, ball_gauge(f.n, f.m), family, r_max, samples,
-                               rng, I, theta, tol, assert_bounds)
+                               rng, theta, tol, assert_bounds)
 
 
 def judge_growth(rep: Report, asserted: bool) -> Report:
@@ -515,8 +501,7 @@ def gauge_properties_check(g: Gauge, samples: int, rng,
 # ---------------------------------------------------------------------------
 
 def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
-                        samples: int, rng, I: np.ndarray,
-                        theta: float = 0.0, tol: float = 1e-9,
+                        samples: int, rng, theta: float = 0.0, tol: float = 1e-9,
                         asserted: bool = True) -> Report:
     """The one growth checker: every growth record is sampled over random
     slices (_sample_gauged), spot-checked and judged here.  The gauge picks
@@ -525,7 +510,7 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
     - rho-form:   rho(x)/(1+rho)^p <= ||f(x)||    <= rho(x)/(1-rho)^p
     - norm-form:  ||x||/(1+rho)^p  <= ||f(x)||    <= ||x||/(1-rho)^p
     - gauge-form: rho(x)/(1+rho)^p <= rho(f_I(z)) <= rho(x)/(1-rho)^p
-                  on the slice of I, where the value gauge is defined.
+                  on the slice I = f.I, where the value gauge is defined.
 
     On the ball every form is the rho-form: the record carries it alone,
     as max_violation_lower/upper.  On other gauges the rho-form middle
@@ -538,9 +523,9 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
     whose values leave the slice fails.  At theta = 0 the real polydisc
     diagonal is also checked in closed form through the gauge-form.
 
-    The record reads the map alone, f.eval_arrays and f.shadow, every
-    bound gets tol as slack, and a NaN in any reading fails the record
-    (np.max keeps it).  A record is asserted when `asserted` holds
+    The record reads the map alone: f.eval_arrays, its row f.I and its
+    shadow.  Every bound gets tol as slack, and a NaN in any reading fails
+    the record (np.max keeps it).  A record is asserted when `asserted` holds
     and the spot-check reads ok, and judge_growth lets one that is not
     asserted pass.
     """
@@ -551,7 +536,7 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
     lo_rho, hi_rho = growth_bounds(rho, family)
     rho_viol = _violations(lo_rho, norms, hi_rho)
     if g.kind == "ball":
-        status = _hypothesis_status(f, family, I, r_max, rng)
+        status = _hypothesis_status(f, family, r_max, rng)
         head = {"family": family}
         forms = {"max_violation_lower": rho_viol[0], "max_violation_upper": rho_viol[1]}
         max_error = float(np.max(rho_viol))
@@ -563,13 +548,13 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
         # and the gauge-form is sharp; one eval_arrays call on the slice of
         # I takes both
         alpha_i, beta_i, _, rho_i = _sample_gauged(g, rng, samples, f.n, f.m, r_max)
-        status = _hypothesis_status(f, family, I, r_max, rng)
+        status = _hypothesis_status(f, family, r_max, rng)
         diag_x = []
         if abs(theta) < 1e-15 and g.kind == "polydisc":
             diag_x = [sign * r for r in (0.1, 0.3, 0.5, 0.7, 0.9) for sign in (1.0, -1.0)]
         diag = np.repeat(np.array(diag_x, dtype=np.float64)[:, None], f.n, axis=1)
-        vals = f.eval_arrays(np.vstack([alpha_i, diag]), np.vstack([beta_i, 0 * diag]), I)
-        rhos, off_slice = value_gauge_on_slice(g, vals, I)
+        vals = f.eval_arrays(np.vstack([alpha_i, diag]), np.vstack([beta_i, 0 * diag]), f.I)
+        rhos, off_slice = value_gauge_on_slice(g, vals, f.I)
         value_rho, diag_rho = rhos[:samples], rhos[samples:]
         lo_g, hi_g = growth_bounds(rho_i, family)
         gauge_viol = _violations(lo_g, value_rho, hi_g)

@@ -3,7 +3,9 @@
 A report is one flat record per check: {"check": ..., <payload>,
 "samples": ..., "pass": ...}.  Payload key order is insertion order, so
 serialization is byte-stable for a fixed code path.  CSV cells use a '.'
-decimal separator and 17 significant digits so doubles round-trip.
+decimal separator and 17 significant digits so doubles round-trip, and
+csv.writer quotes only a cell that holds a comma, a quote or a line
+break, such as an error record's message.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ def to_json(reports: list[Report]) -> str:
 
 
 def to_csv(reports: list[Report]) -> str:
+    import csv  # loaded here, not at import: only a CSV report uses it
     records = [rep.record() for rep in reports]
     columns: list[str] = []
     for rec in records:
@@ -58,9 +61,9 @@ def to_csv(reports: list[Report]) -> str:
             if key not in columns:
                 columns.append(key)
     buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for rec in records:
-        buf.write(",".join(_fmt_cell(rec.get(col)) for col in columns) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt_cell(rec.get(col)) for col in columns] for rec in records)
     return buf.getvalue()
 
 

@@ -402,8 +402,9 @@ def coefficient_gap(f: StemSeries, p: int, theta: float, I: np.ndarray) -> float
     single = np.count_nonzero(kmat, axis=1) == 1
     table = np.zeros_like(expected)
     table[kmat[single].sum(axis=1), kmat[single].argmax(axis=1)] = amat[single]
-    return max(float(np.max(np.abs(table - expected))),
-               float(np.max(np.abs(amat[~single]), initial=0.0)))
+    # np.max, unlike the builtin max, keeps a NaN
+    return float(np.max([np.max(np.abs(table - expected)),
+                         np.max(np.abs(amat[~single]), initial=0.0)]))
 
 
 def _assemble_componentwise(m: int, series: np.ndarray, n: int, tail_model) -> StemSeries:

@@ -25,11 +25,12 @@ series.cr_residual.
 
 ShadowMap(I, n, g, dg, d2g) is the map given by its shadow alone, with
 no stem series: on the slice of I, whose complex plane C_I holds every
-coefficient, the map is its holomorphic shadow g on C_I^n, and
-f.shadow(I, tol) gives g and its derivatives as callables of (B, n)
-complex points, for the starlike and convex criteria.  Its values are
-real multiples of 1, I, J and J I, with no general product, and it is
-not a SliceMap: it has no stem, no derivative and no one-point eval.
+coefficient, the map is its holomorphic shadow g on C_I^n.  It is the
+one holder of its slice row, f.I, and of f.g, f.dg and f.d2g, g and its
+derivatives as callables of (B, n) complex points, which the starlike
+and convex criteria read.  Its values are real multiples of 1, I, J and
+J I, with no general product, and it is not a SliceMap: it has no stem,
+no derivative and no one-point eval.
 extremal_map(p, theta, I, n) is the extremal family
 x_t (1 - x_t e^{I theta})^{-*p} as one shadow (Koebe p = 2, Cayley
 p = 1 and the paper example x_t (1 - x_t e^{I theta}) as p = -1).
@@ -51,7 +52,7 @@ from .algebra import (
     row_m,
     singular_values_batch,
 )
-from .errors import BasisError, HypothesisViolationError, RepresentationError
+from .errors import BasisError, RepresentationError
 from .series import StemSeries, central_partials, power_sum
 from .slicespace import SlicePoint
 
@@ -93,6 +94,8 @@ class ShadowMap:
     """The slice map with every coefficient in C_I, given by its shadow g
     on C_I^n: g maps (B, n) complex points to (B, n) values, dg to (B, n, n)
     Jacobians and d2g to (B, n, n, n) second derivatives d^2 g_s/dz_t dz_u.
+    A map given by g alone has no derivatives, and its spot-check reads
+    off-slice.
 
     Its stem is P + Q I with P = (g(z) + conj g(conj z))/2 and
     Q = (g(z) - conj g(conj z))/(2i), so on the slice of J its value is
@@ -133,13 +136,6 @@ class ShadowMap:
             out[lo:lo + step] = self._on_slice(p.real, q.real) + (
                 p.imag[..., None] * j + q.imag[..., None] * ji)
         return out
-
-    def shadow(self, I: np.ndarray, tol: float = 1e-9):
-        """(g, dg, d2g) on the map's own row I.  On any other row (-I
-        too), or without derivatives, raises HypothesisViolationError."""
-        if self.dg is None or self.d2g is None or np.max(np.abs(I - self.I)) > tol:
-            raise HypothesisViolationError("map has no shadow with derivatives on I")
-        return self.g, self.dg, self.d2g
 
 
 def extremal_map(p: int, theta: float, I: np.ndarray, n: int) -> ShadowMap:

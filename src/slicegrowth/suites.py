@@ -702,7 +702,7 @@ def _growth_check(cfg: RunConfig, suite: str, name: str, tag: int, label: str,
 
     def shard(size, rng):
         gauge = geometry.Gauge(domain, f().n, f().m)
-        rep = geometry.growth_check_domain(f(), gauge, entry.family, cfg.r_max, size, rng, I,
+        rep = geometry.growth_check_domain(f(), gauge, entry.family, cfg.r_max, size, rng,
                                            theta, 1e-9, entry.asserted)
         rep.data["map"] = label
         return [rep]

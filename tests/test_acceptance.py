@@ -154,10 +154,10 @@ def test_criterion_8_growth_domain():
 
         # the ball gauge gives the unit-ball record bit for bit on one stream
         ball_rep = growth_check_ball(
-            f, family, 0.9, 10_000, np.random.default_rng([SEED, 81]), e1, 0.0)
+            f, family, 0.9, 10_000, np.random.default_rng([SEED, 81]), 0.0)
         dom_rep = growth_check_domain(
             f, ball_gauge(n, m), family, 0.9, 10_000,
-            np.random.default_rng([SEED, 81]), e1, 0.0)
+            np.random.default_rng([SEED, 81]), 0.0)
         same = render([dom_rep], "json") == render([ball_rep], "json")
         ok = ok and dom_rep.passed and dom_rep.data["asserted"] and same
 
@@ -166,7 +166,7 @@ def test_criterion_8_growth_domain():
         # value-gauge reading (the plain-norm reading overshoots by sqrt(n))
         poly_rep = growth_check_domain(
             f, polydisc_gauge(n, m), family, 0.9, 10_000,
-            np.random.default_rng([SEED, 82]), e1, 0.0)
+            np.random.default_rng([SEED, 82]), 0.0)
         diag_ok = poly_rep.data["diagonal_sharpness_gap"] <= slack
         forms_reported = all(
             key in poly_rep.data for key in (

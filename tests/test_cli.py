@@ -1,6 +1,8 @@
 """Harness wiring: suite registry, report formats, CLI contract."""
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -366,6 +368,31 @@ def test_shard_merge_keeps_a_nan_error():
         assert merged.passed is False
 
 
+# the extremal record's fields that are shard 0's by design: each shard
+# draws its own orbit, and these read that orbit (suites._extremal_shard)
+_SHARD0_FIELDS = {"c0", "c1", "endpoint_max", "endpoint_min", "sampled_max", "sampled_min"}
+
+
+def test_every_field_that_varies_across_shards_has_a_reducer(monkeypatch):
+    # a field whose shards disagree keeps shard 0's value unless _REDUCERS
+    # names it: only the extremal orbit's readings may do so
+    merge = suites_mod._merge_shards
+    unreduced = set()
+
+    def spy(parts, keys):
+        for key in parts[0].data:
+            values = {repr(part.data.get(key)) for part in parts}   # NaN-safe
+            if len(values) > 1 and key not in keys:
+                unreduced.add((parts[0].check.split("-")[0], key))
+        return merge(parts, keys)
+
+    monkeypatch.setattr(suites_mod, "_merge_shards", spy)
+    monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)  # spied in this process
+    for extra in ({"seed": 1}, {"seed": 20240811}, {"m": 2, "n": 1}):
+        run_suite("all", RunConfig(samples=300, shards=3, **extra))
+    assert unreduced <= {("extremal", key) for key in _SHARD0_FIELDS}, unreduced
+
+
 def test_anticommutation_error_matches_the_pairwise_products():
     # the reference forms e_i e_j + e_j e_i pair by pair through the
     # sign-table product mul_coeffs
@@ -477,6 +504,23 @@ def test_report_rendering():
     lines_out = summary_lines(reps)
     assert lines_out[0].startswith("[PASS]")
     assert lines_out[1].startswith("[FAIL]")
+
+
+def test_csv_keeps_an_error_record_to_the_header_width(monkeypatch):
+    # an error message with commas in it, here a tuple, is one quoted cell
+    def broken_check(*args):
+        series.StemSeries(3, 2, {(1, 0): np.zeros(2)})
+
+    monkeypatch.setattr(geometry, "growth_check_domain", broken_check)
+    reports = run_suite("growth-ball", small_config(maps=("paper-example",)))
+    rows = list(csv.reader(io.StringIO(render(reports, "csv"))))
+    header, body = rows[0], rows[1:]
+    assert len(body) == len(reports)
+    assert all(len(row) == len(header) for row in body)
+    error = dict(zip(header, body[0]))
+    assert error["check"] == "growth-ball-paper-example-e1-theta0.000-error"
+    assert error["error"] == \
+        "DimensionError: coefficient for (1, 0) has shape (2,), want (2, 8)"
 
 
 def test_cli_verify_pass_and_report(tmp_path):
@@ -684,10 +728,10 @@ def test_a_growth_check_error_is_neither_renamed_nor_judged(monkeypatch):
     # record would not be asserted
     check = geometry.growth_check_domain
 
-    def broken_check(f, gauge, family, r_max, size, rng, I, theta, *rest):
-        if theta == 0.0 and I[1] == 1.0:  # the first record's, e1 at theta 0
+    def broken_check(f, gauge, family, r_max, size, rng, theta, *rest):
+        if theta == 0.0 and f.I[1] == 1.0:  # the first record's, e1 at theta 0
             raise HypothesisViolationError("values leave the slice")
-        return check(f, gauge, family, r_max, size, rng, I, theta, *rest)
+        return check(f, gauge, family, r_max, size, rng, theta, *rest)
 
     monkeypatch.setattr(geometry, "growth_check_domain", broken_check)
     reports = run_suite("growth-ball", small_config(shards=3, maps=("paper-example",)))

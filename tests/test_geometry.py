@@ -200,55 +200,52 @@ def _series_shadow(stem, I):
 def test_starlike_criterion_identity_and_koebe():
     e1 = generator(2, 1)
     f = _identity_shadow(e1, 2)
-    z = np.array([0.3 + 0.2j, -0.4 + 0.1j])
-    val = starlike_criterion_slice(f, e1, z)
-    assert val == pytest.approx(float(np.sum(np.abs(z) ** 2)), abs=1e-12)
+    z = np.array([[0.3 + 0.2j, -0.4 + 0.1j]])
+    val = starlike_criterion_slice(f, z)
+    assert val.shape == (1,)
+    assert val[0] == pytest.approx(float(np.sum(np.abs(z) ** 2)), abs=1e-12)
 
     rng = np.random.default_rng(4)
     k = extremal_map(2, 0.7, e1, 2)
-    for _ in range(100):
-        w = rng.normal(size=2) + 1j * rng.normal(size=2)
-        w *= rng.uniform(0.05, 0.9) / np.linalg.norm(w)
-        assert starlike_criterion_slice(k, e1, w) > 0.0
+    w = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
+    w *= rng.uniform(0.05, 0.9, size=(100, 1)) / np.linalg.norm(w, axis=1, keepdims=True)
+    assert np.all(starlike_criterion_slice(k, w) > 0.0)
 
 
 def test_starlike_criterion_flags_paper_example():
     # the degree-two polynomial family loses injectivity inside the ball
     e1 = generator(2, 1)
     f = extremal_map(-1, 0.0, e1, 2)
-    z = np.array([0.6 + 0.0j, 0.0 + 0.0j])
+    z = np.array([[0.6 + 0.0j, 0.0 + 0.0j]])
     with pytest.raises(CriterionError):
         # Jacobian is singular where the derivative vanishes (z_1 = 1/2)
-        starlike_criterion_slice(f, e1, np.array([0.5 + 0j, 0.0 + 0j]))
-    val = starlike_criterion_slice(f, e1, z)
-    assert val <= 0.0
+        starlike_criterion_slice(f, np.array([[0.5 + 0j, 0.0 + 0j]]))
+    assert starlike_criterion_slice(f, z)[0] <= 0.0
 
 
 def test_convex_criterion_values():
     m = 2
     e1 = generator(m, 1)
     ident = _identity_shadow(e1, 1)
-    assert convex_criterion_slice(ident, e1, 0, 0.3) == pytest.approx(1.0, abs=1e-12)
+    assert convex_criterion_slice(ident, 0, [0.3])[0] == pytest.approx(1.0, abs=1e-12)
 
     # cayley slice x/(1-x): criterion 1 + 2x/(1-x) equals 3 at x = 0.5
     cay = extremal_map(1, 0.0, e1, 1)
-    assert convex_criterion_slice(cay, e1, 0, 0.5) == pytest.approx(3.0, abs=1e-9)
+    assert convex_criterion_slice(cay, 0, [0.5])[0] == pytest.approx(3.0, abs=1e-9)
 
     # koebe slice x/(1-x)^2 fails convexity on the negative axis:
     # 1 + (4x + 2x^2)/(1 - x^2) = -9.42105... at x = -0.9
     koe = extremal_map(2, 0.0, e1, 1)
-    val = convex_criterion_slice(koe, e1, 0, -0.9)
+    val = convex_criterion_slice(koe, 0, [-0.9])[0]
     assert val == pytest.approx(1 + (4 * -0.9 + 2 * 0.81) / (1 - 0.81), abs=1e-6)
     assert val < 0.0
 
     # negative controls: the paper example x(1 - x) has f' = 0 at x = 1/2,
-    # and a koebe map built on the slice of e2 leaves the slice of e1
+    # which reads NaN, and a shadow without derivatives has no criterion
     paper = extremal_map(-1, 0.0, e1, 2)
-    with pytest.raises(CriterionError):
-        convex_criterion_slice(paper, e1, 0, 0.5)
-    e2 = generator(m, 2)
+    assert np.isnan(convex_criterion_slice(paper, 0, [0.5])[0])
     with pytest.raises(HypothesisViolationError):
-        convex_criterion_slice(extremal_map(2, 0.7, e2, 1), e1, 0, 0.3)
+        convex_criterion_slice(ShadowMap(e1, 1, koe.g), 0, [0.3])
 
 
 def test_batched_criteria_equal_single_points():
@@ -257,25 +254,25 @@ def test_batched_criteria_equal_single_points():
     k = extremal_map(2, 0.7, e1, 2)
     z = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
     z *= rng.uniform(0.05, 0.9, size=(40, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
-    batch = starlike_criterion_slice(k, e1, z)
+    batch = starlike_criterion_slice(k, z)
     assert batch.shape == (40,)
-    assert np.array_equal(batch, [starlike_criterion_slice(k, e1, w) for w in z])
+    assert np.array_equal(batch, [starlike_criterion_slice(k, w[None])[0] for w in z])
 
     for f in (k, extremal_map(1, 0.7, e1, 2)):
         for t in (0, 1):
             xs = rng.uniform(-0.9, 0.9, size=40)
-            batch = convex_criterion_slice(f, e1, t, xs)
+            batch = convex_criterion_slice(f, t, xs)
             assert np.array_equal(
-                batch, [convex_criterion_slice(f, e1, t, float(x)) for x in xs])
+                batch, [convex_criterion_slice(f, t, xs[i:i + 1])[0] for i in range(40)])
 
-    # where a scalar call raises, the batch reports NaN and still raises on
-    # a singular Jacobian
+    # a vanishing derivative reads NaN at its row alone, and a singular
+    # Jacobian at any row raises
     paper = extremal_map(-1, 0.0, e1, 2)
-    vals = convex_criterion_slice(paper, e1, 0, np.array([0.3, 0.5]))
-    assert vals[0] == convex_criterion_slice(paper, e1, 0, 0.3)
+    vals = convex_criterion_slice(paper, 0, np.array([0.3, 0.5]))
+    assert vals[0] == convex_criterion_slice(paper, 0, np.array([0.3]))[0]
     assert np.isnan(vals[1])
     with pytest.raises(CriterionError):
-        starlike_criterion_slice(paper, e1, np.array([[0.3 + 0j, 0j], [0.5 + 0j, 0j]]))
+        starlike_criterion_slice(paper, np.array([[0.3 + 0j, 0j], [0.5 + 0j, 0j]]))
 
 
 @pytest.mark.parametrize("label", list(GROWTH_MAPS))
@@ -291,31 +288,28 @@ def test_closed_form_criteria_match_the_series(label):
             ref = _series_shadow(entry.reference(theta, I, 300, n)[0], I)
             z = rng.normal(size=(50, n)) + 1j * rng.normal(size=(50, n))
             z *= rng.uniform(0.05, 0.8, size=(50, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
-            gap = np.abs(starlike_criterion_slice(closed, I, z)
-                         - starlike_criterion_slice(ref, I, z))
+            gap = np.abs(starlike_criterion_slice(closed, z)
+                         - starlike_criterion_slice(ref, z))
             assert np.max(gap) <= 1e-9, (label, theta)
             for t in range(n):
                 xs = rng.uniform(-0.8, 0.8, 50)
-                gap = np.abs(convex_criterion_slice(closed, I, t, xs)
-                             - convex_criterion_slice(ref, I, t, xs))
+                gap = np.abs(convex_criterion_slice(closed, t, xs)
+                             - convex_criterion_slice(ref, t, xs))
                 assert np.max(gap) <= 1e-9, (label, theta, t)
 
 
-def test_shadow_map_is_off_slice_on_any_other_row():
-    # a map given by its shadow on e1 is judged on e1 alone: on -e1 or e2,
-    # and for a shadow without derivatives, the spot-check reads off-slice
-    e1, e2 = generator(3, 1), generator(3, 2)
-    for label, entry in GROWTH_MAPS.items():
-        f = entry.map(0.7, e1, 2)
-        for other in (-e1, e2):
-            status = _hypothesis_status(f, entry.family, other, 0.9, np.random.default_rng(3))
-            assert status == "off-slice", (label, other)
-        status = _hypothesis_status(f, entry.family, e1, 0.9, np.random.default_rng(3))
-        assert status != "off-slice", label
-    control = _re_z1_control(3, 2)
+def test_spot_check_reads_off_slice_without_derivatives():
+    # every growth map is judged on its own slice row, e1 or e12; a shadow
+    # without derivatives, or a map of a stem series, reads off-slice
+    for I in (generator(3, 1), blade(3, (1, 2))):
+        for label, entry in GROWTH_MAPS.items():
+            f = entry.map(0.7, I, 2)
+            status = _hypothesis_status(f, entry.family, 0.9, np.random.default_rng(3))
+            assert status != "off-slice", label
+    series_map = SliceMap(extremal_series(2, 0.0, generator(3, 1), 40, 2))
     for family in ("starlike", "convex"):
-        assert _hypothesis_status(control, family, e1, 0.9,
-                                  np.random.default_rng(3)) == "off-slice"
+        for f in (_re_z1_control(3, 2), series_map):
+            assert _hypothesis_status(f, family, 0.9, np.random.default_rng(3)) == "off-slice"
 
 
 def test_hypothesis_status_spot_check():
@@ -330,11 +324,12 @@ def test_hypothesis_status_spot_check():
         "growth-ball-paper-example-e1-theta0.000": "violated(10/64)",
         "growth-ball-paper-example-e12-theta0.000": "violated(9/64)",
     }
-    # coefficients off the slice of e1 are flagged for both families
-    off = extremal_map(2, 0.7, generator(m, 2), 2)
-    for family in ("starlike", "convex"):
-        rng = np.random.default_rng(14)
-        assert _hypothesis_status(off, family, e1, 0.9, rng) == "off-slice"
+    # the paper example fails both criteria on its own slice, e1 or e2
+    for I in (e1, generator(m, 2)):
+        paper = extremal_map(-1, 0.0, I, 2)
+        for family in ("starlike", "convex"):
+            rng = np.random.default_rng(14)
+            assert _hypothesis_status(paper, family, 0.9, rng).startswith("violated")
 
 
 def _agreement(maps, p, thetas, gap_p, seed):
@@ -423,7 +418,7 @@ def test_growth_bounds_shapes():
 def test_growth_check_ball_koebe():
     rng = np.random.default_rng(5)
     f = extremal_map(2, 0.0, E1_3, 2)
-    rep = growth_check_ball(f, "starlike", 0.9, 2000, rng, E1_3, 0.0)
+    rep = growth_check_ball(f, "starlike", 0.9, 2000, rng, 0.0)
     assert rep.passed, rep.data
     assert rep.data["hypothesis_status"] == "ok"
 
@@ -432,7 +427,7 @@ def test_growth_check_ball_flags_paper_example():
     rng = np.random.default_rng(6)
     e1 = generator(2, 1)
     f = extremal_map(-1, 0.0, e1, 2)
-    rep = growth_check_ball(f, "convex", 0.9, 500, rng, e1, 0.0)
+    rep = growth_check_ball(f, "convex", 0.9, 500, rng, 0.0)
     # the lower growth bound is badly violated, but the hypothesis fails
     # first, so the report flags instead of asserting
     assert rep.passed
@@ -608,7 +603,7 @@ def test_growth_check_domain_reads_the_map_not_its_series():
     e1 = generator(m, 1)
     f = extremal_map(2, 0.0, e1, n)
     rep = growth_check_domain(f, polydisc_gauge(n, m), "starlike", 0.9, 200,
-                              np.random.default_rng(25), e1, 0.0)
+                              np.random.default_rng(25), 0.0)
     assert rep.data["diagonal_sharpness_gap"] <= 1e-12, rep.data
     assert rep.data["gauge_form_violation_lower"] == 0.0, rep.data
     assert rep.data["gauge_form_violation_upper"] == 0.0, rep.data
@@ -619,9 +614,9 @@ def test_growth_check_domain_ball_matches_ball_suite():
     # bit for bit from the same stream
     f = extremal_map(2, 0.0, E1_3, 2)
     ball_rep = growth_check_ball(f, "starlike", 0.9, 800,
-                                 np.random.default_rng([9, 1]), E1_3, 0.0)
+                                 np.random.default_rng([9, 1]), 0.0)
     dom_rep = growth_check_domain(f, ball_gauge(2, 3), "starlike", 0.9, 800,
-                                  np.random.default_rng([9, 1]), E1_3, 0.0)
+                                  np.random.default_rng([9, 1]), 0.0)
     assert dom_rep.passed and dom_rep.data["asserted"], dom_rep.data
     assert render([dom_rep], "json") == render([ball_rep], "json")
 
@@ -643,11 +638,11 @@ def test_growth_checker_fails_scaled_maps_on_every_gauge(p, family):
     m, n = 3, 2
     checks = {
         "ball": lambda f, rng, theta: growth_check_domain(
-            f, ball_gauge(n, m), family, 0.9, 10_000, rng, E1_3, theta),
+            f, ball_gauge(n, m), family, 0.9, 10_000, rng, theta),
         "polydisc": lambda f, rng, theta: growth_check_domain(
-            f, polydisc_gauge(n, m), family, 0.9, 10_000, rng, E1_3, theta),
+            f, polydisc_gauge(n, m), family, 0.9, 10_000, rng, theta),
         "growth_check_ball": lambda f, rng, theta: growth_check_ball(
-            f, family, 0.9, 10_000, rng, E1_3, theta),
+            f, family, 0.9, 10_000, rng, theta),
     }
     for theta in (0.0, 0.7):
         for name, check in checks.items():
@@ -668,11 +663,12 @@ def test_growth_check_domain_hypothesis_status():
     e1 = generator(2, 1)
     paper = extremal_map(-1, 0.0, e1, 2)
     rep = growth_check_domain(paper, ball_gauge(2, 2), "convex", 0.9, 300,
-                              np.random.default_rng(16), e1, 0.0)
+                              np.random.default_rng(16), 0.0)
     assert rep.data["hypothesis_status"].startswith("violated")
-    off = extremal_map(2, 0.7, generator(2, 2), 2)
+    # a shadow without derivatives has no criterion to read
+    off = ShadowMap(e1, 2, extremal_map(2, 0.7, e1, 2).g)
     rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
-                              np.random.default_rng(16), e1, 0.7)
+                              np.random.default_rng(16), 0.7)
     assert rep.data["hypothesis_status"] == "off-slice"
 
 
@@ -682,7 +678,7 @@ def test_growth_check_reads_a_series_map_off_slice():
     # ShadowMap without derivatives
     rng = np.random.default_rng(16)
     rep = growth_check_domain(SliceMap(extremal_series(2, 0.0, generator(3, 1), 40, 2)),
-                              ball_gauge(2, 3), "starlike", 0.9, 10, rng, generator(3, 1))
+                              ball_gauge(2, 3), "starlike", 0.9, 10, rng)
     assert rep.data["hypothesis_status"] == "off-slice", rep.data
     assert rep.data["asserted"] is False and rep.passed
 
@@ -702,7 +698,7 @@ def test_growth_check_domain_fails_a_nan_on_the_slice_of_i():
         return vals
     f.eval_arrays = nan_on_i
     rep = growth_check_domain(f, polydisc_gauge(2, 2), "starlike", 0.9, 300,
-                              np.random.default_rng(16), e1, 0.7)
+                              np.random.default_rng(16), 0.7)
     assert np.isfinite(rep.data["norm_form_violation_upper"]), rep.data
     assert np.isnan(rep.data["max_error"]) and not rep.passed, rep.data
 
@@ -730,14 +726,14 @@ def test_growth_domain_runs_below_the_spot_check_radius():
 
 
 def test_growth_check_domain_fails_values_off_the_slice():
-    # a map whose values take e2 in place of e1 while its shadow is read on
-    # e1: the spot-check reads ok, and the record fails on the values'
-    # off-slice residual, which enters max_error as it is, against tol
+    # a map of the slice of e1 whose values take e2 in place of e1: the
+    # spot-check reads ok, and the record fails on the values' off-slice
+    # residual, which enters max_error as it is, against tol
     e1, e2 = generator(2, 1), generator(2, 2)
-    off = extremal_map(2, 0.7, e2, 2)
-    off.shadow = extremal_map(2, 0.7, e1, 2).shadow
+    off = extremal_map(2, 0.7, e1, 2)
+    off.eval_arrays = extremal_map(2, 0.7, e2, 2).eval_arrays
     rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
-                              np.random.default_rng(16), e1, 0.7)
+                              np.random.default_rng(16), 0.7)
     assert rep.data["hypothesis_status"] == "ok" and rep.data["asserted"], rep.data
     assert not rep.passed, rep.data
     assert rep.data["off_slice_residual"] > 1.0
@@ -745,15 +741,14 @@ def test_growth_check_domain_fails_values_off_the_slice():
     assert rep.data["threshold"] == 1e-9
     on = extremal_map(2, 0.7, e1, 2)
     rep = growth_check_domain(on, polydisc_gauge(2, 2), "starlike", 0.9, 300,
-                              np.random.default_rng(16), e1, 0.7)
+                              np.random.default_rng(16), 0.7)
     assert rep.passed and rep.data["asserted"], rep.data
     assert rep.data["off_slice_residual"] <= 1e-15
 
-    # a map of the slice of e2 judged on the slice of e1: the spot-check
-    # reads off-slice, so the record is not asserted and says so
-    stem_off = extremal_map(2, 0.7, e2, 2)
-    rep = growth_check_domain(stem_off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
-                              np.random.default_rng(16), e1, 0.7)
+    # a shadow without derivatives: the spot-check reads off-slice, so the
+    # record is not asserted and says so
+    rep = growth_check_domain(ShadowMap(e1, 2, on.g), polydisc_gauge(2, 2), "starlike",
+                              0.9, 300, np.random.default_rng(16), 0.7)
     assert rep.data["hypothesis_status"] == "off-slice"
     assert rep.data["asserted"] is False and rep.passed, rep.data
     rep.check = "growth-domain-polydisc-off"
@@ -765,7 +760,7 @@ def test_growth_check_domain_polydisc():
     f = extremal_map(2, 0.0, E1_3, 2)
     rng = np.random.default_rng(10)
     rep = growth_check_domain(f, polydisc_gauge(2, 3), "starlike", 0.9, 800,
-                              rng, E1_3, 0.0)
+                              rng, 0.0)
     assert rep.passed, rep.data
     # literal rho-form with the plain norm overshoots at the diagonal for
     # n = 2 while the norm-form and value-gauge form hold within tol

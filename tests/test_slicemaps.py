@@ -90,7 +90,7 @@ def _derivative_gaps(f: ShadowMap, rng, step: float = 1e-4):
     """Largest gaps of the full tensors Dg and D2g of f's shadow, each over
     its largest entry, to central differences of g (the stencil of
     series.central_partials, nested for D2g) at 20 random interior points."""
-    g, dg, d2g = f.shadow(f.I)
+    g, dg, d2g = f.g, f.dg, f.d2g
     z = rng.normal(size=(20, f.n)) + 1j * rng.normal(size=(20, f.n))
     z *= rng.uniform(0.05, 0.6, (20, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
 
@@ -198,6 +198,17 @@ def test_closed_form_coefficient_gap_detects_wrong_family():
     table[(1, 1)] = np.full((2, 4), 1e-6)
     coupled = StemSeries(2, 2, table, degree=stem.degree)
     assert coefficient_gap(coupled, 2, 0.7, e1) == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_coefficient_gap_keeps_a_nan_cross_term():
+    # a NaN in a term of two variables must reach the gap, which is read
+    # after the componentwise terms' finite one
+    e1 = generator(3, 1)
+    stem = extremal_series(1, 0.0, e1, 5, 2)
+    table = {k: stem.coefficient(k) for k in stem.multi_indices()}
+    table[(1, 1)] = np.full((2, 8), np.nan)
+    poisoned = StemSeries(3, 2, table, degree=stem.degree)
+    assert np.isnan(coefficient_gap(poisoned, 1, 0.0, e1))
 
 
 @pytest.mark.parametrize("theta", [123.45678, 12345.678, -1e6, 1e300])

@@ -245,5 +245,5 @@ def test_working_sets_stay_bounded():
     f = extremal_map(2, 0.7, e1, n)
     record = traced_peak(lambda: growth_check_domain(
         f, polydisc_gauge(n, m), "starlike", 0.9, 10_000,
-        np.random.default_rng(6), e1, 0.7))
+        np.random.default_rng(6), 0.7))
     assert record < 10e6, record
