@@ -27,13 +27,11 @@ from .errors import (
 )
 from .geometry import (
     Gauge,
-    ball_gauge,
     convex_criterion_slice,
     gauge_rho,
     growth_check_ball,
     growth_check_domain,
     oracle_gauge,
-    polydisc_gauge,
     starlike_criterion_slice,
     verify_extremal,
 )

@@ -241,12 +241,12 @@ def merge_hypothesis_status(statuses: list[str]) -> str:
 def growth_check_ball(f: ShadowMap, family: str, r_max: float, samples: int,
                       rng, theta: float = 0.0, tol: float = 1e-9,
                       assert_bounds: bool = True) -> Report:
-    """growth_check_domain on the unit ball, ball_gauge(f.n, f.m).
+    """growth_check_domain on the unit ball, Gauge("ball", f.n, f.m).
 
     No suite calls it: the name stays only as a layer boundary that the
     benchmark's traced run (perfbench/traced.py) wraps, until that run
     reads a trace of its own (ROADMAP items 6 and 10)."""
-    return growth_check_domain(f, ball_gauge(f.n, f.m), family, r_max, samples,
+    return growth_check_domain(f, Gauge("ball", f.n, f.m), family, r_max, samples,
                                rng, theta, tol, assert_bounds)
 
 
@@ -348,14 +348,6 @@ class Gauge:
     m: int
     member_fn: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray],
                                  np.ndarray]] = None
-
-
-def ball_gauge(n: int, m: int) -> Gauge:
-    return Gauge("ball", n, m)
-
-
-def polydisc_gauge(n: int, m: int) -> Gauge:
-    return Gauge("polydisc", n, m)
 
 
 def oracle_gauge(member, n: int, m: int) -> Gauge:

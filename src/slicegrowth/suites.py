@@ -47,11 +47,16 @@ The growth suites read one table, GROWTH_MAPS: each GrowthMap gives a
 map's hypothesis family, whether its bounds are asserted, its ShadowMap
 map(theta, I, n) and reference(theta, I, N, n), the truncated series and
 coefficient gap that only the closed-form-* records read.  Both growth
-suites declare their checks from it, and the CLI reads it by name, so a
-new growth map is one entry plus its reference series.  Extremal rays,
-per-domain assertion and negative controls join an entry with their
-first reader (ROADMAP items 8, 3 and 5).  The stem, regularity and
-extremal suites test the Koebe series itself (extremal_series(2, ...)).
+suites take one product, _growth_product: its maps (or cfg.maps) by the
+slices of e1 and e12 by the theta sweep.  One builder, _growth_check,
+names each record growth-{domain}-{map}-{slice}-theta{theta:.3f};
+growth-ball takes the product on the ball, with a sharpness and a
+closed-form check per (map, slice), and growth-domain on the polydisc.
+The CLI reads the table by name, so a new growth map is one entry plus
+its reference series.  Extremal rays, per-domain assertion and negative
+controls join an entry with their first reader (ROADMAP items 8, 3 and
+5).  The stem, regularity and extremal suites test the Koebe series
+itself (extremal_series(2, ...)).
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ _DEFAULT_SAMPLES = {
     "regularity": 200,
     "extremal": 1_000,
     "growth-ball": 10_000,
-    "growth-domain": 10_000,
+    "growth-domain": 1_000,
     "gauge": 200,
 }
 
@@ -146,7 +151,6 @@ class RunConfig:
     r_max: float = 0.9
     theta: Optional[float] = None
     maps: Optional[tuple[str, ...]] = None
-    domains: tuple[str, ...] = ("ball", "polydisc")
     shards: int = 1
 
     def validate(self):
@@ -169,9 +173,6 @@ class RunConfig:
         for name in self.maps or ():
             if name not in GROWTH_MAPS:
                 raise ValueError(f"unknown map {name!r}, not one of {', '.join(GROWTH_MAPS)}")
-        for name in self.domains:
-            if name not in ("ball", "polydisc"):
-                raise ValueError(f"unknown domain {name!r}")
         return self
 
     def budget(self, suite: str) -> int:
@@ -693,11 +694,24 @@ def extremal_checks(cfg: RunConfig) -> list[Check]:
 # growth suites
 # ---------------------------------------------------------------------------
 
-def _growth_check(cfg: RunConfig, suite: str, name: str, tag: int, label: str,
-                  entry: GrowthMap, theta: float, I: np.ndarray, domain: str) -> Check:
-    """The growth check `name` of map `label` at theta on the slice of I,
-    bound as it is declared, on the domain "ball" or "polydisc": the
-    suite's budget over its shards, judged once merged (_merge_shards)."""
+def _growth_product(cfg: RunConfig):
+    """The (label, entry, iname, I) of every map of GROWTH_MAPS (or of
+    cfg.maps) on the slices of e1 and, for m >= 2, e12, in report order,
+    with the theta sweep (cfg.theta alone if given)."""
+    m = cfg.m or 3
+    slices = [("e1", generator(m, 1))]
+    if m >= 2:
+        slices.append(("e12", blade(m, (1, 2))))
+    thetas = (cfg.theta,) if cfg.theta is not None else _GROWTH_THETAS
+    return [(label, entry, iname, I) for label, entry in GROWTH_MAPS.items()
+            if label in (cfg.maps or GROWTH_MAPS) for iname, I in slices], thetas
+
+
+def _growth_check(cfg: RunConfig, suite: str, label: str, entry: GrowthMap, iname: str,
+                  I: np.ndarray, domain: str, theta: float) -> Check:
+    """The record growth-{domain}-{label}-{iname}-theta{theta:.3f}: map label
+    at theta on the slice of I, on the domain "ball" or "polydisc", over
+    the suite's budget and shards, judged once merged (_merge_shards)."""
     f = functools.cache(functools.partial(entry.map, theta, I, cfg.n or 2))
 
     def shard(size, rng):
@@ -706,18 +720,16 @@ def _growth_check(cfg: RunConfig, suite: str, name: str, tag: int, label: str,
                                            theta, 1e-9, entry.asserted)
         rep.data["map"] = label
         return [rep]
-    return Check(name, cfg.budget(suite), shard, tag)
+    return Check(f"growth-{domain}-{label}-{iname}-theta{theta:.3f}", cfg.budget(suite),
+                 shard, _stable_tag(label, iname, f"{theta:.9f}"))
 
 
 def growth_ball_checks(cfg: RunConfig) -> list[Check]:
-    """Per map of GROWTH_MAPS (or of cfg.maps) and slice direction: a
-    growth check at each theta, the sharpness check at theta 0 and the
-    closed-form check of the theta sweep."""
-    m, n = cfg.m or 3, cfg.n or 2
-    thetas = (cfg.theta,) if cfg.theta is not None else _GROWTH_THETAS
-    directions = [("e1", generator(m, 1))]
-    if m >= 2:
-        directions.append(("e12", blade(m, (1, 2))))
+    """Per (map, slice) of _growth_product: a ball growth check at each
+    theta, the sharpness check at theta 0 and the closed-form check of the
+    theta sweep."""
+    n = cfg.n or 2
+    product, thetas = _growth_product(cfg)
 
     def sharpness(label, entry, iname, theta, I):
         def run(_, rng):
@@ -743,29 +755,21 @@ def growth_ball_checks(cfg: RunConfig) -> list[Check]:
                      run, _stable_tag("closed-form", label, iname))
 
     checks = []
-    for label, entry in GROWTH_MAPS.items():
-        if label not in (cfg.maps or GROWTH_MAPS):
-            continue
-        for iname, I in directions:
-            checks += [_growth_check(cfg, "growth-ball",
-                                     f"growth-ball-{label}-{iname}-theta{theta:.3f}",
-                                     _stable_tag(label, iname, f"{theta:.9f}"), label, entry,
-                                     theta, I, "ball") for theta in thetas]
-            checks += [sharpness(label, entry, iname, theta, I)
-                       for theta in thetas if abs(theta) < 1e-15]
-            checks.append(closed_form(label, entry, iname, I))
+    for label, entry, iname, I in product:
+        checks += [_growth_check(cfg, "growth-ball", label, entry, iname, I, "ball", theta)
+                   for theta in thetas]
+        checks += [sharpness(label, entry, iname, theta, I)
+                   for theta in thetas if abs(theta) < 1e-15]
+        checks.append(closed_form(label, entry, iname, I))
     return checks
 
 
 def growth_domain_checks(cfg: RunConfig) -> list[Check]:
-    """Per asserted map of GROWTH_MAPS (or of cfg.maps) and domain: a
-    growth check at the sweep's first theta on the slice of e1."""
-    theta = cfg.theta if cfg.theta is not None else _GROWTH_THETAS[0]
-    I = generator(cfg.m or 3, 1)
-    return [_growth_check(cfg, "growth-domain", f"growth-domain-{domain}-{label}",
-                          _stable_tag(label, domain), label, entry, theta, I, domain)
-            for label, entry in GROWTH_MAPS.items()
-            if label in (cfg.maps or GROWTH_MAPS) and entry.asserted for domain in cfg.domains]
+    """Per (map, slice) of _growth_product: a polydisc growth check at
+    each theta."""
+    product, thetas = _growth_product(cfg)
+    return [_growth_check(cfg, "growth-domain", label, entry, iname, I, "polydisc", theta)
+            for label, entry, iname, I in product for theta in thetas]
 
 
 def gauge_checks(cfg: RunConfig) -> list[Check]:

@@ -9,10 +9,9 @@ from click.testing import CliRunner
 from slicegrowth.algebra import generator
 from slicegrowth.cli import main
 from slicegrowth.geometry import (
-    ball_gauge,
+    Gauge,
     growth_check_ball,
     growth_check_domain,
-    polydisc_gauge,
 )
 from slicegrowth.reports import render
 from slicegrowth.slicemaps import extremal_map
@@ -156,7 +155,7 @@ def test_criterion_8_growth_domain():
         ball_rep = growth_check_ball(
             f, family, 0.9, 10_000, np.random.default_rng([SEED, 81]), 0.0)
         dom_rep = growth_check_domain(
-            f, ball_gauge(n, m), family, 0.9, 10_000,
+            f, Gauge("ball", n, m), family, 0.9, 10_000,
             np.random.default_rng([SEED, 81]), 0.0)
         same = render([dom_rep], "json") == render([ball_rep], "json")
         ok = ok and dom_rep.passed and dom_rep.data["asserted"] and same
@@ -165,7 +164,7 @@ def test_criterion_8_growth_domain():
         # the rho-form closed-form requirement at the real diagonal is the
         # value-gauge reading (the plain-norm reading overshoots by sqrt(n))
         poly_rep = growth_check_domain(
-            f, polydisc_gauge(n, m), family, 0.9, 10_000,
+            f, Gauge("polydisc", n, m), family, 0.9, 10_000,
             np.random.default_rng([SEED, 82]), 0.0)
         diag_ok = poly_rep.data["diagonal_sharpness_gap"] <= slack
         forms_reported = all(

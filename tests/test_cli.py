@@ -612,17 +612,6 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
     assert json.loads(out.read_text())[0]["pass"] is False
 
 
-def test_cli_run_without_checks_is_an_error(tmp_path):
-    # growth-domain skips unasserted maps, so paper-example alone selects
-    # no check: exit 2, naming the suite and options, and no report
-    out = tmp_path / "empty.json"
-    result = CliRunner().invoke(main, ["verify", "growth-domain", "--map", "paper-example",
-                                       "--out", str(out)])
-    assert result.exit_code == 2, result.output
-    assert "verify growth-domain ran no check with --map paper-example" in result.output
-    assert not out.exists()
-
-
 def test_cli_all_with_one_map_still_reports(tmp_path):
     out = tmp_path / "all.json"
     result = CliRunner().invoke(main, ["verify", "all", "--map", "paper-example",
@@ -1048,21 +1037,37 @@ def test_koebe_is_asserted_at_truncation_one(tmp_path):
         assert rec["threshold"] == 1e-9, rec
 
 
+@pytest.mark.parametrize("options", [{}, {"m": 1}, {"theta": 0.3}])
+def test_growth_checks_run_each_map_domain_slice_and_theta_once(options):
+    # the growth checks of `verify all` are the product of the maps, the
+    # ball and the polydisc, the slices (e1 alone at m = 1) and the theta
+    # sweep, each on a stream of its own
+    cfg = RunConfig(**options)
+    slices = ("e1",) if cfg.m == 1 else ("e1", "e12")
+    thetas = (cfg.theta,) if cfg.theta is not None else suites_mod._GROWTH_THETAS
+    expected = [f"growth-{domain}-{label}-{iname}-theta{theta:.3f}"
+                for label in suites_mod.GROWTH_MAPS for domain in ("ball", "polydisc")
+                for iname in slices for theta in thetas]
+    checks = [(suite, SUITES[suite](cfg)[index])
+              for suite, index in suites_mod.suite_tasks("all", cfg)]
+    growth = [(suite, check) for suite, check in checks if check.name.startswith("growth-")]
+    assert Counter(check.name for _, check in growth) == Counter(expected)
+    assert len(set(expected)) == len(expected)
+    assert len({(suite, check.tag) for suite, check in growth}) == len(growth)
+
+
 def test_short_truncation_asserts_every_starlike_and_convex_record():
-    # at truncation 40 the spot-check on the series read violated(k/64) on
-    # these nine records, which were then not asserted; the map's shadow
-    # asserts every one of them
-    reports = {rep.check: rep for rep in run_suite("all", RunConfig(
-        seed=7, samples=40, truncation=40))}
-    nine = ["growth-ball-koebe-e1-theta0.700", "growth-ball-koebe-e1-theta1.571",
-            "growth-ball-koebe-e12-theta0.000", "growth-ball-koebe-e12-theta1.571",
-            "growth-ball-cayley-e1-theta0.700", "growth-ball-cayley-e1-theta1.571",
-            "growth-ball-cayley-e12-theta0.700", "growth-ball-cayley-e12-theta1.571",
-            "growth-domain-ball-koebe"]
-    for name in nine:
-        rep = reports[name]
-        assert rep.data["hypothesis_status"] == "ok", (name, rep.data)
-        assert rep.data["asserted"] and rep.passed, (name, rep.data)
+    # at truncation 40 a spot-check on the series read violated(k/64) on
+    # nine koebe and cayley records, which were then not asserted; the map's
+    # shadow asserts every koebe and cayley growth record of both domains
+    prefixes = tuple(f"growth-{domain}-{label}-" for domain in ("ball", "polydisc")
+                     for label in ("koebe", "cayley"))
+    growth = [rep for rep in run_suite("all", RunConfig(seed=7, samples=40, truncation=40))
+              if rep.check.startswith(prefixes)]
+    assert len(growth) == 2 * 2 * 2 * 3
+    for rep in growth:
+        assert rep.data["hypothesis_status"] == "ok", (rep.check, rep.data)
+        assert rep.data["asserted"] and rep.passed, (rep.check, rep.data)
 
 
 def test_growth_ball_evaluates_no_series(monkeypatch):

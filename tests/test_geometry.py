@@ -12,8 +12,8 @@ from slicegrowth.errors import (
     HypothesisViolationError,
 )
 from slicegrowth.geometry import (
+    Gauge,
     _hypothesis_status,
-    ball_gauge,
     closed_form_agreement,
     convex_criterion_slice,
     envelope_table,
@@ -23,7 +23,6 @@ from slicegrowth.geometry import (
     growth_check_ball,
     growth_check_domain,
     oracle_gauge,
-    polydisc_gauge,
     sharpness_axis,
     starlike_criterion_slice,
     value_gauge_on_slice,
@@ -457,8 +456,8 @@ def test_envelope_table_closed_forms():
 
 
 def test_gauge_closed_forms():
-    ball = ball_gauge(2, 2)
-    poly = polydisc_gauge(2, 2)
+    ball = Gauge("ball", 2, 2)
+    poly = Gauge("polydisc", 2, 2)
     assert gauge_rho(ball, [0.3, 0.0], [0.0, 0.4]) == pytest.approx(0.5)
     assert gauge_rho(poly, [0.3, 0.0], [0.0, 0.4]) == pytest.approx(0.4)
     # the polydisc example: sqrt(alpha_t^2 + beta_t^2) per component
@@ -467,7 +466,7 @@ def test_gauge_closed_forms():
 
 def test_gauge_properties_reports():
     rng = np.random.default_rng(7)
-    for g in (ball_gauge(2, 3), polydisc_gauge(2, 3)):
+    for g in (Gauge("ball", 2, 3), Gauge("polydisc", 2, 3)):
         rep = gauge_properties_check(g, 30, rng)
         assert rep.passed, rep.data
 
@@ -478,7 +477,7 @@ def _closed_member(g):
 
 def test_oracle_gauge_matches_closed_form():
     rng = np.random.default_rng(8)
-    ball = ball_gauge(2, 2)
+    ball = Gauge("ball", 2, 2)
     oracle = oracle_gauge(_closed_member(ball), 2, 2)
     for _ in range(50):
         p = make_point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2),
@@ -507,7 +506,7 @@ def test_gauge_batch_equals_rows_bit_for_bit():
     beta[[0, 17]] = 0.0
     beta[5] = 0.0
     j_rows = sample_S_batch(rng, m, 40)
-    ball, poly = ball_gauge(n, m), polydisc_gauge(n, m)
+    ball, poly = Gauge("ball", n, m), Gauge("polydisc", n, m)
     # a domain whose radius depends on the slice unit reads j_rows
     by_j = oracle_gauge(
         lambda a, b, j: gauge_rho(ball, a, b) < 1.0 + 0.5 * j[:, 1] ** 2, n, m)
@@ -539,7 +538,7 @@ def test_gauge_batch_equals_rows_bit_for_bit():
     (0.9, 0.93, -0.8, "inner probe"),
 ])
 def test_oracle_batch_with_one_annulus_ray_raises(inner, outer, point, message):
-    ball = ball_gauge(2, 2)
+    ball = Gauge("ball", 2, 2)
 
     def member(a, b, j):
         # the rays with alpha_1 < 0 see {rho < 1} less the shell
@@ -566,7 +565,7 @@ def test_oracle_that_is_never_true_raises():
 
 
 def test_oracle_gauge_properties_negative_control():
-    ball = ball_gauge(2, 3)
+    ball = Gauge("ball", 2, 3)
     rep = gauge_properties_check(oracle_gauge(_closed_member(ball), 2, 3), 30,
                                  np.random.default_rng(23))
     assert rep.passed, rep.data
@@ -587,12 +586,12 @@ def test_value_gauge_on_slice():
     e1 = generator(2, 1)
     rows = np.array([[[0.3, 0.4, 0.0, 0.0], [-0.1, 0.0, 0.0, 0.0]],
                      [[0.0, 0.0, 0.0, 0.0], [0.6, -0.8, 0.0, 0.0]]])
-    rho, resid = value_gauge_on_slice(polydisc_gauge(2, 2), rows, e1)
+    rho, resid = value_gauge_on_slice(Gauge("polydisc", 2, 2), rows, e1)
     assert resid < 1e-14
     np.testing.assert_allclose(rho, [0.5, 1.0])
     # a value off the slice of e1 shows in the residual
     rows[1, 0, 2] = 0.25
-    _, resid = value_gauge_on_slice(polydisc_gauge(2, 2), rows, e1)
+    _, resid = value_gauge_on_slice(Gauge("polydisc", 2, 2), rows, e1)
     assert resid == 0.25
 
 
@@ -602,7 +601,7 @@ def test_growth_check_domain_reads_the_map_not_its_series():
     m, n = 3, 2
     e1 = generator(m, 1)
     f = extremal_map(2, 0.0, e1, n)
-    rep = growth_check_domain(f, polydisc_gauge(n, m), "starlike", 0.9, 200,
+    rep = growth_check_domain(f, Gauge("polydisc", n, m), "starlike", 0.9, 200,
                               np.random.default_rng(25), 0.0)
     assert rep.data["diagonal_sharpness_gap"] <= 1e-12, rep.data
     assert rep.data["gauge_form_violation_lower"] == 0.0, rep.data
@@ -615,7 +614,7 @@ def test_growth_check_domain_ball_matches_ball_suite():
     f = extremal_map(2, 0.0, E1_3, 2)
     ball_rep = growth_check_ball(f, "starlike", 0.9, 800,
                                  np.random.default_rng([9, 1]), 0.0)
-    dom_rep = growth_check_domain(f, ball_gauge(2, 3), "starlike", 0.9, 800,
+    dom_rep = growth_check_domain(f, Gauge("ball", 2, 3), "starlike", 0.9, 800,
                                   np.random.default_rng([9, 1]), 0.0)
     assert dom_rep.passed and dom_rep.data["asserted"], dom_rep.data
     assert render([dom_rep], "json") == render([ball_rep], "json")
@@ -638,9 +637,9 @@ def test_growth_checker_fails_scaled_maps_on_every_gauge(p, family):
     m, n = 3, 2
     checks = {
         "ball": lambda f, rng, theta: growth_check_domain(
-            f, ball_gauge(n, m), family, 0.9, 10_000, rng, theta),
+            f, Gauge("ball", n, m), family, 0.9, 10_000, rng, theta),
         "polydisc": lambda f, rng, theta: growth_check_domain(
-            f, polydisc_gauge(n, m), family, 0.9, 10_000, rng, theta),
+            f, Gauge("polydisc", n, m), family, 0.9, 10_000, rng, theta),
         "growth_check_ball": lambda f, rng, theta: growth_check_ball(
             f, family, 0.9, 10_000, rng, theta),
     }
@@ -662,12 +661,12 @@ def test_growth_checker_fails_scaled_maps_on_every_gauge(p, family):
 def test_growth_check_domain_hypothesis_status():
     e1 = generator(2, 1)
     paper = extremal_map(-1, 0.0, e1, 2)
-    rep = growth_check_domain(paper, ball_gauge(2, 2), "convex", 0.9, 300,
+    rep = growth_check_domain(paper, Gauge("ball", 2, 2), "convex", 0.9, 300,
                               np.random.default_rng(16), 0.0)
     assert rep.data["hypothesis_status"].startswith("violated")
     # a shadow without derivatives has no criterion to read
     off = ShadowMap(e1, 2, extremal_map(2, 0.7, e1, 2).g)
-    rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
+    rep = growth_check_domain(off, Gauge("polydisc", 2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), 0.7)
     assert rep.data["hypothesis_status"] == "off-slice"
 
@@ -678,7 +677,7 @@ def test_growth_check_reads_a_series_map_off_slice():
     # ShadowMap without derivatives
     rng = np.random.default_rng(16)
     rep = growth_check_domain(SliceMap(extremal_series(2, 0.0, generator(3, 1), 40, 2)),
-                              ball_gauge(2, 3), "starlike", 0.9, 10, rng)
+                              Gauge("ball", 2, 3), "starlike", 0.9, 10, rng)
     assert rep.data["hypothesis_status"] == "off-slice", rep.data
     assert rep.data["asserted"] is False and rep.passed
 
@@ -697,7 +696,7 @@ def test_growth_check_domain_fails_a_nan_on_the_slice_of_i():
             vals[-1] = np.nan
         return vals
     f.eval_arrays = nan_on_i
-    rep = growth_check_domain(f, polydisc_gauge(2, 2), "starlike", 0.9, 300,
+    rep = growth_check_domain(f, Gauge("polydisc", 2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), 0.7)
     assert np.isfinite(rep.data["norm_form_violation_upper"]), rep.data
     assert np.isnan(rep.data["max_error"]) and not rep.passed, rep.data
@@ -714,7 +713,7 @@ def test_gauge_properties_check_fails_a_nan_on_an_orbit(monkeypatch):
             rho[-1] = np.nan
         return rho
     monkeypatch.setattr(geometry_mod, "gauge_rho", poisoned)
-    rep = gauge_properties_check(ball_gauge(2, 3), 20, np.random.default_rng(4))
+    rep = gauge_properties_check(Gauge("ball", 2, 3), 20, np.random.default_rng(4))
     assert np.isfinite(rep.data["homogeneity_error"]), rep.data
     assert np.isnan(rep.data["max_error"]) and not rep.passed, rep.data
 
@@ -732,7 +731,7 @@ def test_growth_check_domain_fails_values_off_the_slice():
     e1, e2 = generator(2, 1), generator(2, 2)
     off = extremal_map(2, 0.7, e1, 2)
     off.eval_arrays = extremal_map(2, 0.7, e2, 2).eval_arrays
-    rep = growth_check_domain(off, polydisc_gauge(2, 2), "starlike", 0.9, 300,
+    rep = growth_check_domain(off, Gauge("polydisc", 2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), 0.7)
     assert rep.data["hypothesis_status"] == "ok" and rep.data["asserted"], rep.data
     assert not rep.passed, rep.data
@@ -740,26 +739,26 @@ def test_growth_check_domain_fails_values_off_the_slice():
     assert rep.data["max_error"] == rep.data["off_slice_residual"]
     assert rep.data["threshold"] == 1e-9
     on = extremal_map(2, 0.7, e1, 2)
-    rep = growth_check_domain(on, polydisc_gauge(2, 2), "starlike", 0.9, 300,
+    rep = growth_check_domain(on, Gauge("polydisc", 2, 2), "starlike", 0.9, 300,
                               np.random.default_rng(16), 0.7)
     assert rep.passed and rep.data["asserted"], rep.data
     assert rep.data["off_slice_residual"] <= 1e-15
 
     # a shadow without derivatives: the spot-check reads off-slice, so the
     # record is not asserted and says so
-    rep = growth_check_domain(ShadowMap(e1, 2, on.g), polydisc_gauge(2, 2), "starlike",
+    rep = growth_check_domain(ShadowMap(e1, 2, on.g), Gauge("polydisc", 2, 2), "starlike",
                               0.9, 300, np.random.default_rng(16), 0.7)
     assert rep.data["hypothesis_status"] == "off-slice"
     assert rep.data["asserted"] is False and rep.passed, rep.data
-    rep.check = "growth-domain-polydisc-off"
+    rep.check = "growth-polydisc-off-e1-theta0.700"
     assert summary_lines([rep])[-1] == \
-        "[NOT ASSERTED] growth-domain-polydisc-off  hypothesis_status=off-slice"
+        "[NOT ASSERTED] growth-polydisc-off-e1-theta0.700  hypothesis_status=off-slice"
 
 
 def test_growth_check_domain_polydisc():
     f = extremal_map(2, 0.0, E1_3, 2)
     rng = np.random.default_rng(10)
-    rep = growth_check_domain(f, polydisc_gauge(2, 3), "starlike", 0.9, 800,
+    rep = growth_check_domain(f, Gauge("polydisc", 2, 3), "starlike", 0.9, 800,
                               rng, 0.0)
     assert rep.passed, rep.data
     # literal rho-form with the plain norm overshoots at the diagonal for
@@ -776,5 +775,5 @@ def test_growth_check_domain_polydisc_literal_rho_form_overshoots():
     f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
     diag = make_point([0.9, 0.9], [0.0, 0.0], CliffordElement(3, E1_3))
     val = np.sqrt(sum(np.dot(v.coeffs, v.coeffs) for v in f.eval(diag)))
-    rho = gauge_rho(polydisc_gauge(2, 3), diag.alpha, diag.beta)
+    rho = gauge_rho(Gauge("polydisc", 2, 3), diag.alpha, diag.beta)
     assert val > rho / (1 - rho) ** 2 * 1.4

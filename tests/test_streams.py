@@ -16,8 +16,7 @@ import slicegrowth.slicemaps as slicemaps
 import slicegrowth.suites as suites
 from slicegrowth.algebra import generator
 from slicegrowth.cli import main
-from slicegrowth.geometry import ball_gauge, gauge_properties_check, growth_check_domain, \
-    polydisc_gauge
+from slicegrowth.geometry import Gauge, gauge_properties_check, growth_check_domain
 from slicegrowth.reports import Report, render
 from slicegrowth.slicemaps import extremal_map
 from slicegrowth.slicespace import unit_rows
@@ -127,7 +126,8 @@ def test_gauge_property_draws_keep_the_stream(m, n, monkeypatch):
     samples, j_budget = 20, 32
     recorder = RecordingGauge()
     monkeypatch.setattr(geometry, "gauge_rho", recorder)
-    rep = gauge_properties_check(ball_gauge(n, m), samples, np.random.default_rng(m + 10 * n))
+    rep = gauge_properties_check(Gauge("ball", n, m), samples,
+                                 np.random.default_rng(m + 10 * n))
     assert rep.passed, rep.data
     (a, b, j_elem), _, (a2, b2, j2), (a3, b3, _), (a4, b4, j_axial) = recorder.calls
     # the points in [-1, 1]^2n on the slices J, and the orbits' slices
@@ -152,7 +152,7 @@ def test_gauge_property_draws_keep_the_stream(m, n, monkeypatch):
     # the gauge suite's record is the check on its own stream
     monkeypatch.undo()
     cfg = RunConfig(m=m, n=n, samples=200, seed=m)
-    fresh = gauge_properties_check(ball_gauge(n, m), 20,
+    fresh = gauge_properties_check(Gauge("ball", n, m), 20,
                                    _rng(cfg, "gauge", 0, _stable_tag("gauge-ball")))
     assert render([run_suite("gauge", cfg)[0]], "json") == render([fresh], "json")
 
@@ -244,6 +244,6 @@ def test_working_sets_stay_bounded():
     e1 = generator(m, 1)
     f = extremal_map(2, 0.7, e1, n)
     record = traced_peak(lambda: growth_check_domain(
-        f, polydisc_gauge(n, m), "starlike", 0.9, 10_000,
+        f, Gauge("polydisc", n, m), "starlike", 0.9, 10_000,
         np.random.default_rng(6), 0.7))
     assert record < 10e6, record
