@@ -21,19 +21,24 @@ with grade involution.  This makes t(x) = x + conj(x) vanish and
 n(x) = x * conj(x) equal 1 on unit vectors, which is the characterization
 of the square roots of -1 used throughout.
 
-Spinor representation.  The algebra embeds in complex matrices of size
-d = 2**(m // 2) (Lounesto, Clifford Algebras and Spinors, 2001).  With
-n = m // 2 qubits and the Jordan-Wigner matrices
+Spinor representation.  The algebra embeds in matrix blocks of size
+d = 2**(m // 2), the smallest the classification allows: for m = 1..8 it
+is C, H, H+H, M2(H), M4(C), M8(R), M8(R)+M8(R), M16(R) (Lounesto,
+Clifford Algebras and Spinors, 2001, ch. 16).  Through m = 5 the blocks
+are complex: with n = m // 2 qubits and the Jordan-Wigner matrices
 gamma_{2k} = Z^(k) X I^(n-k-1), gamma_{2k+1} = Z^(k) Y I^(n-k-1) (tensor
-powers of the Pauli matrices), e_j maps to i gamma_{j-1}, which squares to
--1 and anticommutes with the others.  For odd m the last generator is
-i Z^(n) in one block and -i Z^(n) in a second, so an element is a pair of
-blocks; the pseudoscalar then acts as opposite scalars on the two blocks
-and the map is injective.  An element a maps to M = sum_A a_A E_A, with E_A
-the product of its generators' matrices.  The E_A are unitary and
-orthogonal under the trace form, so a_A = Re tr(E_A^H M) / (blocks d)
-decodes any image exactly.  The singular values of M are those of the
-left-multiplication operator of a, each repeated d times.
+powers of the Pauli matrices), e_j maps to i gamma_{j-1}, and for odd m
+the last generator to i Z^(n).  From m = 6 they are real: the generators
+are the tensor strings _REAL_GENERATORS, and e_7 is the image of
+e_1 ... e_6.  Each squares to -1 and anticommutes with the others.  Where
+the pseudoscalar squares to +1 (m = 3, 7) the last generator takes the
+other sign in a second block, so an element is a pair of blocks on which
+the pseudoscalar acts as opposite scalars, and the map is injective.  An
+element a maps to M = sum_A a_A E_A, with E_A the product of its
+generators' matrices.  The E_A are unitary and orthogonal under the trace
+form, so a_A = Re tr(E_A^H M) / (blocks d) decodes any image exactly.  The
+singular values of M are those of the left-multiplication operator of a,
+each repeated dim / (blocks d) times.
 
 invert_batch inverts the blocks.  mul_batch multiplies the blocks from
 m = _SPINOR_MIN = 4 up; below it the dense structure tensor is faster
@@ -108,36 +113,45 @@ def _tables(m: int) -> _Tables:
     return _Tables(m)
 
 
+# the Pauli letters, and J = XZ, whose tensor strings (np.kron left to right)
+# give the generators' blocks
+_LETTERS = {"1": np.eye(2), "X": np.array([[0.0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]),
+            "Z": np.diag([1.0, -1]), "J": np.array([[0.0, -1], [1, 0]])}
+# real generators of m = 6 and m = 8, each squaring to -1, all anticommuting
+_REAL_GENERATORS = {6: "11J 1JX XJZ ZJZ J1Z JXX", 8: "111J 11JX 1XJZ 1ZJZ 1J1Z 1JXX XJZX ZJZX"}
+
+
+def _kron(string: str) -> np.ndarray:
+    return functools.reduce(np.kron, [_LETTERS[c] for c in string], np.eye(1))
+
+
 class _Spinor:
     """Per-m spinor representation (immutable, cached).
 
-    enc[A] holds E_A as interleaved (re, im) floats over the blocks, so
-    a @ enc viewed as complex is M; dec = enc.T / (blocks d) is the trace
-    form.  Both are (2 dim)-wide: blocks * d * d = dim complex entries.
+    enc[A] holds E_A as floats over the blocks, (re, im) interleaved where
+    they are complex, so a @ enc viewed as dtype is M; dec = enc.T /
+    (blocks d) is the trace form.  From m = 5 up, and at m = 1, they are
+    dim wide: the blocks hold exactly the algebra; at m = 2..4, 2 dim.
     """
 
-    __slots__ = ("blocks", "d", "enc", "dec")
+    __slots__ = ("blocks", "d", "dtype", "enc", "dec")
 
     def __init__(self, m: int):
         n = m // 2
         d = 1 << n
-        blocks = 1 + (m & 1)
-        eye2 = np.eye(2, dtype=complex)
-        pauli = (np.array([[0, 1], [1, 0]], dtype=complex),
-                 np.array([[0, -1j], [1j, 0]]))
-        z = np.diag([1.0 + 0j, -1.0])
-
-        def kron(factors):
-            return functools.reduce(np.kron, factors, np.eye(1, dtype=complex))
-
-        gens = [np.stack([1j * kron([z] * k + [p] + [eye2] * (n - k - 1))] * blocks)
-                for k in range(n) for p in pauli]
+        blocks = 1 + (m % 4 == 3)  # the pseudoscalar squares to +1
+        if m < 6:
+            gens = [1j * _kron("Z" * k + p + "1" * (n - k - 1)) for k in range(n) for p in "XY"]
+            last = 1j * _kron("Z" * n)
+        else:
+            gens = [_kron(s) for s in _REAL_GENERATORS[m - m % 2].split()]
+            last = functools.reduce(np.matmul, gens)
+        gens = [np.stack([g] * blocks) for g in gens]
         if m & 1:
-            zn = kron([z] * n)
-            gens.append(np.stack([1j * zn, -1j * zn]))
+            gens.append(np.stack([last, -last][:blocks]))
 
         dim = 1 << m
-        blades = np.empty((dim, blocks, d, d), dtype=complex)
+        blades = np.empty((dim, blocks, d, d), dtype=gens[0].dtype)
         blades[0] = np.eye(d)
         for mask in range(1, dim):
             top = mask.bit_length() - 1
@@ -145,6 +159,7 @@ class _Spinor:
 
         self.blocks = blocks
         self.d = d
+        self.dtype = blades.dtype
         self.enc = blades.reshape(dim, -1).view(np.float64)
         self.dec = np.ascontiguousarray(self.enc.T) / (blocks * d)
 
@@ -172,14 +187,14 @@ def spinor_encode(m: int, a: np.ndarray) -> np.ndarray:
     s = _spinor(m)
     a = np.asarray(a, dtype=np.float64)
     flat = np.matmul(a[..., None, :], s.enc)[..., 0, :]
-    return flat.view(np.complex128).reshape(a.shape[:-1] + (s.blocks, s.d, s.d))
+    return flat.view(s.dtype).reshape(a.shape[:-1] + (s.blocks, s.d, s.d))
 
 
 def spinor_decode(m: int, blocks: np.ndarray) -> np.ndarray:
     """Coefficient rows (..., dim) of spinor blocks (..., blocks, d, d)."""
     dec = _spinor(m).dec
-    flat = np.ascontiguousarray(blocks).reshape(blocks.shape[:-3] + (1, dec.shape[1]))
-    return np.matmul(flat.view(np.float64), dec)[..., 0, :]
+    flat = np.ascontiguousarray(blocks).view(np.float64)
+    return np.matmul(flat.reshape(flat.shape[:-3] + (1, len(dec))), dec)[..., 0, :]
 
 
 def mul_batch(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,7 +238,7 @@ def left_matrix_batch(m: int, a: np.ndarray) -> np.ndarray:
 def singular_values_batch(m: int, a: np.ndarray) -> np.ndarray:
     """Singular values of the left-multiplication operators of the rows of
     a, largest first, shape (B, blocks d): those of the spinor blocks, each
-    of which the operator repeats d times."""
+    of which the operator repeats dim / (blocks d) times."""
     svals = np.linalg.svd(spinor_encode(m, a), compute_uv=False)
     return -np.sort(-svals.reshape(len(a), math.prod(svals.shape[1:])), axis=1)
 

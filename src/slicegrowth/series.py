@@ -297,7 +297,7 @@ def _block_columns(blocks: np.ndarray, width: int, top: int) -> np.ndarray:
     orders: shape (nb, top + 1, width d, d).  They are overlapping windows
     of one reversed, zero-padded copy, so they take no memory each."""
     nb, d = blocks.shape[1], blocks.shape[2]
-    rev = np.zeros((nb, top + width, d, d), dtype=np.complex128)
+    rev = np.zeros((nb, top + width, d, d), dtype=blocks.dtype)
     rev[:, top + 1 - len(blocks):top + 1] = blocks[::-1].swapaxes(0, 1)
     rows = rev.reshape(nb, (top + width) * d, d)
     win = np.lib.stride_tricks.sliding_window_view(rows, width * d, axis=1)
@@ -349,7 +349,7 @@ def star_inverse(m: int, a, trunc: int) -> np.ndarray:
     ops = _block_row(-np.matmul(enc[0], enc[1:]))               # (nb, d, J d)
     nb, d = enc.shape[1], enc.shape[2]
     # hist[:, trunc - k] = B_k; the J blocks past trunc stay zero (orders < 0)
-    hist = np.zeros((nb, trunc + J + 1, d, d), dtype=np.complex128)
+    hist = np.zeros((nb, trunc + J + 1, d, d), dtype=enc.dtype)
     hist[:, trunc] = enc[0]
     rows = hist.reshape(nb, (trunc + J + 1) * d, d)
     for pos in range(trunc - 1, -1, -1):

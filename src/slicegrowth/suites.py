@@ -280,11 +280,12 @@ def _re_z1_control(m: int, n: int) -> slicemaps.ShadowMap:
 
 # the inverse's backward error must stay below _INVERSE_MULTIPLE * dim * eps:
 # invert_batch inverts spinor blocks of size d = 2**(m//2) <= sqrt(dim) by LU
-# (residual of order d eps |M| |M^-1|, Higham 2002, section 14.3), encode and
-# decode sum at most 2 d terms per entry, and the check's own product adds
-# gamma_dim |a| |a^-1| with |a| |a^-1| >= 1 (the scalar part of a a^-1 is a
-# signed dot product of the two rows); the tightest case is m = 1, where
-# dim = 2 and the threshold is 4 eps
+# (residual of order d eps |M| |M^-1|, Higham 2002, section 14.3), decode sums
+# the blocks d nonzeros of E_A per entry and encode as many (half at m = 2..4,
+# where the blocks hold 2 dim floats), blocks d <= 2 d, and the check's own
+# product adds gamma_dim |a| |a^-1| with |a| |a^-1| >= 1 (the scalar part of
+# a a^-1 is a signed dot product of the two rows); the tightest case is
+# m = 1, where dim = 2 and the threshold is 4 eps
 _INVERSE_MULTIPLE = 2
 
 

@@ -163,9 +163,35 @@ def test_spinor_encode_decode_round_trip():
     rng = np.random.default_rng(5)
     for m in range(1, 9):
         a = rng.uniform(-1, 1, size=(30, 1 << m))
-        blocks = spinor_encode(m, a)
-        assert blocks.shape == (30, 1 + m % 2, 1 << (m // 2), 1 << (m // 2)), m
+        blocks, table = spinor_encode(m, a), algebra._spinor(m)
+        assert blocks.shape == (30, table.blocks, table.d, table.d), m
+        assert blocks.dtype == table.dtype, m
         np.testing.assert_allclose(spinor_decode(m, blocks), a, rtol=0, atol=1e-14)
+
+
+# Cl(0, m) for m = 1..8 is C, H, H+H, M2(H), M4(C), M8(R), M8(R)+M8(R),
+# M16(R) (Lounesto, Clifford Algebras and Spinors, ch. 16): (field, blocks, d)
+_CLASSIFICATION = {1: ("C", 1, 1), 2: ("H", 1, 2), 3: ("H", 2, 2), 4: ("H", 1, 4),
+                   5: ("C", 1, 4), 6: ("R", 1, 8), 7: ("R", 2, 8), 8: ("R", 1, 16)}
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_spinor_layout_is_the_minimal_one_of_the_classification(m):
+    # real blocks hold a real matrix algebra and complex ones a complex one,
+    # each float for one dimension of the algebra; a quaternion matrix of
+    # size d / 2 takes a complex block of size d, twice its dimension
+    field, blocks, d = _CLASSIFICATION[m]
+    table = algebra._spinor(m)
+    assert (table.blocks, table.d) == (blocks, d)
+    assert table.dtype == (np.float64 if field == "R" else np.complex128)
+    dim = 1 << m
+    assert table.enc.shape == (dim, dim * (2 if field == "H" else 1))
+    assert np.linalg.matrix_rank(table.enc) == dim
+    if field == "C":
+        # the pseudoscalar is central and squares to -1: the scalar +-i
+        top = spinor_encode(m, blade(m, range(1, m + 1))[None])[0]
+        assert abs(top[0, 0, 0]) == 1 and top[0, 0, 0].real == 0
+        np.testing.assert_array_equal(top, top[0, 0, 0] * np.eye(d)[None])
 
 
 def test_spinor_blocks_are_a_representation():
@@ -187,13 +213,15 @@ def test_spinor_blocks_are_a_representation():
 
 
 def test_block_singular_values_match_the_left_operator():
-    # each singular value of the blocks appears d times in the operator's
+    # each singular value of the blocks appears dim / (blocks d) times in
+    # the operator's
     rng = np.random.default_rng(9)
     for m in range(1, 9):
         a = rng.uniform(-1, 1, size=(4, 1 << m))
         svals = singular_values_batch(m, a)
         dense = np.linalg.svd(left_matrix_batch(m, a), compute_uv=False)
-        repeated = np.repeat(svals, 1 << (m // 2), axis=1)
+        table = algebra._spinor(m)
+        repeated = np.repeat(svals, (1 << m) // (table.blocks * table.d), axis=1)
         np.testing.assert_allclose(repeated, dense, rtol=1e-12)
 
 
@@ -234,7 +262,8 @@ def test_kernels_take_zero_rows(m):
     assert mul_batch(m, np.zeros((0, 1, dim)), np.zeros((0, 3, dim))).shape == (0, 3, dim)
     assert mul_batch(m, np.zeros((2, 0, dim)), np.ones(dim)).shape == (2, 0, dim)
     assert invert_batch(m, empty).shape == (0, dim)
-    assert singular_values_batch(m, empty).shape == (0, (1 + m % 2) << (m // 2))
+    table = algebra._spinor(m)
+    assert singular_values_batch(m, empty).shape == (0, table.blocks * table.d)
     assert spinor_decode(m, spinor_encode(m, empty)).shape == (0, dim)
 
 

@@ -428,10 +428,10 @@ def test_algebra_inverse_check_and_its_negative_controls(monkeypatch):
     def flipped_decode(m):
         table = spinor(m)
         sign = np.where(np.arange(1 << m) & 1, -1.0, 1.0)
-        return SimpleNamespace(blocks=table.blocks, d=table.d, enc=table.enc,
-                               dec=table.dec * sign)
+        fields = {k: getattr(table, k) for k in table.__slots__}
+        return SimpleNamespace(**{**fields, "dec": table.dec * sign})
 
-    for m in (1, 2, 3, 6, 8):
+    for m in (1, 2, 3, 5, 6, 7, 8):
         rng = np.random.default_rng(m)
         pair_err = _anticommutation_error(m)
         assert _algebra_shard(m, pair_err, 200, rng).passed, m

@@ -184,9 +184,10 @@ def test_star_unit_identity():
     np.testing.assert_allclose(star_mul(2, g, one), g, atol=1e-15)
 
 
-def test_star_telescoping_geometric():
-    # (1 - x e1) * (sum x^k e1^k) telescopes to 1
-    m, N = 2, 30
+@pytest.mark.parametrize("m", [1, 2, 5, 6, 7, 8])
+def test_star_telescoping_geometric(m):
+    # (1 - x e1) * (sum x^k e1^k) telescopes to 1, on every block layout
+    N = 30
     e1 = generator(m, 1)
     powers = np.zeros((N + 1, 1 << m))
     powers[0, 0] = 1.0
@@ -199,12 +200,12 @@ def test_star_telescoping_geometric():
     np.testing.assert_allclose(prod, expected, atol=1e-13)
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 6, 7, 8])
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1))
-def test_star_mul_associative_and_distributive(seed):
+@given(seed=st.integers(0, 2 ** 31 - 1))
+def test_star_mul_associative_and_distributive(m, seed):
     rng = np.random.default_rng(seed)
-    m = 2
-    f, g, h = rng.uniform(-1, 1, size=(3, 4, 4))
+    f, g, h = rng.uniform(-1, 1, size=(3, 4, 1 << m))
     lhs = star_mul(m, star_mul(m, f, g), h)
     rhs = star_mul(m, f, star_mul(m, g, h))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -213,8 +214,9 @@ def test_star_mul_associative_and_distributive(seed):
     np.testing.assert_allclose(both, split, atol=1e-12)
 
 
-def test_star_inverse_geometric_closed_form():
-    m, N, theta = 2, 40, 0.8
+@pytest.mark.parametrize("m", [1, 2, 5, 6, 7, 8])
+def test_star_inverse_geometric_closed_form(m):
+    N, theta = 40, 0.8
     e1 = generator(m, 1)
     base = _geometric_base(m, theta)
     inv = star_inverse(m, base, N)
