@@ -54,9 +54,7 @@ from .slicemaps import (
     two_slice_average,
 )
 from .slicespace import (
-    SliceOrbit,
     SlicePoint,
-    make_orbit,
     make_point,
     point_norm,
     vector_norm,

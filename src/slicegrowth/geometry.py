@@ -24,10 +24,10 @@ decides whether a record is asserted, and judge_growth, the one verdict
 rule of every growth record, lets one that is not asserted pass.
 closed_form_agreement alone reads a map's truncated reference series.
 
-gauge_rho evaluates a domain's gauge at one point (alpha, beta of shape
-(n,)) or at B rows ((B, n)): the ball and polydisc in closed form, and
-an oracle gauge by bisection along all rays at once, through one batched
-membership call per step.
+gauge_rho evaluates a domain's gauge at B rows (alpha, beta of shape
+(B, n)): the ball and polydisc in closed form, and an oracle gauge by
+bisection along all rays at once, through one batched membership call
+per step.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import CriterionError, GaugeError, HypothesisViolationError
 from .reports import Report
 from .series import StemSeries, power_sum, side_by_side, tail_bound
 from .slicemaps import ShadowMap, SliceMap, complex_on_slice
-from .slicespace import SliceOrbit, anticommuting_unit, sample_S_batch, vector_norm
+from .slicespace import anticommuting_unit, sample_S_batch, vector_norm
 
 # resolution credited to oracle bisection (60 halvings); membership is not
 # compared within 100 times this of the boundary
@@ -82,14 +82,15 @@ def sample_roots_spanning(I: np.ndarray, rng, count: int) -> np.ndarray:
     return rows
 
 
-def verify_extremal(f: SliceMap, o: SliceOrbit, I: np.ndarray,
+def verify_extremal(f: SliceMap, alpha: np.ndarray, beta: np.ndarray, I: np.ndarray,
                     samples: int, rng, tol: float = 1e-9) -> Report:
-    """Sampled check that the norm extrema over J sit at J = +-I, that the
-    squared norms match the affine profile g(u) = c0 - c1 u and that an
-    equispaced u-sweep toward a perpendicular drawn from rng lies on a
-    line (linearity_residual, a least-squares fit).
+    """Sampled check, on the orbit alpha + J beta over all J (one row,
+    alpha and beta of shape (1, n)), that the norm extrema over J sit at
+    J = +-I, that the squared norms match the affine profile
+    g(u) = c0 - c1 u and that an equispaced u-sweep toward a perpendicular
+    drawn from rng lies on a line (linearity_residual, a least-squares fit).
 
-    One f.eval_arrays call takes the rows [I, -I, the sampled J, the
+    One f.eval_arrays call takes the J rows [I, -I, the sampled J, the
     sweep].  The profile is the chord through the endpoint norms,
     g(1) = ||f(I)||^2 and g(-1) = ||f(-I)||^2, which requires f(+-I) to
     lie in the slice of I; raises HypothesisViolationError otherwise.
@@ -97,7 +98,7 @@ def verify_extremal(f: SliceMap, o: SliceOrbit, I: np.ndarray,
     """
     j_rows = sample_roots_spanning(I, rng, samples)
     sweep = _sweep_rows(I, anticommuting_unit(I, rng), _SWEEP_U)
-    vals = f.eval_arrays(o.alpha[None], o.beta[None], np.vstack([I, -I, j_rows, sweep]))
+    vals = f.eval_arrays(alpha, beta, np.vstack([I, -I, j_rows, sweep]))
     sq = np.sum(vals * vals, axis=(1, 2))
     norms = np.sqrt(sq)
     _, off_slice = complex_on_slice(vals[:2], I)
@@ -397,18 +398,18 @@ def _bisect_rho(member, alpha: np.ndarray, beta: np.ndarray,
 def gauge_rho(g: Gauge, alpha, beta, j_rows=None):
     """Evaluate the gauge at the points alpha + J beta.
 
-    alpha and beta have shape (n,) (returns a float) or (B, n) (returns B
-    values, each with the bits it has alone).  Closed forms: the ball
-    gauge is the point norm and the polydisc gauge is max_t |x_t|; both
-    ignore J.  The oracle kind passes the slice units j_rows, of shape
-    (dim,) or (B, dim) and e_1 by default, to its membership test,
-    brackets the boundary crossing along every ray and bisects for 60
-    iterations; inconsistent membership along any ray raises GaugeError.
+    alpha and beta have shape (B, n); returns B values, each with the
+    bits it has alone.  Closed forms: the ball gauge is the point norm
+    and the polydisc gauge is max_t |x_t|; both ignore J.  The oracle
+    kind passes the slice units j_rows, of shape (dim,) or (B, dim) and
+    e_1 by default, to its membership test, brackets the boundary
+    crossing along every ray and bisects for 60 iterations; inconsistent
+    membership along any ray raises GaugeError.
     """
-    a, b = (np.asarray(x, dtype=np.float64).reshape(-1, g.n) for x in (alpha, beta))
+    a, b = (np.asarray(x, dtype=np.float64) for x in (alpha, beta))
     if g.kind == "ball":
         # row dot products, with the bits of slicespace.point_norm
-        rho = np.sqrt(np.vecdot(a, a) + np.vecdot(b, b))
+        rho = np.sqrt(np.vecdot(a, a, axis=1) + np.vecdot(b, b, axis=1))
     elif g.kind == "polydisc":
         rho = np.max(np.sqrt(a ** 2 + b ** 2), axis=1)
     elif g.kind == "oracle":
@@ -418,7 +419,7 @@ def gauge_rho(g: Gauge, alpha, beta, j_rows=None):
                           np.broadcast_to(j_rows, (len(a), 1 << g.m)))
     else:
         raise ValueError(f"unknown gauge kind {g.kind!r}")
-    return float(rho[0]) if np.ndim(alpha) == 1 else rho
+    return rho
 
 
 def value_gauge_on_slice(g: Gauge, rows: np.ndarray, I: np.ndarray):
@@ -452,8 +453,8 @@ def gauge_properties_check(g: Gauge, samples: int, rng,
     s, phi, scale_target = rng.uniform((0.1, 0.0, 0.2), (2.0, 2.0 * np.pi, 1.8),
                                        (samples, 3)).T
     rho = gauge_rho(g, alpha, beta, j_elem)
-    positive_ok = gauge_rho(g, np.zeros(n), np.zeros(n)) == 0.0 and \
-        not np.any(rho <= 0.0)
+    origin = np.zeros((1, n))
+    positive_ok = not np.any(gauge_rho(g, origin, origin)) and not np.any(rho <= 0.0)
 
     # homogeneity under t = s e^{J phi} acting on the slice of J
     ca = np.array([math.cos(x) for x in phi])[:, None]

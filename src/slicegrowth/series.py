@@ -248,7 +248,6 @@ def central_partials(evaluate, alpha: np.ndarray, beta: np.ndarray,
     an array with one leading row per point.  Returns (d_alpha, d_beta),
     each (n, B, ...): index t is the partial in variable t.
     """
-    alpha, beta = np.atleast_2d(alpha), np.atleast_2d(beta)
     B, n = alpha.shape
     h = step * np.eye(n)[:, None, :]          # (n, 1, n): a step in variable t
     a = np.broadcast_to(alpha, (n, B, n))
@@ -263,7 +262,8 @@ def central_partials(evaluate, alpha: np.ndarray, beta: np.ndarray,
 def cr_residual(evaluate, alpha: np.ndarray, beta: np.ndarray,
                 step: float = 1e-5) -> np.ndarray:
     """Finite-difference d/d(conj z_t) defect of F = F1 + i F2 at the rows
-    z = alpha + i beta, maximized over t; shape (B,).
+    z = alpha + i beta, alpha and beta of shape (B, n), maximized over t;
+    shape (B,).
 
     evaluate is a row evaluator (alpha, beta) -> (F1, F2), each
     (B, n, dim), such as StemSeries.eval_arrays or SliceMap.stem_arrays;

@@ -197,12 +197,12 @@ def regularity_residual(f: SliceMap, alpha: np.ndarray, beta: np.ndarray,
     """Finite-difference defect of d f_J/d alpha_t + J d f_J/d beta_t at
     the points alpha + J beta, maximized over t; shape (B,).
 
-    alpha, beta are (B, n) and J is (B, dim).  A row's residual vanishes
-    (up to FD truncation) exactly when the restriction to its slice is
-    holomorphic.  One eval_arrays call takes all 4n shifted points
-    (series.central_partials, the stencil of series.cr_residual too).
+    alpha, beta are (B, n) and J is (B, dim) or one row broadcast over
+    them.  A row's residual vanishes (up to FD truncation) exactly when
+    the restriction to its slice is holomorphic.  One eval_arrays call
+    takes all 4n shifted points (series.central_partials, the stencil of
+    series.cr_residual too).
     """
-    alpha, beta, J = (np.atleast_2d(x) for x in (alpha, beta, J))
     B, n = alpha.shape
     J = np.broadcast_to(J, (B, J.shape[-1]))
     da, db = central_partials(
@@ -242,10 +242,8 @@ class ComplexSeries:
         return self.kmat.shape[1]
 
     def eval(self, z) -> np.ndarray:
-        """Values at z of shape (n,) or (B, n); returns (n,) or (B, n)."""
-        z = np.asarray(z, dtype=np.complex128)
-        vals = power_sum(self.kmat, self.coeffs, z.reshape(-1, self.n))
-        return vals.reshape(z.shape[:-1] + vals.shape[1:])
+        """Values at the rows z of shape (B, n); returns (B, n)."""
+        return power_sum(self.kmat, self.coeffs, np.asarray(z, dtype=np.complex128))
 
 
 def default_module_basis(I: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -312,14 +310,12 @@ def split_components(f: SliceMap, I: np.ndarray, completion=None,
 
 def reassemble_on_slice(components, basis, I: np.ndarray, z) -> np.ndarray:
     """Evaluate sum_A F_A(z) I_A, over the basis rows I_A, as coefficient
-    rows on the slice of I: shape (n, dim) at z of shape (n,), or
-    (B, n, dim) at z of shape (B, n)."""
+    rows on the slice of I: shape (B, n, dim) at the rows z of shape
+    (B, n)."""
     m = row_m(I)
-    z = np.asarray(z, dtype=np.complex128)
-    batch = z.reshape(-1, components[0].n)
-    acc = np.zeros(batch.shape + (1 << m,))
+    acc = np.zeros(np.shape(z) + (1 << m,))
     for comp, b in zip(components, basis):
-        vals = comp.eval(batch)
+        vals = comp.eval(z)
         scale = vals.real[..., None] * blade(m) + vals.imag[..., None] * I
         acc = acc + mul_batch(m, scale, b)
-    return acc[0] if z.ndim == 1 else acc
+    return acc

@@ -1,17 +1,16 @@
 """Points of the several-variable slice cone, held as rows.
 
 A point x with components x_t = alpha_t + beta_t * J, J a square root of
--1, is the row pair (alpha, beta) of shape (n,) with the slice row J of
-shape (2**m,); a batch of B points is (alpha, beta) of shape (B, n) with
-J rows of shape (B, 2**m) or one J row broadcast over them.  This is what
-SliceMap.eval_arrays and gauge_rho take.  The pair (beta, J) and
-(-beta, -J) describe the same point.
+-1, is a row of the pair (alpha, beta) of shape (B, n), with J rows of
+shape (B, 2**m) or one J row broadcast over them; a single point is a
+batch of one row.  This is what SliceMap.eval_arrays and gauge_rho take.
+The pair (beta, J) and (-beta, -J) describe the same point.
 
 sample_S_batch draws J rows (unit grade-1 vectors, each a root of -1),
 which unit_rows makes from raw normal rows, so a suite can draw the raw
 rows of many cases in one generator call and normalize them once.
-SliceOrbit is the orbit alpha + beta*J over all J, and anticommuting_unit
-completes a slice row I to the sweep J(u) = u*I + sqrt(1-u**2)*I_perp.
+anticommuting_unit completes a slice row I to the sweep
+J(u) = u*I + sqrt(1-u**2)*I_perp.
 make_point builds the one-point SlicePoint that SliceMap.eval takes, the
 one place where J is an algebra.CliffordElement; its canonical form keeps
 the first nonzero coefficient of J positive and, for real points
@@ -60,19 +59,6 @@ class SlicePoint:
         return self.alpha.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SliceOrbit:
-    """The circular orbit alpha + beta*J over all J; beta kept with its
-    first nonzero component positive."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.alpha.shape[0]
-
-
 def make_point(alpha, beta, J: CliffordElement, tol: float = 1e-10) -> SlicePoint:
     """Canonical SlicePoint; validates J against the sphere of roots of -1."""
     alpha = _as_real_vector(alpha, "alpha")
@@ -88,17 +74,6 @@ def make_point(alpha, beta, J: CliffordElement, tol: float = 1e-10) -> SlicePoin
         J = CliffordElement(J.m, -J.coeffs)
         beta = _as_real_vector(-np.asarray(beta), "beta")
     return SlicePoint(alpha, beta, J)
-
-
-def make_orbit(alpha, beta) -> SliceOrbit:
-    alpha = _as_real_vector(alpha, "alpha")
-    beta = _as_real_vector(beta, "beta")
-    if alpha.shape != beta.shape:
-        raise DimensionError("alpha and beta must have equal length")
-    nz = np.nonzero(np.abs(beta) > 0.0)[0]
-    if nz.size and beta[nz[0]] < 0:
-        beta = _as_real_vector(-np.asarray(beta), "beta")
-    return SliceOrbit(alpha, beta)
 
 
 def point_norm(p: SlicePoint) -> float:

@@ -615,7 +615,7 @@ def regularity_checks(cfg: RunConfig) -> list[Check]:
     def constant(_, rng):
         const = slicemaps.SliceMap(series.StemSeries(
             m, n, {(0,) * n: rng.uniform(-1, 1, size=(n, 1 << m))}))
-        a0, b0 = rng.uniform(-0.4, 0.4, (2, n))
+        a0, b0 = rng.uniform(-0.4, 0.4, (2, 1, n))
         # control with stem F1 = Re(z_1): residual must be O(1), not small
         residual, control_res = (float(slicemaps.regularity_residual(
             g, a0, b0, e1)[0]) for g in (const, _re_z1_control(m, n)))
@@ -646,14 +646,18 @@ def regularity_checks(cfg: RunConfig) -> list[Check]:
 
 def _extremal_shard(name: str, f: slicemaps.SliceMap, I: np.ndarray, tol: float,
                     count: int, rng) -> list[Report]:
-    """The record of map `name`, f, on an orbit it draws: one evaluation
-    of f at +-I, count roots of -1 and an 11-point u-sweep, with c0 and c1
-    the chord through the norms at +-I (geometry.verify_extremal).  Each
-    shard draws its own orbit, so a merged record's error fields are
-    maxima over the shards, and c0, c1, endpoint_* and sampled_* are
-    shard 0's: their --shards 1 values."""
-    o = slicespace.make_orbit(*rng.uniform(-0.5, 0.5, (2, f.n)))
-    rep = geometry.verify_extremal(f, o, I, count, rng, tol)
+    """The record of map `name`, f, on an orbit it draws as one row
+    (alpha, beta), beta's first nonzero component made positive: one
+    evaluation of f at +-I, count roots of -1 and an 11-point u-sweep,
+    with c0 and c1 the chord through the norms at +-I
+    (geometry.verify_extremal).  Each shard draws its own orbit, so a
+    merged record's error fields are maxima over the shards, and c0, c1,
+    endpoint_* and sampled_* are shard 0's: their --shards 1 values."""
+    alpha, beta = rng.uniform(-0.5, 0.5, (2, 1, f.n))
+    nonzero = beta[beta != 0]
+    if nonzero.size and nonzero[0] < 0:  # the orbit's canonical sign
+        beta = -beta
+    rep = geometry.verify_extremal(f, alpha, beta, I, count, rng, tol)
     *head, last = rep.data.items()   # map goes before the last, linearity_residual
     rep.data = dict([*head, ("map", name), last])
     return [rep]

@@ -42,17 +42,28 @@ from slicegrowth.slicemaps import (
     complex_on_slice,
     extremal_map,
 )
-from slicegrowth.slicespace import make_orbit, make_point, point_norm, sample_S_batch
-from slicegrowth.suites import GROWTH_MAPS, RunConfig, _re_z1_control, run_suite
+from slicegrowth.slicespace import make_point, point_norm, sample_S_batch
+from slicegrowth.suites import (
+    GROWTH_MAPS,
+    RunConfig,
+    _extremal_shard,
+    _re_z1_control,
+    run_suite,
+)
 
 
 E1_3 = generator(3, 1)
 
 
+def _orbit(alpha, beta):
+    """The orbit alpha + J beta over all J as one row pair, each (1, n)."""
+    return np.array([[alpha], [beta]], dtype=np.float64)
+
+
 def test_profile_real_orbit_is_constant():
     f = SliceMap(identity_map(3, 2))
-    o = make_orbit([0.4, -0.7], [0.0, 0.0])
-    rep = verify_extremal(f, o, E1_3, 50, np.random.default_rng(0))
+    o = _orbit([0.4, -0.7], [0.0, 0.0])
+    rep = verify_extremal(f, *o, E1_3, 50, np.random.default_rng(0))
     assert rep.data["c1"] == pytest.approx(0.0, abs=1e-14)
     assert rep.data["endpoint_max"] == pytest.approx(rep.data["endpoint_min"], abs=1e-14)
 
@@ -61,12 +72,12 @@ def test_profile_identity_has_no_slope():
     # B/A ratios are real for the identity, so the norm is J-independent
     rng = np.random.default_rng(0)
     f = SliceMap(identity_map(3, 2))
-    o = make_orbit([0.3, -0.5], [0.6, 0.2])
-    rep = verify_extremal(f, o, E1_3, 50, rng)
+    o = _orbit([0.3, -0.5], [0.6, 0.2])
+    rep = verify_extremal(f, *o, E1_3, 50, rng)
     assert abs(rep.data["c1"]) < 1e-14
     norms = []
     for j in sample_S_batch(rng, 3, 50):
-        p = make_point(o.alpha, o.beta, CliffordElement(3, j))
+        p = make_point(*o, CliffordElement(3, j))
         norms.append(np.sqrt(sum(np.dot(v.coeffs, v.coeffs) for v in f.eval(p))))
     assert max(norms) - min(norms) < 1e-12
 
@@ -76,14 +87,14 @@ def test_profile_matches_sampled_norms_for_koebe():
     # each evaluated alone
     rng = np.random.default_rng(1)
     f = SliceMap(extremal_series(2, 0.6, E1_3, 80, 2))
-    o = make_orbit([0.25, -0.1], [0.3, 0.2])
-    rep = verify_extremal(f, o, E1_3, 50, rng)
+    o = _orbit([0.25, -0.1], [0.3, 0.2])
+    rep = verify_extremal(f, *o, E1_3, 50, rng)
     c0, c1 = rep.data["c0"], rep.data["c1"]
     assert abs(c1) > 0.01
     for j in sample_S_batch(rng, 3, 50):
         u = float(np.dot(j, E1_3))
         val = np.sqrt(sum(np.dot(v.coeffs, v.coeffs)
-                          for v in f.eval(make_point(o.alpha, o.beta, CliffordElement(3, j)))))
+                          for v in f.eval(make_point(*o, CliffordElement(3, j)))))
         assert abs(val ** 2 - (c0 - c1 * u)) < 1e-9
 
 
@@ -93,16 +104,16 @@ def test_profile_rejects_off_slice_maps():
     table[(1, 0)][0, 0] = 1.0
     table[(2, 0)][0, 4] = 1.0  # e3 coefficient
     f = SliceMap(StemSeries(3, 2, table))
-    o = make_orbit([0.5, 0.0], [0.2, 0.0])
+    o = _orbit([0.5, 0.0], [0.2, 0.0])
     with pytest.raises(HypothesisViolationError):
-        verify_extremal(f, o, E1_3, 50, np.random.default_rng(0))
+        verify_extremal(f, *o, E1_3, 50, np.random.default_rng(0))
 
 
 def test_verify_extremal_passes_for_koebe():
     rng = np.random.default_rng(2)
     f = SliceMap(extremal_series(2, 0.3, E1_3, 80, 2))
-    o = make_orbit([0.2, -0.3], [0.25, 0.15])
-    rep = verify_extremal(f, o, E1_3, 400, rng)
+    o = _orbit([0.2, -0.3], [0.25, 0.15])
+    rep = verify_extremal(f, *o, E1_3, 400, rng)
     assert rep.passed, rep.data
 
 
@@ -110,15 +121,15 @@ def test_verify_extremal_bivector_direction():
     rng = np.random.default_rng(3)
     e12 = blade(2, (1, 2))
     f = SliceMap(extremal_series(2, 0.5, e12, 80, 1))
-    o = make_orbit([0.3], [0.4])
-    rep = verify_extremal(f, o, e12, 400, rng)
+    o = _orbit([0.3], [0.4])
+    rep = verify_extremal(f, *o, e12, 400, rng)
     assert rep.passed, rep.data
 
 
 def test_profile_linearity_residual():
     f = SliceMap(extremal_series(2, 0.8, E1_3, 80, 2))
-    o = make_orbit([0.35, -0.15], [0.2, 0.3])
-    rep = verify_extremal(f, o, E1_3, 20, np.random.default_rng(0))
+    o = _orbit([0.35, -0.15], [0.2, 0.3])
+    rep = verify_extremal(f, *o, E1_3, 20, np.random.default_rng(0))
     assert rep.data["linearity_residual"] < 1e-9
 
 
@@ -136,8 +147,8 @@ class NanOffTheAxis:
 
 def test_verify_extremal_fails_a_nan_map():
     f = NanOffTheAxis(extremal_map(2, 0.3, E1_3, 2), E1_3)
-    o = make_orbit([0.2, -0.3], [0.25, 0.15])
-    rep = verify_extremal(f, o, E1_3, 400, np.random.default_rng(2))
+    o = _orbit([0.2, -0.3], [0.25, 0.15])
+    rep = verify_extremal(f, *o, E1_3, 400, np.random.default_rng(2))
     assert np.isfinite(rep.data["c0"]) and np.isfinite(rep.data["c1"])
     assert np.isnan(rep.data["profile_residual"])
     assert np.isnan(rep.data["max_error"])
@@ -159,16 +170,34 @@ class IPlusJIJ:
 
 
 def test_verify_extremal_negative_control():
-    o = make_orbit([0.2, -0.3], [0.25, 0.15])
-    control = verify_extremal(IPlusJIJ(E1_3, 2), o, E1_3, 400, np.random.default_rng(2))
+    o = _orbit([0.2, -0.3], [0.25, 0.15])
+    control = verify_extremal(IPlusJIJ(E1_3, 2), *o, E1_3, 400, np.random.default_rng(2))
     assert not control.passed
     assert control.data["c0"] == control.data["c1"] == 0.0
     # the largest norm is 2 |I| sqrt(n) and its square 8, against 0 at +-I
     assert control.data["endpoint_violation"] == pytest.approx(2 * np.sqrt(2), abs=0.01)
     assert control.data["profile_residual"] == pytest.approx(8.0, abs=0.05)
-    koebe = verify_extremal(extremal_map(2, 0.3, E1_3, 2), o, E1_3, 400,
+    koebe = verify_extremal(extremal_map(2, 0.3, E1_3, 2), *o, E1_3, 400,
                             np.random.default_rng(2))
     assert koebe.passed, koebe.data
+
+
+def test_extremal_shard_draws_its_orbit_with_the_canonical_sign():
+    # at seed 1 the drawn beta starts negative: the record is that of the
+    # orbit row with beta negated, on the same stream, and not that of the
+    # row as drawn (c1 changes sign with beta)
+    f = extremal_map(2, 0.7, E1_3, 2)
+    rng = np.random.default_rng(1)
+    alpha, beta = rng.uniform(-0.5, 0.5, (2, 1, 2))
+    assert beta[0, 0] < 0 < beta[0, 1]
+    state = rng.bit_generator.state
+    expected = verify_extremal(f, alpha, -beta, E1_3, 50, rng)
+    rng.bit_generator.state = state
+    as_drawn = verify_extremal(f, alpha, beta, E1_3, 50, rng)
+    rep, = _extremal_shard("koebe", f, E1_3, 1e-9, 50, np.random.default_rng(1))
+    assert rep.data.pop("map") == "koebe"
+    assert rep.data == expected.data and rep.passed == expected.passed
+    assert rep.data["c1"] == -as_drawn.data["c1"] != 0.0
 
 
 def _identity_shadow(I, n):
@@ -458,10 +487,14 @@ def test_envelope_table_closed_forms():
 def test_gauge_closed_forms():
     ball = Gauge("ball", 2, 2)
     poly = Gauge("polydisc", 2, 2)
-    assert gauge_rho(ball, [0.3, 0.0], [0.0, 0.4]) == pytest.approx(0.5)
-    assert gauge_rho(poly, [0.3, 0.0], [0.0, 0.4]) == pytest.approx(0.4)
+    assert gauge_rho(ball, [[0.3, 0.0]], [[0.0, 0.4]])[0] == pytest.approx(0.5)
+    assert gauge_rho(poly, [[0.3, 0.0]], [[0.0, 0.4]])[0] == pytest.approx(0.4)
     # the polydisc example: sqrt(alpha_t^2 + beta_t^2) per component
-    assert gauge_rho(poly, [0.2, 0.0], [0.0, 0.7]) == pytest.approx(0.7)
+    assert gauge_rho(poly, [[0.2, 0.0]], [[0.0, 0.7]])[0] == pytest.approx(0.7)
+    # points are rows: a bare (n,) point is refused by every kind
+    for g in (ball, poly, oracle_gauge(_closed_member(ball), 2, 2)):
+        with pytest.raises(np.exceptions.AxisError):
+            gauge_rho(g, [0.3, 0.0], [0.0, 0.4])
 
 
 def test_gauge_properties_reports():
@@ -482,8 +515,8 @@ def test_oracle_gauge_matches_closed_form():
     for _ in range(50):
         p = make_point(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2),
                        CliffordElement(2, sample_S_batch(rng, 2, 1)[0]))
-        rho = gauge_rho(oracle, p.alpha, p.beta, p.J.coeffs)
-        assert abs(rho - gauge_rho(ball, p.alpha, p.beta)) < 1e-8
+        rho = gauge_rho(oracle, p.alpha[None], p.beta[None], p.J.coeffs)[0]
+        assert abs(rho - gauge_rho(ball, p.alpha[None], p.beta[None])[0]) < 1e-8
 
 
 def test_oracle_gauge_detects_inconsistency():
@@ -494,7 +527,7 @@ def test_oracle_gauge_detects_inconsistency():
 
     bad = oracle_gauge(weird, 1, 2)
     with pytest.raises(GaugeError):
-        gauge_rho(bad, [2.0], [0.0])
+        gauge_rho(bad, [[2.0]], [[0.0]])
 
 
 def test_gauge_batch_equals_rows_bit_for_bit():
@@ -520,10 +553,11 @@ def test_gauge_batch_equals_rows_bit_for_bit():
     for g in (ball, poly, oracle_gauge(_closed_member(ball), n, m),
               oracle_gauge(_closed_member(poly), n, m), by_j):
         batch = gauge_rho(g, alpha, beta, j_rows)
-        rows = [gauge_rho(g, a, b, j) for a, b, j in zip(alpha, beta, j_rows)]
-        assert all(isinstance(r, float) for r in rows)
+        rows = [gauge_rho(g, alpha[i:i + 1], beta[i:i + 1], j_rows[i:i + 1])
+                for i in range(40)]
+        assert all(r.shape == (1,) for r in rows)
         assert batch.shape == (40,)
-        assert batch.tobytes() == np.array(rows).tobytes(), g.kind
+        assert batch.tobytes() == np.concatenate(rows).tobytes(), g.kind
         assert batch[0] == 0.0 and batch[17] == 0.0
         # one slice unit for the whole batch, e_1 by default
         assert gauge_rho(g, alpha, beta).tobytes() == \
@@ -775,5 +809,5 @@ def test_growth_check_domain_polydisc_literal_rho_form_overshoots():
     f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
     diag = make_point([0.9, 0.9], [0.0, 0.0], CliffordElement(3, E1_3))
     val = np.sqrt(sum(np.dot(v.coeffs, v.coeffs) for v in f.eval(diag)))
-    rho = gauge_rho(Gauge("polydisc", 2, 3), diag.alpha, diag.beta)
+    rho = gauge_rho(Gauge("polydisc", 2, 3), diag.alpha[None], diag.beta[None])[0]
     assert val > rho / (1 - rho) ** 2 * 1.4

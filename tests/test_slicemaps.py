@@ -368,10 +368,10 @@ def test_shadow_eval_batched_matches_single_points():
     z = rng.uniform(-0.7, 0.7, (6, 3)) + 1j * rng.uniform(-0.7, 0.7, (6, 3))
     batch = shadow.eval(z)
     assert batch.shape == (6, 3)
-    for row, zr in zip(batch, z):
-        single = shadow.eval(zr)
-        assert single.shape == (3,)
-        assert np.max(np.abs(row - single)) < 1e-14
+    for i, row in enumerate(batch):
+        single = shadow.eval(z[i:i + 1])
+        assert single.shape == (1, 3)
+        assert np.max(np.abs(row - single[0])) < 1e-14
 
 
 def test_shadow_matches_slice_map_on_its_slice():
@@ -405,7 +405,7 @@ def test_slice_derivative_matches_finite_differences():
 def test_regularity_residuals():
     rng = np.random.default_rng(8)
     f = _rand_map(rng, m=2)
-    p = ([0.2, -0.1], [0.3, 0.15], sample_S_batch(rng, 2, 1)[0])
+    p = (np.array([[0.2, -0.1]]), np.array([[0.3, 0.15]]), sample_S_batch(rng, 2, 1)[0])
     assert regularity_residual(f, *p)[0] < 1e-7
 
     const = SliceMap(StemSeries(2, 2, {(0, 0): rng.uniform(-1, 1, (2, 4))}))
@@ -438,8 +438,8 @@ def test_split_single_component_for_m1():
     e1 = generator(1, 1)
     comps, basis = split_components(f, e1)
     assert len(comps) == 1 and np.array_equal(basis, [[1.0, 0.0]])
-    z = np.array([0.3 + 0.2j, -0.1 + 0.4j])
-    direct = f.eval_arrays(z.real[None], z.imag[None], e1)[0]
+    z = np.array([[0.3 + 0.2j, -0.1 + 0.4j]])
+    direct = f.eval_arrays(z.real, z.imag, e1)
     rebuilt = reassemble_on_slice(comps, basis, e1, z)
     assert np.max(np.abs(rebuilt - direct)) < 1e-12
 
@@ -462,15 +462,15 @@ def test_split_reassembles_generic_map():
         comps, basis = split_components(f, i_elem)
         assert len(comps) == 1 << (m - 1)
         for _ in range(25):
-            z = rng.uniform(-0.8, 0.8, 2) + 1j * rng.uniform(-0.8, 0.8, 2)
+            z = rng.uniform(-0.8, 0.8, (1, 2)) + 1j * rng.uniform(-0.8, 0.8, (1, 2))
             rebuilt = reassemble_on_slice(comps, basis, i_elem, z)
-            direct = f.eval_arrays(z.real[None], z.imag[None], i_elem)[0]
+            direct = f.eval_arrays(z.real, z.imag, i_elem)
             assert np.max(np.abs(rebuilt - direct)) < 1e-10
         # a batch of points gets the bits each point gets alone
         zs = rng.uniform(-0.8, 0.8, (7, 2)) + 1j * rng.uniform(-0.8, 0.8, (7, 2))
-        for z, rebuilt in zip(zs, reassemble_on_slice(comps, basis, i_elem, zs)):
-            alone = reassemble_on_slice(comps, basis, i_elem, z)
-            assert np.array_equal(rebuilt, alone)
+        for i, rebuilt in enumerate(reassemble_on_slice(comps, basis, i_elem, zs)):
+            alone = reassemble_on_slice(comps, basis, i_elem, zs[i:i + 1])
+            assert np.array_equal(rebuilt, alone[0])
 
 
 def test_split_rejects_degenerate_completion():

@@ -8,7 +8,6 @@ from slicegrowth.algebra import (CliffordElement, blade, generator, in_sqrt_minu
 from slicegrowth.errors import SamplingError
 from slicegrowth.slicespace import (
     anticommuting_unit,
-    make_orbit,
     make_point,
     point_norm,
     sample_S_batch,
@@ -43,25 +42,25 @@ def test_point_norm_examples():
 
 def test_point_norm_independent_of_slice():
     rng = np.random.default_rng(5)
-    o = make_orbit([0.3, -1.2], [0.7, 0.4])
-    values = [point_norm(make_point(o.alpha, o.beta, CliffordElement(3, j)))
+    alpha, beta = np.array([0.3, -1.2]), np.array([0.7, 0.4])
+    values = [point_norm(make_point(alpha, beta, CliffordElement(3, j)))
               for j in sample_S_batch(rng, 3, 100)]
     assert max(values) - min(values) < 1e-12
 
 
 def test_orbit_point_real_orbit():
-    o = make_orbit([1.0, -2.0], [0.0, 0.0])
+    alpha, beta = np.array([1.0, -2.0]), np.array([0.0, 0.0])
     for j in (generator(2, 1), generator(2, 2)):
-        p = make_point(o.alpha, o.beta, CliffordElement(2, j))
+        p = make_point(alpha, beta, CliffordElement(2, j))
         np.testing.assert_allclose(p.alpha, [1.0, -2.0])
         assert not np.any(p.beta)
 
 
 def test_orbit_opposite_slices_fold():
-    o = make_orbit([0.1], [0.9])
+    alpha, beta = np.array([0.1]), np.array([0.9])
     j = generator(2, 1)
-    a = make_point(o.alpha, o.beta, CliffordElement(2, j))
-    b = make_point(o.alpha, o.beta, CliffordElement(2, -j))
+    a = make_point(alpha, beta, CliffordElement(2, j))
+    b = make_point(alpha, beta, CliffordElement(2, -j))
     # embedded points differ, canonical slices agree up to the beta sign
     assert np.array_equal(a.J.coeffs, b.J.coeffs)
     np.testing.assert_allclose(a.beta, -b.beta)
