@@ -43,7 +43,6 @@ from .series import (
     identity_map,
     star_inverse,
     star_mul,
-    tail_bound,
 )
 from .slicemaps import (
     ShadowMap,

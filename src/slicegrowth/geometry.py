@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import generator, mul_batch, row_m
 from .errors import CriterionError, GaugeError, HypothesisViolationError
 from .reports import Report
-from .series import StemSeries, power_sum, side_by_side, tail_bound
+from .series import StemSeries, power_sum, side_by_side
 from .slicemaps import ShadowMap, SliceMap, complex_on_slice
 from .slicespace import anticommuting_unit, sample_S_batch, vector_norm
 
@@ -262,15 +262,15 @@ def judge_growth(rep: Report, asserted: bool) -> Report:
 
 
 def closed_form_agreement(maps: list[ShadowMap], stems: list[StemSeries], thetas,
-                          coeff_gap: float, r_max: float, samples: int, rng,
+                          coeff_gap: float, tail: float, r_max: float, samples: int, rng,
                           tol: float = 1e-9) -> Report:
     """Check closed-form maps against their reference series, the map of
     each theta of thetas against its stem, at one set of `samples` ball
     points shared by every map: |series - closed form| must stay within
-    the series' tail bound at r_max plus tol at every point and map, and
-    coeff_gap, the largest series.coefficient_gap of the stems
-    (sample-free, so a sharded caller computes it once), must stay
-    within tol.
+    tail, the stems' truncation tail bound at r_max, plus tol at every
+    point and map, and coeff_gap, the largest series.coefficient_gap of
+    the stems, must stay within tol.  Both are sample-free (a sharded
+    caller takes them once from suites.GrowthMap.reference).
 
     One power_sum call evaluates every stem, their coefficient tables
     side by side (series.side_by_side, which raises unless the stems
@@ -285,7 +285,6 @@ def closed_form_agreement(maps: list[ShadowMap], stems: list[StemSeries], thetas
     diff = np.stack([f.eval_arrays(alpha, beta, j_rows) for f in maps], axis=1) - reference
     # np.max, unlike the builtin max, keeps a NaN
     value_gap = float(np.max(np.sqrt(np.sum(diff * diff, axis=(2, 3)))))
-    tail = max(tail_bound(stem, r_max) for stem in stems)
     return Report.from_error(
         "closed-form", np.max([value_gap - tail, coeff_gap]), tol,
         samples * len(maps),

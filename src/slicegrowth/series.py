@@ -28,14 +28,14 @@ its series' blocks, so memory stays small at m = 8.
 
 extremal_series(p, theta, I, N, n) builds the extremal family
 x_t (1 - x_t e^{I theta})^{-*p} by its exponent p, for the slice row I;
-extremal_tail bounds the tail its truncation drops, and coefficient_gap
-compares a series with the family's coefficients.
+the growth map's reference bounds its truncation tail by extremal_tail,
+and coefficient_gap compares a series with the family's coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,13 +63,12 @@ class StemSeries:
     """Finite multivariate power series with Clifford-vector coefficients.
 
     terms maps a multi-index (tuple of n non-negative ints) to an (n, 2**m)
-    coefficient array.  An optional tail_model(r) upper-bounds the norm of
-    the dropped analytic tail on the closed polydisc of radius r (None
-    means the series is exact).
+    coefficient array; degree is the largest total degree of a row.  The
+    series is these two tables: a truncation's tail is bounded by the
+    growth map whose reference it is (suites.GrowthMap.reference).
     """
 
-    def __init__(self, m: int, n: int, terms: dict, degree: Optional[int] = None,
-                 tail_model: Optional[Callable[[float], float]] = None):
+    def __init__(self, m: int, n: int, terms: dict):
         dim = 1 << m
         rows = []
         for k, coeff in terms.items():
@@ -83,19 +82,17 @@ class StemSeries:
             rows.append(coeff)
         kmat = np.array(list(terms), dtype=np.int64).reshape(len(rows), n)
         amat = np.stack(rows) if rows else np.zeros((0, n, dim))
-        self._set_tables(m, n, kmat, amat, degree, tail_model)
+        self._set_tables(m, n, kmat, amat)
 
     @classmethod
-    def _from_tables(cls, m: int, n: int, kmat: np.ndarray, amat: np.ndarray,
-                     degree: Optional[int] = None,
-                     tail_model: Optional[Callable[[float], float]] = None) -> "StemSeries":
+    def _from_tables(cls, m: int, n: int, kmat: np.ndarray, amat: np.ndarray) -> "StemSeries":
         """The series with distinct exponent rows kmat (K, n) and
         coefficients amat (K, n, 2**m), in any row order."""
         self = cls.__new__(cls)
-        self._set_tables(m, n, kmat, amat, degree, tail_model)
+        self._set_tables(m, n, kmat, amat)
         return self
 
-    def _set_tables(self, m, n, kmat, amat, degree, tail_model):
+    def _set_tables(self, m, n, kmat, amat):
         # rows in lexicographic multi-index order, as sorted(terms) gives
         order = np.lexsort(kmat.T[::-1])
         self.m = m
@@ -103,15 +100,11 @@ class StemSeries:
         self._kmat = kmat[order]
         self._amat = amat[order]
         self._aflat = self._amat.reshape(len(kmat), n << m)
-        self.degree = degree if degree is not None else int(kmat.sum(axis=1).max(initial=0))
-        self.tail_model = tail_model
+        self.degree = int(kmat.sum(axis=1).max(initial=0))
 
     @property
     def dim(self) -> int:
         return 1 << self.m
-
-    def multi_indices(self):
-        return [tuple(k) for k in self._kmat.tolist()]
 
     def coefficient(self, k) -> np.ndarray:
         """A copy of the (n, 2**m) coefficient rows of multi-index k (zero
@@ -129,14 +122,12 @@ class StemSeries:
     def eval_arrays(self, alpha: np.ndarray, beta: np.ndarray):
         """Vectorized evaluation at z = alpha + i beta.
 
-        alpha, beta: (B, n).  Returns (F1, F2) with shape (B, n, 2**m).
-        Conjugating z flips the sign of F2 bit-for-bit (the even-odd pair
-        identity is exact; see power_sum).
+        alpha, beta: (B, n) (row_points).  Returns (F1, F2) with shape
+        (B, n, 2**m).  Conjugating z flips the sign of F2 bit-for-bit (the
+        even-odd pair identity is exact; see power_sum).
         """
-        alpha = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
-        beta = np.atleast_2d(np.asarray(beta, dtype=np.float64))
-        vals = power_sum(self._kmat, self._aflat, alpha + 1j * beta)
-        shape = (alpha.shape[0], self.n, self.dim)
+        vals = power_sum(self._kmat, self._aflat, row_points(alpha, beta, self.n))
+        shape = (len(vals), self.n, self.dim)
         return (np.ascontiguousarray(vals.real).reshape(shape),
                 np.ascontiguousarray(vals.imag).reshape(shape))
 
@@ -151,8 +142,15 @@ class StemSeries:
         kmat = self._kmat[keep].copy()
         amat = self._amat[keep] * kmat[:, t, None, None]
         kmat[:, t] -= 1
-        return StemSeries._from_tables(self.m, self.n, kmat, amat,
-                                       degree=max(self.degree - 1, 0))
+        return StemSeries._from_tables(self.m, self.n, kmat, amat)
+
+
+def row_points(alpha, beta, n: int) -> np.ndarray:
+    """z = alpha + i beta of (B, n) real rows; DimensionError for any other shape."""
+    alpha, beta = np.asarray(alpha, dtype=np.float64), np.asarray(beta, dtype=np.float64)
+    if alpha.shape[1:] != (n,) or beta.shape != alpha.shape:
+        raise DimensionError(f"points must be (B, {n}) rows, got {alpha.shape} and {beta.shape}")
+    return alpha + 1j * beta
 
 
 def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -228,15 +226,7 @@ def side_by_side(stems: list[StemSeries]):
 
 def identity_map(m: int, n: int) -> StemSeries:
     """F(z) = z; the induced slice mapping is the identity embedding."""
-    dim = 1 << m
-    terms = {}
-    for t in range(n):
-        k = [0] * n
-        k[t] = 1
-        coeff = np.zeros((n, dim))
-        coeff[t, 0] = 1.0
-        terms[tuple(k)] = coeff
-    return StemSeries(m, n, terms, degree=1)
+    return _assemble_componentwise(m, blade(m)[None], n)
 
 
 def central_partials(evaluate, alpha: np.ndarray, beta: np.ndarray,
@@ -374,12 +364,10 @@ def extremal_series(p: int, theta: float, I: np.ndarray, N: int,
     base = np.zeros((2, 1 << m))
     base[0, 0] = 1.0
     base[1] = -slice_exp(I, theta)
-    if p == -1:
-        return _assemble_componentwise(m, base, n, tail_model=None)
-    inv = star_inverse(m, base, N)
+    coeffs = base if p == -1 else star_inverse(m, base, N)
     if p == 2:
-        inv = star_mul(m, inv, inv, trunc=N)
-    return _assemble_componentwise(m, inv, n, tail_model=extremal_tail(p, n, N))
+        coeffs = star_mul(m, coeffs, coeffs, trunc=N)
+    return _assemble_componentwise(m, coeffs, n)
 
 
 def coefficient_gap(f: StemSeries, p: int, theta: float, I: np.ndarray) -> float:
@@ -407,7 +395,7 @@ def coefficient_gap(f: StemSeries, p: int, theta: float, I: np.ndarray) -> float
                          np.max(np.abs(amat[~single]), initial=0.0)]))
 
 
-def _assemble_componentwise(m: int, series: np.ndarray, n: int, tail_model) -> StemSeries:
+def _assemble_componentwise(m: int, series: np.ndarray, n: int) -> StemSeries:
     """The map with components x_t -> x_t series(x_t) for the coefficient
     array series: one exponent row per nonzero coefficient and variable,
     its power shifted by the factor x_t."""
@@ -418,20 +406,21 @@ def _assemble_componentwise(m: int, series: np.ndarray, n: int, tail_model) -> S
     amat = np.zeros((len(rows), n, 1 << m))
     kmat[rows, var] = np.tile(nonzero + 1, n)
     amat[rows, var] = np.tile(series[nonzero], (n, 1))
-    return StemSeries._from_tables(m, n, kmat, amat, degree=len(series),
-                                   tail_model=tail_model)
+    return StemSeries._from_tables(m, n, kmat, amat)
 
 
 def extremal_tail(p: int, n: int, N: int):
     """Norm bound r -> sqrt(n) sum_{k>N} |c_k| r^{k+1} of the tail that
     extremal_series(p, ., ., N, n) drops on the polydisc of radius r:
-    |c_k| = k+1 for p = 2 and 1 for p = 1."""
-    if p not in (1, 2):
-        raise ValueError(f"no truncated extremal map of exponent {p!r}; want 1 or 2")
+    |c_k| = k+1 for p = 2, 1 for p = 1 and 0 for p = -1 (exact at any N)."""
+    if p not in (-1, 1, 2):
+        raise ValueError(f"no extremal map of exponent {p!r}; want -1, 1 or 2")
 
     def bound(r: float) -> float:
         if r < 0:
             raise ValueError("radius must be non-negative")
+        if p == -1:
+            return 0.0
         if r >= 1:
             return math.inf
         if p == 2:
@@ -440,10 +429,3 @@ def extremal_tail(p: int, n: int, N: int):
         # sum_{k>N} r^{k+1} = r^{N+2} / (1-r)
         return math.sqrt(n) * r ** (N + 2) / (1 - r)
     return bound
-
-
-def tail_bound(f: StemSeries, r: float) -> float:
-    """Truncation-error budget of f on the ball of radius r (0 if exact)."""
-    if f.tail_model is None:
-        return 0.0
-    return float(f.tail_model(r))

@@ -53,7 +53,7 @@ from .algebra import (
     singular_values_batch,
 )
 from .errors import BasisError, RepresentationError
-from .series import StemSeries, central_partials, power_sum
+from .series import StemSeries, central_partials, power_sum, row_points
 from .slicespace import SlicePoint
 
 
@@ -109,8 +109,8 @@ class ShadowMap:
         self.g, self.dg, self.d2g = g, dg, d2g
 
     def _pq(self, alpha: np.ndarray, beta: np.ndarray):
-        """P and Q at z = alpha + i beta, each (B, n) complex."""
-        z = np.atleast_2d(alpha) + 1j * np.atleast_2d(beta)
+        """P and Q at the (B, n) rows z = alpha + i beta, each (B, n) complex."""
+        z = row_points(alpha, beta, self.n)
         gz, gc = self.g(z), np.conj(self.g(np.conj(z)))
         return 0.5 * (gz + gc), -0.5j * (gz - gc)
 

@@ -45,15 +45,16 @@ and serial runs leave numpy.random unloaded until a check draws.
 
 The growth suites read one table, GROWTH_MAPS: each GrowthMap gives a
 map's hypothesis family, whether its bounds are asserted, its ShadowMap
-map(theta, I, n) and reference(theta, I, N, n), the truncated series and
-coefficient gap that only the closed-form-* records read.  Both growth
-suites take one product, _growth_product: its maps (or cfg.maps) by the
-slices of e1 and e12 by the theta sweep.  One builder, _growth_check,
-names each record growth-{domain}-{map}-{slice}-theta{theta:.3f};
+map(theta, I, n) and reference(theta, I, N, n, r_max), the truncated
+series, coefficient gap and tail bound at r_max that only the
+closed-form-* records read.  Both growth suites take one product,
+_growth_product: its maps (or cfg.maps) by the slices of e1 and e12 by
+the theta sweep.  One builder, _growth_check, names each record
+growth-{domain}-{map}-{slice}-theta{theta:.3f};
 growth-ball takes the product on the ball, with a sharpness and a
 closed-form check per (map, slice), and growth-domain on the polydisc.
 The CLI reads the table by name, so a new growth map is one entry plus
-its reference series.  Extremal rays, per-domain assertion and negative
+its reference.  Extremal rays, per-domain assertion and negative
 controls join an entry with their first reader (ROADMAP items 8, 3 and
 5).  The stem, regularity and extremal suites test the Koebe series
 itself (extremal_series(2, ...)).
@@ -113,21 +114,23 @@ _BLOCK = 512
 class GrowthMap:
     """A map of the growth suites: the hypothesis family whose bounds it
     meets, whether they are asserted, map(theta, I, n), its ShadowMap at
-    theta on the slice of I, and reference(theta, I, N, n), the
-    truncation-N series of that map with its coefficient gap, which the
-    closed-form-* records compare it with."""
+    theta on the slice of I, and reference(theta, I, N, n, r_max), which
+    the closed-form-* records compare it with: the truncation-N series of
+    that map, its coefficient gap and the bound of the tail the
+    truncation drops at radius r_max."""
     family: str
     asserted: bool
     map: Callable[[float, np.ndarray, int], slicemaps.ShadowMap]
-    reference: Callable[[float, np.ndarray, int, int], tuple[series.StemSeries, float]]
+    reference: Callable[..., tuple[series.StemSeries, float, float]]
 
 
 def _extremal(family: str, p: int, asserted: bool) -> GrowthMap:
     """The extremal family of exponent p: slicemaps.extremal_map and its
-    star-product series, series.extremal_series."""
-    def reference(theta, I, N, n):
+    star-product series, series.extremal_series, with series.extremal_tail."""
+    def reference(theta, I, N, n, r_max):
         stem = series.extremal_series(p, theta, I, N, n)
-        return stem, series.coefficient_gap(stem, p, theta, I)
+        tail = series.extremal_tail(p, n, N)(r_max)
+        return stem, series.coefficient_gap(stem, p, theta, I), tail
     return GrowthMap(family, asserted,
                      lambda theta, I, n: slicemaps.extremal_map(p, theta, I, n), reference)
 
@@ -745,12 +748,13 @@ def growth_ball_checks(cfg: RunConfig) -> list[Check]:
         return Check(f"sharpness-{label}-{iname}", 1, run)
 
     def closed_form(label, entry, iname, I):
-        # the sweep's maps and reference series; the sample-free gap once per check
+        # the sweep's maps and reference series; the sample-free gap and tail once
         @functools.cache
         def reference():
-            stems, gaps = zip(*(entry.reference(theta, I, cfg.truncation, n)
-                                for theta in thetas))
-            return [entry.map(theta, I, n) for theta in thetas], stems, thetas, _worst(gaps)
+            stems, gaps, tails = zip(*(entry.reference(theta, I, cfg.truncation, n, cfg.r_max)
+                                       for theta in thetas))
+            return ([entry.map(theta, I, n) for theta in thetas], stems, thetas,
+                    _worst(gaps), _worst(tails))
 
         def run(size, rng):
             agree = geometry.closed_form_agreement(*reference(), cfg.r_max, size, rng)

@@ -33,6 +33,7 @@ from slicegrowth.series import (
     StemSeries,
     coefficient_gap,
     extremal_series,
+    extremal_tail,
     identity_map,
 )
 from slicegrowth.slicemaps import (
@@ -313,7 +314,7 @@ def test_closed_form_criteria_match_the_series(label):
     for I in (generator(m, 1), blade(m, (1, 2))):
         for theta in (0.0, 0.7, np.pi / 2):
             closed = entry.map(theta, I, n)
-            ref = _series_shadow(entry.reference(theta, I, 300, n)[0], I)
+            ref = _series_shadow(entry.reference(theta, I, 300, n, 0.9)[0], I)
             z = rng.normal(size=(50, n)) + 1j * rng.normal(size=(50, n))
             z *= rng.uniform(0.05, 0.8, size=(50, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
             gap = np.abs(starlike_criterion_slice(closed, z)
@@ -366,8 +367,8 @@ def _agreement(maps, p, thetas, gap_p, seed):
     e1 = generator(3, 1)
     stems = [extremal_series(p, theta, e1, 300, 2) for theta in thetas]
     gap = max(coefficient_gap(stem, gap_p, theta, e1) for stem, theta in zip(stems, thetas))
-    return closed_form_agreement(maps, stems, thetas, gap, 0.9, 300,
-                                 np.random.default_rng(seed))
+    return closed_form_agreement(maps, stems, thetas, gap, extremal_tail(p, 2, 300)(0.9),
+                                 0.9, 300, np.random.default_rng(seed))
 
 
 def test_closed_form_agreement_negative_controls():
@@ -397,16 +398,16 @@ def test_closed_form_agreement_compares_every_map_at_one_point_set():
     assert rep.passed and rep.samples == 900, rep.data
     draws = np.random.default_rng(15)
     closed_form_agreement(maps[:1], [extremal_series(2, 0.0, e1, 300, 2)], [0.0],
-                          0.0, 0.9, 300, draws)
+                          0.0, 0.0, 0.9, 300, draws)
     after_three = np.random.default_rng(15)
     closed_form_agreement(maps, [extremal_series(2, t, e1, 300, 2) for t in thetas],
-                          thetas, 0.0, 0.9, 300, after_three)
+                          thetas, 0.0, 0.0, 0.9, 300, after_three)
     assert draws.random() == after_three.random()
     # the reference series of one record must share their exponent rows
     with pytest.raises(DimensionError):
         closed_form_agreement(maps[:2], [extremal_series(2, 0.0, e1, 300, 2),
                                          extremal_series(2, 0.7, e1, 299, 2)],
-                              thetas[:2], 0.0, 0.9, 10, np.random.default_rng(0))
+                              thetas[:2], 0.0, 0.0, 0.9, 10, np.random.default_rng(0))
 
 
 def _nan_first_row(f):
@@ -423,9 +424,10 @@ def test_a_nan_row_fails_the_closed_form_and_sharpness_records():
     for p, family in ((2, "starlike"), (1, "convex")):
         f = extremal_map(p, 0.0, e1, 2)
         stems = [extremal_series(p, 0.0, e1, 300, 2)]
-        good = closed_form_agreement([f], stems, [0.0], 0.0, 0.9, 50,
+        tail = extremal_tail(p, 2, 300)(0.9)
+        good = closed_form_agreement([f], stems, [0.0], 0.0, tail, 0.9, 50,
                                      np.random.default_rng(1))
-        bad = closed_form_agreement([_nan_first_row(f)], stems, [0.0], 0.0, 0.9, 50,
+        bad = closed_form_agreement([_nan_first_row(f)], stems, [0.0], 0.0, tail, 0.9, 50,
                                     np.random.default_rng(1))
         assert good.passed and not bad.passed, (good.data, bad.data)
         assert np.isnan(bad.data["value_gap"]) and np.isnan(bad.data["max_error"])

@@ -19,7 +19,6 @@ from slicegrowth.series import (
     power_sum,
     star_inverse,
     star_mul,
-    tail_bound,
 )
 from slicegrowth.slicemaps import ComplexSeries
 from slicegrowth.suites import _random_stem
@@ -105,6 +104,15 @@ def test_derivative_of_monomials():
     sq = StemSeries(2, 1, {(2,): np.array([[2.0, 0, 0, 0]])})
     dsq = sq.derivative(0)
     assert np.array_equal(dsq.coefficient((1,)), [[4.0, 0, 0, 0]])
+
+
+def test_a_derivative_has_the_degree_of_its_rows():
+    # the top term z_2^3 does not involve z_1: d/dz_1 keeps only the
+    # constant, of degree 0, not the degree of the series less one
+    stem = StemSeries(2, 2, {(0, 3): np.ones((2, 4)), (1, 0): np.ones((2, 4))})
+    assert stem.degree == 3
+    assert stem.derivative(0).degree == 0
+    assert stem.derivative(1).degree == 2
 
 
 def _re_z1_rows(alpha, beta):
@@ -449,7 +457,7 @@ def test_convex_and_paper_example_maps():
     assert np.array_equal(poly.coefficient((1,))[0], blade(m))
     assert np.array_equal(poly.coefficient((2,))[0], -blade(m))
     assert poly.degree == 2
-    assert poly.tail_model is None
+    assert extremal_tail(-1, n, N)(0.9) == 0.0
 
     cay = extremal_series(1, 0.0, e1, N, n)
     for x in np.linspace(-0.9, 0.9, 19):
@@ -470,9 +478,8 @@ def test_extremal_series_rejects_other_exponents(p):
 def test_tail_bounds(p):
     m, n = 2, 2
     e1 = generator(m, 1)
-    f = extremal_series(p, 0.0, e1, 300, n)
-    assert tail_bound(f, 0.9) < 1e-9
-    assert tail_bound(identity_map(m, n), 0.9) == 0.0
+    assert extremal_tail(p, n, 300)(0.9) < 1e-9
+    assert extremal_tail(-1, n, 300)(0.9) == 0.0
     # at theta = 0 on the positive real axis the tail is the truncation
     # error itself, so the two agree to rounding in f(x); a tail model
     # that under- or overestimates fails
@@ -481,7 +488,7 @@ def test_tail_bounds(p):
     exact = x / (1 - x) ** p
     f1, _ = small.eval_arrays([[x]], [[0.0]])
     actual_gap = abs(f1[0, 0, 0] - exact)
-    assert abs(actual_gap - tail_bound(small, x)) <= 16 * np.finfo(float).eps * exact
+    assert abs(actual_gap - extremal_tail(p, 1, 40)(x)) <= 16 * np.finfo(float).eps * exact
     # monotone decrease with the order
-    tails = [tail_bound(extremal_series(p, 0.0, e1, N, 1), 0.9) for N in (50, 100, 200, 300)]
+    tails = [extremal_tail(p, 1, N)(0.9) for N in (50, 100, 200, 300)]
     assert all(a >= b for a, b in zip(tails, tails[1:]))

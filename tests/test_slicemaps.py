@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from slicegrowth.algebra import CliffordElement, blade, generator
-from slicegrowth.errors import BasisError, RepresentationError
+from slicegrowth.errors import BasisError, DimensionError, RepresentationError
 from slicegrowth.series import (
     StemSeries,
     central_partials,
@@ -13,7 +13,6 @@ from slicegrowth.series import (
     cr_residual,
     extremal_series,
     identity_map,
-    tail_bound,
 )
 from slicegrowth.slicemaps import (
     ComplexSeries,
@@ -144,8 +143,8 @@ def test_closed_form_matches_series():
             for theta in (0.0, 0.7, np.pi / 2):
                 for n in (1, 2):
                     f = entry.map(theta, i_elem, n)
-                    stem, coeff_gap = entry.reference(theta, i_elem, 300, n)
-                    bound = tail_bound(stem, 0.9) + 1e-9
+                    stem, coeff_gap, tail = entry.reference(theta, i_elem, 300, n, 0.9)
+                    bound = tail + 1e-9
                     # points of the polydisc of radius 0.9 on random slices
                     radius = 0.9 * np.sqrt(rng.uniform(0, 1, size=(200, n)))
                     angle = rng.uniform(0, 2 * np.pi, size=(200, n))
@@ -167,6 +166,22 @@ def test_a_shadow_map_has_no_stem_to_differentiate():
     f = extremal_map(2, 0.7, generator(3, 1), 2)
     assert not isinstance(f, SliceMap)
     assert not hasattr(f, "derivative") and not hasattr(f, "stem")
+
+
+def test_evaluators_take_row_batches_only():
+    # a bare (n,) point, rows of another width and a beta of another shape
+    # are refused, not promoted to one row or broadcast as rows
+    e1 = generator(2, 1)
+    for f in (extremal_map(2, 0.7, e1, 2), SliceMap(extremal_series(2, 0.7, e1, 40, 2))):
+        assert f.eval_arrays(np.full((1, 2), 0.1), np.zeros((1, 2)), e1).shape == (1, 2, 4)
+        for alpha, beta in ((np.full(2, 0.1), np.zeros(2)),
+                            (np.full((3, 1), 0.1), np.zeros((3, 1))),
+                            (np.full((3, 3), 0.1), np.zeros((3, 3))),
+                            (np.full((3, 2), 0.1), np.zeros((1, 2)))):
+            with pytest.raises(DimensionError):
+                f.eval_arrays(alpha, beta, e1)
+            with pytest.raises(DimensionError):
+                f.stem_arrays(alpha, beta)
 
 
 @pytest.mark.parametrize("p", [2, 1, -1])
@@ -194,9 +209,9 @@ def test_closed_form_coefficient_gap_detects_wrong_family():
     assert coefficient_gap(stem, 1, 0.7, e1) > 1.0
     assert coefficient_gap(stem, 2, 0.8, e1) > 0.05
     # a stem term in two variables is no part of the componentwise map
-    table = {k: stem.coefficient(k) for k in stem.multi_indices()}
+    table = {tuple(k): stem.coefficient(k) for k in stem._kmat.tolist()}
     table[(1, 1)] = np.full((2, 4), 1e-6)
-    coupled = StemSeries(2, 2, table, degree=stem.degree)
+    coupled = StemSeries(2, 2, table)
     assert coefficient_gap(coupled, 2, 0.7, e1) == pytest.approx(1e-6, rel=1e-3)
 
 
@@ -205,9 +220,9 @@ def test_coefficient_gap_keeps_a_nan_cross_term():
     # after the componentwise terms' finite one
     e1 = generator(3, 1)
     stem = extremal_series(1, 0.0, e1, 5, 2)
-    table = {k: stem.coefficient(k) for k in stem.multi_indices()}
+    table = {tuple(k): stem.coefficient(k) for k in stem._kmat.tolist()}
     table[(1, 1)] = np.full((2, 8), np.nan)
-    poisoned = StemSeries(3, 2, table, degree=stem.degree)
+    poisoned = StemSeries(3, 2, table)
     assert np.isnan(coefficient_gap(poisoned, 1, 0.0, e1))
 
 
