@@ -40,7 +40,6 @@ from .series import (
     StemSeries,
     cr_residual,
     extremal_series,
-    identity_map,
     star_inverse,
     star_mul,
 )

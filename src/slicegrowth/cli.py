@@ -66,7 +66,9 @@ def main():
 @click.option("--samples", type=int, default=None,
               help="Sample budget override (suite defaults otherwise).")
 @click.option("--truncation", type=int, default=300, show_default=True,
-              help="Series truncation order.")
+              help="Order of the truncated series under test: closed-form-* "
+                   "references and the stem-koebe-coefficients, stem-star-inverse "
+                   "and stem-tail-monotone records.")
 @click.option("--r-max", type=float, default=0.9, show_default=True,
               help="Largest sampled radius / gauge value.")
 @click.option("--theta", type=float, default=None,

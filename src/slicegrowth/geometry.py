@@ -261,16 +261,17 @@ def judge_growth(rep: Report, asserted: bool) -> Report:
     return rep
 
 
-def closed_form_agreement(maps: list[ShadowMap], stems: list[StemSeries], thetas,
+def closed_form_agreement(maps: list[ShadowMap], stems: list[StemSeries], thetas, N: int,
                           coeff_gap: float, tail: float, r_max: float, samples: int, rng,
                           tol: float = 1e-9) -> Report:
-    """Check closed-form maps against their reference series, the map of
-    each theta of thetas against its stem, at one set of `samples` ball
-    points shared by every map: |series - closed form| must stay within
-    tail, the stems' truncation tail bound at r_max, plus tol at every
-    point and map, and coeff_gap, the largest series.coefficient_gap of
-    the stems, must stay within tol.  Both are sample-free (a sharded
-    caller takes them once from suites.GrowthMap.reference).
+    """Check closed-form maps against their truncation-N reference series,
+    the map of each theta of thetas against its stem, at one set of
+    `samples` ball points shared by every map: |series - closed form|
+    must stay within tail, the stems' truncation tail bound at r_max,
+    plus tol at every point and map, and coeff_gap, the largest
+    series.coefficient_gap of the stems, must stay within tol.  Both are
+    sample-free (a sharded caller takes them once from
+    suites.GrowthMap.reference).
 
     One power_sum call evaluates every stem, their coefficient tables
     side by side (series.side_by_side, which raises unless the stems
@@ -288,7 +289,7 @@ def closed_form_agreement(maps: list[ShadowMap], stems: list[StemSeries], thetas
     return Report.from_error(
         "closed-form", np.max([value_gap - tail, coeff_gap]), tol,
         samples * len(maps),
-        m=m, n=n, N=stems[0].degree, r_max=r_max,
+        m=m, n=n, N=N, r_max=r_max,
         thetas=" ".join(f"{theta:g}" for theta in thetas),
         value_gap=value_gap, tail_bound=tail, coefficient_gap=coeff_gap,
     )

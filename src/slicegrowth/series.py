@@ -224,11 +224,6 @@ def side_by_side(stems: list[StemSeries]):
     return kmat, np.hstack([stem._aflat for stem in stems])
 
 
-def identity_map(m: int, n: int) -> StemSeries:
-    """F(z) = z; the induced slice mapping is the identity embedding."""
-    return _assemble_componentwise(m, blade(m)[None], n)
-
-
 def central_partials(evaluate, alpha: np.ndarray, beta: np.ndarray,
                      step: float = 1e-5):
     """Central-difference partials in every alpha_t and beta_t at the rows

@@ -32,8 +32,8 @@ and convex criteria read.  Its values are real multiples of 1, I, J and
 J I, with no general product, and it is not a SliceMap: it has no stem,
 no derivative and no one-point eval.
 extremal_map(p, theta, I, n) is the extremal family
-x_t (1 - x_t e^{I theta})^{-*p} as one shadow (Koebe p = 2, Cayley
-p = 1 and the paper example x_t (1 - x_t e^{I theta}) as p = -1).
+x_t (1 - x_t e^{I theta})^{-*p} as one shadow: Koebe p = 2, Cayley p = 1,
+the identity p = 0, and p = -1 the paper example x_t (1 - x_t e^{I theta}).
 """
 
 from __future__ import annotations
@@ -140,9 +140,9 @@ class ShadowMap:
 
 def extremal_map(p: int, theta: float, I: np.ndarray, n: int) -> ShadowMap:
     """The componentwise map x_t (1 - x_t e^{I theta})^{-*p} (Koebe p = 2,
-    Cayley p = 1, the paper example x_t (1 - x_t e^{I theta}) as p = -1):
-    the ShadowMap of g_t = z_t (1 - c z_t)^{-p} with c = e^{i theta},
-    phi' = (1 - c z)^{-p-1} (1 + (p-1) c z) and
+    Cayley p = 1, the identity p = 0, the paper example x_t (1 - x_t e^{I theta})
+    as p = -1): the ShadowMap of g_t = z_t (1 - c z_t)^{-p} with c = e^{i theta},
+    phi' = (1 - c z)^{-p-1} (1 + (p-1) c z) (1 up to rounding at p = 0) and
     phi'' = p c (1 - c z)^{-p-2} (2 + (p-1) c z) on each component."""
     c = complex(math.cos(theta), math.sin(theta))
     eye = np.eye(n)     # component s depends on z_s alone: diagonal derivatives

@@ -115,8 +115,7 @@ def anticommuting_unit(I: np.ndarray, rng, max_tries: int = 200) -> np.ndarray:
     Used to sweep J(u) = u*I + sqrt(1-u**2)*I_perp across [-1, 1].  A
     grade-1 direction gets a drawn grade-1 unit; any other gets the first
     generator e_i orthogonal to I that anticommutes with it (the lowest
-    generator of an even blade), or at m = 2, where the whole trace-free
-    unit sphere squares to -1, a drawn unit.  Otherwise SamplingError.
+    generator of an even blade).  Otherwise SamplingError.
     """
     m = row_m(I)
     if m < 2:
@@ -141,15 +140,5 @@ def anticommuting_unit(I: np.ndarray, rng, max_tries: int = 200) -> np.ndarray:
         if abs(c[1 << (i - 1)]) <= 1e-12 and \
                 np.max(np.abs(mul_coeffs(m, c, e) + mul_coeffs(m, e, c))) <= 1e-12:
             return e
-
-    if m == 2:  # the whole trace-free unit sphere squares to -1
-        for _ in range(max_tries):
-            w = rng.normal(size=4)
-            w[0] = 0.0
-            w -= (w @ c) * c
-            nw = np.linalg.norm(w)
-            if nw > 1e-8:
-                return w / nw
-        raise SamplingError("failed to draw a trace-free orthogonal unit")
 
     raise SamplingError("no anticommuting root of -1 found for this direction")

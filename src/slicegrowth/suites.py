@@ -56,8 +56,9 @@ closed-form check per (map, slice), and growth-domain on the polydisc.
 The CLI reads the table by name, so a new growth map is one entry plus
 its reference.  Extremal rays, per-domain assertion and negative
 controls join an entry with their first reader (ROADMAP items 8, 3 and
-5).  The stem, regularity and extremal suites test the Koebe series
-itself (extremal_series(2, ...)).
+5).  Every other record reads a ShadowMap too, the identity as extremal_map
+of p = 0: --truncation reaches only closed-form-* and the series records
+stem-koebe-coefficients, stem-star-inverse and stem-tail-monotone.
 """
 
 from __future__ import annotations
@@ -411,7 +412,6 @@ def stem_checks(cfg: RunConfig) -> list[Check]:
     trunc = cfg.truncation
     theta = cfg.theta if cfg.theta is not None else 0.7
     e1 = generator(m, 1)
-    koebe = functools.cache(lambda: series.extremal_series(2, theta, e1, trunc, n))
 
     # even-odd pair identity on random stems (exact by construction)
     def even_odd(size, rng):
@@ -427,8 +427,8 @@ def stem_checks(cfg: RunConfig) -> list[Check]:
     def cr_residual(size, rng):
         stem = _random_stem(m, n, rng)
         alpha, beta = rng.uniform(-0.3, 0.3, (2, size, n))
-        worst_cr = _worst([float(np.max(series.cr_residual(s.eval_arrays, alpha, beta)))
-                           for s in (stem, koebe())])
+        pairs = (stem.eval_arrays, slicemaps.extremal_map(2, theta, e1, n).stem_arrays)
+        worst_cr = _worst([float(np.max(series.cr_residual(f, alpha, beta))) for f in pairs])
         return [Report.from_error("stem-cr-residual", worst_cr, 1e-8, size, m=m, n=n)]
 
     # the non-holomorphic control must be detected: d Re(z_1)/d conj(z_1) = 1/2
@@ -463,7 +463,8 @@ def stem_checks(cfg: RunConfig) -> list[Check]:
 
     # coefficient norms of the starlike family: (k+1) exactly
     def koebe_coefficients(_, rng):
-        rows = [koebe().coefficient((p,) + (0,) * (n - 1))[0] for p in range(1, trunc + 2)]
+        koebe = series.extremal_series(2, theta, e1, trunc, n)
+        rows = [koebe.coefficient((p,) + (0,) * (n - 1))[0] for p in range(1, trunc + 2)]
         coeff_err = _worst([abs(float(np.linalg.norm(row)) - p)
                             for p, row in enumerate(rows, 1)])
         return [Report.from_error("stem-koebe-coefficients", coeff_err, 1e-9, trunc + 1,
@@ -610,9 +611,7 @@ def regularity_checks(cfg: RunConfig) -> list[Check]:
     count = cfg.budget("regularity")
     theta = cfg.theta if cfg.theta is not None else 0.7
     e1 = generator(m, 1)
-    fixed = functools.cache(lambda: [
-        slicemaps.SliceMap(series.extremal_series(2, theta, e1, 60, n)),
-        slicemaps.SliceMap(series.identity_map(m, n))])
+    fixed = functools.cache(lambda: [slicemaps.extremal_map(p, theta, e1, n) for p in (2, 0)])
 
     # the constant map and the control share one point: one shard
     def constant(_, rng):
@@ -647,7 +646,7 @@ def regularity_checks(cfg: RunConfig) -> list[Check]:
 # extremal suite
 # ---------------------------------------------------------------------------
 
-def _extremal_shard(name: str, f: slicemaps.SliceMap, I: np.ndarray, tol: float,
+def _extremal_shard(name: str, f: slicemaps.ShadowMap, I: np.ndarray, tol: float,
                     count: int, rng) -> list[Report]:
     """The record of map `name`, f, on an orbit it draws as one row
     (alpha, beta), beta's first nonzero component made positive: one
@@ -669,14 +668,10 @@ def _extremal_shard(name: str, f: slicemaps.SliceMap, I: np.ndarray, tol: float,
 def extremal_checks(cfg: RunConfig) -> list[Check]:
     count = cfg.budget("extremal")
     theta = cfg.theta if cfg.theta is not None else 0.7
-    trunc = min(cfg.truncation, 120)
     tol = 1e-9
 
-    def check(name, m, n, I):
-        @functools.cache
-        def f():
-            return slicemaps.SliceMap(series.identity_map(m, n) if name == "identity" else
-                                      series.extremal_series(2, theta, I, trunc, n))
+    def check(name, p, m, n, I):
+        f = functools.cache(functools.partial(slicemaps.extremal_map, p, theta, I, n))
         return Check(f"extremal-{name}-m{m}-n{n}", count,
                      lambda size, rng: _extremal_shard(name, f(), I, tol, size, rng))
 
@@ -690,11 +685,12 @@ def extremal_checks(cfg: RunConfig) -> list[Check]:
         if m < 2:
             checks.append(Check("extremal-skipped-m1", 1, skipped))
             continue
-        maps = [("identity", generator(m, 1)), ("koebe", generator(m, 1))]
+        # the identity is the extremal map of p = 0: x_t (1 - x_t e^{I theta})^0
+        maps = [("identity", 0, generator(m, 1)), ("koebe", 2, generator(m, 1))]
         if m == 2:
-            maps.append(("koebe-bivector", blade(m, (1, 2))))
-        checks += [check(name, m, n, I) for n in ((cfg.n,) if cfg.n else (1, 2))
-                   for name, I in maps]
+            maps.append(("koebe-bivector", 2, blade(m, (1, 2))))
+        checks += [check(name, p, m, n, I) for n in ((cfg.n,) if cfg.n else (1, 2))
+                   for name, p, I in maps]
     return checks
 
 
@@ -754,7 +750,7 @@ def growth_ball_checks(cfg: RunConfig) -> list[Check]:
             stems, gaps, tails = zip(*(entry.reference(theta, I, cfg.truncation, n, cfg.r_max)
                                        for theta in thetas))
             return ([entry.map(theta, I, n) for theta in thetas], stems, thetas,
-                    _worst(gaps), _worst(tails))
+                    cfg.truncation, _worst(gaps), _worst(tails))
 
         def run(size, rng):
             agree = geometry.closed_form_agreement(*reference(), cfg.r_max, size, rng)

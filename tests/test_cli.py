@@ -299,7 +299,7 @@ def test_declaring_checks_is_free(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called while declaring checks")
     for owner, name in ((series, "extremal_series"), (series, "power_sum"),
-                        (series, "identity_map"), (series, "coefficient_gap"),
+                        (series, "coefficient_gap"),
                         (suites_mod, "_rng"), (suites_mod, "_anticommutation_error"),
                         (geometry, "Gauge"), (slicemaps, "extremal_map")):
         monkeypatch.setattr(owner, name, refuse)
@@ -320,12 +320,12 @@ def test_check_setup_runs_once_per_check(monkeypatch):
     monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)  # counted in this process
     run_suite("algebra", small_config(shards=3, m=3))
     assert calls == {"_anticommutation_error": 3}
-    # stem-cr-residual and stem-koebe-coefficients; regularity-series;
-    # the koebe maps of extremal; the closed-form-* sweeps of three thetas
-    for suite, count in {"stem": 2, "regularity": 1, "extremal": 6, "growth-ball": 18}.items():
+    # stem-koebe-coefficients and the closed-form-* sweeps of three thetas;
+    # regularity and extremal read closed-form maps, no series
+    for suite, count in {"stem": 1, "regularity": 0, "extremal": 0, "growth-ball": 18}.items():
         calls.clear()
         run_suite(suite, small_config(shards=3))
-        assert calls == {"extremal_series": count}, suite
+        assert calls == Counter(extremal_series=count), suite
 
 
 def test_shard_plan_has_at_most_total_entries():
@@ -1002,25 +1002,38 @@ def test_cli_growth_ball_short_truncation(tmp_path):
     records = json.loads(out.read_text())
     agree = [rec for rec in records if rec["check"].startswith("closed-form-")]
     assert len(agree) == 6 and all(rec["pass"] for rec in agree)
-    assert all(rec["N"] in (21, 2) for rec in agree)
+    assert all(rec["N"] == 20 for rec in agree)
+
+
+@pytest.mark.parametrize("truncation", [20, 300])
+def test_closed_form_records_report_their_truncation(truncation):
+    # N is the order of the reference series that the tail bound reads, for
+    # every map: not the series' degree, N + 1 for koebe and cayley and 2
+    # for the paper example, which is exact at any N
+    closed = [rep for rep in run_suite("growth-ball", small_config(truncation=truncation))
+              if rep.check.startswith("closed-form-")]
+    assert len(closed) == 6 and all(rep.data["N"] == truncation for rep in closed)
+
+
+# the records whose subject is the truncated series itself
+_SERIES_RECORDS = ("closed-form-", "stem-koebe-coefficients", "stem-star-inverse",
+                   "stem-tail-monotone")
 
 
 @pytest.mark.parametrize("shards", [1, 3])
 def test_truncation_moves_only_the_closed_form_records(shards):
-    # growth and sharpness records read the map alone: their bytes are the
-    # same at every truncation, and only the closed-form-* records, which
-    # compare the map with its reference series, may differ
-    def growth_bytes(truncation):
-        reports = [rep for suite in ("growth-ball", "growth-domain")
-                   for rep in run_suite(suite, small_config(truncation=truncation,
-                                                            shards=shards))]
-        assert any(rep.check.startswith("closed-form-") for rep in reports)
+    # every other record of every suite reads closed-form maps or stems of
+    # its own: its bytes are the same at every truncation, and only the
+    # records of the series, closed-form-* and three stem records, may differ
+    def other_bytes(truncation):
+        reports = run_suite("all", small_config(truncation=truncation, shards=shards))
+        assert sum(rep.check.startswith(_SERIES_RECORDS) for rep in reports) == 9
         return render([rep for rep in reports
-                       if not rep.check.startswith("closed-form-")], "json")
-    reference = growth_bytes(300)
+                       if not rep.check.startswith(_SERIES_RECORDS)], "json")
+    reference = other_bytes(300)
     assert '"N"' not in reference and '"tail_bound"' not in reference
     for truncation in (1, 40):
-        assert growth_bytes(truncation) == reference, truncation
+        assert other_bytes(truncation) == reference, truncation
 
 
 def test_koebe_is_asserted_at_truncation_one(tmp_path):

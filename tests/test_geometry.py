@@ -34,7 +34,6 @@ from slicegrowth.series import (
     coefficient_gap,
     extremal_series,
     extremal_tail,
-    identity_map,
 )
 from slicegrowth.slicemaps import (
     ComplexSeries,
@@ -61,18 +60,18 @@ def _orbit(alpha, beta):
     return np.array([[alpha], [beta]], dtype=np.float64)
 
 
-def test_profile_real_orbit_is_constant():
-    f = SliceMap(identity_map(3, 2))
+def test_profile_real_orbit_is_constant(identity_stem):
+    f = SliceMap(identity_stem(3, 2))
     o = _orbit([0.4, -0.7], [0.0, 0.0])
     rep = verify_extremal(f, *o, E1_3, 50, np.random.default_rng(0))
     assert rep.data["c1"] == pytest.approx(0.0, abs=1e-14)
     assert rep.data["endpoint_max"] == pytest.approx(rep.data["endpoint_min"], abs=1e-14)
 
 
-def test_profile_identity_has_no_slope():
+def test_profile_identity_has_no_slope(identity_stem):
     # B/A ratios are real for the identity, so the norm is J-independent
     rng = np.random.default_rng(0)
-    f = SliceMap(identity_map(3, 2))
+    f = SliceMap(identity_stem(3, 2))
     o = _orbit([0.3, -0.5], [0.6, 0.2])
     rep = verify_extremal(f, *o, E1_3, 50, rng)
     assert abs(rep.data["c1"]) < 1e-14
@@ -367,8 +366,9 @@ def _agreement(maps, p, thetas, gap_p, seed):
     e1 = generator(3, 1)
     stems = [extremal_series(p, theta, e1, 300, 2) for theta in thetas]
     gap = max(coefficient_gap(stem, gap_p, theta, e1) for stem, theta in zip(stems, thetas))
-    return closed_form_agreement(maps, stems, thetas, gap, extremal_tail(p, 2, 300)(0.9),
-                                 0.9, 300, np.random.default_rng(seed))
+    return closed_form_agreement(maps, stems, thetas, 300, gap,
+                                 extremal_tail(p, 2, 300)(0.9), 0.9, 300,
+                                 np.random.default_rng(seed))
 
 
 def test_closed_form_agreement_negative_controls():
@@ -397,17 +397,17 @@ def test_closed_form_agreement_compares_every_map_at_one_point_set():
     rep = _agreement(maps, 2, thetas, 2, 15)
     assert rep.passed and rep.samples == 900, rep.data
     draws = np.random.default_rng(15)
-    closed_form_agreement(maps[:1], [extremal_series(2, 0.0, e1, 300, 2)], [0.0],
+    closed_form_agreement(maps[:1], [extremal_series(2, 0.0, e1, 300, 2)], [0.0], 300,
                           0.0, 0.0, 0.9, 300, draws)
     after_three = np.random.default_rng(15)
     closed_form_agreement(maps, [extremal_series(2, t, e1, 300, 2) for t in thetas],
-                          thetas, 0.0, 0.0, 0.9, 300, after_three)
+                          thetas, 300, 0.0, 0.0, 0.9, 300, after_three)
     assert draws.random() == after_three.random()
     # the reference series of one record must share their exponent rows
     with pytest.raises(DimensionError):
         closed_form_agreement(maps[:2], [extremal_series(2, 0.0, e1, 300, 2),
                                          extremal_series(2, 0.7, e1, 299, 2)],
-                              thetas[:2], 0.0, 0.0, 0.9, 10, np.random.default_rng(0))
+                              thetas[:2], 300, 0.0, 0.0, 0.9, 10, np.random.default_rng(0))
 
 
 def _nan_first_row(f):
@@ -425,10 +425,10 @@ def test_a_nan_row_fails_the_closed_form_and_sharpness_records():
         f = extremal_map(p, 0.0, e1, 2)
         stems = [extremal_series(p, 0.0, e1, 300, 2)]
         tail = extremal_tail(p, 2, 300)(0.9)
-        good = closed_form_agreement([f], stems, [0.0], 0.0, tail, 0.9, 50,
+        good = closed_form_agreement([f], stems, [0.0], 300, 0.0, tail, 0.9, 50,
                                      np.random.default_rng(1))
-        bad = closed_form_agreement([_nan_first_row(f)], stems, [0.0], 0.0, tail, 0.9, 50,
-                                    np.random.default_rng(1))
+        bad = closed_form_agreement([_nan_first_row(f)], stems, [0.0], 300, 0.0, tail, 0.9,
+                                    50, np.random.default_rng(1))
         assert good.passed and not bad.passed, (good.data, bad.data)
         assert np.isnan(bad.data["value_gap"]) and np.isnan(bad.data["max_error"])
         assert sharpness_axis(f, family, (0.1, 0.5, 0.9)).passed

@@ -15,7 +15,6 @@ from slicegrowth.series import (
     cr_residual,
     extremal_series,
     extremal_tail,
-    identity_map,
     power_sum,
     star_inverse,
     star_mul,
@@ -54,8 +53,8 @@ def test_eval_square_at_i():
     assert np.array_equal(f2[0], np.zeros(1 << m))
 
 
-def test_coefficient_rejects_a_multi_index_of_the_wrong_length():
-    stem = identity_map(2, 2)
+def test_coefficient_rejects_a_multi_index_of_the_wrong_length(identity_stem):
+    stem = identity_stem(2, 2)
     for k in ((1,), (1, 0, 0), 1):
         with pytest.raises(DimensionError):
             stem.coefficient(k)
@@ -65,8 +64,8 @@ def test_coefficient_rejects_a_multi_index_of_the_wrong_length():
     assert np.array_equal(stem.coefficient((3, 0)), np.zeros((2, 4)))
 
 
-def test_coefficient_is_a_copy():
-    stem = identity_map(2, 2)
+def test_coefficient_is_a_copy(identity_stem):
+    stem = identity_stem(2, 2)
     rows = stem.coefficient((1, 0))
     rows[0, 0] = 5.0
     assert stem.coefficient((1, 0))[0, 0] == 1.0
@@ -96,8 +95,8 @@ def test_derivative_matches_finite_differences():
     np.testing.assert_allclose(fd, exact, atol=1e-8)
 
 
-def test_derivative_of_monomials():
-    stem = identity_map(2, 2)
+def test_derivative_of_monomials(identity_stem):
+    stem = identity_stem(2, 2)
     d = stem.derivative(0)
     assert np.array_equal(d.coefficient((0, 0)), [[1.0, 0, 0, 0], [0, 0, 0, 0]])
 

@@ -12,7 +12,6 @@ from slicegrowth.series import (
     coefficient_gap,
     cr_residual,
     extremal_series,
-    identity_map,
 )
 from slicegrowth.slicemaps import (
     ComplexSeries,
@@ -50,15 +49,18 @@ def _rand_map(rng, m=3, n=2, degree=5, terms=8):
     return SliceMap(StemSeries(m, n, table))
 
 
-def test_identity_map_evaluates_to_embedding():
-    # the identity map's values are the points' own rows alpha_t + beta_t J
-    f = SliceMap(identity_map(3, 2))
+def test_identity_map_evaluates_to_embedding(identity_stem):
+    # the identity map's values are the points' own rows alpha_t + beta_t J,
+    # from the stem F(z) = z and from the extremal map of p = 0 at any theta
     rng = np.random.default_rng(0)
     alpha, beta = rng.uniform(-1, 1, (2, 20, 2))
     J = sample_S_batch(rng, 3, 20)
     expected = beta[:, :, None] * J[:, None, :]
     expected[:, :, 0] += alpha
-    assert np.max(np.abs(f.eval_arrays(alpha, beta, J) - expected)) < 1e-14
+    e1 = generator(3, 1)
+    for f in (SliceMap(identity_stem(3, 2)), extremal_map(0, 0.0, e1, 2),
+              extremal_map(0, 0.7, e1, 2)):
+        assert np.max(np.abs(f.eval_arrays(alpha, beta, J) - expected)) < 1e-14
 
 
 def test_well_definedness_is_exact():
@@ -184,7 +186,7 @@ def test_evaluators_take_row_batches_only():
                 f.stem_arrays(alpha, beta)
 
 
-@pytest.mark.parametrize("p", [2, 1, -1])
+@pytest.mark.parametrize("p", [2, 1, 0, -1])
 def test_closed_form_values_match_the_generic_product(p):
     # ShadowMap.eval_arrays sums J F2 as P.im J + Q.im (J I); the generic
     # path multiplies J by F2 = P.im + Q.im I through mul_batch

@@ -95,7 +95,6 @@ def test_anticommuting_unit_families():
         np.array([0.0, 0.6, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0]),   # 0.6 e1 + 0.8 e3
         blade(2, (1, 2)),
         np.array([0.0, 0.6, 0.0, 0.8]),   # 0.6 e1 + 0.8 e12: e2 serves
-        np.array([0.0, 0.48, 0.64, 0.6]),  # 0.48 e1 + 0.64 e2 + 0.6 e12: drawn at m = 2
         0.6 * blade(3, (1, 2)) + 0.8 * blade(3, (1, 3)),   # e1 serves
     ]
     for c in cases:
@@ -108,8 +107,10 @@ def test_anticommuting_unit_families():
         # the u-sweep stays on the sphere of roots of -1
         for u in (-1.0, -0.4, 0.0, 0.8, 1.0):
             assert in_sqrt_minus_one(u * c + np.sqrt(1 - u ** 2) * d, 1e-9)
-    with pytest.raises(SamplingError):
-        anticommuting_unit(generator(1, 1), rng)
+    # no generator serves 0.48 e1 + 0.64 e2 + 0.6 e12, a root of -1 at m = 2
+    for c in (generator(1, 1), np.array([0.0, 0.48, 0.64, 0.6])):
+        with pytest.raises(SamplingError):
+            anticommuting_unit(c, rng)
 
 
 def test_anticommuting_unit_rejects_other_directions():

@@ -194,14 +194,14 @@ def test_a_stubbed_check_leaves_the_other_records(suite, layer, index, check, mo
 def test_an_extremal_record_evaluates_its_map_once_per_shard(shards, monkeypatch):
     # the endpoints +-I, the sampled J and the u-sweep share one call
     calls = itertools.count()
-    real = slicemaps.SliceMap.eval_arrays
+    real = slicemaps.ShadowMap.eval_arrays
 
     def counted(self, *args):
         next(calls)
         return real(self, *args)
 
     monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)  # counts in process
-    monkeypatch.setattr(slicemaps.SliceMap, "eval_arrays", counted)
+    monkeypatch.setattr(slicemaps.ShadowMap, "eval_arrays", counted)
     reports = run_suite("extremal", RunConfig(samples=30, seed=5, shards=shards))
     assert len(reports) == 10 and all(rep.passed for rep in reports)
     assert next(calls) == len(reports) * shards
