@@ -30,17 +30,20 @@ time, so a block holds one map's rows), and the algebra suite checks a
 shard's cases _BLOCK at a time; no report depends on the block size.
 
 run_suite(name, cfg) lists the declared checks of the requested suites
-in report order as (suite, index) tasks.  A fork-context pool of
-min(tasks, usable CPUs) workers maps them when that is 2 or more, and a
+in report order as (suite, index) tasks.  min(tasks, usable CPUs)
+forked workers run them when that is 2 or more (_run_forked), and a
 loop runs them in process otherwise (one task, one usable CPU or no
 os.sched_getaffinity).  Both run a task through _run_task, which
 declares its suite again where it runs, so that a forked worker runs
 what SUITES held at the fork.  No check's numbers depend on the process
 that runs it or on what ran before it, so both give the same bytes.
-multiprocessing is imported only for the pool, and numpy.random, which
-each worker would otherwise import at its first draw, is imported with
-it before the fork: the workers then share its pages with the parent,
-and the largest worker of `verify all` peaks about 4.7 MB lower.  Import
+The workers take task indices from one pipe and send each task's index,
+then its records, down pipes of their own; the parent reads those to EOF
+and reaps every worker.  A task whose worker died running it becomes its
+<name>-error record, with that exit status.  numpy.random, which
+each worker would otherwise import at its first draw, is imported
+before the fork: the workers then share its pages with the parent, and
+the largest worker of `verify all` peaks about 4.7 MB lower.  Import
 and serial runs leave numpy.random unloaded until a check draws.
 
 The growth suites read one table, GROWTH_MAPS: each GrowthMap gives a
@@ -64,8 +67,11 @@ stem-koebe-coefficients, stem-star-inverse and stem-tail-monotone.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import os
+import pickle
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -852,6 +858,77 @@ def suite_tasks(name: str, cfg: RunConfig) -> list[tuple[str, int]]:
             for index in range(len(SUITES[suite](cfg)))]
 
 
+def _worker(cfg: RunConfig, tasks, queue: int, out: int, inherited) -> None:
+    """A forked worker: for each 4-byte index it takes from the pipe queue,
+    it pickles the index and then that task's records to the pipe out."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with os.fdopen(out, "wb") as fh:
+            while index := os.read(queue, 4):
+                i = int.from_bytes(index, "little")
+                pickle.dump(i, fh)
+                fh.flush()
+                pickle.dump(_run_task(cfg, tasks[i]), fh)
+                fh.flush()
+        status = 0
+    except BaseException:  # a forked copy of the caller must not unwind: its status tells
+        import traceback
+        traceback.print_exc()
+    finally:
+        sys.stderr.flush()
+        os._exit(status)
+
+
+def _run_forked(cfg: RunConfig, tasks, workers: int) -> list[list[Report]]:
+    """The records of each task, run on `workers` forked workers (_worker).
+    A task that no worker returned becomes <check>-error, with the exit
+    status of the worker that died running it."""
+    queue, fill = os.pipe()  # a 64 KiB pipe holds 16,384 tasks, all in before a fork
+    os.write(fill, b"".join(i.to_bytes(4, "little") for i in range(len(tasks))))
+    os.close(fill)
+    sys.stderr.flush()  # or a worker writes what it holds of it again
+    pipes = {}
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                _worker(cfg, tasks, queue, write, [read, *(fh.fileno() for fh in pipes.values())])
+            os.close(write)
+            pipes[pid] = os.fdopen(read, "rb")
+        # one pipe holds all of `verify all` (31 KB): none fills while another is read
+        streams = {pid: fh.read() for pid, fh in pipes.items()}
+    except BaseException:
+        import signal
+        for pid in pipes:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pipes}
+        for fh in pipes.values():
+            fh.close()
+        os.close(queue)
+
+    def lost(i, error):
+        suite, index = tasks[i]
+        return [Report(f"{SUITES[suite](cfg)[index].name}-error", False, 0,
+                       {"error": f"WorkerExit: {error}"})]
+
+    parts = [None] * len(tasks)
+    for pid, stream in streams.items():
+        messages = io.BytesIO(stream)
+        while messages.tell() < len(stream):
+            running = pickle.load(messages)
+            try:
+                parts[running] = pickle.load(messages)
+            except (EOFError, pickle.UnpicklingError):  # its worker died running it
+                parts[running] = lost(running, "the worker running it exited with status "
+                                               f"{statuses[pid]}")
+    return [lost(i, "every worker exited before it ran") if part is None else part
+            for i, part in enumerate(parts)]
+
+
 def run_suite(name: str, cfg: RunConfig) -> list[Report]:
     cfg.validate()
     tasks = suite_tasks(name, cfg)
@@ -859,13 +936,8 @@ def run_suite(name: str, cfg: RunConfig) -> list[Report]:
     if workers < 2:
         parts = [_run_task(cfg, task) for task in tasks]
     else:
-        # loaded here, not at import: one-task runs never pay for them.
         # numpy.random (with secrets, hashlib and OpenSSL) loads before the
         # fork, so the workers share its pages instead of each loading it
-        import multiprocessing
         import numpy.random
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(functools.partial(_run_task, cfg), tasks, chunksize=1)
-            pool.close()
-            pool.join()
+        parts = _run_forked(cfg, tasks, workers)
     return [rep for part in parts for rep in part]

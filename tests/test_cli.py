@@ -792,10 +792,72 @@ def test_pooled_suite_fails_a_check_error_as_the_serial_run_does(monkeypatch):
     assert render(run_suite("algebra", small_config(m=3)), "json") == render(pooled, "json")
 
 
+@pytest.mark.parametrize("death, status", [
+    ("os.kill(os.getpid(), signal.SIGKILL)", -9), ("os._exit(3)", 3)])
+def test_a_dead_worker_fails_its_check_and_the_run_goes_on(death, status, tmp_path):
+    # a worker that dies inside a check, where no exception can be caught,
+    # fails that check's one record with the worker's exit status; the
+    # other records keep their bytes, the report is written, the run exits
+    # 1 and leaves no child behind.  The run must not wait for the lost task
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = (
+        "import os, signal, sys\n"
+        "from slicegrowth import cli, series, suites\n"
+        "suites._usable_cpus = lambda: 2\n"
+        "def die(stem, key):\n"
+        f"    {death}\n"
+        "if sys.argv[1] == 'broken':\n"
+        "    series.StemSeries.coefficient = die\n"
+        "try:\n"
+        "    cli.main(['verify', 'all', '--samples', '40', '--truncation', '40',\n"
+        "              '--quiet', '--out', sys.argv[2]], standalone_mode=False)\n"
+        "    code = 0\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+        "print(code)")
+    outcomes = {}
+    for run in ("clean", "broken"):
+        result = subprocess.run([sys.executable, "-c", script, run, str(tmp_path / run)],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outcomes[run] = result.stdout.split("\n")[:2]
+    assert outcomes == {"clean": ["no child left", "0"], "broken": ["no child left", "1"]}
+    clean, broken = (json.loads((tmp_path / run).read_text()) for run in ("clean", "broken"))
+    failed = [i for i, rec in enumerate(clean) if rec["check"] == "stem-koebe-coefficients"]
+    assert len(broken) == len(clean) and len(failed) == 1
+    assert broken[failed[0]] == {
+        "check": "stem-koebe-coefficients-error",
+        "error": f"WorkerExit: the worker running it exited with status {status}",
+        "samples": 0, "pass": False}
+    del clean[failed[0]], broken[failed[0]]
+    assert json.dumps(broken) == json.dumps(clean)
+
+
+def test_checks_left_when_every_worker_died_fail_as_never_run(monkeypatch):
+    # both workers die in their first check: those two fail with the exit
+    # status, and the four checks no worker took fail as never run
+    monkeypatch.setattr(suites_mod, "_run_task", lambda cfg, task: os._exit(5))
+    monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 2)
+    reports = run_suite("stem", small_config())
+    assert [rep.check for rep in reports] == [f"{check.name}-error"
+                                              for check in suites_mod.stem_checks(small_config())]
+    assert Counter(rep.data["error"] for rep in reports) == {
+        "WorkerExit: the worker running it exited with status 5": 2,
+        "WorkerExit: every worker exited before it ran": 4}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_cli_import_does_not_load_multiprocessing():
-    # the pool is imported only by runs of two or more checks, so
-    # interpreter start-up and one-check suites (representation) do not
-    # pay for it
+    # no run imports multiprocessing: neither interpreter start-up nor a
+    # one-check suite (representation) pays for it, and a run of several
+    # checks forks its workers itself
+    # (test_pooled_workers_load_no_module_the_parent_lacks)
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     result = subprocess.run(
@@ -826,7 +888,8 @@ def test_cli_import_does_not_load_numpy_random():
 def test_pooled_workers_load_no_module_the_parent_lacks(tmp_path):
     # the parent imports what the checks load before the pool forks, so
     # the workers share those pages instead of each loading its own copy.
-    # Each worker writes its sys.modules after every task it runs
+    # Each worker writes its sys.modules after every task it runs.  The
+    # parent loads no multiprocessing and has reaped every worker
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     result = subprocess.run(
@@ -841,11 +904,17 @@ def test_pooled_workers_load_no_module_the_parent_lacks(tmp_path):
          "    return reports\n"
          "suites._run_task = recording\n"
          "suites.run_suite('all', suites.RunConfig(samples=20, truncation=20))\n"
+         "try:\n"
+         "    os.waitpid(-1, os.WNOHANG)\n"
+         "except ChildProcessError:\n"
+         "    print('no-child-left')\n"
          "print('\\n'.join(sys.modules))",
          str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    parent = set(result.stdout.split())
+    reaped, *names = result.stdout.split()
+    parent = set(names)
+    assert reaped == "no-child-left" and "multiprocessing" not in parent
     workers = {path.name: set(path.read_text().split()) for path in tmp_path.iterdir()}
     assert len(workers) >= 2 and str(os.getpid()) not in workers
     assert {pid: sorted(modules - parent) for pid, modules in workers.items()} == \
