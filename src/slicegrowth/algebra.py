@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -226,13 +226,14 @@ def conj_batch(m: int, a: np.ndarray) -> np.ndarray:
     return a * _tables(m).conj_sign
 
 
-def left_matrix_batch(m: int, a: np.ndarray) -> np.ndarray:
+def left_matrix_batch(m: int, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Stack of left-multiplication matrices L with (x*y) = L @ y for the
-    rows x of a, shape (B, dim, dim), from the sign table.  Each matrix is
-    C-contiguous, so a row's operator and products have the bits it has
-    alone."""
+    rows x of a, shape (B, dim, dim), from the sign table, built in out if
+    given.  Each matrix is C-contiguous, so a row's operator and products
+    have the bits it has alone."""
     t = _tables(m)
-    return np.take(a, t.xor_mat, axis=1) * t.left_sign
+    return np.multiply(np.take(a, t.xor_mat, axis=1, out=out, mode="clip"), t.left_sign,
+                       out=out)
 
 
 def singular_values_batch(m: int, a: np.ndarray) -> np.ndarray:

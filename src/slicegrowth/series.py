@@ -50,12 +50,13 @@ from .algebra import (
 )
 from .errors import DimensionError, NonInvertibleError
 
-# rows per power_sum block.  A block's powers up to exponent e take
-# (e + 1) n 256 complex numbers, 2.5 MB at n = 2 and e = 301 (the N = 300
-# maps), and its K monomials K 256 more (2.4 MB at K = 600): about the
-# 4 MB L2 cache of the 2-vCPU Xeon they were timed on.  There, 4,096 rows
-# of the N = 300 Koebe map took 35 ms in blocks of 256 and 53 ms in
-# blocks of 2,048, and of a mixed table of 595 monomials 16 and 45 ms.
+# rows per power_sum block, at most.  On the 2-vCPU Xeon they were timed
+# on, 4,096 rows of the N = 300 Koebe map took 35 ms in blocks of 256 and
+# 53 ms in blocks of 2,048, and of a mixed table of 595 monomials 16 and
+# 45 ms.  A block's powers up to exponent e take (e + 1) n complex numbers
+# per row and its K monomials K more: a long series takes fewer rows, so
+# that the two tables hold at most 2**16 numbers (1 MB), 54 rows for the
+# N = 300 maps at n = 2 (e = 301, K = 600), where 256 rows took 5 MB
 _EVAL_CHUNK = 256
 
 
@@ -157,9 +158,11 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
     """The one power-series evaluator: sum_k z^k coeffs[k] at each row of z.
 
     kmat: (K, n) exponents; coeffs: (K, C) real or complex; z: (B, n)
-    complex.  Returns (B, C) complex.  The rows of z go in blocks of
-    _EVAL_CHUNK; a block's powers z_t^e are built once, by cumulative
-    products, into a table whose row e n + t holds z_t^e (row t is 1).
+    complex.  Returns (B, C) complex.  The rows of z go in blocks of at
+    most _EVAL_CHUNK, fewer for a long series, whose two tables then hold
+    at most 2**16 numbers; a block's powers z_t^e are built once, by
+    cumulative products, into a table whose row e n + t holds z_t^e (row
+    t is 1).
     The (K, block) monomial table starts as one take from that whole
     table: each row's power of its first variable with a nonzero
     exponent (1 for a constant row).  Each later variable that some row
@@ -183,7 +186,8 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
     top = int(kmat.max(initial=0))
     real = not np.iscomplexobj(coeffs)
     out = np.empty((B, coeffs.shape[1]), dtype=np.complex128)
-    width = min(B, _EVAL_CHUNK)
+    step = max(1, min(_EVAL_CHUNK, (1 << 16) // (len(kmat) + (top + 1) * n)))
+    width = min(B, step)
     powers = np.empty((top + 1, n, width), dtype=np.complex128)
     powers[0] = 1.0
     table = powers.reshape((top + 1) * n, width)
@@ -194,8 +198,8 @@ def power_sum(kmat: np.ndarray, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray
     needed = [t for t in range(1, n) if later[:, t].any()]
     monomials = np.empty((len(kmat), width), dtype=np.complex128)
     factors = np.empty_like(monomials) if needed else None
-    for lo in range(0, B, _EVAL_CHUNK):
-        zc = z[lo:lo + _EVAL_CHUNK].T
+    for lo in range(0, B, step):
+        zc = z[lo:lo + step].T
         pw, w = powers[..., :zc.shape[1]], monomials[:, :zc.shape[1]]
         for prev, cur in zip(pw[:-1], pw[1:]):
             np.multiply(prev, zc, out=cur)

@@ -26,8 +26,11 @@ redraws rejected cases in bulk.  Slice maps are evaluated on coefficient
 rows (SliceMap.eval_arrays); the representation and regularity suites
 expand their J rows (slicespace.unit_rows) and evaluate their cases in
 blocks of _BLOCK (representation takes each map's own cases _BLOCK at a
-time, so a block holds one map's rows), and the algebra suite checks a
-shard's cases _BLOCK at a time; no report depends on the block size.
+time, so a block holds one map's rows).  The algebra suite draws and
+checks a shard's cases block by block, at most 128 KB per case array,
+each block where whole draws would put it (_algebra_case_errors), so its
+working set does not grow with its budget; the other suites' case
+arrays do.  No report depends on the block size.
 
 run_suite(name, cfg) lists the declared checks of the requested suites
 in report order as (suite, index) tasks.  min(tasks, usable CPUs)
@@ -66,6 +69,7 @@ stem-koebe-coefficients, stem-star-inverse and stem-tail-monotone.
 
 from __future__ import annotations
 
+import copy
 import functools
 import io
 import math
@@ -113,7 +117,9 @@ MAX_SHARDS = 64
 
 _GROWTH_THETAS = (0.0, 0.7, np.pi / 2)  # the growth suites' theta sweep without --theta
 _SHARP_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-# cases per batched evaluation or algebra check: no temporary grows with the budget
+# cases per batched evaluation or algebra check (fewer from m = 6 up, where
+# an algebra block holds at most 128 KB per case array): no evaluation
+# temporary grows with the budget
 _BLOCK = 512
 
 
@@ -299,22 +305,22 @@ def _re_z1_control(m: int, n: int) -> slicemaps.ShadowMap:
 _INVERSE_MULTIPLE = 2
 
 
-def _inverse_errors(m: int, a: np.ndarray, inv: np.ndarray):
+def _inverse_errors(m: int, a: np.ndarray, inv: np.ndarray, ops: np.ndarray):
     """(normwise backward error, raw residual) of the inverse rows inv of
     the rows a: the largest |a a^{-1} - 1|_max / (|a|_2 |a^{-1}|_2)
-    (Higham 2002, section 7.1) and the largest |a a^{-1} - 1|_max.
+    (Higham 2002, section 7.1) and the largest |a a^{-1} - 1|_max.  The
+    operators of len(ops) rows at a time are built in the workspace ops.
 
     The product goes through the sign-table operator, not through the
     spinor kernel that invert_batch and mul_batch share, so a fault in
     that kernel cannot cancel in the check.  Each residual coefficient is
     a dot product of length dim, which adds at most gamma_dim |a| |a^-1|
     (Cauchy-Schwarz) to the inverse's own backward error."""
-    dim = 1 << m
     resid = np.empty_like(a)
-    chunk = max(1, (1 << 16) // (dim * dim))  # ~512 KB of operators stays in cache
+    chunk = len(ops)
     for lo in range(0, len(a), chunk):
         hi = min(lo + chunk, len(a))
-        ls = algebra.left_matrix_batch(m, a[lo:hi])
+        ls = algebra.left_matrix_batch(m, a[lo:hi], out=ops[:hi - lo])
         resid[lo:hi] = np.matmul(ls, inv[lo:hi, :, None])[..., 0]
     resid[:, 0] -= 1.0
     raw = np.max(np.abs(resid), axis=1)
@@ -333,9 +339,11 @@ def _anticommutation_error(m: int) -> float:
     return float(np.max(np.abs(sums)))
 
 
-def _algebra_block_errors(m: int, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+def _algebra_block_errors(m: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                          ops: np.ndarray):
     """(associativity, anti_automorphism, involution, inverse_identity,
-    inverse_residual) over the rows of the cases a, b, c."""
+    inverse_residual) over the rows of the cases a, b, c, with the
+    workspace ops of _inverse_errors."""
     ab = algebra.mul_batch(m, a, b)
     bc = algebra.mul_batch(m, b, c)
     assoc = algebra.mul_batch(m, ab, c) - algebra.mul_batch(m, a, bc)
@@ -350,23 +358,47 @@ def _algebra_block_errors(m: int, a: np.ndarray, b: np.ndarray, c: np.ndarray):
 
     invol_err = float(np.max(np.abs(algebra.conj_batch(m, algebra.conj_batch(m, a)) - a)))
     return (assoc_err, anti_err, invol_err,
-            *_inverse_errors(m, a, algebra.invert_batch(m, a)))
+            *_inverse_errors(m, a, algebra.invert_batch(m, a), ops))
+
+
+def _algebra_case_errors(m: int, count: int, rng) -> np.ndarray:
+    """The errors of _algebra_block_errors, maxima over count sampled cases.
+
+    The cases a, b and c are those of three whole draws from rng,
+    uniform(-1, 1, (count, dim)) each, checked in blocks of
+    min(_BLOCK, 2**14 / dim) rows, 128 KB per case array.  Each block is
+    drawn where those draws put it: PCG64 spends one 64-bit word per
+    double, so a copy of rng advanced by (k count + lo) dim words yields
+    rows lo.. of array k.  rng then advances past all three, as the whole
+    draws would.  The blocks and the inverse check's operators (about
+    512 KB, which stays in cache) are built in workspaces that every
+    block reuses.  Every error is a maximum over rows, so none depends on
+    the block size."""
+    dim = 1 << m
+    rows = min(_BLOCK, (1 << 14) // dim)
+    streams = [np.random.Generator(copy.deepcopy(rng.bit_generator).advance(k * count * dim))
+               for k in range(3)]
+    blocks = np.empty((3, rows, dim))
+    ops = np.empty((max(1, (1 << 16) // (dim * dim)), dim, dim))
+    worst = np.zeros(5)
+    for lo in range(0, count, rows):
+        cases = blocks[:, :min(rows, count - lo)]
+        for stream, case in zip(streams, cases):
+            stream.random(out=case)
+        cases *= 2.0
+        cases -= 1.0    # -1 + 2U: the bits of uniform(-1, 1)
+        worst = np.maximum(worst, _algebra_block_errors(m, *cases, ops))
+    rng.bit_generator.advance(3 * count * dim)
+    return worst
 
 
 def _algebra_shard(m: int, pair_err: float, count: int, rng) -> Report:
-    """One algebra record from count sampled cases, with the m-wide
-    anticommutation error pair_err (_anticommutation_error) folded in.
-    The cases are drawn whole and checked _BLOCK at a time; every error is
-    a maximum over rows, so no field depends on the block size."""
+    """One algebra record from count sampled cases (_algebra_case_errors,
+    whose workspaces are freed before the roots draw), with the m-wide
+    anticommutation error pair_err (_anticommutation_error) folded in."""
     dim = 1 << m
-    a = rng.uniform(-1.0, 1.0, size=(count, dim))
-    b = rng.uniform(-1.0, 1.0, size=(count, dim))
-    c = rng.uniform(-1.0, 1.0, size=(count, dim))
-    worst = np.zeros(5)
-    for lo in range(0, count, _BLOCK):
-        worst = np.maximum(worst, _algebra_block_errors(
-            m, a[lo:lo + _BLOCK], b[lo:lo + _BLOCK], c[lo:lo + _BLOCK]))
-    assoc_err, anti_err, invol_err, inv_err, inv_resid = map(float, worst)
+    assoc_err, anti_err, invol_err, inv_err, inv_resid = map(
+        float, _algebra_case_errors(m, count, rng))
 
     # sampled roots of -1 square to -1
     roots = slicespace.sample_S_batch(rng, m, min(count, 2000))

@@ -225,6 +225,17 @@ def test_block_singular_values_match_the_left_operator():
         np.testing.assert_allclose(repeated, dense, rtol=1e-12)
 
 
+def test_left_operators_built_in_a_workspace_keep_their_bits():
+    # the algebra suite builds the inverse check's operators in one
+    # workspace per shard, over whatever the last block left there
+    rng = np.random.default_rng(10)
+    for m in range(1, 9):
+        a = rng.uniform(-1, 1, size=(5, 1 << m))
+        ops = np.full((5, 1 << m, 1 << m), np.nan)
+        assert left_matrix_batch(m, a, out=ops) is ops, m
+        assert ops.tobytes() == left_matrix_batch(m, a).tobytes(), m
+
+
 def test_batched_kernels_give_each_row_its_own_bits():
     rng = np.random.default_rng(21)
     for m in range(1, 9):

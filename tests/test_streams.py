@@ -3,6 +3,7 @@ these tests hold the draws to their contract and each check to its own
 stream, the reports to independence from the evaluation block size, and
 the blocked suites' working sets to a bound."""
 
+import copy
 import itertools
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from slicegrowth.algebra import generator
 from slicegrowth.cli import main
 from slicegrowth.geometry import Gauge, gauge_properties_check, growth_check_domain
 from slicegrowth.reports import Report, render
+from slicegrowth.series import extremal_series, power_sum, side_by_side
 from slicegrowth.slicemaps import extremal_map
 from slicegrowth.slicespace import unit_rows
 from slicegrowth.suites import RunConfig, _random_stem, _representation_cases, _rng, \
@@ -223,6 +225,43 @@ def test_reports_do_not_depend_on_the_block_size(suite, monkeypatch):
         assert reports[0] == reports[1] == reports[2], seed
 
 
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("m, total", [(1, 2100), (5, 3400), (6, 1700), (8, 300)])
+def test_streamed_algebra_draws_equal_whole_draws(m, total, shards, monkeypatch):
+    # each shard leaves a short last block (512 rows up to m = 5, 256 at
+    # m = 6, 64 at m = 8); the blocks concatenate to the whole draws of a,
+    # b and c bit for bit, and the roots draw starts where it started
+    # after them, so the generator ends where the whole draws leave it
+    dim = 1 << m
+    rows = min(suites._BLOCK, (1 << 14) // dim)
+    blocks, roots_state = [], []
+    sample_roots = suites.slicespace.sample_S_batch
+
+    def recorded(m, a, b, c, ops):
+        assert len(a) <= rows
+        blocks.append(np.stack([a, b, c]))
+        return np.zeros(5)
+
+    def roots(rng, *args):
+        roots_state.append(rng.bit_generator.state)
+        return sample_roots(rng, *args)
+
+    monkeypatch.setattr(suites, "_algebra_block_errors", recorded)
+    monkeypatch.setattr(suites.slicespace, "sample_S_batch", roots)
+    for shard, count in enumerate(_shard_sizes(total, shards)):
+        assert count % rows, count
+        rng = _rng(RunConfig(), "algebra", shard, m)
+        whole = np.random.Generator(copy.deepcopy(rng.bit_generator))
+        blocks.clear()
+        roots_state.clear()
+        suites._algebra_shard(m, 0.0, count, rng)
+        expected = np.stack([whole.uniform(-1.0, 1.0, size=(count, dim)) for _ in range(3)])
+        assert same_bits(np.concatenate(blocks, axis=1), expected), (m, count)
+        assert roots_state == [whole.bit_generator.state]
+        sample_roots(whole, m, min(count, 2000))
+        assert rng.bit_generator.state == whole.bit_generator.state
+
+
 def traced_peak(run) -> int:
     tracemalloc.start()
     try:
@@ -233,13 +272,35 @@ def traced_peak(run) -> int:
 
 
 def test_working_sets_stay_bounded():
-    # an m = 5 algebra shard holds its three case arrays (7.7 MB) and one
-    # block of checks (12 MB in all); a 10,000-sample polydisc growth record
-    # holds its samples and values (7 MB).  Evaluated whole, with operands
-    # copied to the full shape, they peaked at about 39 and 18 MB
-    rng = np.random.default_rng(5)
-    shard = traced_peak(lambda: suites._algebra_shard(5, 0.0, 10_000, rng))
-    assert shard < 20e6, shard
+    # an algebra shard draws its cases block by block, 128 KB per case
+    # array, into one buffer, and builds the inverse check's operators in
+    # one 512 KB workspace: at m = 5 it held 2.0 MiB from 2,000 cases up
+    # (drawn whole, 3.9 MiB at 2,000 cases, 9.8 at 10,000 and 17.1 at
+    # 20,000), and at m = 8 2.0 MiB for 200 cases (5.4 drawn whole).
+    # Each shard here runs after the algebra tables are built
+    MiB = 1 << 20
+    suites._algebra_shard(5, 0.0, 10, np.random.default_rng(4))
+    suites._algebra_shard(8, 0.0, 10, np.random.default_rng(4))
+    small, large = (traced_peak(lambda: suites._algebra_shard(
+        5, 0.0, count, np.random.default_rng(5))) for count in (2_000, 20_000))
+    assert large - small < 0.5 * MiB, (small, large)
+    shard = traced_peak(lambda: suites._algebra_shard(5, 0.0, 10_000, np.random.default_rng(5)))
+    assert shard < 3 * MiB, shard
+    shard = traced_peak(lambda: suites._algebra_shard(8, 0.0, 200, np.random.default_rng(5)))
+    assert shard < 3 * MiB, shard
+    # power_sum's two tables hold at most 2**16 numbers (1 MiB): 54 rows of
+    # the side-by-side N = 300 Koebe stems, 1.8 MiB with the 0.7 MiB of
+    # values of 1,000 points (5.8 MiB in blocks of 256 rows)
+    stems = [extremal_series(2, theta, generator(3, 1), 300, 2)
+             for theta in (0.0, 0.7, np.pi / 2)]
+    kmat, coeffs = side_by_side(stems)
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-0.6, 0.6, (1000, 2)) + 1j * rng.uniform(-0.6, 0.6, (1000, 2))
+    table = traced_peak(lambda: power_sum(kmat, coeffs, z))
+    assert table < 2.5 * MiB, table
+    # a 10,000-sample polydisc growth record holds its samples and values
+    # (7 MB).  Evaluated whole, with operands copied to the full shape, it
+    # peaked at about 18 MB
     m, n = 3, 2
     e1 = generator(m, 1)
     f = extremal_map(2, 0.7, e1, n)
