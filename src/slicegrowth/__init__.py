@@ -55,7 +55,6 @@ from .slicespace import (
     SlicePoint,
     make_point,
     point_norm,
-    vector_norm,
 )
 from .suites import RunConfig, run_suite
 

@@ -24,9 +24,7 @@ def _build_config(m, n, seed, samples, truncation, r_max, theta, map_,
                   shards) -> suites.RunConfig:
     return _validated(suites.RunConfig(
         m=m, n=n, seed=seed, samples=samples, truncation=truncation,
-        r_max=r_max, theta=theta,
-        maps=(map_,) if map_ is not None else None,
-        shards=shards,
+        r_max=r_max, theta=theta, map=map_, shards=shards,
     ))
 
 
@@ -119,7 +117,7 @@ def envelope(map_, theta, r_grid, m, n, out):
         raise click.UsageError(f"bad --r-grid: {exc}")
     if not radii or any(not 0.0 <= r < 1.0 for r in radii):
         raise click.UsageError("--r-grid values must lie in [0, 1)")
-    _validated(suites.RunConfig(m=m, n=n, theta=theta, maps=(map_,)))
+    _validated(suites.RunConfig(m=m, n=n, theta=theta, map=map_))
 
     entry = suites.GROWTH_MAPS[map_]
     rows = geometry.envelope_table(entry.map(theta, generator(m, 1), n), entry.family, radii)

@@ -21,7 +21,11 @@ eval_arrays (the gauge-form through value_gauge_on_slice on the slice
 f.I), and compares against the closed-form envelopes with tol as
 slack.  One batched starlike/convex spot-check on the map's shadow
 decides whether a record is asserted, and judge_growth, the one verdict
-rule of every growth record, lets one that is not asserted pass.
+rule of every growth record, lets one that is not asserted pass.  At
+theta = 0 the same record reads its domain's extremal ray (extremal_ray:
+the real points +-r of the ball's first axis or of the polydisc's
+diagonal), where the envelopes are sharp, and reports the largest gap to
+them as sharpness_gap; envelope_table reads the ball's ray the same way.
 closed_form_agreement alone reads a map's truncated reference series.
 
 gauge_rho evaluates a domain's gauge at B rows (alpha, beta of shape
@@ -43,7 +47,7 @@ from .errors import CriterionError, GaugeError, HypothesisViolationError
 from .reports import Report
 from .series import StemSeries, power_sum, side_by_side
 from .slicemaps import ShadowMap, SliceMap, complex_on_slice
-from .slicespace import anticommuting_unit, sample_S_batch, vector_norm
+from .slicespace import anticommuting_unit, sample_S_batch
 
 # resolution credited to oracle bisection (60 halvings); membership is not
 # compared within 100 times this of the boundary
@@ -295,39 +299,18 @@ def closed_form_agreement(maps: list[ShadowMap], stems: list[StemSeries], thetas
     )
 
 
-def sharpness_axis(f: SliceMap, family: str, r_grid, tol: float = 1e-8) -> Report:
-    """Closed-form sharpness along the real first-axis ray at theta = 0:
-    ||f(-r e)|| hits the lower envelope and ||f(+r e)|| the upper one.
-
-    The verdict is on the worst gap over the grid, also reported as
-    raw_gap; a NaN gap fails it.
-    """
-    rows = envelope_table(f, family, r_grid)
-    worst = float(np.max([[abs(row["f_at_minus_r"] - row["lower_bound"]),
-                           abs(row["f_at_plus_r"] - row["upper_bound"])] for row in rows],
-                         initial=0.0))
-    return Report.from_error(
-        f"sharpness-{family}", worst, tol, len(rows),
-        family=family, m=f.m, n=f.n,
-        raw_gap=worst,
-        r_grid=" ".join(f"{row['r']:g}" for row in rows),
-    )
-
-
 def envelope_table(f: SliceMap, family: str, r_grid) -> list[dict]:
-    """Rows (r, lower bound, ||f(-r)||, ||f(r)||, upper bound) along the
-    first-axis real ray."""
+    """Rows (r, lower bound, rho(f(-r)), rho(f(r)), upper bound) along the
+    ball's extremal ray, the first axis, read as the growth records read
+    it at theta = 0 (extremal_ray)."""
     radii = [float(r) for r in r_grid]
-    alpha = np.zeros((2 * len(radii), f.n))
-    alpha[:, 0] = radii + [-r for r in radii]
-    vals = f.eval_arrays(alpha, np.zeros_like(alpha), generator(f.m, 1))
-    norms = [vector_norm(v) for v in vals]   # the bits of the sharpness records
+    _, rho, _ = extremal_ray(f, Gauge("ball", f.n, f.m), radii)
     rows = []
-    for r, plus, minus in zip(radii, norms, norms[len(radii):]):
+    for r, plus, minus in zip(radii, rho, rho[len(radii):]):
         lower, upper = growth_bounds(r, family)
         rows.append({
-            "r": r, "lower_bound": float(lower), "f_at_minus_r": minus,
-            "f_at_plus_r": plus, "upper_bound": float(upper),
+            "r": r, "lower_bound": float(lower), "f_at_minus_r": float(minus),
+            "f_at_plus_r": float(plus), "upper_bound": float(upper),
         })
     return rows
 
@@ -513,8 +496,15 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
     is reported.  The gauge-form takes a second sample set on the slice
     of I, drawn before the spot-check, and projects the values onto that
     slice; their largest off-slice residual enters max_error, so a map
-    whose values leave the slice fails.  At theta = 0 the real polydisc
-    diagonal is also checked in closed form through the gauge-form.
+    whose values leave the slice fails.
+
+    At theta = 0 a record on the ball or the polydisc also reads the
+    domain's extremal ray (extremal_ray), where the envelopes are sharp:
+    sharpness_gap, the largest |rho(f_I(x)) - |x|/(1 - x)^p| over its
+    real points x, or the ray values' largest off-slice residual if that
+    is larger, enters max_error.  So a map whose values stray from the
+    envelopes by more than tol along that ray fails, which random points
+    alone do not see.
 
     The record reads the map alone: f.eval_arrays, its row f.I and its
     shadow.  Every bound gets tol as slack, and a NaN in any reading fails
@@ -532,27 +522,17 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
         status = _hypothesis_status(f, family, r_max, rng)
         head = {"family": family}
         forms = {"max_violation_lower": rho_viol[0], "max_violation_upper": rho_viol[1]}
-        max_error = float(np.max(rho_viol))
+        errors = list(rho_viol)
     else:
         xnorm = np.sqrt(np.sum(alpha ** 2 + beta ** 2, axis=1))
         norm_viol = _violations(xnorm / (1.0 + rho) ** p, norms, xnorm / (1.0 - rho) ** p)
-        # slice-of-I samples for the gauge-form, then at theta = 0 on the
-        # polydisc the real diagonal z = (x, ..., x), where the gauge is |x|
-        # and the gauge-form is sharp; one eval_arrays call on the slice of
-        # I takes both
+        # slice-of-I samples for the gauge-form
         alpha_i, beta_i, _, rho_i = _sample_gauged(g, rng, samples, f.n, f.m, r_max)
         status = _hypothesis_status(f, family, r_max, rng)
-        diag_x = []
-        if abs(theta) < 1e-15 and g.kind == "polydisc":
-            diag_x = [sign * r for r in (0.1, 0.3, 0.5, 0.7, 0.9) for sign in (1.0, -1.0)]
-        diag = np.repeat(np.array(diag_x, dtype=np.float64)[:, None], f.n, axis=1)
-        vals = f.eval_arrays(np.vstack([alpha_i, diag]), np.vstack([beta_i, 0 * diag]), f.I)
-        rhos, off_slice = value_gauge_on_slice(g, vals, f.I)
-        value_rho, diag_rho = rhos[:samples], rhos[samples:]
+        value_rho, off_slice = value_gauge_on_slice(
+            g, f.eval_arrays(alpha_i, beta_i, f.I), f.I)
         lo_g, hi_g = growth_bounds(rho_i, family)
         gauge_viol = _violations(lo_g, value_rho, hi_g)
-        envelope = np.array([abs(x) / (1.0 - x) ** p for x in diag_x])
-        diag_gap = float(np.max(np.abs(diag_rho - envelope), initial=0.0))
         head = {"family": family, "domain": g.kind}
         forms = {
             "rho_form_violation_lower": rho_viol[0],
@@ -561,11 +541,16 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
             "norm_form_violation_upper": norm_viol[1],
             "gauge_form_violation_lower": gauge_viol[0],
             "gauge_form_violation_upper": gauge_viol[1],
-            "diagonal_sharpness_gap": diag_gap,
             "off_slice_residual": off_slice,
             "rho_form_asserted": False,
         }
-        max_error = float(np.max([*norm_viol, *gauge_viol, diag_gap, off_slice]))
+        errors = [*norm_viol, *gauge_viol, off_slice]
+    if abs(theta) < 1e-15 and g.kind in _RAY_COLUMNS:
+        x, ray_rho, ray_off_slice = extremal_ray(f, g, _RAY_RADII)
+        forms["sharpness_gap"] = float(np.max(
+            [*np.abs(ray_rho - np.abs(x) / (1.0 - x) ** p), ray_off_slice]))
+        errors.append(forms["sharpness_gap"])
+    max_error = float(np.max(errors))
 
     asserted = asserted and status == "ok"
     return judge_growth(Report(
@@ -576,6 +561,30 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
             **forms, "max_error": max_error, "threshold": tol,
         },
     ), asserted)
+
+
+# the radii of the extremal ray that growth records read at theta = 0
+_RAY_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# the coordinates that carry the extremal ray of each closed-form gauge:
+# the first axis of the ball and the diagonal of the polydisc, where the
+# gauge of the point is |x|
+_RAY_COLUMNS = {"ball": slice(0, 1), "polydisc": slice(None)}
+
+
+def extremal_ray(f: ShadowMap, g: Gauge, radii):
+    """The real points x = +r, then x = -r, for r of radii, along the
+    extremal ray of the ball or polydisc gauge g, with rho(f_I(x)) on the
+    slice of f.I (value_gauge_on_slice) and the largest off-slice residual
+    of those values: (x, rho, residual).  The SliceMap of a stem series
+    has no slice row; it is read on the slice of e_1, since its values at
+    real points do not depend on J."""
+    x = np.concatenate([radii, np.negative(radii)])
+    alpha = np.zeros((len(x), f.n))
+    alpha[:, _RAY_COLUMNS[g.kind]] = x[:, None]
+    I = f.I if hasattr(f, "I") else generator(f.m, 1)
+    rho, off_slice = value_gauge_on_slice(
+        g, f.eval_arrays(alpha, np.zeros_like(alpha), I), I)
+    return x, rho, off_slice
 
 
 def _violations(lower, values, upper) -> tuple[float, float]:

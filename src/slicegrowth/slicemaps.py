@@ -237,10 +237,6 @@ class ComplexSeries:
         self.kmat = kmat          # (K, n) exponents
         self.coeffs = coeffs      # (K, n) complex
 
-    @property
-    def n(self) -> int:
-        return self.kmat.shape[1]
-
     def eval(self, z) -> np.ndarray:
         """Values at the rows z of shape (B, n); returns (B, n)."""
         return power_sum(self.kmat, self.coeffs, np.asarray(z, dtype=np.complex128))

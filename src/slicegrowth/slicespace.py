@@ -81,16 +81,6 @@ def point_norm(p: SlicePoint) -> float:
     return float(np.sqrt(np.dot(p.alpha, p.alpha) + np.dot(p.beta, p.beta)))
 
 
-def vector_norm(values) -> float:
-    """Euclidean norm of a Clifford vector given as coefficient rows (all
-    blade coefficients stacked)."""
-    total = 0.0
-    for v in values:
-        c = np.asarray(v)
-        total += float(np.dot(c, c))
-    return float(np.sqrt(total))
-
-
 def unit_rows(v: np.ndarray) -> np.ndarray:
     """Unit grade-1 coefficient rows of shape (..., 2**m) from the raw
     normal rows v of shape (..., m), each scaled to length one.  For a

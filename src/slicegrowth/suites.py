@@ -54,11 +54,12 @@ map's hypothesis family, whether its bounds are asserted, its ShadowMap
 map(theta, I, n) and reference(theta, I, N, n, r_max), the truncated
 series, coefficient gap and tail bound at r_max that only the
 closed-form-* records read.  Both growth suites take one product,
-_growth_product: its maps (or cfg.maps) by the slices of e1 and e12 by
-the theta sweep.  One builder, _growth_check, names each record
-growth-{domain}-{map}-{slice}-theta{theta:.3f};
-growth-ball takes the product on the ball, with a sharpness and a
-closed-form check per (map, slice), and growth-domain on the polydisc.
+_growth_product: its maps (or cfg.map alone) by the slices of e1 and e12
+by the theta sweep.  One builder, _growth_check, names each record
+growth-{domain}-{map}-{slice}-theta{theta:.3f}; at theta = 0 that record
+also judges the map's sharpness along the domain's extremal ray
+(geometry.extremal_ray).  growth-ball takes the product on the ball, with
+a closed-form check per (map, slice), and growth-domain on the polydisc.
 The CLI reads the table by name, so a new growth map is one entry plus
 its reference.  Extremal rays, per-domain assertion and negative
 controls join an entry with their first reader (ROADMAP items 8, 3 and
@@ -116,7 +117,6 @@ _DEFAULT_SAMPLES = {
 MAX_SHARDS = 64
 
 _GROWTH_THETAS = (0.0, 0.7, np.pi / 2)  # the growth suites' theta sweep without --theta
-_SHARP_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # cases per batched evaluation or algebra check (fewer from m = 6 up, where
 # an algebra block holds at most 128 KB per case array): no evaluation
 # temporary grows with the budget
@@ -166,7 +166,7 @@ class RunConfig:
     truncation: int = 300
     r_max: float = 0.9
     theta: Optional[float] = None
-    maps: Optional[tuple[str, ...]] = None
+    map: Optional[str] = None   # the growth suites' one map; every map if None
     shards: int = 1
 
     def validate(self):
@@ -186,9 +186,8 @@ class RunConfig:
             raise ValueError("truncation must be positive")
         if not 1 <= self.shards <= MAX_SHARDS:
             raise ValueError(f"shards must be in 1..{MAX_SHARDS}")
-        for name in self.maps or ():
-            if name not in GROWTH_MAPS:
-                raise ValueError(f"unknown map {name!r}, not one of {', '.join(GROWTH_MAPS)}")
+        if self.map is not None and self.map not in GROWTH_MAPS:
+            raise ValueError(f"unknown map {self.map!r}, not one of {', '.join(GROWTH_MAPS)}")
         return self
 
     def budget(self, suite: str) -> int:
@@ -242,7 +241,7 @@ _REDUCERS = {
          "value_gap", "coefficient_gap", "max_violation_lower", "max_violation_upper",
          *(f"{form}_form_violation_{side}" for form in ("rho", "norm", "gauge")
            for side in ("lower", "upper")),
-         "diagonal_sharpness_gap", "off_slice_residual"), _worst),
+         "sharpness_gap", "off_slice_residual"), _worst),
     "rejected_pairs": sum, "membership_mismatches": sum,
     "positive_definite": all, "asserted": all,
     "hypothesis_status": geometry.merge_hypothesis_status,
@@ -738,15 +737,15 @@ def extremal_checks(cfg: RunConfig) -> list[Check]:
 
 def _growth_product(cfg: RunConfig):
     """The (label, entry, iname, I) of every map of GROWTH_MAPS (or of
-    cfg.maps) on the slices of e1 and, for m >= 2, e12, in report order,
-    with the theta sweep (cfg.theta alone if given)."""
+    cfg.map alone) on the slices of e1 and, for m >= 2, e12, in report
+    order, with the theta sweep (cfg.theta alone if given)."""
     m = cfg.m or 3
     slices = [("e1", generator(m, 1))]
     if m >= 2:
         slices.append(("e12", blade(m, (1, 2))))
     thetas = (cfg.theta,) if cfg.theta is not None else _GROWTH_THETAS
     return [(label, entry, iname, I) for label, entry in GROWTH_MAPS.items()
-            if label in (cfg.maps or GROWTH_MAPS) for iname, I in slices], thetas
+            if cfg.map in (None, label) for iname, I in slices], thetas
 
 
 def _growth_check(cfg: RunConfig, suite: str, label: str, entry: GrowthMap, iname: str,
@@ -768,18 +767,9 @@ def _growth_check(cfg: RunConfig, suite: str, label: str, entry: GrowthMap, inam
 
 def growth_ball_checks(cfg: RunConfig) -> list[Check]:
     """Per (map, slice) of _growth_product: a ball growth check at each
-    theta, the sharpness check at theta 0 and the closed-form check of the
-    theta sweep."""
+    theta and the closed-form check of the theta sweep."""
     n = cfg.n or 2
     product, thetas = _growth_product(cfg)
-
-    def sharpness(label, entry, iname, theta, I):
-        def run(_, rng):
-            sharp = geometry.sharpness_axis(entry.map(theta, I, n), entry.family,
-                                            _SHARP_GRID, 1e-8)
-            sharp.data["map"] = label
-            return [geometry.judge_growth(sharp, entry.asserted)]
-        return Check(f"sharpness-{label}-{iname}", 1, run)
 
     def closed_form(label, entry, iname, I):
         # the sweep's maps and reference series; the sample-free gap and tail once
@@ -801,8 +791,6 @@ def growth_ball_checks(cfg: RunConfig) -> list[Check]:
     for label, entry, iname, I in product:
         checks += [_growth_check(cfg, "growth-ball", label, entry, iname, I, "ball", theta)
                    for theta in thetas]
-        checks += [sharpness(label, entry, iname, theta, I)
-                   for theta in thetas if abs(theta) < 1e-15]
         checks.append(closed_form(label, entry, iname, I))
     return checks
 

@@ -50,7 +50,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(samples=0).validate()
     with pytest.raises(ValueError):
-        RunConfig(maps=("bogus",)).validate()
+        RunConfig(map="bogus").validate()
     with pytest.raises(ValueError):
         RunConfig(theta=float("nan")).validate()
     RunConfig(m=8, samples=10).validate()
@@ -105,8 +105,7 @@ def test_shard_merge_is_deterministic():
         # every sharded record accounts for the whole budget across shards;
         # a closed-form agreement record compares each of its three maps at
         # every point of the budget
-        sampled = [rep for rep in a
-                   if not rep.check.startswith(("sharpness-", "closed-form-"))]
+        sampled = [rep for rep in a if not rep.check.startswith("closed-form-")]
         assert sampled and all(rep.samples == 40 for rep in sampled), suite
         agree = [rep for rep in a if rep.check.startswith("closed-form-")]
         assert all(rep.samples == 40 * 3 for rep in agree), suite
@@ -149,7 +148,7 @@ def test_sharded_growth_ball_asserts_only_what_every_shard_checked(monkeypatch):
     monkeypatch.setitem(suites_mod.GROWTH_MAPS, "paper-example", dataclasses.replace(
         suites_mod.GROWTH_MAPS["paper-example"], asserted=True))
     cfg = RunConfig(seed=5, samples=60, shards=3, r_max=0.26, theta=0.0,
-                    maps=("paper-example",))
+                    map="paper-example")
     reports = {rep.check: rep for rep in run_suite("growth-ball", cfg)}
     rep = reports["growth-ball-paper-example-e1-theta0.000"]
     assert rep.data["hypothesis_status"] == "violated(1/192)"
@@ -209,7 +208,7 @@ def test_a_closed_form_sweep_of_other_exponents_is_an_error_record(monkeypatch):
     def uneven(p, theta, I, N, n):
         return original(p, theta, I, N + (theta > 0), n)
     monkeypatch.setattr(series, "extremal_series", uneven)
-    reports = run_suite("growth-ball", small_config(maps=("koebe",)))
+    reports = run_suite("growth-ball", small_config(map="koebe"))
     errors = [rep for rep in reports if rep.check.startswith("closed-form-")]
     assert [rep.check for rep in errors] == ["closed-form-koebe-e1-error",
                                              "closed-form-koebe-e12-error"]
@@ -512,7 +511,7 @@ def test_csv_keeps_an_error_record_to_the_header_width(monkeypatch):
         series.StemSeries(3, 2, {(1, 0): np.zeros(2)})
 
     monkeypatch.setattr(geometry, "growth_check_domain", broken_check)
-    reports = run_suite("growth-ball", small_config(maps=("paper-example",)))
+    reports = run_suite("growth-ball", small_config(map="paper-example"))
     rows = list(csv.reader(io.StringIO(render(reports, "csv"))))
     header, body = rows[0], rows[1:]
     assert len(body) == len(reports)
@@ -569,7 +568,7 @@ def test_summary_lines_name_unasserted_checks():
     reps = [
         Report.from_error("growth-ball-koebe", 0.0, 1.0, 10, asserted=False,
                           hypothesis_status="violated(2/64)"),
-        Report.from_error("sharpness-paper-example", 5.0, 1e-8, 9,
+        Report.from_error("growth-polydisc-paper-example", 5.0, 1e-9, 9,
                           asserted=False),
         Report.from_error("growth-ball-cayley", 0.0, 1.0, 10, asserted=True,
                           hypothesis_status="ok"),
@@ -581,7 +580,7 @@ def test_summary_lines_name_unasserted_checks():
     assert all(line.startswith("[PASS]") for line in lines[:4])
     assert lines[4:] == [
         "[NOT ASSERTED] growth-ball-koebe  hypothesis_status=violated(2/64)",
-        "[NOT ASSERTED] sharpness-paper-example",
+        "[NOT ASSERTED] growth-polydisc-paper-example",
     ]
 
 
@@ -723,7 +722,7 @@ def test_a_growth_check_error_is_neither_renamed_nor_judged(monkeypatch):
         return check(f, gauge, family, r_max, size, rng, theta, *rest)
 
     monkeypatch.setattr(geometry, "growth_check_domain", broken_check)
-    reports = run_suite("growth-ball", small_config(shards=3, maps=("paper-example",)))
+    reports = run_suite("growth-ball", small_config(shards=3, map="paper-example"))
     assert reports[0].record() == {
         "check": "growth-ball-paper-example-e1-theta0.000-error",
         "error": "HypothesisViolationError: values leave the slice",
@@ -979,10 +978,10 @@ def test_representation_evaluates_each_maps_cases_in_one_batch(monkeypatch):
 
 
 def test_a_new_growth_map_is_one_table_entry(monkeypatch, tmp_path):
-    # an entry added to GROWTH_MAPS alone gets its growth, sharpness and
-    # closed-form records and its envelope through the CLI.  Koebe's shadow
-    # scaled by 1.01 keeps Koebe's spot-check and reference series, and its
-    # sharpness records leave the envelopes along the extremal ray
+    # an entry added to GROWTH_MAPS alone gets its growth and closed-form
+    # records and its envelope through the CLI.  Koebe's shadow scaled by
+    # 1.01 keeps Koebe's spot-check and reference series, and its theta = 0
+    # growth records fail on their sharpness along the extremal ray
     koebe = suites_mod.GROWTH_MAPS["koebe"]
 
     def scaled(theta, I, n):
@@ -1001,13 +1000,13 @@ def test_a_new_growth_map_is_one_table_entry(monkeypatch, tmp_path):
         name for iname in ("e1", "e12") for name in (
             *(f"growth-ball-koebe-scaled-{iname}-theta{theta}"
               for theta in ("0.000", "0.700", "1.571")),
-            f"sharpness-koebe-scaled-{iname}", f"closed-form-koebe-scaled-{iname}")]
+            f"closed-form-koebe-scaled-{iname}")]
     assert all(rec["map"] == "koebe-scaled" for rec in records)
     for rec in records:
-        if rec["check"].startswith("sharpness-"):
-            assert not rec["pass"] and rec["raw_gap"] > 1e-3, rec
-        elif rec["check"].startswith("growth-"):
+        if rec["check"].startswith("growth-"):
             assert rec["hypothesis_status"] == "ok" and rec["asserted"], rec
+            if rec["theta"] == 0.0:
+                assert not rec["pass"] and rec["sharpness_gap"] > 1e-3, rec
     env = tmp_path / "env.csv"
     result = CliRunner().invoke(main, ["envelope", "--map", "koebe-scaled", "--r-grid", "0.5",
                                        "--out", str(env)])

@@ -23,7 +23,6 @@ from slicegrowth.geometry import (
     growth_check_ball,
     growth_check_domain,
     oracle_gauge,
-    sharpness_axis,
     starlike_criterion_slice,
     value_gauge_on_slice,
     verify_extremal,
@@ -345,7 +344,7 @@ def test_hypothesis_status_spot_check():
     e1 = generator(m, 1)
     # the default-seed streams of the theta = 0 paper-example records
     reports = run_suite("growth-ball", RunConfig(seed=20240811, theta=0.0,
-                                                 maps=("paper-example",)))
+                                                 map="paper-example"))
     status = {rep.check: rep.data["hypothesis_status"] for rep in reports
               if rep.check.startswith("growth-ball")}
     assert status == {
@@ -417,6 +416,19 @@ def _nan_first_row(f):
     return ShadowMap(f.I, f.n, g, f.dg, f.d2g)
 
 
+def _nan_on_the_ray(f):
+    """The ShadowMap f with a NaN value at the first real point (beta = 0)
+    of every call: the samples hold none, the extremal ray only such."""
+    values = f.eval_arrays
+
+    def poisoned(alpha, beta, j_rows):
+        vals = values(alpha, beta, j_rows)
+        vals[np.flatnonzero(~np.any(beta, axis=1))[:1]] = np.nan
+        return vals
+    f.eval_arrays = poisoned
+    return f
+
+
 def test_a_nan_row_fails_the_closed_form_and_sharpness_records():
     # the builtin max(0.0, nan) is 0.0: an accumulator built on it passes a
     # map whose values are NaN at one point
@@ -431,9 +443,14 @@ def test_a_nan_row_fails_the_closed_form_and_sharpness_records():
                                     50, np.random.default_rng(1))
         assert good.passed and not bad.passed, (good.data, bad.data)
         assert np.isnan(bad.data["value_gap"]) and np.isnan(bad.data["max_error"])
-        assert sharpness_axis(f, family, (0.1, 0.5, 0.9)).passed
-        sharp = sharpness_axis(_nan_first_row(f), family, (0.1, 0.5, 0.9))
-        assert not sharp.passed and np.isnan(sharp.data["raw_gap"]), sharp.data
+        # a NaN on the extremal ray alone fails the theta = 0 growth record
+        for domain in ("ball", "polydisc"):
+            sharp = growth_check_domain(_nan_on_the_ray(extremal_map(p, 0.0, e1, 2)),
+                                        Gauge(domain, 2, 3), family, 0.9, 50,
+                                        np.random.default_rng(1), 0.0)
+            assert sharp.data["asserted"] and not sharp.passed, sharp.data
+            assert np.isnan(sharp.data["sharpness_gap"]), sharp.data
+            assert np.isnan(sharp.data["max_error"]), sharp.data
 
 
 def test_growth_bounds_shapes():
@@ -467,12 +484,14 @@ def test_growth_check_ball_flags_paper_example():
 
 
 def test_sharpness_rows():
-    f = SliceMap(extremal_series(2, 0.0, E1_3, 300, 2))
-    rep = sharpness_axis(f, "starlike", (0.1, 0.5, 0.9))
-    assert rep.passed, rep.data
-    c = SliceMap(extremal_series(1, 0.0, E1_3, 300, 2))
-    rep2 = sharpness_axis(c, "convex", (0.1, 0.5, 0.9))
-    assert rep2.passed, rep2.data
+    # the truncation-300 Koebe and Cayley series meet the envelopes along
+    # the first axis within the growth record's tol; a series map has no
+    # shadow, so its record is not asserted and the gap is read directly
+    for p, family in ((2, "starlike"), (1, "convex")):
+        f = SliceMap(extremal_series(p, 0.0, E1_3, 300, 2))
+        rep = growth_check_domain(f, Gauge("ball", 2, 3), family, 0.9, 10,
+                                  np.random.default_rng(2), 0.0)
+        assert rep.data["sharpness_gap"] <= rep.data["threshold"], rep.data
 
 
 def test_envelope_table_closed_forms():
@@ -639,7 +658,7 @@ def test_growth_check_domain_reads_the_map_not_its_series():
     f = extremal_map(2, 0.0, e1, n)
     rep = growth_check_domain(f, Gauge("polydisc", n, m), "starlike", 0.9, 200,
                               np.random.default_rng(25), 0.0)
-    assert rep.data["diagonal_sharpness_gap"] <= 1e-12, rep.data
+    assert rep.data["sharpness_gap"] <= 1e-12, rep.data
     assert rep.data["gauge_form_violation_lower"] == 0.0, rep.data
     assert rep.data["gauge_form_violation_upper"] == 0.0, rep.data
 
@@ -692,6 +711,32 @@ def test_growth_checker_fails_scaled_maps_on_every_gauge(p, family):
                 else:
                     assert not rep.passed, where
                     assert rep.data["max_error"] > 1e4 * rep.data["threshold"], where
+
+
+@pytest.mark.parametrize("p, family, delta", [(2, "starlike", 1e-10), (1, "convex", 1e-9)])
+def test_the_theta_zero_growth_record_judges_sharpness(p, family, delta):
+    # values scaled by 1 +- delta stray from both envelopes along the
+    # extremal ray by delta times the envelope, up to 90 delta for Koebe and
+    # 9 delta for Cayley at r = 0.9: about 9e-9 each, above the record's own
+    # tol of 1e-9, while random points alone resolve a scaling of about 1e-4.
+    # So the theta = 0 record fails on its sharpness_gap on both domains,
+    # the unscaled maps pass, and a record off theta = 0 reads no ray
+    for domain in ("ball", "polydisc"):
+        gauge = Gauge(domain, 2, 3)
+        for scale in (1.0 + delta, 1.0 - delta, 1.0):
+            rep = growth_check_domain(_scaled_map(scale, p, 0.0, E1_3, 2), gauge, family,
+                                      0.9, 300, np.random.default_rng(7), 0.0)
+            where = (domain, scale, rep.data)
+            assert rep.data["asserted"] and rep.data["threshold"] == 1e-9, where
+            assert rep.passed == (scale == 1.0), where
+            assert rep.data["max_error"] >= rep.data["sharpness_gap"], where
+            if scale == 1.0:
+                assert rep.data["sharpness_gap"] <= 1e-13, where
+            else:
+                assert rep.data["sharpness_gap"] > 5e-9, where
+        rep = growth_check_domain(_scaled_map(1.0 + delta, p, 0.7, E1_3, 2), gauge, family,
+                                  0.9, 300, np.random.default_rng(7), 0.7)
+        assert "sharpness_gap" not in rep.data, (domain, rep.data)
 
 
 def test_growth_check_domain_hypothesis_status():
@@ -800,7 +845,7 @@ def test_growth_check_domain_polydisc():
     # literal rho-form with the plain norm overshoots at the diagonal for
     # n = 2 while the norm-form and value-gauge form hold within tol
     assert not rep.data["rho_form_asserted"]
-    assert rep.data["diagonal_sharpness_gap"] < rep.data["threshold"]
+    assert rep.data["sharpness_gap"] < rep.data["threshold"]
     assert rep.data["norm_form_violation_upper"] <= rep.data["threshold"]
     assert rep.data["gauge_form_violation_upper"] <= rep.data["threshold"]
 

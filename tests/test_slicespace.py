@@ -11,7 +11,6 @@ from slicegrowth.slicespace import (
     make_point,
     point_norm,
     sample_S_batch,
-    vector_norm,
 )
 
 
@@ -81,11 +80,6 @@ def test_sample_m1_is_pm_e1():
     rows = sample_S_batch(rng, 1, 20)
     assert np.all(np.abs(rows) == [0.0, 1.0])
     assert 0 < np.count_nonzero(rows[:, 1] > 0) < 20
-
-
-def test_vector_norm_stacks_coefficients():
-    e1 = generator(2, 1)
-    assert vector_norm([[3.0, 0.0, 0.0, 0.0], 4.0 * e1]) == pytest.approx(5.0)
 
 
 def test_anticommuting_unit_families():
