@@ -20,14 +20,6 @@ from .algebra import generator
 _SEED_ENVVAR = "SLICEGROWTH_SEED"
 
 
-def _build_config(m, n, seed, samples, truncation, r_max, theta, map_,
-                  shards) -> suites.RunConfig:
-    return _validated(suites.RunConfig(
-        m=m, n=n, seed=seed, samples=samples, truncation=truncation,
-        r_max=r_max, theta=theta, map=map_, shards=shards,
-    ))
-
-
 def _validated(cfg: suites.RunConfig) -> suites.RunConfig:
     """cfg.validate(), with a ValueError reported as a usage error."""
     try:
@@ -63,17 +55,18 @@ def main():
               help=f"RNG seed (env {_SEED_ENVVAR} overrides the default).")
 @click.option("--samples", type=int, default=None,
               help="Sample budget override (suite defaults otherwise).")
-@click.option("--truncation", type=int, default=300, show_default=True,
+@click.option("--truncation", type=int, default=suites.RunConfig.truncation, show_default=True,
               help="Order of the truncated series under test: closed-form-* "
                    "references and the stem-koebe-coefficients, stem-star-inverse "
                    "and stem-tail-monotone records.")
-@click.option("--r-max", type=float, default=0.9, show_default=True,
+@click.option("--r-max", type=float, default=suites.RunConfig.r_max, show_default=True,
               help="Largest sampled radius / gauge value.")
 @click.option("--theta", type=float, default=None,
-              help="Rotation parameter of the test maps (default: a small sweep).")
-@click.option("--map", "map_", default=None,
+              help="Rotation parameter of the test maps (default: the growth suites "
+                   "sweep 0, 0.7 and pi/2; stem, regularity and extremal take 0.7).")
+@click.option("--map", default=None,
               help=f"Restrict growth suites to one map: {', '.join(suites.GROWTH_MAPS)}.")
-@click.option("--shards", type=int, default=1, show_default=True,
+@click.option("--shards", type=int, default=suites.RunConfig.shards, show_default=True,
               help="Split every suite's sample budgets over this many seeded "
                    f"streams, at most {suites.MAX_SHARDS} (deterministic per shard "
                    "count).")
@@ -82,10 +75,9 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Report file (stdout otherwise).")
 @click.option("--quiet", is_flag=True, help="Suppress the per-check summary.")
-def verify(suite, m, n, seed, samples, truncation, r_max, theta, map_, shards,
-           fmt, out, quiet):
+def verify(suite, fmt, out, quiet, **options):
     """Run one verification suite (or `all`) and write its report."""
-    cfg = _build_config(m, n, seed, samples, truncation, r_max, theta, map_, shards)
+    cfg = _validated(suites.RunConfig(**options))
     started = time.perf_counter()
     results = suites.run_suite(suite, cfg)
     elapsed = time.perf_counter() - started
@@ -101,15 +93,15 @@ def verify(suite, m, n, seed, samples, truncation, r_max, theta, map_, shards,
 
 
 @main.command()
-@click.option("--map", "map_", default=next(iter(suites.GROWTH_MAPS)), show_default=True,
+@click.option("--map", default=next(iter(suites.GROWTH_MAPS)), show_default=True,
               help=f"A growth map: {', '.join(suites.GROWTH_MAPS)}.")
 @click.option("--theta", type=float, default=0.0, show_default=True)
-@click.option("--r-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
+@click.option("--r-grid", default=",".join(f"{r:g}" for r in geometry.RAY_RADII),
               show_default=True, help="Comma-separated radii.")
 @click.option("--m", type=int, default=3, show_default=True)
 @click.option("--n", type=int, default=2, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def envelope(map_, theta, r_grid, m, n, out):
+def envelope(map, theta, r_grid, m, n, out):
     """Emit growth-envelope rows (r, lower, ||f(-r)||, ||f(r)||, upper)."""
     try:
         radii = [float(tok) for tok in r_grid.split(",") if tok.strip()]
@@ -117,19 +109,11 @@ def envelope(map_, theta, r_grid, m, n, out):
         raise click.UsageError(f"bad --r-grid: {exc}")
     if not radii or any(not 0.0 <= r < 1.0 for r in radii):
         raise click.UsageError("--r-grid values must lie in [0, 1)")
-    _validated(suites.RunConfig(m=m, n=n, theta=theta, map=map_))
+    _validated(suites.RunConfig(m=m, n=n, theta=theta, map=map))
 
-    entry = suites.GROWTH_MAPS[map_]
+    entry = suites.GROWTH_MAPS[map]
     rows = geometry.envelope_table(entry.map(theta, generator(m, 1), n), entry.family, radii)
-
-    header = "r,lower_bound,f_at_minus_r,f_at_plus_r,upper_bound"
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(
-            f"{row[key]:.17g}" for key in
-            ("r", "lower_bound", "f_at_minus_r", "f_at_plus_r", "upper_bound")
-        ))
-    _write_report("\n".join(lines) + "\n", out)
+    _write_report(reports.rows_to_csv(rows), out)
 
 
 if __name__ == "__main__":

@@ -255,12 +255,11 @@ def growth_check_ball(f: ShadowMap, family: str, r_max: float, samples: int,
                                rng, theta, tol, assert_bounds)
 
 
-def judge_growth(rep: Report, asserted: bool) -> Report:
-    """The verdict rule of every growth record: one that is not asserted
-    says so and passes whatever its errors are; an asserted one keeps its
+def judge_growth(rep: Report) -> Report:
+    """The verdict rule of every growth record: one whose asserted field
+    is false passes whatever its errors are; any other record keeps its
     verdict."""
-    if not asserted:
-        rep.data["asserted"] = False
+    if not rep.data.get("asserted", True):
         rep.passed = True
     return rep
 
@@ -508,9 +507,9 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
 
     The record reads the map alone: f.eval_arrays, its row f.I and its
     shadow.  Every bound gets tol as slack, and a NaN in any reading fails
-    the record (np.max keeps it).  A record is asserted when `asserted` holds
-    and the spot-check reads ok, and judge_growth lets one that is not
-    asserted pass.
+    the record (np.max keeps it).  The record's asserted field holds when
+    `asserted` does and the spot-check reads ok, and judge_growth lets a
+    record whose field is false pass.
     """
     p = _FAMILY_POWER[family]
 
@@ -546,25 +545,24 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
         }
         errors = [*norm_viol, *gauge_viol, off_slice]
     if abs(theta) < 1e-15 and g.kind in _RAY_COLUMNS:
-        x, ray_rho, ray_off_slice = extremal_ray(f, g, _RAY_RADII)
+        x, ray_rho, ray_off_slice = extremal_ray(f, g, RAY_RADII)
         forms["sharpness_gap"] = float(np.max(
             [*np.abs(ray_rho - np.abs(x) / (1.0 - x) ** p), ray_off_slice]))
         errors.append(forms["sharpness_gap"])
     max_error = float(np.max(errors))
 
-    asserted = asserted and status == "ok"
     return judge_growth(Report(
         f"growth-{g.kind}-{family}", max_error <= tol, samples,
         {
             **head, "m": f.m, "n": f.n, "theta": theta, "r_max": r_max,
-            "hypothesis_status": status, "asserted": asserted,
+            "hypothesis_status": status, "asserted": asserted and status == "ok",
             **forms, "max_error": max_error, "threshold": tol,
         },
-    ), asserted)
+    ))
 
 
-# the radii of the extremal ray that growth records read at theta = 0
-_RAY_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# the extremal ray's radii: growth records read them at theta = 0, envelope by default
+RAY_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # the coordinates that carry the extremal ray of each closed-form gauge:
 # the first axis of the ball and the diagonal of the polydisc, where the
 # gauge of the point is |x|

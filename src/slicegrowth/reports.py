@@ -2,7 +2,8 @@
 
 A report is one flat record per check: {"check": ..., <payload>,
 "samples": ..., "pass": ...}.  Payload key order is insertion order, so
-serialization is byte-stable for a fixed code path.  CSV cells use a '.'
+serialization is byte-stable for a fixed code path.  rows_to_csv writes
+any flat records, these and the CLI's envelope rows: CSV cells use a '.'
 decimal separator and 17 significant digits so doubles round-trip, and
 csv.writer quotes only a cell that holds a comma, a quote or a line
 break, such as an error record's message.
@@ -53,8 +54,12 @@ def to_json(reports: list[Report]) -> str:
 
 
 def to_csv(reports: list[Report]) -> str:
+    return rows_to_csv([rep.record() for rep in reports])
+
+
+def rows_to_csv(records: list[dict]) -> str:
+    """One CSV row per record, under every record's keys in first-seen order."""
     import csv  # loaded here, not at import: only a CSV report uses it
-    records = [rep.record() for rep in reports]
     columns: list[str] = []
     for rec in records:
         for key in rec:

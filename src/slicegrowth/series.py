@@ -408,23 +408,20 @@ def _assemble_componentwise(m: int, series: np.ndarray, n: int) -> StemSeries:
     return StemSeries._from_tables(m, n, kmat, amat)
 
 
-def extremal_tail(p: int, n: int, N: int):
-    """Norm bound r -> sqrt(n) sum_{k>N} |c_k| r^{k+1} of the tail that
+def extremal_tail(p: int, n: int, N: int, r: float) -> float:
+    """Norm bound sqrt(n) sum_{k>N} |c_k| r^{k+1} of the tail that
     extremal_series(p, ., ., N, n) drops on the polydisc of radius r:
     |c_k| = k+1 for p = 2, 1 for p = 1 and 0 for p = -1 (exact at any N)."""
     if p not in (-1, 1, 2):
         raise ValueError(f"no extremal map of exponent {p!r}; want -1, 1 or 2")
-
-    def bound(r: float) -> float:
-        if r < 0:
-            raise ValueError("radius must be non-negative")
-        if p == -1:
-            return 0.0
-        if r >= 1:
-            return math.inf
-        if p == 2:
-            # sum_{k>N} (k+1) r^{k+1} = r^{N+2} ((N+2) - (N+1) r) / (1-r)^2
-            return math.sqrt(n) * r ** (N + 2) * ((N + 2) - (N + 1) * r) / (1 - r) ** 2
-        # sum_{k>N} r^{k+1} = r^{N+2} / (1-r)
-        return math.sqrt(n) * r ** (N + 2) / (1 - r)
-    return bound
+    if r < 0:
+        raise ValueError("radius must be non-negative")
+    if p == -1:
+        return 0.0
+    if r >= 1:
+        return math.inf
+    if p == 2:
+        # sum_{k>N} (k+1) r^{k+1} = r^{N+2} ((N+2) - (N+1) r) / (1-r)^2
+        return math.sqrt(n) * r ** (N + 2) * ((N + 2) - (N + 1) * r) / (1 - r) ** 2
+    # sum_{k>N} r^{k+1} = r^{N+2} / (1-r)
+    return math.sqrt(n) * r ** (N + 2) / (1 - r)

@@ -142,8 +142,7 @@ def _extremal(family: str, p: int, asserted: bool) -> GrowthMap:
     star-product series, series.extremal_series, with series.extremal_tail."""
     def reference(theta, I, N, n, r_max):
         stem = series.extremal_series(p, theta, I, N, n)
-        tail = series.extremal_tail(p, n, N)(r_max)
-        return stem, series.coefficient_gap(stem, p, theta, I), tail
+        return stem, series.coefficient_gap(stem, p, theta, I), series.extremal_tail(p, n, N, r_max)
     return GrowthMap(family, asserted,
                      lambda theta, I, n: slicemaps.extremal_map(p, theta, I, n), reference)
 
@@ -248,18 +247,18 @@ _REDUCERS = {
 }
 
 
-def _merge_shards(parts: list[Report], keys: dict) -> Report:
+def _merge_shards(parts: list[Report]) -> Report:
     """One record from the per-shard records of one check: each field that
-    keys names is its reducer over the shards' values, every other field
-    is shard 0's, samples are summed and the pass verdicts ANDed.  A
+    _REDUCERS names is its reducer over the shards' values, every other
+    field is shard 0's, samples are summed and the pass verdicts ANDed.  A
     record that not every shard asserted passes (geometry.judge_growth)."""
     merged = parts[0]
-    for key, reduce in keys.items():
+    for key, reduce in _REDUCERS.items():
         if key in merged.data:
             merged.data[key] = reduce([part.data[key] for part in parts])
     merged.samples = sum(part.samples for part in parts)
     merged.passed = all(part.passed for part in parts)
-    return geometry.judge_growth(merged, merged.data.get("asserted", True))
+    return geometry.judge_growth(merged)
 
 
 def _sharded(cfg: RunConfig, suite: str, check: Check) -> list[Report]:
@@ -276,7 +275,7 @@ def _sharded(cfg: RunConfig, suite: str, check: Check) -> list[Report]:
         traceback.print_exc()
         return [Report(f"{check.name}-error", False, 0,
                        {"error": f"{type(exc).__name__}: {exc}"})]
-    records = [_merge_shards(list(parts), _REDUCERS) for parts in zip(*shards)]
+    records = [_merge_shards(list(parts)) for parts in zip(*shards)]
     records[0].check = check.name
     return records
 
@@ -511,7 +510,7 @@ def stem_checks(cfg: RunConfig) -> list[Check]:
     def tail_monotone(_, rng):
         orders = sorted({max(10, trunc // 8), max(20, trunc // 4),
                          max(30, trunc // 2), trunc})
-        tails = [series.extremal_tail(2, n, N)(cfg.r_max) for N in orders]
+        tails = [series.extremal_tail(2, n, N, cfg.r_max) for N in orders]
         monotone = all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
         return [Report.from_error("stem-tail-monotone", 0.0 if monotone else 1.0, 0.5,
                                   len(tails), tails=" ".join(f"{t:.3e}" for t in tails))]

@@ -20,7 +20,7 @@ from slicegrowth import algebra, geometry, series, slicemaps
 from slicegrowth import suites as suites_mod
 from slicegrowth.cli import main
 from slicegrowth.errors import GaugeError, HypothesisViolationError
-from slicegrowth.reports import Report, render, summary_lines
+from slicegrowth.reports import Report, render, rows_to_csv, summary_lines
 from slicegrowth.suites import (
     _INVERSE_MULTIPLE,
     _REDUCERS,
@@ -348,8 +348,7 @@ def test_shard_plan_has_at_most_total_entries():
 def test_shard_merge_fails_on_one_failing_shard():
     parts = [Report.from_error("c", err, 1.0, 10, rejected_pairs=count, positive_definite=flag)
              for err, count, flag in ((0.5, 1, True), (2.0, 2, False), (0.1, 4, True))]
-    merged = _merge_shards(parts, {"max_error": max, "rejected_pairs": sum,
-                                   "positive_definite": all})
+    merged = _merge_shards(parts)
     assert merged.passed is False
     assert merged.samples == 30
     assert merged.data["max_error"] == 2.0
@@ -362,7 +361,7 @@ def test_shard_merge_keeps_a_nan_error():
     # the builtin max keeps a NaN only when it comes first
     for errors in ((1e-12, float("nan")), (float("nan"), 1e-12)):
         parts = [Report.from_error("c", err, 1.0, 10, value_gap=err) for err in errors]
-        merged = _merge_shards(parts, _REDUCERS)
+        merged = _merge_shards(parts)
         assert np.isnan(merged.data["max_error"]) and np.isnan(merged.data["value_gap"])
         assert merged.passed is False
 
@@ -378,12 +377,12 @@ def test_every_field_that_varies_across_shards_has_a_reducer(monkeypatch):
     merge = suites_mod._merge_shards
     unreduced = set()
 
-    def spy(parts, keys):
+    def spy(parts):
         for key in parts[0].data:
             values = {repr(part.data.get(key)) for part in parts}   # NaN-safe
-            if len(values) > 1 and key not in keys:
+            if len(values) > 1 and key not in _REDUCERS:
                 unreduced.add((parts[0].check.split("-")[0], key))
-        return merge(parts, keys)
+        return merge(parts)
 
     monkeypatch.setattr(suites_mod, "_merge_shards", spy)
     monkeypatch.setattr(suites_mod, "_usable_cpus", lambda: 1)  # spied in this process
@@ -1041,6 +1040,25 @@ def test_cli_envelope(tmp_path):
         assert half_row[1:] == pytest.approx(expected, abs=1e-12), map_name
         # monotone in r
         assert half_row[1] > zero_row[1] and half_row[4] > zero_row[4]
+
+
+def test_cli_defaults_come_from_their_owners():
+    runner = CliRunner()
+    # without --r-grid, envelope reads the growth records' extremal-ray grid
+    # and writes through the report CSV writer
+    result = runner.invoke(main, ["envelope", "--map", "paper-example"])
+    assert result.exit_code == 0, result.output
+    entry = suites_mod.GROWTH_MAPS["paper-example"]
+    rows = geometry.envelope_table(entry.map(0.0, algebra.generator(3, 1), 2), entry.family,
+                                   geometry.RAY_RADII)
+    assert [row["r"] for row in rows] == list(geometry.RAY_RADII)
+    assert result.output == rows_to_csv(rows)
+    # verify's --truncation, --r-max and --shards show RunConfig's defaults
+    text = " ".join(runner.invoke(main, ["verify", "--help"]).output.split())
+    for option, field in (("--truncation", "truncation"), ("--r-max", "r_max"),
+                          ("--shards", "shards")):
+        help_text = text.split(f" {option} ")[1].split(" --")[0]
+        assert f"[default: {getattr(RunConfig, field)}]" in help_text, (option, help_text)
 
 
 def test_cli_csv_format(tmp_path):

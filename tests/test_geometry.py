@@ -366,7 +366,7 @@ def _agreement(maps, p, thetas, gap_p, seed):
     stems = [extremal_series(p, theta, e1, 300, 2) for theta in thetas]
     gap = max(coefficient_gap(stem, gap_p, theta, e1) for stem, theta in zip(stems, thetas))
     return closed_form_agreement(maps, stems, thetas, 300, gap,
-                                 extremal_tail(p, 2, 300)(0.9), 0.9, 300,
+                                 extremal_tail(p, 2, 300, 0.9), 0.9, 300,
                                  np.random.default_rng(seed))
 
 
@@ -436,7 +436,7 @@ def test_a_nan_row_fails_the_closed_form_and_sharpness_records():
     for p, family in ((2, "starlike"), (1, "convex")):
         f = extremal_map(p, 0.0, e1, 2)
         stems = [extremal_series(p, 0.0, e1, 300, 2)]
-        tail = extremal_tail(p, 2, 300)(0.9)
+        tail = extremal_tail(p, 2, 300, 0.9)
         good = closed_form_agreement([f], stems, [0.0], 300, 0.0, tail, 0.9, 50,
                                      np.random.default_rng(1))
         bad = closed_form_agreement([_nan_first_row(f)], stems, [0.0], 300, 0.0, tail, 0.9,

@@ -456,7 +456,7 @@ def test_convex_and_paper_example_maps():
     assert np.array_equal(poly.coefficient((1,))[0], blade(m))
     assert np.array_equal(poly.coefficient((2,))[0], -blade(m))
     assert poly.degree == 2
-    assert extremal_tail(-1, n, N)(0.9) == 0.0
+    assert extremal_tail(-1, n, N, 0.9) == 0.0
 
     cay = extremal_series(1, 0.0, e1, N, n)
     for x in np.linspace(-0.9, 0.9, 19):
@@ -470,15 +470,15 @@ def test_extremal_series_rejects_other_exponents(p):
     with pytest.raises(ValueError):
         extremal_series(p, 0.0, e1, 40, 1)
     with pytest.raises(ValueError):
-        extremal_tail(p, 1, 40)
+        extremal_tail(p, 1, 40, 0.9)
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_tail_bounds(p):
     m, n = 2, 2
     e1 = generator(m, 1)
-    assert extremal_tail(p, n, 300)(0.9) < 1e-9
-    assert extremal_tail(-1, n, 300)(0.9) == 0.0
+    assert extremal_tail(p, n, 300, 0.9) < 1e-9
+    assert extremal_tail(-1, n, 300, 0.9) == 0.0
     # at theta = 0 on the positive real axis the tail is the truncation
     # error itself, so the two agree to rounding in f(x); a tail model
     # that under- or overestimates fails
@@ -487,7 +487,7 @@ def test_tail_bounds(p):
     exact = x / (1 - x) ** p
     f1, _ = small.eval_arrays([[x]], [[0.0]])
     actual_gap = abs(f1[0, 0, 0] - exact)
-    assert abs(actual_gap - extremal_tail(p, 1, 40)(x)) <= 16 * np.finfo(float).eps * exact
+    assert abs(actual_gap - extremal_tail(p, 1, 40, x)) <= 16 * np.finfo(float).eps * exact
     # monotone decrease with the order
-    tails = [extremal_tail(p, 1, N)(0.9) for N in (50, 100, 200, 300)]
+    tails = [extremal_tail(p, 1, N, 0.9) for N in (50, 100, 200, 300)]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
