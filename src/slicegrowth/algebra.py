@@ -41,11 +41,13 @@ singular values of M are those of the left-multiplication operator of a,
 each repeated dim / (blocks d) times.
 
 invert_batch inverts the blocks.  mul_batch multiplies the blocks from
-m = _SPINOR_MIN = 4 up; below it the dense structure tensor is faster
-(measured on the algebra suite's batches with BLAS at one thread).  Encode
-and decode contract each row by its own stacked vector-matrix product, so
-a row gets the same bits alone as in a batch.  mul_batch expands each row
-of an operand once and broadcasts it, with the bits of expanded operands.
+m = _SPINOR_MIN = 4 up; below it, faster there (measured on the algebra
+suite's batches with BLAS at one thread), the left operators that
+left_matrix_batch builds, each one gather from [x, -x]
+(_Tables.left_index).  Encode and decode contract each row by its own
+stacked vector-matrix product, so a row gets the same bits alone as in a
+batch.  mul_batch expands each row of an operand once and broadcasts it,
+with the bits of expanded operands.
 """
 
 from __future__ import annotations
@@ -59,17 +61,14 @@ import numpy as np
 from .errors import DimensionError, NonInvertibleError
 
 MAX_GENERATORS = 8
-# mul_batch multiplies spinor blocks from this m up, structure tensors below
+# mul_batch multiplies spinor blocks from this m up, sign-table operators below
 _SPINOR_MIN = 4
 
 
 class _Tables:
     """Per-m multiplication machinery (immutable, cached)."""
 
-    __slots__ = (
-        "m", "dim", "sign", "xor_flat", "grades", "conj_sign",
-        "struct_flat", "xor_mat", "left_sign",
-    )
+    __slots__ = ("m", "dim", "sign", "xor_flat", "grades", "conj_sign", "left_index")
 
     def __init__(self, m: int):
         dim = 1 << m
@@ -86,24 +85,15 @@ class _Tables:
         self.m = m
         self.dim = dim
         self.sign = sign
-        self.xor_flat = (idx[:, None] ^ idx[None, :]).ravel()
+        xor = idx[:, None] ^ idx[None, :]
+        self.xor_flat = xor.ravel()
         self.grades = pc
         g = pc
         self.conj_sign = np.where((g * (g + 1) // 2) % 2 == 0, 1.0, -1.0)
 
-        if m < _SPINOR_MIN:
-            # struct_flat[i, j*dim + k] = sign(i, j) iff k == i^j
-            struct = np.zeros((dim, dim, dim))
-            ii = np.repeat(idx, dim)
-            jj = np.tile(idx, dim)
-            struct[ii, jj, ii ^ jj] = sign.ravel()
-            self.struct_flat = struct.reshape(dim, dim * dim)
-        else:
-            self.struct_flat = None
-
-        # left-multiplication gather: (x*y)[k] = sum_j x[k^j] sign(k^j, j) y[j]
-        self.xor_mat = idx[:, None] ^ idx[None, :]
-        self.left_sign = sign[self.xor_mat, idx[None, :]]
+        # (x*y)[k] = sum_j x[k^j] sign(k^j, j) y[j]: the left operator's
+        # entry [k, j] is entry left_index[k, j] of the row [x, -x]
+        self.left_index = xor + dim * (sign[xor, idx[None, :]] < 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,10 +187,19 @@ def spinor_decode(m: int, blocks: np.ndarray) -> np.ndarray:
     return np.matmul(flat.reshape(flat.shape[:-3] + (1, len(dec))), dec)[..., 0, :]
 
 
+def _gather_signed(a: np.ndarray, index: np.ndarray, out=None) -> np.ndarray:
+    """The entries index of the rows [a, -a] of a (..., dim): the sign
+    table's left operators with index = left_index, and their transposes
+    with its transpose.  0.0 + a and 0.0 - a make every zero entry +0.0."""
+    both = np.concatenate([0.0 + a, 0.0 - a], axis=-1)
+    return np.take(both, index, axis=-1, out=out, mode="clip")
+
+
 def mul_batch(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched product: a, b broadcastable to (..., dim).  Below
-    _SPINOR_MIN the left operators of a are built in chunks along the
-    first axis, or once where a is broadcast along it."""
+    _SPINOR_MIN each row b multiplies the transposed sign-table operator
+    of its row of a (_gather_signed), built in chunks along the first
+    axis, or once where a is broadcast along it."""
     t = _tables(m)
     a, b = (np.asarray(x, dtype=np.float64) for x in (a, b))
     if m >= _SPINOR_MIN:
@@ -209,14 +208,12 @@ def mul_batch(m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     nd = max(len(shape), 2)
     a, b = (x.reshape((1,) * (nd - x.ndim) + x.shape) for x in (a, b))
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-
-    def left(x):  # operators (..., dim, dim) with row @ op = x * row
-        return (x @ t.struct_flat).reshape(x.shape[:-1] + (t.dim, t.dim))
-    ops = left(a) if len(a) == 1 else None
+    index = t.left_index.T  # operators (..., dim, dim) with row @ op = x * row
+    ops = _gather_signed(a, index) if len(a) == 1 else None
     # ~512 KB of operators per chunk stays in cache
     step = max(1, (1 << 16) // max(1, math.prod(a.shape[1:]) * t.dim))
     for lo in range(0, len(out), step):
-        op = ops if ops is not None else left(a[lo:lo + step])
+        op = ops if ops is not None else _gather_signed(a[lo:lo + step], index)
         rows = b if len(b) == 1 else b[lo:lo + step]
         out[lo:lo + step] = np.matmul(rows[..., None, :], op)[..., 0, :]
     return out.reshape(shape)
@@ -228,12 +225,11 @@ def conj_batch(m: int, a: np.ndarray) -> np.ndarray:
 
 def left_matrix_batch(m: int, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Stack of left-multiplication matrices L with (x*y) = L @ y for the
-    rows x of a, shape (B, dim, dim), from the sign table, built in out if
-    given.  Each matrix is C-contiguous, so a row's operator and products
-    have the bits it has alone."""
-    t = _tables(m)
-    return np.multiply(np.take(a, t.xor_mat, axis=1, out=out, mode="clip"), t.left_sign,
-                       out=out)
+    rows x of a, shape (B, dim, dim): one gather of the sign table's
+    entries (_gather_signed), built in out if given.  Each matrix is
+    C-contiguous, so a row's operator and products have the bits it has
+    alone."""
+    return _gather_signed(a, _tables(m).left_index, out=out)
 
 
 def singular_values_batch(m: int, a: np.ndarray) -> np.ndarray:

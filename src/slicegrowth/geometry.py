@@ -188,10 +188,13 @@ def convex_criterion_slice(f: ShadowMap, t: int, x: np.ndarray,
 _FAMILY_POWER = {"starlike": 2, "convex": 1}
 
 
-def growth_bounds(r, family: str):
+def growth_bounds(r, family: str, size=None):
+    """The envelopes (size/(1+r)^p, size/(1-r)^p) of the family at gauge
+    value r; size is r (the rho-form) unless given, ||x|| in the norm-form."""
     p = _FAMILY_POWER[family]
     r = np.asarray(r, dtype=np.float64)
-    return r / (1.0 + r) ** p, r / (1.0 - r) ** p
+    size = r if size is None else size
+    return size / (1.0 + r) ** p, size / (1.0 - r) ** p
 
 
 def _sample_ball(rng, samples: int, n: int, m: int, r_max: float):
@@ -303,15 +306,11 @@ def envelope_table(f: SliceMap, family: str, r_grid) -> list[dict]:
     ball's extremal ray, the first axis, read as the growth records read
     it at theta = 0 (extremal_ray)."""
     radii = [float(r) for r in r_grid]
-    _, rho, _ = extremal_ray(f, Gauge("ball", f.n, f.m), radii)
-    rows = []
-    for r, plus, minus in zip(radii, rho, rho[len(radii):]):
-        lower, upper = growth_bounds(r, family)
-        rows.append({
-            "r": r, "lower_bound": float(lower), "f_at_minus_r": float(minus),
-            "f_at_plus_r": float(plus), "upper_bound": float(upper),
-        })
-    return rows
+    rho, _ = extremal_ray(f, Gauge("ball", f.n, f.m), radii)
+    lower, upper = growth_bounds(radii, family)
+    return [{"r": r, "lower_bound": float(lo), "f_at_minus_r": float(minus),
+             "f_at_plus_r": float(plus), "upper_bound": float(hi)}
+            for r, lo, minus, plus, hi in zip(radii, lower, rho[len(radii):], rho, upper)]
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +498,10 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
 
     At theta = 0 a record on the ball or the polydisc also reads the
     domain's extremal ray (extremal_ray), where the envelopes are sharp:
-    sharpness_gap, the largest |rho(f_I(x)) - |x|/(1 - x)^p| over its
-    real points x, or the ray values' largest off-slice residual if that
-    is larger, enters max_error.  So a map whose values stray from the
+    sharpness_gap, the largest gap between rho(f_I(x)) and growth_bounds
+    at r over its real points x = +r (the upper envelope) and x = -r (the
+    lower), or the ray values' largest off-slice residual if that is
+    larger, enters max_error.  So a map whose values stray from the
     envelopes by more than tol along that ray fails, which random points
     alone do not see.
 
@@ -511,8 +511,6 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
     `asserted` does and the spot-check reads ok, and judge_growth lets a
     record whose field is false pass.
     """
-    p = _FAMILY_POWER[family]
-
     alpha, beta, j_rows, rho = _sample_gauged(g, rng, samples, f.n, f.m, r_max)
     norms = _batch_norms(f, alpha, beta, j_rows)
     lo_rho, hi_rho = growth_bounds(rho, family)
@@ -524,7 +522,8 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
         errors = list(rho_viol)
     else:
         xnorm = np.sqrt(np.sum(alpha ** 2 + beta ** 2, axis=1))
-        norm_viol = _violations(xnorm / (1.0 + rho) ** p, norms, xnorm / (1.0 - rho) ** p)
+        lo_norm, hi_norm = growth_bounds(rho, family, xnorm)
+        norm_viol = _violations(lo_norm, norms, hi_norm)
         # slice-of-I samples for the gauge-form
         alpha_i, beta_i, _, rho_i = _sample_gauged(g, rng, samples, f.n, f.m, r_max)
         status = _hypothesis_status(f, family, r_max, rng)
@@ -545,9 +544,11 @@ def growth_check_domain(f: ShadowMap, g: Gauge, family: str, r_max: float,
         }
         errors = [*norm_viol, *gauge_viol, off_slice]
     if abs(theta) < 1e-15 and g.kind in _RAY_COLUMNS:
-        x, ray_rho, ray_off_slice = extremal_ray(f, g, RAY_RADII)
+        # sharp at x = +r on the upper envelope, at x = -r on the lower
+        ray_rho, ray_off_slice = extremal_ray(f, g, RAY_RADII)
+        lower, upper = growth_bounds(RAY_RADII, family)
         forms["sharpness_gap"] = float(np.max(
-            [*np.abs(ray_rho - np.abs(x) / (1.0 - x) ** p), ray_off_slice]))
+            [*np.abs(ray_rho - np.concatenate([upper, lower])), ray_off_slice]))
         errors.append(forms["sharpness_gap"])
     max_error = float(np.max(errors))
 
@@ -573,7 +574,7 @@ def extremal_ray(f: ShadowMap, g: Gauge, radii):
     """The real points x = +r, then x = -r, for r of radii, along the
     extremal ray of the ball or polydisc gauge g, with rho(f_I(x)) on the
     slice of f.I (value_gauge_on_slice) and the largest off-slice residual
-    of those values: (x, rho, residual).  The SliceMap of a stem series
+    of those values: (rho, residual).  The SliceMap of a stem series
     has no slice row; it is read on the slice of e_1, since its values at
     real points do not depend on J."""
     x = np.concatenate([radii, np.negative(radii)])
@@ -582,7 +583,7 @@ def extremal_ray(f: ShadowMap, g: Gauge, radii):
     I = f.I if hasattr(f, "I") else generator(f.m, 1)
     rho, off_slice = value_gauge_on_slice(
         g, f.eval_arrays(alpha, np.zeros_like(alpha), I), I)
-    return x, rho, off_slice
+    return rho, off_slice
 
 
 def _violations(lower, values, upper) -> tuple[float, float]:

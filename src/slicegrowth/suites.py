@@ -309,11 +309,12 @@ def _inverse_errors(m: int, a: np.ndarray, inv: np.ndarray, ops: np.ndarray):
     (Higham 2002, section 7.1) and the largest |a a^{-1} - 1|_max.  The
     operators of len(ops) rows at a time are built in the workspace ops.
 
-    The product goes through the sign-table operator, not through the
-    spinor kernel that invert_batch and mul_batch share, so a fault in
-    that kernel cannot cancel in the check.  Each residual coefficient is
-    a dot product of length dim, which adds at most gamma_dim |a| |a^-1|
-    (Cauchy-Schwarz) to the inverse's own backward error."""
+    The product goes through the sign-table gather (left_matrix_batch),
+    not through the spinor kernel that invert_batch and mul_batch share,
+    so a fault in that kernel cannot cancel in the check.  Each residual
+    coefficient is a dot product of length dim, which adds at most
+    gamma_dim |a| |a^-1| (Cauchy-Schwarz) to the inverse's own backward
+    error."""
     resid = np.empty_like(a)
     chunk = len(ops)
     for lo in range(0, len(a), chunk):

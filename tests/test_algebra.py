@@ -75,6 +75,8 @@ def test_full_product_table_matches_oracle(m):
             c, sign = ref_blade_mul(a, b)
             expected = sign * blade(m, c)
             assert np.array_equal(mul_coeffs(m, ea, eb), expected), f"e_{a} * e_{b}"
+            if m < 4:  # the sign-table operators of mul_batch, entry by entry
+                assert np.array_equal(mul_batch(m, ea, eb), expected), f"e_{a} * e_{b}"
 
 
 def test_generator_squares_and_bivector():

@@ -460,6 +460,10 @@ def test_growth_bounds_shapes():
     lo1, hi1 = growth_bounds(0.5, "convex")
     assert lo1 == pytest.approx(1 / 3)
     assert hi1 == pytest.approx(1.0)
+    # the norm-form: ||x|| = 0.8 over the envelopes' denominators at rho = 0.5
+    lo2, hi2 = growth_bounds(0.5, "starlike", size=0.8)
+    assert lo2 == pytest.approx(0.8 / 2.25)
+    assert hi2 == pytest.approx(3.2)
 
 
 def test_growth_check_ball_koebe():
@@ -737,6 +741,26 @@ def test_the_theta_zero_growth_record_judges_sharpness(p, family, delta):
         rep = growth_check_domain(_scaled_map(1.0 + delta, p, 0.7, E1_3, 2), gauge, family,
                                   0.9, 300, np.random.default_rng(7), 0.7)
         assert "sharpness_gap" not in rep.data, (domain, rep.data)
+
+
+@pytest.mark.parametrize("factor", [1.001, 1 / 1.001])
+def test_moved_envelopes_fail_the_theta_zero_records(monkeypatch, factor):
+    # growth_bounds loosened (factor > 1) or tightened by 0.1%: the theta = 0
+    # records compare the extremal ray with the same envelopes, where the
+    # Koebe and Cayley maps meet them, so each of those records fails
+    bounds = geometry_mod.growth_bounds
+
+    def moved(r, family, size=None):
+        lower, upper = bounds(r, family, size)
+        return lower / factor, upper * factor
+    monkeypatch.setattr(geometry_mod, "growth_bounds", moved)
+    for suite in ("growth-ball", "growth-domain"):
+        reports = run_suite(suite, RunConfig(samples=200))
+        sharp = [rep for rep in reports if rep.check.endswith("-theta0.000")
+                 and rep.check.split("-")[2] in ("koebe", "cayley")]
+        assert len(sharp) == 4, [rep.check for rep in reports]
+        for rep in sharp:
+            assert not rep.passed and rep.data["sharpness_gap"] > 1e-5, (rep.check, rep.data)
 
 
 def test_growth_check_domain_hypothesis_status():
